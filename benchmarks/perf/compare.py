@@ -35,7 +35,9 @@ RATE_METRICS = [
     ("allocation_throughput", "grid_cells_per_sec"),
     ("allocation_throughput", "provisioner_actions_per_sec"),
     ("telemetry_overhead", "disabled_events_per_sec"),
+    ("telemetry_overhead", "enabled_events_per_sec"),
     ("analysis_throughput", "critical_path_traces_per_sec"),
+    ("analysis_throughput", "blame_traces_per_sec"),
     ("resilience_overhead", "disabled_events_per_sec"),
     ("tsdb_overhead", "disabled_events_per_sec"),
     ("serve_overhead", "disabled_events_per_sec"),

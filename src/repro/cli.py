@@ -372,6 +372,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(
             f"\nTraces: buffered={sink.sampled_traces} "
             f"kept={sink.kept_traces} tail_dropped={sink.tail_dropped}"
+            + (f" late_spans={sink.late_spans}" if sink.late_spans else "")
         )
     session.finish(result)
     return 0

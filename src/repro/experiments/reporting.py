@@ -123,6 +123,8 @@ def render_run_report(report: Mapping[str, Any]) -> str:
         f"{report.get('traces_sampled', 0)} kept/sampled  "
         f"duration={report.get('duration_min', 0):g} min"
     )
+    if report.get("late_spans"):
+        summary += f"  late_spans={report['late_spans']} dropped"
     sections.append(summary)
     return "\n\n".join(sections)
 

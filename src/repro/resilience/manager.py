@@ -178,8 +178,7 @@ class _ResilientCall:
         "service",
         "node",
         "downstream",
-        "span_parent",
-        "fixed_span",
+        "span",
         "is_root",
         "attempt",
     )
@@ -191,8 +190,7 @@ class _ResilientCall:
         service: str,
         node,
         downstream,
-        span_parent,
-        fixed_span=None,
+        span,
         is_root: bool = False,
     ):
         self.mgr = mgr
@@ -200,8 +198,9 @@ class _ResilientCall:
         self.service = service
         self.node = node
         self.downstream = downstream
-        self.span_parent = span_parent
-        self.fixed_span = fixed_span
+        #: telemetry span context (``None`` when the request is unsampled):
+        #: the request's own span at the root, the calling span below it
+        self.span = span
         self.is_root = is_root
         self.attempt = 0
 
@@ -225,14 +224,13 @@ class _ResilientCall:
         self.attempt += 1
         attempt = _AttemptDone(self)
         inner = attempt
-        tele = mgr.tele
         if self.is_root:
-            attempt.span_done = self.fixed_span
-        elif tele is not None and self.span_parent is not None:
-            wrapped = tele.wrap_call(self.span_parent, self.node, t, attempt)
-            if wrapped is not attempt:
-                attempt.span_done = wrapped
-                inner = wrapped
+            attempt.span_done = self.span
+        elif self.span is not None:
+            # every attempt of the call is its own span under the caller's
+            inner = attempt.span_done = mgr.tele.wrap_call(
+                self.span, self.node, t, attempt
+            )
         timeout = mgr._timeout
         if timeout is not None:
             mgr.events.push(
@@ -487,11 +485,9 @@ class ResilienceManager:
     def start_request(self, service: str, node, t: float, final) -> None:
         self.stats.requests += 1
         req = _RequestCtx(service, t, final)
-        fixed_span = final if type(final) is _SpanDone else None
         _ResilientCall(
-            self, req, service, node,
-            downstream=final, span_parent=None,
-            fixed_span=fixed_span, is_root=True,
+            self, req, service, node, downstream=final,
+            span=final if type(final) is _SpanDone else None, is_root=True,
         ).execute_attempt(t)
 
     def submit_children(self, service: str, calls, t: float, frame, done) -> None:
@@ -509,11 +505,9 @@ class ResilienceManager:
         if attempt is None:  # pragma: no cover - engine invariant
             raise RuntimeError("resilient fan-out without an attempt context")
         req = attempt.call.req
-        span_parent = attempt.span_done
         for child in calls:
             _ResilientCall(
-                self, req, service, child,
-                downstream=frame, span_parent=span_parent,
+                self, req, service, child, downstream=frame, span=attempt.span_done
             ).execute_attempt(t)
 
     # ------------------------------------------------------------------

@@ -40,14 +40,16 @@ Live telemetry
 --------------
 
 Passing a :class:`~repro.telemetry.TelemetrySink` as ``telemetry=``
-instruments the run: requests emit CLIENT/SERVER span pairs per call,
-completions stream own latencies and per-minute call counts into a live
-``MetricsStore``, a per-window tick snapshots engine health and closes
-SLA windows, and ``scale_container_count`` records audit entries.  The
-sink never touches the engine RNG, so the pinned golden streams hold
-with telemetry on or off.  With ``telemetry=None`` (the default) each
-hot loop pays exactly one ``is not None`` branch and nothing else — the
-``telemetry_overhead`` perf benchmark guards that.
+instruments the run: each call's ``done`` continuation doubles as its
+CLIENT/SERVER span record, flushed per finished request into the sink's
+columnar span table (``sink.traces``: lazy ``TraceRecord`` views, no
+per-span objects); completions stream own latencies and per-minute call
+counts into a live ``MetricsStore``, a per-window tick snapshots engine
+health and closes SLA windows, and ``scale_container_count`` records
+audit entries.  The sink never touches the engine RNG, so the pinned
+golden streams hold with telemetry on or off.  With ``telemetry=None``
+(the default) each hot loop pays exactly one ``is not None`` branch;
+``benchmarks/e2e`` measures both sides (``des_replay``, ``des_observed``).
 """
 
 from __future__ import annotations

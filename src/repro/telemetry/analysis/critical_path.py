@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.tracing.coordinator import group_parallel
-from repro.tracing.spans import Span, SpanKind, TraceRecord
+from repro.tracing.spans import TraceRecord
 
 __all__ = [
     "CriticalPath",
@@ -79,15 +78,6 @@ class CriticalPath:
         """Sum of segment own latencies (equals ``end_to_end_ms``)."""
         return sum(segment.own_ms for segment in self.segments)
 
-    def by_microservice(self) -> Dict[str, float]:
-        """Aggregated critical-path own latency per microservice."""
-        totals: Dict[str, float] = {}
-        for segment in self.segments:
-            totals[segment.microservice] = (
-                totals.get(segment.microservice, 0.0) + segment.own_ms
-            )
-        return totals
-
     def to_dict(self) -> Dict:
         return {
             "trace_id": self.trace_id,
@@ -97,89 +87,37 @@ class CriticalPath:
         }
 
 
-def _child_index(trace: TraceRecord) -> Dict[Optional[str], List[Span]]:
-    """parent_id -> children, start-ordered (one pass; avoids O(n²) walks)."""
-    index: Dict[Optional[str], List[Span]] = {}
-    for span in trace.spans:
-        index.setdefault(span.parent_id, []).append(span)
-    for children in index.values():
-        children.sort(key=lambda s: (s.start, s.span_id))
-    return index
-
-
 def extract_critical_path(trace: TraceRecord) -> CriticalPath:
     """Decompose one trace's end-to-end latency along its critical tree.
 
-    At every server span, stages are regrouped from client-span overlap
-    (the coordinator's rule); each stage's slowest call — by server span
+    Walks the trace's :class:`~repro.tracing.spans.CallTree`: at every
+    server span, stages are regrouped from client-span overlap (the
+    coordinator's rule); each stage's slowest call — by server span
     duration, client duration when the server span was lost — joins the
-    path, and the recursion descends into it.  Segments are listed in
-    root-first path order.
+    path, and the walk descends into it.  Segments are listed in
+    root-first path order; own latencies are the tree's (Eq. 1, computed
+    once per trace and shared with blame attribution).
     """
-    children = _child_index(trace)
-    timings = trace.timings
-    segments: List[PathSegment] = []
-
-    def _walk(server_span: Span) -> None:
-        client_children = [
-            s
-            for s in children.get(server_span.span_id, ())
-            if s.kind is SpanKind.CLIENT
-        ]
-        downstream = 0.0
-        critical_children: List[Span] = []
-        for stage in group_parallel(client_children):
-            best_duration = float("-inf")
-            best_server: Optional[Span] = None
-            for client_span in stage:
-                servers = [
-                    s
-                    for s in children.get(client_span.span_id, ())
-                    if s.kind is SpanKind.SERVER
-                ]
-                if servers:
-                    candidate = max(servers, key=lambda s: s.duration)
-                    duration = candidate.duration
-                else:
-                    candidate = None
-                    duration = client_span.duration
-                if duration > best_duration:
-                    best_duration = duration
-                    best_server = candidate
-            downstream += best_duration
-            if best_server is not None:
-                critical_children.append(best_server)
-        own = max(server_span.duration - downstream, 0.0)
-        timing = timings.get(server_span.span_id) if timings else None
-        if timing is not None:
-            segments.append(
-                PathSegment(
-                    microservice=server_span.microservice,
-                    span_id=server_span.span_id,
-                    own_ms=own,
-                    queue_ms=timing.queue_ms,
-                    service_ms=timing.service_ms,
-                    inflation_ms=timing.inflation_ms,
-                )
+    tree = trace.call_tree()
+    names = tree.names
+    own = tree.own_latencies()
+    slowest = tree.slowest
+    path: List[int] = []
+    pending = [tree.root]
+    while pending:  # depth-first, earlier stages first
+        node = pending.pop()
+        path.append(node)
+        if node in slowest:
+            # a call whose server span was lost ends its branch
+            pending.extend(
+                [n for n in reversed(slowest[node]) if names[n] is not None]
             )
-        else:
-            segments.append(
-                PathSegment(
-                    microservice=server_span.microservice,
-                    span_id=server_span.span_id,
-                    own_ms=own,
-                )
-            )
-        for child in critical_children:
-            _walk(child)
-
-    root = trace.root()
-    _walk(root)
+    segments = [
+        PathSegment(names[node], span_id, own[node], *timing)
+        for node, (span_id, timing) in zip(path, trace.node_details(path))
+    ]
     return CriticalPath(
-        trace_id=trace.trace_id,
-        service=trace.service,
-        end_to_end_ms=root.duration,
-        segments=tuple(segments),
+        trace.trace_id, trace.service, tree.durations[tree.root], tuple(segments)
     )
 
 

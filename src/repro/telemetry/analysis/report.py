@@ -122,11 +122,7 @@ def analyze_run(
     traces = list(traces or [])
 
     paths = [extract_critical_path(trace) for trace in traces]
-    max_err = 0.0
-    for path in paths:
-        err = abs(path.total_own_ms - path.end_to_end_ms)
-        if err > max_err:
-            max_err = err
+    max_err = max((abs(p.total_own_ms - p.end_to_end_ms) for p in paths), default=0.0)
     slowest = sorted(paths, key=lambda p: p.end_to_end_ms, reverse=True)
     slowest = slowest[: options.top_paths]
 

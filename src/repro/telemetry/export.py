@@ -154,6 +154,9 @@ def build_run_report(
             "utilization": len(sink.metrics.utilization),
         },
     }
+    if sink.late_spans:
+        # spans of attempts abandoned on timeout that outlived their trace
+        report["late_spans"] = sink.late_spans
     if sink.monitor.error_alerts:
         report["error_alerts"] = [
             a.to_dict() for a in sink.monitor.error_alerts

@@ -7,11 +7,15 @@ Prometheus utilization, joined per-minute by the Tracing Coordinator
 :class:`~repro.simulator.simulation.ClusterSimulator` observes the run as
 it happens —
 
-* every completed request emits real CLIENT/SERVER
-  :class:`~repro.tracing.spans.Span` pairs (one pair per call, zero
-  network delay, matching the engine's timing exactly), assembled into
-  :class:`~repro.tracing.spans.TraceRecord` objects and offered to a
-  :class:`~repro.tracing.coordinator.TracingCoordinator`;
+* every completed request emits a CLIENT/SERVER span pair per call (zero
+  network delay, matching the engine's timing exactly).  The span
+  continuations the engine carries anyway are the only per-call objects:
+  a finished, retained request is flushed as one block of rows into the
+  columnar :class:`~repro.tracing.spans.SpanTable` that is
+  ``sink.traces``, whose :class:`~repro.tracing.spans.TraceView` items
+  (also what a :class:`~repro.tracing.coordinator.TracingCoordinator` is
+  offered) build ``Span`` objects only when ``spans`` / ``timings`` are
+  read;
 * every processed call streams its own latency and per-minute call
   counts into a live :class:`~repro.tracing.metrics.MetricsStore`, so
   the profiler consumes *observed* telemetry — byte-identical to what
@@ -23,8 +27,9 @@ it happens —
 
 The disabled path is a null check: the engine's hot loops each test
 ``telemetry is None`` once and touch nothing else, so a run without a
-sink pays a single predictable branch per event (verified by the
-``telemetry_overhead`` perf benchmark).
+sink pays a single predictable branch per event (``telemetry_overhead``
+in ``BENCH_des.json`` and the ``des_replay`` / ``des_observed`` ladder of
+``benchmarks/e2e`` track both sides).
 
 Span timing contract (kept in lockstep with the engine): a call's SERVER
 span runs from the call entering its container's queue to the call's
@@ -32,8 +37,8 @@ whole subtree completing; the caller's CLIENT span covers the same
 interval (zero transmission delay).  Eq. 1 then recovers exactly the own
 latency the engine recorded — server duration minus the per-stage max of
 child server durations telescopes to (thread release − queue entry) —
-and calls of one stage share a start timestamp, so
-:func:`~repro.tracing.coordinator.group_parallel` regroups them into the
+and calls of one stage share a start timestamp, so the overlap rule
+(:func:`~repro.tracing.spans.group_stages`) regroups them into the
 original stages.
 """
 
@@ -47,9 +52,10 @@ import numpy as np
 from repro.telemetry.monitor import DecisionLog, SLAMonitor
 from repro.telemetry.registry import MetricsRegistry
 from repro.tracing.metrics import MetricsStore
-from repro.tracing.spans import Span, SpanKind, SpanTiming, TraceRecord
+from repro.tracing.spans import SpanTable
 
 _MS_PER_MINUTE = 60_000.0
+_NAN = float("nan")
 
 __all__ = ["TelemetryConfig", "TelemetrySink"]
 
@@ -71,13 +77,13 @@ class TelemetryConfig:
             engine's pinned draw order.
         tail_threshold_ms: When set, switch trace retention to
             *tail-based* sampling: every (head-sampled) request buffers
-            raw span tuples, but full traces are materialized only for
-            requests whose end-to-end latency exceeds this threshold —
-            plus a uniform ``tail_floor`` of baseline traffic.  With a
-            threshold at/below the SLA, every violating request keeps its
-            trace while the bulk of healthy traffic is dropped before any
-            Span object is built.  ``None`` (default) keeps every buffered
-            trace (head sampling only).
+            its calls, but only requests whose end-to-end latency exceeds
+            this threshold — plus a uniform ``tail_floor`` of baseline
+            traffic — are flushed into the span table.  With a threshold
+            at/below the SLA, every violating request keeps its trace
+            while the bulk of healthy traffic is dropped without writing
+            a row.  ``None`` (default) keeps every buffered trace (head
+            sampling only).
         tail_floor: Uniform keep probability for requests under the tail
             threshold (a small healthy-baseline sample, like production
             tail samplers retain).  Drawn from the sink's own RNG.
@@ -129,91 +135,74 @@ class TelemetryConfig:
 
 
 class _TraceCtx:
-    """Per-request span buffer (sampled requests only).
+    """Per-request span context (sampled requests only).
 
-    Spans are buffered as raw tuples — ``(server_id, client_id,
-    parent_id, microservice, caller, start, finish, proc_start, proc_ms,
-    mult)`` — and materialized into :class:`Span` objects only when the
-    trace is actually retained (see ``TelemetrySink._complete_trace``).
-    With tail-based sampling that skips the two frozen-dataclass
-    constructions per call for every dropped trace, which is where the
-    bulk of the full-sampling overhead went.
+    ``calls`` collects the request's finished :class:`_SpanDone` records
+    in completion order; ``None`` once the root span closed the trace.
     """
 
-    __slots__ = ("sink", "trace_id", "service", "start", "raw", "n")
+    __slots__ = ("sink", "number", "service", "start", "calls", "n")
 
-    def __init__(self, sink: "TelemetrySink", trace_id: str, service: str, start: float):
+    def __init__(self, sink: "TelemetrySink", number: int, service: str, start: float):
         self.sink = sink
-        self.trace_id = trace_id
+        self.number = number
         self.service = service
         self.start = start
-        self.raw: List[tuple] = []
-        self.n = 1  # span-id counter (id 0 is the root server span)
+        self.calls: Optional[List[_SpanDone]] = []
+        self.n = 1  # span ordinal counter (ordinal 0 is the root server span)
 
 
 class _SpanDone:
-    """Completion continuation that buffers this call's span pair.
+    """Completion continuation that is also its call's span record.
 
     Fired when the call's whole subtree finishes (the engine's ``done``
-    chain); appends one raw tuple covering the callee's SERVER span and —
-    for non-root calls — the caller's CLIENT span, then delegates to the
-    wrapped continuation.  The root instance finalizes the trace.
-
-    ``proc_start`` / ``proc_ms`` / ``mult`` are stamped by the engine via
-    ``TelemetrySink.note_processing`` the moment the call acquires a
-    worker thread, making the queue-wait / service-time / interference
-    split exact (``SpanTiming``) for retained traces.
+    chain): stamps ``finish``, joins the request's finished calls, then
+    delegates to the wrapped continuation.  One record covers the
+    callee's SERVER span (``ordinal``) and, below the root, the caller's
+    CLIENT span (``ordinal - 1``, child of ``parent``'s server span).
+    The root (``parent is None``) closes the trace; a record firing after
+    that belongs to an attempt the client abandoned on timeout and is
+    dropped (``TelemetrySink.late_spans``).  ``proc_start`` / ``proc_ms``
+    / ``mult`` are stamped by ``TelemetrySink.note_processing`` when the
+    call acquires a thread: the exact queue / service / interference
+    split (``SpanTiming``).
     """
 
     __slots__ = (
         "ctx",
-        "server_id",
-        "client_id",
-        "parent_id",
+        "ordinal",
+        "parent",
         "microservice",
-        "caller",
         "start",
         "inner",
-        "root",
+        "finish",
         "proc_start",
         "proc_ms",
         "mult",
     )
 
-    def __init__(
-        self, ctx, server_id, client_id, parent_id, microservice, caller, start, inner, root
-    ):
+    def __init__(self, ctx, ordinal, parent, microservice, start, inner):
         self.ctx = ctx
-        self.server_id = server_id
-        self.client_id = client_id
-        self.parent_id = parent_id
+        self.ordinal = ordinal
+        self.parent = parent
         self.microservice = microservice
-        self.caller = caller
         self.start = start
         self.inner = inner
-        self.root = root
         self.proc_start = start
-        self.proc_ms = None
+        self.proc_ms = _NAN
         self.mult = 1.0
 
     def __call__(self, finish: float) -> None:
         ctx = self.ctx
-        ctx.raw.append(
-            (
-                self.server_id,
-                self.client_id,
-                self.parent_id,
-                self.microservice,
-                self.caller,
-                self.start,
-                finish,
-                self.proc_start,
-                self.proc_ms,
-                self.mult,
-            )
-        )
-        if self.root:
-            ctx.sink._complete_trace(ctx, finish)
+        calls = ctx.calls
+        if calls is None:  # its attempt was abandoned and outlived the trace
+            ctx.sink.late_spans += 1
+            ctx.sink.registry.counter("spans_dropped_late").inc()
+        else:
+            self.finish = finish
+            calls.append(self)
+            if self.parent is None:
+                ctx.sink._complete_trace(ctx, finish)
         self.inner(finish)
 
 
@@ -250,7 +239,9 @@ class TelemetrySink:
     monitor: SLAMonitor = field(default=None)  # type: ignore[assignment]
     decisions: DecisionLog = field(default_factory=DecisionLog)
     metrics: MetricsStore = field(default_factory=MetricsStore)
-    traces: List[TraceRecord] = field(default_factory=list)
+    #: Retained traces: a columnar table that reads as a sequence of
+    #: ``TraceRecord``-compatible views (its first ``max_traces`` blocks).
+    traces: SpanTable = field(init=False)
     #: One row per closed window: engine/queue health over time.
     window_series: List[Dict] = field(default_factory=list)
     #: Optional embedded TSDB
@@ -266,6 +257,14 @@ class TelemetrySink:
                 percentile=self.config.percentile,
                 error_budget=self.config.error_budget,
             )
+        self.traces = SpanTable(self.config.max_traces)
+        #: Requests that buffered spans (before any tail/``max_traces`` cap).
+        self.sampled_traces = 0
+        #: Traces the tail-sampling decision kept (``max_traces`` caps
+        #: retention after this count) and dropped.
+        self.kept_traces = self.tail_dropped = 0
+        #: Spans of abandoned attempts that finished after their trace closed.
+        self.late_spans = 0
         self._rng = np.random.default_rng(self.config.seed)
         self._sim = None
         self._trace_n = 0
@@ -276,9 +275,6 @@ class TelemetrySink:
         self._calls: Dict[str, Dict[int, int]] = {}
         self._flushed_minute = 0
         self._last_event_counter = 0
-        self._sampled = 0
-        self._kept = 0
-        self._tail_dropped = 0
 
     # ------------------------------------------------------------------
     # Run lifecycle (called by ClusterSimulator)
@@ -319,14 +315,10 @@ class TelemetrySink:
             self.config.sampling_rate >= 1.0
             or self._rng.random() < self.config.sampling_rate
         ):
-            self._sampled += 1
-            trace_id = f"{service}-t{self._trace_n}"
+            self.sampled_traces += 1
+            ctx = _TraceCtx(self, self._trace_n, service, t)
             self._trace_n += 1
-            ctx = _TraceCtx(self, trace_id, service, t)
-            return _SpanDone(
-                ctx, f"{trace_id}-s0", None, None, node.microservice, None,
-                t, inner, True,
-            )
+            return _SpanDone(ctx, 0, None, node.microservice, t, inner)
         return _E2EDone(self, service, t, inner)
 
     def wrap_call(self, done, child, t: float, frame):
@@ -340,19 +332,8 @@ class TelemetrySink:
             return frame
         ctx = done.ctx
         n = ctx.n
-        ctx.n = n + 2
-        trace_id = ctx.trace_id
-        return _SpanDone(
-            ctx,
-            f"{trace_id}-s{n + 1}",
-            f"{trace_id}-s{n}",
-            done.server_id,
-            child.microservice,
-            done.microservice,
-            t,
-            frame,
-            False,
-        )
+        ctx.n = n + 2  # n: the caller's client span, n + 1: the server span
+        return _SpanDone(ctx, n + 1, done, child.microservice, t, frame)
 
     def note_processing(
         self, done, start_ms: float, proc_ms: float, mult: float
@@ -495,88 +476,31 @@ class TelemetrySink:
     # Trace assembly
     # ------------------------------------------------------------------
     def _complete_trace(self, ctx: _TraceCtx, finish: float) -> None:
+        calls, ctx.calls = ctx.calls, None  # closed: later spans are dropped
         self.record_e2e(ctx.service, ctx.start, finish)
         config = self.config
         threshold = config.tail_threshold_ms
         if threshold is not None and finish - ctx.start <= threshold:
             # Tail decision: under the latency threshold, keep only the
             # uniform floor (drawn from the sink's RNG, never the
-            # engine's).  Dropped traces discard their raw buffer without
-            # ever building a Span.
+            # engine's).  Dropped traces never write a row.
             if config.tail_floor <= 0.0 or self._rng.random() >= config.tail_floor:
-                self._tail_dropped += 1
+                self.tail_dropped += 1
                 return
-        self._kept += 1
+        self.kept_traces += 1
         # Kept traces exemplify their latency bucket: the /metrics
         # exposition links the histogram to a trace id an operator can
         # actually pull up.  Off the e2e hot path (kept traces only),
         # no RNG, one dict write.
         self.registry.histogram(f"e2e_latency_ms.{ctx.service}").attach_exemplar(
-            finish - ctx.start, ctx.trace_id
+            finish - ctx.start, f"{ctx.service}-t{ctx.number}"
         )
-        retain = (
-            config.max_traces is None or len(self.traces) < config.max_traces
-        )
+        traces = self.traces
+        retain = traces.limit is None or len(traces) < traces.limit
         coordinator = self.coordinator
-        if not retain and coordinator is None:
-            return  # nobody would see the materialized record
-        record = self._materialize(ctx)
-        if retain:
-            self.traces.append(record)
-        if coordinator is not None:
-            coordinator.offer(record)
-
-    def _materialize(self, ctx: _TraceCtx) -> TraceRecord:
-        """Build the Span objects of one retained trace from raw tuples."""
-        spans: List[Span] = []
-        append = spans.append
-        timings: Dict[str, SpanTiming] = {}
-        server = SpanKind.SERVER
-        client = SpanKind.CLIENT
-        for (
-            server_id,
-            client_id,
-            parent_id,
-            microservice,
-            caller,
-            start,
-            finish,
-            proc_start,
-            proc_ms,
-            mult,
-        ) in ctx.raw:
-            append(Span(server_id, client_id, microservice, server, start, finish))
-            if client_id is not None:
-                append(Span(client_id, parent_id, caller, client, start, finish))
-            if proc_ms is not None:
-                timings[server_id] = SpanTiming(
-                    queue_ms=proc_start - start,
-                    service_ms=proc_ms,
-                    inflation_ms=0.0 if mult == 1.0 else proc_ms - proc_ms / mult,
-                )
-        return TraceRecord(
-            trace_id=ctx.trace_id,
-            service=ctx.service,
-            spans=spans,
-            timings=timings or None,
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def sampled_traces(self) -> int:
-        """Requests that buffered spans (before any tail/``max_traces`` cap)."""
-        return self._sampled
-
-    @property
-    def kept_traces(self) -> int:
-        """Traces that survived the tail-sampling decision.
-
-        Equal to :attr:`sampled_traces` without a tail threshold; the
-        ``max_traces`` retention cap applies after this count.
-        """
-        return self._kept
-
-    @property
-    def tail_dropped(self) -> int:
-        """Buffered traces dropped by the tail-sampling decision."""
-        return self._tail_dropped
+        if retain or coordinator is not None:
+            # Past the cap, blocks are written for the coordinator alone
+            # (``traces`` shows only its first ``max_traces`` blocks).
+            trace = traces.append_trace(ctx.service, ctx.number, calls)
+            if coordinator is not None:
+                coordinator.offer(trace)

@@ -24,65 +24,29 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.graphs import CallNode, DependencyGraph
-from repro.tracing.spans import Span, SpanKind, TraceRecord
+from repro.tracing.spans import CallTree, Span, TraceRecord, group_stages
 
 
 def group_parallel(client_spans: Sequence[Span]) -> List[List[Span]]:
-    """Partition a microservice's outgoing calls into stages.
-
-    Client spans are sorted by start time; a span joins the current stage
-    if it overlaps the stage's running time window (the paper marks calls
-    whose client spans overlap existing calls as parallel), otherwise it
-    opens a new sequential stage.
-    """
-    stages: List[List[Span]] = []
-    window_end = float("-inf")
-    for span in sorted(client_spans, key=lambda s: (s.start, s.span_id)):
-        if stages and span.start < window_end:
-            stages[-1].append(span)
-        else:
-            stages.append([span])
-        window_end = max(window_end, span.end)
-    return stages
-
-
-def _server_duration(trace: TraceRecord, client_span: Span) -> float:
-    """Server-side response time (S_d − R_d) of a client span's call.
-
-    Eq. 1 subtracts the *server* span duration, so the caller's own
-    latency keeps the transmission time — the paper notes L_i includes
-    it.  Falls back to the client duration when the server span was
-    lost (e.g. sampling).
-    """
-    servers = [
-        s for s in trace.children_of(client_span) if s.kind is SpanKind.SERVER
-    ]
-    if not servers:
-        return client_span.duration
-    return max(s.duration for s in servers)
+    """Partition a microservice's outgoing calls into stages: the overlap
+    rule of :func:`~repro.tracing.spans.group_stages` over client spans."""
+    return group_stages((s.start, s.span_id, s.end, s) for s in client_spans)
 
 
 def trace_own_latencies(trace: TraceRecord) -> Dict[str, List[float]]:
     """Own latency of every microservice occurrence in one trace (Eq. 1).
 
     For each server span: response time minus the summed per-stage
-    downstream response times (max within each parallel stage).  The
-    residual includes queueing, processing, and transmission, exactly
-    the quantity Erms profiles.  Shared by the
-    :class:`TracingCoordinator` and the trace analytics engine
-    (:mod:`repro.telemetry.analysis`).
+    downstream *server* response times (max within a parallel stage), so
+    own latency keeps the transmission time, as the paper's L_i does; the
+    client span stands in for a lost server span.  Computed once per
+    trace (:class:`~repro.tracing.spans.CallTree`) and shared by the
+    :class:`TracingCoordinator` and :mod:`repro.telemetry.analysis`.
     """
     latencies: Dict[str, List[float]] = {}
-    for span in trace.server_spans():
-        client_children = [
-            s for s in trace.children_of(span) if s.kind is SpanKind.CLIENT
-        ]
-        downstream = sum(
-            max(_server_duration(trace, s) for s in stage)
-            for stage in group_parallel(client_children)
-        )
-        own = span.duration - downstream
-        latencies.setdefault(span.microservice, []).append(max(own, 0.0))
+    for name, own in zip(*trace.own_latencies()):
+        if name is not None:
+            latencies.setdefault(name, []).append(own)
     return latencies
 
 
@@ -131,53 +95,20 @@ class TracingCoordinator:
         records = self.traces.get(service)
         if not records:
             raise ValueError(f"no traces recorded for service {service!r}")
-        merged: Optional[CallNode] = None
-        for record in records:
-            root = self._build_call_tree(record, record.root())
-            if merged is None:
-                merged = root
-            else:
-                _merge_call_trees(merged, root)
-        assert merged is not None
+        trees = [record.call_tree() for record in records]
+        merged, *others = [_call_node(tree, tree.root) for tree in trees]
+        for other in others:
+            _merge_call_trees(merged, other)
         return DependencyGraph(service=service, root=merged)
-
-    def _build_call_tree(self, record: TraceRecord, server_span: Span) -> CallNode:
-        node = CallNode(server_span.microservice)
-        client_children = [
-            s
-            for s in record.children_of(server_span)
-            if s.kind is SpanKind.CLIENT
-        ]
-        for stage in group_parallel(client_children):
-            stage_nodes: List[CallNode] = []
-            for client_span in stage:
-                server_children = [
-                    s
-                    for s in record.children_of(client_span)
-                    if s.kind is SpanKind.SERVER
-                ]
-                for child_server in server_children:
-                    stage_nodes.append(self._build_call_tree(record, child_server))
-            if stage_nodes:
-                node.stages.append(stage_nodes)
-        return node
 
     # ------------------------------------------------------------------
     # Latency extraction (paper Eq. 1)
     # ------------------------------------------------------------------
-    def microservice_latencies(self, trace: TraceRecord) -> Dict[str, List[float]]:
-        """Own latency of every microservice occurrence in one trace.
-
-        Delegates to the module-level :func:`trace_own_latencies` (shared
-        with the trace analytics engine).
-        """
-        return trace_own_latencies(trace)
-
     def latency_samples(self, service: str) -> Dict[str, List[float]]:
         """Pooled own-latency samples per microservice across all traces."""
         pooled: Dict[str, List[float]] = {}
         for record in self.traces.get(service, []):
-            for name, values in self.microservice_latencies(record).items():
+            for name, values in trace_own_latencies(record).items():
                 pooled.setdefault(name, []).extend(values)
         return pooled
 
@@ -194,7 +125,17 @@ class TracingCoordinator:
 
     def end_to_end_latencies(self, service: str) -> List[float]:
         """End-to-end latency of every collected trace of a service."""
-        return [t.end_to_end_latency() for t in self.traces.get(service, [])]
+        return [t.root().duration for t in self.traces.get(service, [])]
+
+
+def _call_node(tree: CallTree, node: int) -> CallNode:
+    """One trace's dependency graph below ``node`` (lost calls left out)."""
+    call_node = CallNode(tree.names[node])
+    for stage in tree.stages.get(node, ()):
+        callees = [_call_node(tree, n) for n in stage if tree.names[n] is not None]
+        if callees:
+            call_node.stages.append(callees)
+    return call_node
 
 
 def _merge_call_trees(target: CallNode, other: CallNode) -> None:

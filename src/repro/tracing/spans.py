@@ -1,4 +1,4 @@
-"""Span data model and trace synthesis.
+"""Span data model, the per-trace call tree, and the columnar span table.
 
 Following Jaeger's model as described in paper §5.1, every call between a
 pair of microservices produces two spans:
@@ -12,14 +12,27 @@ The root of a trace is a SERVER span with no parent (the entering
 microservice receiving the user request).  A CLIENT span's parent is the
 caller's SERVER span; a SERVER span's parent is the corresponding CLIENT
 span.
+
+Two stores hold that model.  A :class:`TraceRecord` is a list of
+:class:`Span` objects (synthesized or imported traces).  A
+:class:`SpanTable` holds a live run's traces as flat ``array`` columns,
+one row per call, so a retained trace costs no per-span object; its
+:class:`TraceView` objects answer the ``TraceRecord`` interface and build
+``Span`` objects and id strings only when ``spans`` / ``timings`` are
+read.  Both reduce to one :class:`CallTree` per trace — stages regrouped
+by the overlap rule plus the Eq. 1 kernel — which the coordinator,
+critical paths and blame all walk.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graphs import CallNode, DependencyGraph
 
@@ -86,20 +99,124 @@ class SpanTiming:
     service_ms: float
     inflation_ms: float = 0.0
 
-    @property
-    def own_ms(self) -> float:
-        return self.queue_ms + self.service_ms
+
+def group_stages(calls: Iterable[Tuple]) -> List[List]:
+    """Partition one caller's outgoing calls into stages (the overlap rule).
+
+    ``calls`` are ``(start, span_id, end, payload)`` of the caller's client
+    spans.  Sorted by ``(start, span_id)``, a call joins the current stage
+    if it starts inside the stage's running time window (the paper marks
+    calls whose client spans overlap existing calls as parallel), otherwise
+    it opens a new sequential stage.  Returns the payloads, stage by stage.
+    """
+    stages: List[List] = []
+    window_end = float("-inf")
+    for start, _, end, payload in sorted(calls, key=itemgetter(0, 1)):
+        if stages and start < window_end:
+            stages[-1].append(payload)
+        else:
+            stages.append([payload])
+        if end > window_end:
+            window_end = end
+    return stages
+
+
+class CallTree:
+    """One trace's calls as a tree, and paper Eq. 1 over it.
+
+    A node is one server span — or, named ``None``, a call whose server
+    span was lost (its client span's duration stands in).  ``stages`` maps
+    each node with downstream calls to its child nodes, stage by stage;
+    ``roots`` are the parentless nodes.  Trees built from :class:`Span`
+    lists also keep each node's span and the span-level child index.
+    """
+
+    __slots__ = (
+        "trace_id", "names", "durations", "stages", "roots",
+        "spans", "children", "slowest", "_own",
+    )
+
+    def __init__(self, trace_id, names, durations, stages, roots,
+                 spans=None, children=None):
+        self.trace_id, self.names, self.durations = trace_id, names, durations
+        self.stages, self.roots = stages, roots
+        self.spans, self.children = spans, children
+        #: node -> slowest call of each of its stages (the critical tree);
+        #: filled by :meth:`own_latencies`.
+        self.slowest: Dict[int, List[int]] = {}
+        self._own: Optional[List[float]] = None
+
+    @classmethod
+    def from_spans(cls, trace_id: str, spans: List[Span]) -> "CallTree":
+        """Index a span list in one pass (post-hoc / imported traces)."""
+        children: Dict[Optional[str], List[Span]] = {}
+        servers: List[Span] = []
+        for span in spans:
+            children.setdefault(span.parent_id, []).append(span)
+            if span.kind is SpanKind.SERVER:
+                servers.append(span)
+        for siblings in children.values():
+            siblings.sort(key=attrgetter("start", "span_id"))
+        node_of = {id(span): node for node, span in enumerate(servers)}
+        names: List[Optional[str]] = [s.microservice for s in servers]
+        durations = [s.end - s.start for s in servers]
+        stages: Dict[int, List[List[int]]] = {}
+        for node, server in enumerate(servers):
+            calls = []
+            for client in children.get(server.span_id, ()):
+                if client.kind is not SpanKind.CLIENT:
+                    continue
+                callees = [
+                    node_of[id(s)]
+                    for s in children.get(client.span_id, ())
+                    if s.kind is SpanKind.SERVER
+                ]
+                if not callees:  # server span lost (e.g. sampling)
+                    callees = [len(names)]
+                    names.append(None)
+                    durations.append(client.end - client.start)
+                calls.append((client.start, client.span_id, client.end, callees))
+            if calls:
+                stages[node] = [
+                    [callee for callees in stage for callee in callees]
+                    for stage in group_stages(calls)
+                ]
+        roots = [node_of[id(s)] for s in children.get(None, ()) if id(s) in node_of]
+        return cls(trace_id, names, durations, stages, roots, servers, children)
 
     @property
-    def base_service_ms(self) -> float:
-        return self.service_ms - self.inflation_ms
+    def root(self) -> int:
+        """The entering microservice's node."""
+        if len(self.roots) != 1:
+            raise ValueError(
+                f"trace {self.trace_id}: expected exactly 1 root span, "
+                f"found {len(self.roots)}"
+            )
+        return self.roots[0]
 
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "queue_ms": round(self.queue_ms, 6),
-            "service_ms": round(self.service_ms, 6),
-            "inflation_ms": round(self.inflation_ms, 6),
-        }
+    def own_latencies(self) -> List[float]:
+        """Own latency of every node (paper Eq. 1), computed once.
+
+        Response time minus the summed per-stage downstream response times
+        (the slowest call of each parallel stage).  The residual includes
+        queueing, processing, and transmission — the quantity Erms
+        profiles.  The per-stage slowest calls are kept in ``slowest``.
+        """
+        own = self._own
+        if own is None:
+            durations = self.durations
+            own = self._own = list(durations)
+            duration_of = durations.__getitem__
+            for node, stages in self.stages.items():
+                slowest = self.slowest[node] = [
+                    stage[0] if len(stage) == 1 else max(stage, key=duration_of)
+                    for stage in stages
+                ]
+                downstream = 0.0
+                for child in slowest:
+                    downstream += durations[child]
+                own[node] = max(durations[node] - downstream, 0.0)
+        return own
 
 
 @dataclass
@@ -114,28 +231,258 @@ class TraceRecord:
     service: str
     spans: List[Span] = field(default_factory=list)
     timings: Optional[Dict[str, SpanTiming]] = None
+    _tree: Optional[Tuple[List[Span], int, CallTree]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def call_tree(self) -> CallTree:
+        """The trace's :class:`CallTree`, cached until ``spans`` changes."""
+        spans = self.spans
+        cached = self._tree
+        if cached is None or cached[0] is not spans or cached[1] != len(spans):
+            cached = self._tree = (
+                spans, len(spans), CallTree.from_spans(self.trace_id, spans)
+            )
+        return cached[2]
+
+    def own_latencies(self) -> Tuple[Sequence[Optional[str]], Sequence[float]]:
+        """Microservice and Eq. 1 own latency of every call-tree node."""
+        tree = self.call_tree()
+        return tree.names, tree.own_latencies()
 
     def root(self) -> Span:
         """The entering microservice's SERVER span."""
-        roots = [s for s in self.spans if s.parent_id is None]
-        if len(roots) != 1:
-            raise ValueError(
-                f"trace {self.trace_id}: expected exactly 1 root span, "
-                f"found {len(roots)}"
-            )
-        return roots[0]
+        tree = self.call_tree()
+        return tree.spans[tree.root]
 
     def children_of(self, span: Span) -> List[Span]:
         """Direct child spans, ordered by start time."""
-        children = [s for s in self.spans if s.parent_id == span.span_id]
-        return sorted(children, key=lambda s: (s.start, s.span_id))
+        return list(self.call_tree().children.get(span.span_id, ()))
 
     def end_to_end_latency(self) -> float:
         """Duration of the root server span."""
         return self.root().duration
 
     def server_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.kind is SpanKind.SERVER]
+        return list(self.call_tree().spans)
+
+    def node_details(self, nodes: Iterable[int]) -> List[Tuple[str, Tuple[float, ...]]]:
+        """Per :meth:`call_tree` node: server span id and engine timing
+        ``(queue_ms, service_ms, inflation_ms)``, ``()`` if none was recorded."""
+        spans, timings = self.call_tree().spans, self.timings or {}
+        ids = [spans[node].span_id for node in nodes]
+        return [
+            (span_id, (t.queue_ms, t.service_ms, t.inflation_ms) if t else ())
+            for span_id, t in zip(ids, map(timings.get, ids))
+        ]
+
+
+class SpanTable(SequenceABC):
+    """Columnar store of a live run's traces; a sequence of :class:`TraceView`.
+
+    One row per call — the callee's SERVER span and, below the root, the
+    caller's CLIENT span over the same interval — in one contiguous block
+    per trace, in completion order (the root call is a block's last row).
+    ``'d'`` columns: ``start``, ``finish``, ``proc_start``, ``proc_ms``
+    (NaN if the call never got a thread), ``mult``.  Int columns:
+    ``ordinal`` (the server span's number in its trace; the client span is
+    ``ordinal - 1``), ``parent`` (the calling server span's ordinal, -1 at
+    the root — not a row, because an abandoned attempt's children can sit
+    in a block their parent never reached), interned ``ms`` / ``caller``
+    microservice ids.  Per trace: service id, trace number, row offset and
+    count.  None of it is tracked by the cyclic GC, and no id string
+    exists until a view is read.  As a sequence the table shows its first
+    ``limit`` traces (the sink's ``max_traces``); later blocks are reached
+    only through the view :meth:`append_trace` returned.
+    """
+
+    def __init__(self, limit: Optional[int] = None) -> None:
+        self.limit = limit
+        self.start, self.finish = array("d"), array("d")
+        self.proc_start, self.proc_ms, self.mult = array("d"), array("d"), array("d")
+        self.ordinal, self.parent = array("i"), array("i")
+        self.ms, self.caller = array("i"), array("i")
+        self.trace_service, self.trace_number = array("i"), array("q")
+        self.trace_offset, self.trace_rows = array("q"), array("i")
+        self.names: List[str] = []
+        self._ids: Dict[str, int] = {}
+
+    def _intern(self, name: str) -> int:
+        index = self._ids.get(name)
+        if index is None:
+            index = self._ids[name] = len(self.names)
+            self.names.append(name)
+        return index
+
+    def append_trace(self, service: str, number: int, calls: Sequence) -> "TraceView":
+        """Flush one finished request's calls as a block of rows.
+
+        ``calls`` are the engine's per-call records in completion order,
+        each with ``start`` / ``finish`` / ``proc_start`` / ``proc_ms`` /
+        ``mult`` / ``ordinal`` / ``microservice`` and ``parent`` (the
+        calling record, ``None`` at the root).
+        """
+        intern = self._intern
+        parents = [call.parent for call in calls]
+        self.trace_service.append(intern(service))
+        self.trace_number.append(number)
+        self.trace_offset.append(len(self.start))
+        self.trace_rows.append(len(calls))
+        self.start.extend([call.start for call in calls])
+        self.finish.extend([call.finish for call in calls])
+        self.proc_start.extend([call.proc_start for call in calls])
+        self.proc_ms.extend([call.proc_ms for call in calls])
+        self.mult.extend([call.mult for call in calls])
+        self.ordinal.extend([call.ordinal for call in calls])
+        self.ms.extend([intern(call.microservice) for call in calls])
+        self.parent.extend([-1 if p is None else p.ordinal for p in parents])
+        self.caller.extend(
+            [-1 if p is None else intern(p.microservice) for p in parents]
+        )
+        return TraceView(self, len(self.trace_rows) - 1)
+
+    def __len__(self) -> int:
+        blocks, limit = len(self.trace_rows), self.limit
+        return blocks if limit is None or blocks < limit else limit
+
+    def __iter__(self):
+        return map(TraceView, itertools.repeat(self), range(len(self)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [TraceView(self, i) for i in range(*index.indices(len(self)))]
+        return TraceView(self, range(len(self))[index])  # IndexError past the end
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+class TraceView:
+    """One :class:`SpanTable` block behind the :class:`TraceRecord` interface.
+
+    The methods defined here read the columns (a call-tree node is a row
+    of the block); everything else (``spans``, ``timings``,
+    ``children_of()``, …) is answered by the :class:`TraceRecord` that
+    :meth:`materialize` builds on first use.  Only that record and the
+    Eq. 1 own latencies (a flat ``array``) are kept on the view.
+    """
+
+    __slots__ = ("_table", "_index", "_rows", "_id", "_record", "_own")
+
+    def __init__(self, table: SpanTable, index: int) -> None:
+        self._table = table
+        self._index = index
+        offset = table.trace_offset[index]
+        self._rows = range(offset, offset + table.trace_rows[index])
+        self._id: Optional[str] = None
+        self._record: Optional[TraceRecord] = None
+        self._own: Optional[array] = None
+
+    @property
+    def service(self) -> str:
+        table = self._table
+        return table.names[table.trace_service[self._index]]
+
+    @property
+    def trace_id(self) -> str:
+        if self._id is None:
+            self._id = f"{self.service}-t{self._table.trace_number[self._index]}"
+        return self._id
+
+    def _names(self) -> List[str]:
+        table, rows = self._table, self._rows
+        return [table.names[i] for i in table.ms[rows.start:rows.stop]]
+
+    def root(self) -> Span:
+        """The entering microservice's SERVER span: the block's last row."""
+        table, row = self._table, self._rows[-1]
+        return Span(
+            f"{self.trace_id}-s{table.ordinal[row]}", None, table.names[table.ms[row]],
+            SpanKind.SERVER, table.start[row], table.finish[row],
+        )
+
+    def node_details(self, nodes: Iterable[int]) -> List[Tuple[str, Tuple[float, ...]]]:
+        t, prefix = self._table, f"{self.trace_id}-s"
+        rows = [self._rows.start + node for node in nodes]
+        timings = [
+            ()
+            if proc_ms != proc_ms
+            else (queued, proc_ms, 0.0 if mult == 1.0 else proc_ms - proc_ms / mult)
+            for queued, proc_ms, mult in [
+                (t.proc_start[r] - t.start[r], t.proc_ms[r], t.mult[r]) for r in rows
+            ]
+        ]
+        return [(f"{prefix}{t.ordinal[r]}", timing) for r, timing in zip(rows, timings)]
+
+    def call_tree(self) -> CallTree:
+        """The block's :class:`CallTree`, built from the columns."""
+        table, lo, hi = self._table, self._rows.start, self._rows.stop
+        start, finish = table.start[lo:hi], table.finish[lo:hi]
+        ordinal = table.ordinal[lo:hi]
+        callees: Dict[int, List[int]] = {}
+        for node, parent in enumerate(table.parent[lo:hi]):
+            if parent in callees:
+                callees[parent].append(node)
+            else:
+                callees[parent] = [node]
+        roots = callees.pop(-1, [])
+        node_of = dict(zip(ordinal, range(hi - lo)))
+        stages: Dict[int, List[List[int]]] = {}
+        for parent, nodes in callees.items():
+            caller = node_of.get(parent)
+            if caller is None:
+                continue  # the calling attempt never reached the block
+            stages[caller] = (
+                [nodes]
+                if len(nodes) == 1
+                else group_stages(
+                    # client ids order as strings, like TraceRecord's
+                    [(start[n], str(ordinal[n] - 1), finish[n], n) for n in nodes]
+                )
+            )
+        durations = [end - begin for begin, end in zip(start, finish)]
+        tree = CallTree(self.trace_id, self._names(), durations, stages, roots)
+        if self._own is None:
+            self._own = array("d", tree.own_latencies())
+        return tree
+
+    def own_latencies(self) -> Tuple[Sequence[Optional[str]], Sequence[float]]:
+        """Microservice and Eq. 1 own latency of every row, computed once."""
+        if self._own is None:
+            return self.call_tree().names, self._own  # call_tree() fills _own
+        return self._names(), self._own
+
+    def materialize(self) -> TraceRecord:
+        """The block as a :class:`TraceRecord` of :class:`Span` objects."""
+        if self._record is None:
+            table, names, trace_id = self._table, self._table.names, self.trace_id
+            details = self.node_details(range(len(self._rows)))
+            spans: List[Span] = []
+            for (server_id, _), row in zip(details, self._rows):
+                ordinal, name = table.ordinal[row], names[table.ms[row]]
+                client_id = f"{trace_id}-s{ordinal - 1}" if ordinal else None
+                times = table.start[row], table.finish[row]
+                spans.append(Span(server_id, client_id, name, SpanKind.SERVER, *times))
+                if client_id is not None:
+                    spans.append(
+                        Span(client_id, f"{trace_id}-s{table.parent[row]}",
+                             names[table.caller[row]], SpanKind.CLIENT, *times)
+                    )
+            timings = {
+                span_id: SpanTiming(*timing) for span_id, timing in details if timing
+            }
+            self._record = TraceRecord(trace_id, self.service, spans, timings or None)
+        return self._record
+
+    def __getattr__(self, name: str):
+        return getattr(self.materialize(), name)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TraceView):
+            other = other.materialize()
+        return self.materialize() == other
 
 
 def synthesize_trace(

@@ -61,6 +61,15 @@ class TestRunnerSmoke:
         analysis = report["benchmarks"]["analysis_throughput"]
         assert analysis["traces"] > 0
         assert analysis["critical_path_traces_per_sec"] > 0
+        # the enabled-path rates carry their trials and dispersion
+        telemetry = report["benchmarks"]["telemetry_overhead"]
+        for stats in (
+            telemetry["enabled_trials"], tail["full_trials"],
+            analysis["critical_path_trials"], analysis["blame_trials"],
+        ):
+            assert len(stats["trials"]) >= 3
+            assert min(stats["trials"]) <= stats["median"] <= stats["best"]
+            assert stats["iqr"] >= 0
 
     def test_checked_in_report_resilience_disabled_path(self):
         """The disabled-resilience hot path costs nothing measurable.
