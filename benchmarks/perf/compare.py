@@ -34,6 +34,7 @@ RATE_METRICS = [
     ("allocation_throughput", "memoized_cells_per_sec"),
     ("allocation_throughput", "grid_cells_per_sec"),
     ("allocation_throughput", "provisioner_actions_per_sec"),
+    ("deploy_reconcile", "reconcile_actions_per_sec"),
     ("telemetry_overhead", "disabled_events_per_sec"),
     ("telemetry_overhead", "enabled_events_per_sec"),
     ("analysis_throughput", "critical_path_traces_per_sec"),
@@ -47,6 +48,7 @@ RATE_METRICS = [
 CORRECTNESS_FLAGS = [
     ("parallel_grid", "rows_identical"),
     ("allocation_throughput", "identical"),
+    ("deploy_reconcile", "pods_match_cluster"),
 ]
 
 

@@ -35,8 +35,8 @@ Three single-process benchmarks plus one parallel-grid benchmark:
   disabled path stays a single null-check branch (the resilience
   counterpart of ``telemetry_overhead``).
 
-``telemetry_overhead``, ``tail_sampling`` and ``analysis_throughput``
-report each rate as best-of-N (the gated headline) with the trials,
+``telemetry_overhead``, ``tail_sampling``, ``analysis_throughput`` and
+``deploy_reconcile`` report each rate as best-of-N (the gated headline) with the trials,
 their median and interquartile range alongside (``*_trials``).
 
 Results are written to ``BENCH_des.json`` at the repo root so the perf
@@ -263,6 +263,17 @@ def bench_parallel_grid(
     }
 
 
+def _skewed_cluster(hosts: int):
+    """A homogeneous cluster whose hosts carry uneven background load."""
+    from repro.core.provisioning import Cluster
+
+    cluster = Cluster.homogeneous(hosts)
+    for i, host in enumerate(cluster.hosts):
+        host.background_cpu = (i % 7) * 2.0
+        host.background_memory_mb = (i % 5) * 2_000.0
+    return cluster
+
+
 def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
     """Eq. 5 / §5.3.1 grid throughput: scalar vs memoized vs grid-batched.
 
@@ -292,7 +303,6 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
         compute_targets_grid,
         set_targets_memo,
     )
-    from repro.core.provisioning import Cluster
 
     app = social_network()
     profiles = app.analytic_profiles()
@@ -399,10 +409,7 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
     # Provisioner throughput: place a full allocation onto a cluster with
     # skewed background load, then halve it (releases), through the
     # incremental ClusterIndex.
-    cluster = Cluster.homogeneous(24)
-    for i, host in enumerate(cluster.hosts):
-        host.background_cpu = (i % 7) * 2.0
-        host.background_memory_mb = (i % 5) * 2_000.0
+    cluster = _skewed_cluster(24)
     cluster.register(profiles)
     desired = {}
     for row in memo_rows:
@@ -439,6 +446,68 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
         "provisioner_actions_per_sec": round(actions / provisioner_wall, 1)
         if provisioner_wall > 0
         else None,
+    }
+
+
+def bench_deploy_reconcile(trials: int = 5, quick: bool = False) -> dict:
+    """Per-pod reconcile throughput of the deploy stage (paper §5.4/§5.5).
+
+    Declares 300 deployments (1–7 replicas each, three container sizes)
+    against a fresh 200-host cluster with skewed background load, times
+    one ``DeploymentController.reconcile`` that creates and places every
+    pod, ticks past start-up, halves every deployment and times the
+    reconcile that releases the surplus.  The rate is pod actions
+    (creations + deletions) per second over the two timed passes —
+    the path ``ErmsController`` runs every control period, as opposed to
+    the bulk ``Provisioner.apply`` timed by ``allocation_throughput``.
+    Quick mode keeps the shape (the rate depends on it) and drops trials.
+    """
+    from repro.core import ContainerSpec, InterferenceAwareProvisioner
+    from repro.deployment import DeploymentController, MockKubeApi
+
+    if quick:
+        trials = 2
+    hosts = 200
+    sizes = [
+        ContainerSpec(cpu=0.1, memory_mb=200.0),
+        ContainerSpec(cpu=0.2, memory_mb=300.0),
+        ContainerSpec(cpu=0.4, memory_mb=800.0),
+    ]
+    desired = {f"ms-{i:03d}": 1 + i % 7 for i in range(300)}
+    specs = {name: sizes[i % 3] for i, name in enumerate(desired)}
+    halved = {name: count // 2 for name, count in desired.items()}
+    actions = 2 * sum(desired.values()) - sum(halved.values())
+
+    rates, consistent = [], True
+    for _ in range(max(1, trials)):
+        api = MockKubeApi()
+        cluster = _skewed_cluster(hosts)
+        controller = DeploymentController(
+            api=api, cluster=cluster, provisioner=InterferenceAwareProvisioner()
+        )
+        controller.apply_allocation(desired, specs)
+        start = time.perf_counter()
+        controller.reconcile()
+        wall = time.perf_counter() - start
+        controller.tick(10.0)
+        controller.apply_allocation(halved)
+        start = time.perf_counter()
+        controller.reconcile()
+        wall += time.perf_counter() - start
+        rates.append(actions / wall)
+        placed = cluster.placement()
+        consistent = consistent and all(
+            api.active_replicas(name) == count == placed.get(name, 0)
+            for name, count in halved.items()
+        )
+    stats = _rate(rates)
+    return {
+        "hosts": hosts,
+        "deployments": len(desired),
+        "pod_actions": actions,
+        "reconcile_actions_per_sec": stats["best"],
+        "reconcile_trials": stats,
+        "pods_match_cluster": consistent,
     }
 
 
@@ -898,6 +967,7 @@ BENCHMARKS = {
     "static_cell": bench_static_cell,
     "trace_slice": bench_trace_slice,
     "allocation_throughput": bench_allocation_throughput,
+    "deploy_reconcile": bench_deploy_reconcile,
     "parallel_grid": bench_parallel_grid,
     "telemetry_overhead": bench_telemetry_overhead,
     "tail_sampling": bench_tail_sampling,

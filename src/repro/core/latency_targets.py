@@ -123,13 +123,17 @@ def _targets_loop(
     profiles: Mapping[str, MicroserviceProfile],
     effective: Mapping[str, float],
     max_passes: int,
+    names: Sequence[str],
+    own_workloads: Mapping[str, float],
 ) -> Tuple[Dict[str, float], Dict[str, LatencySegment], float, int]:
-    """The §5.3.1 pass loop; returns (targets, segments, intercept, passes)."""
-    graph = spec.graph
+    """The §5.3.1 pass loop; returns (targets, segments, intercept, passes).
 
+    ``names`` and ``own_workloads`` are the graph's ``microservices()`` and
+    the spec's ``microservice_workloads()``, walked once by the caller.
+    """
     # Initial pass: high-load segment for everyone (§5.3.1).
     segments: Dict[str, LatencySegment] = {
-        name: profiles[name].model.high for name in graph.microservices()
+        name: profiles[name].model.high for name in names
     }
 
     # The paper recomputes once after interval switching (two passes),
@@ -139,7 +143,9 @@ def _targets_loop(
     scratch = ServiceTargets(service=spec.name)
     passes = 1
     for pass_index in range(max(max_passes, 1)):
-        targets = _allocate(spec, profiles, segments, effective, scratch)
+        targets = _allocate(
+            spec, profiles, segments, effective, scratch, names, own_workloads
+        )
         used_segments = dict(segments)
         passes = pass_index + 1
         if pass_index == max_passes - 1:
@@ -188,6 +194,9 @@ def compute_service_targets(
     either in place.
     """
     graph = spec.graph
+    # The only walks of the graph for names and multipliers in this call;
+    # the pass loop, the merge-tree key and its store reuse them.
+    names = graph.microservices()
     own_workloads = spec.microservice_workloads()
     effective: Dict[str, float] = dict(own_workloads)
     if workload_overrides:
@@ -195,7 +204,6 @@ def compute_service_targets(
             if name in effective:
                 effective[name] = value
 
-    names = graph.microservices()
     key = None
     if _MEMO_ENABLED:
         key = (
@@ -230,7 +238,7 @@ def compute_service_targets(
         _MEMO_MISSES += 1
     try:
         targets, used_segments, intercept, passes = _targets_loop(
-            spec, profiles, effective, max_passes
+            spec, profiles, effective, max_passes, names, own_workloads
         )
     except InfeasibleSLAError as exc:
         if key is not None:
@@ -294,15 +302,16 @@ def _allocate(
     segments: Mapping[str, LatencySegment],
     effective_workloads: Mapping[str, float],
     result: ServiceTargets,
+    names: Sequence[str],
+    own_workloads: Mapping[str, float],
 ) -> Dict[str, float]:
     """One merge + Eq. 5 + unmerge pass; returns per-microservice targets."""
     graph = spec.graph
-    own_workloads = spec.microservice_workloads()
 
     # Fold any workload override into the effective slope so every call
     # site can be treated as handling the service arrival rate.
     scaled_segments: Dict[str, LatencySegment] = {}
-    for name in graph.microservices():
+    for name in names:
         segment = segments[name]
         ratio = 1.0
         own = own_workloads[name]
@@ -312,7 +321,7 @@ def _allocate(
             slope=segment.slope * ratio, intercept=segment.intercept
         )
 
-    merged = merge_tree_cache().tree(graph, profiles, scaled_segments)
+    merged = merge_tree_cache().tree(graph, profiles, scaled_segments, names)
     result.merged_intercept = merged.params.intercept
     if spec.sla <= merged.params.intercept:
         error = InfeasibleSLAError(
@@ -458,7 +467,7 @@ def compute_targets_grid(
                 )
                 for name in names
             }
-            tree = cache.tree(graph, profiles, scaled)
+            tree = cache.tree(graph, profiles, scaled, names)
             intercept = tree.params.intercept
             live: List[int] = []
             for column in columns:

@@ -37,7 +37,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -321,8 +321,8 @@ class MergeTreeCache:
         graph: DependencyGraph,
         profiles: Mapping[str, MicroserviceProfile],
         scaled_segments: Mapping[str, "object"],
+        names: Sequence[str],
     ) -> Tuple:
-        names = graph.microservices()
         return (
             id(graph),
             tuple(
@@ -341,9 +341,16 @@ class MergeTreeCache:
         graph: DependencyGraph,
         profiles: Mapping[str, MicroserviceProfile],
         scaled_segments: Mapping[str, "object"],
+        names: Optional[Sequence[str]] = None,
     ) -> MergedNode:
-        """The merged root for this (graph, effective-parameters) pair."""
-        key = self._key(graph, profiles, scaled_segments)
+        """The merged root for this (graph, effective-parameters) pair.
+
+        ``names`` is ``graph.microservices()``, passed by callers that
+        have already walked the graph for it.
+        """
+        if names is None:
+            names = graph.microservices()
+        key = self._key(graph, profiles, scaled_segments, names)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
@@ -353,7 +360,7 @@ class MergeTreeCache:
         leaf_params = leaf_params_from_profiles(graph, profiles, scaled_segments)
         root = merge_graph(graph, leaf_params)
         # Keep graph + profiles alive so the id()-based key stays valid.
-        self._entries[key] = (root, graph, tuple(profiles[n] for n in graph.microservices()))
+        self._entries[key] = (root, graph, tuple(profiles[n] for n in names))
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return root

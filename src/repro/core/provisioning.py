@@ -157,9 +157,21 @@ class ClusterIndex:
     tie-breaking (numpy returns the first extremum, like ``min``/``max``)
     reproduces the scalar host choice exactly.
 
-    The index is valid only while every mutation of the cluster is routed
-    through :meth:`place`/:meth:`release`; ``Provisioner.apply`` builds
-    one per call.  After out-of-band mutations call :meth:`rebuild`.
+    Lifetime: an index is valid only while every mutation of the cluster
+    is routed through :meth:`place`/:meth:`release`, so it is built where
+    a batch of decisions starts and dropped where it ends —
+    ``Provisioner.apply`` builds one per call, and
+    ``DeploymentController.reconcile`` one per pass (none when no
+    deployment's replica count changed).  It is deliberately not kept
+    longer: ``Host.background_cpu``/``background_memory_mb`` are plain
+    attributes that experiments and operators reassign between control
+    periods, and ``Cluster.sizes`` may gain entries; a per-pass build
+    (one re-summation of every host, ≈ 3 ms at 100 hosts × 2.7k pods)
+    sees all of that without an invalidation protocol.  The
+    ``choose_*_host`` methods still build a throwaway index when called
+    without one — correct for a single ad-hoc decision, O(hosts ×
+    placed microservices) if done per pod.  After out-of-band mutations
+    within a batch call :meth:`rebuild`.
     """
 
     def __init__(self, cluster: "Cluster") -> None:

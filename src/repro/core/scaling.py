@@ -17,7 +17,12 @@ import abc
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Sequence
 
-from repro.core.model import Allocation, MicroserviceProfile, ServiceSpec
+from repro.core.model import (
+    Allocation,
+    MicroserviceProfile,
+    ServiceSpec,
+    best_effort_containers,
+)
 from repro.core.multiplexing import scale_with_priorities
 
 
@@ -90,16 +95,13 @@ class ErmsScaler(Autoscaler):
         profiles: Mapping[str, MicroserviceProfile],
     ) -> Allocation:
         """Run the full (or priority-ablated) Erms scaling pipeline."""
+        multiplexed = scale_with_priorities(specs, profiles)
         if self.use_priority:
-            multiplexed = scale_with_priorities(specs, profiles)
             per_service = multiplexed.final
             priorities = multiplexed.priorities
-            overrides = multiplexed.overrides
         else:
-            multiplexed = scale_with_priorities(specs, profiles)
             per_service = multiplexed.initial
             priorities = {}
-            overrides = {}
 
         allocation = Allocation(priorities=priorities)
         for service, targets in per_service.items():
@@ -148,8 +150,6 @@ def apply_fcfs_shared_scaling(
     service assigned to it: ``T_P = min(T_1^P, T_2^P)``.  Updates
     ``allocation.containers`` in place.
     """
-    from repro.core.model import best_effort_containers
-
     combined = combined_shared_workloads(specs)
     min_target: Dict[str, float] = {}
     count_users: Dict[str, int] = {}

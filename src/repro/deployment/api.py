@@ -26,11 +26,25 @@ class ApiEvent:
 
 @dataclass
 class MockKubeApi:
-    """In-process stand-in for the Kubernetes API."""
+    """In-process stand-in for the Kubernetes API.
+
+    ``pods`` is the store (name -> pod, creation order).  The same pods
+    are also kept per microservice, in the same order, so the
+    per-deployment queries read one deployment's pods rather than the
+    store; pods enter and leave both only through :meth:`create_pod` and
+    :meth:`reap_terminated`.
+    """
 
     deployments: Dict[str, Deployment] = field(default_factory=dict)
     pods: Dict[str, Pod] = field(default_factory=dict)
     events: List[ApiEvent] = field(default_factory=list)
+    _by_microservice: Dict[str, Dict[str, Pod]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        for pod in self.pods.values():
+            self._by_microservice.setdefault(pod.microservice, {})[pod.name] = pod
 
     # ------------------------------------------------------------------
     # Declarative state
@@ -69,6 +83,7 @@ class MockKubeApi:
             raise KeyError(f"no deployment for {microservice!r}")
         pod = Pod.fresh(microservice, deployment.spec)
         self.pods[pod.name] = pod
+        self._by_microservice.setdefault(microservice, {})[pod.name] = pod
         self.events.append(ApiEvent("pod-created", pod.name))
         return pod
 
@@ -82,24 +97,21 @@ class MockKubeApi:
     def reap_terminated(self) -> int:
         """Remove TERMINATING pods from the store; returns the count."""
         doomed = [
-            name
-            for name, pod in self.pods.items()
-            if pod.phase is PodPhase.TERMINATING
+            pod for pod in self.pods.values() if pod.phase is PodPhase.TERMINATING
         ]
-        for name in doomed:
-            del self.pods[name]
+        for pod in doomed:
+            del self.pods[pod.name]
+            del self._by_microservice[pod.microservice][pod.name]
         return len(doomed)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def pods_of(self, microservice: str, active_only: bool = True) -> List[Pod]:
-        return [
-            pod
-            for pod in self.pods.values()
-            if pod.microservice == microservice
-            and (pod.is_active() if active_only else True)
-        ]
+        pods = self._by_microservice.get(microservice, {}).values()
+        if not active_only:
+            return list(pods)
+        return [pod for pod in pods if pod.is_active()]
 
     def active_replicas(self, microservice: str) -> int:
         return len(self.pods_of(microservice))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from repro.core.provisioning import Cluster, Provisioner
+from repro.core.provisioning import Cluster, ClusterIndex, Provisioner
 from repro.deployment.api import ApiEvent, MockKubeApi
 from repro.deployment.objects import Pod, PodPhase
 from repro.telemetry.monitor import DecisionLog
@@ -53,28 +53,38 @@ class DeploymentController:
             self.api.apply(microservice, count, spec)
 
     def reconcile(self) -> Dict[str, int]:
-        """One reconciliation pass; returns per-microservice pod deltas."""
+        """One reconciliation pass; returns per-microservice pod deltas.
+
+        Every host choice, placement and release of the pass goes through
+        one :class:`ClusterIndex`, built when the first deployment with a
+        non-zero delta is met (never, if there is none) and dropped at the
+        end: hosts' background load may be reassigned between passes.
+        """
         deltas: Dict[str, int] = {}
+        index: Optional[ClusterIndex] = None
         for microservice, deployment in self.api.deployments.items():
             if microservice not in self.cluster.sizes:
                 self.cluster.sizes[microservice] = deployment.spec
             current = self.api.active_replicas(microservice)
             delta = deployment.replicas - current
-            for _ in range(max(delta, 0)):
-                self._create_and_schedule(microservice)
-            for _ in range(max(-delta, 0)):
-                self._scale_down_one(microservice)
-            if delta:
-                deltas[microservice] = delta
-                if self.audit is not None:
-                    self.audit.record(
-                        minute=self._clock / 60.0,
-                        actor="controller",
-                        microservice=microservice,
-                        before=current,
-                        after=deployment.replicas,
-                        reason="reconcile pods to declared replicas",
-                    )
+            if not delta:
+                continue
+            if index is None:
+                index = ClusterIndex(self.cluster)
+            for _ in range(delta):
+                self._create_and_schedule(microservice, index)
+            for _ in range(-delta):
+                self._scale_down_one(microservice, index)
+            deltas[microservice] = delta
+            if self.audit is not None:
+                self.audit.record(
+                    minute=self._clock / 60.0,
+                    actor="controller",
+                    microservice=microservice,
+                    before=current,
+                    after=deployment.replicas,
+                    reason="reconcile pods to declared replicas",
+                )
         return deltas
 
     def tick(self, seconds: float) -> int:
@@ -99,10 +109,12 @@ class DeploymentController:
         return self._clock
 
     # ------------------------------------------------------------------
-    def _create_and_schedule(self, microservice: str) -> Pod:
+    def _create_and_schedule(self, microservice: str, index: ClusterIndex) -> Pod:
         pod = self.api.create_pod(microservice)
-        host = self.provisioner.choose_placement_host(self.cluster, microservice)
-        host.place(microservice)
+        host = self.provisioner.choose_placement_host(
+            self.cluster, microservice, index=index
+        )
+        index.place(host, microservice)
         pod.node = host.host_id
         pod.phase = PodPhase.STARTING
         pod.ready_at = self._clock + self.startup_seconds
@@ -111,9 +123,11 @@ class DeploymentController:
         )
         return pod
 
-    def _scale_down_one(self, microservice: str) -> None:
-        host = self.provisioner.choose_release_host(self.cluster, microservice)
-        host.release(microservice)
+    def _scale_down_one(self, microservice: str, index: ClusterIndex) -> None:
+        host = self.provisioner.choose_release_host(
+            self.cluster, microservice, index=index
+        )
+        index.release(host, microservice)
         victims = [
             pod
             for pod in self.api.pods_of(microservice)
@@ -125,5 +139,5 @@ class DeploymentController:
                 f"on {host.host_id}"
             )
         # Prefer terminating pods that never started serving.
-        victims.sort(key=lambda p: (p.is_serving(), p.ready_at))
-        self.api.delete_pod(victims[0].name)
+        victim = min(victims, key=lambda p: (p.is_serving(), p.ready_at))
+        self.api.delete_pod(victim.name)

@@ -71,6 +71,21 @@ class TestRunnerSmoke:
             assert min(stats["trials"]) <= stats["median"] <= stats["best"]
             assert stats["iqr"] >= 0
 
+    def test_checked_in_report_records_deploy_reconcile(self):
+        """The per-pod deploy stage is tracked with trials and dispersion.
+
+        No timing here: the committed entry must come from a run whose
+        pods matched the cluster, and carry the rate the CI gate reads.
+        """
+        report = json.loads((REPO_ROOT / "BENCH_des.json").read_text())
+        deploy = report["benchmarks"]["deploy_reconcile"]
+        assert deploy["pods_match_cluster"] is True
+        assert deploy["hosts"] == 200 and deploy["pod_actions"] > 1_000
+        stats = deploy["reconcile_trials"]
+        assert deploy["reconcile_actions_per_sec"] == stats["best"] > 0
+        assert len(stats["trials"]) >= 3
+        assert min(stats["trials"]) <= stats["median"] <= stats["best"]
+
     def test_checked_in_report_resilience_disabled_path(self):
         """The disabled-resilience hot path costs nothing measurable.
 
