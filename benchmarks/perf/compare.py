@@ -7,10 +7,11 @@ regresses by more than the threshold (default 20 %).  Rate metrics are
 duration-independent, so a quick run compares meaningfully against the
 tracked full run; wall-clock fields are never compared.
 
-Correctness flags ride along: if the fresh run reports non-identical
-rows (``parallel_grid.rows_identical`` or
-``allocation_throughput.identical`` false), that is always a failure —
-a fast wrong answer is not a benchmark win.
+Correctness flags ride along: if the fresh run reports a false
+``CORRECTNESS_FLAGS`` entry (e.g. ``parallel_grid.rows_identical``,
+``allocation_throughput.identical``,
+``baseline_stats.allocations_identical``), that is always a failure — a
+fast wrong answer is not a benchmark win.
 
 Usage::
 
@@ -35,6 +36,7 @@ RATE_METRICS = [
     ("allocation_throughput", "grid_cells_per_sec"),
     ("allocation_throughput", "provisioner_actions_per_sec"),
     ("deploy_reconcile", "reconcile_actions_per_sec"),
+    ("baseline_stats", "stats_services_per_sec"),
     ("telemetry_overhead", "disabled_events_per_sec"),
     ("telemetry_overhead", "enabled_events_per_sec"),
     ("analysis_throughput", "critical_path_traces_per_sec"),
@@ -49,6 +51,7 @@ CORRECTNESS_FLAGS = [
     ("parallel_grid", "rows_identical"),
     ("allocation_throughput", "identical"),
     ("deploy_reconcile", "pods_match_cluster"),
+    ("baseline_stats", "allocations_identical"),
 ]
 
 

@@ -34,10 +34,15 @@ Three single-process benchmarks plus one parallel-grid benchmark:
   policy stack, reporting the enabled-path overhead and pinning that the
   disabled path stays a single null-check branch (the resilience
   counterpart of ``telemetry_overhead``).
+* ``baseline_stats`` — the GrandSLAm/Rhythm statistics sweep
+  (``stats_from_profiles``) over a 300-service Taobao-scale population
+  in services/sec, with the two schemes' container maps checked against
+  a scalar reference loop kept in this file.
 
-``telemetry_overhead``, ``tail_sampling``, ``analysis_throughput`` and
-``deploy_reconcile`` report each rate as best-of-N (the gated headline) with the trials,
-their median and interquartile range alongside (``*_trials``).
+``telemetry_overhead``, ``tail_sampling``, ``analysis_throughput``,
+``deploy_reconcile`` and ``baseline_stats`` report each rate as best-of-N
+(the gated headline) with the trials, their median and interquartile range
+alongside (``*_trials``).
 
 Results are written to ``BENCH_des.json`` at the repo root so the perf
 trajectory is tracked across PRs.  ``baseline_seed.json`` (checked in,
@@ -511,6 +516,116 @@ def bench_deploy_reconcile(trials: int = 5, quick: bool = False) -> dict:
     }
 
 
+def _reference_baseline_containers(specs, profiles, rule, sweep_points=40):
+    """GrandSLAm/Rhythm container map by a straightforward scalar loop.
+
+    What ``bench_baseline_stats`` compares the schemes with: every model
+    evaluated once per sweep point, the graph folded once per sweep
+    point, ``np.corrcoef`` per microservice, then the proportional SLA
+    split, best-effort containers max-merged over services and FCFS
+    min-target scaling at shared microservices.  ``rule`` is
+    ``"grandslam"`` (weight = mean) or ``"rhythm"`` (mean × variance ×
+    |correlation|, normalised to its maximum and floored at 0.1).
+    """
+    import numpy as np
+
+    from repro.core.model import Allocation, best_effort_containers
+    from repro.core.scaling import apply_fcfs_shared_scaling
+
+    fractions = np.linspace(0.05, 1.3, sweep_points)
+    allocation = Allocation()
+    for spec in specs:
+        graph = spec.graph
+        names = graph.microservices()
+        series = {
+            name: np.array([
+                profiles[name].model.latency(load)
+                for load in fractions * profiles[name].model.cutoff
+            ])
+            for name in names
+        }
+        e2e = np.array([
+            graph.end_to_end_latency(
+                {name: float(series[name][index]) for name in names}
+            )
+            for index in range(sweep_points)
+        ])
+        weights = {}
+        for name in names:
+            values = series[name]
+            weights[name] = float(np.mean(values))
+            if rule == "rhythm":
+                correlated = np.std(values) > 0 and np.std(e2e) > 0
+                weights[name] *= float(np.var(values)) * (
+                    abs(float(np.corrcoef(values, e2e)[0, 1])) if correlated else 0.0
+                )
+        if rule == "rhythm":
+            top = max(weights.values())
+            weights = {
+                name: max(value / top, 0.1) if top > 0 else 1.0
+                for name, value in weights.items()
+            }
+        fold = graph.end_to_end_latency(weights)
+        allocation.targets[spec.name] = targets = {
+            name: spec.sla * weights[name] / fold for name in names
+        }
+        workloads = spec.microservice_workloads()
+        for name in names:
+            allocation.containers[name] = max(
+                allocation.containers.get(name, 0),
+                best_effort_containers(
+                    profiles[name].model, workloads[name], targets[name]
+                ),
+            )
+    apply_fcfs_shared_scaling(specs, profiles, allocation.targets, allocation)
+    return allocation.containers
+
+
+def bench_baseline_stats(
+    seed: int = 0, trials: int = 5, quick: bool = False
+) -> dict:
+    """Statistics sweep of the GrandSLAm/Rhythm comparators (paper §6.1).
+
+    Times ``stats_from_profiles`` over every service of the 300-service
+    ``generate_taobao`` population the ``scale_population`` end-to-end
+    workload allocates (≈ 40 microservices per service, 40 sweep points)
+    and reports services/sec.  ``allocations_identical`` compares
+    ``GrandSLAm().scale`` and ``Rhythm().scale`` container maps with
+    :func:`_reference_baseline_containers` over the population's head
+    (60 services; 20 in quick mode — the reference loop is the slow
+    side).  Quick mode keeps the timed shape and drops trials.
+    """
+    from repro.baselines import GrandSLAm, Rhythm, stats_from_profiles
+
+    if quick:
+        trials = 2
+    population = generate_taobao(
+        n_services=300, mean_graph_size=40, shared_pool=250, seed=seed
+    )
+    services, profiles = population.services, population.profiles
+    rates = []
+    for _ in range(max(1, trials)):
+        start = time.perf_counter()
+        pairs = sum(len(stats_from_profiles(spec, profiles)) for spec in services)
+        rates.append(len(services) / (time.perf_counter() - start))
+
+    head = services[: 20 if quick else 60]
+    identical = all(
+        scheme.scale(head, profiles).containers
+        == _reference_baseline_containers(head, profiles, scheme.name)
+        for scheme in (GrandSLAm(), Rhythm())
+    )
+    stats = _rate(rates)
+    return {
+        "services": len(services),
+        "service_microservice_pairs": pairs,
+        "stats_services_per_sec": stats["best"],
+        "stats_trials": stats,
+        "reference_services": len(head),
+        "allocations_identical": identical,
+    }
+
+
 def bench_telemetry_overhead(
     duration_min: float = 1.0, seed: int = 7, trials: int = 5,
     quick: bool = False,
@@ -968,6 +1083,7 @@ BENCHMARKS = {
     "trace_slice": bench_trace_slice,
     "allocation_throughput": bench_allocation_throughput,
     "deploy_reconcile": bench_deploy_reconcile,
+    "baseline_stats": bench_baseline_stats,
     "parallel_grid": bench_parallel_grid,
     "telemetry_overhead": bench_telemetry_overhead,
     "tail_sampling": bench_tail_sampling,

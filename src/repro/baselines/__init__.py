@@ -18,13 +18,18 @@ evaluation), and treat shared microservices with default FCFS min-target
 scaling.
 """
 
-from repro.baselines.base import MicroserviceStats, stats_from_profiles
+from repro.baselines.base import (
+    MicroserviceStats,
+    ProfileStatisticsError,
+    stats_from_profiles,
+)
 from repro.baselines.grandslam import GrandSLAm
 from repro.baselines.rhythm import Rhythm
 from repro.baselines.firm import Firm
 
 __all__ = [
     "MicroserviceStats",
+    "ProfileStatisticsError",
     "stats_from_profiles",
     "GrandSLAm",
     "Rhythm",

@@ -10,20 +10,13 @@ microservice is under-budgeted exactly when the workload is high.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
-from repro.baselines.base import stats_from_profiles, targets_from_weights
-from repro.core.model import (
-    Allocation,
-    MicroserviceProfile,
-    ServiceSpec,
-    best_effort_containers,
-)
-from repro.core.scaling import Autoscaler, apply_fcfs_shared_scaling
+from repro.baselines.base import MicroserviceStats, StatisticsAutoscaler
 
 
 @dataclass
-class GrandSLAm(Autoscaler):
+class GrandSLAm(StatisticsAutoscaler):
     """Mean-latency-proportional SLA splitting.
 
     Attributes:
@@ -44,51 +37,8 @@ class GrandSLAm(Autoscaler):
         if self.use_priority:
             self.name = "grandslam+priority"
 
-    def scale(
-        self,
-        specs: Sequence[ServiceSpec],
-        profiles: Mapping[str, MicroserviceProfile],
-    ) -> Allocation:
-        allocation = Allocation()
-        per_service_targets: Dict[str, Dict[str, float]] = {}
-        for spec in specs:
-            stats = stats_from_profiles(spec, profiles, self.sweep_points)
-            weights = {name: s.mean for name, s in stats.items()}
-            targets = targets_from_weights(spec, weights)
-            per_service_targets[spec.name] = targets
-            allocation.targets[spec.name] = targets
-            workloads = spec.microservice_workloads()
-            for ms_name, target in targets.items():
-                needed = best_effort_containers(
-                    profiles[ms_name].model, workloads[ms_name], target
-                )
-                allocation.containers[ms_name] = max(
-                    allocation.containers.get(ms_name, 0), needed
-                )
+    # the scheme's own class attribute: benchmarks/e2e traces ``scale`` per scheme
+    scale = StatisticsAutoscaler.scale
 
-        apply_fcfs_shared_scaling(specs, profiles, per_service_targets, allocation)
-        if self.use_priority:
-            allocation.priorities = _priorities_from_targets(
-                specs, per_service_targets
-            )
-        return allocation
-
-
-def _priorities_from_targets(
-    specs: Sequence[ServiceSpec],
-    per_service_targets: Mapping[str, Mapping[str, float]],
-) -> Dict[str, Dict[str, int]]:
-    """Rank services at shared microservices by their targets (low first)."""
-    users: Dict[str, list] = {}
-    for spec in specs:
-        for name in spec.graph.microservices():
-            users.setdefault(name, []).append(spec.name)
-    priorities: Dict[str, Dict[str, int]] = {}
-    for ms_name, services in users.items():
-        if len(services) < 2:
-            continue
-        ordered = sorted(
-            services, key=lambda svc: (per_service_targets[svc][ms_name], svc)
-        )
-        priorities[ms_name] = {svc: rank for rank, svc in enumerate(ordered)}
-    return priorities
+    def weights(self, stats: Mapping[str, MicroserviceStats]) -> Dict[str, float]:
+        return {name: s.mean for name, s in stats.items()}

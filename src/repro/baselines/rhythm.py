@@ -10,23 +10,13 @@ fixed statistic, so the split does not track the operating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
-import numpy as np
-
-from repro.baselines.base import stats_from_profiles, targets_from_weights
-from repro.baselines.grandslam import _priorities_from_targets
-from repro.core.model import (
-    Allocation,
-    MicroserviceProfile,
-    ServiceSpec,
-    best_effort_containers,
-)
-from repro.core.scaling import Autoscaler, apply_fcfs_shared_scaling
+from repro.baselines.base import MicroserviceStats, StatisticsAutoscaler
 
 
 @dataclass
-class Rhythm(Autoscaler):
+class Rhythm(StatisticsAutoscaler):
     """Contribution-proportional SLA splitting.
 
     Attributes:
@@ -44,44 +34,19 @@ class Rhythm(Autoscaler):
         if self.use_priority:
             self.name = "rhythm+priority"
 
-    def scale(
-        self,
-        specs: Sequence[ServiceSpec],
-        profiles: Mapping[str, MicroserviceProfile],
-    ) -> Allocation:
-        allocation = Allocation()
-        per_service_targets: Dict[str, Dict[str, float]] = {}
-        for spec in specs:
-            stats = stats_from_profiles(spec, profiles, self.sweep_points)
-            raw = {
-                name: s.mean * s.variance * s.correlation
-                for name, s in stats.items()
-            }
-            weights = _normalize(raw)
-            targets = targets_from_weights(spec, weights)
-            per_service_targets[spec.name] = targets
-            allocation.targets[spec.name] = targets
-            workloads = spec.microservice_workloads()
-            for ms_name, target in targets.items():
-                needed = best_effort_containers(
-                    profiles[ms_name].model, workloads[ms_name], target
-                )
-                allocation.containers[ms_name] = max(
-                    allocation.containers.get(ms_name, 0), needed
-                )
+    # the scheme's own class attribute: benchmarks/e2e traces ``scale`` per scheme
+    scale = StatisticsAutoscaler.scale
 
-        apply_fcfs_shared_scaling(specs, profiles, per_service_targets, allocation)
-        if self.use_priority:
-            allocation.priorities = _priorities_from_targets(
-                specs, per_service_targets
-            )
-        return allocation
+    def weights(self, stats: Mapping[str, MicroserviceStats]) -> Dict[str, float]:
+        return _normalize({
+            name: s.mean * s.variance * s.correlation
+            for name, s in stats.items()
+        })
 
 
 def _normalize(raw: Mapping[str, float]) -> Dict[str, float]:
     """Scale contributions to [epsilon, 1] so no microservice gets zero."""
-    values = np.array(list(raw.values()), dtype=float)
-    top = float(values.max()) if len(values) else 0.0
+    top = max(raw.values(), default=0.0)
     if top <= 0:
         return {name: 1.0 for name in raw}
     # Every microservice needs some latency budget: Rhythm deploys all

@@ -59,7 +59,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.baselines import Firm, GrandSLAm, Rhythm
+from repro.baselines import Firm, GrandSLAm, ProfileStatisticsError, Rhythm
 from repro.core import ErmsScaler
 from repro.experiments import (
     evaluate_allocation,
@@ -1095,7 +1095,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    except CLIError as error:
+    except (CLIError, ProfileStatisticsError) as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return EXIT_RUNTIME
 

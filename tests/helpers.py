@@ -40,6 +40,25 @@ def make_profile(
     )
 
 
+def discontinuous_profile(name: str) -> MicroserviceProfile:
+    """A fit whose high segment undercuts the low one at the cut-off.
+
+    The Hotel Reservation ``geo-service`` profile that
+    ``fit_profiles_from_simulation(sweep_points=6, duration_min=0.4,
+    seed=8)`` produces: 18.9 ms on the low segment at the cut-off, −88.3 ms
+    on the high one, so its latency averaged over the baselines'
+    statistics sweep is negative.
+    """
+    return MicroserviceProfile(
+        name=name,
+        model=PiecewiseLatencyModel(
+            low=LatencySegment(0.0012452597753617447, 10.526164318202822),
+            high=LatencySegment(0.04015876028983655, -359.70641870923066),
+            cutoff=6759.375,
+        ),
+    )
+
+
 def make_profiles(
     entries: Iterable[Tuple[str, float, float]]
 ) -> Dict[str, MicroserviceProfile]:

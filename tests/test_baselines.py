@@ -1,14 +1,26 @@
 """Tests for repro.baselines: GrandSLAm, Rhythm, Firm."""
 
+import numpy as np
 import pytest
 
-from repro.baselines import Firm, GrandSLAm, MicroserviceStats, Rhythm
+from repro.baselines import (
+    Firm,
+    GrandSLAm,
+    MicroserviceStats,
+    ProfileStatisticsError,
+    Rhythm,
+)
 from repro.baselines.base import stats_from_profiles, targets_from_weights
-from repro.core import ErmsScaler, ServiceSpec, predicted_end_to_end
+from repro.core import (
+    ErmsScaler,
+    PiecewiseLatencyModel,
+    ServiceSpec,
+    predicted_end_to_end,
+)
 from repro.graphs import DependencyGraph, call
 from repro.workloads import social_network
 
-from tests.helpers import make_profile
+from tests.helpers import discontinuous_profile, make_profile
 
 
 def sensitive_pair(workload=20_000.0, sla=300.0):
@@ -39,6 +51,17 @@ class TestStats:
         with pytest.raises(ValueError):
             MicroserviceStats(mean=-1.0, variance=0.0, correlation=0.0)
 
+    @pytest.mark.parametrize("scheme", [GrandSLAm, Rhythm])
+    def test_negative_sweep_mean_names_the_profile(self, scheme):
+        """No anonymous 'mean and variance must be non-negative'."""
+        specs, profiles = sensitive_pair()
+        profiles["P"] = discontinuous_profile("P")
+        with pytest.raises(ProfileStatisticsError) as raised:
+            scheme().scale(specs, profiles)
+        message = str(raised.value)
+        assert "service 'svc'" in message and "profile of 'P'" in message
+        assert "low 18.9 ms, high -88.3 ms" in message
+
     def test_targets_from_weights_proportional(self):
         specs, _ = sensitive_pair(sla=100.0)
         targets = targets_from_weights(specs[0], {"U": 3.0, "P": 1.0})
@@ -60,6 +83,41 @@ class TestStats:
         )
         for path in spec.graph.critical_paths():
             assert sum(targets[name] for name in path) <= spec.sla + 1e-9
+
+
+class TestStatsShape:
+    """Counts, not timings: the sweep is one array program per service."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(DependencyGraph, "end_to_end_latency")
+        counted(DependencyGraph, "end_to_end_series")
+        counted(PiecewiseLatencyModel, "latency")
+        counted(np, "corrcoef")
+        return counts
+
+    def test_no_scalar_fold_model_call_or_corrcoef(self, calls):
+        app = social_network()
+        stats = stats_from_profiles(app.services[0], app.analytic_profiles())
+        assert len(stats) > 5
+        assert calls == {"end_to_end_series": 1}
+
+    def test_scale_folds_the_sweep_once_per_service(self, calls):
+        app = social_network()
+        Rhythm().scale(app.services, app.analytic_profiles())
+        assert calls["end_to_end_series"] == len(app.services) > 1
+        assert "corrcoef" not in calls and "latency" not in calls
 
 
 class TestGrandSLAm:

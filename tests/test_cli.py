@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.helpers import discontinuous_profile
+
 
 class TestParser:
     def test_requires_command(self):
@@ -180,6 +182,46 @@ class TestCommands:
         assert main(["trace-sim", "--services", "5"]) == 0
         out = capsys.readouterr().out
         assert "fewer containers" in out
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--app", "hotel-reservation",
+         "--workloads", "2000", "--slas", "250"],
+        ["simulate", "--app", "hotel-reservation", "--scheme", "rhythm",
+         "--workload", "2000", "--duration", "0.4"],
+        ["trace-sim", "--services", "5"],
+    ])
+    def test_discontinuous_profile_exits_3_with_one_line(
+        self, command, capsys, monkeypatch
+    ):
+        """A profile GrandSLAm/Rhythm cannot take statistics of is reported
+        by name on stderr, not as a traceback."""
+        import repro.cli
+        from repro.workloads.deathstarbench import Application
+
+        def broken(profiles, name):
+            profiles[name] = discontinuous_profile(name)
+            return profiles
+
+        analytic = Application.analytic_profiles
+        monkeypatch.setattr(
+            Application, "analytic_profiles",
+            lambda app, interference=1.0: broken(
+                analytic(app, interference), "geo-service"
+            ),
+        )
+        generate = repro.cli.generate_taobao
+
+        def taobao(**shape):
+            population = generate(**shape)
+            broken(population.profiles, "shared-0000")
+            return population
+
+        monkeypatch.setattr(repro.cli, "generate_taobao", taobao)
+        assert main(command) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro: error: service ")
+        assert "low 18.9 ms, high -88.3 ms" in captured.err
 
     def test_compare_simulate_adds_measured_columns(self, capsys):
         assert main(["compare", "--app", "hotel-reservation",

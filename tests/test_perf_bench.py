@@ -86,6 +86,39 @@ class TestRunnerSmoke:
         assert len(stats["trials"]) >= 3
         assert min(stats["trials"]) <= stats["median"] <= stats["best"]
 
+    def test_checked_in_report_records_baseline_stats(self):
+        """The comparators' statistics sweep is tracked like the deploy stage.
+
+        No timing here: the committed entry must come from a run whose
+        GrandSLAm/Rhythm container maps matched the scalar reference
+        loop, over the full 300-service population.
+        """
+        report = json.loads((REPO_ROOT / "BENCH_des.json").read_text())
+        baseline = report["benchmarks"]["baseline_stats"]
+        assert baseline["allocations_identical"] is True
+        assert baseline["services"] == 300
+        assert baseline["service_microservice_pairs"] > 10_000
+        stats = baseline["stats_trials"]
+        assert baseline["stats_services_per_sec"] == stats["best"] > 0
+        assert len(stats["trials"]) >= 3
+        assert min(stats["trials"]) <= stats["median"] <= stats["best"]
+
+    def test_reference_loop_agrees_with_the_schemes(self):
+        """The bench's scalar reference and the schemes allocate alike."""
+        from repro.baselines import GrandSLAm, Rhythm
+        from repro.workloads import generate_taobao
+
+        population = generate_taobao(
+            n_services=6, mean_graph_size=15, shared_pool=20, seed=5
+        )
+        specs, profiles = population.services, population.profiles
+        for scheme in (GrandSLAm(), Rhythm()):
+            assert scheme.scale(specs, profiles).containers == (
+                runner._reference_baseline_containers(
+                    specs, profiles, scheme.name
+                )
+            )
+
     def test_checked_in_report_resilience_disabled_path(self):
         """The disabled-resilience hot path costs nothing measurable.
 

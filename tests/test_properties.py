@@ -4,6 +4,7 @@ These pin down behaviours the unit tests only sample:
 
 * the scaling pipeline always produces allocations that meet the SLA
   under its own model, for random graphs/profiles/workloads;
+* the array graph fold agrees with the scalar one on every column;
 * `best_effort_containers` is monotone (tighter targets or more workload
   never mean fewer containers) and regime-consistent;
 * the simulator conserves requests and respects latency lower bounds;
@@ -118,6 +119,34 @@ class TestScalingInvariants:
             ServiceSpec("svc", graph, workload=workload * 2, sla=sla), profiles
         )
         assert sum(heavy.containers.values()) >= sum(light.containers.values())
+
+
+class TestGraphFoldInvariants:
+    @given(random_services(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_array_fold_equals_scalar_fold_column_by_column(self, service, data):
+        """``end_to_end_series`` is ``end_to_end_latency`` per column, to the bit."""
+        graph = service[0]
+        for node in graph.nodes():
+            if data.draw(st.booleans()):  # empty stages fold as + 0.0
+                node.stages.insert(
+                    data.draw(st.integers(0, len(node.stages))), []
+                )
+        names = graph.microservices()
+        points = data.draw(st.integers(min_value=1, max_value=5))
+        # + 0.0 turns -0.0 into 0.0: max() and np.maximum may pick either zero
+        value = st.floats(min_value=-1e6, max_value=1e6).map(lambda v: v + 0.0)
+        row = st.lists(value, min_size=points, max_size=points)
+        matrix = np.array(
+            data.draw(st.lists(row, min_size=len(names), max_size=len(names)))
+        )
+        series = graph.end_to_end_series(dict(zip(names, matrix)))
+        assert series.shape == (points,)
+        for column in range(points):
+            scalar = graph.end_to_end_latency(
+                dict(zip(names, matrix[:, column].tolist()))
+            )
+            assert float(series[column]).hex() == scalar.hex()
 
 
 class TestBestEffortInvariants:
