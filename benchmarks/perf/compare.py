@@ -10,7 +10,8 @@ tracked full run; wall-clock fields are never compared.
 Correctness flags ride along: if the fresh run reports a false
 ``CORRECTNESS_FLAGS`` entry (e.g. ``parallel_grid.rows_identical``,
 ``allocation_throughput.identical``,
-``baseline_stats.allocations_identical``), that is always a failure — a
+``baseline_stats.allocations_identical``,
+``priority_replay.fingerprint_stable``), that is always a failure — a
 fast wrong answer is not a benchmark win.
 
 Usage::
@@ -32,6 +33,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 #: every one of these.
 RATE_METRICS = [
     ("saturation", "events_per_sec"),
+    ("priority_replay", "events_per_sec"),
     ("allocation_throughput", "memoized_cells_per_sec"),
     ("allocation_throughput", "grid_cells_per_sec"),
     ("allocation_throughput", "provisioner_actions_per_sec"),
@@ -52,6 +54,7 @@ CORRECTNESS_FLAGS = [
     ("allocation_throughput", "identical"),
     ("deploy_reconcile", "pods_match_cluster"),
     ("baseline_stats", "allocations_identical"),
+    ("priority_replay", "fingerprint_stable"),
 ]
 
 

@@ -5,6 +5,11 @@ Three single-process benchmarks plus one parallel-grid benchmark:
 * ``saturation`` — one microservice near its capacity knee: the pure
   engine hot path (arrival events, dispatch, completion events, result
   recording).  Reported as events/sec, the headline engine metric.
+* ``priority_replay`` — Social Network under a full Erms allocation
+  (priority scheduling at its nine shared microservices), bare engine:
+  the §5.3.2 data plane the paper's results run through, as events/sec
+  with trials, median and IQR; ``fingerprint_stable`` says the same-seed
+  trials produced one latency stream.
 * ``static_cell`` — one DeathStarBench static-grid cell with
   ``simulate=True``: the experiment layer end to end (scale + replay).
 * ``trace_slice`` — an Alibaba-scale population slice allocated
@@ -39,8 +44,9 @@ Three single-process benchmarks plus one parallel-grid benchmark:
   in services/sec, with the two schemes' container maps checked against
   a scalar reference loop kept in this file.
 
-``telemetry_overhead``, ``tail_sampling``, ``analysis_throughput``,
-``deploy_reconcile`` and ``baseline_stats`` report each rate as best-of-N
+``priority_replay``, ``telemetry_overhead``, ``tail_sampling``,
+``analysis_throughput``, ``deploy_reconcile`` and ``baseline_stats``
+report each rate as best-of-N
 (the gated headline) with the trials, their median and interquartile range
 alongside (``*_trials``).
 
@@ -141,6 +147,54 @@ def bench_saturation(
         "trials_events_per_sec": [
             round(r.events_processed / w, 1) for w, r in runs
         ],
+    }
+
+
+def bench_priority_replay(
+    seed: int = 0, trials: int = 3, quick: bool = False
+) -> dict:
+    """Social Network replayed under Erms' priorities (bare engine).
+
+    The ``des_replay`` end-to-end workload as an engine rate: 20 000
+    req/min per service, SLA 200 ms, the ``ErmsScaler`` allocation with
+    δ-priority queues at every shared microservice, telemetry / chaos /
+    resilience off, own-latency recording off.  Every trial replays the
+    same seed, so besides the rate the trials must agree on the latency
+    stream (``fingerprint_stable``); at least two are always run.
+    """
+    from repro.experiments import evaluate_allocation
+
+    duration_min, warmup_min = 1.0, 0.3
+    if quick:
+        duration_min, warmup_min, trials = 0.25, 0.075, 2
+    app = social_network()
+    specs = app.with_workloads(
+        {spec.name: 20_000.0 for spec in app.services}, sla=200.0
+    )
+    allocation = ErmsScaler().scale(specs, app.analytic_profiles())
+    rates, fingerprints = [], set()
+    for _ in range(max(2, trials)):
+        start = time.perf_counter()
+        result = evaluate_allocation(
+            specs, app.simulated, allocation,
+            duration_min=duration_min, warmup_min=warmup_min, seed=seed,
+        )
+        rates.append(result.events_processed / (time.perf_counter() - start))
+        fingerprints.add(
+            tuple(
+                result.latencies(spec.name, include_warmup=True).tobytes()
+                for spec in specs
+            )
+        )
+    stats = _rate(rates)
+    return {
+        "containers": allocation.total_containers(),
+        "priority_microservices": len(allocation.priorities),
+        "events": result.events_processed,
+        "requests": sum(result.completed.values()),
+        "events_per_sec": stats["best"],
+        "events_trials": stats,
+        "fingerprint_stable": len(fingerprints) == 1,
     }
 
 
@@ -1079,6 +1133,7 @@ def bench_serve_overhead(
 
 BENCHMARKS = {
     "saturation": bench_saturation,
+    "priority_replay": bench_priority_replay,
     "static_cell": bench_static_cell,
     "trace_slice": bench_trace_slice,
     "allocation_throughput": bench_allocation_throughput,

@@ -102,6 +102,7 @@ def _probe_cell(cell: Dict) -> float:
             duration_min=context["duration_min"],
             warmup_min=context["warmup_min"],
             seed=cell["seed"],
+            record_own_latency=False,  # only the end-to-end tail is read
         ),
         container_multipliers={
             microservice.name: [context["interference_multiplier"]]

@@ -9,6 +9,14 @@ Two policies from the paper:
   geometric tail going to the lowest-priority non-empty queue.  A small δ
   (the paper uses 0.05) protects low-priority services from starvation at
   a negligible cost to high-priority tail latency (paper Fig. 9).
+
+:class:`PriorityQueuePolicy` keeps its rank queues in a list in rank
+order; the list is rebuilt only when a job of a rank not seen before is
+pushed, so ``pop`` is one scan over it.  ``pop`` draws one uniform from
+the RNG for every non-empty rank it considers *except the last* — none at
+all when a single rank has jobs waiting — which is what lets the engine
+start a job directly on an idle container without consulting the policy:
+the draw sequence, and so every sample stream, is the same either way.
 """
 
 from __future__ import annotations
@@ -40,18 +48,19 @@ class FCFSQueue(QueuePolicy):
     """Single first-come-first-served queue."""
 
     def __init__(self) -> None:
-        self._queue: Deque[Any] = deque()
+        #: The queue itself, for callers that can use a deque directly.
+        self.fifo: Deque[Any] = deque()
 
     def push(self, job: Any, service: str) -> None:
-        self._queue.append(job)
+        self.fifo.append(job)
 
     def pop(self) -> Optional[Any]:
-        if not self._queue:
+        if not self.fifo:
             return None
-        return self._queue.popleft()
+        return self.fifo.popleft()
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self.fifo)
 
 
 class PriorityQueuePolicy(QueuePolicy):
@@ -77,27 +86,32 @@ class PriorityQueuePolicy(QueuePolicy):
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._default_rank = (max(self.ranks.values()) + 1) if self.ranks else 0
         self._queues: Dict[int, Deque[Any]] = {}
+        self._by_rank: List[Deque[Any]] = []  # the same queues, rank 0 first
         self._size = 0
 
     def push(self, job: Any, service: str) -> None:
         rank = self.ranks.get(service, self._default_rank)
-        self._queues.setdefault(rank, deque()).append(job)
+        queue = self._queues.get(rank)
+        if queue is None:
+            queue = self._queues[rank] = deque()
+            self._by_rank = [self._queues[r] for r in sorted(self._queues)]
+        queue.append(job)
         self._size += 1
 
     def pop(self) -> Optional[Any]:
         if self._size == 0:
             return None
-        non_empty: List[int] = sorted(
-            rank for rank, queue in self._queues.items() if queue
-        )
-        chosen = non_empty[-1]
-        for rank in non_empty[:-1]:
-            if self._rng.random() < 1.0 - self.delta:
-                chosen = rank
-                break
-        job = self._queues[chosen].popleft()
+        # A non-empty rank is served with probability 1 − δ when a later
+        # rank also has jobs; the last non-empty rank takes what is left
+        # and costs no draw.
+        chosen = None
+        for queue in self._by_rank:
+            if queue:
+                if chosen is not None and self._rng.random() < 1.0 - self.delta:
+                    break
+                chosen = queue
         self._size -= 1
-        return job
+        return chosen.popleft()
 
     def __len__(self) -> int:
         return self._size

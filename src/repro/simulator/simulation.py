@@ -21,6 +21,26 @@ P95-vs-load curve has the paper's piecewise-linear shape.
 Engine fast path
 ----------------
 
+What can be resolved once is resolved at construction.  Each service's
+:class:`~repro.graphs.DependencyGraph` is compiled into *call plans*
+(:class:`_CallPlan`, one per call node): the callee's live state instead
+of its name, and its downstream stages as tuples with
+``calls_per_request`` expanded into repeated entries and empty stages
+dropped.  Arrivals, completions and stage joins carry plans, so running
+a call is attribute reads on the plan — no name lookup, no per-node
+cache.
+
+A call that reaches a container with a free thread and nothing queued
+starts processing directly, whatever the queue policy (the *idle start*:
+no :class:`_Job`, no queue roundtrip, no dispatch call).  For δ-priority
+containers this is exact, not approximate:
+:class:`~repro.simulator.scheduler.PriorityQueuePolicy` consults the RNG
+only to choose between two or more non-empty ranks, so the draw order is
+the one push + ``_dispatch`` + ``pop`` would have produced.  Calls that
+find a queue or no free thread become jobs; a completion on an FCFS
+container starts the next queued job itself, on a priority container it
+asks the policy through ``_dispatch``.
+
 The hot loop avoids per-event closure allocation: arrivals, completions,
 and stage joins are ``__slots__`` record objects whose ``__call__`` the
 :class:`~repro.simulator.events.EventQueue` dispatches directly, and
@@ -32,9 +52,9 @@ static interference multiplier precompute their mean service time so the
 ``callable()`` check never touches the per-job path.  Latency samples
 append to flat ``array('d')`` column buffers; the tuple-list views
 (``end_to_end``, ``own_latency``) are materialized lazily.  For a fixed
-seed the engine remains fully deterministic, but its draw order differs
-from the pre-fast-path engine, so sample streams match only within the
-same engine version (pinned by ``tests/test_determinism_golden.py``).
+seed the engine is fully deterministic; its sample streams are pinned by
+``tests/test_determinism_golden.py`` and, case by case against the engine
+before call plans, by ``tests/test_engine_equivalence.py``.
 
 Live telemetry
 --------------
@@ -48,8 +68,9 @@ counts into a live ``MetricsStore``, a per-window tick snapshots engine
 health and closes SLA windows, and ``scale_container_count`` records
 audit entries.  The sink never touches the engine RNG, so the pinned
 golden streams hold with telemetry on or off.  With ``telemetry=None``
-(the default) each hot loop pays exactly one ``is not None`` branch;
-``benchmarks/e2e`` measures both sides (``des_replay``, ``des_observed``).
+(the default) the hooks cost ``is not None`` tests only — one per job
+started, completed and fanned out; ``benchmarks/e2e`` measures both
+sides (``des_replay``, ``des_observed``).
 """
 
 from __future__ import annotations
@@ -137,6 +158,30 @@ class SimulationConfig:
             )
 
 
+class _CallPlan:
+    """One call node of a service's graph, resolved for the engine.
+
+    Compiled once per simulator (``ClusterSimulator._compile``): the
+    callee's live state in place of its name, and the downstream stages
+    with ``calls_per_request`` already expanded into repeated entries and
+    empty stages dropped, so executing a call looks nothing up.  The
+    telemetry and resilience hooks receive plans where they used to
+    receive :class:`~repro.graphs.CallNode` and read ``microservice``.
+    """
+
+    __slots__ = ("microservice", "state", "stages")
+
+    def __init__(
+        self,
+        microservice: str,
+        state: "_MicroserviceState",
+        stages: Tuple[Tuple["_CallPlan", ...], ...],
+    ):
+        self.microservice = microservice
+        self.state = state
+        self.stages = stages
+
+
 class _Job:
     """One call awaiting processing at a container."""
 
@@ -145,7 +190,7 @@ class _Job:
     def __init__(
         self,
         service: str,
-        node: CallNode,
+        node: _CallPlan,
         arrival: float,
         done: Callable[[float], None],
     ):
@@ -162,15 +207,15 @@ class _Container:
     of the current simulation minute (iBench-style injection schedules,
     paper §6.2 fixes a level per hour).  The static case precomputes
     ``mean_ms`` so the dispatch loop never re-checks ``callable()``;
-    ``fifo`` exposes the FCFS deque directly so the dominant policy skips
-    two method calls per job.
+    ``fifo`` is the FCFS queue's deque (``None`` under any other policy)
+    so the dominant policy skips two method calls per job.
     """
 
     __slots__ = ("queue", "fifo", "free_threads", "multiplier", "static_mult", "mean_ms")
 
     def __init__(self, queue: QueuePolicy, threads: int, base_ms: float, multiplier):
         self.queue = queue
-        self.fifo = queue._queue if type(queue) is FCFSQueue else None
+        self.fifo = queue.fifo if type(queue) is FCFSQueue else None
         self.free_threads = threads
         if callable(multiplier):
             self.multiplier = multiplier
@@ -180,11 +225,6 @@ class _Container:
             self.multiplier = float(multiplier)
             self.static_mult = float(multiplier)
             self.mean_ms = base_ms * float(multiplier)
-
-    def multiplier_at(self, now_ms: float) -> float:
-        if self.static_mult is not None:
-            return self.static_mult
-        return float(self.multiplier(now_ms / _MS_PER_MINUTE))
 
 
 class _MicroserviceState:
@@ -593,8 +633,8 @@ class _Arrival:
         self.sim = sim
         self.spec = spec
         self.name = spec.name
-        self.root = spec.graph.root
-        self.root_state = sim._microservices[self.root.microservice]
+        self.root = sim._roots[spec.name]
+        self.root_state = self.root.state
         self.end_ms = end_ms
         self.events = sim.events
         rate_spec = sim._rates.get(spec.name, 0.0)
@@ -652,9 +692,8 @@ class _Arrival:
         tele = self.tele
         if tele is not None:
             done = tele.wrap_root(name, self.root, t, done)
-        # Inline root-node execution on the cached root state: same logic
-        # as ``ClusterSimulator._execute_node`` minus the per-request
-        # microservice lookup and call overhead.
+        # Inline root-node execution: same logic as
+        # ``ClusterSimulator._execute_node`` minus the call overhead.
         sim = self.sim
         node = self.root
         state = self.root_state
@@ -666,50 +705,49 @@ class _Arrival:
         container = containers[index]
         fifo = container.fifo
         free = container.free_threads
-        if fifo is not None:
-            if free > 0 and not fifo:
-                container.free_threads = free - 1
-                mean_ms = container.mean_ms
-                if mean_ms is None:
-                    mean_ms = state.base_ms * float(
-                        container.multiplier(t / _MS_PER_MINUTE)
-                    )
-                exp_i = state.exp_i
-                exp_buf = state.exp_buf
-                if exp_i >= len(exp_buf):
-                    exp_buf = state.exp_buf = sim.rng.exponential(
-                        1.0, _RNG_BLOCK
-                    ).tolist()
-                    exp_i = 0
-                state.exp_i = exp_i + 1
-                processing = exp_buf[exp_i] * mean_ms
-                if tele is not None:
-                    tele.note_processing(
-                        done, t, processing, mean_ms / state.base_ms
-                    )
-                cpool = sim._completion_pool
-                if cpool:
-                    event = cpool.pop()
-                    event.container = container
-                    event.state = state
-                    event.service = name
-                    event.node = node
-                    event.arrival = t
-                    event.done = done
-                else:
-                    event = _Completion(
-                        sim, container, state, name, node, t, done
-                    )
-                events = self.events
-                count = events._counter
-                events._counter = count + 1
-                heappush(events._heap, (t + processing, count, event))
+        if free > 0 and not (fifo if fifo is not None else container.queue):
+            # Idle start (see ``_execute_node``).
+            container.free_threads = free - 1
+            mean_ms = container.mean_ms
+            if mean_ms is None:
+                mean_ms = state.base_ms * float(
+                    container.multiplier(t / _MS_PER_MINUTE)
+                )
+            exp_i = state.exp_i
+            exp_buf = state.exp_buf
+            if exp_i >= len(exp_buf):
+                exp_buf = state.exp_buf = sim.rng.exponential(
+                    1.0, _RNG_BLOCK
+                ).tolist()
+                exp_i = 0
+            state.exp_i = exp_i + 1
+            processing = exp_buf[exp_i] * mean_ms
+            if tele is not None:
+                tele.note_processing(
+                    done, t, processing, mean_ms / state.base_ms
+                )
+            cpool = sim._completion_pool
+            if cpool:
+                event = cpool.pop()
+                event.container = container
+                event.state = state
+                event.service = name
+                event.node = node
+                event.arrival = t
+                event.done = done
             else:
-                fifo.append(_Job(name, node, t, done))
-                if free > 0:
-                    sim._dispatch(state, container)
+                event = _Completion(
+                    sim, container, state, name, node, t, done
+                )
+            events = self.events
+            count = events._counter
+            events._counter = count + 1
+            heappush(events._heap, (t + processing, count, event))
         else:
-            container.queue.push(_Job(name, node, t, done), name)
+            if fifo is not None:
+                fifo.append(_Job(name, node, t, done))
+            else:
+                container.queue.push(_Job(name, node, t, done), name)
             if free > 0:
                 sim._dispatch(state, container)
         mean_gap = self.mean_gap
@@ -837,10 +875,6 @@ class ClusterSimulator:
         self._completion_pool: List[_Completion] = []
         self._unit_buf: List[float] = []
         self._unit_i = 0
-        #: id(node) -> (node, per-stage expanded call lists); the node ref
-        #: keeps the id stable for the simulator's lifetime.
-        self._stage_cache: Dict[int, Tuple[CallNode, List[List[CallNode]]]] = {}
-
         self._microservices: Dict[str, _MicroserviceState] = {}
         needed = {
             name for spec in self.services for name in spec.graph.microservices()
@@ -877,10 +911,28 @@ class ClusterSimulator:
             ]
             self._microservices[name] = _MicroserviceState(spec, container_objs)
             self.result.containers[name] = len(container_objs)
+        #: service -> call plan of its graph's root (what arrivals execute)
+        self._roots: Dict[str, _CallPlan] = {
+            spec.name: self._compile(spec.graph.root) for spec in self.services
+        }
         if chaos is not None or resilience is not None:
             from repro.resilience.manager import ResilienceManager
 
             self._resilience = ResilienceManager(self, resilience, chaos)
+
+    def _compile(self, node: CallNode) -> _CallPlan:
+        """Resolve ``node`` and everything below it into call plans."""
+        stages = []
+        for stage in node.stages:
+            calls = []
+            for child in stage:
+                plan = self._compile(child)
+                calls.extend([plan] * max(1, int(round(child.calls_per_request))))
+            if calls:
+                stages.append(tuple(calls))
+        return _CallPlan(
+            node.microservice, self._microservices[node.microservice], tuple(stages)
+        )
 
     def _wrap_multiplier(self, microservice: str, multiplier):
         """Compose chaos latency-spike windows onto a container multiplier."""
@@ -1093,11 +1145,11 @@ class ClusterSimulator:
     def _execute_node(
         self,
         service: str,
-        node: CallNode,
+        node: _CallPlan,
         t: float,
         done: Callable[[float], None],
     ) -> None:
-        state = self._microservices[node.microservice]
+        state = node.state
         containers = state.containers
         index = state._next
         if index >= len(containers):
@@ -1106,56 +1158,56 @@ class ClusterSimulator:
         container = containers[index]
         fifo = container.fifo
         free = container.free_threads
+        if free > 0 and not (fifo if fifo is not None else container.queue):
+            # Idle start, any policy (module docstring): a thread is free
+            # and nothing is queued — no job object, no queue roundtrip,
+            # no dispatch call, and the RNG draws push + dispatch would
+            # have made.
+            container.free_threads = free - 1
+            events = self.events
+            now = events.now
+            mean_ms = container.mean_ms
+            if mean_ms is None:
+                mean_ms = state.base_ms * float(
+                    container.multiplier(now / _MS_PER_MINUTE)
+                )
+            exp_i = state.exp_i
+            buf = state.exp_buf
+            if exp_i >= len(buf):
+                buf = state.exp_buf = self.rng.exponential(
+                    1.0, _RNG_BLOCK
+                ).tolist()
+                exp_i = 0
+            state.exp_i = exp_i + 1
+            processing = buf[exp_i] * mean_ms
+            tele = self._telemetry
+            if tele is not None:
+                tele.note_processing(
+                    done, now, processing, mean_ms / state.base_ms
+                )
+            pool = self._completion_pool
+            if pool:
+                event = pool.pop()
+                event.container = container
+                event.state = state
+                event.service = service
+                event.node = node
+                event.arrival = t
+                event.done = done
+            else:
+                event = _Completion(
+                    self, container, state, service, node, t, done
+                )
+            count = events._counter
+            events._counter = count + 1
+            heappush(events._heap, (now + processing, count, event))
+            return
         if fifo is not None:
-            if free > 0 and not fifo:
-                # Uncontended FCFS fast path: start processing directly —
-                # no job object, no queue roundtrip, no dispatch call.
-                container.free_threads = free - 1
-                events = self.events
-                now = events.now
-                mean_ms = container.mean_ms
-                if mean_ms is None:
-                    mean_ms = state.base_ms * float(
-                        container.multiplier(now / _MS_PER_MINUTE)
-                    )
-                exp_i = state.exp_i
-                buf = state.exp_buf
-                if exp_i >= len(buf):
-                    buf = state.exp_buf = self.rng.exponential(
-                        1.0, _RNG_BLOCK
-                    ).tolist()
-                    exp_i = 0
-                state.exp_i = exp_i + 1
-                processing = buf[exp_i] * mean_ms
-                tele = self._telemetry
-                if tele is not None:
-                    tele.note_processing(
-                        done, now, processing, mean_ms / state.base_ms
-                    )
-                pool = self._completion_pool
-                if pool:
-                    event = pool.pop()
-                    event.container = container
-                    event.state = state
-                    event.service = service
-                    event.node = node
-                    event.arrival = t
-                    event.done = done
-                else:
-                    event = _Completion(
-                        self, container, state, service, node, t, done
-                    )
-                count = events._counter
-                events._counter = count + 1
-                heappush(events._heap, (now + processing, count, event))
-                return
             fifo.append(_Job(service, node, t, done))
-            if free > 0:
-                self._dispatch(state, container)
         else:
             container.queue.push(_Job(service, node, t, done), service)
-            if free > 0:
-                self._dispatch(state, container)
+        if free > 0:
+            self._dispatch(state, container)
 
     def _dispatch(self, state: _MicroserviceState, container: _Container) -> None:
         free = container.free_threads
@@ -1217,49 +1269,34 @@ class ClusterSimulator:
     def _run_stages(
         self,
         service: str,
-        node: CallNode,
+        node: _CallPlan,
         stage_index: int,
         t: float,
         done: Callable[[float], None],
     ) -> None:
-        cached = self._stage_cache.get(id(node))
-        if cached is None:
-            expanded = [
-                [
-                    child
-                    for child in stage
-                    for _ in range(max(1, int(round(child.calls_per_request))))
-                ]
-                for stage in node.stages
-            ]
-            self._stage_cache[id(node)] = (node, expanded)
-        else:
-            expanded = cached[1]
-        total = len(expanded)
-        while stage_index < total:
-            calls = expanded[stage_index]
-            if calls:
-                frame = _StageFrame(
-                    self, service, node, stage_index + 1, len(calls), t, done
+        stages = node.stages
+        if stage_index >= len(stages):
+            done(t)
+            return
+        calls = stages[stage_index]  # never empty: plans drop empty stages
+        frame = _StageFrame(
+            self, service, node, stage_index + 1, len(calls), t, done
+        )
+        res = self._resilience
+        if res is not None:
+            # Each downstream call becomes a resilient logical RPC
+            # (timeout / retry / breaker); the manager wraps per-attempt
+            # telemetry spans itself.
+            res.submit_children(service, calls, t, frame, done)
+            return
+        tele = self._telemetry
+        if tele is not None:
+            # Each downstream call gets its own span-emitting
+            # continuation; span context rides on ``done``.
+            for child in calls:
+                self._execute_node(
+                    service, child, t, tele.wrap_call(done, child, t, frame)
                 )
-                res = self._resilience
-                if res is not None:
-                    # Each downstream call becomes a resilient logical
-                    # RPC (timeout / retry / breaker); the manager wraps
-                    # per-attempt telemetry spans itself.
-                    res.submit_children(service, calls, t, frame, done)
-                    return
-                tele = self._telemetry
-                if tele is not None:
-                    # Each downstream call gets its own span-emitting
-                    # continuation; span context rides on ``done``.
-                    for child in calls:
-                        self._execute_node(
-                            service, child, t, tele.wrap_call(done, child, t, frame)
-                        )
-                else:
-                    for child in calls:
-                        self._execute_node(service, child, t, frame)
-                return
-            stage_index += 1
-        done(t)
+        else:
+            for child in calls:
+                self._execute_node(service, child, t, frame)

@@ -103,6 +103,34 @@ class TestRunnerSmoke:
         assert len(stats["trials"]) >= 3
         assert min(stats["trials"]) <= stats["median"] <= stats["best"]
 
+    def test_checked_in_report_records_priority_replay(self):
+        """The §5.3.2 data plane is tracked beside FCFS ``saturation``.
+
+        No timing here: the committed entry must come from same-seed
+        trials that agreed on the latency stream, on the ``des_replay``
+        shape (Social Network, 52 containers, nine priority-scheduled
+        shared microservices).
+        """
+        report = json.loads((REPO_ROOT / "BENCH_des.json").read_text())
+        replay = report["benchmarks"]["priority_replay"]
+        assert replay["fingerprint_stable"] is True
+        assert replay["containers"] == 52
+        assert replay["priority_microservices"] == 9
+        assert replay["events"] > 1_000_000 > replay["requests"] > 50_000
+        stats = replay["events_trials"]
+        assert replay["events_per_sec"] == stats["best"] > 0
+        assert len(stats["trials"]) >= 3
+        assert min(stats["trials"]) <= stats["median"] <= stats["best"]
+
+    def test_priority_replay_quick_mode(self):
+        """Quick mode keeps the allocation and still checks the stream."""
+        replay = runner.bench_priority_replay(quick=True)
+        assert replay["fingerprint_stable"] is True
+        assert replay["containers"] == 52
+        assert replay["priority_microservices"] == 9
+        assert len(replay["events_trials"]["trials"]) == 2
+        assert replay["events"] > 10 * replay["requests"] > 0
+
     def test_reference_loop_agrees_with_the_schemes(self):
         """The bench's scalar reference and the schemes allocate alike."""
         from repro.baselines import GrandSLAm, Rhythm
