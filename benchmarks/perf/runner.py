@@ -44,9 +44,9 @@ Three single-process benchmarks plus one parallel-grid benchmark:
   in services/sec, with the two schemes' container maps checked against
   a scalar reference loop kept in this file.
 
-``priority_replay``, ``telemetry_overhead``, ``tail_sampling``,
-``analysis_throughput``, ``deploy_reconcile`` and ``baseline_stats``
-report each rate as best-of-N
+``priority_replay``, ``allocation_throughput``, ``telemetry_overhead``,
+``tail_sampling``, ``analysis_throughput``, ``deploy_reconcile`` and
+``baseline_stats`` report each rate as best-of-N
 (the gated headline) with the trials, their median and interquartile range
 alongside (``*_trials``).
 
@@ -368,10 +368,11 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
     # Quick mode keeps the full grid: cells/sec amortizes memo misses
     # over the grid, so shrinking it would change the metric itself and
     # break the CI comparison against the tracked full-mode report.
-    # The whole bench is sub-second; only the trial count drops.
+    # The whole bench is sub-second; only the trial count drops (a sweep
+    # is a few milliseconds, so one trial alone is at the mercy of a blip).
     workloads = [2_500.0, 5_000.0, 10_000.0, 20_000.0, 40_000.0, 80_000.0]
     slas = [120.0, 160.0, 200.0, 250.0, 300.0, 400.0]
-    trials = 1 if quick else 3
+    trials = 3 if quick else 5
     # Specs are built outside the timed region: spec construction is not
     # part of the allocation path.
     cell_specs = [
@@ -426,18 +427,18 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
                         results.append(None)
         return results
 
-    def best_of(fn):
+    def timed(fn):
         walls, last = [], None
         for _ in range(max(1, trials)):
             start = time.perf_counter()
             last = fn()
             walls.append(time.perf_counter() - start)
-        return min(walls), last
+        return walls, last
 
     try:
-        scalar_wall, scalar_rows = best_of(run_scalar)
-        memo_wall, memo_rows = best_of(run_memoized)
-        grid_wall, grid_rows = best_of(run_grid)
+        scalar_walls, scalar_rows = timed(run_scalar)
+        memo_walls, memo_rows = timed(run_memoized)
+        grid_walls, grid_rows = timed(run_grid)
     finally:
         set_targets_memo(True)  # restore the production default
         clear_targets_memo()
@@ -463,6 +464,9 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
 
     identical = rows_equal(scalar_rows, memo_rows) and rows_equal(
         scalar_rows, grid_rows
+    )
+    scalar_wall, memo_wall, grid_wall = map(
+        min, (scalar_walls, memo_walls, grid_walls)
     )
 
     # Provisioner throughput: place a full allocation onto a cluster with
@@ -496,6 +500,9 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
         "scalar_cells_per_sec": round(calls / scalar_wall, 1),
         "memoized_cells_per_sec": round(calls / memo_wall, 1),
         "grid_cells_per_sec": round(calls / grid_wall, 1),
+        "scalar_trials": _rate([calls / wall for wall in scalar_walls]),
+        "memoized_trials": _rate([calls / wall for wall in memo_walls]),
+        "grid_trials": _rate([calls / wall for wall in grid_walls]),
         "memoized_speedup": round(scalar_wall / memo_wall, 2),
         "grid_speedup": round(scalar_wall / grid_wall, 2),
         "identical": identical,

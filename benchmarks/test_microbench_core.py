@@ -10,11 +10,7 @@ against regressions.
 import numpy as np
 
 from repro.core import compute_service_targets, scale_with_priorities
-from repro.core.merge import (
-    distribute_targets,
-    leaf_params_from_profiles,
-    merge_graph,
-)
+from repro.core.merge import distribute_targets, merge_graph
 from repro.core.model import ServiceSpec
 from repro.profiling import fit_piecewise
 from repro.workloads import social_network
@@ -31,10 +27,13 @@ def _random_service(n, seed):
 
 def test_merge_and_distribute_100_nodes(benchmark):
     spec, profiles = _random_service(100, seed=1)
-    segments = {n: profiles[n].model.high for n in profiles}
 
     def body():
-        params = leaf_params_from_profiles(spec.graph, profiles, segments)
+        params = [
+            (profile.model.high.slope, profile.model.high.intercept,
+             profile.resource_demand)
+            for profile in map(profiles.get, spec.graph.plan().names)
+        ]
         merged = merge_graph(spec.graph, params)
         return distribute_targets(merged, spec.sla)
 

@@ -61,6 +61,7 @@ from typing import List, Optional
 
 from repro.baselines import Firm, GrandSLAm, ProfileStatisticsError, Rhythm
 from repro.core import ErmsScaler
+from repro.graphs import GraphValidationError
 from repro.experiments import (
     evaluate_allocation,
     format_table,
@@ -1095,7 +1096,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    except (CLIError, ProfileStatisticsError) as error:
+    except (CLIError, ProfileStatisticsError, GraphValidationError) as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return EXIT_RUNTIME
 

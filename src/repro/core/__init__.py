@@ -29,8 +29,7 @@ from repro.core.model import (
     containers_for_target,
 )
 from repro.core.merge import (
-    MergedNode,
-    MergeKind,
+    MergedGraph,
     MergeTreeCache,
     VirtualParams,
     clear_merge_cache,
@@ -89,8 +88,7 @@ __all__ = [
     "PiecewiseLatencyModel",
     "ServiceSpec",
     "containers_for_target",
-    "MergedNode",
-    "MergeKind",
+    "MergedGraph",
     "MergeTreeCache",
     "VirtualParams",
     "clear_merge_cache",

@@ -5,7 +5,7 @@ the current workload and the SLA, this module computes:
 
 * a latency target per microservice — the maximum time it may take to handle
   a request so the end-to-end SLA holds with minimum total resource usage
-  (the KKT closed form, paper Eq. 5, applied through the merge tree);
+  (the KKT closed form, paper Eq. 5, applied through the merged graph);
 * the number of containers needed to hit each target.
 
 Interval selection follows §5.3.1: the first pass assumes every microservice
@@ -70,15 +70,14 @@ class ServiceTargets:
 # Cross-cell memo for the workload-independent part of the computation
 # ----------------------------------------------------------------------
 # Eq. 5 scales segment slopes only by the *override ratio*
-# (effective / own workload), never by the service workload itself: in
-# ``_allocate`` every call site is treated as handling the service
-# arrival rate.  Targets, chosen segments, the merged intercept and the
-# §5.3.1 pass count are therefore identical across grid cells that
-# differ only in workload (same graph, SLA and override ratios) — only
-# the container counts change.  The memo below caches exactly that
-# workload-independent tuple; container counts are always recomputed
-# from the cell's actual workloads, so memoized results are
-# bit-identical to fresh ones.
+# (effective / own workload), never by the service workload itself: the
+# merge treats every call site as handling the service arrival rate.
+# Targets, chosen segments, the merged intercept and the §5.3.1 pass
+# count are therefore identical across grid cells that differ only in
+# workload (same graph, SLA and override ratios) — only the container
+# counts change.  The memo below caches exactly that workload-independent
+# tuple; container counts are always recomputed from the cell's actual
+# workloads, so memoized results are bit-identical to fresh ones.
 _TARGETS_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
 _TARGETS_MEMO_MAX = 1024
 _MEMO_ENABLED = True
@@ -112,53 +111,73 @@ def targets_memo_stats() -> Dict[str, int]:
 
 
 def _override_ratio(own: float, effective: float) -> float:
-    """The slope scale factor ``_allocate`` applies for one microservice."""
+    """The slope scale factor an overridden workload puts on one microservice."""
     if own > 0 and effective != own:
         return effective / own
     return 1.0
 
 
+def _leaf_params(
+    segments: Sequence[LatencySegment],
+    ratios: Sequence[float],
+    resources: Sequence[float],
+) -> Tuple[Tuple[float, float, float], ...]:
+    """Effective ⟨slope, intercept, resource⟩ per microservice for the merge.
+
+    Any workload override is folded into the slope so every call site can
+    be treated as handling the service arrival rate.
+    """
+    return tuple(
+        (segment.slope * ratio, segment.intercept, resource)
+        for segment, ratio, resource in zip(segments, ratios, resources)
+    )
+
+
 def _targets_loop(
     spec: ServiceSpec,
-    profiles: Mapping[str, MicroserviceProfile],
-    effective: Mapping[str, float],
+    models: Sequence[PiecewiseLatencyModel],
+    resources: Sequence[float],
+    ratios: Sequence[float],
     max_passes: int,
-    names: Sequence[str],
-    own_workloads: Mapping[str, float],
-) -> Tuple[Dict[str, float], Dict[str, LatencySegment], float, int]:
+) -> Tuple[List[float], List[LatencySegment], float, int]:
     """The §5.3.1 pass loop; returns (targets, segments, intercept, passes).
 
-    ``names`` and ``own_workloads`` are the graph's ``microservices()`` and
-    the spec's ``microservice_workloads()``, walked once by the caller.
+    All sequences follow ``spec.graph.plan().names``.  Each pass is one
+    merge + Eq. 5 + unmerge.
     """
     # Initial pass: high-load segment for everyone (§5.3.1).
-    segments: Dict[str, LatencySegment] = {
-        name: profiles[name].model.high for name in names
-    }
+    segments = [model.high for model in models]
 
     # The paper recomputes once after interval switching (two passes),
     # which suffices for continuous fits.  Discontinuous fits may need a
     # few more rounds; switching is one-way (high -> low), so the loop is
     # monotone and terminates within the number of microservices.
-    scratch = ServiceTargets(service=spec.name)
     passes = 1
     for pass_index in range(max(max_passes, 1)):
-        targets = _allocate(
-            spec, profiles, segments, effective, scratch, names, own_workloads
+        merged = merge_tree_cache().tree(
+            spec.graph, _leaf_params(segments, ratios, resources)
         )
-        used_segments = dict(segments)
+        if spec.sla <= merged.intercept:
+            error = InfeasibleSLAError(
+                f"service {spec.name!r}: SLA {spec.sla:.3f}ms does not exceed the "
+                f"graph latency floor {merged.intercept:.3f}ms"
+            )
+            error.latency_floor = merged.intercept
+            raise error
+        targets = distribute_targets(merged, spec.sla)
+        used_segments = list(segments)
         passes = pass_index + 1
         if pass_index == max_passes - 1:
             break
         switched = False
-        for name, target in targets.items():
-            model = profiles[name].model
-            if segments[name] is model.high and target < model.latency_at_cutoff():
-                segments[name] = model.low
+        for rank, target in enumerate(targets):
+            model = models[rank]
+            if segments[rank] is model.high and target < model.latency_at_cutoff():
+                segments[rank] = model.low
                 switched = True
         if not switched:
             break
-    return targets, used_segments, scratch.merged_intercept, passes
+    return targets, used_segments, merged.intercept, passes
 
 
 def compute_service_targets(
@@ -187,35 +206,28 @@ def compute_service_targets(
         KeyError: If a microservice in the graph has no profile.
 
     The workload-independent part (targets/segments/passes — see the memo
-    note above) is cached across calls keyed by graph identity, SLA and
-    override ratios, so sweeping a workload axis or re-running the
-    autoscaler tick-by-tick pays for Eq. 5 once.  Graphs and profiles are
-    treated as immutable; call :func:`clear_targets_memo` after mutating
-    either in place.
+    note above) is cached across calls keyed by the graph's compiled plan,
+    SLA and override ratios, so sweeping a workload axis or re-running the
+    autoscaler tick-by-tick pays for Eq. 5 once.  Graphs are frozen once
+    scaled (a mutated root needs a new ``DependencyGraph``) and profiles
+    are treated as immutable.
     """
-    graph = spec.graph
-    # The only walks of the graph for names and multipliers in this call;
-    # the pass loop, the merge-tree key and its store reuse them.
-    names = graph.microservices()
+    plan = spec.graph.plan()
+    names = plan.names
     own_workloads = spec.microservice_workloads()
     effective: Dict[str, float] = dict(own_workloads)
     if workload_overrides:
         for name, value in workload_overrides.items():
             if name in effective:
                 effective[name] = value
+    used = [profiles[name] for name in names]
+    ratios = tuple(
+        _override_ratio(own_workloads[name], effective[name]) for name in names
+    )
 
     key = None
     if _MEMO_ENABLED:
-        key = (
-            id(graph),
-            spec.sla,
-            max_passes,
-            tuple((name, id(profiles[name])) for name in names),
-            tuple(
-                _override_ratio(own_workloads[name], effective[name])
-                for name in names
-            ),
-        )
+        key = (plan, spec.sla, max_passes, tuple(map(id, used)), ratios)
         entry = _TARGETS_MEMO.get(key)
         if entry is not None:
             global _MEMO_HITS
@@ -227,59 +239,50 @@ def compute_service_targets(
                     f"service {spec.name!r}: SLA {spec.sla:.3f}ms does not "
                     f"exceed the graph latency floor {value[1]:.3f}ms"
                 )
-            targets, used_segments, intercept, passes = value[1:]
-            return _finish_targets(
-                spec, profiles, effective, targets, used_segments, intercept,
-                passes,
-            )
-
-    if _MEMO_ENABLED:
+            return _finish_targets(spec, used, effective, *value[1:])
         global _MEMO_MISSES
         _MEMO_MISSES += 1
+
     try:
-        targets, used_segments, intercept, passes = _targets_loop(
-            spec, profiles, effective, max_passes, names, own_workloads
+        value = _targets_loop(
+            spec,
+            [profile.model for profile in used],
+            [profile.resource_demand for profile in used],
+            ratios,
+            max_passes,
         )
     except InfeasibleSLAError as exc:
         if key is not None:
-            floor = getattr(exc, "latency_floor", None)
-            if floor is not None:
-                _memo_store(key, ("infeasible", floor), graph, profiles, names)
+            _memo_store(key, ("infeasible", exc.latency_floor), used)
         raise
     if key is not None:
-        _memo_store(
-            key,
-            ("ok", targets, used_segments, intercept, passes),
-            graph,
-            profiles,
-            names,
-        )
-    return _finish_targets(
-        spec, profiles, effective, targets, used_segments, intercept, passes
-    )
+        _memo_store(key, ("ok", *value), used)
+    return _finish_targets(spec, used, effective, *value)
 
 
-def _memo_store(key, value, graph, profiles, names) -> None:
-    # Strong refs to graph + profiles keep the id()-based key valid.
-    _TARGETS_MEMO[key] = (value, graph, tuple(profiles[n] for n in names))
+def _memo_store(key, value, used) -> None:
+    # The key holds the plan itself; the profiles it names by id() are kept
+    # alive beside the value so those ids cannot be recycled.
+    _TARGETS_MEMO[key] = (value, tuple(used))
     while len(_TARGETS_MEMO) > _TARGETS_MEMO_MAX:
         _TARGETS_MEMO.popitem(last=False)
 
 
 def _finish_targets(
     spec: ServiceSpec,
-    profiles: Mapping[str, MicroserviceProfile],
-    effective: Mapping[str, float],
-    targets: Dict[str, float],
-    used_segments: Dict[str, LatencySegment],
+    used: Sequence[MicroserviceProfile],
+    effective: Dict[str, float],
+    targets: Sequence[float],
+    used_segments: Sequence[LatencySegment],
     intercept: float,
     passes: int,
 ) -> ServiceTargets:
     """Assemble the per-cell result around the (possibly cached) targets."""
+    names = spec.graph.plan().names
     result = ServiceTargets(service=spec.name)
-    result.targets = dict(targets)
-    result.segments = dict(used_segments)
-    result.workloads = dict(effective)
+    result.targets = dict(zip(names, targets))
+    result.segments = dict(zip(names, used_segments))
+    result.workloads = effective
     result.merged_intercept = intercept
     result.passes = passes
     # Convert targets to containers with the segment consistent with each
@@ -288,58 +291,10 @@ def _finish_targets(
     # segment would then provision containers whose per-container load sits
     # far beyond the cut-off, i.e. outside that segment's validity.
     result.containers = {
-        name: best_effort_containers(
-            profiles[name].model, effective[name], target
-        )
-        for name, target in targets.items()
+        name: best_effort_containers(profile.model, effective[name], target)
+        for name, profile, target in zip(names, used, targets)
     }
     return result
-
-
-def _allocate(
-    spec: ServiceSpec,
-    profiles: Mapping[str, MicroserviceProfile],
-    segments: Mapping[str, LatencySegment],
-    effective_workloads: Mapping[str, float],
-    result: ServiceTargets,
-    names: Sequence[str],
-    own_workloads: Mapping[str, float],
-) -> Dict[str, float]:
-    """One merge + Eq. 5 + unmerge pass; returns per-microservice targets."""
-    graph = spec.graph
-
-    # Fold any workload override into the effective slope so every call
-    # site can be treated as handling the service arrival rate.
-    scaled_segments: Dict[str, LatencySegment] = {}
-    for name in names:
-        segment = segments[name]
-        ratio = 1.0
-        own = own_workloads[name]
-        if own > 0 and effective_workloads[name] != own:
-            ratio = effective_workloads[name] / own
-        scaled_segments[name] = LatencySegment(
-            slope=segment.slope * ratio, intercept=segment.intercept
-        )
-
-    merged = merge_tree_cache().tree(graph, profiles, scaled_segments, names)
-    result.merged_intercept = merged.params.intercept
-    if spec.sla <= merged.params.intercept:
-        error = InfeasibleSLAError(
-            f"service {spec.name!r}: SLA {spec.sla:.3f}ms does not exceed the "
-            f"graph latency floor {merged.params.intercept:.3f}ms"
-        )
-        error.latency_floor = merged.params.intercept
-        raise error
-
-    call_targets = distribute_targets(merged, spec.sla)
-
-    targets: Dict[str, float] = {}
-    for node in graph.nodes():
-        target = call_targets[id(node)]
-        current = targets.get(node.microservice)
-        if current is None or target < current:
-            targets[node.microservice] = target
-    return targets
 
 
 # ----------------------------------------------------------------------
@@ -408,19 +363,19 @@ def compute_targets_grid(
 ) -> GridTargets:
     """Batch :func:`compute_service_targets` over a (workload × SLA) grid.
 
-    One Eq. 5 tree walk per *segment-assignment group* of SLA columns
+    One Eq. 5 pass per *segment-assignment group* of SLA columns
     (via :func:`repro.core.merge.distribute_targets_batch`) replaces one
-    walk per grid cell, and container counts vectorize over the workload
+    pass per grid cell, and container counts vectorize over the workload
     axis; yet every :meth:`GridTargets.cell` is bit-identical to the
     scalar call for that cell.  §5.3.1 interval switching runs per SLA
     column: columns that switch the same segments regroup and share the
-    next pass's merge tree.
+    next pass's merge.
 
     Workload overrides are deliberately unsupported here — grids sweep a
     service's own arrival rate, where every override ratio is 1.
     """
     graph = spec.graph
-    names = graph.microservices()
+    names = graph.plan().names
     multipliers = graph.workload_multipliers()
     workloads = [float(w) for w in workloads]
     slas = [float(s) for s in slas]
@@ -432,6 +387,8 @@ def compute_targets_grid(
     models: Dict[str, PiecewiseLatencyModel] = {
         name: profiles[name].model for name in names
     }
+    resources = [profiles[name].resource_demand for name in names]
+    ratios = [1.0] * len(names)  # a grid sweeps the service's own workload
 
     # Per-column state machine mirroring the scalar §5.3.1 loop.
     seg_state: List[Dict[str, LatencySegment]] = [
@@ -447,8 +404,8 @@ def compute_targets_grid(
     for pass_index in range(max(max_passes, 1)):
         if not active:
             break
-        # Group columns sharing a segment assignment: one merge tree and
-        # one batched Eq. 5 walk per group.
+        # Group columns sharing a segment assignment: one merge and one
+        # batched Eq. 5 pass per group.
         groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
         for column in active:
             signature = tuple(
@@ -459,16 +416,11 @@ def compute_targets_grid(
         next_active: List[int] = []
         for columns in groups.values():
             segments = seg_state[columns[0]]
-            # Mirror _allocate's construction (ratio is 1.0 on a grid).
-            scaled = {
-                name: LatencySegment(
-                    slope=segments[name].slope * 1.0,
-                    intercept=segments[name].intercept,
-                )
-                for name in names
-            }
-            tree = cache.tree(graph, profiles, scaled, names)
-            intercept = tree.params.intercept
+            merged = cache.tree(
+                graph,
+                _leaf_params([segments[name] for name in names], ratios, resources),
+            )
+            intercept = merged.intercept
             live: List[int] = []
             for column in columns:
                 intercepts[column] = intercept
@@ -480,16 +432,7 @@ def compute_targets_grid(
             if not live:
                 continue
 
-            batch = distribute_targets_batch(tree, sla_arr[live])
-            # Fold call-site targets to per-microservice minima, one numpy
-            # reduce per microservice (min is order-independent & exact).
-            per_ms: Dict[str, np.ndarray] = {}
-            for node in graph.nodes():
-                values = batch[id(node)]
-                current = per_ms.get(node.microservice)
-                per_ms[node.microservice] = (
-                    values if current is None else np.minimum(current, values)
-                )
+            per_ms = dict(zip(names, distribute_targets_batch(merged, sla_arr[live])))
 
             for j, column in enumerate(live):
                 targets = {name: float(per_ms[name][j]) for name in per_ms}

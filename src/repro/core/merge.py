@@ -29,20 +29,31 @@ Merge rules (for two nodes with slope/intercept/resource ⟨a, b, R⟩):
 Workload heterogeneity (fan-out factors ≠ 1) is folded into the slope:
 ``a_eff = a · (γ_node / γ_service)``, so every virtual node can be treated
 as handling the service arrival rate.
+
+:func:`sequential_merge` and :func:`parallel_merge` are the two-node rules.
+:func:`merge_graph` applies them to a whole graph as one loop over the
+graph's compiled :class:`~repro.graphs.GraphPlan` — the same folds in the
+same order on plain floats — and keeps, per merged call site, the Eq. 5
+shares the unmerge needs, so :func:`distribute_targets` is one more loop.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs import CallNode, DependencyGraph
-from repro.core.model import MicroserviceProfile
+from repro.graphs import DependencyGraph, GraphPlan, GraphValidationError
+
+
+def _check_positive(slope: float, resource: float) -> None:
+    if slope <= 0:
+        raise ValueError(f"slope must be positive, got {slope}")
+    if resource <= 0:
+        raise ValueError(f"resource must be positive, got {resource}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +65,7 @@ class VirtualParams:
     resource: float
 
     def __post_init__(self) -> None:
-        if self.slope <= 0:
-            raise ValueError(f"slope must be positive, got {self.slope}")
-        if self.resource <= 0:
-            raise ValueError(f"resource must be positive, got {self.resource}")
+        _check_positive(self.slope, self.resource)
 
     @property
     def key(self) -> float:
@@ -91,221 +99,193 @@ def parallel_merge(first: VirtualParams, second: VirtualParams) -> VirtualParams
     )
 
 
-class MergeKind(Enum):
-    """How a merged node combines its children."""
-
-    LEAF = "leaf"
-    SEQUENTIAL = "sequential"
-    PARALLEL = "parallel"
+#: Effective ⟨slope, intercept, resource demand⟩ of one microservice.
+LeafParams = Tuple[float, float, float]
 
 
-@dataclass
-class MergedNode:
-    """A node in the merge tree built from a dependency graph.
+class MergedGraph(NamedTuple):
+    """A dependency graph collapsed into one virtual microservice.
 
-    Leaves correspond to real call sites; internal nodes are the virtual
-    microservices invented by the merge.  The tree is retained so the target
-    allocation can be reversed (paper Fig. 8).
+    ``slope``, ``intercept`` and ``resource`` describe the whole service as
+    a single virtual microservice handling the service workload.  The rest
+    is what reversing the merge needs (paper Fig. 8): ``splits[site]`` is
+    ``None`` for a call site without downstream stages, and otherwise
+    ``(share, intercept, floor, pieces)`` — the site's own Eq. 5 share
+    ``√(aR) / Σ√(aR)`` and intercept among the sequential pieces it was
+    merged from, the sum of all their intercepts, and one
+    ``(child sites, share, intercept)`` per stage.
     """
 
-    kind: MergeKind
-    params: VirtualParams
-    children: List["MergedNode"] = field(default_factory=list)
-    call: Optional[CallNode] = None
-
-    def leaf_count(self) -> int:
-        """Number of real call sites under this node."""
-        if self.kind is MergeKind.LEAF:
-            return 1
-        return sum(child.leaf_count() for child in self.children)
-
-
-def _leaf(call: CallNode, params: VirtualParams) -> MergedNode:
-    return MergedNode(kind=MergeKind.LEAF, params=params, call=call)
-
-
-def _merge_sequence(nodes: List[MergedNode]) -> MergedNode:
-    if len(nodes) == 1:
-        return nodes[0]
-    params = nodes[0].params
-    for node in nodes[1:]:
-        params = sequential_merge(params, node.params)
-    return MergedNode(kind=MergeKind.SEQUENTIAL, params=params, children=nodes)
-
-
-def _merge_parallel(nodes: List[MergedNode]) -> MergedNode:
-    if len(nodes) == 1:
-        return nodes[0]
-    params = nodes[0].params
-    for node in nodes[1:]:
-        params = parallel_merge(params, node.params)
-    return MergedNode(kind=MergeKind.PARALLEL, params=params, children=nodes)
+    plan: GraphPlan
+    slope: float
+    intercept: float
+    resource: float
+    splits: List[Optional[tuple]]
 
 
 def merge_graph(
-    graph: DependencyGraph,
-    leaf_params: Mapping[int, VirtualParams],
-) -> MergedNode:
+    graph: DependencyGraph, leaf_params: Sequence[LeafParams]
+) -> MergedGraph:
     """Collapse a dependency graph into a single virtual microservice.
 
-    Args:
-        graph: The service's dependency graph.
-        leaf_params: Effective parameters per call node, keyed by
-            ``id(call_node)``.  Effective means the slope already includes
-            the relative workload multiplier of the call site.
-
-    Returns:
-        The root of the merge tree; its ``params`` describe the whole
-        service as one virtual microservice handling the service workload.
-    """
-
-    def _merge(node: CallNode, factor: float) -> MergedNode:
-        factor *= node.calls_per_request
-        pieces = [_leaf(node, leaf_params[id(node)])]
-        for stage in node.stages:
-            merged_stage = _merge_parallel([_merge(c, factor) for c in stage])
-            pieces.append(merged_stage)
-        return _merge_sequence(pieces)
-
-    return _merge(graph.root, 1.0)
-
-
-def leaf_params_from_profiles(
-    graph: DependencyGraph,
-    profiles: Mapping[str, MicroserviceProfile],
-    segment_of: Mapping[str, "object"],
-) -> Dict[int, VirtualParams]:
-    """Build per-call-site effective parameters from microservice profiles.
+    Every call site starts from its microservice's parameters with the
+    slope scaled by the site's cumulative fan-out factor, so all sites can
+    be treated as seeing the service workload.  Sites are visited children
+    first; a site's stages are each folded left to right with
+    :func:`parallel_merge`, and the site followed by its stages with
+    :func:`sequential_merge`.  Every leaf and every virtual microservice is
+    checked like a :class:`VirtualParams`.
 
     Args:
         graph: The service's dependency graph.
-        profiles: Profile per microservice name.
-        segment_of: Chosen :class:`~repro.core.model.LatencySegment` per
-            microservice name (interval selection happens upstream).
+        leaf_params: ``(slope, intercept, resource)`` per microservice, in
+            ``graph.plan().names`` order — the chosen latency segment
+            (interval selection happens upstream) and the profile's
+            resource demand.
 
-    Returns:
-        Mapping from ``id(call_node)`` to effective :class:`VirtualParams`,
-        where each slope is scaled by the call site's cumulative fan-out
-        factor so all nodes can be treated as seeing the service workload.
+    Raises:
+        GraphValidationError: If a stage of the graph is empty.
+        ValueError: If a slope or resource demand is not positive.
     """
-    params: Dict[int, VirtualParams] = {}
+    plan = graph.plan()
+    index, factors, stages = plan.index, plan.factors, plan.stages
+    sqrt = math.sqrt
+    count = len(index)
+    slopes = [0.0] * count
+    intercepts = [0.0] * count
+    resources = [0.0] * count
+    splits: List[Optional[tuple]] = [None] * count
+    for site in range(count - 1, -1, -1):
+        a, b, r = leaf_params[index[site]]
+        a = a * factors[site]
+        if a <= 0 or r <= 0:
+            _check_positive(a, r)
+        if stages[site]:
+            own_intercept = b
+            own_key = key = total_key = sqrt(a * r)
+            pieces = []
+            for number, stage in enumerate(stages[site]):
+                if not stage:
+                    raise GraphValidationError(
+                        f"service {graph.service!r}: stage {number} of "
+                        f"{plan.names[index[site]]!r} is empty"
+                    )
+                first = stage[0]
+                pa, pb, pr = slopes[first], intercepts[first], resources[first]
+                for child in stage[1:]:  # Eqs. 10–12
+                    total = pa + slopes[child]
+                    pr = (pa * pr + slopes[child] * resources[child]) / total
+                    pa = total
+                    pb = max(pb, intercepts[child])
+                    if pa <= 0 or pr <= 0:
+                        _check_positive(pa, pr)
+                piece_key = sqrt(pa * pr)
+                s = key + piece_key  # Eqs. 7–9
+                t = sqrt(a / r) + sqrt(pa / pr)
+                a, b, r = s * t, b + pb, s / t
+                if a <= 0 or r <= 0:
+                    _check_positive(a, r)
+                key = sqrt(a * r)
+                total_key += piece_key
+                pieces.append((stage, piece_key, pb))
+            # b is by now the sum of the pieces' intercepts, Eq. 5's Σb
+            splits[site] = (
+                own_key / total_key,
+                own_intercept,
+                b,
+                tuple(
+                    (stage, piece_key / total_key, pb)
+                    for stage, piece_key, pb in pieces
+                ),
+            )
+        slopes[site], intercepts[site], resources[site] = a, b, r
+    return MergedGraph(plan, slopes[0], intercepts[0], resources[0], splits)
 
-    def _visit(node: CallNode, factor: float) -> None:
-        factor *= node.calls_per_request
-        profile = profiles[node.microservice]
-        segment = segment_of[node.microservice]
-        params[id(node)] = VirtualParams(
-            slope=segment.slope * factor,
-            intercept=segment.intercept,
-            resource=profile.resource_demand,
-        )
-        for child in node.children():
-            _visit(child, factor)
 
-    _visit(graph.root, 1.0)
-    return params
-
-
-def distribute_targets(root: MergedNode, sla: float) -> Dict[int, float]:
-    """Reverse the merge: assign each real call site a latency target.
-
-    Walks the merge tree top-down (paper Fig. 8):
-
-    * a sequential node splits its budget among children by Eq. 5 —
-      ``(target − Σb)`` is shared proportionally to each child's √(a·R),
-      then each child adds back its own intercept;
-    * a parallel node hands every child the same target (Eq. 10's equal-
-      target optimality argument);
-    * a leaf records its target.
-
-    Returns:
-        Mapping from ``id(call_node)`` to its latency target in ms.
-    """
-    targets: Dict[int, float] = {}
-
-    def _assign(node: MergedNode, target: float) -> None:
-        if node.kind is MergeKind.LEAF:
-            assert node.call is not None
-            targets[id(node.call)] = target
-            return
-        if node.kind is MergeKind.PARALLEL:
-            for child in node.children:
-                _assign(child, target)
-            return
-        # Sequential: Eq. 5 split.
-        budget = target - sum(child.params.intercept for child in node.children)
-        total_key = sum(child.params.key for child in node.children)
-        for child in node.children:
-            share = child.params.key / total_key
-            _assign(child, share * budget + child.params.intercept)
-
-    _assign(root, sla)
+def _distribute(merged: MergedGraph, sla, minimum: Callable) -> list:
+    """Eq. 5 top-down; ``minimum`` folds a microservice's call sites."""
+    index = merged.plan.index
+    incoming = [sla] * len(index)
+    targets: list = [None] * len(merged.plan.names)
+    for site, split in enumerate(merged.splits):
+        target = incoming[site]
+        if split is not None:
+            share, intercept, floor, pieces = split
+            budget = target - floor
+            for children, piece_share, piece_intercept in pieces:
+                piece_target = piece_share * budget + piece_intercept
+                for child in children:
+                    incoming[child] = piece_target
+            target = share * budget + intercept
+        rank = index[site]
+        current = targets[rank]
+        targets[rank] = target if current is None else minimum(current, target)
     return targets
 
 
+def distribute_targets(merged: MergedGraph, sla: float) -> List[float]:
+    """Reverse the merge: assign each microservice a latency target.
+
+    Visits the call sites top-down (paper Fig. 8):
+
+    * a site merged sequentially with its stages splits its budget by
+      Eq. 5 — ``(target − Σb)`` is shared proportionally to each piece's
+      √(a·R), then each piece adds back its own intercept;
+    * the calls of one stage, merged in parallel, all receive the stage's
+      target (Eq. 10's equal-target optimality argument);
+    * a site without stages keeps what it was handed.
+
+    Returns:
+        The latency target in ms per microservice, in
+        ``merged.plan.names`` order; a microservice called at several
+        sites gets the smallest of their targets.
+    """
+    return _distribute(merged, sla, min)
+
+
 def distribute_targets_batch(
-    root: MergedNode, slas: np.ndarray
-) -> Dict[int, np.ndarray]:
+    merged: MergedGraph, slas: np.ndarray
+) -> List[np.ndarray]:
     """Vectorized :func:`distribute_targets` over a whole SLA axis.
 
-    One tree walk assigns every call site a *vector* of latency targets,
-    one entry per SLA.  Each elementwise operation mirrors the scalar
-    walk's operation order exactly (``share * (t − Σb) + b`` becomes the
-    same subtract/multiply/add on float64 arrays), so column ``j`` of the
-    result is bit-identical to ``distribute_targets(root, slas[j])`` —
-    the Eq. 5 split is *batched*, never approximated.
+    The same loop hands every call site a *vector* of latency targets,
+    one entry per SLA.  Each elementwise operation is the scalar loop's
+    operation (``share * (t − Σb) + b`` becomes the same
+    subtract/multiply/add on float64 arrays, ``np.minimum`` the same
+    minimum), so column ``j`` of the result is bit-identical to
+    ``distribute_targets(merged, slas[j])`` — the Eq. 5 split is
+    *batched*, never approximated.
 
     Args:
-        root: The merge-tree root (same tree for every SLA — callers
-            group SLAs by segment assignment first; see
+        merged: The merged graph (the same for every SLA — callers group
+            SLAs by segment assignment first; see
             :func:`repro.core.latency_targets.compute_targets_grid`).
         slas: 1-D float array of end-to-end SLAs in ms.
 
     Returns:
-        Mapping from ``id(call_node)`` to a float64 array of targets with
-        the same shape as ``slas``.
+        Per microservice, in ``merged.plan.names`` order, a float64 array
+        of targets with the same shape as ``slas``.
     """
     slas = np.ascontiguousarray(slas, dtype=np.float64)
-    targets: Dict[int, np.ndarray] = {}
-
-    def _assign(node: MergedNode, target: np.ndarray) -> None:
-        if node.kind is MergeKind.LEAF:
-            assert node.call is not None
-            targets[id(node.call)] = target
-            return
-        if node.kind is MergeKind.PARALLEL:
-            for child in node.children:
-                _assign(child, target)
-            return
-        budget = target - sum(child.params.intercept for child in node.children)
-        total_key = sum(child.params.key for child in node.children)
-        for child in node.children:
-            share = child.params.key / total_key
-            _assign(child, share * budget + child.params.intercept)
-
-    _assign(root, slas)
-    return targets
+    return _distribute(merged, slas, np.minimum)
 
 
 # ----------------------------------------------------------------------
-# Merge-tree cache
+# Merge cache
 # ----------------------------------------------------------------------
 class MergeTreeCache:
-    """LRU cache of merge trees keyed by (graph, effective segment params).
+    """LRU cache of merged graphs keyed by (plan, effective parameters).
 
-    Building a merge tree walks the whole graph and takes four square
-    roots per node; in grid sweeps and in the in-DES autoscaler loop the
-    same (graph, segment-assignment) pair recurs for every cell/tick, so
-    the tree — and the per-call-site leaf parameters — are cached.  The
-    key captures everything the tree depends on: the graph's identity,
-    each microservice's *effective* segment (slope already ratio-scaled,
-    intercept) and its resource demand.  Entries hold strong references
-    to the graph and profiles so ``id()`` keys cannot be recycled while
-    an entry lives.
+    In grid sweeps and in the in-DES autoscaler loop the same (graph,
+    segment-assignment) pair recurs for every cell/tick, so the merge is
+    cached.  The key is everything the merge depends on: the graph's
+    compiled plan — held by the key, so a live entry pins it — and each
+    microservice's *effective* slope (already ratio-scaled), intercept and
+    resource demand.
 
-    Graphs are treated as immutable once used for scaling (they are
-    everywhere in this codebase); mutate a graph in place and you must
-    call :meth:`clear`.
+    Graphs are frozen once used for scaling (see
+    :class:`~repro.graphs.DependencyGraph`): a mutated root needs a new
+    graph, which has a new plan and so never meets a stale entry.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -314,56 +294,23 @@ class MergeTreeCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-    def _key(
-        self,
-        graph: DependencyGraph,
-        profiles: Mapping[str, MicroserviceProfile],
-        scaled_segments: Mapping[str, "object"],
-        names: Sequence[str],
-    ) -> Tuple:
-        return (
-            id(graph),
-            tuple(
-                (
-                    name,
-                    scaled_segments[name].slope,
-                    scaled_segments[name].intercept,
-                    profiles[name].resource_demand,
-                )
-                for name in names
-            ),
-        )
+        self._entries: "OrderedDict[tuple, MergedGraph]" = OrderedDict()
 
     def tree(
-        self,
-        graph: DependencyGraph,
-        profiles: Mapping[str, MicroserviceProfile],
-        scaled_segments: Mapping[str, "object"],
-        names: Optional[Sequence[str]] = None,
-    ) -> MergedNode:
-        """The merged root for this (graph, effective-parameters) pair.
-
-        ``names`` is ``graph.microservices()``, passed by callers that
-        have already walked the graph for it.
-        """
-        if names is None:
-            names = graph.microservices()
-        key = self._key(graph, profiles, scaled_segments, names)
-        entry = self._entries.get(key)
-        if entry is not None:
+        self, graph: DependencyGraph, leaf_params: Tuple[LeafParams, ...]
+    ) -> MergedGraph:
+        """``merge_graph(graph, leaf_params)``, merged once per distinct key."""
+        key = (graph.plan(), leaf_params)
+        merged = self._entries.get(key)
+        if merged is not None:
             self.hits += 1
             self._entries.move_to_end(key)
-            return entry[0]
+            return merged
         self.misses += 1
-        leaf_params = leaf_params_from_profiles(graph, profiles, scaled_segments)
-        root = merge_graph(graph, leaf_params)
-        # Keep graph + profiles alive so the id()-based key stays valid.
-        self._entries[key] = (root, graph, tuple(profiles[n] for n in names))
+        merged = self._entries[key] = merge_graph(graph, leaf_params)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-        return root
+        return merged
 
     def clear(self) -> None:
         self._entries.clear()
@@ -379,10 +326,10 @@ _MERGE_CACHE = MergeTreeCache()
 
 
 def merge_tree_cache() -> MergeTreeCache:
-    """The process-wide merge-tree cache (inspect ``hits``/``misses``)."""
+    """The process-wide merge cache (inspect ``hits``/``misses``)."""
     return _MERGE_CACHE
 
 
 def clear_merge_cache() -> None:
-    """Drop every cached merge tree (e.g. after mutating a graph)."""
+    """Drop every cached merge."""
     _MERGE_CACHE.clear()

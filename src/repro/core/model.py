@@ -166,9 +166,11 @@ class ServiceSpec:
 
     def microservice_workloads(self) -> Dict[str, float]:
         """Total workload (req/min) each microservice receives from this service."""
+        plan = self.graph.plan()
+        workload = self.workload
         return {
-            name: multiplier * self.workload
-            for name, multiplier in self.graph.workload_multipliers().items()
+            name: multiplier * workload
+            for name, multiplier in zip(plan.names, plan.multipliers)
         }
 
 

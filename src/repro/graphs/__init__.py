@@ -12,13 +12,14 @@ Erms core merges them into chains of virtual microservices, and the cluster
 simulator walks them to drive request execution.
 """
 
-from repro.graphs.dependency import CallNode, DependencyGraph, call
+from repro.graphs.dependency import CallNode, DependencyGraph, GraphPlan, call
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.validation import GraphValidationError, validate_graph
 
 __all__ = [
     "CallNode",
     "DependencyGraph",
+    "GraphPlan",
     "call",
     "GraphBuilder",
     "GraphValidationError",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,9 +83,99 @@ def call(
     )
 
 
+class GraphPlan:
+    """The compiled, immutable form of one :class:`DependencyGraph`.
+
+    One pass over the call tree lays it out flat, so that everything which
+    used to re-walk the tree — the Erms merge and Eq. 5, the structural
+    latency folds, workload multipliers, the sharing maps — is a loop over
+    tuples.  *Sites* are call nodes numbered in depth-first pre-order (a
+    node's descendants follow it, so a reverse loop sees children before
+    parents); microservice names are interned to their first-appearance
+    rank.
+
+    Attributes:
+        nodes: The :class:`CallNode` of every site.
+        names: Unique microservice names, in first-appearance order.
+        index: Per site, the rank in ``names`` of its microservice.
+        factors: Per site, the product of ``calls_per_request`` from the
+            root down to and including the site.
+        stages: Per site, its stages as tuples of child site numbers.
+        multipliers: Per name, the site factors summed in site order.
+    """
+
+    __slots__ = ("nodes", "names", "index", "factors", "stages", "multipliers")
+
+    def __init__(self, root: CallNode) -> None:
+        nodes: List[CallNode] = []
+        index: List[int] = []
+        factors: List[float] = []
+        stages: List[List[List[int]]] = []
+        ranks: Dict[str, int] = {}
+        multipliers: List[float] = []
+        # (node, factor above it, parent site, stage of the parent); children
+        # are pushed in reverse so that sites pop in pre-order.
+        pending = [(root, 1.0, -1, -1)]
+        while pending:
+            node, factor, parent, stage = pending.pop()
+            site = len(nodes)
+            factor *= node.calls_per_request
+            rank = ranks.setdefault(node.microservice, len(ranks))
+            if rank == len(multipliers):
+                multipliers.append(0.0)
+            multipliers[rank] += factor
+            nodes.append(node)
+            index.append(rank)
+            factors.append(factor)
+            stages.append([[] for _ in node.stages])
+            if parent >= 0:
+                stages[parent][stage].append(site)
+            for number in range(len(node.stages) - 1, -1, -1):
+                for child in reversed(node.stages[number]):
+                    pending.append((child, factor, site, number))
+        self.nodes = tuple(nodes)
+        self.names = tuple(ranks)
+        self.index = tuple(index)
+        self.factors = tuple(factors)
+        self.stages = tuple(
+            tuple(tuple(stage) for stage in site_stages) for site_stages in stages
+        )
+        self.multipliers = tuple(multipliers)
+
+    def fold(self, values: Sequence, maximum: Callable = max):
+        """Response of the root given each microservice's own value.
+
+        ``values[k]`` belongs to ``names[k]``.  A site's response is its
+        own value plus, per stage in order, the largest child response
+        (``+ 0.0`` for an empty stage); ``maximum`` is the pairwise
+        maximum of the value type — ``max`` for floats, ``np.maximum``
+        for arrays.
+        """
+        index, stages = self.index, self.stages
+        responses: List = [None] * len(index)
+        for site in range(len(index) - 1, -1, -1):
+            total = values[index[site]]
+            for stage in stages[site]:
+                total = total + (
+                    reduce(maximum, [responses[child] for child in stage])
+                    if stage
+                    else 0.0
+                )
+            responses[site] = total
+        return responses[0]
+
+
 @dataclass
 class DependencyGraph:
     """The call tree of one online service.
+
+    The structure queries below, and everything in :mod:`repro.core` and
+    :mod:`repro.baselines` that scales a service, read the graph's
+    :class:`GraphPlan`, which :meth:`plan` builds from the tree at first
+    use and keeps.  A graph is therefore frozen once it has been queried
+    or scaled: build the call tree completely first, and after mutating a
+    root in place make a new ``DependencyGraph(service, root)`` — the old
+    instance keeps answering for the tree it compiled.
 
     Attributes:
         service: Name of the online service this graph belongs to.
@@ -94,24 +184,31 @@ class DependencyGraph:
 
     service: str
     root: CallNode
+    _plan: Optional[GraphPlan] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def plan(self) -> GraphPlan:
+        """The compiled form of this graph (built once, at first use)."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = GraphPlan(self.root)
+        return plan
 
     # ------------------------------------------------------------------
     # Structure queries
     # ------------------------------------------------------------------
     def nodes(self) -> List[CallNode]:
         """All call nodes in depth-first order (root first)."""
-        return list(self.root.walk())
+        return list(self.plan().nodes)
 
     def microservices(self) -> List[str]:
         """Unique microservice names, in first-appearance order."""
-        seen: Dict[str, None] = {}
-        for node in self.root.walk():
-            seen.setdefault(node.microservice, None)
-        return list(seen)
+        return list(self.plan().names)
 
     def node_count(self) -> int:
         """Number of call sites (counting repeated microservices)."""
-        return sum(1 for _ in self.root.walk())
+        return len(self.plan().nodes)
 
     def edge_count(self) -> int:
         """Number of upstream->downstream call edges."""
@@ -137,18 +234,8 @@ class DependencyGraph:
         the :math:`\\gamma_i / \\gamma_{service}` ratio used to translate a
         service arrival rate into microservice workloads.
         """
-        multipliers: Dict[str, float] = {}
-
-        def _visit(node: CallNode, factor: float) -> None:
-            factor *= node.calls_per_request
-            multipliers[node.microservice] = (
-                multipliers.get(node.microservice, 0.0) + factor
-            )
-            for child in node.children():
-                _visit(child, factor)
-
-        _visit(self.root, 1.0)
-        return multipliers
+        plan = self.plan()
+        return dict(zip(plan.names, plan.multipliers))
 
     # ------------------------------------------------------------------
     # Critical paths
@@ -193,32 +280,17 @@ class DependencyGraph:
         maximum downstream response) rather than by enumerating critical
         paths, so it stays linear in graph size.
         """
-
-        def _response(node: CallNode) -> float:
-            total = latencies[node.microservice]
-            for stage in node.stages:
-                total += max((_response(child) for child in stage), default=0.0)
-            return total
-
-        return _response(self.root)
+        plan = self.plan()
+        return plan.fold([latencies[name] for name in plan.names])
 
     def end_to_end_series(self, series: Mapping[str, np.ndarray]) -> np.ndarray:
         """:meth:`end_to_end_latency` over a whole axis of operating points.
 
         ``series[name][j]`` is the microservice's own latency at point
         ``j``; entry ``j`` of the result equals ``end_to_end_latency``
-        of column ``j`` bit for bit: one walk in the same visiting order,
-        the same additions, ``np.maximum`` over a stage's children where
-        the scalar fold takes ``max`` and ``+ 0.0`` for an empty stage.
+        of column ``j`` bit for bit: the same fold in the same order, with
+        ``np.maximum`` over a stage's children where the scalar fold takes
+        ``max``.
         """
-
-        def _response(node: CallNode) -> np.ndarray:
-            total = series[node.microservice]
-            for stage in node.stages:
-                responses = [_response(child) for child in stage]
-                total = total + (
-                    reduce(np.maximum, responses) if responses else 0.0
-                )
-            return total
-
-        return _response(self.root)
+        plan = self.plan()
+        return plan.fold([series[name] for name in plan.names], np.maximum)

@@ -207,9 +207,10 @@ def generate_taobao(
         n_shared = min(
             size - 2, max(1, int(rng.poisson(shared_per_service)))
         )
-        shared_picks = list(
-            rng.choice(pool, size=n_shared, replace=False, p=weights)
-        )
+        # .tolist(): plain ``str`` names, not ``np.str_``
+        shared_picks = rng.choice(
+            pool, size=n_shared, replace=False, p=weights
+        ).tolist()
         n_private = size - n_shared - 1
         private = [f"{service}-ms-{i:03d}" for i in range(n_private)]
         for name in private:

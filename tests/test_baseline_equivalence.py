@@ -1,4 +1,4 @@
-"""GrandSLAm and Rhythm decide exactly what the scalar statistics sweep did.
+"""GrandSLAm, Rhythm and Erms decide exactly what they did before two rewrites.
 
 ``tests/fixtures/baseline_equivalence.json`` was generated on the commit
 before ``stats_from_profiles`` became one array program per service
@@ -17,6 +17,15 @@ per microservice.  Per case the fixture pins:
   variants: ``Allocation.containers`` and ``.priorities`` (identical)
   and ``.targets`` (1e-9 relative).
 
+The ``erms`` entry of each case was generated the same way on the commit
+before the allocator read one compiled graph (a ``MergedNode`` tree per
+Eq. 5 pass, ``id(node)`` dictionaries, recursive merge and unmerge).  For
+``ErmsScaler()`` and ``ErmsScaler(use_priority=False)`` it pins
+``float.hex`` of every latency target, modified workload and merged
+intercept, the §5.3.1 pass count, containers and priorities — all bit for
+bit.  It is ``null`` for ``empty_stage``: the merge rejects that graph
+(``tests/test_latency_targets.py``), only the baselines fold it.
+
 Cases: three ``generate_taobao`` populations (one whose pool is so small
 that most (service, microservice) pairs sit on a shared microservice),
 the three DeathStarBench applications on analytic profiles, Hotel
@@ -31,7 +40,7 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import GrandSLAm, Rhythm, stats_from_profiles
-from repro.core import ServiceSpec
+from repro.core import ErmsScaler, ServiceSpec, scale_with_priorities
 from repro.experiments.harness import fit_profiles_from_simulation
 from repro.graphs import CallNode, DependencyGraph, call
 from repro.workloads import (
@@ -51,6 +60,10 @@ SCHEMES = {
     "rhythm": Rhythm,
     "rhythm+priority": lambda: Rhythm(use_priority=True),
 }
+
+
+#: Cases whose graph the Erms merge refuses (an empty stage).
+ERMS_REJECTS = ("empty_stage",)
 
 
 def _taobao(**shape):
@@ -139,7 +152,41 @@ def record(case):
                 for spec in specs
             },
         }
-    return {"microservices": microservices, "stats": stats, "schemes": schemes}
+    erms = None if case in ERMS_REJECTS else _erms(specs, profiles, microservices)
+    return {
+        "microservices": microservices, "stats": stats, "schemes": schemes,
+        "erms": erms,
+    }
+
+
+def _erms(specs, profiles, microservices):
+    """What full Erms and its FCFS ablation decide, floats as ``float.hex``."""
+    multiplexed = scale_with_priorities(specs, profiles)
+    records = {}
+    for use_priority, per_service in (
+        (True, multiplexed.final), (False, multiplexed.initial)
+    ):
+        scaler = ErmsScaler(use_priority=use_priority)
+        allocation = scaler.scale(specs, profiles)
+        assert sorted(allocation.containers) == microservices
+        services = {}
+        for spec in specs:
+            names = spec.graph.microservices()
+            targets = allocation.targets[spec.name]
+            workloads = allocation.modified_workloads[spec.name]
+            assert list(targets) == list(workloads) == names
+            services[spec.name] = {
+                "targets": [targets[n].hex() for n in names],
+                "workloads": [workloads[n].hex() for n in names],
+                "merged_intercept": per_service[spec.name].merged_intercept.hex(),
+                "passes": per_service[spec.name].passes,
+            }
+        records[scaler.name] = {
+            "containers": [allocation.containers[n] for n in microservices],
+            "priorities": allocation.priorities,
+            "services": services,
+        }
+    return records
 
 
 def _expected():
@@ -176,6 +223,11 @@ def test_allocations_match_the_scalar_sweep(case):
             ), f"{case}/{scheme}/{service}"
 
 
+@pytest.mark.parametrize("case", sorted(set(CASES) - set(ERMS_REJECTS)))
+def test_erms_allocations_match_the_tree_merge(case):
+    assert record(case)["erms"] == _expected()[case]["erms"]
+
+
 def test_cases_cover_what_they_claim():
     """Sharing, priorities and the odd graph shapes are really exercised."""
     expected = _expected()
@@ -192,6 +244,26 @@ def test_cases_cover_what_they_claim():
     ]
     assert len(correlations) > 400
     assert min(correlations) < 0.999 < max(correlations)
+    # Erms: interval switching, priorities and overridden workloads all occur
+    erms = [case["erms"] for case in expected.values() if case["erms"]]
+    assert [name for name, case in expected.items() if not case["erms"]] == list(
+        ERMS_REJECTS
+    )
+    passes = {
+        service["passes"]
+        for case in erms for scheme in case.values()
+        for service in scheme["services"].values()
+    }
+    assert {1, 2} <= passes
+    assert any(case["erms"]["priorities"] for case in erms)
+    assert all(not case["erms-fcfs"]["priorities"] for case in erms)
+    assert any(
+        full["workloads"] != fcfs["workloads"]
+        for case in erms
+        for full, fcfs in zip(
+            case["erms"]["services"].values(), case["erms-fcfs"]["services"].values()
+        )
+    )
 
 
 if __name__ == "__main__":  # regenerate the fixture from the importable repro

@@ -223,6 +223,25 @@ class TestCommands:
         assert captured.err.startswith("repro: error: service ")
         assert "low 18.9 ms, high -88.3 ms" in captured.err
 
+    def test_empty_stage_exits_3_with_one_line(self, capsys, monkeypatch):
+        """A graph the Erms merge rejects is reported by service,
+        microservice and stage, not as a traceback."""
+        import repro.cli
+
+        generate = repro.cli.generate_taobao
+
+        def taobao(**shape):
+            population = generate(**shape)
+            population.services[2].graph.root.stages.insert(0, [])
+            return population
+
+        monkeypatch.setattr(repro.cli, "generate_taobao", taobao)
+        assert main(["trace-sim", "--services", "5"]) == 3
+        assert capsys.readouterr().err == (
+            "repro: error: service 'taobao-svc-0002': stage 0 of "
+            "'taobao-svc-0002-entry' is empty\n"
+        )
+
     def test_compare_simulate_adds_measured_columns(self, capsys):
         assert main(["compare", "--app", "hotel-reservation",
                      "--workloads", "2000", "--slas", "250",

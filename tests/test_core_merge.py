@@ -15,16 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    LatencySegment,
-    MergeKind,
     VirtualParams,
     distribute_targets,
     merge_graph,
     parallel_merge,
     sequential_merge,
 )
-from repro.core.merge import leaf_params_from_profiles
-from repro.graphs import DependencyGraph, call
+from repro.graphs import CallNode, DependencyGraph, GraphValidationError, call
 
 from tests.helpers import fig1_graph, make_profiles, FIG1_PARAMS
 
@@ -108,12 +105,22 @@ class TestParallelMerge:
         assert m12.resource == pytest.approx(m21.resource)
 
 
+def high_segment_params(graph, profiles):
+    """``merge_graph``'s per-microservice ⟨a, b, R⟩ on the high segments."""
+    return tuple(
+        (
+            profiles[name].model.high.slope,
+            profiles[name].model.high.intercept,
+            profiles[name].resource_demand,
+        )
+        for name in graph.plan().names
+    )
+
+
 def _fig1_setup():
     graph = fig1_graph()
     profiles = make_profiles(FIG1_PARAMS)
-    segments = {name: profiles[name].model.high for name in profiles}
-    leaf_params = leaf_params_from_profiles(graph, profiles, segments)
-    return graph, profiles, leaf_params
+    return graph, profiles, high_segment_params(graph, profiles)
 
 
 class TestMergeGraph:
@@ -121,33 +128,60 @@ class TestMergeGraph:
         graph, _, leaf_params = _fig1_setup()
         merged = merge_graph(graph, leaf_params)
         # T(2) + max(Url 3, U 4) + C(1) = 7
-        assert merged.params.intercept == pytest.approx(7.0)
+        assert merged.intercept == pytest.approx(7.0)
 
     def test_fig1_merge_tree_structure(self):
         graph, _, leaf_params = _fig1_setup()
         merged = merge_graph(graph, leaf_params)
-        assert merged.kind is MergeKind.SEQUENTIAL
-        assert merged.leaf_count() == 4
+        assert merged.plan is graph.plan() and len(merged.plan.nodes) == 4
+        # T is merged sequentially with its two stages; Url, U and C are leaves
+        _, _, floor, pieces = merged.splits[0]
+        assert floor == pytest.approx(7.0)
+        assert [children for children, _, _ in pieces] == [(1, 2), (3,)]
+        assert merged.splits[1:] == [None, None, None]
 
     def test_single_node_graph(self):
         graph = DependencyGraph("one", call("A"))
         profiles = make_profiles([("A", 1.0, 2.0)])
-        segments = {"A": profiles["A"].model.high}
-        merged = merge_graph(
-            graph, leaf_params_from_profiles(graph, profiles, segments)
-        )
-        assert merged.kind is MergeKind.LEAF
-        assert merged.params.intercept == pytest.approx(2.0)
+        merged = merge_graph(graph, high_segment_params(graph, profiles))
+        assert merged.splits == [None]
+        assert merged.intercept == pytest.approx(2.0)
 
     def test_fanout_scales_slope(self):
         graph = DependencyGraph(
             "fan", call("A", stages=[[call("B", calls_per_request=4.0)]])
         )
         profiles = make_profiles([("A", 1.0, 0.0), ("B", 1.0, 0.0)])
-        segments = {n: profiles[n].model.high for n in profiles}
-        leaf_params = leaf_params_from_profiles(graph, profiles, segments)
-        b_node = graph.root.stages[0][0]
-        assert leaf_params[id(b_node)].slope == pytest.approx(4.0)
+        merged = merge_graph(graph, high_segment_params(graph, profiles))
+        assert graph.plan().factors == (1.0, 4.0)
+        # B enters the merge with slope 1.0 * 4.0
+        expected = sequential_merge(
+            VirtualParams(1.0, 0.0, 1.0), VirtualParams(4.0, 0.0, 1.0)
+        )
+        assert (merged.slope, merged.intercept, merged.resource) == (
+            expected.slope, expected.intercept, expected.resource
+        )
+
+    def test_empty_stage_names_service_microservice_and_stage(self):
+        root = call("A", stages=[[CallNode("B", stages=[[call("C")], []])]])
+        graph = DependencyGraph("svc", root)
+        with pytest.raises(
+            GraphValidationError, match="service 'svc': stage 1 of 'B' is empty"
+        ):
+            merge_graph(graph, ((1.0, 1.0, 1.0),) * 3)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((0.0, 1.0, 1.0), "slope must be positive"),
+         ((1.0, 1.0, -2.0), "resource must be positive")],
+    )
+    def test_every_leaf_is_checked_like_virtual_params(self, bad, message):
+        graph = fig1_graph()
+        for position in range(4):
+            leaf_params = [(1.0, 1.0, 1.0)] * 4
+            leaf_params[position] = bad
+            with pytest.raises(ValueError, match=message):
+                merge_graph(graph, leaf_params)
 
 
 class TestDistributeTargets:
@@ -156,11 +190,9 @@ class TestDistributeTargets:
             "chain", call("A", stages=[[call("B", stages=[[call("C")]])]])
         )
         profiles = make_profiles([("A", 1.0, 1.0), ("B", 2.0, 2.0), ("C", 0.5, 0.5)])
-        segments = {n: profiles[n].model.high for n in profiles}
-        leaf_params = leaf_params_from_profiles(graph, profiles, segments)
-        merged = merge_graph(graph, leaf_params)
+        merged = merge_graph(graph, high_segment_params(graph, profiles))
         targets = distribute_targets(merged, sla=100.0)
-        assert sum(targets.values()) == pytest.approx(100.0)
+        assert sum(targets) == pytest.approx(100.0)
 
     def test_chain_matches_flat_eq5(self):
         """Hierarchical splitting equals the closed form of Eq. 5."""
@@ -171,14 +203,9 @@ class TestDistributeTargets:
             call("A", stages=[[call("B", stages=[[call("C", stages=[[call("D")]])]])]]),
         )
         profiles = make_profiles(entries)
-        segments = {n: profiles[n].model.high for n in profiles}
-        leaf_params = leaf_params_from_profiles(graph, profiles, segments)
-        merged = merge_graph(graph, leaf_params)
+        merged = merge_graph(graph, high_segment_params(graph, profiles))
         sla = 80.0
-        targets = distribute_targets(merged, sla)
-        by_name = {
-            node.microservice: targets[id(node)] for node in graph.nodes()
-        }
+        by_name = dict(zip(graph.plan().names, distribute_targets(merged, sla)))
         # Flat Eq. 5
         keys = {n: math.sqrt(a * 1.0) for n, a, _ in entries}
         intercepts = {n: b for n, _, b in entries}
@@ -189,33 +216,39 @@ class TestDistributeTargets:
             assert by_name[name] == pytest.approx(expected, rel=1e-9)
 
     def test_parallel_children_get_equal_targets(self):
-        graph = fig1_graph()
-        profiles = make_profiles(FIG1_PARAMS)
-        segments = {n: profiles[n].model.high for n in profiles}
-        leaf_params = leaf_params_from_profiles(graph, profiles, segments)
+        graph, _, leaf_params = _fig1_setup()
         merged = merge_graph(graph, leaf_params)
-        targets = distribute_targets(merged, sla=100.0)
-        url_node, u_node = graph.root.stages[0]
+        targets = dict(zip(graph.plan().names, distribute_targets(merged, sla=100.0)))
         # Url and U are leaves of a parallel merge -> identical targets.
-        assert targets[id(url_node)] == pytest.approx(targets[id(u_node)])
+        assert targets["Url"] == targets["U"]
 
     def test_structural_latency_meets_sla_exactly(self):
         """Folding targets through the graph reproduces the SLA."""
-        graph = fig1_graph()
-        profiles = make_profiles(FIG1_PARAMS)
-        segments = {n: profiles[n].model.high for n in profiles}
-        leaf_params = leaf_params_from_profiles(graph, profiles, segments)
+        graph, _, leaf_params = _fig1_setup()
         merged = merge_graph(graph, leaf_params)
         sla = 123.0
-        targets = distribute_targets(merged, sla)
+        targets = dict(zip(graph.plan().names, distribute_targets(merged, sla)))
 
         def respond(node):
-            total = targets[id(node)]
+            total = targets[node.microservice]
             for stage in node.stages:
                 total += max(respond(child) for child in stage)
             return total
 
         assert respond(graph.root) == pytest.approx(sla, rel=1e-9)
+
+    def test_microservice_at_several_sites_gets_its_smallest_target(self):
+        # B is called alone after A and again beside the expensive C
+        graph = DependencyGraph(
+            "twice", call("A", stages=[[call("B")], [call("B"), call("C")]])
+        )
+        leaf_params = ((1.0, 1.0, 1.0), (1.0, 2.0, 1.0), (9.0, 2.0, 1.0))
+        merged = merge_graph(graph, leaf_params)
+        targets = distribute_targets(merged, 100.0)
+        _, _, _, ((_, alone, b1), (_, beside, b2)) = merged.splits[0]
+        budget = 100.0 - merged.intercept
+        assert alone < beside
+        assert targets[1] == alone * budget + b1 < beside * budget + b2 == targets[2]
 
     @given(
         st.lists(
@@ -231,10 +264,7 @@ class TestDistributeTargets:
             name = f"M{len(triples) - 1 - index}"
             node = call(name, stages=[[node]] if node else [])
         graph = DependencyGraph("chain", node)
-        leaf_params = {}
-        for call_node, (a, b, r) in zip(graph.nodes(), triples):
-            leaf_params[id(call_node)] = VirtualParams(a, b, r)
-        merged = merge_graph(graph, leaf_params)
-        sla = merged.params.intercept + 50.0
+        merged = merge_graph(graph, triples)
+        sla = merged.intercept + 50.0
         targets = distribute_targets(merged, sla)
-        assert sum(targets.values()) == pytest.approx(sla, rel=1e-6)
+        assert sum(targets) == pytest.approx(sla, rel=1e-6)

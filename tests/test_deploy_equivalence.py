@@ -21,7 +21,12 @@ load of a few hosts is reassigned between two periods — the out-of-band
 change a per-pass index must see.
 
 Pod names carry the process-global ``_pod_counter``; they are replaced by
-the pod's creation order within the run before hashing.
+the pod's creation order within the run before hashing.  Microservice names
+are hashed as ``str(name)``: the first fixture hashed their ``repr``, which
+was ``np.str_('shared-0003')`` for every shared microservice until
+``generate_taobao`` returned plain ``str``; the hashes were regenerated with
+this rendering on the last commit that still generated ``np.str_`` names,
+where the ``repr`` hashes also still matched.
 """
 
 import hashlib
@@ -91,6 +96,10 @@ def _set_background(cluster, loads):
         cluster.hosts[position].background_memory_mb = memory_mb
 
 
+def _items(by_name):
+    return sorted((str(name), value) for name, value in by_name.items())
+
+
 def _sha(lines):
     digest = hashlib.sha256()
     for line in lines:
@@ -117,10 +126,10 @@ def run(config):
         report = controller.reconcile(_workloads(specs, period))
         controller.tick(TICKS[period])
 
-        lines = [f"deltas {sorted(report.pod_deltas.items())!r}"]
+        lines = [f"deltas {_items(report.pod_deltas)!r}"]
         lines.append(f"imbalance {report.cluster_imbalance!r}")
         for host in cluster.hosts:
-            lines.append(f"host {host.host_id} {sorted(host.containers.items())!r}")
+            lines.append(f"host {host.host_id} {_items(host.containers)!r}")
         events = api.events[seen_events:]
         seen_events = len(api.events)
         for event in events:
@@ -131,7 +140,7 @@ def run(config):
         for pod in api.pods.values():
             lines.append(
                 f"pod {alias[pod.name]} {pod.node} {pod.phase.value} "
-                f"{pod.ready_at!r} {sorted(pod.traffic_bands.items())!r}"
+                f"{pod.ready_at!r} {_items(pod.traffic_bands)!r}"
             )
         created = sum(d for d in report.pod_deltas.values() if d > 0)
         periods.append({

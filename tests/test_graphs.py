@@ -121,6 +121,67 @@ class TestDependencyGraph:
         assert len(graph.critical_paths(limit=3)) == 3
 
 
+class TestGraphPlan:
+    """The compiled form every structure query and the allocator read."""
+
+    def test_layout_of_a_graph_with_fanout_and_a_repeated_microservice(self):
+        graph = DependencyGraph(
+            "svc",
+            call("A", stages=[
+                [call("B", calls_per_request=2.0, stages=[[call("C"), call("A")]]),
+                 call("D", calls_per_request=0.5)],
+                [call("C", calls_per_request=3.0)],
+            ]),
+        )
+        plan = graph.plan()
+        assert [node.microservice for node in plan.nodes] == list("ABCADC")
+        assert plan.nodes == tuple(graph.root.walk())
+        assert plan.names == ("A", "B", "C", "D")
+        assert plan.index == (0, 1, 2, 0, 3, 2)
+        assert plan.factors == (1.0, 2.0, 2.0, 2.0, 0.5, 3.0)
+        assert plan.stages == (((1, 4), (5,)), ((2, 3),), (), (), (), ())
+        assert plan.multipliers == (3.0, 2.0, 5.0, 0.5)
+        assert graph.workload_multipliers() == dict(zip(plan.names, plan.multipliers))
+
+    def test_compiled_once_and_not_part_of_equality(self):
+        graph = fig1_graph()
+        assert graph.plan() is graph.plan()
+        assert graph == fig1_graph()  # the other one has no plan yet
+        assert "plan" not in repr(graph)
+
+    def test_queries_return_fresh_lists(self):
+        graph = fig1_graph()
+        graph.microservices().append("X")
+        graph.nodes().clear()
+        assert graph.microservices() == ["T", "Url", "U", "C"]
+        assert graph.node_count() == 4
+
+    def test_a_mutated_root_needs_a_new_graph(self):
+        """The freeze contract: the plan is built at first use and kept."""
+        graph = chain_graph(["A", "B"])
+        latencies = {"A": 1.0, "B": 2.0, "C": 4.0}
+        assert graph.end_to_end_latency(latencies) == 3.0
+        graph.root.add_sequential(call("C", calls_per_request=2.0))
+        assert graph.microservices() == ["A", "B"]  # still the compiled tree
+        assert graph.end_to_end_latency(latencies) == 3.0
+        rebuilt = DependencyGraph(graph.service, graph.root)
+        assert rebuilt.microservices() == ["A", "B", "C"]
+        assert rebuilt.workload_multipliers()["C"] == 2.0
+        assert rebuilt.end_to_end_latency(latencies) == 7.0
+
+    def test_a_chain_deeper_than_the_recursion_limit_folds(self):
+        import sys
+
+        depth = sys.getrecursionlimit() + 500
+        names = [f"m{i}" for i in range(depth)]
+        node = call(names[-1])
+        for name in reversed(names[:-1]):
+            node = call(name, stages=[[node]])
+        graph = DependencyGraph("deep", node)
+        assert graph.node_count() == depth
+        assert graph.end_to_end_latency(dict.fromkeys(names, 1.0)) == float(depth)
+
+
 class TestGraphBuilder:
     def test_build_fig1_incrementally(self):
         builder = GraphBuilder("fig1")

@@ -13,7 +13,7 @@ from repro.core import (
     compute_service_targets,
     predicted_end_to_end,
 )
-from repro.graphs import DependencyGraph, call
+from repro.graphs import CallNode, DependencyGraph, GraphValidationError, call
 
 from tests.helpers import (
     FIG1_PARAMS,
@@ -70,6 +70,31 @@ class TestComputeServiceTargets:
         spec, profiles = two_tier_service(sla=6.0)  # below intercept sum 7
         with pytest.raises(InfeasibleSLAError, match="latency floor"):
             compute_service_targets(spec, profiles)
+
+    def test_empty_stage_is_a_named_graph_error(self):
+        """It used to surface as a bare ``IndexError`` from the merge."""
+        graph = DependencyGraph("svc", CallNode("A", stages=[[call("B")], []]))
+        spec = ServiceSpec("svc", graph, workload=1000.0, sla=100.0)
+        profiles = make_profiles([("A", 1.0, 1.0), ("B", 1.0, 1.0)])
+        with pytest.raises(GraphValidationError, match="'svc': stage 1 of 'A' is empty"):
+            compute_service_targets(spec, profiles)
+
+    def test_rebuilt_graph_gives_the_fresh_answer(self):
+        """Graphs are frozen once scaled; a grown root needs a new graph."""
+        spec, profiles = two_tier_service()
+        before = compute_service_targets(spec, profiles)
+        spec.graph.root.add_sequential(call("Q"))
+        profiles["Q"] = make_profile("Q", slope=1.0, intercept=1.0)
+        stale = compute_service_targets(spec, profiles)
+        assert stale.targets == before.targets
+        rebuilt = ServiceSpec(
+            spec.name, DependencyGraph(spec.name, spec.graph.root),
+            workload=spec.workload, sla=spec.sla,
+        )
+        fresh = compute_service_targets(rebuilt, profiles)
+        assert set(fresh.targets) == {"U", "P", "Q"}
+        assert sum(fresh.targets.values()) == pytest.approx(spec.sla)
+        assert fresh.targets["U"] < before.targets["U"]
 
     def test_second_pass_switches_to_low_segment(self):
         """A very tight SLA forces per-container load below the cut-off."""

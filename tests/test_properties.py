@@ -4,7 +4,10 @@ These pin down behaviours the unit tests only sample:
 
 * the scaling pipeline always produces allocations that meet the SLA
   under its own model, for random graphs/profiles/workloads;
-* the array graph fold agrees with the scalar one on every column;
+* the array graph fold agrees with the scalar one on every column, and
+  both with a recursive walk of the call tree;
+* the flat merge and Eq. 5 unmerge over a compiled graph equal a recursive
+  fold of the two-node merge rules, bit for bit;
 * `best_effort_containers` is monotone (tighter targets or more workload
   never mean fewer containers) and regime-consistent;
 * the simulator conserves requests and respects latency lower bounds;
@@ -21,8 +24,14 @@ from repro.core import (
     MicroserviceProfile,
     PiecewiseLatencyModel,
     ServiceSpec,
+    VirtualParams,
     compute_service_targets,
+    distribute_targets,
+    distribute_targets_batch,
+    merge_graph,
+    parallel_merge,
     predicted_end_to_end,
+    sequential_merge,
 )
 from repro.core.model import best_effort_containers
 from repro.graphs import CallNode, DependencyGraph
@@ -126,12 +135,13 @@ class TestGraphFoldInvariants:
     @settings(max_examples=100, deadline=None)
     def test_array_fold_equals_scalar_fold_column_by_column(self, service, data):
         """``end_to_end_series`` is ``end_to_end_latency`` per column, to the bit."""
-        graph = service[0]
-        for node in graph.nodes():
+        root = service[0].root
+        for node in root.walk():
             if data.draw(st.booleans()):  # empty stages fold as + 0.0
                 node.stages.insert(
                     data.draw(st.integers(0, len(node.stages))), []
                 )
+        graph = DependencyGraph("svc", root)  # compiled after the last edit
         names = graph.microservices()
         points = data.draw(st.integers(min_value=1, max_value=5))
         # + 0.0 turns -0.0 into 0.0: max() and np.maximum may pick either zero
@@ -143,10 +153,109 @@ class TestGraphFoldInvariants:
         series = graph.end_to_end_series(dict(zip(names, matrix)))
         assert series.shape == (points,)
         for column in range(points):
-            scalar = graph.end_to_end_latency(
-                dict(zip(names, matrix[:, column].tolist()))
-            )
+            latencies = dict(zip(names, matrix[:, column].tolist()))
+            scalar = graph.end_to_end_latency(latencies)
             assert float(series[column]).hex() == scalar.hex()
+
+            def response(node):
+                total = latencies[node.microservice]
+                for stage in node.stages:
+                    total += max((response(child) for child in stage), default=0.0)
+                return total
+
+            assert scalar.hex() == response(root).hex()
+
+
+# ----------------------------------------------------------------------
+# Flat merge == recursive fold of the two-node rules
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def shared_call_trees(draw, max_sites=10):
+    """A call tree whose sites draw from a small pool of names (so a
+    microservice sits at several call sites) with fan-out factors != 1."""
+    sites = draw(st.integers(min_value=1, max_value=max_sites))
+    pool = [f"m{i}" for i in range(max(1, sites // 2))]
+    fanout = st.sampled_from([1.0, 0.4, 2.5, 3.0])
+    nodes = [CallNode(pool[0], calls_per_request=draw(fanout))]
+    for _ in range(sites - 1):
+        parent = nodes[draw(st.integers(0, len(nodes) - 1))]
+        child = CallNode(draw(st.sampled_from(pool)), calls_per_request=draw(fanout))
+        if parent.stages and draw(st.booleans()):
+            parent.stages[-1].append(child)
+        else:
+            parent.stages.append([child])
+        nodes.append(child)
+    positive = st.floats(min_value=0.01, max_value=100.0)
+    params = {
+        name: (draw(positive), draw(st.floats(min_value=0.0, max_value=50.0)),
+               draw(positive))
+        for name in pool
+    }
+    return DependencyGraph("svc", nodes[0]), params
+
+
+def tree_merge(node, params, factor=1.0):
+    """Alg. 1 as a recursion: ``[(VirtualParams, node | merged children)]``,
+    the site itself first, then one parallel-merged piece per stage."""
+    factor *= node.calls_per_request
+    slope, intercept, resource = params[node.microservice]
+    pieces = [(VirtualParams(slope * factor, intercept, resource), node)]
+    for stage in node.stages:
+        children = [tree_merge(child, params, factor) for child in stage]
+        merged = children[0][0]
+        for other, _ in children[1:]:
+            merged = parallel_merge(merged, other)
+        pieces.append((merged, children))
+    total = pieces[0][0]
+    for piece, _ in pieces[1:]:
+        total = sequential_merge(total, piece)
+    return total, pieces
+
+
+def tree_assign(merged, target, targets):
+    """Fig. 8 as a recursion; keeps each microservice's smallest target."""
+    _, pieces = merged
+    (own, node), stages = pieces[0], pieces[1:]
+    if stages:
+        budget = target - sum(piece.intercept for piece, _ in pieces)
+        total_key = sum(piece.key for piece, _ in pieces)
+        for piece, children in stages:
+            for child in children:
+                tree_assign(
+                    child, piece.key / total_key * budget + piece.intercept, targets
+                )
+        target = own.key / total_key * budget + own.intercept
+    name = node.microservice
+    if name not in targets or target < targets[name]:
+        targets[name] = target
+
+
+class TestFlatMergeEqualsTreeMerge:
+    @given(shared_call_trees(), st.floats(min_value=0.5, max_value=500.0))
+    @settings(max_examples=150, deadline=None)
+    def test_merge_and_distribute_by_float_hex(self, tree, slack):
+        graph, params = tree
+        names = graph.plan().names
+        merged = merge_graph(graph, [params[name] for name in names])
+        reference = tree_merge(graph.root, params)
+        assert (merged.slope.hex(), merged.intercept.hex(), merged.resource.hex()) == (
+            reference[0].slope.hex(),
+            reference[0].intercept.hex(),
+            reference[0].resource.hex(),
+        )
+        slas = [merged.intercept + slack, merged.intercept + 3.0 * slack]
+        batch = distribute_targets_batch(merged, np.array(slas))
+        for column, sla in enumerate(slas):
+            expected = {}
+            tree_assign(reference, sla, expected)
+            flat = distribute_targets(merged, sla)
+            assert set(expected) == set(names)
+            assert [t.hex() for t in flat] == [expected[n].hex() for n in names]
+            assert [float(row[column]).hex() for row in batch] == [
+                t.hex() for t in flat
+            ]
 
 
 class TestBestEffortInvariants:

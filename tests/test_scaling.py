@@ -6,9 +6,14 @@ from repro.core import (
     ErmsScaler,
     ScalingReport,
     ServiceSpec,
+    VirtualParams,
+    clear_merge_cache,
+    clear_targets_memo,
     delta_schedule_probabilities,
+    merge_tree_cache,
 )
-from repro.graphs import DependencyGraph, call
+from repro.graphs import CallNode, DependencyGraph, GraphPlan, call
+from repro.workloads import generate_taobao
 
 from tests.helpers import make_profile
 
@@ -83,6 +88,55 @@ class TestErmsScaler:
         report = ScalingReport.from_allocation("erms", allocation, profiles)
         assert report.total_containers == allocation.total_containers()
         assert report.per_microservice == allocation.containers
+
+
+class TestAllocatorShape:
+    """Counts, not timings: the allocator reads each graph's compiled plan."""
+
+    def test_one_compile_per_graph_then_no_tree_walks(self, monkeypatch):
+        population = generate_taobao(
+            n_services=10, mean_graph_size=12, shared_pool=20, sla_range=(300.0, 600.0),
+            seed=4,
+        )
+        specs, profiles = population.services, population.profiles
+        counts = {"compiled": 0, "walked": 0, "virtual": 0}
+
+        compile_plan = GraphPlan.__init__
+
+        def compiled(plan, root):
+            counts["compiled"] += 1
+            compile_plan(plan, root)
+
+        def resumptions(generator):
+            def counted(node):
+                for item in generator(node):
+                    counts["walked"] += 1
+                    yield item
+            return counted
+
+        def constructed(params):
+            counts["virtual"] += 1
+
+        monkeypatch.setattr(GraphPlan, "__init__", compiled)
+        clear_merge_cache()
+        clear_targets_memo()
+        first = ErmsScaler().scale(specs, profiles)
+        assert counts["compiled"] == len(specs)
+        assert merge_tree_cache().misses >= len(specs)
+
+        monkeypatch.setattr(CallNode, "walk", resumptions(CallNode.walk))
+        monkeypatch.setattr(CallNode, "children", resumptions(CallNode.children))
+        monkeypatch.setattr(VirtualParams, "__post_init__", constructed)
+        clear_merge_cache()
+        clear_targets_memo()
+        again = ErmsScaler().scale(specs, profiles)
+        assert merge_tree_cache().hits == 0 < merge_tree_cache().misses
+        assert counts == {"compiled": len(specs), "walked": 0, "virtual": 0}
+        assert again == first
+        # the counters do count: a tree walk and a reference merge rule
+        assert 1 < len(list(specs[0].graph.root.walk())) <= counts["walked"]
+        VirtualParams(1.0, 1.0, 1.0)
+        assert counts["virtual"] == 1
 
 
 class TestDeltaScheduleProbabilities:

@@ -122,17 +122,27 @@ class TestBatchedEq5:
                 segments[name] = (
                     model.high if rng.random() < 0.7 else model.low
                 )
-            tree = merge_tree_cache().tree(graph, profiles, segments)
-            floor = tree.params.intercept
+            merged = merge_tree_cache().tree(
+                graph,
+                tuple(
+                    (
+                        segments[name].slope,
+                        segments[name].intercept,
+                        profiles[name].resource_demand,
+                    )
+                    for name in graph.microservices()
+                ),
+            )
+            floor = merged.intercept
             slas = np.array(
                 [floor + delta for delta in (0.5, 7.5, 33.3, 120.0)]
             )
-            batch = distribute_targets_batch(tree, slas)
+            batch = distribute_targets_batch(merged, slas)
             for j, sla in enumerate(slas):
-                scalar = distribute_targets(tree, float(sla))
-                assert set(batch) == set(scalar)
-                for node_id, values in batch.items():
-                    assert values[j] == scalar[node_id]
+                scalar = distribute_targets(merged, float(sla))
+                assert len(batch) == len(scalar) == len(graph.microservices())
+                for values, target in zip(batch, scalar):
+                    assert values[j] == target
 
 
 class TestGridTargets:

@@ -1,5 +1,7 @@
 """Tests for repro.workloads: arrival processes, DSB apps, Alibaba gen."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,26 @@ class TestAlibabaGenerators:
         b = generate_taobao(n_services=5, seed=7)
         assert [s.workload for s in a.services] == [s.workload for s in b.services]
         assert a.microservice_count() == b.microservice_count()
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "1d1996ef20a567e3767467292c185942268750471cb6b0cdece05592a4f4ca66"),
+        (1, "b4f2532431146da15c38bac29a028d83ab63384569f638580b823e1900be3fec"),
+        (2, "74e5a48395cbcd6c2e5e2ec8b1ed7004873362e5166d424bfe243b589d7efc94"),
+    ])
+    def test_taobao_names_are_plain_str_on_the_same_rng_stream(self, seed, digest):
+        """Shared picks used to be ``np.str_``; the digests (call-site names,
+        workloads, SLAs, profile names) are from before they became ``str``."""
+        population = generate_taobao(n_services=40, seed=seed)
+        pinned = hashlib.sha256()
+        for spec in population.services:
+            sites = [node.microservice for node in spec.graph.nodes()]
+            assert all(type(name) is str for name in sites)
+            pinned.update("\n".join(
+                [spec.name, *sites, spec.workload.hex(), spec.sla.hex()]
+            ).encode())
+        assert all(type(name) is str for name in population.profiles)
+        pinned.update("\n".join(population.profiles).encode())
+        assert pinned.hexdigest() == digest
 
     def test_taobao_with_rates(self):
         workload = generate_taobao(n_services=3, seed=5, with_rates=True)
