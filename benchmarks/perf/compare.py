@@ -35,7 +35,6 @@ RATE_METRICS = [
     ("saturation", "events_per_sec"),
     ("priority_replay", "events_per_sec"),
     ("allocation_throughput", "memoized_cells_per_sec"),
-    ("allocation_throughput", "grid_cells_per_sec"),
     ("allocation_throughput", "provisioner_actions_per_sec"),
     ("deploy_reconcile", "reconcile_actions_per_sec"),
     ("baseline_stats", "stats_services_per_sec"),

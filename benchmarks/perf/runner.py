@@ -20,11 +20,11 @@ Three single-process benchmarks plus one parallel-grid benchmark:
   and payload size (the shared-context design ships the application once
   per worker; payloads are index-plus-scalar dicts).
 * ``allocation_throughput`` — the Eq. 5 / §5.3.1 hot path over a
-  (workload × SLA) grid three ways: scalar (caches off, the pre-PR
-  cost), memoized (`compute_service_targets` with the cross-cell memo),
-  and grid-batched (`compute_targets_grid`); plus interference-aware
-  provisioner placements/sec through the incremental ``ClusterIndex``.
-  All three paths are verified cell-for-cell identical.
+  (workload × SLA) grid two ways: scalar (caches off, the pre-PR cost)
+  and memoized (`compute_service_targets` with the cross-cell memo);
+  plus interference-aware provisioner placements/sec through the
+  incremental ``ClusterIndex``.  Both paths are verified cell-for-cell
+  identical.
 * ``telemetry_overhead`` — the saturation scenario with no telemetry
   versus a fully-enabled :class:`~repro.telemetry.TelemetrySink` (spans,
   windows, live MetricsStore), reporting the enabled-path overhead and
@@ -334,22 +334,19 @@ def _skewed_cluster(hosts: int):
 
 
 def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
-    """Eq. 5 / §5.3.1 grid throughput: scalar vs memoized vs grid-batched.
+    """Eq. 5 / §5.3.1 grid throughput: scalar vs memoized.
 
     Times the allocation hot path over a (workload × SLA) grid of the
-    Social Network application (36 microservices, 3 services) three ways:
+    Social Network application (36 microservices, 3 services) two ways:
 
     * ``scalar`` — memo off, merge-tree cache cleared before every call:
       the pre-optimization cost of one ``compute_service_targets`` per
       (service, cell).
     * ``memoized`` — the production path: cross-cell targets memo plus
       the merge-tree cache, warmed over the sweep.
-    * ``grid`` — ``compute_targets_grid`` batching Eq. 5 across SLA
-      columns and container counts across the workload axis, then
-      materializing every cell.
 
-    All three produce bit-identical per-cell results (asserted, reported
-    as ``identical``).  A fourth section times interference-aware
+    Both produce bit-identical per-cell results (asserted, reported as
+    ``identical``).  A third section times interference-aware
     provisioner placements/releases through the incremental
     ``ClusterIndex`` in actions/sec.
     """
@@ -359,7 +356,6 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
         clear_merge_cache,
         clear_targets_memo,
         compute_service_targets,
-        compute_targets_grid,
         set_targets_memo,
     )
 
@@ -410,23 +406,6 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
                     results.append(None)
         return results
 
-    def run_grid() -> list:
-        clear_targets_memo()
-        clear_merge_cache()
-        grids = [
-            compute_targets_grid(spec, profiles, workloads, slas)
-            for spec in cell_specs[0]
-        ]
-        results = []
-        for wi in range(len(workloads)):
-            for si in range(len(slas)):
-                for grid in grids:
-                    try:
-                        results.append(grid.cell(wi, si))
-                    except InfeasibleSLAError:
-                        results.append(None)
-        return results
-
     def timed(fn):
         walls, last = [], None
         for _ in range(max(1, trials)):
@@ -438,7 +417,6 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
     try:
         scalar_walls, scalar_rows = timed(run_scalar)
         memo_walls, memo_rows = timed(run_memoized)
-        grid_walls, grid_rows = timed(run_grid)
     finally:
         set_targets_memo(True)  # restore the production default
         clear_targets_memo()
@@ -462,12 +440,8 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
                 return False
         return True
 
-    identical = rows_equal(scalar_rows, memo_rows) and rows_equal(
-        scalar_rows, grid_rows
-    )
-    scalar_wall, memo_wall, grid_wall = map(
-        min, (scalar_walls, memo_walls, grid_walls)
-    )
+    identical = rows_equal(scalar_rows, memo_rows)
+    scalar_wall, memo_wall = min(scalar_walls), min(memo_walls)
 
     # Provisioner throughput: place a full allocation onto a cluster with
     # skewed background load, then halve it (releases), through the
@@ -496,15 +470,11 @@ def bench_allocation_throughput(seed: int = 0, quick: bool = False) -> dict:
         "calls": calls,
         "scalar_wall_s": round(scalar_wall, 4),
         "memoized_wall_s": round(memo_wall, 4),
-        "grid_wall_s": round(grid_wall, 4),
         "scalar_cells_per_sec": round(calls / scalar_wall, 1),
         "memoized_cells_per_sec": round(calls / memo_wall, 1),
-        "grid_cells_per_sec": round(calls / grid_wall, 1),
         "scalar_trials": _rate([calls / wall for wall in scalar_walls]),
         "memoized_trials": _rate([calls / wall for wall in memo_walls]),
-        "grid_trials": _rate([calls / wall for wall in grid_walls]),
         "memoized_speedup": round(scalar_wall / memo_wall, 2),
-        "grid_speedup": round(scalar_wall / grid_wall, 2),
         "identical": identical,
         "provisioner_hosts": len(cluster.hosts),
         "provisioner_actions": actions,

@@ -34,18 +34,15 @@ from repro.core.merge import (
     VirtualParams,
     clear_merge_cache,
     distribute_targets,
-    distribute_targets_batch,
     merge_graph,
     merge_tree_cache,
     parallel_merge,
     sequential_merge,
 )
 from repro.core.latency_targets import (
-    GridTargets,
     ServiceTargets,
     clear_targets_memo,
     compute_service_targets,
-    compute_targets_grid,
     predicted_end_to_end,
     set_targets_memo,
     targets_memo_stats,
@@ -93,16 +90,13 @@ __all__ = [
     "VirtualParams",
     "clear_merge_cache",
     "distribute_targets",
-    "distribute_targets_batch",
     "merge_graph",
     "merge_tree_cache",
     "parallel_merge",
     "sequential_merge",
-    "GridTargets",
     "ServiceTargets",
     "clear_targets_memo",
     "compute_service_targets",
-    "compute_targets_grid",
     "predicted_end_to_end",
     "set_targets_memo",
     "targets_memo_stats",

@@ -21,13 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.merge import (
-    distribute_targets,
-    distribute_targets_batch,
-    merge_tree_cache,
-)
+from repro.core.merge import distribute_targets, merge_tree_cache
 from repro.core.model import (
     InfeasibleSLAError,
     LatencySegment,
@@ -35,7 +29,6 @@ from repro.core.model import (
     PiecewiseLatencyModel,
     ServiceSpec,
     best_effort_containers,
-    best_effort_containers_array,
 )
 
 
@@ -295,195 +288,6 @@ def _finish_targets(
         for name, profile, target in zip(names, used, targets)
     }
     return result
-
-
-# ----------------------------------------------------------------------
-# Grid-batched targets (workload × SLA)
-# ----------------------------------------------------------------------
-@dataclass
-class GridTargets:
-    """Latency targets for a whole (workload × SLA) grid of one service.
-
-    Targets are computed once per SLA (they are workload-independent, see
-    the memo note above) and container counts once per (microservice,
-    SLA) as a vector over the workload axis.  :meth:`cell` materializes
-    any single grid cell as the :class:`ServiceTargets` that
-    :func:`compute_service_targets` would have produced — bit-identical.
-    """
-
-    service: str
-    workloads: List[float]
-    slas: List[float]
-    #: Per-SLA feasibility; infeasible columns raise from :meth:`cell`.
-    feasible: List[bool]
-    merged_intercepts: List[float]
-    passes: List[int]
-    targets: List[Optional[Dict[str, float]]]
-    segments: List[Optional[Dict[str, LatencySegment]]]
-    #: Per-SLA: microservice -> int64 array over the workload axis.
-    containers: List[Optional[Dict[str, np.ndarray]]]
-    _multipliers: Dict[str, float] = field(default_factory=dict, repr=False)
-
-    def cell(self, workload_index: int, sla_index: int) -> ServiceTargets:
-        """The :class:`ServiceTargets` of one grid cell.
-
-        Raises:
-            InfeasibleSLAError: If this SLA column is below the graph's
-                latency floor (exactly as the scalar path would).
-        """
-        if not self.feasible[sla_index]:
-            raise InfeasibleSLAError(
-                f"service {self.service!r}: SLA {self.slas[sla_index]:.3f}ms "
-                f"does not exceed the graph latency floor "
-                f"{self.merged_intercepts[sla_index]:.3f}ms"
-            )
-        workload = self.workloads[workload_index]
-        result = ServiceTargets(service=self.service)
-        result.targets = dict(self.targets[sla_index])
-        result.segments = dict(self.segments[sla_index])
-        result.workloads = {
-            name: multiplier * workload
-            for name, multiplier in self._multipliers.items()
-        }
-        result.containers = {
-            name: int(counts[workload_index])
-            for name, counts in self.containers[sla_index].items()
-        }
-        result.merged_intercept = self.merged_intercepts[sla_index]
-        result.passes = self.passes[sla_index]
-        return result
-
-
-def compute_targets_grid(
-    spec: ServiceSpec,
-    profiles: Mapping[str, MicroserviceProfile],
-    workloads: Sequence[float],
-    slas: Sequence[float],
-    max_passes: int = 8,
-) -> GridTargets:
-    """Batch :func:`compute_service_targets` over a (workload × SLA) grid.
-
-    One Eq. 5 pass per *segment-assignment group* of SLA columns
-    (via :func:`repro.core.merge.distribute_targets_batch`) replaces one
-    pass per grid cell, and container counts vectorize over the workload
-    axis; yet every :meth:`GridTargets.cell` is bit-identical to the
-    scalar call for that cell.  §5.3.1 interval switching runs per SLA
-    column: columns that switch the same segments regroup and share the
-    next pass's merge.
-
-    Workload overrides are deliberately unsupported here — grids sweep a
-    service's own arrival rate, where every override ratio is 1.
-    """
-    graph = spec.graph
-    names = graph.plan().names
-    multipliers = graph.workload_multipliers()
-    workloads = [float(w) for w in workloads]
-    slas = [float(s) for s in slas]
-    sla_arr = np.asarray(slas, dtype=np.float64)
-    w_arr = np.asarray(workloads, dtype=np.float64)
-    n = len(slas)
-
-    cache = merge_tree_cache()
-    models: Dict[str, PiecewiseLatencyModel] = {
-        name: profiles[name].model for name in names
-    }
-    resources = [profiles[name].resource_demand for name in names]
-    ratios = [1.0] * len(names)  # a grid sweeps the service's own workload
-
-    # Per-column state machine mirroring the scalar §5.3.1 loop.
-    seg_state: List[Dict[str, LatencySegment]] = [
-        {name: models[name].high for name in names} for _ in range(n)
-    ]
-    feasible = [True] * n
-    intercepts = [0.0] * n
-    passes = [0] * n
-    col_targets: List[Optional[Dict[str, float]]] = [None] * n
-    col_segments: List[Optional[Dict[str, LatencySegment]]] = [None] * n
-    active = list(range(n))
-
-    for pass_index in range(max(max_passes, 1)):
-        if not active:
-            break
-        # Group columns sharing a segment assignment: one merge and one
-        # batched Eq. 5 pass per group.
-        groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for column in active:
-            signature = tuple(
-                seg_state[column][name] is models[name].high for name in names
-            )
-            groups.setdefault(signature, []).append(column)
-
-        next_active: List[int] = []
-        for columns in groups.values():
-            segments = seg_state[columns[0]]
-            merged = cache.tree(
-                graph,
-                _leaf_params([segments[name] for name in names], ratios, resources),
-            )
-            intercept = merged.intercept
-            live: List[int] = []
-            for column in columns:
-                intercepts[column] = intercept
-                passes[column] = pass_index + 1
-                if slas[column] <= intercept:
-                    feasible[column] = False
-                else:
-                    live.append(column)
-            if not live:
-                continue
-
-            per_ms = dict(zip(names, distribute_targets_batch(merged, sla_arr[live])))
-
-            for j, column in enumerate(live):
-                targets = {name: float(per_ms[name][j]) for name in per_ms}
-                if pass_index == max_passes - 1:
-                    # Scalar loop breaks before the switching check.
-                    col_targets[column] = targets
-                    col_segments[column] = dict(seg_state[column])
-                    continue
-                switched = False
-                for name, target in targets.items():
-                    model = models[name]
-                    if (
-                        seg_state[column][name] is model.high
-                        and target < model.latency_at_cutoff()
-                    ):
-                        seg_state[column][name] = model.low
-                        switched = True
-                if switched:
-                    next_active.append(column)
-                else:
-                    col_targets[column] = targets
-                    col_segments[column] = dict(seg_state[column])
-        active = next_active
-
-    # Containers: one vectorized pass over the workload axis per
-    # (microservice, SLA).  Microservice workload = multiplier * arrival
-    # rate, exactly as ServiceSpec.microservice_workloads computes it.
-    containers: List[Optional[Dict[str, np.ndarray]]] = [None] * n
-    for column in range(n):
-        if not feasible[column]:
-            continue
-        targets = col_targets[column]
-        containers[column] = {
-            name: best_effort_containers_array(
-                models[name], multipliers[name] * w_arr, target
-            )
-            for name, target in targets.items()
-        }
-
-    return GridTargets(
-        service=spec.name,
-        workloads=workloads,
-        slas=slas,
-        feasible=feasible,
-        merged_intercepts=intercepts,
-        passes=passes,
-        targets=col_targets,
-        segments=col_segments,
-        containers=containers,
-        _multipliers=dict(multipliers),
-    )
 
 
 def predicted_end_to_end(

@@ -42,9 +42,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.graphs import DependencyGraph, GraphPlan, GraphValidationError
 
@@ -202,27 +200,6 @@ def merge_graph(
     return MergedGraph(plan, slopes[0], intercepts[0], resources[0], splits)
 
 
-def _distribute(merged: MergedGraph, sla, minimum: Callable) -> list:
-    """Eq. 5 top-down; ``minimum`` folds a microservice's call sites."""
-    index = merged.plan.index
-    incoming = [sla] * len(index)
-    targets: list = [None] * len(merged.plan.names)
-    for site, split in enumerate(merged.splits):
-        target = incoming[site]
-        if split is not None:
-            share, intercept, floor, pieces = split
-            budget = target - floor
-            for children, piece_share, piece_intercept in pieces:
-                piece_target = piece_share * budget + piece_intercept
-                for child in children:
-                    incoming[child] = piece_target
-            target = share * budget + intercept
-        rank = index[site]
-        current = targets[rank]
-        targets[rank] = target if current is None else minimum(current, target)
-    return targets
-
-
 def distribute_targets(merged: MergedGraph, sla: float) -> List[float]:
     """Reverse the merge: assign each microservice a latency target.
 
@@ -240,34 +217,23 @@ def distribute_targets(merged: MergedGraph, sla: float) -> List[float]:
         ``merged.plan.names`` order; a microservice called at several
         sites gets the smallest of their targets.
     """
-    return _distribute(merged, sla, min)
-
-
-def distribute_targets_batch(
-    merged: MergedGraph, slas: np.ndarray
-) -> List[np.ndarray]:
-    """Vectorized :func:`distribute_targets` over a whole SLA axis.
-
-    The same loop hands every call site a *vector* of latency targets,
-    one entry per SLA.  Each elementwise operation is the scalar loop's
-    operation (``share * (t − Σb) + b`` becomes the same
-    subtract/multiply/add on float64 arrays, ``np.minimum`` the same
-    minimum), so column ``j`` of the result is bit-identical to
-    ``distribute_targets(merged, slas[j])`` — the Eq. 5 split is
-    *batched*, never approximated.
-
-    Args:
-        merged: The merged graph (the same for every SLA — callers group
-            SLAs by segment assignment first; see
-            :func:`repro.core.latency_targets.compute_targets_grid`).
-        slas: 1-D float array of end-to-end SLAs in ms.
-
-    Returns:
-        Per microservice, in ``merged.plan.names`` order, a float64 array
-        of targets with the same shape as ``slas``.
-    """
-    slas = np.ascontiguousarray(slas, dtype=np.float64)
-    return _distribute(merged, slas, np.minimum)
+    index = merged.plan.index
+    incoming = [sla] * len(index)
+    targets: list = [None] * len(merged.plan.names)
+    for site, split in enumerate(merged.splits):
+        target = incoming[site]
+        if split is not None:
+            share, intercept, floor, pieces = split
+            budget = target - floor
+            for children, piece_share, piece_intercept in pieces:
+                piece_target = piece_share * budget + piece_intercept
+                for child in children:
+                    incoming[child] = piece_target
+            target = share * budget + intercept
+        rank = index[site]
+        current = targets[rank]
+        targets[rank] = target if current is None else min(current, target)
+    return targets
 
 
 # ----------------------------------------------------------------------

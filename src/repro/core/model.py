@@ -235,60 +235,6 @@ def best_effort_containers(
     return min(count, 20 * at_cutoff)
 
 
-def best_effort_containers_array(
-    model: PiecewiseLatencyModel, workloads, target: float
-):
-    """:func:`best_effort_containers` over a whole workload axis at once.
-
-    Entry ``j`` equals ``best_effort_containers(model, workloads[j],
-    target)`` exactly: every branch of the scalar helper is conditioned on
-    the (scalar) target alone, so the branch is resolved once and each
-    elementwise expression repeats the scalar arithmetic in the same
-    operation order (``ceil(slope * w / headroom)`` etc.) on float64.
-    Used by :func:`repro.core.latency_targets.compute_targets_grid` to
-    turn one SLA column's target into container counts for every
-    workload cell in a single numpy pass.
-
-    Returns an ``int64`` array shaped like ``workloads``.
-    """
-    import numpy as np
-
-    w = np.asarray(workloads, dtype=np.float64)
-    out = np.ones(w.shape, dtype=np.int64)
-    positive = w > 0
-    if not positive.any():
-        return out
-    wp = w[positive]
-    if target >= model.latency_at_cutoff():
-        headroom = target - model.high.intercept
-        # headroom > 0 always: latency_at_cutoff > intercept (slope, σ > 0).
-        counts = np.maximum(
-            1, np.ceil(model.high.slope * wp / headroom).astype(np.int64)
-        )
-        if model.max_load is not None:
-            counts = np.maximum(
-                counts, np.ceil(wp / model.max_load).astype(np.int64)
-            )
-    else:
-        at_cutoff = np.maximum(
-            1, np.ceil(wp / model.cutoff).astype(np.int64)
-        )
-        headroom = target - model.low.intercept
-        if headroom <= 0:
-            counts = 20 * at_cutoff
-        else:
-            counts = np.maximum(
-                np.maximum(
-                    1,
-                    np.ceil(model.low.slope * wp / headroom).astype(np.int64),
-                ),
-                at_cutoff,
-            )
-            counts = np.minimum(counts, 20 * at_cutoff)
-    out[positive] = counts
-    return out
-
-
 @dataclass
 class Allocation:
     """Result of one scaling decision across all services.

@@ -443,13 +443,7 @@ class ResilienceManager:
                 return True
         limit = admission.max_queue_per_thread
         for state in self._graph_states[service]:
-            queued = 0
-            threads = 0
-            per_container = state.spec.threads
-            for container in state.containers:
-                threads += per_container
-                fifo = container.fifo
-                queued += len(fifo) if fifo is not None else len(container.queue)
+            queued, _, threads = state.load()
             if threads and queued / threads > limit:
                 return True
         return False

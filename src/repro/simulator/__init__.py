@@ -14,11 +14,7 @@ ground truth that :mod:`repro.profiling` profiles and Erms controls.
 """
 
 from repro.simulator.events import EventQueue
-from repro.simulator.scheduler import (
-    FCFSQueue,
-    PriorityQueuePolicy,
-    QueuePolicy,
-)
+from repro.simulator.scheduler import PriorityQueuePolicy
 from repro.simulator.simulation import (
     ClusterSimulator,
     SimulatedMicroservice,
@@ -35,9 +31,7 @@ from repro.simulator.autoscaled import (
 
 __all__ = [
     "EventQueue",
-    "FCFSQueue",
     "PriorityQueuePolicy",
-    "QueuePolicy",
     "ClusterSimulator",
     "SimulatedMicroservice",
     "SimulationConfig",

@@ -1,6 +1,6 @@
-"""Queue-scheduling policies at (shared) microservice containers.
+"""Queue disciplines at (shared) microservice containers.
 
-Two policies from the paper:
+Two disciplines from the paper:
 
 * FCFS — the Kubernetes default: one queue, arrival order.
 * δ-probabilistic priority (paper §5.3.2) — one queue per service priority
@@ -10,60 +10,37 @@ Two policies from the paper:
   (the paper uses 0.05) protects low-priority services from starvation at
   a negligible cost to high-priority tail latency (paper Fig. 9).
 
+The queue protocol
+------------------
+
+A container's queue is any object with three operations: ``append(call)``
+to admit a waiting call (``call.service`` names the service it belongs
+to), ``popleft()`` to hand out the next call to process (only called on a
+non-empty queue), and ``len`` / truthiness for the number waiting.
+``collections.deque`` already is that protocol, so FCFS is a bare deque
+and has no class here; :class:`PriorityQueuePolicy` implements it for
+δ-priority.  A custom discipline is any object with the three operations
+returned from ``ClusterSimulator._make_queue``.
+
 :class:`PriorityQueuePolicy` keeps its rank queues in a list in rank
-order; the list is rebuilt only when a job of a rank not seen before is
-pushed, so ``pop`` is one scan over it.  ``pop`` draws one uniform from
-the RNG for every non-empty rank it considers *except the last* — none at
-all when a single rank has jobs waiting — which is what lets the engine
-start a job directly on an idle container without consulting the policy:
-the draw sequence, and so every sample stream, is the same either way.
+order; the list is rebuilt only when a call of a rank not seen before is
+appended, so ``popleft`` is one scan over it.  ``popleft`` draws one
+uniform from the RNG for every non-empty rank it considers *except the
+last* — none at all when a single rank has calls waiting — which is what
+lets the engine start a call directly on an idle container without
+consulting the policy: the draw sequence, and so every sample stream, is
+the same either way.
 """
 
 from __future__ import annotations
 
-import abc
 from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
 import numpy as np
 
 
-class QueuePolicy(abc.ABC):
-    """A container's request queue."""
-
-    @abc.abstractmethod
-    def push(self, job: Any, service: str) -> None:
-        """Enqueue a job originating from ``service``."""
-
-    @abc.abstractmethod
-    def pop(self) -> Optional[Any]:
-        """Dequeue the next job to process, or None when empty."""
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of queued jobs."""
-
-
-class FCFSQueue(QueuePolicy):
-    """Single first-come-first-served queue."""
-
-    def __init__(self) -> None:
-        #: The queue itself, for callers that can use a deque directly.
-        self.fifo: Deque[Any] = deque()
-
-    def push(self, job: Any, service: str) -> None:
-        self.fifo.append(job)
-
-    def pop(self) -> Optional[Any]:
-        if not self.fifo:
-            return None
-        return self.fifo.popleft()
-
-    def __len__(self) -> int:
-        return len(self.fifo)
-
-
-class PriorityQueuePolicy(QueuePolicy):
+class PriorityQueuePolicy:
     """Erms' δ-probabilistic priority scheduling (paper §5.3.2).
 
     Args:
@@ -89,20 +66,20 @@ class PriorityQueuePolicy(QueuePolicy):
         self._by_rank: List[Deque[Any]] = []  # the same queues, rank 0 first
         self._size = 0
 
-    def push(self, job: Any, service: str) -> None:
-        rank = self.ranks.get(service, self._default_rank)
+    def append(self, call: Any) -> None:
+        """Admit ``call`` to the queue of ``call.service``'s rank."""
+        rank = self.ranks.get(call.service, self._default_rank)
         queue = self._queues.get(rank)
         if queue is None:
             queue = self._queues[rank] = deque()
             self._by_rank = [self._queues[r] for r in sorted(self._queues)]
-        queue.append(job)
+        queue.append(call)
         self._size += 1
 
-    def pop(self) -> Optional[Any]:
-        if self._size == 0:
-            return None
+    def popleft(self) -> Any:
+        """Hand out the next call to process (``IndexError`` when empty)."""
         # A non-empty rank is served with probability 1 − δ when a later
-        # rank also has jobs; the last non-empty rank takes what is left
+        # rank also has calls; the last non-empty rank takes what is left
         # and costs no draw.
         chosen = None
         for queue in self._by_rank:
@@ -110,6 +87,8 @@ class PriorityQueuePolicy(QueuePolicy):
                 if chosen is not None and self._rng.random() < 1.0 - self.delta:
                     break
                 chosen = queue
+        if chosen is None:
+            raise IndexError("popleft from an empty queue")
         self._size -= 1
         return chosen.popleft()
 

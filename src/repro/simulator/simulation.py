@@ -8,8 +8,8 @@ Request lifecycle at a call node:
 
 1. the request joins the queue of one of the microservice's containers
    (round-robin across containers, like an L4 load balancer);
-2. when a thread frees, the container's queue policy (FCFS or δ-priority)
-   picks the next job; the thread is held for an exponentially distributed
+2. when a thread frees, the container's queue (FCFS or δ-priority) hands
+   out the next call; the thread is held for an exponentially distributed
    processing time with mean ``base_service_ms × host multiplier``;
 3. the thread is released, downstream stages execute (all calls of a stage
    in parallel, stages in sequence), and the response propagates upward.
@@ -26,30 +26,35 @@ What can be resolved once is resolved at construction.  Each service's
 (:class:`_CallPlan`, one per call node): the callee's live state instead
 of its name, and its downstream stages as tuples with
 ``calls_per_request`` expanded into repeated entries and empty stages
-dropped.  Arrivals, completions and stage joins carry plans, so running
-a call is attribute reads on the plan — no name lookup, no per-node
-cache.
+dropped.  Arrivals, calls and stage joins carry plans, so running a call
+is attribute reads on the plan — no name lookup, no per-node cache.
 
-A call that reaches a container with a free thread and nothing queued
-starts processing directly, whatever the queue policy (the *idle start*:
-no :class:`_Job`, no queue roundtrip, no dispatch call).  For δ-priority
+A call at a container is one record for its whole life there
+(:class:`_Call`, recycled through a free list): ``_execute_node`` fills
+it in, it waits in the container's queue if it must, ``_start`` puts it
+on the event heap when it gets a thread, and it is its own thread-release
+event — own latency, downstream stages, then ``_dispatch`` for the next
+waiting call.  ``_start`` is the one start block: the only code that
+evaluates a callable multiplier, draws a service time, stamps telemetry
+and pushes a completion.  It is reached from two places.  A call that
+finds a free thread and nothing queued goes straight to it, whatever the
+discipline (the *idle start*: no queue roundtrip); for δ-priority
 containers this is exact, not approximate:
 :class:`~repro.simulator.scheduler.PriorityQueuePolicy` consults the RNG
 only to choose between two or more non-empty ranks, so the draw order is
-the one push + ``_dispatch`` + ``pop`` would have produced.  Calls that
-find a queue or no free thread become jobs; a completion on an FCFS
-container starts the next queued job itself, on a priority container it
-asks the policy through ``_dispatch``.
+the one ``append`` + ``popleft`` would have produced.  Every other call
+waits and is started by the ``_dispatch`` loop, which asks the queue
+(``popleft``) while threads are free.  Scale-down and kill-with-retry
+move waiting records to surviving containers through ``_requeue``.
 
-The hot loop avoids per-event closure allocation: arrivals, completions,
-and stage joins are ``__slots__`` record objects whose ``__call__`` the
-:class:`~repro.simulator.events.EventQueue` dispatches directly, and
-completion records are recycled through a free list.  RNG draws are
-batched: unit exponentials per microservice (service times) and
+The hot loop avoids per-event closure allocation: arrivals, calls and
+stage joins are ``__slots__`` record objects whose ``__call__`` the
+:class:`~repro.simulator.events.EventQueue` dispatches directly.  RNG
+draws are batched: unit exponentials per microservice (service times) and
 pre-scaled inter-arrival gaps per service (static rates) are drawn in
 vectorized numpy blocks, refilled on exhaustion.  Containers with a
 static interference multiplier precompute their mean service time so the
-``callable()`` check never touches the per-job path.  Latency samples
+``callable()`` check never touches the per-call path.  Latency samples
 append to flat ``array('d')`` column buffers; the tuple-list views
 (``end_to_end``, ``own_latency``) are materialized lazily.  For a fixed
 seed the engine is fully deterministic; its sample streams are pinned by
@@ -63,20 +68,25 @@ Passing a :class:`~repro.telemetry.TelemetrySink` as ``telemetry=``
 instruments the run: each call's ``done`` continuation doubles as its
 CLIENT/SERVER span record, flushed per finished request into the sink's
 columnar span table (``sink.traces``: lazy ``TraceRecord`` views, no
-per-span objects); completions stream own latencies and per-minute call
-counts into a live ``MetricsStore``, a per-window tick snapshots engine
-health and closes SLA windows, and ``scale_container_count`` records
-audit entries.  The sink never touches the engine RNG, so the pinned
-golden streams hold with telemetry on or off.  With ``telemetry=None``
-(the default) the hooks cost ``is not None`` tests only — one per job
-started, completed and fanned out; ``benchmarks/e2e`` measures both
-sides (``des_replay``, ``des_observed``).
+per-span objects); finished calls stream own latencies and per-minute
+call counts into a live ``MetricsStore``, a per-window tick snapshots
+engine health and closes SLA windows, and ``scale_container_count``
+records audit entries.  The sink never touches the engine RNG, so the
+pinned golden streams hold with telemetry on or off.  With
+``telemetry=None`` and no resilience manager (the defaults) the hooks
+cost seven ``is not None`` tests, each where its hook is called:
+``wrap_root`` per request (``_Arrival``), ``note_processing`` per call
+started (``_start``), ``record_call`` per call finished (``_Call``),
+``wrap_call`` per stage fanned out (``_run_stages``); for resilience,
+shed and start per request (``_Arrival``) and ``submit_children`` per
+stage (``_run_stages``).  ``benchmarks/e2e`` measures both sides
+(``des_replay``, ``des_observed``).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from heapq import heappush
 from typing import (
@@ -96,7 +106,7 @@ import numpy as np
 from repro.core.model import ServiceSpec
 from repro.graphs import CallNode
 from repro.simulator.events import EventQueue
-from repro.simulator.scheduler import FCFSQueue, PriorityQueuePolicy, QueuePolicy
+from repro.simulator.scheduler import PriorityQueuePolicy
 
 if TYPE_CHECKING:  # avoid a runtime import cycle; the sink is duck-typed
     from repro.resilience.chaos import ChaosSchedule
@@ -182,40 +192,23 @@ class _CallPlan:
         self.stages = stages
 
 
-class _Job:
-    """One call awaiting processing at a container."""
-
-    __slots__ = ("service", "node", "arrival", "done")
-
-    def __init__(
-        self,
-        service: str,
-        node: _CallPlan,
-        arrival: float,
-        done: Callable[[float], None],
-    ):
-        self.service = service
-        self.node = node
-        self.arrival = arrival
-        self.done = done
-
-
 class _Container:
-    """A container: thread pool + queue policy + interference multiplier.
+    """A container: thread pool + queue + interference multiplier.
 
-    ``multiplier`` may be a float (static colocation level) or a callable
-    of the current simulation minute (iBench-style injection schedules,
-    paper §6.2 fixes a level per hour).  The static case precomputes
-    ``mean_ms`` so the dispatch loop never re-checks ``callable()``;
-    ``fifo`` is the FCFS queue's deque (``None`` under any other policy)
-    so the dominant policy skips two method calls per job.
+    ``queue`` holds the calls waiting for a thread: a ``deque`` under
+    FCFS, a :class:`~repro.simulator.scheduler.PriorityQueuePolicy` under
+    δ-priority — the engine uses ``append`` / ``popleft`` / ``len`` and
+    nothing else.  ``multiplier`` may be a float (static colocation
+    level) or a callable of the current simulation minute (iBench-style
+    injection schedules, paper §6.2 fixes a level per hour).  The static
+    case precomputes ``mean_ms`` so starting a call never re-checks
+    ``callable()``.
     """
 
-    __slots__ = ("queue", "fifo", "free_threads", "multiplier", "static_mult", "mean_ms")
+    __slots__ = ("queue", "free_threads", "multiplier", "static_mult", "mean_ms")
 
-    def __init__(self, queue: QueuePolicy, threads: int, base_ms: float, multiplier):
+    def __init__(self, queue, threads: int, base_ms: float, multiplier):
         self.queue = queue
-        self.fifo = queue.fifo if type(queue) is FCFSQueue else None
         self.free_threads = threads
         if callable(multiplier):
             self.multiplier = multiplier
@@ -269,6 +262,19 @@ class _MicroserviceState:
         if len(self.containers) <= 1:
             raise ValueError("cannot remove the last container")
         return self.containers.pop()
+
+    def load(self) -> Tuple[int, int, int]:
+        """``(queued calls, busy threads, threads)`` over containers in rotation.
+
+        What the telemetry snapshot, the TSDB scrape and admission
+        control read of the engine's state.
+        """
+        threads = self.spec.threads
+        queued = busy = 0
+        for container in self.containers:
+            queued += len(container.queue)
+            busy += threads - container.free_threads
+        return queued, busy, threads * len(self.containers)
 
 
 class SimulationResult:
@@ -515,19 +521,20 @@ class _StageFrame:
             )
 
 
-class _Completion:
-    """Thread-release event for one processed job (recycled via free list).
+class _Call:
+    """One call at a container, for as long as it is there.
 
-    Carries the job fields directly so the uncontended fast path in
-    ``ClusterSimulator._execute_node`` never allocates a :class:`_Job`.
+    Taken from the simulator's free list in ``_execute_node``, it waits in
+    the container's queue if it has to, goes on the event heap when
+    ``_start`` gives it a thread, and is itself the thread-release event.
+    Scale-down and kills move a waiting call by re-pointing ``container``.
     """
 
-    __slots__ = ("sim", "container", "state", "service", "node", "arrival", "done")
+    __slots__ = ("sim", "container", "service", "node", "arrival", "done")
 
-    def __init__(self, sim, container, state, service, node, arrival, done):
+    def __init__(self, sim, container, service, node, arrival, done):
         self.sim = sim
         self.container = container
-        self.state = state
         self.service = service
         self.node = node
         self.arrival = arrival
@@ -536,12 +543,13 @@ class _Completion:
     def __call__(self, finish: float) -> None:
         sim = self.sim
         container = self.container
-        state = self.state
         service = self.service
         node = self.node
         arrival = self.arrival
         done = self.done
+        sim._call_pool.append(self)  # bounded by peak calls in the cluster
         container.free_threads += 1
+        state = node.state
         own_min = state.own_min
         if own_min is not None:
             minute = finish / _MS_PER_MINUTE
@@ -555,49 +563,8 @@ class _Completion:
             sim._run_stages(service, node, 0, finish, done)
         else:
             done(finish)
-        fifo = container.fifo
-        if fifo is not None:
-            if fifo and container.free_threads > 0:
-                # Inline single-job start, reusing this record for the
-                # next job on the same container: the saturated hot path
-                # (complete one job, immediately start the next).
-                # ``events.now == finish`` for the whole callback.
-                job = fifo.popleft()
-                container.free_threads -= 1
-                mean_ms = container.mean_ms
-                if mean_ms is None:
-                    mean_ms = state.base_ms * float(
-                        container.multiplier(finish / _MS_PER_MINUTE)
-                    )
-                exp_i = state.exp_i
-                buf = state.exp_buf
-                if exp_i >= len(buf):
-                    buf = state.exp_buf = sim.rng.exponential(
-                        1.0, _RNG_BLOCK
-                    ).tolist()
-                    exp_i = 0
-                state.exp_i = exp_i + 1
-                processing = buf[exp_i] * mean_ms
-                self.service = job.service
-                self.node = job.node
-                self.arrival = job.arrival
-                self.done = job.done
-                if tele is not None:
-                    tele.note_processing(
-                        job.done, finish, processing, mean_ms / state.base_ms
-                    )
-                events = sim.events
-                count = events._counter
-                events._counter = count + 1
-                heappush(events._heap, (finish + processing, count, self))
-                if fifo and container.free_threads > 0:
-                    sim._dispatch(state, container)
-                return
-            sim._completion_pool.append(self)  # bounded by peak in-flight
-        else:
-            sim._completion_pool.append(self)
-            if len(container.queue) > 0 and container.free_threads > 0:
-                sim._dispatch(state, container)
+        if container.queue:
+            sim._dispatch(container)
 
 
 class _Arrival:
@@ -613,7 +580,6 @@ class _Arrival:
         "spec",
         "name",
         "root",
-        "root_state",
         "end_ms",
         "events",
         "rate_spec",
@@ -634,7 +600,6 @@ class _Arrival:
         self.spec = spec
         self.name = spec.name
         self.root = sim._roots[spec.name]
-        self.root_state = self.root.state
         self.end_ms = end_ms
         self.events = sim.events
         rate_spec = sim._rates.get(spec.name, 0.0)
@@ -659,116 +624,27 @@ class _Arrival:
         name = self.name
         self.generated[name] += 1
         res = self.res
-        if res is not None:
-            # Resilient path: admission control at the front door, then
-            # the request runs as resilient logical calls (timeouts,
-            # retries, breakers) managed off the engine fast path.
-            if res.should_shed(name, t):
-                res.shed(name, t)
-            else:
-                pool = self.done_pool
-                if pool:
-                    done = pool.pop()
-                    done.start = t
-                else:
-                    done = _RequestDone(
-                        pool, self.completed, name,
-                        self.e2e_minutes, self.e2e_values, t,
-                    )
-                tele = self.tele
-                if tele is not None:
-                    done = tele.wrap_root(name, self.root, t, done)
-                res.start_request(name, self.root, t, done)
-            self.schedule_next(t)
-            return
-        pool = self.done_pool
-        if pool:
-            done = pool.pop()
-            done.start = t
+        if res is not None and res.should_shed(name, t):
+            res.shed(name, t)  # admission control at the front door
         else:
-            done = _RequestDone(
-                pool, self.completed, name, self.e2e_minutes, self.e2e_values, t
-            )
-        tele = self.tele
-        if tele is not None:
-            done = tele.wrap_root(name, self.root, t, done)
-        # Inline root-node execution: same logic as
-        # ``ClusterSimulator._execute_node`` minus the call overhead.
-        sim = self.sim
-        node = self.root
-        state = self.root_state
-        containers = state.containers
-        index = state._next
-        if index >= len(containers):
-            index = 0
-        state._next = index + 1
-        container = containers[index]
-        fifo = container.fifo
-        free = container.free_threads
-        if free > 0 and not (fifo if fifo is not None else container.queue):
-            # Idle start (see ``_execute_node``).
-            container.free_threads = free - 1
-            mean_ms = container.mean_ms
-            if mean_ms is None:
-                mean_ms = state.base_ms * float(
-                    container.multiplier(t / _MS_PER_MINUTE)
+            pool = self.done_pool
+            if pool:
+                done = pool.pop()
+                done.start = t
+            else:
+                done = _RequestDone(
+                    pool, self.completed, name, self.e2e_minutes, self.e2e_values, t
                 )
-            exp_i = state.exp_i
-            exp_buf = state.exp_buf
-            if exp_i >= len(exp_buf):
-                exp_buf = state.exp_buf = sim.rng.exponential(
-                    1.0, _RNG_BLOCK
-                ).tolist()
-                exp_i = 0
-            state.exp_i = exp_i + 1
-            processing = exp_buf[exp_i] * mean_ms
+            tele = self.tele
             if tele is not None:
-                tele.note_processing(
-                    done, t, processing, mean_ms / state.base_ms
-                )
-            cpool = sim._completion_pool
-            if cpool:
-                event = cpool.pop()
-                event.container = container
-                event.state = state
-                event.service = name
-                event.node = node
-                event.arrival = t
-                event.done = done
+                done = tele.wrap_root(name, self.root, t, done)
+            if res is not None:
+                # The request runs as resilient logical calls (timeouts,
+                # retries, breakers) managed off the engine fast path.
+                res.start_request(name, self.root, t, done)
             else:
-                event = _Completion(
-                    sim, container, state, name, node, t, done
-                )
-            events = self.events
-            count = events._counter
-            events._counter = count + 1
-            heappush(events._heap, (t + processing, count, event))
-        else:
-            if fifo is not None:
-                fifo.append(_Job(name, node, t, done))
-            else:
-                container.queue.push(_Job(name, node, t, done), name)
-            if free > 0:
-                sim._dispatch(state, container)
-        mean_gap = self.mean_gap
-        if mean_gap is not None:
-            # Static positive rate: batched, pre-scaled gap draws.
-            index = self.gap_i
-            buf = self.gap_buf
-            if index >= len(buf):
-                buf = self.gap_buf = self.sim.rng.exponential(
-                    mean_gap, _RNG_BLOCK
-                ).tolist()
-                index = 0
-            self.gap_i = index + 1
-            arrival = t + buf[index]
-            if arrival <= self.end_ms:
-                events = self.events
-                count = events._counter
-                events._counter = count + 1
-                heappush(events._heap, (arrival, count, self))
-            return
-        self._schedule_dynamic(t)
+                self.sim._execute_node(name, self.root, t, done)
+        self.schedule_next(t)
 
     def schedule_next(self, now: float) -> None:
         """Schedule the next arrival after ``now`` (also the initial kick)."""
@@ -872,7 +748,7 @@ class ClusterSimulator:
         )
         self._rates: Dict[str, RateSpec] = dict(rates)
         self._arrivals_open = True
-        self._completion_pool: List[_Completion] = []
+        self._call_pool: List[_Call] = []
         self._unit_buf: List[float] = []
         self._unit_i = 0
         self._microservices: Dict[str, _MicroserviceState] = {}
@@ -943,14 +819,15 @@ class ClusterSimulator:
 
         return SpikeMultiplier(multiplier, windows)
 
-    def _make_queue(self, microservice: str) -> QueuePolicy:
+    def _make_queue(self, microservice: str):
+        """A new container's queue: ``append`` / ``popleft`` / ``len``."""
         if self.config.scheduling == "priority":
             ranks = self.priorities.get(microservice)
             if ranks:
                 return PriorityQueuePolicy(
                     ranks, delta=self.config.delta, rng=self.rng
                 )
-        return FCFSQueue()
+        return deque()
 
     def _draw_unit(self) -> float:
         """One unit-exponential draw from the shared batched stream."""
@@ -1028,14 +905,9 @@ class ClusterSimulator:
         for _ in range(max(-delta, 0)):
             if len(state.containers) <= 1:
                 break
-            removed = state.remove_last()
-            while True:
-                job = removed.queue.pop()
-                if job is None:
-                    break
-                replacement = state.pick()
-                replacement.queue.push(job, job.service)
-                self._dispatch(state, replacement)
+            waiting = state.remove_last().queue
+            while waiting:
+                self._requeue(waiting.popleft())
         self.result.containers[microservice] = len(state.containers)
 
     def inject_container_failure(
@@ -1076,19 +948,15 @@ class ClusterSimulator:
                 reason="container killed"
                 + (" (queued jobs retried)" if retry else " (queued jobs lost)"),
             )
-        affected = 0
+        waiting = removed.queue
+        affected = len(waiting)
         dropped = self.result.dropped_requests
-        while True:
-            job = removed.queue.pop()
-            if job is None:
-                break
-            affected += 1
+        while waiting:
+            call = waiting.popleft()
             if retry:
-                replacement = state.pick()
-                replacement.queue.push(job, job.service)
-                self._dispatch(state, replacement)
+                self._requeue(call)
             else:
-                dropped[job.service] = dropped.get(job.service, 0) + 1
+                dropped[call.service] = dropped.get(call.service, 0) + 1
         self.result.containers[microservice] = len(state.containers)
         if restart_after_ms is not None:
             self.scale_container_count(
@@ -1156,115 +1024,67 @@ class ClusterSimulator:
             index = 0
         state._next = index + 1
         container = containers[index]
-        fifo = container.fifo
-        free = container.free_threads
-        if free > 0 and not (fifo if fifo is not None else container.queue):
-            # Idle start, any policy (module docstring): a thread is free
-            # and nothing is queued — no job object, no queue roundtrip,
-            # no dispatch call, and the RNG draws push + dispatch would
-            # have made.
-            container.free_threads = free - 1
-            events = self.events
-            now = events.now
-            mean_ms = container.mean_ms
-            if mean_ms is None:
-                mean_ms = state.base_ms * float(
-                    container.multiplier(now / _MS_PER_MINUTE)
-                )
-            exp_i = state.exp_i
-            buf = state.exp_buf
-            if exp_i >= len(buf):
-                buf = state.exp_buf = self.rng.exponential(
-                    1.0, _RNG_BLOCK
-                ).tolist()
-                exp_i = 0
-            state.exp_i = exp_i + 1
-            processing = buf[exp_i] * mean_ms
-            tele = self._telemetry
-            if tele is not None:
-                tele.note_processing(
-                    done, now, processing, mean_ms / state.base_ms
-                )
-            pool = self._completion_pool
-            if pool:
-                event = pool.pop()
-                event.container = container
-                event.state = state
-                event.service = service
-                event.node = node
-                event.arrival = t
-                event.done = done
-            else:
-                event = _Completion(
-                    self, container, state, service, node, t, done
-                )
-            count = events._counter
-            events._counter = count + 1
-            heappush(events._heap, (now + processing, count, event))
-            return
-        if fifo is not None:
-            fifo.append(_Job(service, node, t, done))
+        pool = self._call_pool
+        if pool:
+            call = pool.pop()
+            call.container = container
+            call.service = service
+            call.node = node
+            call.arrival = t
+            call.done = done
         else:
-            container.queue.push(_Job(service, node, t, done), service)
-        if free > 0:
-            self._dispatch(state, container)
-
-    def _dispatch(self, state: _MicroserviceState, container: _Container) -> None:
-        free = container.free_threads
-        if free <= 0:
-            return
-        events = self.events
-        heap = events._heap
-        now = events.now
-        fifo = container.fifo
+            call = _Call(self, container, service, node, t, done)
         queue = container.queue
-        pool = self._completion_pool
-        tele = self._telemetry
+        free = container.free_threads
+        if free > 0 and not queue:
+            # Idle start, any policy (module docstring): a thread is free
+            # and nothing is queued — no queue roundtrip, and the RNG
+            # draws append + dispatch would have made.
+            self._start(call, self.events.now)
+        else:
+            queue.append(call)
+            if free > 0:
+                self._dispatch(container)
+
+    def _start(self, call: _Call, now: float) -> None:
+        """Give ``call`` a thread of its container: the one start block."""
+        container = call.container
+        container.free_threads -= 1
+        state = call.node.state
         mean_ms = container.mean_ms
         if mean_ms is None:
             mean_ms = state.base_ms * float(
                 container.multiplier(now / _MS_PER_MINUTE)
             )
-        while free > 0:
-            if fifo is not None:
-                if not fifo:
-                    break
-                job = fifo.popleft()
-            else:
-                job = queue.pop()
-                if job is None:
-                    break
-            free -= 1
-            index = state.exp_i
-            buf = state.exp_buf
-            if index >= len(buf):
-                buf = state.exp_buf = self.rng.exponential(
-                    1.0, _RNG_BLOCK
-                ).tolist()
-                index = 0
-            state.exp_i = index + 1
-            processing = buf[index] * mean_ms
-            if tele is not None:
-                tele.note_processing(
-                    job.done, now, processing, mean_ms / state.base_ms
-                )
-            if pool:
-                event = pool.pop()
-                event.container = container
-                event.state = state
-                event.service = job.service
-                event.node = job.node
-                event.arrival = job.arrival
-                event.done = job.done
-            else:
-                event = _Completion(
-                    self, container, state, job.service, job.node,
-                    job.arrival, job.done,
-                )
-            count = events._counter
-            events._counter = count + 1
-            heappush(heap, (now + processing, count, event))
-        container.free_threads = free
+        index = state.exp_i
+        buf = state.exp_buf
+        if index >= len(buf):
+            buf = state.exp_buf = self.rng.exponential(1.0, _RNG_BLOCK).tolist()
+            index = 0
+        state.exp_i = index + 1
+        processing = buf[index] * mean_ms
+        tele = self._telemetry
+        if tele is not None:
+            tele.note_processing(
+                call.done, now, processing, mean_ms / state.base_ms
+            )
+        events = self.events
+        count = events._counter
+        events._counter = count + 1
+        heappush(events._heap, (now + processing, count, call))
+
+    def _dispatch(self, container: _Container) -> None:
+        """Start waiting calls, in the queue's order, while threads are free."""
+        queue = container.queue
+        now = self.events.now
+        while queue and container.free_threads > 0:
+            self._start(queue.popleft(), now)
+
+    def _requeue(self, call: _Call) -> None:
+        """Move a waiting call to the next container in rotation."""
+        container = call.container = call.node.state.pick()
+        container.queue.append(call)
+        self._dispatch(container)
 
     def _run_stages(
         self,

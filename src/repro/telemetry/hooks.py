@@ -25,10 +25,11 @@ it happens —
   event throughput into the metrics registry, and flushes completed
   minutes into the MetricsStore.
 
-The disabled path is a null check: the engine's hot loops each test
-``telemetry is None`` once and touch nothing else, so a run without a
-sink pays a single predictable branch per event (``telemetry_overhead``
-in ``BENCH_des.json`` and the ``des_replay`` / ``des_observed`` ladder of
+The disabled path is a null check: the engine tests ``telemetry is not
+None`` once where each of the four hot-path hooks below would be called
+and touches nothing else, so a run without a sink pays a single
+predictable branch per event (``telemetry_overhead`` in
+``BENCH_des.json`` and the ``des_replay`` / ``des_observed`` ladder of
 ``benchmarks/e2e`` track both sides).
 
 Span timing contract (kept in lockstep with the engine): a call's SERVER
@@ -340,11 +341,12 @@ class TelemetrySink:
     ) -> None:
         """Engine hook: the call behind ``done`` acquired a thread.
 
-        Called by the simulator at every job start (all four scheduling
-        sites) with the processing start time, the drawn processing
-        duration, and the container's interference multiplier at that
-        moment.  A no-op for unsampled requests (``done`` is not a span
-        continuation), and never touches the engine RNG.
+        Called by the simulator's one start block
+        (``ClusterSimulator._start``) with the processing start time, the
+        drawn processing duration, and the container's interference
+        multiplier at that moment.  A no-op for unsampled requests
+        (``done`` is not a span continuation), and never touches the
+        engine RNG.
         """
         if type(done) is _SpanDone:
             done.proc_start = start_ms
@@ -439,16 +441,11 @@ class TelemetrySink:
         total_threads = 0
         containers = 0
         for state in simulator._microservices.values():
-            threads = state.spec.threads
-            for container in state.containers:
-                containers += 1
-                total_threads += threads
-                busy += threads - container.free_threads
-                depth += (
-                    len(container.fifo)
-                    if container.fifo is not None
-                    else len(container.queue)
-                )
+            queued, busy_threads, threads = state.load()
+            depth += queued
+            busy += busy_threads
+            total_threads += threads
+            containers += len(state.containers)
         busy_fraction = busy / total_threads if total_threads else 0.0
         registry = self.registry
         registry.gauge("queue_depth").set(depth)

@@ -367,7 +367,7 @@ class TimeSeriesStore:
     def finalize(self, simulator) -> None:
         """Final scrape at the run's end (monitor windows are closed)."""
         end = self._duration_min or (
-            simulator.now / _MS_PER_MINUTE if simulator is not None else 0.0
+            simulator.events.now / _MS_PER_MINUTE if simulator is not None else 0.0
         )
         if self.last_scrape_min is None or self.last_scrape_min < end:
             self.scrape(end)
@@ -485,21 +485,16 @@ class TimeSeriesStore:
         busy = 0
         total_threads = 0
         for name, state in sim._microservices.items():
-            threads = state.spec.threads
             self.record(
                 "containers",
                 {"microservice": name},
                 now_min,
                 float(len(state.containers)),
             )
-            for container in state.containers:
-                total_threads += threads
-                busy += threads - container.free_threads
-                depth += (
-                    len(container.fifo)
-                    if container.fifo is not None
-                    else len(container.queue)
-                )
+            queued, busy_threads, threads = state.load()
+            depth += queued
+            busy += busy_threads
+            total_threads += threads
         self.record("queue_depth", {}, now_min, float(depth))
         self.record(
             "busy_fraction",

@@ -16,8 +16,8 @@ match bit for bit.
 Cases: Social Network under its Erms allocation and priorities, nearly
 idle and driven past saturation; three services on three ranks (one of
 them absent from ``ranks``, so it gets the default rank) and two services
-on two ranks contending at one overloaded shared microservice, so ``pop``
-draws from the engine RNG; δ = 0; ``calls_per_request`` 0.4 / 2.5 / 3 and
+on two ranks contending at one overloaded shared microservice, so the
+policy draws from the engine RNG; δ = 0; ``calls_per_request`` 0.4 / 2.5 / 3 and
 an empty stage; a time-varying (callable) interference multiplier on a
 priority container; a mid-run scale-down and container kills with and
 without retry on priority containers holding queued jobs; an
@@ -161,7 +161,7 @@ def _contended(services, ranks, rate, *, delta=0.05, seed=0, duration=0.15,
 
     P gets ``p_containers`` two-thread containers at 3 ms (80k calls/min
     together), so from about 27k req/min per service of three its rank
-    queues are never empty for long and ``pop`` has to choose.
+    queues are never empty for long and ``popleft`` has to choose.
     """
     specs = [
         ServiceSpec(

@@ -1,15 +1,13 @@
 """What the engine does per call, as counts — and the priority policy's
-``pop`` against the sort-based implementation it replaced.
+``popleft`` against the sort-based implementation it replaced.
 
 Counts, not timings: graphs are resolved into call plans once per
-simulator, an idle priority container starts a job without a ``_Job`` or a
-``pop``, and nothing in ``simulation.py`` finds its way back to a graph
-node through ``id()``.
+simulator, an idle priority container starts a call without an ``append``
+or a ``popleft``, and every call that gets a thread — idle, queued or
+moved to another container — passes the one start block once.
 """
 
-import inspect
-import re
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 import pytest
@@ -25,9 +23,10 @@ from repro.simulator import (
     SimulationConfig,
     simulation,
 )
+from repro.telemetry import TelemetrySink
 
 
-def _shared_pair(rate, p_threads, seed=2):
+def _shared_pair(rate, p_threads, seed=2, containers=2, telemetry=None):
     """Two services sharing priority-scheduled P behind roomy FCFS fronts."""
     specs = [
         ServiceSpec(
@@ -44,40 +43,44 @@ def _shared_pair(rate, p_threads, seed=2):
             name: SimulatedMicroservice(name, base_service_ms=2.0, threads=threads)
             for name, threads in (("H", 64), ("C", 64), ("P", p_threads))
         },
-        containers={"H": 1, "C": 1, "P": 2},
+        containers={"H": 1, "C": 1, "P": containers},
         rates={"hot": rate, "cold": rate},
         config=SimulationConfig(
             duration_min=0.2, warmup_min=0.0, seed=seed, scheduling="priority"
         ),
         priorities={"P": {"hot": 0, "cold": 1}},
+        telemetry=telemetry,
     )
+
+
+def _count_calls(monkeypatch, cls, name, counts):
+    """Count calls of ``cls.name`` in ``counts[name]``."""
+    operation = getattr(cls, name)
+
+    def counted(self, *args):
+        counts[name] += 1
+        return operation(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
 
 
 class TestEngineShape:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Instances made of the engine's records, calls made of ``pop``."""
-        counts = {"_Job": 0, "_CallPlan": 0, "pop": 0}
+        """Call plans compiled; calls made of the policy's queue operations."""
+        counts = {"_CallPlan": 0, "append": 0, "popleft": 0}
 
-        def counting(cls):
-            class Counted(cls):
-                __slots__ = ()
+        class CountedPlan(simulation._CallPlan):
+            __slots__ = ()
 
-                def __init__(self, *args):
-                    counts[cls.__name__] += 1
-                    super().__init__(*args)
+            def __init__(self, *args):
+                counts["_CallPlan"] += 1
+                super().__init__(*args)
 
-            monkeypatch.setattr(simulation, cls.__name__, Counted)
+        monkeypatch.setattr(simulation, "_CallPlan", CountedPlan)
 
-        counting(simulation._Job)
-        counting(simulation._CallPlan)
-        pop = PriorityQueuePolicy.pop
-
-        def counted_pop(self):
-            counts["pop"] += 1
-            return pop(self)
-
-        monkeypatch.setattr(PriorityQueuePolicy, "pop", counted_pop)
+        _count_calls(monkeypatch, PriorityQueuePolicy, "append", counts)
+        _count_calls(monkeypatch, PriorityQueuePolicy, "popleft", counts)
         return counts
 
     def test_idle_priority_containers_start_jobs_directly(self, counts):
@@ -85,18 +88,20 @@ class TestEngineShape:
         sim = _shared_pair(rate=900.0, p_threads=64)
         shared = sim._microservices["P"].containers
         assert all(type(c.queue) is PriorityQueuePolicy for c in shared)
+        # FCFS has no class of its own: the queue is the deque
+        assert all(type(c.queue) is deque for c in sim._microservices["H"].containers)
         result = sim.run()
         assert min(result.completed.values()) > 100
         assert result.completed == result.generated
-        assert counts["_Job"] == 0
-        assert counts["pop"] == 0
+        assert counts["append"] == 0
+        assert counts["popleft"] == 0
 
     def test_loaded_priority_containers_still_queue(self, counts):
         # P: 2 × 2 threads at 2 ms, 120k calls/min of capacity against 130k
         result = _shared_pair(rate=65_000.0, p_threads=2).run()
         assert result.completed == result.generated
-        assert counts["_Job"] > 1_000
-        assert counts["pop"] >= counts["_Job"]
+        assert counts["append"] > 1_000
+        assert counts["popleft"] == counts["append"]
 
     def test_each_call_node_is_compiled_once(self, counts):
         shared = call("S", stages=[[call("T")]])  # one object under two parents
@@ -129,12 +134,35 @@ class TestEngineShape:
         assert result.completed["svc"] > 100
         assert counts["_CallPlan"] == nodes  # running compiles nothing
 
-    def test_no_per_call_graph_resolution_left(self):
-        source = inspect.getsource(simulation)
-        assert "_stage_cache" not in source
-        assert not re.search(r"\bid\(", source)
-        assert "multiplier_at" not in source
-        assert "._queue" not in source and "._size" not in source
+    def test_every_finished_call_was_started_once(self, counts, monkeypatch):
+        """Idle, queued and re-queued starts all stamp ``note_processing``."""
+        hooks = {"note_processing": 0, "record_call": 0}
+        for name in hooks:
+            _count_calls(monkeypatch, TelemetrySink, name, hooks)
+        # P near saturation on 4 × 2 threads; H and C (64 threads) stay idle
+        sim = _shared_pair(
+            rate=100_000.0, p_threads=2, containers=4, telemetry=TelemetrySink()
+        )
+        moved = {}
+        sim.events.schedule(
+            4_000.0,
+            lambda t: moved.update(killed=sim.inject_container_failure("P", retry=True)),
+        )
+
+        def scale_down(t):
+            moved["scaled"] = sum(
+                len(c.queue) for c in sim._microservices["P"].containers[2:]
+            )
+            sim.scale_container_count("P", 2)
+
+        sim.events.schedule(8_000.0, scale_down)
+        result = sim.run()
+        assert result.completed == result.generated
+        assert not result.dropped_requests
+        assert moved["killed"] > 0 and moved["scaled"] > 0  # both paths re-queued
+        assert counts["append"] > 1_000  # and calls queued where they arrived
+        assert hooks["record_call"] == 2 * sum(result.completed.values())
+        assert hooks["note_processing"] == hooks["record_call"]
 
 
 class _SortingPolicy:
@@ -148,8 +176,8 @@ class _SortingPolicy:
         self._queues = {}
         self._size = 0
 
-    def push(self, job, service):
-        rank = self.ranks.get(service, self._default_rank)
+    def push(self, job):
+        rank = self.ranks.get(job.service, self._default_rank)
         self._queues.setdefault(rank, deque()).append(job)
         self._size += 1
 
@@ -172,6 +200,9 @@ class _SortingPolicy:
 
 _SERVICES = ["a", "b", "c", "d", "unlisted"]
 
+#: What a queue sees of a waiting call: its service (``step`` tells calls apart).
+Waiting = namedtuple("Waiting", "step service")
+
 
 class TestPriorityPopMatchesTheSort:
     @given(
@@ -186,32 +217,33 @@ class TestPriorityPopMatchesTheSort:
     )
     @settings(max_examples=200, deadline=None)
     def test_same_job_same_rng_state_after_every_step(self, ranks, delta, seed, ops):
-        """``None`` pops, a service name pushes a job from that service."""
+        """``None`` pops, a service name appends a call from that service."""
         new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         new = PriorityQueuePolicy(ranks, delta=delta, rng=new_rng)
         old = _SortingPolicy(ranks, delta, old_rng)
         for step, service in enumerate(ops):
             if service is None:
-                assert new.pop() == old.pop()
+                # the engine asks a queue for a call only when it has one
+                assert (new.popleft() if new else None) == old.pop()
             else:
-                new.push((step, service), service)
-                old.push((step, service), service)
+                new.append(Waiting(step, service))
+                old.push(Waiting(step, service))
             assert len(new) == len(old)
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
         while len(old):
-            assert new.pop() == old.pop()
+            assert new.popleft() == old.pop()
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
-        assert new.pop() is None and len(new) == 0
+        assert not new and len(new) == 0
 
     def test_draws_happen_only_between_contending_ranks(self):
         rng = np.random.default_rng(7)
         untouched = np.random.default_rng(7).bit_generator.state
         queue = PriorityQueuePolicy({"hot": 0, "cold": 1}, delta=0.3, rng=rng)
         for step in range(5):
-            queue.push(step, "cold")
-        assert [queue.pop() for _ in range(5)] == list(range(5))
+            queue.append(Waiting(step, "cold"))
+        assert [queue.popleft().step for _ in range(5)] == list(range(5))
         assert rng.bit_generator.state == untouched
-        queue.push("c", "cold")
-        queue.push("h", "hot")
-        assert {queue.pop(), queue.pop()} == {"c", "h"}
+        queue.append(Waiting("c", "cold"))
+        queue.append(Waiting("h", "hot"))
+        assert {queue.popleft().step, queue.popleft().step} == {"c", "h"}
         assert rng.bit_generator.state != untouched

@@ -27,7 +27,6 @@ from repro.core import (
     VirtualParams,
     compute_service_targets,
     distribute_targets,
-    distribute_targets_batch,
     merge_graph,
     parallel_merge,
     predicted_end_to_end,
@@ -245,17 +244,12 @@ class TestFlatMergeEqualsTreeMerge:
             reference[0].intercept.hex(),
             reference[0].resource.hex(),
         )
-        slas = [merged.intercept + slack, merged.intercept + 3.0 * slack]
-        batch = distribute_targets_batch(merged, np.array(slas))
-        for column, sla in enumerate(slas):
+        for sla in (merged.intercept + slack, merged.intercept + 3.0 * slack):
             expected = {}
             tree_assign(reference, sla, expected)
             flat = distribute_targets(merged, sla)
             assert set(expected) == set(names)
             assert [t.hex() for t in flat] == [expected[n].hex() for n in names]
-            assert [float(row[column]).hex() for row in batch] == [
-                t.hex() for t in flat
-            ]
 
 
 class TestBestEffortInvariants:

@@ -1,5 +1,7 @@
 """Tests for repro.simulator: events, queue policies, cluster simulation."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from repro.graphs import DependencyGraph, call
 from repro.simulator import (
     ClusterSimulator,
     EventQueue,
-    FCFSQueue,
     InterferenceModel,
     PriorityQueuePolicy,
     SimulatedMicroservice,
@@ -88,31 +89,23 @@ class TestEventQueue:
         assert queue.now == 5.0
 
 
-class TestFCFSQueue:
-    def test_fifo_order(self):
-        queue = FCFSQueue()
-        queue.push("a", "svc1")
-        queue.push("b", "svc2")
-        assert queue.pop() == "a"
-        assert queue.pop() == "b"
-        assert queue.pop() is None
+#: What a queue sees of a waiting call: its service (``tag`` tells calls apart).
+Waiting = namedtuple("Waiting", "tag service")
 
-    def test_len(self):
-        queue = FCFSQueue()
-        assert len(queue) == 0
-        queue.push("a", "s")
-        assert len(queue) == 1
+
+def _tags(queue, count):
+    return [queue.popleft().tag for _ in range(count)]
 
 
 class TestPriorityQueuePolicy:
     def test_strict_priority_at_delta_zero(self):
         queue = PriorityQueuePolicy({"hot": 0, "cold": 1}, delta=0.0)
-        queue.push("c1", "cold")
-        queue.push("h1", "hot")
-        queue.push("c2", "cold")
-        assert queue.pop() == "h1"
-        assert queue.pop() == "c1"
-        assert queue.pop() == "c2"
+        queue.append(Waiting("c1", "cold"))
+        queue.append(Waiting("h1", "hot"))
+        queue.append(Waiting("c2", "cold"))
+        assert len(queue) == 3
+        assert _tags(queue, 3) == ["h1", "c1", "c2"]
+        assert len(queue) == 0
 
     def test_delta_occasionally_serves_low_priority(self):
         rng = np.random.default_rng(0)
@@ -120,24 +113,26 @@ class TestPriorityQueuePolicy:
         low_first = 0
         trials = 2000
         for _ in range(trials):
-            queue.push("h", "hot")
-            queue.push("c", "cold")
-            if queue.pop() == "c":
+            queue.append(Waiting("h", "hot"))
+            queue.append(Waiting("c", "cold"))
+            if queue.popleft().tag == "c":
                 low_first += 1
             # Drain.
-            queue.pop()
+            queue.popleft()
         assert 0.25 < low_first / trials < 0.35
 
     def test_unknown_service_gets_lowest_priority(self):
         queue = PriorityQueuePolicy({"hot": 0}, delta=0.0)
-        queue.push("x", "stranger")
-        queue.push("h", "hot")
-        assert queue.pop() == "h"
-        assert queue.pop() == "x"
+        queue.append(Waiting("x", "stranger"))
+        queue.append(Waiting("h", "hot"))
+        assert _tags(queue, 2) == ["h", "x"]
 
-    def test_empty_pop_returns_none(self):
+    def test_empty_popleft_raises_like_a_deque(self):
         queue = PriorityQueuePolicy({"hot": 0})
-        assert queue.pop() is None
+        assert not queue and len(queue) == 0
+        with pytest.raises(IndexError):
+            queue.popleft()
+        assert len(queue) == 0
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError, match="delta"):
@@ -145,10 +140,9 @@ class TestPriorityQueuePolicy:
 
     def test_fifo_within_class(self):
         queue = PriorityQueuePolicy({"hot": 0}, delta=0.0)
-        queue.push("h1", "hot")
-        queue.push("h2", "hot")
-        assert queue.pop() == "h1"
-        assert queue.pop() == "h2"
+        queue.append(Waiting("h1", "hot"))
+        queue.append(Waiting("h2", "hot"))
+        assert _tags(queue, 2) == ["h1", "h2"]
 
 
 def single_node_setup(rate, containers=1, threads=4, base_ms=5.0, **config_kwargs):

@@ -227,6 +227,34 @@ class TestScraping:
         with pytest.raises(RuntimeError):
             sim.run()
 
+    def test_manual_mode_finalize_reads_the_simulator_clock(self):
+        """``bind`` + explicit ``scrape``: no run duration, so the clock."""
+        store = TimeSeriesStore(TimeSeriesConfig(scrape_interval_min=0.1))
+        sink = TelemetrySink(
+            config=TelemetryConfig(window_min=0.25, spans=False, max_traces=0)
+        )
+        store.bind(sink)
+        spec = ServiceSpec("svc", DependencyGraph("svc", call("B")), 0.0, 100.0)
+        sim = ClusterSimulator(
+            [spec],
+            {"B": SimulatedMicroservice("B", base_service_ms=5.0, threads=4)},
+            containers={"B": 1},
+            rates={"svc": 1_000.0},
+            config=SimulationConfig(duration_min=0.2, warmup_min=0.0, seed=1),
+            telemetry=sink,
+        )
+        sim.run()
+        store.scrape(0.1)
+        store.finalize(sim)
+        end_min = sim.events.now / 60_000.0
+        assert end_min >= 0.2
+        assert store.scrapes == 2
+        assert store.last_scrape_min == pytest.approx(end_min)
+        completed = store.get("requests_completed")
+        assert completed is not None and completed.values[-1] > 0
+        store.finalize(sim)  # nothing new to scrape
+        assert store.scrapes == 2
+
 
 class TestRules:
     def test_alert_fires_and_resolves_through_monitor_and_log(self):

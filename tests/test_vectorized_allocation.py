@@ -1,15 +1,14 @@
-"""Property tests: the vectorized/cached allocation core is bit-identical.
+"""Property tests: the cached allocation core is bit-identical.
 
-The optimizations under test (PR: grid-batched Eq. 5, merge-tree cache,
-cross-cell targets memo, incremental provisioner index) all claim *exact*
-equality with the scalar reference path, not approximate equality.  Each
-test drives randomized inputs (graphs, segments, place/release sequences)
-through both paths and compares with ``==`` on floats.
+The optimizations under test (merge-tree cache, cross-cell targets memo,
+incremental provisioner index) all claim *exact* equality with the
+reference path, not approximate equality.  Each test drives randomized
+inputs (graphs, segments, place/release sequences) through both paths and
+compares with ``==`` on floats.
 """
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -25,12 +24,9 @@ from repro.core import (
     clear_merge_cache,
     clear_targets_memo,
     compute_service_targets,
-    compute_targets_grid,
-    merge_tree_cache,
     set_targets_memo,
     targets_memo_stats,
 )
-from repro.core.merge import distribute_targets, distribute_targets_batch
 from repro.core.provisioning import Cluster
 from repro.graphs import DependencyGraph, call
 
@@ -50,7 +46,7 @@ def _clean_caches():
 def random_graph(rng: random.Random, max_depth: int = 3) -> DependencyGraph:
     """A random call tree; ~30% of nodes reuse an earlier microservice name
     (shared microservices at multiple call sites exercise the per-name
-    minimum fold of the batch path)."""
+    minimum fold of Eq. 5's reverse pass)."""
     counter = [0]
     names = []
 
@@ -108,92 +104,6 @@ def assert_targets_equal(left, right):
     assert left.workloads == right.workloads
     assert left.merged_intercept == right.merged_intercept
     assert left.passes == right.passes
-
-
-class TestBatchedEq5:
-    def test_distribute_targets_batch_matches_scalar_columns(self):
-        for seed in range(20):
-            rng = random.Random(seed)
-            graph = random_graph(rng)
-            profiles = random_profiles(rng, graph)
-            segments = {}
-            for name in graph.microservices():
-                model = profiles[name].model
-                segments[name] = (
-                    model.high if rng.random() < 0.7 else model.low
-                )
-            merged = merge_tree_cache().tree(
-                graph,
-                tuple(
-                    (
-                        segments[name].slope,
-                        segments[name].intercept,
-                        profiles[name].resource_demand,
-                    )
-                    for name in graph.microservices()
-                ),
-            )
-            floor = merged.intercept
-            slas = np.array(
-                [floor + delta for delta in (0.5, 7.5, 33.3, 120.0)]
-            )
-            batch = distribute_targets_batch(merged, slas)
-            for j, sla in enumerate(slas):
-                scalar = distribute_targets(merged, float(sla))
-                assert len(batch) == len(scalar) == len(graph.microservices())
-                for values, target in zip(batch, scalar):
-                    assert values[j] == target
-
-
-class TestGridTargets:
-    def test_grid_matches_scalar_per_cell(self):
-        workloads = [800.0, 3_000.0, 12_000.0, 48_000.0]
-        for seed in range(12):
-            rng = random.Random(100 + seed)
-            graph = random_graph(rng)
-            profiles = random_profiles(rng, graph)
-            set_targets_memo(False)
-            probe = ServiceSpec("rand", graph, workload=800.0, sla=1.0e9)
-            floor = compute_service_targets(probe, profiles).merged_intercept
-            # SLAs straddling the feasibility floor, including one below it.
-            slas = [
-                floor * 0.8,
-                floor + 2.0,
-                floor * 3.0 + 10.0,
-                floor * 8.0 + 50.0,
-            ]
-            grid = compute_targets_grid(probe, profiles, workloads, slas)
-            for wi, workload in enumerate(workloads):
-                for si, sla in enumerate(slas):
-                    spec = ServiceSpec(
-                        "rand", graph, workload=workload, sla=sla
-                    )
-                    try:
-                        scalar = compute_service_targets(spec, profiles)
-                    except InfeasibleSLAError:
-                        with pytest.raises(InfeasibleSLAError):
-                            grid.cell(wi, si)
-                        continue
-                    assert_targets_equal(grid.cell(wi, si), scalar)
-
-    def test_grid_batches_merge_tree_walks(self):
-        """The point of the grid path: far fewer tree builds than cells."""
-        rng = random.Random(7)
-        graph = random_graph(rng)
-        profiles = random_profiles(rng, graph)
-        workloads = [1_000.0 * k for k in range(1, 9)]
-        slas = [40.0, 80.0, 160.0, 320.0]
-        clear_merge_cache()
-        compute_targets_grid(
-            ServiceSpec("rand", graph, workload=0.0, sla=100.0),
-            profiles,
-            workloads,
-            slas,
-        )
-        cache = merge_tree_cache()
-        # One tree per segment-assignment group, never per cell.
-        assert cache.misses <= len(slas)
-        assert cache.misses < len(workloads) * len(slas)
 
 
 class TestTargetsMemo:
