@@ -19,7 +19,13 @@ engine execution per attempt; the engine's continuation chain is
 untouched except that attempt continuations (:class:`_AttemptDone`)
 stand between the engine and the join frames, so a timed-out attempt's
 late completion is ignored and a failed attempt can be retried without
-the join machinery noticing.  All randomness (error draws, backoff
+the join machinery noticing.  References run one way, from a call up to
+what it completes into: attempt → logical call → the caller's join frame
+and span, and a sampled attempt's own span wraps the attempt
+(``_SpanDone.inner``).  Nothing points back down — ``submit_children``
+reads the span the children attach to off the continuation it is handed —
+so a finished call's records are freed by reference count, not left as
+cycles for the collector.  All randomness (error draws, backoff
 jitter) comes from the manager's dedicated RNG — the engine's pinned
 draw order is never touched, and with the manager absent the engine pays
 one ``is not None`` branch per arrival and per stage fan-out.
@@ -106,17 +112,15 @@ class _AttemptDone:
     ``alive`` settles the race between the subtree completing and the
     attempt's timeout: whichever fires first wins, the loser no-ops
     (late completions are counted — stragglers the client abandoned).
-    ``span_done`` is the telemetry span covering this attempt (the root
-    request span for root calls), used as the parent context when the
-    node fans out to children.
+    The telemetry span covering a sampled attempt wraps it
+    (``_SpanDone.inner``); the attempt holds no reference back.
     """
 
-    __slots__ = ("call", "alive", "span_done")
+    __slots__ = ("call", "alive")
 
     def __init__(self, call: "_ResilientCall"):
         self.call = call
         self.alive = True
-        self.span_done = None
 
     def __call__(self, finish: float) -> None:
         if not self.alive:
@@ -222,15 +226,10 @@ class _ResilientCall:
             self._after_failure(t, "breaker-open", breaker=None)
             return
         self.attempt += 1
-        attempt = _AttemptDone(self)
-        inner = attempt
-        if self.is_root:
-            attempt.span_done = self.span
-        elif self.span is not None:
+        attempt = inner = _AttemptDone(self)
+        if self.span is not None and not self.is_root:
             # every attempt of the call is its own span under the caller's
-            inner = attempt.span_done = mgr.tele.wrap_call(
-                self.span, self.node, t, attempt
-            )
+            inner = mgr.tele.wrap_call(self.span, self.node, t, attempt)
         timeout = mgr._timeout
         if timeout is not None:
             mgr.events.push(
@@ -487,21 +486,19 @@ class ResilienceManager:
     def submit_children(self, service: str, calls, t: float, frame, done) -> None:
         """Fan one stage's calls out as resilient logical RPCs.
 
-        ``done`` is the parent node's continuation — an attempt (or its
-        telemetry wrap), which carries the request context and the span
-        the children attach to.
+        ``done`` is the parent node's continuation: the telemetry span
+        wrapping its attempt — the span the children attach to — or the
+        bare attempt (the root call, whose span is the request's; any call
+        of an unsampled request, which has none).
         """
-        if type(done) is _AttemptDone:
-            attempt = done
-        else:
-            inner = getattr(done, "inner", None)
-            attempt = inner if type(inner) is _AttemptDone else None
-        if attempt is None:  # pragma: no cover - engine invariant
+        attempt = done.inner if type(done) is _SpanDone else done
+        if type(attempt) is not _AttemptDone:  # pragma: no cover - engine invariant
             raise RuntimeError("resilient fan-out without an attempt context")
-        req = attempt.call.req
+        parent = attempt.call
+        span = parent.span if attempt is done else done
         for child in calls:
             _ResilientCall(
-                self, req, service, child, downstream=frame, span=attempt.span_done
+                self, parent.req, service, child, downstream=frame, span=span
             ).execute_attempt(t)
 
     # ------------------------------------------------------------------

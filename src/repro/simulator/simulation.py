@@ -442,21 +442,29 @@ class SimulationResult:
         per-request own latencies become latency observations, per-minute
         completion counts become call-count samples (normalized by the
         container count), and the given host utilization is recorded once
-        per minute.  Requires the run to have used
-        ``record_own_latency=True``.
+        per minute.  Raises ``ValueError`` for a run made with
+        ``record_own_latency=False``, which has neither series.
         """
         from repro.tracing.metrics import MetricsStore
 
+        if not self._own:
+            raise ValueError(
+                "to_metrics_store() needs a run with record_own_latency=True"
+            )
         store = MetricsStore()
         # Only full steady-state minutes: warmup transients and the
         # post-arrival drain tail would otherwise produce partial windows
         # that corrupt the piecewise fit.
         first = self.warmup_min
         last = self.duration_min
-        for name, (minutes, values) in self._own.items():
-            for minute, latency in zip(minutes, values):
-                if first <= minute < last:
-                    store.record_latency(minute, name, latency)
+        for name, (minutes_arr, values_arr) in self._own.items():
+            minutes = np.frombuffer(minutes_arr, dtype=np.float64)
+            steady = (first <= minutes) & (minutes < last)
+            store.extend_latencies(
+                name,
+                minutes[steady],
+                np.frombuffer(values_arr, dtype=np.float64)[steady],
+            )
         for name, per_minute in self.calls_per_minute.items():
             containers = max(self.containers.get(name, 1), 1)
             for minute, calls in per_minute.items():
@@ -1001,6 +1009,9 @@ class ClusterSimulator:
         if self.config.drain:
             processed += self.events.run_until(float("inf"))
         result.events_processed += processed
+        # A recycled record still names its last continuation, and through
+        # it the finished request's spans, attempts and join frames.
+        self._call_pool.clear()
         if self._resilience is not None:
             result.resilience = self._resilience.stats.to_dict()
         if self._telemetry is not None:

@@ -17,7 +17,8 @@ it happens —
   offered) build ``Span`` objects only when ``spans`` / ``timings`` are
   read;
 * every processed call streams its own latency and per-minute call
-  counts into a live :class:`~repro.tracing.metrics.MetricsStore`, so
+  counts into a live :class:`~repro.tracing.metrics.MetricsStore` (two
+  appends to that microservice's ``array`` columns, no object), so
   the profiler consumes *observed* telemetry — byte-identical to what
   :meth:`SimulationResult.to_metrics_store` reconstructs post-hoc;
 * a self-rescheduling *window tick* (one event per window — off the hot
@@ -31,6 +32,19 @@ and touches nothing else, so a run without a sink pays a single
 predictable branch per event (``telemetry_overhead`` in
 ``BENCH_des.json`` and the ``des_replay`` / ``des_observed`` ladder of
 ``benchmarks/e2e`` track both sides).
+
+Who owns what, per request: references point from a call up to its
+caller and never back.  A :class:`_SpanDone` holds its context, its
+parent's record and the continuation it wraps (``inner``: the engine's
+join frame, or the resilience layer's attempt — which does not point back
+at its span); the engine's call record and the frames below hold the
+``_SpanDone``.  The one loop, ``_TraceCtx.calls`` → finished records →
+``ctx``, is cut when the root span closes the trace
+(``_complete_trace``), so the records of a request that completes die by
+reference count with it and the cycle collector finds nothing (counted in
+``tests/test_engine_shape.py``).  A request the resilience layer *fails*
+never fires its root continuation: its context stays open, its buffered
+spans are never flushed, and that loop is left to the collector.
 
 Span timing contract (kept in lockstep with the engine): a call's SERVER
 span runs from the call entering its container's queue to the call's

@@ -8,7 +8,9 @@ Two structured event streams that make a run explainable after the fact:
   exceeds the service's SLA.  Its per-window violation counts agree
   exactly with the post-hoc
   :meth:`~repro.simulator.simulation.SimulationResult.violation_rate_by_window`
-  API — both bucket a request by ``int(finish_minute // window)``.
+  API — both bucket a request by ``int(finish_minute / window)`` (true
+  division, then truncation: ``int(1.0 / 0.1) == 10`` where
+  ``1.0 // 0.1 == 9.0``).
 * :class:`DecisionLog` — every container-count change (in-DES
   ``scale_container_count``, autoscaler reconcile, deployment-controller
   reconcile) appends a :class:`DecisionRecord` carrying the observed
@@ -44,7 +46,7 @@ class WindowStats:
     """
 
     service: str
-    window: int  # window index: int(minute // window_min)
+    window: int  # window index: int(minute / window_min)
     start_min: float
     count: int
     violations: int

@@ -5,12 +5,24 @@ utilization per host, and call counts per deployed container.  Erms'
 offline profiler joins these with Jaeger latencies at one-minute windows to
 form samples :math:`d_i^j = (L_i^j, \\gamma_i^j, C_i^j, M_i^j)` (Eq. 15's
 training data).  This module provides that windowed join.
+
+What is stored: the one per-call series, own latencies, sits in two flat
+``array('d')`` columns per microservice (timestamps, latencies) — no
+object per observation, nothing the cycle collector tracks, and
+:meth:`MetricsStore.profiling_windows` reads the two columns of the
+microservice it is asked about.  :attr:`MetricsStore.latencies` is a
+read-only view that builds :class:`LatencyObservation` records while it is
+iterated.  The per-minute series (call counts, host utilization: tens of
+rows a run) are lists of records.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,13 +77,55 @@ class ProfilingWindow:
     memory_utilization: float
 
 
+class LatencyView(SequenceABC):
+    """``MetricsStore.latencies``: the columns read as observations.
+
+    A read-only sequence over the store's per-microservice columns,
+    microservice by microservice in first-recorded order and in recording
+    order within one; a :class:`LatencyObservation` exists only while
+    someone iterates.  Equal to any sequence of the same observations.
+    """
+
+    def __init__(self, columns: Dict[str, Tuple[array, array]]) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return sum(len(minutes) for minutes, _ in self._columns.values())
+
+    def __iter__(self) -> Iterator[LatencyObservation]:
+        for name, (minutes, values) in self._columns.items():
+            yield from map(LatencyObservation, minutes, repeat(name), values)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class MetricsStore:
     """Collects utilization, call-count, and latency time series."""
 
     utilization: List[UtilizationSample] = field(default_factory=list)
     call_counts: List[CallCountSample] = field(default_factory=list)
-    latencies: List[LatencyObservation] = field(default_factory=list)
+    #: microservice -> (timestamps, own latencies): the per-call series
+    _latency: Dict[str, Tuple[array, array]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @property
+    def latencies(self) -> LatencyView:
+        """Every latency observation, as a read-only sequence."""
+        return LatencyView(self._latency)
+
+    def _columns(self, microservice: str) -> Tuple[array, array]:
+        columns = self._latency.get(microservice)
+        if columns is None:
+            columns = self._latency[microservice] = (array("d"), array("d"))
+        return columns
 
     def record_utilization(
         self, timestamp: float, host_id: str, cpu: float, memory: float
@@ -90,7 +144,17 @@ class MetricsStore:
     def record_latency(
         self, timestamp: float, microservice: str, latency: float
     ) -> None:
-        self.latencies.append(LatencyObservation(timestamp, microservice, latency))
+        timestamps, latencies = self._columns(microservice)
+        timestamps.append(timestamp)
+        latencies.append(latency)
+
+    def extend_latencies(
+        self, microservice: str, timestamps: np.ndarray, latencies: np.ndarray
+    ) -> None:
+        """:meth:`record_latency` for one microservice's float64 arrays."""
+        columns = self._columns(microservice)
+        columns[0].frombytes(timestamps.tobytes())
+        columns[1].frombytes(latencies.tobytes())
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -117,12 +181,11 @@ class MetricsStore:
         Windows lacking either latency observations or call counts are
         skipped — the profiler needs both coordinates.
         """
-        latency_by_minute: Dict[int, List[float]] = {}
-        for obs in self.latencies:
-            if obs.microservice == microservice:
-                latency_by_minute.setdefault(int(obs.timestamp), []).append(
-                    obs.latency
-                )
+        columns = self._latency.get(microservice)
+        if columns is None:
+            return []
+        latencies = np.frombuffer(columns[1], dtype=np.float64)
+        minutes = np.frombuffer(columns[0], dtype=np.float64).astype(np.int64)
         calls_by_minute: Dict[int, Tuple[float, int]] = {}
         for sample in self.call_counts:
             if sample.microservice == microservice:
@@ -139,7 +202,7 @@ class MetricsStore:
             )
 
         windows: List[ProfilingWindow] = []
-        for minute in sorted(latency_by_minute):
+        for minute in np.unique(minutes).tolist():
             if minute not in calls_by_minute:
                 continue
             calls, containers = calls_by_minute[minute]
@@ -151,7 +214,7 @@ class MetricsStore:
                     microservice=microservice,
                     minute=minute,
                     tail_latency=float(
-                        np.percentile(latency_by_minute[minute], percentile)
+                        np.percentile(latencies[minutes == minute], percentile)
                     ),
                     per_container_load=calls / containers,
                     cpu_utilization=cpu,

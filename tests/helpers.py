@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+import gc
+from typing import Callable, Dict, Iterable, Tuple
 
 from repro.core import (
     ContainerSpec,
@@ -88,3 +89,25 @@ def fig1_service(workload: float = 2000.0, sla: float = 200.0) -> ServiceSpec:
 
 
 FIG1_PARAMS = [("T", 0.5, 2.0), ("Url", 1.0, 3.0), ("U", 2.0, 4.0), ("C", 0.8, 1.0)]
+
+
+def gc_residue(run: Callable[[], object]) -> Tuple[int, int]:
+    """What ``run()`` leaves behind that reference counting did not free.
+
+    Runs it with the cycle collector disabled and returns (unreachable
+    objects ``gc.collect()`` then finds, growth in ``len(gc.get_objects())``
+    after that collection while ``run``'s return value is still alive).
+    Objects, not collections: when the collector runs differs between
+    Python versions, what it is left to find does not.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        kept = run()  # noqa: F841 - alive while the survivors are counted
+        unreachable = gc.collect()
+        return unreachable, len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()

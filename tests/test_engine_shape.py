@@ -3,10 +3,13 @@
 
 Counts, not timings: graphs are resolved into call plans once per
 simulator, an idle priority container starts a call without an ``append``
-or a ``popleft``, and every call that gets a thread — idle, queued or
-moved to another container — passes the one start block once.
+or a ``popleft``, every call that gets a thread — idle, queued or
+moved to another container — passes the one start block once, and a
+finished request leaves no object for the cycle collector to find.
 """
 
+import gc
+import weakref
 from collections import deque, namedtuple
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import ServiceSpec
 from repro.graphs import CallNode, DependencyGraph, call
+from repro.resilience import ChaosSchedule, ErrorWindow, ResiliencePolicies
 from repro.simulator import (
     ClusterSimulator,
     PriorityQueuePolicy,
@@ -23,7 +27,15 @@ from repro.simulator import (
     SimulationConfig,
     simulation,
 )
-from repro.telemetry import TelemetrySink
+from repro.telemetry import (
+    TelemetryConfig,
+    TelemetrySink,
+    TimeSeriesConfig,
+    TimeSeriesStore,
+)
+from repro.telemetry import hooks as telemetry_hooks
+from tests.helpers import gc_residue
+from tests.test_engine_equivalence import _social_simulator
 
 
 def _shared_pair(rate, p_threads, seed=2, containers=2, telemetry=None):
@@ -163,6 +175,95 @@ class TestEngineShape:
         assert counts["append"] > 1_000  # and calls queued where they arrived
         assert hooks["record_call"] == 2 * sum(result.completed.values())
         assert hooks["note_processing"] == hooks["record_call"]
+
+
+def _observed_replay(duration, sink, faults):
+    """Social Network under Erms with ``des_observed``'s hooks on.
+
+    Four windows and four scrapes whatever the duration.  Returns the
+    simulator too: it outlives its run, as under ``--serve``.
+    """
+    telemetry = None
+    attached = {}
+    if sink:
+        telemetry = attached["telemetry"] = TelemetrySink(
+            config=TelemetryConfig(window_min=duration / 4),
+            timeseries=TimeSeriesStore(
+                TimeSeriesConfig(scrape_interval_min=duration / 4)
+            ),
+        )
+    if faults:
+        attached["chaos"] = ChaosSchedule(
+            error_windows=[
+                ErrorWindow("post-storage-service", 0.4 * duration, 0.6 * duration, 0.05)
+            ]
+        )
+        attached["resilience"] = ResiliencePolicies.default()
+    simulator = _social_simulator(10_000.0, duration, seed=0, **attached)
+    return simulator, telemetry, simulator.run()
+
+
+class TestNoResidue:
+    """Per-call records die by reference count when their request does.
+
+    Counted with the collector off (``gc_residue``): what is left
+    unreachable is a handful of per-service ``_RequestDone`` free lists,
+    and what stays alive — spans and own latencies sit in ``array``
+    columns — does not grow with the number of calls.  The pinned
+    schedules retry calls but fail no request: a request that *fails*
+    never fires its root continuation, so its ``_TraceCtx`` is never
+    closed (its spans are dropped unflushed) and ``ctx.calls`` ↔
+    ``_SpanDone.ctx`` stays a cycle; what a failed request should emit is
+    a separate question.
+    """
+
+    @pytest.mark.parametrize(
+        "sink, faults", [(True, True), (True, False), (False, True)],
+        ids=["sink+resilience", "sink", "resilience"],
+    )
+    def test_nothing_scales_with_the_number_of_calls(self, sink, faults):
+        _observed_replay(0.01, sink, faults)  # lazy imports, interned names
+        runs = []
+        for duration in (0.03, 0.06):
+            kept = []
+            unreachable, growth = gc_residue(
+                lambda: kept.extend(_observed_replay(duration, sink, faults))
+            )
+            _, telemetry, result = kept
+            assert unreachable <= 200
+            assert growth <= 5_000
+            if faults:
+                stats = result.resilience
+                assert stats["retries"] > 0 and stats["failed"] == 0
+            if sink:
+                assert telemetry.kept_traces == sum(result.completed.values())
+                assert len(telemetry.metrics.latencies) > 5_000
+            runs.append((result.events_processed, growth))
+        (short_events, short_growth), (long_events, long_growth) = runs
+        assert long_events - short_events > 10_000
+        # the parent kept ≈ 0.4 tracked objects per event of extra replay
+        assert long_growth - short_growth <= 0.02 * (long_events - short_events)
+
+    def test_a_finished_run_pins_no_trace_context(self, monkeypatch):
+        """Recycled ``_Call`` records named their last continuation, so the
+        simulator kept the closed contexts of its last calls (and their
+        spans, attempts and join frames) for as long as it lived."""
+        contexts = []
+
+        class Watched(telemetry_hooks._TraceCtx):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                contexts.append(weakref.ref(self))
+
+        monkeypatch.setattr(telemetry_hooks, "_TraceCtx", Watched)
+        simulator, sink, result = _observed_replay(0.03, True, True)
+        assert len(contexts) == sink.sampled_traces > 100
+        del sink
+        gc.collect()
+        assert simulator.result is result  # the simulator is alive
+        assert sum(ref() is not None for ref in contexts) == 0
 
 
 class _SortingPolicy:

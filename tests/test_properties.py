@@ -11,6 +11,8 @@ These pin down behaviours the unit tests only sample:
 * `best_effort_containers` is monotone (tighter targets or more workload
   never mean fewer containers) and regime-consistent;
 * the simulator conserves requests and respects latency lower bounds;
+* the columnar `MetricsStore` joins the same profiling windows as a scan
+  of one list of observations, and reads only the microservice asked for;
 * graph clustering always partitions variants and preserves weight mass.
 """
 
@@ -34,6 +36,7 @@ from repro.core import (
 )
 from repro.core.model import best_effort_containers
 from repro.graphs import CallNode, DependencyGraph
+from repro.tracing.metrics import LatencyObservation, MetricsStore, ProfilingWindow
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -331,6 +334,141 @@ class TestSimulatorInvariants:
         if len(latencies):
             # Latency is never negative and includes some processing.
             assert float(latencies.min()) >= 0.0
+
+
+def scanned_windows(observations, store, microservice, percentile=95.0):
+    """``MetricsStore.profiling_windows`` as it was, kept as the reference:
+    one pass over a list of every microservice's observations."""
+    latency_by_minute = {}
+    for obs in observations:
+        if obs.microservice == microservice:
+            latency_by_minute.setdefault(int(obs.timestamp), []).append(obs.latency)
+    calls_by_minute = {}
+    for sample in store.call_counts:
+        if sample.microservice == microservice:
+            minute = int(sample.timestamp)
+            calls, containers = calls_by_minute.get(minute, (0.0, 1))
+            calls_by_minute[minute] = (
+                calls + sample.calls,
+                max(containers, sample.containers),
+            )
+    util_by_minute = {}
+    for sample in store.utilization:
+        util_by_minute.setdefault(int(sample.timestamp), []).append(
+            (sample.cpu, sample.memory)
+        )
+    windows = []
+    for minute in sorted(latency_by_minute):
+        if minute not in calls_by_minute:
+            continue
+        calls, containers = calls_by_minute[minute]
+        utils = util_by_minute.get(minute, [])
+        windows.append(
+            ProfilingWindow(
+                microservice=microservice,
+                minute=minute,
+                tail_latency=float(
+                    np.percentile(latency_by_minute[minute], percentile)
+                ),
+                per_container_load=calls / containers,
+                cpu_utilization=float(np.mean([u[0] for u in utils])) if utils else 0.0,
+                memory_utilization=float(np.mean([u[1] for u in utils])) if utils else 0.0,
+            )
+        )
+    return windows
+
+
+#: Whole minutes now and then, so streams revisit a minute and share one.
+_minutes = st.one_of(
+    st.integers(0, 4).map(float), st.floats(min_value=0.0, max_value=4.999)
+)
+_fractions = st.floats(min_value=0.0, max_value=1.5)
+
+
+class TestColumnarMetricsStore:
+    @given(
+        latencies=st.lists(
+            st.tuples(
+                _minutes,
+                st.sampled_from("ABC"),
+                st.floats(min_value=0.0, max_value=1e4),
+            ),
+            max_size=60,
+        ),
+        # "C" is never counted (latencies, no calls); "D" is never timed
+        calls=st.lists(
+            st.tuples(
+                _minutes,
+                st.sampled_from("ABD"),
+                st.floats(min_value=0.0, max_value=1e5),
+                st.integers(1, 8),
+            ),
+            max_size=20,
+        ),
+        utilization=st.lists(st.tuples(_minutes, _fractions, _fractions), max_size=12),
+        percentile=st.sampled_from([50.0, 95.0, 99.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_windows_equal_the_list_scan(self, latencies, calls, utilization, percentile):
+        store = MetricsStore()
+        observations = []
+        for minute, name, latency in latencies:
+            store.record_latency(minute, name, latency)
+            observations.append(LatencyObservation(minute, name, latency))
+        for minute, name, count, containers in calls:
+            store.record_calls(minute, name, count, containers)
+        for minute, cpu, memory in utilization:
+            store.record_utilization(minute, "host", cpu, memory)
+
+        view = store.latencies
+        assert len(view) == len(observations)
+        key = lambda obs: (obs.microservice, obs.timestamp, obs.latency)
+        assert sorted(view, key=key) == sorted(observations, key=key)
+        # recording order within a microservice, microservices as first seen
+        first_seen = list(dict.fromkeys(name for _, name, _ in latencies))
+        assert view == sorted(
+            observations, key=lambda obs: first_seen.index(obs.microservice)
+        )
+
+        for name in ("A", "B", "C", "D", "unknown"):
+            got = store.profiling_windows(name, percentile)
+            expected = scanned_windows(observations, store, name, percentile)
+            assert len(got) == len(expected)
+            for window, reference in zip(got, expected):
+                assert window.microservice == reference.microservice == name
+                assert type(window.minute) is int and window.minute == reference.minute
+                assert window.tail_latency.hex() == reference.tail_latency.hex()
+                assert window.per_container_load == reference.per_container_load
+                assert window.cpu_utilization == reference.cpu_utilization
+                assert window.memory_utilization == reference.memory_utilization
+
+    def test_windows_of_one_microservice_read_only_its_columns(self):
+        reads = []
+
+        class Watched(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+            def _everything(self, *args):
+                raise AssertionError("walked every microservice's columns")
+
+            __iter__ = keys = values = items = _everything
+
+        store = MetricsStore()
+        for minute in range(3):
+            for name in "ABC":
+                store.record_latency(minute + 0.5, name, 10.0 + minute)
+                store.record_calls(float(minute), name, 100.0, 2)
+        store._latency = Watched(store._latency)
+        assert [w.minute for w in store.profiling_windows("B")] == [0, 1, 2]
+        assert reads == ["B"]
+        assert store.profiling_windows("unknown") == []
+        assert reads == ["B", "unknown"]
 
 
 class TestClusteringInvariants:

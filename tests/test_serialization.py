@@ -71,16 +71,24 @@ class TestTraceSerialization:
 
 
 class TestSimulatorMetricsBridge:
-    def _run(self, rate=20_000.0):
+    def _run(self, rate=20_000.0, **config):
         spec = ServiceSpec("svc", DependencyGraph("svc", call("B")), 0.0, 1e9)
         sim = ClusterSimulator(
             [spec],
             {"B": SimulatedMicroservice("B", base_service_ms=5.0, threads=2)},
             containers={"B": 2},
             rates={"svc": rate},
-            config=SimulationConfig(duration_min=2.0, warmup_min=0.0, seed=6),
+            config=SimulationConfig(
+                duration_min=2.0, warmup_min=0.0, seed=6, **config
+            ),
         )
         return sim.run()
+
+    def test_a_run_without_own_latencies_cannot_be_exported(self):
+        """It used to export an empty store: zero windows, as if too short."""
+        result = self._run(rate=4_000.0, record_own_latency=False)
+        with pytest.raises(ValueError, match="record_own_latency"):
+            result.to_metrics_store()
 
     def test_export_produces_profiling_windows(self):
         result = self._run()
