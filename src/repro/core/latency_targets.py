@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.merge import distribute_targets, merge_tree_cache
@@ -34,29 +35,48 @@ from repro.core.model import (
 
 @dataclass
 class ServiceTargets:
-    """Latency targets and container counts for one service.
+    """Latency targets for one service, and the containers they imply.
 
     Attributes:
         service: Service name.
         targets: Final latency target (ms) per microservice; when a
             microservice appears at several call sites the minimum applies.
-        containers: Containers required per microservice to meet its target
-            under this service's (possibly priority-modified) workload.
         segments: The latency segment each microservice was scaled with.
         workloads: The workload (req/min) used for each microservice —
             the service's own demand unless an override was supplied.
         merged_intercept: Intercept of the fully merged graph; the SLA must
             exceed it for feasibility.
         passes: Number of Eq. 5 passes performed (1 or 2, per §5.3.1).
+        profiles: The profile of each microservice, in the order of
+            ``targets``.
+
+    ``containers`` — containers required per microservice to meet its
+    target under this service's (possibly priority-modified) workload — is
+    derived from ``targets``, ``workloads`` and ``profiles`` the first
+    time it is read: a result that is only ranked (phase 1 of priority
+    scheduling), only tested for feasibility or only memo-checked never
+    pays for the conversion.
     """
 
     service: str
     targets: Dict[str, float] = field(default_factory=dict)
-    containers: Dict[str, int] = field(default_factory=dict)
     segments: Dict[str, LatencySegment] = field(default_factory=dict)
     workloads: Dict[str, float] = field(default_factory=dict)
     merged_intercept: float = 0.0
     passes: int = 1
+    profiles: Sequence[MicroserviceProfile] = field(default=(), repr=False)
+
+    @cached_property
+    def containers(self) -> Dict[str, int]:
+        # The segment is chosen per *final* target, not taken from
+        # ``segments``: after a §5.3.1 interval switch the recomputed target
+        # can land back above the cut-off latency; blindly using the switched
+        # segment would then provision containers whose per-container load
+        # sits far beyond the cut-off, i.e. outside that segment's validity.
+        return {
+            name: best_effort_containers(profile.model, self.workloads[name], target)
+            for (name, target), profile in zip(self.targets.items(), self.profiles)
+        }
 
 
 # ----------------------------------------------------------------------
@@ -278,15 +298,7 @@ def _finish_targets(
     result.workloads = effective
     result.merged_intercept = intercept
     result.passes = passes
-    # Convert targets to containers with the segment consistent with each
-    # *final* target.  After a §5.3.1 interval switch the recomputed target
-    # can land back above the cut-off latency; blindly using the switched
-    # segment would then provision containers whose per-container load sits
-    # far beyond the cut-off, i.e. outside that segment's validity.
-    result.containers = {
-        name: best_effort_containers(profile.model, effective[name], target)
-        for name, profile, target in zip(names, used, targets)
-    }
+    result.profiles = used
     return result
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Mapping, Sequence
 
 from repro.core.latency_targets import ServiceTargets, compute_service_targets
@@ -72,23 +73,26 @@ def modified_workloads(
 
     For service k with rank r at shared microservice i, the modified
     workload is :math:`\\sum_{l: rank_l \\le r} \\gamma_{l,i}` — its own
-    demand plus everything scheduled ahead of it (paper §5.3.2).
+    demand plus everything scheduled ahead of it (paper §5.3.2): one
+    running sum per shared microservice, taken in rank order, services of
+    equal rank in the map's order and each seeing the whole of their rank.
+    A ranked service that is not in ``specs`` contributes no demand and
+    gets no entry.
 
     Returns:
         ``{service: {shared_ms: effective_workload}}``.
     """
-    by_name = {spec.name: spec for spec in specs}
     demands: Dict[str, Dict[str, float]] = {
         spec.name: spec.microservice_workloads() for spec in specs
     }
     result: Dict[str, Dict[str, float]] = {spec.name: {} for spec in specs}
     for ms_name, ranks in priorities.items():
-        for service, rank in ranks.items():
-            total = 0.0
-            for other, other_rank in ranks.items():
-                if other_rank <= rank:
-                    total += demands[other].get(ms_name, 0.0)
-            if service in by_name:
+        total = 0.0
+        for _, tied in groupby(sorted(ranks, key=ranks.get), key=ranks.get):
+            tied = [service for service in tied if service in demands]
+            for service in tied:
+                total += demands[service].get(ms_name, 0.0)
+            for service in tied:
                 result[service][ms_name] = total
     return result
 
@@ -111,6 +115,18 @@ class MultiplexedAllocation:
         return merged
 
 
+def independent_targets(
+    specs: Sequence[ServiceSpec],
+    profiles: Mapping[str, MicroserviceProfile],
+) -> Dict[str, ServiceTargets]:
+    """Phase 1: every service's targets under its own workload alone.
+
+    What priority scheduling ranks services by, and the whole of the
+    "Latency Target Computation only" ablation (§6.4.1).
+    """
+    return {spec.name: compute_service_targets(spec, profiles) for spec in specs}
+
+
 def scale_with_priorities(
     specs: Sequence[ServiceSpec],
     profiles: Mapping[str, MicroserviceProfile],
@@ -122,9 +138,7 @@ def scale_with_priorities(
     builds the modified workloads, and recomputes every service's targets.
     Non-shared services skip phase 2 — their allocation is already final.
     """
-    allocation = MultiplexedAllocation()
-    for spec in specs:
-        allocation.initial[spec.name] = compute_service_targets(spec, profiles)
+    allocation = MultiplexedAllocation(initial=independent_targets(specs, profiles))
 
     shared = shared_microservices(specs)
     if not shared:

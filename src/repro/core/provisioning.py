@@ -66,22 +66,39 @@ class Host:
             return sum(self.containers.values())
         return self.containers.get(microservice, 0)
 
+    def requested(self, sizes: Mapping[str, ContainerSpec]) -> Tuple[float, float]:
+        """Σ size × count over the placed containers, as ``(cpu, memory_mb)``.
+
+        What the kube-scheduler scores (requests, no background), and the
+        one walk of ``containers`` every usage figure below, every
+        :class:`ClusterIndex` row and the cluster-wide means derive from.
+        """
+        cpu = memory = 0
+        for name, count in self.containers.items():
+            spec = sizes[name]
+            cpu += spec.cpu * count
+            memory += spec.memory_mb * count
+        return cpu, memory
+
     def cpu_used(self, sizes: Mapping[str, ContainerSpec]) -> float:
-        return self.background_cpu + sum(
-            sizes[name].cpu * count for name, count in self.containers.items()
-        )
+        return self.background_cpu + self.requested(sizes)[0]
 
     def memory_used(self, sizes: Mapping[str, ContainerSpec]) -> float:
-        return self.background_memory_mb + sum(
-            sizes[name].memory_mb * count
-            for name, count in self.containers.items()
+        return self.background_memory_mb + self.requested(sizes)[1]
+
+    def utilization(self, sizes: Mapping[str, ContainerSpec]) -> Tuple[float, float]:
+        """``(cpu, memory)`` utilization, the containers walked once."""
+        cpu, memory = self.requested(sizes)
+        return (
+            (self.background_cpu + cpu) / self.cpu_capacity,
+            (self.background_memory_mb + memory) / self.memory_capacity_mb,
         )
 
     def cpu_utilization(self, sizes: Mapping[str, ContainerSpec]) -> float:
-        return self.cpu_used(sizes) / self.cpu_capacity
+        return self.utilization(sizes)[0]
 
     def memory_utilization(self, sizes: Mapping[str, ContainerSpec]) -> float:
-        return self.memory_used(sizes) / self.memory_capacity_mb
+        return self.utilization(sizes)[1]
 
 
 @dataclass
@@ -122,40 +139,44 @@ class Cluster:
                 totals[name] = totals.get(name, 0) + count
         return totals
 
+    def _utilizations(self) -> Tuple[List[Tuple[float, float]], Tuple[float, float]]:
+        """Per-host (cpu, memory) utilization and the two cluster-wide means."""
+        per_host = [host.utilization(self.sizes) for host in self.hosts]
+        count = len(per_host) or 1
+        cpu = sum(u[0] for u in per_host)
+        mem = sum(u[1] for u in per_host)
+        return per_host, (cpu / count, mem / count)
+
     def mean_utilization(self) -> Tuple[float, float]:
         """Cluster-wide mean (cpu, memory) utilization."""
-        if not self.hosts:
-            return 0.0, 0.0
-        cpu = sum(h.cpu_utilization(self.sizes) for h in self.hosts)
-        mem = sum(h.memory_utilization(self.sizes) for h in self.hosts)
-        return cpu / len(self.hosts), mem / len(self.hosts)
+        return self._utilizations()[1]
 
     def imbalance(self) -> float:
         """Σ_h |util_h − mean| summed over CPU and memory (paper §5.4)."""
-        mean_cpu, mean_mem = self.mean_utilization()
+        per_host, (mean_cpu, mean_mem) = self._utilizations()
         total = 0.0
-        for host in self.hosts:
-            total += abs(host.cpu_utilization(self.sizes) - mean_cpu)
-            total += abs(host.memory_utilization(self.sizes) - mean_mem)
+        for cpu, mem in per_host:
+            total += abs(cpu - mean_cpu)
+            total += abs(mem - mean_mem)
         return total
 
 
 class ClusterIndex:
     """Vectorized per-host usage state for fast placement decisions.
 
-    The previous hot path re-summed every host's container dict for every
-    candidate host of every single placement decision — O(hosts ×
-    containers) per container placed.  The index keeps per-host
-    ``cpu_used``/``memory_used`` (and k8s-style *requested*) totals in
-    numpy arrays, so a decision is one vectorized argmin over hosts, and
-    a placement/release updates only the mutated host's row.
+    Per-host ``cpu_used``/``memory_used`` (and k8s-style *requested*)
+    totals live in numpy arrays, so a decision is one vectorized argmin
+    over hosts rather than a re-summation of every candidate host's
+    container dict, and a placement/release updates only the mutated
+    host's row.
 
-    Exactness: each row is refreshed by re-evaluating the *same*
-    ``Host.cpu_used``/``memory_used`` expressions the scalar provisioners
-    call — O(microservices-on-host), not an incremental ``+=`` — so every
-    array entry is bit-identical to the scalar re-summation and argmin
-    tie-breaking (numpy returns the first extremum, like ``min``/``max``)
-    reproduces the scalar host choice exactly.
+    Exactness: a row is ``background + Host.requested(sizes)`` — the
+    expression ``Host.cpu_used``/``memory_used`` evaluate, re-summed over
+    the host's containers in one walk (O(microservices-on-host)), never an
+    incremental ``+=`` — so every array entry is bit-identical to the
+    scalar re-summation and argmin tie-breaking (numpy returns the first
+    extremum, like ``min``/``max``) reproduces the scalar host choice
+    exactly.
 
     Lifetime: an index is valid only while every mutation of the cluster
     is routed through :meth:`place`/:meth:`release`, so it is built where
@@ -166,7 +187,7 @@ class ClusterIndex:
     longer: ``Host.background_cpu``/``background_memory_mb`` are plain
     attributes that experiments and operators reassign between control
     periods, and ``Cluster.sizes`` may gain entries; a per-pass build
-    (one re-summation of every host, ≈ 3 ms at 100 hosts × 2.7k pods)
+    (one re-summation of every host, ≈ 2 ms at 100 hosts × 2.7k pods)
     sees all of that without an invalidation protocol.  The
     ``choose_*_host`` methods still build a throwaway index when called
     without one — correct for a single ad-hoc decision, O(hosts ×
@@ -178,35 +199,25 @@ class ClusterIndex:
         self.cluster = cluster
         self.rebuild()
 
-    @staticmethod
-    def _requested(host: Host, sizes: Mapping[str, ContainerSpec]):
-        # Exactly the kube-scheduler scoring sums (requests, no background).
-        cpu = sum(
-            sizes[name].cpu * count for name, count in host.containers.items()
-        )
-        mem = sum(
-            sizes[name].memory_mb * count
-            for name, count in host.containers.items()
-        )
-        return cpu, mem
-
     def rebuild(self) -> None:
         """Recompute every row from the cluster's current state."""
         hosts = self.cluster.hosts
-        sizes = self.cluster.sizes
-        n = len(hosts)
         self._pos = {id(host): i for i, host in enumerate(hosts)}
         self.cpu_capacity = np.array([h.cpu_capacity for h in hosts], dtype=float)
         self.memory_capacity = np.array(
             [h.memory_capacity_mb for h in hosts], dtype=float
         )
-        self.cpu_used = np.array([h.cpu_used(sizes) for h in hosts], dtype=float)
-        self.memory_used = np.array(
-            [h.memory_used(sizes) for h in hosts], dtype=float
-        )
-        requested = [self._requested(h, sizes) for h in hosts]
+        requested = [h.requested(self.cluster.sizes) for h in hosts]
         self.cpu_requested = np.array([r[0] for r in requested], dtype=float)
         self.memory_requested = np.array([r[1] for r in requested], dtype=float)
+        self.cpu_used = (
+            np.array([h.background_cpu for h in hosts], dtype=float)
+            + self.cpu_requested
+        )
+        self.memory_used = (
+            np.array([h.background_memory_mb for h in hosts], dtype=float)
+            + self.memory_requested
+        )
         self._counts: Dict[str, np.ndarray] = {}
         for i, host in enumerate(hosts):
             for name, count in host.containers.items():
@@ -230,12 +241,11 @@ class ClusterIndex:
     def refresh_host(self, host: Host) -> None:
         """Re-derive one host's row from its container dict (exact)."""
         i = self._pos[id(host)]
-        sizes = self.cluster.sizes
-        self.cpu_used[i] = host.cpu_used(sizes)
-        self.memory_used[i] = host.memory_used(sizes)
-        cpu_requested, memory_requested = self._requested(host, sizes)
-        self.cpu_requested[i] = cpu_requested
-        self.memory_requested[i] = memory_requested
+        cpu, memory = host.requested(self.cluster.sizes)
+        self.cpu_requested[i] = cpu
+        self.memory_requested[i] = memory
+        self.cpu_used[i] = host.background_cpu + cpu
+        self.memory_used[i] = host.background_memory_mb + memory
 
     def place(self, host: Host, microservice: str, count: int = 1) -> None:
         """Place containers on ``host`` and update its row in place."""

@@ -23,7 +23,7 @@ from repro.core.model import (
     ServiceSpec,
     best_effort_containers,
 )
-from repro.core.multiplexing import scale_with_priorities
+from repro.core.multiplexing import independent_targets, scale_with_priorities
 
 
 class Autoscaler(abc.ABC):
@@ -95,32 +95,24 @@ class ErmsScaler(Autoscaler):
         profiles: Mapping[str, MicroserviceProfile],
     ) -> Allocation:
         """Run the full (or priority-ablated) Erms scaling pipeline."""
-        multiplexed = scale_with_priorities(specs, profiles)
         if self.use_priority:
+            multiplexed = scale_with_priorities(specs, profiles)
             per_service = multiplexed.final
             priorities = multiplexed.priorities
         else:
-            per_service = multiplexed.initial
+            per_service = independent_targets(specs, profiles)
             priorities = {}
 
         allocation = Allocation(priorities=priorities)
         for service, targets in per_service.items():
             allocation.targets[service] = dict(targets.targets)
-            allocation.modified_workloads[service] = {
-                name: load
-                for name, load in targets.workloads.items()
-            }
+            allocation.modified_workloads[service] = dict(targets.workloads)
             for name, count in targets.containers.items():
                 current = allocation.containers.get(name, 0)
                 allocation.containers[name] = max(current, count)
 
         if not self.use_priority:
-            per_service_targets = {
-                service: targets.targets for service, targets in per_service.items()
-            }
-            apply_fcfs_shared_scaling(
-                specs, profiles, per_service_targets, allocation
-            )
+            apply_fcfs_shared_scaling(specs, profiles, allocation.targets, allocation)
         return allocation
 
 

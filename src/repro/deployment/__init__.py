@@ -26,10 +26,7 @@ from repro.deployment.objects import (
 )
 from repro.deployment.api import ApiEvent, MockKubeApi
 from repro.deployment.controller import DeploymentController
-from repro.deployment.priority import (
-    NetworkPriorityConfigurator,
-    TrafficClass,
-)
+from repro.deployment.priority import NetworkPriorityConfigurator
 
 __all__ = [
     "Deployment",
@@ -39,5 +36,4 @@ __all__ = [
     "MockKubeApi",
     "DeploymentController",
     "NetworkPriorityConfigurator",
-    "TrafficClass",
 ]

@@ -16,24 +16,20 @@ is the behavioural counterpart; this layer is the control-plane side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping, Set
 
 from repro.core.model import Allocation
 from repro.deployment.api import MockKubeApi
 
 
-@dataclass(frozen=True)
-class TrafficClass:
-    """One flow's classification on one pod."""
-
-    pod: str
-    service: str
-    band: int  # 0 = highest priority
-
-
 @dataclass
 class NetworkPriorityConfigurator:
     """Computes and installs per-pod traffic bands.
+
+    A flow's classification lives in one place, ``Pod.traffic_bands``
+    (service -> band); the configurator keeps no copy of it.  Its only
+    state is the names of the microservices it planned last time, so the
+    next :meth:`install` can clear those that stopped being shared.
 
     Attributes:
         bands: Number of hardware-ish priority bands available
@@ -41,7 +37,7 @@ class NetworkPriorityConfigurator:
     """
 
     bands: int = 3
-    installed: List[TrafficClass] = field(default_factory=list)
+    _planned: Set[str] = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.bands < 1:
@@ -62,22 +58,28 @@ class NetworkPriorityConfigurator:
         return plan
 
     def install(self, api: MockKubeApi, allocation: Allocation) -> int:
-        """Write band assignments onto every active pod; returns count.
+        """Bring every active pod's bands to the plan; returns the number of
+        (pod, service) classifications in force.
 
-        Idempotent: re-installing replaces each pod's assignments for the
-        planned microservices.
+        Idempotent.  Every active pod of a planned microservice is compared
+        with the assignment; one that already matches keeps its dict, one
+        that differs (new, or re-ranked) gets its own copy, and the pods of
+        a microservice planned last time but absent now are cleared — a
+        microservice no longer shared must not keep classifying flows into
+        its old bands.
         """
         plan = self.plan(allocation)
-        installed = 0
-        self.installed = []
-        for microservice, assignment in plan.items():
+        for microservice in self._planned.difference(plan):
             for pod in api.pods_of(microservice):
-                pod.traffic_bands = dict(assignment)
-                for service, band in assignment.items():
-                    self.installed.append(
-                        TrafficClass(pod=pod.name, service=service, band=band)
-                    )
-                    installed += 1
+                pod.traffic_bands = {}
+        installed = 0
+        for microservice, assignment in plan.items():
+            pods = api.pods_of(microservice)
+            for pod in pods:
+                if pod.traffic_bands != assignment:
+                    pod.traffic_bands = dict(assignment)
+            installed += len(pods) * len(assignment)
+        self._planned = set(plan)
         return installed
 
     def bands_for(self, api: MockKubeApi, microservice: str) -> Mapping[str, int]:

@@ -6,6 +6,10 @@
 * ``MockKubeApi``'s per-microservice pod index answers every query the
   way a scan of the store would, after any sequence of mutations, and
   the per-deployment queries look only at that deployment's pods.
+* A control period's deploy stage follows what the period ships: pods
+  whose bands already match keep their dict, and a host's container dict
+  is walked once per question asked about it (index build, mean
+  utilization, imbalance, pod operation), not once per resource.
 
 Counts, not timings: these pin the cost *shape* deterministically.
 """
@@ -22,9 +26,11 @@ from repro.core import (
     InterferenceAwareProvisioner,
     KubernetesDefaultProvisioner,
 )
+from repro.core.controller import ErmsController
 from repro.core.provisioning import ClusterIndex
 from repro.deployment import DeploymentController, MockKubeApi, PodPhase
 from repro.deployment.objects import Pod
+from repro.workloads import hotel_reservation
 
 
 class CountingStore(dict):
@@ -180,6 +186,62 @@ class TestPerDeploymentReads:
         assert is_active_calls.count("b") == 50  # b's own replica count, once
         assert api.pods.scans == 0
         assert api.active_replicas("a") == 2
+
+
+class TestPeriodFollowsWhatItShips:
+    HOSTS = 6
+
+    @pytest.fixture()
+    def loop(self):
+        app = hotel_reservation()
+        cluster = Cluster.homogeneous(self.HOSTS)
+        for host in cluster.hosts:
+            host.containers = CountingStore()
+        controller = ErmsController(app.services, cluster, app.analytic_profiles(1.0))
+        return controller, {spec.name: 4_000.0 for spec in app.services}
+
+    @staticmethod
+    def walks(controller):
+        return [host.containers.scans for host in controller.cluster.hosts]
+
+    def test_unchanged_period_keeps_every_pods_bands(self, loop):
+        controller, workloads = loop
+        first = controller.reconcile(workloads)
+        assert first.traffic_classes_installed > 0
+        controller.tick(10.0)
+        bands = {name: pod.traffic_bands for name, pod in controller.api.pods.items()}
+        assert any(bands.values())
+
+        second = controller.reconcile(workloads)
+        assert second.pod_deltas == {}
+        assert second.traffic_classes_installed == first.traffic_classes_installed
+        for name, pod in controller.api.pods.items():
+            assert pod.traffic_bands is bands[name]
+
+    def test_unchanged_period_walks_each_host_at_most_twice(self, loop):
+        controller, workloads = loop
+        controller.reconcile(workloads)
+        controller.tick(10.0)
+        before = self.walks(controller)
+        report = controller.reconcile(workloads)
+        assert report.pod_deltas == {}
+        # mean utilization going in, imbalance coming out — one walk each
+        assert all(
+            b - a <= 2 for a, b in zip(before, self.walks(controller))
+        )
+        assert report.cluster_imbalance == controller.cluster.imbalance()
+
+    def test_changed_period_walks_once_per_pod_operation(self, loop):
+        controller, workloads = loop
+        controller.reconcile(workloads)
+        controller.tick(10.0)
+        before = sum(self.walks(controller))
+        report = controller.reconcile({name: 40_000.0 for name in workloads})
+        operations = sum(abs(delta) for delta in report.pod_deltas.values())
+        assert operations > self.HOSTS
+        # per host: mean utilization, the index build (sums, counts) and
+        # imbalance; then one re-summation of the host each pod lands on
+        assert sum(self.walks(controller)) - before <= 4 * self.HOSTS + operations
 
 
 # ----------------------------------------------------------------------

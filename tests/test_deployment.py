@@ -147,6 +147,40 @@ class TestNetworkPriorityConfigurator:
         assert count == 2 * 3  # 2 pods x 3 services
         assert api.pods_of("P")[0].traffic_bands["svc-hot"] == 0
 
+    def test_microservice_that_left_the_plan_is_cleared(self):
+        api, _, controller = make_controller()
+        controller.apply_allocation({"P": 2, "Q": 1})
+        controller.reconcile()
+        configurator = NetworkPriorityConfigurator()
+        ranks = {"svc-hot": 0, "svc-cold": 1}
+        both = Allocation(priorities={"P": ranks, "Q": ranks})
+        assert configurator.install(api, both) == 3 * 2
+        # P stops being shared: its pods must stop classifying flows.
+        only_q = Allocation(priorities={"Q": ranks})
+        assert configurator.install(api, only_q) == 1 * 2
+        assert configurator.bands_for(api, "P") == {}
+        assert configurator.bands_for(api, "Q") == ranks
+        assert configurator.install(api, Allocation()) == 0
+        assert all(pod.traffic_bands == {} for pod in api.pods.values())
+        # ... and coming back re-tags them.
+        assert configurator.install(api, both) == 3 * 2
+        assert configurator.bands_for(api, "P") == ranks
+
+    def test_install_rewrites_only_pods_that_differ(self):
+        api, _, controller = make_controller()
+        controller.apply_allocation({"P": 3})
+        controller.reconcile()
+        configurator = NetworkPriorityConfigurator()
+        assert configurator.install(api, self._allocation()) == 3 * 3
+        old, drifted, _ = pods = api.pods_of("P")
+        before = [pod.traffic_bands for pod in pods]
+        assert len({id(bands) for bands in before}) == 3  # a copy per pod
+        drifted.traffic_bands["svc-cold"] = 0
+        assert configurator.install(api, self._allocation()) == 3 * 3
+        assert old.traffic_bands is before[0]
+        assert drifted.traffic_bands is not before[1]
+        assert configurator.bands_for(api, "P")["svc-cold"] == 2
+
     def test_bands_for_consistency_check(self):
         api, _, controller = make_controller()
         controller.apply_allocation({"P": 2})

@@ -130,6 +130,21 @@ class TestModifiedWorkloads:
         assert overrides["cool"]["P"] == pytest.approx(6000.0)
 
 
+    def test_ranked_service_outside_specs_adds_nothing_and_gets_nothing(self):
+        specs, _ = fig5_services(gamma1=10_000.0, gamma2=5_000.0)
+        for ranks in (
+            {"svc1": 0, "ghost": 1, "svc2": 2},
+            {"ghost": 0, "svc2": 2, "svc1": 1},
+        ):
+            overrides = modified_workloads(specs, {"P": ranks})
+            assert overrides == {"svc1": {"P": 10_000.0}, "svc2": {"P": 15_000.0}}
+
+    def test_equal_ranks_each_see_the_whole_rank(self):
+        specs, _ = fig5_services(gamma1=10_000.0, gamma2=5_000.0)
+        overrides = modified_workloads(specs, {"P": {"svc1": 1, "svc2": 1}})
+        assert overrides == {"svc1": {"P": 15_000.0}, "svc2": {"P": 15_000.0}}
+
+
 class TestScaleWithPriorities:
     def test_shared_container_count_is_max_over_services(self):
         specs, profiles = fig5_services()
@@ -167,6 +182,73 @@ class TestScaleWithPriorities:
             ErmsScaler(use_priority=False).scale(specs, profiles).containers.values()
         )
         assert priority_total < fcfs_total
+
+
+class TestAllocatorPaysForWhatItShips:
+    """Counts, not time: container counts are derived where they are read."""
+
+    @pytest.fixture()
+    def conversions(self, monkeypatch):
+        """(model, workload, target) of every ``best_effort_containers``
+        call made on behalf of a ``ServiceTargets``."""
+        from repro.core import latency_targets
+
+        calls = []
+        original = latency_targets.best_effort_containers
+
+        def recording(model, workload, target):
+            calls.append((model, workload, target))
+            return original(model, workload, target)
+
+        monkeypatch.setattr(latency_targets, "best_effort_containers", recording)
+        return calls
+
+    def test_feasibility_check_converts_nothing(self, conversions):
+        from repro.core import compute_service_targets
+
+        specs, profiles = fig5_services()
+        result = compute_service_targets(specs[0], profiles)
+        assert conversions == []
+        assert result.containers == result.containers
+        assert len(conversions) == 2  # U and P, once, on the first read
+
+    def test_priority_scaling_converts_only_the_final_targets(self, conversions):
+        from repro.core import ErmsScaler
+
+        specs, profiles = fig5_services(gamma1=10_000.0, gamma2=5_000.0)
+        allocation = ErmsScaler().scale(specs, profiles)
+        final = [
+            (profiles[name].model, allocation.modified_workloads[spec.name][name], target)
+            for spec in specs
+            for name, target in allocation.targets[spec.name].items()
+        ]
+        assert len(conversions) == len(final) == 4  # one per (service, microservice)
+        assert all(call in final for call in conversions)
+        # svc2 ranks behind svc1 at P: its phase-1 result there (its own
+        # 5 000 req/min) was only ranked, never converted
+        assert allocation.priorities == {"P": {"svc1": 0, "svc2": 1}}
+        at_p = [load for model, load, _ in conversions if model is profiles["P"].model]
+        assert sorted(at_p) == [10_000.0, 15_000.0]
+
+    def test_fcfs_ablation_is_phase_one_alone(self, monkeypatch):
+        from repro.core import Allocation, ErmsScaler, multiplexing
+        from repro.core.scaling import apply_fcfs_shared_scaling
+
+        specs, profiles = fig5_services(gamma1=10_000.0, gamma2=5_000.0)
+        expected = Allocation()
+        for service, targets in scale_with_priorities(specs, profiles).initial.items():
+            expected.targets[service] = dict(targets.targets)
+            expected.modified_workloads[service] = dict(targets.workloads)
+            for name, count in targets.containers.items():
+                expected.containers[name] = max(expected.containers.get(name, 0), count)
+        apply_fcfs_shared_scaling(specs, profiles, expected.targets, expected)
+
+        def unreachable(*_):
+            raise AssertionError("phase 2 ran for the FCFS ablation")
+
+        monkeypatch.setattr(multiplexing, "assign_priorities", unreachable)
+        monkeypatch.setattr(multiplexing, "modified_workloads", unreachable)
+        assert ErmsScaler(use_priority=False).scale(specs, profiles) == expected
 
 
 def scenario_strategy():

@@ -10,11 +10,16 @@ These pin down behaviours the unit tests only sample:
   fold of the two-node merge rules, bit for bit;
 * `best_effort_containers` is monotone (tighter targets or more workload
   never mean fewer containers) and regime-consistent;
+* the Eqs. 13–14 running sum equals the per-service re-summation it
+  replaced, bit for bit whenever a rank map iterates in rank order;
+* a host's usage is its background load plus the one request sum;
 * the simulator conserves requests and respects latency lower bounds;
 * the columnar `MetricsStore` joins the same profiling windows as a scan
   of one list of observations, and reads only the microservice asked for;
 * graph clustering always partitions variants and preserves weight mass.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -34,8 +39,10 @@ from repro.core import (
     predicted_end_to_end,
     sequential_merge,
 )
+from repro.core import ContainerSpec, modified_workloads
 from repro.core.model import best_effort_containers
-from repro.graphs import CallNode, DependencyGraph
+from repro.core.provisioning import Host
+from repro.graphs import CallNode, DependencyGraph, call
 from repro.tracing.metrics import LatencyObservation, MetricsStore, ProfilingWindow
 
 # ----------------------------------------------------------------------
@@ -302,6 +309,121 @@ class TestBestEffortInvariants:
         target = model.latency_at_cutoff() * 10.0
         count = best_effort_containers(model, workload, target)
         assert workload / count <= model.max_load + 1e-6
+
+
+# ----------------------------------------------------------------------
+# Eqs. 13–14: one running sum per shared microservice
+# ----------------------------------------------------------------------
+POOL = ["P", "Q", "R"]
+
+
+def quadratic_reference(specs, priorities):
+    """``modified_workloads`` as it was: every service re-sums the map.
+
+    An unknown service is skipped (the original raised ``KeyError`` on it).
+    """
+    demands = {spec.name: spec.microservice_workloads() for spec in specs}
+    result = {spec.name: {} for spec in specs}
+    for ms_name, ranks in priorities.items():
+        for service, rank in ranks.items():
+            total = 0.0
+            for other, other_rank in ranks.items():
+                if other_rank <= rank and other in demands:
+                    total += demands[other].get(ms_name, 0.0)
+            if service in demands:
+                result[service][ms_name] = total
+    return result
+
+
+@st.composite
+def ranked_populations(draw):
+    """Services over a small shared pool, and a rank map per pool member
+    naming any subset of them (so some ranked services never call it) plus,
+    sometimes, a service nobody declared — ranks with ties and gaps, in any
+    iteration order."""
+    count = draw(st.integers(min_value=1, max_value=7))
+    specs = []
+    for i in range(count):
+        used = draw(st.lists(st.sampled_from(POOL), unique=True, max_size=3))
+        leaves = [
+            call(name, calls_per_request=draw(st.sampled_from([1.0, 0.3, 2.5])))
+            for name in used
+        ]
+        graph = DependencyGraph(f"s{i}", call(f"own{i}", stages=[leaves] if leaves else []))
+        workload = draw(st.floats(min_value=0.1, max_value=1e6))
+        specs.append(ServiceSpec(f"s{i}", graph, workload=workload, sla=100.0))
+    names = [spec.name for spec in specs] + ["ghost"]
+    priorities = {}
+    for ms_name in draw(st.lists(st.sampled_from(POOL), unique=True)):
+        ranked = draw(st.lists(st.sampled_from(names), unique=True))
+        ranks = {svc: draw(st.integers(min_value=0, max_value=9)) for svc in ranked}
+        if draw(st.booleans()):
+            ranks = dict(sorted(ranks.items(), key=lambda item: item[1]))
+        priorities[ms_name] = ranks
+    return specs, priorities
+
+
+class TestModifiedWorkloadsRunningSum:
+    @given(ranked_populations())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_quadratic_reference(self, population):
+        specs, priorities = population
+        got = modified_workloads(specs, priorities)
+        expected = quadratic_reference(specs, priorities)
+        assert {svc: set(loads) for svc, loads in got.items()} == {
+            svc: set(loads) for svc, loads in expected.items()
+        }
+        for ms_name, ranks in priorities.items():
+            in_rank_order = list(ranks.values()) == sorted(ranks.values())
+            for service in ranks:
+                if service == "ghost":
+                    continue
+                mine, reference = got[service][ms_name], expected[service][ms_name]
+                if in_rank_order:
+                    assert mine.hex() == reference.hex()
+                else:
+                    assert math.isclose(mine, reference, rel_tol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Host usage: background + the one request sum
+# ----------------------------------------------------------------------
+class TestHostUsage:
+    @given(
+        st.dictionaries(
+            st.sampled_from(list("abcdefgh")),
+            st.tuples(
+                st.integers(min_value=1, max_value=400),
+                st.floats(min_value=0.05, max_value=16.0),
+                st.floats(min_value=16.0, max_value=32_000.0),
+            ),
+            max_size=8,
+        ),
+        st.floats(min_value=0.0, max_value=32.0),
+        st.floats(min_value=0.0, max_value=64_000.0),
+    )
+    @settings(max_examples=200)
+    def test_used_is_background_plus_requested(self, placed, cpu, memory):
+        sizes = {
+            name: ContainerSpec(cpu=spec_cpu, memory_mb=spec_memory)
+            for name, (_, spec_cpu, spec_memory) in placed.items()
+        }
+        host = Host(
+            "h",
+            background_cpu=cpu,
+            background_memory_mb=memory,
+            containers={name: count for name, (count, _, _) in placed.items()},
+        )
+        requested_cpu, requested_memory = host.requested(sizes)
+        assert host.cpu_used(sizes).hex() == (cpu + requested_cpu).hex()
+        assert host.memory_used(sizes).hex() == (memory + requested_memory).hex()
+        # ... and the request sum is the plain left-to-right one
+        plain_cpu = plain_memory = 0
+        for name, count in host.containers.items():
+            plain_cpu = plain_cpu + sizes[name].cpu * count
+            plain_memory = plain_memory + sizes[name].memory_mb * count
+        assert (requested_cpu, requested_memory) == (plain_cpu, plain_memory)
+        assert host.cpu_utilization(sizes) == host.cpu_used(sizes) / host.cpu_capacity
 
 
 class TestSimulatorInvariants:
