@@ -342,7 +342,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     rows = []
     for spec in specs:
-        if result.completed.get(spec.name, 0) == 0:
+        if not result.has_samples(spec.name):
             continue
         row = {
             "service": spec.name,

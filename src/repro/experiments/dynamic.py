@@ -81,7 +81,7 @@ def _dynamic_cell(cell: Dict) -> Dict:
     )
     p95s, violations = [], []
     for spec in actual_specs:
-        if sim.completed.get(spec.name, 0) == 0:
+        if not sim.has_samples(spec.name):
             continue
         p95s.append(sim.tail_latency(spec.name))
         violations.append(sim.sla_violation_rate(spec.name, sla))

@@ -110,7 +110,7 @@ def _provisioner_search(cell: Dict) -> Dict:
         )
         violations, p95s = [], []
         for spec in specs:
-            if sim.completed.get(spec.name, 0) == 0:
+            if not sim.has_samples(spec.name):
                 violations.append(1.0)
                 continue
             violations.append(sim.sla_violation_rate(spec.name, spec.sla))

@@ -1,18 +1,19 @@
 """Static-workload comparison (paper §6.3.1, Figs. 11-12, and Fig. 14).
 
 Sweeps (workload, SLA) settings over a benchmark application, scales with
-every scheme, and (optionally) replays each allocation on the cluster
-simulator to measure end-to-end tail latency and SLA violation rates.
+every scheme, and (optionally) replays each distinct deployment on the
+cluster simulator to measure end-to-end tail latency and SLA violation
+rates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.model import InfeasibleSLAError, MicroserviceProfile
+from repro.core.model import Allocation, InfeasibleSLAError, MicroserviceProfile
 from repro.core.scaling import Autoscaler
 from repro.experiments.harness import evaluate_allocation
 from repro.experiments.parallel import WorkerPool, get_context, run_cells
@@ -70,21 +71,42 @@ class StaticSweepResult:
         return 1.0 - ours / theirs
 
 
-def _simulate_static_cell(cell: Dict) -> Dict:
-    """Replay one grid cell's allocation (top-level so it pickles).
+def _replay_key(workload: float, allocation: Allocation) -> Tuple:
+    """Everything a replay reads that differs between cells of one sweep."""
+    return (
+        workload,
+        tuple(sorted(allocation.containers.items())),
+        tuple(
+            (name, tuple(sorted(ranks.items())))
+            for name, ranks in sorted(allocation.priorities.items())
+        ),
+    )
 
-    The sweep-wide constants — the application, simulation settings,
-    sampling configuration — live in the shared context shipped to each
-    worker once (:func:`get_context`); the payload carries only what
-    varies per cell: the grid coordinates, the seed, and the scheme's
-    allocation.  Specs are rebuilt in-worker from the coordinates, so the
-    result remains a pure function of (context, payload) and identical
-    whether it runs in-process or in a worker process.
+
+def _simulate_static_cell(cell: Dict) -> Dict[float, Dict]:
+    """Replay one deployment; measure it per SLA (top-level so it pickles).
+
+    The sweep-wide constants — the application, seed, simulation
+    settings, sampling configuration, chaos and resilience — live in the
+    shared context shipped to each worker once (:func:`get_context`); the
+    payload carries only what a replay reads beyond that: the workload
+    and the allocation (``containers``, ``priorities``), plus the SLAs of
+    the grid cells that share them.  An SLA reaches the engine only as
+    the :class:`~repro.telemetry.SLAMonitor` alert threshold of a
+    counting sink, which no row reads (the group's first SLA is used), so
+    one :class:`~repro.simulator.SimulationResult` serves every SLA: P95
+    is read once, the violation rate once per SLA.  Specs are rebuilt
+    in-worker from the coordinates, so the result remains a pure function
+    of (context, payload) and identical whether it runs in-process or in
+    a worker process.
+
+    Returns:
+        ``{sla: measured row fields}`` for every SLA in ``cell["slas"]``.
     """
     context = get_context()
     app = context["app"]
     specs = app.with_workloads(
-        {s.name: cell["workload"] for s in app.services}, sla=cell["sla"]
+        {s.name: cell["workload"] for s in app.services}, sla=cell["slas"][0]
     )
     allocation = cell["allocation"]
     interference_multiplier = context["interference_multiplier"]
@@ -107,7 +129,7 @@ def _simulate_static_cell(cell: Dict) -> Dict:
             config=TelemetryConfig(
                 sampling_rate=sampling_rate,
                 tail_threshold_ms=tail_threshold_ms,
-                seed=cell["seed"],
+                seed=context["seed"],
                 max_traces=0,
             )
         )
@@ -117,32 +139,35 @@ def _simulate_static_cell(cell: Dict) -> Dict:
         allocation,
         duration_min=context["duration_min"],
         warmup_min=context["warmup_min"],
-        seed=cell["seed"],
+        seed=context["seed"],
         container_multipliers=multipliers,
         telemetry=sink,
         chaos=context.get("chaos"),
         resilience=context.get("resilience"),
     )
-    violations = []
-    p95s = []
-    for spec in specs:
-        if sim.completed.get(spec.name, 0) == 0:
-            continue
-        violations.append(sim.sla_violation_rate(spec.name, spec.sla))
-        p95s.append(sim.tail_latency(spec.name))
-    measured: Dict = (
-        {"violation": None, "p95": None}
-        if not violations
-        else {
-            "violation": float(np.mean(violations)),
-            "p95": float(np.mean(p95s)),
-        }
-    )
+    # A service whose requests all finished inside the warm-up has
+    # nothing to measure and is left out of the averages.
+    names = [spec.name for spec in specs if sim.has_samples(spec.name)]
+    shared: Dict = {
+        "p95": float(np.mean([sim.tail_latency(name) for name in names]))
+        if names
+        else None
+    }
     if sink is not None:
-        measured["traces_sampled"] = sink.sampled_traces
-        measured["traces_kept"] = sink.kept_traces
-        measured["tail_dropped"] = sink.tail_dropped
-    return measured
+        shared["traces_sampled"] = sink.sampled_traces
+        shared["traces_kept"] = sink.kept_traces
+        shared["tail_dropped"] = sink.tail_dropped
+    return {
+        sla: {
+            "violation": float(
+                np.mean([sim.sla_violation_rate(name, sla) for name in names])
+            )
+            if names
+            else None,
+            **shared,
+        }
+        for sla in cell["slas"]
+    }
 
 
 def run_static_sweep(
@@ -173,8 +198,14 @@ def run_static_sweep(
         slas: End-to-end SLAs (ms) to sweep.
         profiles: Latency profiles for the scalers; the application's
             analytic profiles by default.
-        simulate: Also replay each allocation on the simulator to measure
-            violation rate and P95 (slower).
+        simulate: Also replay the allocations on the simulator to measure
+            violation rate and P95 (slower).  A replay reads the workload
+            and the allocation's ``containers`` and ``priorities`` (seed,
+            durations, interference, sampling, chaos and resilience are
+            the same for the whole sweep) and never the SLA, so cells
+            that agree on those — schemes that return the same
+            deployment, one scheme at two SLAs — share one replay, from
+            which each row's violation rate is measured at its own SLA.
         duration_min / warmup_min / seed: Simulation settings.
         interference_multiplier: Actual host colocation level.  Schemes
             with ``interference_aware`` condition their profiles on it
@@ -186,11 +217,12 @@ def run_static_sweep(
             everyone at the true level.
         workers: Process count for the simulation replays (``0`` = one per
             CPU).  Allocations always run serially — schemes are stateful
-            (``reset()``/``scale()``) — then the independent per-cell
-            simulations fan out; results are identical to ``workers=1``.
+            (``reset()``/``scale()``) — then the independent replays, one
+            per distinct deployment, fan out; results are identical to
+            ``workers=1``.
         sampling_rate: Trace head-sampling rate for the replays.  Any
             value below 1.0 (or a tail threshold) attaches a counting-only
-            telemetry sink per cell; rows then carry
+            telemetry sink per replay; rows then carry its
             ``traces_sampled`` / ``traces_kept`` / ``tail_dropped``.
         tail_threshold_ms: Tail-based sampling threshold for the replays
             (see :class:`~repro.telemetry.TelemetryConfig`).
@@ -219,7 +251,8 @@ def run_static_sweep(
     # Pass 1 (serial): allocations.  Schemes are stateful, so reset/scale
     # must run in grid order; this pass is cheap relative to simulation.
     result = StaticSweepResult()
-    cells: List[Dict] = []
+    replays: Dict[Tuple, Dict] = {}  # one payload per distinct deployment
+    simulated: List[Tuple[Dict, Tuple]] = []  # (row, its replay's key)
     for workload in workloads:
         for sla in slas:
             specs = app.with_workloads(
@@ -244,36 +277,43 @@ def run_static_sweep(
                 }
                 result.rows.append(row)
                 if simulate:
-                    cells.append(
-                        {
-                            "row": row,
-                            "workload": workload,
-                            "sla": sla,
-                            "seed": seed,
-                            "allocation": allocation,
-                        }
+                    key = _replay_key(workload, allocation)
+                    replay = replays.setdefault(
+                        key,
+                        {"workload": workload, "allocation": allocation, "slas": []},
                     )
+                    if sla not in replay["slas"]:
+                        replay["slas"].append(sla)
+                    simulated.append((row, key))
 
     # Pass 2 (parallel-safe): independent simulation replays, one per
-    # cell, each fully determined by the shared context + its payload.
-    if cells:
+    # distinct (workload, containers, priorities) — schemes often agree,
+    # and an SLA does not reach the engine — each fully determined by the
+    # shared context + its payload.
+    if simulated:
         context = {
             "app": app,
             "duration_min": duration_min,
             "warmup_min": warmup_min,
+            "seed": seed,
             "interference_multiplier": interference_multiplier,
             "sampling_rate": sampling_rate,
             "tail_threshold_ms": tail_threshold_ms,
             "chaos": chaos,
             "resilience": resilience,
         }
-        payloads = [
-            {key: value for key, value in cell.items() if key != "row"}
-            for cell in cells
-        ]
-        measured_rows = run_cells(
-            _simulate_static_cell, payloads, workers, context=context, pool=pool
+        measured = dict(
+            zip(
+                replays,
+                run_cells(
+                    _simulate_static_cell,
+                    list(replays.values()),
+                    workers,
+                    context=context,
+                    pool=pool,
+                ),
+            )
         )
-        for cell, measured in zip(cells, measured_rows):
-            cell["row"].update(measured)
+        for row, key in simulated:
+            row.update(measured[key][row["sla"]])
     return result

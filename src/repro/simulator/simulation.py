@@ -61,6 +61,55 @@ seed the engine is fully deterministic; its sample streams are pinned by
 ``tests/test_determinism_golden.py`` and, case by case against the engine
 before call plans, by ``tests/test_engine_equivalence.py``.
 
+One station
+-----------
+
+Offline profiling (§5.2, ``experiments.harness._probe_cell``) drives one
+container of one microservice at a fixed rate and reads nothing but
+end-to-end latency: an M/M/c station (:mod:`repro.queueing`), whose start
+and finish times follow from the arrival and service draws by the
+Kiefer–Wolfowitz recursion — a call starts at the later of its arrival
+and the earliest time a thread is free — with no event heap, no ``_Call``
+and no ``_RequestDone``.  ``run()`` decides once, from state it can read
+when called, whether the run is that system (``_single_station``):
+
+* one service, whose compiled root plan has no stages;
+* exactly one container in rotation, FCFS (its queue is a ``deque``) with
+  a static multiplier (``mean_ms is not None``);
+* a static positive arrival rate;
+* no telemetry sink and no resilience manager (so no chaos either);
+* nothing already on ``self.events`` — an autoscaler tick, a delayed
+  scale-up, a scheduled kill;
+* ``drain`` on and ``record_own_latency`` off.
+
+If so, ``_run_station`` replays it; every other run takes the event loop
+(``_run_events``: everything described above), which is also the
+reference the recursion is tested against
+(``tests/test_properties.py::TestStationRecursion``).  Both leave the
+same bytes: ``generated``, ``completed``, the end-to-end columns in
+completion order, ``events_processed`` (one arrival and one completion
+per request), ``events.now`` and the generator's state.  That holds
+because the recursion draws the same ``_RNG_BLOCK`` blocks from the same
+generator in the event loop's order.  Gap block *j* is drawn as arrival
+1024 *j* − 1 fires (block 0 at the initial kick; an arrival past the
+end of the run is never scheduled, so it draws nothing), service block
+*m* as call 1024 *m* starts; a station with more than a block of calls
+queued therefore draws gap blocks ahead of service blocks.  The refill
+rule: before drawing a service block, draw every gap block whose due
+arrival is *earlier* than that call's start.  Arrival times are the
+sequential running sum ``now + gap`` (``np.cumsum``), cut at the end of
+the run; completions fire in (time, push count) order and calls start in
+arrival order, so the samples are written in stable finish order.
+
+One thing is not reproduced: an exact floating-point tie between the
+arrival that refills the gap block and the completion that starts the
+call refilling the service block.  The heap would break it by push order
+(whichever of the two was scheduled first); the recursion always draws
+the service block first.  An arrival whose own call starts at once is
+not such a tie — there the event loop, too, draws service before gap —
+and both times are sums of continuous draws, so the case has probability
+zero and no seed is known to hit it.
+
 Live telemetry
 --------------
 
@@ -88,7 +137,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from heapq import heappush
+from heapq import heappush, heapreplace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -362,6 +411,15 @@ class SimulationResult:
             return values.copy()
         minutes = np.frombuffer(minutes_arr, dtype=np.float64)
         return values[minutes >= self.warmup_min]
+
+    def has_samples(self, service: str) -> bool:
+        """Whether ``service`` has a post-warmup sample to measure.
+
+        :meth:`tail_latency` and :meth:`sla_violation_rate` raise without
+        one.  ``completed`` counts warm-up requests too, so a service can
+        have completed requests and still nothing to measure.
+        """
+        return len(self.latencies(service)) > 0
 
     def tail_latency(self, service: str, percentile: float = 95.0) -> float:
         """P-th percentile end-to-end latency of one service."""
@@ -985,7 +1043,106 @@ class ClusterSimulator:
     # Run loop
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Generate arrivals, process all events, return the result."""
+        """Generate arrivals, process all events, return the result.
+
+        A run that is one FCFS station (module docstring, "One station")
+        is replayed as a recursion; every other run takes the event loop.
+        """
+        station = self._single_station()
+        if station is None:
+            return self._run_events()
+        return self._run_station(station)
+
+    def _single_station(self) -> Optional[_Container]:
+        """The one container this run drives, if that is all the run is."""
+        config = self.config
+        if (
+            len(self.services) != 1
+            or self._telemetry is not None
+            or self._resilience is not None
+            or len(self.events) != 0
+            or not config.drain
+            or config.record_own_latency
+        ):
+            return None
+        name = self.services[0].name
+        root = self._roots[name]
+        rate = self._rates.get(name, 0.0)
+        if (
+            root.stages
+            or len(root.state.containers) != 1
+            or callable(rate)
+            or not float(rate) > 0.0
+        ):
+            return None
+        container = root.state.containers[0]
+        if type(container.queue) is not deque or container.mean_ms is None:
+            return None
+        return container
+
+    def _run_station(self, container: _Container) -> SimulationResult:
+        """Replay one FCFS station by the Kiefer–Wolfowitz recursion.
+
+        Same generator, same ``_RNG_BLOCK`` blocks in the event loop's
+        draw order (module docstring, "One station"); ``result`` and
+        ``events.now`` end as :meth:`_run_events` would leave them.
+        """
+        name = self.services[0].name
+        end_ms = self.config.duration_min * _MS_PER_MINUTE
+        mean_gap = _MS_PER_MINUTE / float(self._rates[name])
+        mean_ms = container.mean_ms
+        rng = self.rng
+        free = [0.0] * container.free_threads  # when each thread is next idle
+        arrivals: List[float] = []
+        finishes: List[float] = []
+        finished = finishes.append
+        # Gap block j is drawn as arrival 1024 j - 1 fires, at ``due``
+        # (block 0: the initial kick); an arrival past ``end_ms`` is never
+        # scheduled, so it draws nothing more.
+        due = 0.0
+        while True:
+            first = len(finishes)  # the call whose start draws a service block
+            while due <= end_ms and (
+                first == len(arrivals) or due < max(arrivals[first], free[0])
+            ):
+                times = rng.exponential(mean_gap, _RNG_BLOCK)
+                times[0] += due
+                times = np.cumsum(times)  # the loop's running ``now + gap``
+                due = float(times[-1])
+                arrivals.extend(
+                    times[: times.searchsorted(end_ms, side="right")].tolist()
+                )
+            if first == len(arrivals):
+                break
+            service = (rng.exponential(1.0, _RNG_BLOCK) * mean_ms).tolist()
+            for arrival, processing in zip(
+                arrivals[first : first + _RNG_BLOCK], service
+            ):
+                start = free[0]
+                if arrival > start:
+                    start = arrival
+                finish = start + processing
+                heapreplace(free, finish)
+                finished(finish)
+        # Completions fire in (time, push count) order and calls start in
+        # arrival order: a stable sort on the finish time.
+        finish_ms = np.array(finishes, dtype=np.float64)
+        order = np.argsort(finish_ms, kind="stable")
+        finish_ms = finish_ms[order]
+        result = self.result
+        minutes, values = result._e2e_buffers(name)
+        minutes.frombytes((finish_ms / _MS_PER_MINUTE).tobytes())
+        values.frombytes(
+            (finish_ms - np.array(arrivals, dtype=np.float64)[order]).tobytes()
+        )
+        count = len(arrivals)
+        result.generated[name] = result.completed[name] = count
+        result.events_processed += 2 * count  # one arrival, one completion
+        self.events.now = max(end_ms, float(finish_ms[-1])) if count else end_ms
+        return result
+
+    def _run_events(self) -> SimulationResult:
+        """The event loop: any services, graphs, policies and hooks."""
         duration_ms = self.config.duration_min * _MS_PER_MINUTE
         result = self.result
         if self.config.record_own_latency:

@@ -172,6 +172,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "p95_ms" in out
 
+    def test_simulate_skips_a_service_finished_inside_the_warmup(self, capsys):
+        """Four requests a minute: ``login-hotel`` completes its only
+        request during the warm-up, which used to end in a traceback."""
+        assert main(["simulate", "--app", "hotel-reservation", "--workload", "4",
+                     "--duration", "0.4", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "search-hotel" in out and "login-hotel" not in out
+
     def test_compare_runs_sweep(self, capsys):
         assert main(["compare", "--app", "hotel-reservation",
                      "--workloads", "2000", "--slas", "250"]) == 0

@@ -4,8 +4,10 @@
 Counts, not timings: graphs are resolved into call plans once per
 simulator, an idle priority container starts a call without an ``append``
 or a ``popleft``, every call that gets a thread — idle, queued or
-moved to another container — passes the one start block once, and a
-finished request leaves no object for the cycle collector to find.
+moved to another container — passes the one start block once, a
+finished request leaves no object for the cycle collector to find, and a
+run that is one FCFS station pushes no event and builds no call record
+while every other run still does.
 """
 
 import gc
@@ -264,6 +266,123 @@ class TestNoResidue:
         gc.collect()
         assert simulator.result is result  # the simulator is alive
         assert sum(ref() is not None for ref in contexts) == 0
+
+
+def _probe(seed=4, **changes):
+    """``_probe_cell``'s system — one service, one call, one container.
+
+    ``changes`` replace constructor arguments; ``config`` entries are
+    merged into the probe's ``SimulationConfig``.
+    """
+    config = dict(
+        duration_min=0.05, warmup_min=0.01, seed=seed, record_own_latency=False
+    )
+    config.update(changes.pop("config", {}))
+    arguments = dict(
+        services=[
+            ServiceSpec("probe", DependencyGraph("probe", call("M")), 0.0, 1e9)
+        ],
+        microservices={
+            name: SimulatedMicroservice(name, base_service_ms=2.0, threads=4)
+            for name in ("M", "N")
+        },
+        containers={"M": 1},
+        rates={"probe": 60_000.0},
+        config=SimulationConfig(**config),
+        container_multipliers={"M": [1.5]},
+    )
+    arguments.update(changes)
+    return ClusterSimulator(**arguments)
+
+
+def _two_services():
+    specs = [
+        ServiceSpec(name, DependencyGraph(name, call("M")), 0.0, 1e9)
+        for name in ("probe", "other")
+    ]
+    return _probe(services=specs, rates={"probe": 30_000.0, "other": 30_000.0})
+
+
+def _staged_root():
+    graph = DependencyGraph("probe", call("M", stages=[[call("N")]]))
+    return _probe(services=[ServiceSpec("probe", graph, 0.0, 1e9)])
+
+
+def _event_scheduled():
+    simulator = _probe()
+    simulator.events.schedule(1_000.0, lambda t: None)
+    return simulator
+
+
+#: What takes a run off the station path (``simulation`` docstring, "One
+#: station"), one probe-shaped simulator each; all serve requests bar the
+#: zero rate.
+_KEEPS_THE_EVENT_LOOP = {
+    "two services": _two_services,
+    "a root with a stage": _staged_root,
+    "two containers": lambda: _probe(container_multipliers={"M": [1.5, 1.5]}),
+    "a priority queue": lambda: _probe(
+        config={"scheduling": "priority"}, priorities={"M": {"probe": 0}}
+    ),
+    "callable rate": lambda: _probe(rates={"probe": lambda minute: 60_000.0}),
+    "callable multiplier": lambda: _probe(
+        container_multipliers={"M": [lambda minute: 1.5]}
+    ),
+    "rate 0": lambda: _probe(rates={"probe": 0.0}),
+    "a sink": lambda: _probe(
+        telemetry=TelemetrySink(config=TelemetryConfig(max_traces=0))
+    ),
+    "chaos": lambda: _probe(
+        chaos=ChaosSchedule(error_windows=[ErrorWindow("M", 0.0, 0.01, 0.5)])
+    ),
+    "resilience": lambda: _probe(resilience=ResiliencePolicies.default()),
+    "an event scheduled before run()": _event_scheduled,
+    "own latencies recorded": lambda: _probe(config={"record_own_latency": True}),
+    "no drain": lambda: _probe(config={"drain": False}),
+}
+
+
+class TestOneStation:
+    """A probe-shaped run never enters the event loop; any other run does."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Per-call records constructed, by class name."""
+        built = {"_Call": 0, "_RequestDone": 0}
+
+        def counting(cls):
+            class Counted(cls):
+                __slots__ = ()
+
+                def __init__(self, *args):
+                    built[cls.__name__] += 1
+                    super().__init__(*args)
+
+            monkeypatch.setattr(simulation, cls.__name__, Counted)
+
+        counting(simulation._Call)
+        counting(simulation._RequestDone)
+        return built
+
+    def test_a_probe_pushes_no_event_and_builds_no_record(self, built):
+        simulator = _probe()
+        result = simulator.run()
+        assert result.completed["probe"] == result.generated["probe"] > 2_000
+        assert result.events_processed == 2 * result.completed["probe"]
+        assert len(result.latencies("probe", include_warmup=True)) == (
+            result.completed["probe"]
+        )
+        assert simulator.events._counter == 0  # entries ever pushed on the heap
+        assert built == {"_Call": 0, "_RequestDone": 0}
+
+    @pytest.mark.parametrize("condition", sorted(_KEEPS_THE_EVENT_LOOP))
+    def test_anything_else_takes_the_event_loop(self, condition, built):
+        result = _KEEPS_THE_EVENT_LOOP[condition]().run()
+        if condition == "rate 0":  # nothing to build; the recursion divides by it
+            assert result.generated == {"probe": 0}
+        else:
+            assert result.generated["probe"] > 500
+            assert built["_Call"] > 0
 
 
 class _SortingPolicy:

@@ -160,6 +160,155 @@ class TestStaticSweep:
             sweep.average_containers("nope")
 
 
+def _replay_every_cell(app, schemes, workloads, slas, sampling_rate=1.0, **sim):
+    """The sweep as it was before replays were shared: every (workload,
+    SLA, scheme) cell scaled and replayed on its own.  Returns the rows
+    and, per row, the deployment its replay read."""
+    from repro.telemetry import TelemetryConfig, TelemetrySink
+
+    profiles = app.analytic_profiles()
+    rows, deployments = [], []
+    for workload in workloads:
+        for sla in slas:
+            specs = app.with_workloads(
+                {s.name: workload for s in app.services}, sla=sla
+            )
+            for scheme in schemes:
+                scheme.reset()
+                allocation = scheme.scale(specs, profiles)
+                sink = None
+                if sampling_rate < 1.0:
+                    sink = TelemetrySink(config=TelemetryConfig(
+                        sampling_rate=sampling_rate, seed=sim["seed"], max_traces=0
+                    ))
+                result = evaluate_allocation(
+                    specs, app.simulated, allocation, telemetry=sink, **sim
+                )
+                row = {
+                    "workload": workload,
+                    "sla": sla,
+                    "scheme": scheme.name,
+                    "containers": allocation.total_containers(),
+                    "violation": float(np.mean([
+                        result.sla_violation_rate(spec.name, sla) for spec in specs
+                    ])),
+                    "p95": float(np.mean([
+                        result.tail_latency(spec.name) for spec in specs
+                    ])),
+                }
+                if sink is not None:
+                    row["traces_sampled"] = sink.sampled_traces
+                    row["traces_kept"] = sink.kept_traces
+                    row["tail_dropped"] = sink.tail_dropped
+                rows.append(row)
+                deployments.append((
+                    workload,
+                    tuple(sorted(allocation.containers.items())),
+                    tuple(sorted(
+                        (name, tuple(sorted(ranks.items())))
+                        for name, ranks in allocation.priorities.items()
+                    )),
+                ))
+    return rows, deployments
+
+
+def _hexed(rows):
+    """Rows with every float spelled ``float.hex``: equal means bit-equal."""
+    return [
+        {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+        for row in rows
+    ]
+
+
+def _five_schemes():
+    from repro.baselines import Firm, Rhythm
+
+    return [
+        ErmsScaler(), ErmsScaler(use_priority=False), GrandSLAm(), Rhythm(), Firm()
+    ]
+
+
+class TestStaticSweepReplays:
+    """One replay per distinct deployment; every row as if replayed alone."""
+
+    GRID = dict(workloads=[5_000.0, 20_000.0], slas=[150.0, 300.0])
+    SIM = dict(duration_min=0.2, warmup_min=0.05, seed=0)
+
+    @pytest.fixture(scope="class")
+    def reference(self, hotel):
+        return _replay_every_cell(hotel, _five_schemes(), **self.GRID, **self.SIM)
+
+    @pytest.fixture(scope="class")
+    def serial(self, hotel):
+        """The sweep's rows and its number of ``ClusterSimulator.run`` calls."""
+        from repro.simulator import ClusterSimulator
+
+        runs = []
+        run = ClusterSimulator.run
+
+        def counted(simulator):
+            runs.append(simulator)
+            return run(simulator)
+
+        ClusterSimulator.run = counted
+        try:
+            sweep = run_static_sweep(
+                hotel, _five_schemes(), simulate=True, **self.GRID, **self.SIM
+            )
+        finally:
+            ClusterSimulator.run = run
+        return sweep.rows, len(runs)
+
+    def test_rows_equal_replaying_every_cell_on_its_own(self, reference, serial):
+        assert len(serial[0]) == 20
+        assert _hexed(serial[0]) == _hexed(reference[0])
+
+    def test_one_run_per_distinct_deployment(self, reference, serial):
+        rows, deployments = reference
+        assert serial[1] == len(set(deployments)) < len(rows)
+
+    def test_pooled_equals_serial(self, hotel, serial):
+        pooled = run_static_sweep(
+            hotel, _five_schemes(), simulate=True, workers=2, **self.GRID, **self.SIM
+        )
+        assert _hexed(pooled.rows) == _hexed(serial[0])
+
+    def test_sampled_rows_carry_their_own_replays_trace_counts(self, hotel):
+        grid = dict(workloads=[5_000.0], slas=[150.0, 300.0])
+        rows, deployments = _replay_every_cell(
+            hotel, _five_schemes(), sampling_rate=0.5, **grid, **self.SIM
+        )
+        assert len(set(deployments)) < len(rows)  # some rows share a replay
+        sweep = run_static_sweep(
+            hotel, _five_schemes(), simulate=True, sampling_rate=0.5,
+            **grid, **self.SIM,
+        )
+        assert all(row["traces_sampled"] > 100 for row in rows)
+        assert _hexed(sweep.rows) == _hexed(rows)
+
+    def test_a_service_finished_inside_the_warmup_is_left_out(self, hotel):
+        """Four requests a minute and a long warm-up: on this seed one
+        service completes requests, none after the warm-up.  The guard
+        read ``completed`` and ``tail_latency`` raised."""
+        sim = dict(duration_min=0.4, warmup_min=0.3, seed=0)
+        specs = hotel.with_workloads({s.name: 4.0 for s in hotel.services}, sla=300.0)
+        allocation = ErmsScaler().scale(specs, hotel.analytic_profiles())
+        result = evaluate_allocation(specs, hotel.simulated, allocation, **sim)
+        measured = [s.name for s in specs if len(result.latencies(s.name))]
+        assert any(
+            result.completed[s.name] > 0 for s in specs if s.name not in measured
+        )
+        assert measured
+        sweep = run_static_sweep(
+            hotel, [ErmsScaler()], workloads=[4.0], slas=[300.0], simulate=True, **sim
+        )
+        (row,) = sweep.rows
+        assert row["p95"] == float(
+            np.mean([result.tail_latency(name) for name in measured])
+        )
+        assert row["violation"] == 0.0
+
+
 class TestDynamicWorkload:
     def test_time_series_shape(self, hotel):
         rate = DiurnalRate(base=2000.0, amplitude=0.5, period_min=12.0, seed=1)

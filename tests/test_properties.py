@@ -14,6 +14,8 @@ These pin down behaviours the unit tests only sample:
   replaced, bit for bit whenever a rank map iterates in rank order;
 * a host's usage is its background load plus the one request sum;
 * the simulator conserves requests and respects latency lower bounds;
+* a one-station run replayed as the Kiefer–Wolfowitz recursion leaves the
+  bytes the event loop leaves, from idle to four times capacity;
 * the columnar `MetricsStore` joins the same profiling windows as a scan
   of one list of observations, and reads only the microservice asked for;
 * graph clustering always partitions variants and preserves weight mass.
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -456,6 +458,78 @@ class TestSimulatorInvariants:
         if len(latencies):
             # Latency is never negative and includes some processing.
             assert float(latencies.min()) >= 0.0
+
+
+class TestStationRecursion:
+    """``ClusterSimulator.run`` on one FCFS station against the event loop.
+
+    ``_run_events`` is the loop half of ``run()``: what every run took
+    before the station path, and what any other run still takes.
+    """
+
+    @given(
+        threads=st.integers(min_value=1, max_value=8),
+        base_ms=st.floats(min_value=0.2, max_value=5.0),
+        multiplier=st.floats(min_value=0.5, max_value=3.0),
+        load=st.floats(min_value=0.02, max_value=4.0),  # × the station's capacity
+        expected=st.floats(min_value=0.05, max_value=6_000.0),  # arrivals
+        warmup=st.floats(min_value=0.0, max_value=0.9),  # × the duration
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # 4× capacity for 6 000 arrivals: ≈ 4 500 calls queued, so gap blocks
+    # are drawn ahead of service blocks; 0.05 expected arrivals: none.
+    @example(threads=1, base_ms=0.5, multiplier=1.0, load=4.0, expected=6_000.0,
+             warmup=0.1, seed=0)
+    @example(threads=8, base_ms=2.0, multiplier=1.7, load=2.5, expected=6_000.0,
+             warmup=0.0, seed=1)
+    @example(threads=4, base_ms=2.0, multiplier=1.0, load=0.5, expected=0.05,
+             warmup=0.5, seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_recursion_leaves_what_the_event_loop_leaves(
+        self, threads, base_ms, multiplier, load, expected, warmup, seed
+    ):
+        from repro.simulator import (
+            ClusterSimulator,
+            SimulatedMicroservice,
+            SimulationConfig,
+        )
+
+        rate = load * threads / (base_ms * multiplier) * 60_000.0  # req/min
+        duration_min = expected / rate
+        spec = ServiceSpec("probe", DependencyGraph("probe", call("M")), 0.0, 1e9)
+
+        def simulator():
+            return ClusterSimulator(
+                [spec],
+                {"M": SimulatedMicroservice("M", base_ms, threads)},
+                containers={"M": 1},
+                rates={"probe": rate},
+                config=SimulationConfig(
+                    duration_min=duration_min,
+                    warmup_min=warmup * duration_min,
+                    seed=seed,
+                    record_own_latency=False,
+                ),
+                container_multipliers={"M": [multiplier]},
+            )
+
+        station, loop = simulator(), simulator()
+        assert station._single_station() is not None
+        recursion, events = station.run(), loop._run_events()
+        assert recursion.generated == events.generated
+        assert recursion.completed == events.completed
+        assert recursion.events_processed == events.events_processed
+        assert station.events.now == loop.events.now
+        for ours, theirs in zip(recursion._e2e["probe"], events._e2e["probe"]):
+            assert ours.tobytes() == theirs.tobytes()
+        assert station.rng.bit_generator.state == loop.rng.bit_generator.state
+        if events.has_samples("probe"):
+            for percentile in (50.0, 95.0, 99.0):
+                assert recursion.tail_latency("probe", percentile) == (
+                    events.tail_latency("probe", percentile)
+                )
+        else:
+            assert not recursion.has_samples("probe")
 
 
 def scanned_windows(observations, store, microservice, percentile=95.0):
