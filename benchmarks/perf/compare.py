@@ -5,13 +5,16 @@ report, and this script diffs its *rate* metrics — events/sec, cells/sec,
 actions/sec — against the committed report, failing (exit 1) when any
 regresses by more than the threshold (default 20 %).  Rate metrics are
 duration-independent, so a quick run compares meaningfully against the
-tracked full run; wall-clock fields are never compared.
+tracked full run; wall-clock fields are never compared.  Same-session
+ratios (``RATIO_FLOORS``: the span table's forest against the per-trace
+analysis) are gated against a fixed floor in the fresh run alone.
 
 Correctness flags ride along: if the fresh run reports a false
 ``CORRECTNESS_FLAGS`` entry (e.g. ``parallel_grid.rows_identical``,
 ``allocation_throughput.identical``,
 ``baseline_stats.allocations_identical``,
-``priority_replay.fingerprint_stable``), that is always a failure — a
+``priority_replay.fingerprint_stable``,
+``analysis_throughput.identical``), that is always a failure — a
 fast wrong answer is not a benchmark win.
 
 Usage::
@@ -40,11 +43,15 @@ RATE_METRICS = [
     ("baseline_stats", "stats_services_per_sec"),
     ("telemetry_overhead", "disabled_events_per_sec"),
     ("telemetry_overhead", "enabled_events_per_sec"),
-    ("analysis_throughput", "critical_path_traces_per_sec"),
-    ("analysis_throughput", "blame_traces_per_sec"),
     ("resilience_overhead", "disabled_events_per_sec"),
     ("tsdb_overhead", "disabled_events_per_sec"),
     ("serve_overhead", "disabled_events_per_sec"),
+]
+
+#: (benchmark, ratio, floor): same-session ratios of the fresh run, gated
+#: on their own — they hold on a box whose absolute speed does not.
+RATIO_FLOORS = [
+    ("analysis_throughput", "table_speedup", 2.0),
 ]
 
 #: (benchmark, flag) pairs that must be true whenever present.
@@ -54,6 +61,7 @@ CORRECTNESS_FLAGS = [
     ("deploy_reconcile", "pods_match_cluster"),
     ("baseline_stats", "allocations_identical"),
     ("priority_replay", "fingerprint_stable"),
+    ("analysis_throughput", "identical"),
 ]
 
 
@@ -67,6 +75,17 @@ def compare(fresh: dict, tracked: dict, threshold: float) -> list:
         value = fresh_benchmarks.get(bench, {}).get(flag)
         if value is False:
             failures.append(f"{bench}.{flag} is false in the fresh run")
+
+    for bench, metric, floor in RATIO_FLOORS:
+        value = fresh_benchmarks.get(bench, {}).get(metric)
+        if value is None:
+            print(f"[compare] {bench}.{metric}: skipped (missing)")
+            continue
+        status = "ok"
+        if value < floor:
+            status = "REGRESSION"
+            failures.append(f"{bench}.{metric}: {value:.2f}x, floor {floor:.1f}x")
+        print(f"[compare] {bench}.{metric}: {value:.2f}x (floor {floor:.1f}x) {status}")
 
     for bench, metric in RATE_METRICS:
         old = tracked_benchmarks.get(bench, {}).get(metric)

@@ -32,8 +32,9 @@ Three single-process benchmarks plus one parallel-grid benchmark:
 * ``tail_sampling`` — the same scenario with full trace retention versus
   tail-based sampling at the run's P95, reporting both overheads and the
   tail keep fraction.
-* ``analysis_throughput`` — critical-path extraction and SLA blame over
-  the collected traces, in traces/sec.
+* ``analysis_throughput`` — ``analyze_run`` (critical paths + SLA blame)
+  over the collected traces, handed the span table and handed the same
+  traces materialised, in traces/sec and as their same-session ratio.
 * ``resilience_overhead`` — the saturation scenario with no resilience
   layer versus a full chaos schedule + retry/timeout/breaker/admission
   policy stack, reporting the enabled-path overhead and pinning that the
@@ -800,16 +801,23 @@ def bench_tail_sampling(
 def bench_analysis_throughput(
     seed: int = 7, trials: int = 5, quick: bool = False
 ) -> dict:
-    """Post-run analysis speed: critical-path extraction + blame.
+    """Post-run analysis speed: the span table as one forest vs trace by trace.
 
     Collects the saturation scenario's traces once, then times
-    ``extract_critical_path`` over every trace and a full
-    ``attribute_blame`` pass ``trials`` times, reporting traces analyzed
-    per second (best-of-N, median/IQR alongside) — the cost of the
-    analytics layer relative to trace volume.
+    ``analyze_run`` (critical paths + blame) ``trials`` times two ways in
+    the same session: handed the sink's ``SpanTable`` (aggregated off its
+    forest, which each trial rebuilds on a fresh copy of the table), and
+    handed the same traces materialised to ``TraceRecord`` objects (one
+    ``CallTree.from_spans`` per trace, rebuilt each trial).  The gated
+    number is ``table_speedup``, the ratio of the two median rates — a
+    same-session ratio holds on a box whose absolute speed does not;
+    ``identical`` says both produced the same ``to_dict()``.
     """
+    import copy
+
     from repro.telemetry import TelemetryConfig, TelemetrySink
-    from repro.telemetry.analysis import attribute_blame, extract_critical_path
+    from repro.telemetry.analysis import analyze_run
+    from repro.tracing import TraceRecord
 
     if quick:
         trials = 2
@@ -826,28 +834,31 @@ def bench_analysis_throughput(
         ),
         telemetry=sink,
     ).run()
-    traces = sink.traces
-    n = len(traces)
-    path_rates, blame_rates = [], []
+    pristine = sink.traces  # never analysed here: its copies carry no forest
+    n = len(pristine)
+    materialised = [(v.trace_id, v.service, v.spans, v.timings) for v in pristine]
+    inputs = dict(targets={"svc": {"B": 10.0}}, slas={"svc": 40.0})
+    table_rates, record_rates, outputs = [], [], set()
     for _ in range(max(1, trials)):
-        start = time.perf_counter()
-        for trace in traces:
-            extract_critical_path(trace)
-        path_rates.append(n / (time.perf_counter() - start))
-        start = time.perf_counter()
-        report = attribute_blame(
-            traces, targets={"svc": {"B": 10.0}}, slas={"svc": 40.0}
-        )
-        blame_rates.append(n / (time.perf_counter() - start))
-    path, blame = _rate(path_rates), _rate(blame_rates)
+        for rates, traces in (
+            (table_rates, copy.deepcopy(pristine)),
+            (record_rates, [TraceRecord(*fields) for fields in materialised]),
+        ):
+            start = time.perf_counter()
+            analysis = analyze_run(traces=traces, **inputs)
+            rates.append(n / (time.perf_counter() - start))
+            outputs.add(json.dumps(analysis.to_dict()))
+    table, records = _rate(table_rates), _rate(record_rates)
     return {
         "traces": n,
-        "critical_path_traces_per_sec": path["best"],
-        "blame_traces_per_sec": blame["best"],
-        "blame_entries": len(report.entries),
-        "violating_windows": len(report.violating_windows),
-        "critical_path_trials": path,
-        "blame_trials": blame,
+        "table_traces_per_sec": table["best"],
+        "materialised_traces_per_sec": records["best"],
+        "table_speedup": round(table["median"] / records["median"], 2),
+        "identical": len(outputs) == 1,
+        "blame_entries": len(analysis.blame.entries),
+        "violating_windows": len(analysis.blame.violating_windows),
+        "table_trials": table,
+        "materialised_trials": records,
     }
 
 

@@ -122,6 +122,15 @@ def _app(name: str):
     return APPLICATIONS[name]()
 
 
+def _config(factory, **fields):
+    """Build a config object from flag values; a value its constructor
+    rejects is a usage error, not a traceback."""
+    try:
+        return factory(**fields)
+    except ValueError as error:
+        raise UsageError(str(error))
+
+
 def _logger_for(args: argparse.Namespace):
     """A StructuredLogger under ``--log-format json``, else ``None``."""
     if getattr(args, "log_format", "text") != "json":
@@ -293,7 +302,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         from repro.telemetry import TelemetryConfig, TelemetrySink
 
         sink = TelemetrySink(
-            config=TelemetryConfig(
+            config=_config(
+                TelemetryConfig,
                 sampling_rate=args.sampling_rate,
                 tail_threshold_ms=args.tail_threshold,
                 seed=args.seed,
@@ -512,7 +522,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         {s.name: args.workload for s in app.services}, sla=args.sla
     )
     sink = TelemetrySink(
-        config=TelemetryConfig(
+        config=_config(
+            TelemetryConfig,
             window_min=args.window,
             sampling_rate=args.sampling,
             tail_threshold_ms=args.tail_threshold,
@@ -526,7 +537,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         scheme,
         profiles,
         rates={spec.name: args.workload for spec in specs},
-        config=SimulationConfig(
+        config=_config(
+            SimulationConfig,
             duration_min=args.duration,
             warmup_min=min(0.5, args.duration / 3),
             seed=args.seed,
@@ -578,11 +590,11 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         raise CLIError(f"infeasible setting: {error}")
     rules = load_rules(args.rules) if args.rules else None
     store = TimeSeriesStore(
-        TimeSeriesConfig(scrape_interval_min=args.scrape_interval),
+        _config(TimeSeriesConfig, scrape_interval_min=args.scrape_interval),
         rules=rules,
     )
     sink = TelemetrySink(
-        config=TelemetryConfig(window_min=args.window, max_traces=0),
+        config=_config(TelemetryConfig, window_min=args.window, max_traces=0),
         timeseries=store,
     )
     chaos = _chaos_from_args(args, app, args.duration)
@@ -592,7 +604,8 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         scheme,
         profiles,
         rates={spec.name: args.workload for spec in specs},
-        config=SimulationConfig(
+        config=_config(
+            SimulationConfig,
             duration_min=args.duration,
             warmup_min=min(0.5, args.duration / 3),
             seed=args.seed,
@@ -658,8 +671,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         allocation = scheme.scale(specs, profiles)
     except InfeasibleSLAError as error:
         raise CLIError(f"infeasible setting: {error}")
+    options = _config(AnalysisOptions, window_min=args.window, top_paths=args.top_paths)
     sink = TelemetrySink(
-        config=TelemetryConfig(
+        config=_config(
+            TelemetryConfig,
             window_min=args.window,
             sampling_rate=args.sampling_rate,
             tail_threshold_ms=args.tail_threshold,
@@ -672,7 +687,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         scheme,
         profiles,
         rates={spec.name: args.workload for spec in specs},
-        config=SimulationConfig(
+        config=_config(
+            SimulationConfig,
             duration_min=args.duration,
             warmup_min=min(0.5, args.duration / 3),
             seed=args.seed,
@@ -686,9 +702,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         targets=allocation.targets,
         priorities=allocation.priorities or None,
         profiles={name: prof.model for name, prof in profiles.items()},
-        options=AnalysisOptions(
-            window_min=args.window, top_paths=args.top_paths
-        ),
+        options=options,
     )
     sections = render_analysis_sections(analysis.to_dict())
     print(
@@ -928,7 +942,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--slas", type=float, nargs="+", default=[150.0, 250.0])
     p_cmp.add_argument("--interference", type=float, default=1.0)
     p_cmp.add_argument("--simulate", action="store_true",
-                       help="also replay each allocation on the simulator")
+                       help="also replay each distinct deployment on the "
+                            "simulator, once")
     p_cmp.add_argument("--duration", type=float, default=1.5,
                        help="simulated minutes per replay (with --simulate)")
     p_cmp.add_argument("--seed", type=int, default=0)

@@ -117,7 +117,9 @@ Passing a :class:`~repro.telemetry.TelemetrySink` as ``telemetry=``
 instruments the run: each call's ``done`` continuation doubles as its
 CLIENT/SERVER span record, flushed per finished request into the sink's
 columnar span table (``sink.traces``: lazy ``TraceRecord`` views, no
-per-span objects); finished calls stream own latencies and per-minute
+per-span objects; ``analyze_run`` reads it as one forest — stages, Eq. 1
+and critical trees of all blocks in one pass over the columns — not
+view by view); finished calls stream own latencies and per-minute
 call counts into a live ``MetricsStore``, a per-window tick snapshots
 engine health and closes SLA windows, and ``scale_container_count``
 records audit entries.  The sink never touches the engine RNG, so the

@@ -18,12 +18,11 @@ allocation paid for did not hold on the floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.tracing.coordinator import trace_own_latencies
-from repro.tracing.spans import TraceRecord
+from repro.tracing.spans import SpanTable, TraceRecord
 
 _MS_PER_MINUTE = 60_000.0
 
@@ -126,8 +125,46 @@ class BlameReport:
         }
 
 
+def _table_samples(table: SpanTable):
+    """A table's traces as the flat columns :func:`attribute_blame` reads.
+
+    Names (services and microservices) by id; per trace its service id and
+    its root's finish and duration (a block's root is its last row); per
+    call its trace, microservice id and Eq. 1 own latency, off the forest.
+    """
+    blocks, column, forest = len(table), table.column, table.forest()
+    last = column("trace_offset")[:blocks] + column("trace_rows")[:blocks] - 1
+    rows = int(last[-1]) + 1 if blocks else 0
+    finish = column("finish")[last]
+    return (
+        table.names, column("trace_service")[:blocks], finish,
+        finish - column("start")[last],
+        forest.trace[:rows], column("ms")[:rows], forest.own[:rows],
+    )
+
+
+def _trace_samples(traces: Sequence[TraceRecord]):
+    """The same columns from records or views taken one at a time."""
+    ids: Dict[str, int] = {}
+    service, end, e2e, trace, ms, own = [], [], [], [], [], []
+    for index, record in enumerate(traces):
+        root = record.root()
+        service.append(ids.setdefault(record.service, len(ids)))
+        end.append(root.end)
+        e2e.append(root.duration)
+        for name, value in zip(*record.own_latencies()):
+            if name is not None:  # a call whose server span was lost
+                trace.append(index)
+                ms.append(ids.setdefault(name, len(ids)))
+                own.append(value)
+    return (
+        list(ids), np.array(service, int), np.array(end, float), np.array(e2e, float),
+        np.array(trace, int), np.array(ms, int), np.array(own, float),
+    )
+
+
 def attribute_blame(
-    traces: List[TraceRecord],
+    traces: Sequence[TraceRecord],
     targets: Mapping[str, Mapping[str, float]],
     slas: Mapping[str, float],
     priorities: Optional[Mapping[str, Mapping[str, int]]] = None,
@@ -137,7 +174,9 @@ def attribute_blame(
     """Attribute SLA violations to microservices over their targets.
 
     Args:
-        traces: Collected traces (live sink output or post-hoc records).
+        traces: Collected traces: a live sink's
+            :class:`~repro.tracing.spans.SpanTable` (read off its forest)
+            or any sequence of post-hoc records / views.
         targets: Per service, the latency target per microservice — e.g.
             ``Allocation.targets`` from an Erms scaling decision.
         slas: End-to-end SLA per service (ms).
@@ -158,36 +197,36 @@ def attribute_blame(
     """
     if window_min <= 0:
         raise ValueError("window_min must be positive")
-    # (service, window) -> microservice -> own-latency samples
-    own: Dict[Tuple[str, int], Dict[str, List[float]]] = {}
-    violating: List[Tuple[str, int]] = []
-    seen_violating = set()
-    for trace in traces:
-        root = trace.root()
-        window = int(root.end / _MS_PER_MINUTE / window_min)
-        key = (trace.service, window)
-        bucket = own.setdefault(key, {})
-        for name, values in trace_own_latencies(trace).items():
-            bucket.setdefault(name, []).extend(values)
-        sla = slas.get(trace.service)
-        if sla is not None and root.duration > sla and key not in seen_violating:
-            seen_violating.add(key)
-            violating.append(key)
-
-    violating.sort()
+    samples = _table_samples if isinstance(traces, SpanTable) else _trace_samples
+    names, service_of, end, e2e, trace_of, ms_of, own_of = samples(traces)
+    ids = {name: index for index, name in enumerate(names)}
+    windows = (end / _MS_PER_MINUTE / window_min).astype(np.int64)
+    limits = np.array([np.inf if slas.get(name) is None else slas[name] for name in names])
+    late = e2e > limits[service_of]
+    violating = sorted(
+        {
+            (names[service], window)
+            for service, window in zip(service_of[late].tolist(), windows[late].tolist())
+        }
+    )
     entries: List[BlameEntry] = []
-    tails: Dict[Tuple[str, int, str], Tuple[float, int]] = {}
+    # (service, window) -> its calls' microservices and own latencies
+    buckets: Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]] = {}
+    tails: Dict[Tuple[str, int, str], Optional[Tuple[float, int]]] = {}
 
     def _tail(service: str, window: int, name: str) -> Optional[Tuple[float, int]]:
         cache_key = (service, window, name)
-        if cache_key in tails:
-            return tails[cache_key]
-        samples = own.get((service, window), {}).get(name)
-        if not samples:
-            return None
-        value = (float(np.percentile(samples, percentile)), len(samples))
-        tails[cache_key] = value
-        return value
+        if cache_key not in tails:
+            bucket = buckets.get((service, window))
+            if bucket is None:
+                member = (service_of == ids.get(service, -1)) & (windows == window)
+                calls = np.flatnonzero(member[trace_of])
+                bucket = buckets[service, window] = ms_of[calls], own_of[calls]
+            own = bucket[1][bucket[0] == ids.get(name, -1)]
+            tails[cache_key] = (
+                (float(np.percentile(own, percentile)), len(own)) if len(own) else None
+            )
+        return tails[cache_key]
 
     for service, window in violating:
         for name, target in sorted(targets.get(service, {}).items()):

@@ -5,7 +5,11 @@ parallel stages overlap — but it *is* exactly the sum of own latencies
 along the **critical tree**: starting from the root server span, each
 stage contributes its slowest call, recursively.  This module walks that
 tree per trace and decomposes the end-to-end latency into one
-:class:`PathSegment` per on-path microservice occurrence.
+:class:`PathSegment` per on-path microservice occurrence.  Many paths at
+once are :class:`PathColumns` — flattened from :class:`CriticalPath`
+objects, or read straight off a :class:`~repro.tracing.spans.SpanTable`'s
+forest without building any — and the per-microservice summary is one
+aggregation over those columns.
 
 With engine timings attached (live :class:`~repro.telemetry.TelemetrySink`
 traces carry :class:`~repro.tracing.spans.SpanTiming`), each segment's
@@ -22,12 +26,15 @@ recursion replaces each such maximum with that child's full expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.tracing.spans import TraceRecord
+import numpy as np
+
+from repro.tracing.spans import SpanTable, TraceRecord
 
 __all__ = [
     "CriticalPath",
+    "PathColumns",
     "PathSegment",
     "critical_path_summary",
     "extract_critical_path",
@@ -121,6 +128,101 @@ def extract_critical_path(trace: TraceRecord) -> CriticalPath:
     )
 
 
+class PathColumns(NamedTuple):
+    """Critical paths as flat columns: one entry per segment, path after
+    path in trace order, each root first."""
+
+    names: Sequence[str]  #: microservice names, indexed by ``ms``
+    trace: np.ndarray  #: the path (trace index) a segment is on
+    ms: np.ndarray
+    own: np.ndarray
+    #: queue / service / inflation rows; NaN service where no engine timing
+    split: np.ndarray
+    e2e: np.ndarray  #: end-to-end latency per path
+
+    @classmethod
+    def of_paths(cls, paths: Sequence[CriticalPath]) -> "PathColumns":
+        segments = [segment for path in paths for segment in path.segments]
+        ids: Dict[str, int] = {}
+        ms = [ids.setdefault(s.microservice, len(ids)) for s in segments]
+        untimed = (np.nan, np.nan, np.nan)
+        split = [
+            untimed if s.queue_ms is None else (s.queue_ms, s.service_ms, s.inflation_ms)
+            for s in segments
+        ]
+        return cls(
+            list(ids),
+            np.repeat(
+                np.arange(len(paths)), np.array([len(p.segments) for p in paths], int)
+            ),
+            np.array(ms, int),
+            np.array([s.own_ms for s in segments], float),
+            np.array(split, float).reshape(-1, 3).T,
+            np.array([path.end_to_end_ms for path in paths], float),
+        )
+
+    @classmethod
+    def of_table(cls, table: SpanTable) -> "PathColumns":
+        """The table's traces (its first ``limit`` blocks) off its forest."""
+        forest, blocks = table.forest(), len(table)
+        rootless = np.flatnonzero(forest.root_count[:blocks] != 1)
+        if len(rootless):
+            table[int(rootless[0])].call_tree().root  # raises, naming the trace
+        rows, offsets = forest.paths()
+        offsets = offsets[: blocks + 1]
+        rows = rows[: offsets[-1]]
+        column = table.column
+        begin, service, mult = column("start"), column("proc_ms")[rows], column("mult")[rows]
+        roots = rows[offsets[:-1]]
+        return cls(
+            table.names,
+            forest.trace[rows],
+            column("ms")[rows],
+            forest.own[rows],
+            np.stack([
+                column("proc_start")[rows] - begin[rows],
+                service,
+                np.where(mult == 1.0, 0.0, service - service / mult),
+            ]),
+            column("finish")[roots] - begin[roots],
+        )
+
+    def summary(self) -> List[Dict]:
+        """Per-microservice attribution rows (:func:`critical_path_summary`).
+
+        ``bincount`` adds in input order — segment by segment, as a loop
+        over the paths would — so the sums are the same floats.
+        """
+        size = len(self.names)
+        present, first_seen = np.unique(self.ms, return_index=True)
+        timed = ~np.isnan(self.split[1])
+        timed_ms = self.ms[timed]
+        totals = list(zip(
+            np.bincount(self.ms, minlength=size).tolist(),
+            np.bincount(self.ms, self.own, size).tolist(),
+            np.bincount(timed_ms, minlength=size).tolist(),
+            *(np.bincount(timed_ms, part[timed], size).tolist() for part in self.split),
+        ))
+        total_e2e = float(np.cumsum(self.e2e)[-1]) if len(self.e2e) else 0.0
+        rows: List[Dict] = []
+        for index in present[np.argsort(first_seen, kind="stable")].tolist():
+            appearances, own, timed_count, queue, service, inflation = totals[index]
+            entry: Dict = {
+                "microservice": self.names[index],
+                "appearances": appearances,
+                "total_own_ms": round(own, 4),
+                "mean_own_ms": round(own / appearances, 4),
+                "share_pct": round(100.0 * own / total_e2e, 2) if total_e2e > 0 else 0.0,
+            }
+            if timed_count:
+                entry["mean_queue_ms"] = round(queue / timed_count, 4)
+                entry["mean_service_ms"] = round(service / timed_count, 4)
+                entry["mean_inflation_ms"] = round(inflation / timed_count, 4)
+            rows.append(entry)
+        rows.sort(key=lambda r: r["total_own_ms"], reverse=True)
+        return rows
+
+
 def critical_path_summary(paths: Iterable[CriticalPath]) -> List[Dict]:
     """Aggregate critical paths into per-microservice attribution rows.
 
@@ -131,50 +233,4 @@ def critical_path_summary(paths: Iterable[CriticalPath]) -> List[Dict]:
     by total own latency, the most latency-responsible microservice
     first.
     """
-    totals: Dict[str, Dict[str, float]] = {}
-    total_e2e = 0.0
-    n_paths = 0
-    for path in paths:
-        n_paths += 1
-        total_e2e += path.end_to_end_ms
-        for segment in path.segments:
-            row = totals.setdefault(
-                segment.microservice,
-                {
-                    "appearances": 0.0,
-                    "own_ms": 0.0,
-                    "queue_ms": 0.0,
-                    "service_ms": 0.0,
-                    "inflation_ms": 0.0,
-                    "timed": 0.0,
-                },
-            )
-            row["appearances"] += 1
-            row["own_ms"] += segment.own_ms
-            if segment.queue_ms is not None:
-                row["timed"] += 1
-                row["queue_ms"] += segment.queue_ms
-                row["service_ms"] += segment.service_ms
-                row["inflation_ms"] += segment.inflation_ms
-
-    rows: List[Dict] = []
-    for name, row in totals.items():
-        appearances = int(row["appearances"])
-        entry: Dict = {
-            "microservice": name,
-            "appearances": appearances,
-            "total_own_ms": round(row["own_ms"], 4),
-            "mean_own_ms": round(row["own_ms"] / appearances, 4),
-            "share_pct": round(100.0 * row["own_ms"] / total_e2e, 2)
-            if total_e2e > 0
-            else 0.0,
-        }
-        if row["timed"]:
-            entry["mean_queue_ms"] = round(row["queue_ms"] / row["timed"], 4)
-            entry["mean_service_ms"] = round(row["service_ms"] / row["timed"], 4)
-            entry["mean_inflation_ms"] = round(
-                row["inflation_ms"] / row["timed"], 4
-            )
-        rows.append(entry)
-    rows.sort(key=lambda r: r["total_own_ms"], reverse=True)
-    return rows
+    return PathColumns.of_paths(list(paths)).summary()

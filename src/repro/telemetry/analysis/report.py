@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.core.model import PiecewiseLatencyModel
 from repro.telemetry.analysis.blame import BlameReport, attribute_blame
 from repro.telemetry.analysis.critical_path import (
     CriticalPath,
-    critical_path_summary,
+    PathColumns,
     extract_critical_path,
 )
 from repro.telemetry.analysis.drift import (
@@ -26,7 +28,7 @@ from repro.telemetry.analysis.drift import (
     detect_profile_drift,
 )
 from repro.tracing.metrics import MetricsStore
-from repro.tracing.spans import TraceRecord
+from repro.tracing.spans import SpanTable, TraceRecord
 
 __all__ = ["AnalysisOptions", "RunAnalysis", "analyze_run"]
 
@@ -40,6 +42,10 @@ class AnalysisOptions:
     #: How many slowest traces get a full per-segment breakdown.
     top_paths: int = 5
     drift_thresholds: DriftThresholds = field(default_factory=DriftThresholds)
+
+    def __post_init__(self) -> None:
+        if self.top_paths < 0:
+            raise ValueError(f"top_paths must be non-negative, got {self.top_paths}")
 
 
 @dataclass
@@ -97,7 +103,9 @@ def analyze_run(
             metrics), and ``slas`` (the monitor's registry), and receives
             drift alerts/audit records through its monitor and decision
             log.
-        traces: Traces to analyze (overrides the sink's).
+        traces: Traces to analyze (overrides the sink's).  A
+            :class:`~repro.tracing.spans.SpanTable` is aggregated off its
+            forest; any other sequence goes trace by trace.
         store: Live profiling windows for drift detection.
         slas: End-to-end SLA per service — enables blame attribution when
             ``targets`` is also given.
@@ -119,12 +127,19 @@ def analyze_run(
             store = sink.metrics
         if slas is None:
             slas = dict(sink.monitor.slas)
-    traces = list(traces or [])
+    if isinstance(traces, SpanTable):
+        columns = PathColumns.of_table(traces)
 
-    paths = [extract_critical_path(trace) for trace in traces]
-    max_err = max((abs(p.total_own_ms - p.end_to_end_ms) for p in paths), default=0.0)
-    slowest = sorted(paths, key=lambda p: p.end_to_end_ms, reverse=True)
-    slowest = slowest[: options.top_paths]
+        def path_of(index: int) -> CriticalPath:  # only the ones shown are built
+            return extract_critical_path(traces[index])
+    else:
+        traces = list(traces or [])
+        paths = [extract_critical_path(trace) for trace in traces]
+        columns, path_of = PathColumns.of_paths(paths), paths.__getitem__
+    own_sums = np.bincount(columns.trace, columns.own, len(columns.e2e))
+    max_err = float(np.abs(own_sums - columns.e2e).max(initial=0.0))
+    order = np.argsort(-columns.e2e, kind="stable")[: options.top_paths]
+    slowest = [path_of(index) for index in order.tolist()]
 
     blame: Optional[BlameReport] = None
     if targets is not None and slas:
@@ -159,7 +174,7 @@ def analyze_run(
 
     return RunAnalysis(
         n_traces=len(traces),
-        critical_path=critical_path_summary(paths),
+        critical_path=columns.summary(),
         slowest=slowest,
         decomposition_max_abs_error_ms=max_err,
         blame=blame,

@@ -53,8 +53,8 @@ interval (zero transmission delay).  Eq. 1 then recovers exactly the own
 latency the engine recorded — server duration minus the per-stage max of
 child server durations telescopes to (thread release − queue entry) —
 and calls of one stage share a start timestamp, so the overlap rule
-(:func:`~repro.tracing.spans.group_stages`) regroups them into the
-original stages.
+(:class:`~repro.tracing.spans.SpanForest` over the table's rows)
+regroups them into the original stages.
 """
 
 from __future__ import annotations
@@ -142,6 +142,10 @@ class TelemetryConfig:
         if not 0.0 <= self.tail_floor <= 1.0:
             raise ValueError(
                 f"tail_floor must be in [0, 1], got {self.tail_floor}"
+            )
+        if self.max_traces is not None and self.max_traces < 0:
+            raise ValueError(
+                f"max_traces must be non-negative or None, got {self.max_traces}"
             )
         if self.error_budget is not None and not 0.0 < self.error_budget < 1.0:
             raise ValueError(

@@ -39,9 +39,10 @@ def trace_own_latencies(trace: TraceRecord) -> Dict[str, List[float]]:
     For each server span: response time minus the summed per-stage
     downstream *server* response times (max within a parallel stage), so
     own latency keeps the transmission time, as the paper's L_i does; the
-    client span stands in for a lost server span.  Computed once per
-    trace (:class:`~repro.tracing.spans.CallTree`) and shared by the
-    :class:`TracingCoordinator` and :mod:`repro.telemetry.analysis`.
+    client span stands in for a lost server span.  Computed once — per
+    trace (:class:`~repro.tracing.spans.CallTree`) for a record, per table
+    (:class:`~repro.tracing.spans.SpanForest`) for a live view, which
+    hands over its block's slice.
     """
     latencies: Dict[str, List[float]] = {}
     for name, own in zip(*trace.own_latencies()):

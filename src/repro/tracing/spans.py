@@ -14,14 +14,17 @@ caller's SERVER span; a SERVER span's parent is the corresponding CLIENT
 span.
 
 Two stores hold that model.  A :class:`TraceRecord` is a list of
-:class:`Span` objects (synthesized or imported traces).  A
-:class:`SpanTable` holds a live run's traces as flat ``array`` columns,
-one row per call, so a retained trace costs no per-span object; its
-:class:`TraceView` objects answer the ``TraceRecord`` interface and build
-``Span`` objects and id strings only when ``spans`` / ``timings`` are
-read.  Both reduce to one :class:`CallTree` per trace — stages regrouped
-by the overlap rule plus the Eq. 1 kernel — which the coordinator,
-critical paths and blame all walk.
+:class:`Span` objects (synthesized or imported traces); it reduces to one
+:class:`CallTree` per trace — stages regrouped by the overlap rule
+(:func:`group_stages`) plus the Eq. 1 kernel.  A :class:`SpanTable` holds
+a live run's traces as flat ``array`` columns, one row per call, so a
+retained trace costs no per-span object; the overlap rule, Eq. 1 and the
+critical tree are read off all of its blocks at once
+(:class:`SpanForest`), which is what ``analyze_run`` and blame aggregate
+from.  Its :class:`TraceView` objects answer the ``TraceRecord``
+interface — ``call_tree()`` packages the block's slice of the forest —
+and build ``Span`` objects and id strings only when ``spans`` /
+``timings`` are read.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graphs import CallNode, DependencyGraph
 
@@ -277,6 +282,125 @@ class TraceRecord:
         ]
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values begins."""
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
+
+
+class SpanForest:
+    """All blocks of a :class:`SpanTable` as one forest of call trees.
+
+    One pass over the columns does what :meth:`CallTree.from_spans`,
+    :meth:`CallTree.own_latencies` and the critical-path walk do trace by
+    trace — for table rows this is where the overlap rule and Eq. 1 live.
+    Everything is a table row number (``int32``):
+
+    * ``child`` — the calls whose caller's row is in their block (a
+      caller that never reached it orphans them), siblings together in
+      ``(start, str(ordinal - 1))`` order; ``stage[i]`` numbers the stage
+      ``child[i]`` is in, stages counted across the table in that order;
+    * ``caller`` / ``slowest`` — per stage, the calling row and the first
+      of its slowest calls;
+    * ``own`` / ``trace`` — Eq. 1 own latency and block of every row;
+    * ``roots`` / ``root_count`` — the parentless rows, and how many
+      each block has.
+    """
+
+    __slots__ = (
+        "own", "trace", "child", "stage", "caller", "slowest",
+        "roots", "root_count", "_paths",
+    )
+
+    def __init__(self, table: "SpanTable") -> None:
+        column = table.column
+        start, finish = column("start"), column("finish")
+        ordinal, parent = column("ordinal"), column("parent")
+        counts = column("trace_rows")
+        self.trace = trace = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        self.roots = np.flatnonzero(parent == -1).astype(np.int32)
+        self.root_count = np.bincount(trace[self.roots], minlength=len(counts))
+        self._paths: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+        # Caller rows: (trace, ordinal) keys sorted once, each parent
+        # looked up in them; of equal keys the last row wins, as in a dict.
+        width = np.int64(max(ordinal.max(initial=0), parent.max(initial=0)) + 1)
+        key = trace * width + ordinal
+        by_key = np.argsort(key, kind="stable").astype(np.int32)
+        key = key[by_key]
+        child = np.flatnonzero(parent >= 0).astype(np.int32)
+        wanted = trace[child] * width + parent[child]
+        at = np.searchsorted(key, wanted, side="right") - 1
+        found = key[at] == wanted
+        child, caller = child[found], by_key[at[found]]
+        del key, by_key, wanted, at, found
+
+        # Siblings by (start, client span id); the ids compare as strings.
+        values, code = np.unique(ordinal[child], return_inverse=True)
+        rank = np.argsort(np.argsort([str(value - 1) for value in values.tolist()]))
+        order = np.lexsort((rank[code], start[child], caller))
+        child, caller = child[order], caller[order]
+        del values, code, rank, order
+
+        # The overlap rule: a call opens a stage unless it starts below the
+        # latest finish of its caller's earlier calls.  That running maximum
+        # is taken over the finishes' ranks, offset per caller, so one
+        # accumulate serves every caller and no float is shifted.
+        calls = len(child)
+        opens = _run_starts(caller)  # a caller's first call always does
+        end = finish[child]
+        by_end = np.argsort(end, kind="stable")
+        rank = np.empty(calls, dtype=np.int64)
+        rank[by_end] = np.arange(calls)
+        rank += (np.cumsum(opens) - 1) * calls
+        latest = end[by_end[np.maximum.accumulate(rank) % max(calls, 1)]]
+        opens[1:] |= start[child[1:]] >= latest[:-1]
+        stage = np.cumsum(opens, dtype=np.int32) - 1
+        del end, by_end, rank, latest
+
+        # Eq. 1: response time minus each stage's (first) slowest call,
+        # subtracted caller by caller in stage order, never below zero.
+        duration = finish - start
+        lasting = duration[child]
+        peak = np.maximum.reduceat(lasting, np.flatnonzero(opens))
+        slowest = np.flatnonzero(lasting == peak[stage])
+        slowest = slowest[_run_starts(stage[slowest])]
+        self.child, self.stage = child, stage
+        self.caller, self.slowest = caller[slowest], child[slowest]
+        downstream = np.bincount(
+            self.caller, weights=duration[self.slowest], minlength=len(duration)
+        )
+        self.own = np.maximum(duration - downstream, 0.0)
+
+    def paths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The critical tree of every block with exactly one root.
+
+        Returns the on-path rows — block after block, each depth-first
+        from its root with earlier stages first — and each block's offset
+        into them (one more entry than blocks).
+        """
+        if self._paths is None:
+            caller, slowest = self.caller, self.slowest
+            level = rows = self.roots[self.root_count[self.trace[self.roots]] == 1]
+            position = np.empty(len(self.own), dtype=np.int32)
+            while True:
+                # top-down: a stage's slowest call is on the path if its
+                # caller is, right behind it and its earlier stages' calls
+                position[rows] = np.arange(len(rows), dtype=np.int32)
+                reached = np.zeros(len(self.own), dtype=bool)
+                reached[level] = True
+                edges = np.flatnonzero(reached[caller])
+                if not len(edges):
+                    break
+                level = slowest[edges]
+                behind = np.concatenate((position[rows], position[caller[edges]]))
+                rows = np.concatenate((rows, level))[np.argsort(behind, kind="stable")]
+            blocks = np.arange(len(self.root_count) + 1)
+            self._paths = rows, np.searchsorted(self.trace[rows], blocks)
+        return self._paths
+
+
 class SpanTable(SequenceABC):
     """Columnar store of a live run's traces; a sequence of :class:`TraceView`.
 
@@ -293,11 +417,16 @@ class SpanTable(SequenceABC):
     count.  None of it is tracked by the cyclic GC, and no id string
     exists until a view is read.  As a sequence the table shows its first
     ``limit`` traces (the sink's ``max_traces``); later blocks are reached
-    only through the view :meth:`append_trace` returned.
+    only through the view :meth:`append_trace` returned.  :meth:`forest`
+    reads every block's stages, own latencies and critical tree in one
+    pass; it is kept until the next block is appended.
     """
 
     def __init__(self, limit: Optional[int] = None) -> None:
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be non-negative or None, got {limit}")
         self.limit = limit
+        self._forest: Optional[SpanForest] = None
         self.start, self.finish = array("d"), array("d")
         self.proc_start, self.proc_ms, self.mult = array("d"), array("d"), array("d")
         self.ordinal, self.parent = array("i"), array("i")
@@ -324,6 +453,7 @@ class SpanTable(SequenceABC):
         """
         intern = self._intern
         parents = [call.parent for call in calls]
+        self._forest = None
         self.trace_service.append(intern(service))
         self.trace_number.append(number)
         self.trace_offset.append(len(self.start))
@@ -340,6 +470,18 @@ class SpanTable(SequenceABC):
             [-1 if p is None else intern(p.microservice) for p in parents]
         )
         return TraceView(self, len(self.trace_rows) - 1)
+
+    def column(self, name: str) -> np.ndarray:
+        """A column as an array over the same memory.  Transient use only:
+        while one is alive the table cannot grow (``BufferError``)."""
+        values = getattr(self, name)
+        return np.frombuffer(values, dtype=values.typecode)
+
+    def forest(self) -> "SpanForest":
+        """Every block (past ``limit`` too) as one :class:`SpanForest`."""
+        if self._forest is None:
+            self._forest = SpanForest(self)
+        return self._forest
 
     def __len__(self) -> int:
         blocks, limit = len(self.trace_rows), self.limit
@@ -363,13 +505,13 @@ class TraceView:
     """One :class:`SpanTable` block behind the :class:`TraceRecord` interface.
 
     The methods defined here read the columns (a call-tree node is a row
-    of the block); everything else (``spans``, ``timings``,
+    of the block; stages and Eq. 1 come from the table's
+    :class:`SpanForest`); everything else (``spans``, ``timings``,
     ``children_of()``, …) is answered by the :class:`TraceRecord` that
-    :meth:`materialize` builds on first use.  Only that record and the
-    Eq. 1 own latencies (a flat ``array``) are kept on the view.
+    :meth:`materialize` builds on first use, the one thing a view keeps.
     """
 
-    __slots__ = ("_table", "_index", "_rows", "_id", "_record", "_own")
+    __slots__ = ("_table", "_index", "_rows", "_id", "_record")
 
     def __init__(self, table: SpanTable, index: int) -> None:
         self._table = table
@@ -378,7 +520,6 @@ class TraceView:
         self._rows = range(offset, offset + table.trace_rows[index])
         self._id: Optional[str] = None
         self._record: Optional[TraceRecord] = None
-        self._own: Optional[array] = None
 
     @property
     def service(self) -> str:
@@ -417,42 +558,33 @@ class TraceView:
         return [(f"{prefix}{t.ordinal[r]}", timing) for r, timing in zip(rows, timings)]
 
     def call_tree(self) -> CallTree:
-        """The block's :class:`CallTree`, built from the columns."""
+        """The block's :class:`CallTree`: its slice of the table's forest."""
         table, lo, hi = self._table, self._rows.start, self._rows.stop
-        start, finish = table.start[lo:hi], table.finish[lo:hi]
-        ordinal = table.ordinal[lo:hi]
-        callees: Dict[int, List[int]] = {}
-        for node, parent in enumerate(table.parent[lo:hi]):
-            if parent in callees:
-                callees[parent].append(node)
-            else:
-                callees[parent] = [node]
-        roots = callees.pop(-1, [])
-        node_of = dict(zip(ordinal, range(hi - lo)))
+        forest = table.forest()
+        first, last = np.searchsorted(forest.caller, (lo, hi)).tolist()
+        calls = slice(*np.searchsorted(forest.stage, (first, last)).tolist())
+        opened = np.flatnonzero(_run_starts(forest.stage[calls]))[1:]
         stages: Dict[int, List[List[int]]] = {}
-        for parent, nodes in callees.items():
-            caller = node_of.get(parent)
-            if caller is None:
-                continue  # the calling attempt never reached the block
-            stages[caller] = (
-                [nodes]
-                if len(nodes) == 1
-                else group_stages(
-                    # client ids order as strings, like TraceRecord's
-                    [(start[n], str(ordinal[n] - 1), finish[n], n) for n in nodes]
-                )
-            )
-        durations = [end - begin for begin, end in zip(start, finish)]
+        slowest: Dict[int, List[int]] = {}
+        for caller, slow, stage in zip(
+            (forest.caller[first:last] - lo).tolist(),
+            (forest.slowest[first:last] - lo).tolist(),
+            np.split(forest.child[calls] - lo, opened),
+        ):
+            stages.setdefault(caller, []).append(stage.tolist())
+            slowest.setdefault(caller, []).append(slow)
+        durations = [
+            end - begin for begin, end in zip(table.start[lo:hi], table.finish[lo:hi])
+        ]
+        roots = [n for n, parent in enumerate(table.parent[lo:hi]) if parent == -1]
         tree = CallTree(self.trace_id, self._names(), durations, stages, roots)
-        if self._own is None:
-            self._own = array("d", tree.own_latencies())
+        tree.slowest, tree._own = slowest, forest.own[lo:hi].tolist()
         return tree
 
     def own_latencies(self) -> Tuple[Sequence[Optional[str]], Sequence[float]]:
-        """Microservice and Eq. 1 own latency of every row, computed once."""
-        if self._own is None:
-            return self.call_tree().names, self._own  # call_tree() fills _own
-        return self._names(), self._own
+        """Microservice and Eq. 1 own latency of every row of the block."""
+        rows = self._rows
+        return self._names(), self._table.forest().own[rows.start:rows.stop].tolist()
 
     def materialize(self) -> TraceRecord:
         """The block as a :class:`TraceRecord` of :class:`Span` objects."""

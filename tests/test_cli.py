@@ -315,6 +315,35 @@ class TestCommands:
         assert analysis["critical_path"]
         assert "sampling" in analysis
 
+    @pytest.mark.parametrize(
+        "command, flag, value, field",
+        [
+            ("analyze", "--window", "0", "window_min"),
+            ("analyze", "--sampling-rate", "0", "sampling_rate"),
+            ("analyze", "--tail-threshold", "-5", "tail_threshold_ms"),
+            ("analyze", "--duration", "0", "duration_min"),
+            ("analyze", "--max-traces", "-1", "max_traces"),
+            ("analyze", "--top-paths", "-1", "top_paths"),
+            ("report", "--window", "0", "window_min"),
+            ("report", "--sampling", "0", "sampling_rate"),
+            ("report", "--duration", "0", "duration_min"),
+            ("report", "--max-traces", "-1", "max_traces"),
+            ("dashboard", "--window", "0", "window_min"),
+            ("dashboard", "--duration", "0", "duration_min"),
+            ("dashboard", "--scrape-interval", "0", "scrape_interval_min"),
+            ("simulate", "--sampling-rate", "0", "sampling_rate"),
+            ("simulate", "--tail-threshold", "-5", "tail_threshold_ms"),
+        ],
+    )
+    def test_bad_config_value_is_one_line_usage_error(
+        self, command, flag, value, field, capsys
+    ):
+        assert main([command, "--app", "hotel-reservation", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: error: {field} must be ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 
 def _tiny_report(tmp_path):
     """A minimal but complete run report file for serve/top tests."""

@@ -18,10 +18,14 @@ These pin down behaviours the unit tests only sample:
   bytes the event loop leaves, from idle to four times capacity;
 * the columnar `MetricsStore` joins the same profiling windows as a scan
   of one list of observations, and reads only the microservice asked for;
+* a `SpanTable` read as one forest gives the own latencies, critical paths
+  and run analysis of the same traces taken one `TraceRecord` at a time;
 * graph clustering always partitions variants and preserves weight mass.
 """
 
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,7 +49,9 @@ from repro.core import ContainerSpec, modified_workloads
 from repro.core.model import best_effort_containers
 from repro.core.provisioning import Host
 from repro.graphs import CallNode, DependencyGraph, call
+from repro.telemetry.analysis import AnalysisOptions, analyze_run, extract_critical_path
 from repro.tracing.metrics import LatencyObservation, MetricsStore, ProfilingWindow
+from repro.tracing.spans import SpanTable, TraceRecord
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -665,6 +671,171 @@ class TestColumnarMetricsStore:
         assert reads == ["B"]
         assert store.profiling_windows("unknown") == []
         assert reads == ["B", "unknown"]
+
+
+def _span_call(ordinal, parent, microservice, start, duration,
+               queued=0.0, proc_ms=float("nan"), mult=1.0):
+    """One engine call record, as ``SpanTable.append_trace`` reads it."""
+    return SimpleNamespace(
+        ordinal=ordinal, parent=parent, microservice=microservice,
+        start=start, finish=start + duration,
+        proc_start=start + queued, proc_ms=proc_ms, mult=mult,
+    )
+
+
+#: An attempt the client abandoned: its children reach the block, it does not.
+_ABANDONED = SimpleNamespace(ordinal=98, microservice="gone")
+#: Coarse grids, so equal starts, equal finishes and zero durations are common
+#: and the sums still round (0.1 + 0.2).
+_starts = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.6])
+_durations = st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 0.7, 1.1])
+
+
+@st.composite
+def span_blocks(draw, max_calls=9):
+    """One trace's calls in flush order: any call tree, the root last.
+
+    Server spans take even ordinals up to 60 (client ids are the odd ones
+    below, so ``"s11" < "s9"`` decides sibling order), parents are earlier
+    calls or the abandoned attempt, and rows arrive in any order.
+    """
+    ordinals = draw(
+        st.lists(st.integers(1, 30).map(lambda k: 2 * k), max_size=max_calls - 1, unique=True)
+    )
+    calls = [_span_call(0, None, "A", draw(_starts), draw(_durations))]
+    for ordinal in ordinals:
+        index = draw(st.integers(0, len(calls)))
+        calls.append(
+            _span_call(
+                ordinal,
+                _ABANDONED if index == len(calls) else calls[index],
+                draw(st.sampled_from("ABC")),
+                draw(_starts),
+                draw(_durations),
+                queued=draw(st.sampled_from([0.0, 0.05])),
+                proc_ms=draw(st.sampled_from([float("nan"), 0.05, 0.1])),
+                mult=draw(st.sampled_from([1.0, 1.5])),
+            )
+        )
+    return list(draw(st.permutations(calls[1:]))) + calls[:1]
+
+
+class TestSpanForest:
+    ANALYSIS = dict(
+        slas={"svc": 0.4, "alt": 0.9},
+        targets={name: {"A": 0.1, "B": 0.3, "C": 1.0} for name in ("svc", "alt")},
+        priorities={"A": {"svc": 0, "alt": 1}, "B": {"alt": 0, "svc": 1}},
+        options=AnalysisOptions(window_min=1e-5, top_paths=2),
+    )
+
+    @staticmethod
+    def table_of(blocks, limit=None):
+        table = SpanTable(limit)
+        for number, calls in enumerate(blocks):
+            table.append_trace(("svc", "alt")[number % 2], number, calls)
+        return table
+
+    def check(self, table):
+        """The forest against every trace materialised and taken alone."""
+        records = [
+            TraceRecord(view.trace_id, view.service, list(view.spans), view.timings)
+            for view in table
+        ]
+        rows, offsets = table.forest().paths()
+        for index, (view, record) in enumerate(zip(table, records)):
+            names, own = view.own_latencies()
+            expected_names, expected = record.own_latencies()
+            assert names == expected_names
+            assert [x.hex() for x in own] == [x.hex() for x in expected]
+            path = extract_critical_path(record)
+            assert extract_critical_path(view) == path
+            on_path = rows[offsets[index]:offsets[index + 1]].tolist()
+            assert [
+                f"{view.trace_id}-s{table.ordinal[row]}" for row in on_path
+            ] == [segment.span_id for segment in path.segments]
+        whole = analyze_run(traces=table, **self.ANALYSIS)
+        assert whole.n_traces == len(records)
+        assert json.dumps(whole.to_dict()) == json.dumps(
+            analyze_run(traces=records, **self.ANALYSIS).to_dict()
+        )
+        return whole
+
+    @given(blocks=st.lists(span_blocks(), min_size=1, max_size=4), late=span_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_forest_equals_the_per_trace_path(self, blocks, late):
+        table = self.table_of(blocks)
+        self.check(table)
+        table.append_trace("svc", len(blocks), late)  # the forest is rebuilt
+        self.check(table)
+
+    def test_named_cases(self):
+        root = _span_call(0, None, "A", 0.0, 5.0)
+        # client ids "s9" / "s11": as strings the later call sorts first, so
+        # the zero-length one joins its stage instead of opening one
+        short = _span_call(10, root, "B", 1.0, 0.0)
+        long = _span_call(12, root, "C", 1.0, 2.0)
+        # a retried call: two attempts under one caller, one after the other
+        first_try = _span_call(4, long, "B", 1.0, 0.5, proc_ms=0.25)
+        second_try = _span_call(8, long, "B", 1.5, 0.5, queued=0.1, proc_ms=0.25, mult=1.5)
+        # equal finishes, and a call whose caller never reached the block
+        tied = _span_call(14, root, "B", 3.0, 1.0)
+        also_tied = _span_call(16, root, "C", 3.5, 0.5)
+        orphan = _span_call(20, _ABANDONED, "C", 0.5, 9.0)
+        below_orphan = _span_call(22, orphan, "B", 0.5, 4.0)
+        table = self.table_of(
+            [
+                [short, long, root],
+                [second_try, first_try, long, root],
+                [also_tied, tied, below_orphan, orphan, short, root],
+            ]
+        )
+        analysis = self.check(table)
+        assert [len(path.segments) for path in analysis.slowest] == [2, 4]
+        tree = table[2].call_tree()
+        assert tree.stages[5] == [[4], [1, 0]] and tree.stages[3] == [[2]]
+        assert tree.own_latencies()[3] == 5.0 and table[1].call_tree().stages[2] == [[1], [0]]
+
+    def test_two_roots_raise_the_per_trace_error(self):
+        root = _span_call(0, None, "A", 0.0, 2.0)
+        table = self.table_of(
+            [[root], [_span_call(6, None, "B", 0.0, 1.0), _span_call(2, root, "B", 0.5, 1.0), root]]
+        )
+        message = "trace alt-t1: expected exactly 1 root span, found 2"
+        with pytest.raises(ValueError, match=message):
+            extract_critical_path(table[1])
+        with pytest.raises(ValueError, match=message):
+            analyze_run(traces=table)
+        # own latencies need no root, and the table can still grow
+        assert table[1].own_latencies()[1] == [1.0, 1.0, 1.0]
+        table.append_trace("svc", 2, [root])
+
+    def test_appended_block_is_seen_and_the_cap_only_hides(self):
+        root = _span_call(0, None, "A", 0.0, 2.0)
+        table = self.table_of([[root]], limit=2)
+        assert analyze_run(traces=table).n_traces == 1
+        forest = table.forest()
+        assert table.forest() is forest  # kept until the table grows
+        table.append_trace("alt", 1, [_span_call(2, root, "B", 0.5, 1.0), root])
+        assert table.forest() is not forest
+        analysis = analyze_run(traces=table)
+        assert analysis.n_traces == 2
+        assert [row["microservice"] for row in analysis.critical_path] == ["A", "B"]
+        # past the cap a block is still read (the coordinator holds its view)
+        hidden = table.append_trace("svc", 2, [_span_call(2, root, "C", 0.0, 1.5), root])
+        assert len(table) == 2 and analyze_run(traces=table).n_traces == 2
+        assert hidden.own_latencies() == (["C", "A"], [1.5, 0.5])
+        assert [s.microservice for s in extract_critical_path(hidden).segments] == ["A", "C"]
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: AnalysisOptions(top_paths=-1), "top_paths"),
+            (lambda: SpanTable(limit=-1), "limit"),
+        ],
+    )
+    def test_negative_counts_are_rejected_by_name(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            build()
 
 
 class TestClusteringInvariants:
