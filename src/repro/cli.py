@@ -56,31 +56,23 @@ the same code argparse uses for unparseable flags), 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
 from repro.baselines import Firm, GrandSLAm, ProfileStatisticsError, Rhythm
 from repro.core import ErmsScaler
+from repro.core.model import InfeasibleSLAError
 from repro.graphs import GraphValidationError
 from repro.experiments import (
-    evaluate_allocation,
+    RunSpec,
     format_table,
     render_run_report,
     run_static_sweep,
     run_trace_simulation,
 )
-from repro.workloads import (
-    generate_taobao,
-    hotel_reservation,
-    media_service,
-    social_network,
-)
-
-APPLICATIONS = {
-    "social-network": social_network,
-    "media-service": media_service,
-    "hotel-reservation": hotel_reservation,
-}
+from repro.experiments.harness import replay_sink
+from repro.workloads import generate_taobao
 
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
@@ -99,48 +91,31 @@ class UsageError(CLIError):
     """Bad argument values — exit code 2, matching argparse's own."""
 
 
-def _make_scheme(name: str):
-    schemes = {
-        "erms": ErmsScaler,
-        "erms-fcfs": lambda: ErmsScaler(use_priority=False),
-        "grandslam": GrandSLAm,
-        "rhythm": Rhythm,
-        "firm": Firm,
-    }
-    if name not in schemes:
-        raise UsageError(
-            f"unknown scheme {name!r}; choose from {sorted(schemes)}"
-        )
-    return schemes[name]()
+_SPEC_FIELDS = [field.name for field in dataclasses.fields(RunSpec)]
 
 
-def _app(name: str):
-    if name not in APPLICATIONS:
-        raise UsageError(
-            f"unknown application {name!r}; choose from {sorted(APPLICATIONS)}"
-        )
-    return APPLICATIONS[name]()
+def _spec(args: argparse.Namespace, **fixed) -> RunSpec:
+    """The one conversion from parsed flags to the run they describe.
+
+    Every flag whose ``dest`` names a :class:`RunSpec` field is taken;
+    flags a command does not have keep the spec's defaults, and ``fixed``
+    pins what a command always sets.  Nothing is built here: each step
+    of the recipe raises from where it is built, and ``main`` is the one
+    place that turns that into an exit code.
+    """
+    flags = dict(vars(args), **fixed)
+    if "sampling" in flags:  # the dest of ``report --sampling-rate``
+        flags["sampling_rate"] = flags["sampling"]
+    return RunSpec(**{name: flags[name] for name in _SPEC_FIELDS if name in flags})
 
 
-def _config(factory, **fields):
-    """Build a config object from flag values; a value its constructor
-    rejects is a usage error, not a traceback."""
-    try:
-        return factory(**fields)
-    except ValueError as error:
-        raise UsageError(str(error))
-
-
-def _logger_for(args: argparse.Namespace):
+def _logger_for(args: argparse.Namespace, seed: int = 0):
     """A StructuredLogger under ``--log-format json``, else ``None``."""
-    if getattr(args, "log_format", "text") != "json":
+    if args.log_format != "json":
         return None
     from repro.telemetry import StructuredLogger
 
-    return StructuredLogger(
-        fmt="json",
-        run_id=f"{args.command}-seed{getattr(args, 'seed', 0)}",
-    )
+    return StructuredLogger(fmt="json", run_id=f"{args.command}-seed{seed}")
 
 
 class _ServeSession:
@@ -153,21 +128,19 @@ class _ServeSession:
     (or Ctrl-C).
     """
 
-    def __init__(
-        self, args, meta, logger=None, specs=None, targets=None, chaos=None
-    ):
-        self.port = getattr(args, "serve", None)
+    def __init__(self, port, meta, logger=None, targets=None, chaos=None):
+        self.port = port
         self.meta = meta
         self.logger = logger
-        self.specs = specs
         self.targets = targets
         self.chaos = chaos
         self.server = None
         self.source = None
 
     @property
-    def enabled(self) -> bool:
-        return self.port is not None
+    def on_simulator(self):
+        """``attach`` when ``--serve`` was given, else ``None``."""
+        return self.attach if self.port is not None else None
 
     def attach(self, simulator) -> None:
         from repro.telemetry.serve import RunSource
@@ -180,9 +153,7 @@ class _ServeSession:
         self.source = RunSource(
             sink,
             simulator=simulator,
-            specs=self.specs
-            if self.specs is not None
-            else getattr(simulator, "services", None),
+            specs=simulator.services,
             meta=self.meta,
             targets=self.targets,
             chaos=self.chaos,
@@ -219,32 +190,6 @@ class _ServeSession:
         self.server.wait_for_shutdown()
 
 
-def _chaos_from_args(args: argparse.Namespace, app, duration_min: float):
-    """Seeded random :class:`ChaosSchedule` over the app, or ``None``."""
-    if not getattr(args, "chaos", False):
-        return None
-    from repro.resilience import ChaosSchedule
-
-    return ChaosSchedule.random(
-        sorted(app.simulated),
-        duration_min=duration_min,
-        seed=args.chaos_seed,
-        crashes=args.chaos_crashes,
-        restart_after_ms=args.chaos_restart_ms,
-        error_rate=args.chaos_error_rate,
-        spike_multiplier=args.chaos_spike,
-    )
-
-
-def _resilience_from_args(args: argparse.Namespace):
-    """Default policy bundle when ``--resilience`` was given, else ``None``."""
-    if not getattr(args, "resilience", False):
-        return None
-    from repro.resilience import ResiliencePolicies
-
-    return ResiliencePolicies.default(seed=getattr(args, "seed", 0))
-
-
 def _run_pool(workers: int):
     """One persistent worker pool for a whole command (``None`` if serial).
 
@@ -261,19 +206,17 @@ def _run_pool(workers: int):
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    app = _app(args.app)
-    scheme = _make_scheme(args.scheme)
-    profiles = app.analytic_profiles(args.interference)
-    specs = app.with_workloads(
-        {s.name: args.workload for s in app.services}, sla=args.sla
-    )
-    allocation = scheme.scale(specs, profiles)
-
+    spec = _spec(args)
+    allocation = spec.allocation
     rows = [
         {"microservice": name, "containers": count}
         for name, count in sorted(allocation.containers.items())
     ]
-    print(format_table(rows, f"{scheme.name} allocation ({app.name})"))
+    print(
+        format_table(
+            rows, f"{spec.scaler.name} allocation ({spec.application.name})"
+        )
+    )
     print(f"\nTotal containers: {allocation.total_containers()}")
     if allocation.priorities:
         print("\nPriorities (rank 0 first):")
@@ -283,86 +226,33 @@ def cmd_scale(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    app = _app(args.app)
-    scheme = _make_scheme(args.scheme)
-    profiles = app.analytic_profiles(args.interference)
-    specs = app.with_workloads(
-        {s.name: args.workload for s in app.services}, sla=args.sla
-    )
-    allocation = scheme.scale(specs, profiles)
-    multipliers = None
-    if args.interference != 1.0:
-        multipliers = {
-            name: [args.interference] * count
-            for name, count in allocation.containers.items()
-        }
-    serving = getattr(args, "serve", None) is not None
-    sink = None
-    if serving or args.sampling_rate < 1.0 or args.tail_threshold is not None:
-        from repro.telemetry import TelemetryConfig, TelemetrySink
-
-        sink = TelemetrySink(
-            config=_config(
-                TelemetryConfig,
-                sampling_rate=args.sampling_rate,
-                tail_threshold_ms=args.tail_threshold,
-                seed=args.seed,
-                max_traces=0,
-                # Serving wants windows/scrapes at a live-view cadence.
-                window_min=0.25 if serving else 1.0,
-            )
-        )
-    logger = _logger_for(args)
+    spec = _spec(args)
+    allocation = spec.allocation
+    sink = spec.sink()
+    logger = _logger_for(args, spec.seed)
     if sink is not None and logger is not None:
         sink.decisions.logger = logger
-    if serving:
-        from repro.telemetry import TimeSeriesConfig, TimeSeriesStore
-
-        sink.timeseries = TimeSeriesStore(
-            TimeSeriesConfig(scrape_interval_min=0.1)
-        )
-    chaos = _chaos_from_args(args, app, args.duration)
     session = _ServeSession(
-        args,
-        meta={
-            "app": args.app,
-            "scheme": args.scheme,
-            "workload": args.workload,
-            "sla": args.sla,
-            "seed": args.seed,
-            "duration_min": args.duration,
-        },
+        spec.serve,
+        spec.meta(),
         logger=logger,
-        specs=specs,
         targets=allocation.targets,
-        chaos=chaos,
+        chaos=spec.chaos_schedule,
     )
-    result = evaluate_allocation(
-        specs,
-        app.simulated,
-        allocation,
-        duration_min=args.duration,
-        warmup_min=min(0.5, args.duration / 3),
-        seed=args.seed,
-        container_multipliers=multipliers,
-        telemetry=sink,
-        chaos=chaos,
-        resilience=_resilience_from_args(args),
-        on_simulator=session.attach if session.enabled else None,
-    )
+    result = spec.replay(sink, on_simulator=session.on_simulator)
     rows = []
-    for spec in specs:
-        if not result.has_samples(spec.name):
+    for service in spec.specs:
+        if not result.has_samples(service.name):
             continue
         row = {
-            "service": spec.name,
-            "completed": result.completed[spec.name],
-            "p95_ms": result.tail_latency(spec.name),
-            "violation": result.sla_violation_rate(spec.name, spec.sla),
+            "service": service.name,
+            "completed": result.completed[service.name],
+            "p95_ms": result.tail_latency(service.name),
+            "violation": result.sla_violation_rate(service.name, service.sla),
         }
-        failed = result.failed_requests.get(spec.name, 0)
-        shed = result.shed_requests.get(spec.name, 0)
-        dropped = result.dropped_requests.get(spec.name, 0)
+        failed = result.failed_requests.get(service.name, 0)
+        shed = result.shed_requests.get(service.name, 0)
+        dropped = result.dropped_requests.get(service.name, 0)
         if failed or shed or dropped:
             row["failed"] = failed
             row["shed"] = shed
@@ -371,7 +261,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(
         format_table(
             rows,
-            f"{scheme.name} on {app.name}: "
+            f"{spec.scaler.name} on {spec.application.name}: "
             f"{allocation.total_containers()} containers",
             "{:.3f}",
         )
@@ -390,26 +280,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    app = _app(args.app)
+    spec = _spec(args)
+    app = spec.application
     schemes = [ErmsScaler(), ErmsScaler(use_priority=False), GrandSLAm(), Rhythm(), Firm()]
     session = _ServeSession(
-        args,
-        meta={
-            "app": args.app,
-            "mode": "sweep-aggregate",
-            "seed": args.seed,
-        },
-        logger=_logger_for(args),
+        spec.serve,
+        meta={"app": spec.app, "mode": "sweep-aggregate", "seed": spec.seed},
+        logger=_logger_for(args, spec.seed),
     )
-    if session.enabled:
+    if spec.serve is not None:
         # Sweep cells run in worker processes, so there is no single
         # simulator to attach to; serve an aggregate source whose
         # registry carries sweep-level gauges instead.  Every endpoint
         # still answers (with empty series/alert payloads).
-        from repro.telemetry import TelemetryConfig, TelemetrySink
         from repro.telemetry.serve import RunSource
 
-        agg_sink = TelemetrySink(config=TelemetryConfig(max_traces=0))
+        agg_sink = replay_sink(always=True)
         agg_sink.registry.gauge("sweep_cells_total").set(
             len(args.workloads) * len(args.slas) * len(schemes)
         )
@@ -420,17 +306,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
             schemes,
             workloads=args.workloads,
             slas=args.slas,
-            interference_multiplier=args.interference,
+            interference_multiplier=spec.interference,
             simulate=args.simulate,
-            duration_min=args.duration,
-            warmup_min=min(0.5, args.duration / 3),
-            seed=args.seed,
+            duration_min=spec.duration,
+            warmup_min=spec.warmup,
+            seed=spec.seed,
             workers=args.workers,
-            sampling_rate=args.sampling_rate,
-            tail_threshold_ms=args.tail_threshold,
+            sampling_rate=spec.sampling_rate,
+            tail_threshold_ms=spec.tail_threshold,
             pool=pool,
-            chaos=_chaos_from_args(args, app, args.duration),
-            resilience=_resilience_from_args(args),
+            chaos=spec.chaos_schedule,
+            resilience=spec.policies,
         )
     rows = []
     for scheme in sweep.schemes():
@@ -439,7 +325,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             row["avg_violation"] = sweep.average_violation(scheme)
             row["avg_p95_ms"] = sweep.average_p95(scheme)
         rows.append(row)
-    if session.enabled:
+    if session.source is not None:
         registry = session.source.sink.registry
         registry.gauge("sweep_rows").set(len(sweep.rows))
         for row in rows:
@@ -482,6 +368,22 @@ def cmd_trace_sim(args: argparse.Namespace) -> int:
     return 0
 
 
+def _instrumented_run(args: argparse.Namespace):
+    """The one autoscaled run ``report``, ``dashboard`` and ``analyze`` render.
+
+    Returns ``(spec, sink, result)``.  The allocation the run starts from
+    (``spec.allocation``) carries the Eq. 5 latency targets and the
+    Eqs. 13–14 priorities the renderers compare against, and is what the
+    simulated cluster enforces.
+    """
+    spec = _spec(args)
+    try:
+        sink = spec.sink(always=True)
+    except OSError as error:
+        raise UsageError(f"cannot read rules file: {error}")
+    return spec, sink, spec.autoscaled(sink).run().simulation
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     if args.diff:
         from repro.telemetry.diff import diff_run_reports, load_run_report
@@ -504,53 +406,17 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         return 1 if diff.regressions else 0
 
-    from repro.simulator.autoscaled import AutoscaleConfig, AutoscaledSimulation
-    from repro.simulator.simulation import SimulationConfig
     from repro.telemetry import (
-        TelemetryConfig,
-        TelemetrySink,
         build_run_report,
         write_chrome_trace,
         write_run_report,
     )
-    from repro.tracing.coordinator import TracingCoordinator
 
-    app = _app(args.app)
-    scheme = _make_scheme(args.scheme)
-    profiles = app.analytic_profiles(args.interference)
-    specs = app.with_workloads(
-        {s.name: args.workload for s in app.services}, sla=args.sla
-    )
-    sink = TelemetrySink(
-        config=_config(
-            TelemetryConfig,
-            window_min=args.window,
-            sampling_rate=args.sampling,
-            tail_threshold_ms=args.tail_threshold,
-            max_traces=args.max_traces,
-        ),
-        coordinator=TracingCoordinator(),
-    )
-    simulation = AutoscaledSimulation(
-        specs,
-        app.simulated,
-        scheme,
-        profiles,
-        rates={spec.name: args.workload for spec in specs},
-        config=_config(
-            SimulationConfig,
-            duration_min=args.duration,
-            warmup_min=min(0.5, args.duration / 3),
-            seed=args.seed,
-        ),
-        autoscale=AutoscaleConfig(interval_min=args.interval),
-        telemetry=sink,
-    )
-    outcome = simulation.run()
+    spec, sink, result = _instrumented_run(args)
     if args.format == "prom":
         print(sink.registry.expose_text(), end="")
         return 0
-    report = build_run_report(sink, outcome.simulation, specs)
+    report = build_run_report(sink, result, spec.specs)
     print(render_run_report(report))
     if args.output:
         write_run_report(report, args.output)
@@ -562,74 +428,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
-    from repro.core.model import InfeasibleSLAError
-    from repro.simulator.autoscaled import AutoscaleConfig, AutoscaledSimulation
-    from repro.simulator.simulation import SimulationConfig
-    from repro.telemetry import (
-        TelemetryConfig,
-        TelemetrySink,
-        TimeSeriesConfig,
-        TimeSeriesStore,
-        dashboard_data,
-        load_rules,
-        write_dashboard,
-    )
+    from repro.telemetry import dashboard_data, write_dashboard
 
-    app = _app(args.app)
-    scheme = _make_scheme(args.scheme)
-    profiles = app.analytic_profiles(args.interference)
-    specs = app.with_workloads(
-        {s.name: args.workload for s in app.services}, sla=args.sla
-    )
-    # A throwaway allocation just for its Eq. 5 latency targets — the
-    # autoscaled run recomputes its own, but the targets table on the
-    # dashboard shows what the SLA decomposed into.
-    try:
-        allocation = scheme.scale(specs, profiles)
-    except InfeasibleSLAError as error:
-        raise CLIError(f"infeasible setting: {error}")
-    rules = load_rules(args.rules) if args.rules else None
-    store = TimeSeriesStore(
-        _config(TimeSeriesConfig, scrape_interval_min=args.scrape_interval),
-        rules=rules,
-    )
-    sink = TelemetrySink(
-        config=_config(TelemetryConfig, window_min=args.window, max_traces=0),
-        timeseries=store,
-    )
-    chaos = _chaos_from_args(args, app, args.duration)
-    simulation = AutoscaledSimulation(
-        specs,
-        app.simulated,
-        scheme,
-        profiles,
-        rates={spec.name: args.workload for spec in specs},
-        config=_config(
-            SimulationConfig,
-            duration_min=args.duration,
-            warmup_min=min(0.5, args.duration / 3),
-            seed=args.seed,
-        ),
-        autoscale=AutoscaleConfig(interval_min=args.interval),
-        telemetry=sink,
-        chaos=chaos,
-        resilience=_resilience_from_args(args),
-    )
-    outcome = simulation.run()
+    spec, sink, result = _instrumented_run(args)
     data = dashboard_data(
         sink,
-        outcome.simulation,
-        specs=specs,
-        meta={
-            "app": args.app,
-            "scheme": args.scheme,
-            "workload": args.workload,
-            "sla": args.sla,
-            "seed": args.seed,
-            "duration_min": args.duration,
-        },
-        targets=allocation.targets,
-        chaos=chaos,
+        result,
+        specs=spec.specs,
+        meta=spec.meta(),
+        # What the SLA decomposed into (the run recomputes its own).
+        targets=spec.allocation.targets,
+        chaos=spec.chaos_schedule,
     )
     write_dashboard(data, args.output)
     summary = data["summary"]
@@ -646,62 +455,17 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import render_analysis_sections
-    from repro.simulator.autoscaled import AutoscaleConfig, AutoscaledSimulation
-    from repro.simulator.simulation import SimulationConfig
-    from repro.telemetry import (
-        TelemetryConfig,
-        TelemetrySink,
-        build_run_report,
-        write_run_report,
-    )
+    from repro.telemetry import build_run_report, write_run_report
     from repro.telemetry.analysis import AnalysisOptions, analyze_run
 
-    app = _app(args.app)
-    scheme = _make_scheme(args.scheme)
-    profiles = app.analytic_profiles(args.interference)
-    specs = app.with_workloads(
-        {s.name: args.workload for s in app.services}, sla=args.sla
-    )
-    from repro.core.model import InfeasibleSLAError
-
-    # The allocation the run starts from also carries the Eq. 5 latency
-    # targets and the Eqs. 13-14 priorities — the ground truth blame
-    # attribution compares against.
-    try:
-        allocation = scheme.scale(specs, profiles)
-    except InfeasibleSLAError as error:
-        raise CLIError(f"infeasible setting: {error}")
-    options = _config(AnalysisOptions, window_min=args.window, top_paths=args.top_paths)
-    sink = TelemetrySink(
-        config=_config(
-            TelemetryConfig,
-            window_min=args.window,
-            sampling_rate=args.sampling_rate,
-            tail_threshold_ms=args.tail_threshold,
-            max_traces=args.max_traces,
-        )
-    )
-    simulation = AutoscaledSimulation(
-        specs,
-        app.simulated,
-        scheme,
-        profiles,
-        rates={spec.name: args.workload for spec in specs},
-        config=_config(
-            SimulationConfig,
-            duration_min=args.duration,
-            warmup_min=min(0.5, args.duration / 3),
-            seed=args.seed,
-        ),
-        autoscale=AutoscaleConfig(interval_min=args.interval),
-        telemetry=sink,
-    )
-    outcome = simulation.run()
+    options = AnalysisOptions(window_min=args.window, top_paths=args.top_paths)
+    spec, sink, result = _instrumented_run(args)
+    allocation = spec.allocation
     analysis = analyze_run(
         sink=sink,
         targets=allocation.targets,
         priorities=allocation.priorities or None,
-        profiles={name: prof.model for name, prof in profiles.items()},
+        profiles={name: prof.model for name, prof in spec.profiles.items()},
         options=options,
     )
     sections = render_analysis_sections(analysis.to_dict())
@@ -716,9 +480,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         rows = [segment.to_dict() for segment in slowest[0].segments]
         print(format_table(rows, f"e2e={slowest[0].end_to_end_ms:.3f} ms"))
     if args.output:
-        report = build_run_report(
-            sink, outcome.simulation, specs, analysis=analysis
-        )
+        report = build_run_report(sink, result, spec.specs, analysis=analysis)
         write_run_report(report, args.output)
         print(f"\nwrote report: {args.output}")
     return 0
@@ -748,34 +510,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
         return 0
 
-    app = _app(args.app)
-    scheme = _make_scheme(args.scheme)
-    args.chaos = True  # the subcommand always injects its schedule
-    chaos = _chaos_from_args(args, app, args.duration)
+    spec = _spec(args, chaos=True)  # the subcommand always injects its schedule
     session = _ServeSession(
-        args,
-        meta={
-            "app": args.app,
-            "scheme": args.scheme,
-            "workload": args.workload,
-            "sla": args.sla,
-            "seed": args.seed,
-            "duration_min": args.duration,
-            "mode": "chaos-resilient",
-        },
-        logger=_logger_for(args),
-        chaos=chaos,
+        spec.serve,
+        spec.meta(mode="chaos-resilient"),
+        logger=_logger_for(args, spec.seed),
+        chaos=spec.chaos_schedule,
     )
-    comparison = run_chaos_comparison(
-        app,
-        scheme,
-        workload=args.workload,
-        sla=args.sla,
-        chaos=chaos,
-        duration_min=args.duration,
-        seed=args.seed,
-        on_simulator=session.attach if session.enabled else None,
-    )
+    comparison = run_chaos_comparison(spec, on_simulator=session.on_simulator)
     for mode in ("no-policy", "resilient"):
         rows = [
             {
@@ -1103,17 +845,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, error) -> int:
+    print(f"repro: error: {error}", file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse, run the command, map what it raises to the exit codes.
+
+    The one catch site: a value some constructor rejects (``ValueError``)
+    is a usage error whichever step of the recipe built it; an SLA below
+    the latency floor, a profile or graph a scheme cannot use, and a file
+    or socket the OS refuses are runtime failures.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CLIError, ProfileStatisticsError, GraphValidationError) as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail(EXIT_USAGE, error)
+    except InfeasibleSLAError as error:
+        return _fail(EXIT_RUNTIME, f"infeasible setting: {error}")
+    except (CLIError, ProfileStatisticsError, GraphValidationError, OSError) as error:
+        return _fail(EXIT_RUNTIME, error)
+    except ValueError as error:
+        return _fail(EXIT_USAGE, error)
 
 
 if __name__ == "__main__":

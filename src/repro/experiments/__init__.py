@@ -8,6 +8,7 @@ EXPERIMENTS.md for the per-figure paper-vs-measured record.
 
 from repro.experiments.delta import run_delta_sweep
 from repro.experiments.harness import (
+    RunSpec,
     evaluate_allocation,
     fit_profiles_from_simulation,
     simulate_profiling_sweep,
@@ -41,6 +42,7 @@ __all__ = [
     "WorkerPool",
     "default_workers",
     "get_context",
+    "RunSpec",
     "evaluate_allocation",
     "fit_profiles_from_simulation",
     "run_cells",

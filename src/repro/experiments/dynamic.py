@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.core.model import InfeasibleSLAError, MicroserviceProfile
 from repro.core.scaling import Autoscaler
-from repro.experiments.harness import evaluate_allocation
+from repro.experiments.harness import (
+    evaluate_allocation,
+    planning_profiles,
+    uniform_multipliers,
+    uniform_specs,
+)
 from repro.experiments.parallel import WorkerPool, get_context, run_cells
 from repro.workloads.deathstarbench import Application
 from repro.workloads.prediction import WorkloadPredictor
@@ -59,17 +64,8 @@ def _dynamic_cell(cell: Dict) -> Dict:
     app = context["app"]
     sla = context["sla"]
     sim_duration_min = context["sim_duration_min"]
-    interference_multiplier = context["interference_multiplier"]
-    actual_specs = app.with_workloads(
-        {s.name: cell["actual"] for s in app.services}, sla=sla
-    )
+    actual_specs = uniform_specs(app, cell["actual"], sla)
     allocation = cell["allocation"]
-    multipliers = None
-    if interference_multiplier != 1.0:
-        multipliers = {
-            name: [interference_multiplier] * count
-            for name, count in allocation.containers.items()
-        }
     sim = evaluate_allocation(
         actual_specs,
         app.simulated,
@@ -77,7 +73,9 @@ def _dynamic_cell(cell: Dict) -> Dict:
         duration_min=sim_duration_min,
         warmup_min=min(0.3, sim_duration_min / 3),
         seed=cell["seed"],
-        container_multipliers=multipliers,
+        container_multipliers=uniform_multipliers(
+            allocation, context["interference_multiplier"]
+        ),
     )
     p95s, violations = [], []
     for spec in actual_specs:
@@ -103,7 +101,6 @@ def run_dynamic_workload(
     seed: int = 0,
     observation_lag_min: float = 0.0,
     interference_multiplier: float = 1.0,
-    historic_multiplier: Optional[float] = None,
     predictor: Optional["WorkloadPredictor"] = None,
     workers: int = 1,
     pool: Optional[WorkerPool] = None,
@@ -116,9 +113,9 @@ def run_dynamic_workload(
     schemes scale for the rate observed that long ago, while the window is
     simulated at the *current* rate — under-provisioning on rising edges
     is how reactive schemes get caught out at workload peaks (Fig. 13b).
-    ``interference_multiplier``/``historic_multiplier`` mirror the static
-    sweep: interference-aware schemes plan against the live colocation
-    level, the rest against historic statistics.  When a ``predictor`` is
+    ``interference_multiplier`` mirrors the static sweep:
+    interference-aware schemes plan against the live colocation level,
+    the rest against historic statistics.  When a ``predictor`` is
     given, schemes plan for its forecast of the *current* rate from the
     lagged observations (proactive scaling) instead of the raw lagged
     observation (reactive scaling).
@@ -128,14 +125,8 @@ def run_dynamic_workload(
     independent cell over ``workers`` processes (or the given ``pool``);
     results are identical to ``workers=1``.
     """
-    if profiles is None:
-        profiles = app.analytic_profiles(interference_multiplier)
-    if historic_multiplier is None:
-        historic_multiplier = 1.0 + (interference_multiplier - 1.0) / 2.0
-    blind_profiles = (
-        app.analytic_profiles(historic_multiplier)
-        if interference_multiplier != 1.0
-        else profiles
+    profiles, blind_profiles = planning_profiles(
+        app, interference_multiplier, profiles
     )
     result = DynamicResult()
     for scheme in schemes:
@@ -161,9 +152,7 @@ def run_dynamic_workload(
             observed = predictor.observe_and_predict(observed, horizon)
         result.windows.append(minute)
         result.rates.append(actual)
-        specs = app.with_workloads(
-            {s.name: observed for s in app.services}, sla=sla
-        )
+        specs = uniform_specs(app, observed, sla)
         for scheme in schemes:
             scheme_profiles = (
                 profiles if scheme.interference_aware else blind_profiles

@@ -9,7 +9,8 @@ the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +25,20 @@ from repro.simulator.simulation import (
     SimulationConfig,
     SimulationResult,
 )
+from repro.workloads.deathstarbench import (
+    Application,
+    hotel_reservation,
+    media_service,
+    social_network,
+)
+
+Profiles = Mapping[str, MicroserviceProfile]
+
+APPLICATIONS = {
+    "social-network": social_network,
+    "media-service": media_service,
+    "hotel-reservation": hotel_reservation,
+}
 
 
 def evaluate_allocation(
@@ -79,6 +94,301 @@ def evaluate_allocation(
     if on_simulator is not None:
         on_simulator(simulator)
     return simulator.run()
+
+
+def uniform_specs(
+    app: Application, workload: float, sla: float
+) -> List[ServiceSpec]:
+    """Every service of ``app`` at one request rate and one SLA."""
+    return app.with_workloads(
+        {service.name: workload for service in app.services}, sla=sla
+    )
+
+
+def planning_profiles(
+    app: Application, interference: float, profiles: Optional[Profiles] = None
+) -> Tuple[Profiles, Profiles]:
+    """``(live, historic)`` profiles for a run at one colocation level.
+
+    ``live`` — ``profiles``, or the application's analytic profiles at
+    ``interference`` — is what an ``interference_aware`` scheme plans
+    against.  ``historic`` is what the rest see: statistics fitted when
+    colocation was lighter, halfway between idle and the current level
+    (the paper's §2.2 critique that fixed statistics do not track
+    interference); the same object as ``live`` on an idle cluster.
+    """
+    if profiles is None:
+        profiles = app.analytic_profiles(interference)
+    if interference == 1.0:
+        return profiles, profiles
+    return profiles, app.analytic_profiles(1.0 + (interference - 1.0) / 2.0)
+
+
+def uniform_multipliers(
+    allocation: Allocation, interference: float
+) -> Optional[Dict[str, List[float]]]:
+    """Every container of ``allocation`` slowed by ``interference``."""
+    if interference == 1.0:
+        return None
+    return {
+        name: [interference] * count
+        for name, count in allocation.containers.items()
+    }
+
+
+def replay_sink(
+    sampling_rate: float = 1.0,
+    tail_threshold_ms: Optional[float] = None,
+    seed: int = 0,
+    window_min: float = 1.0,
+    max_traces: int = 0,
+    timeseries=None,
+    always: bool = False,
+):
+    """The telemetry one replay carries, or ``None`` when nothing reads it.
+
+    A replay gets a sink when the sampling settings ask for retention
+    accounting (a rate below 1.0 or a tail threshold), when a
+    ``timeseries`` store scrapes it, or when the caller reads the sink
+    whatever the settings (``always``).  ``max_traces=0`` keeps the
+    accounting (sampled / kept / dropped) and materializes no trace.
+    """
+    if not (
+        always
+        or timeseries is not None
+        or sampling_rate < 1.0
+        or tail_threshold_ms is not None
+    ):
+        return None
+    from repro.telemetry import TelemetryConfig, TelemetrySink
+
+    return TelemetrySink(
+        config=TelemetryConfig(
+            window_min=window_min,
+            sampling_rate=sampling_rate,
+            tail_threshold_ms=tail_threshold_ms,
+            seed=seed,
+            max_traces=max_traces,
+        ),
+        timeseries=timeseries,
+    )
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One setting of the pipeline and the one recipe that runs it.
+
+    The fields are the values the ``repro`` flags carry — the tuple the
+    artifact's Appendix B scripts all start from (application, scheme,
+    workload, SLA, interference) plus the run, sampling, fault and
+    observability settings.  Everything a run is built from is derived
+    here, in pipeline order (paper Fig. 6): application → profiles →
+    specs → allocation → telemetry sink → simulator, with two ways to
+    run it: :meth:`replay` (the allocation held fixed, through
+    :func:`evaluate_allocation`) and :meth:`autoscaled` (the scheme
+    re-deciding inside one continuous simulation).  A value a
+    constructor rejects raises ``ValueError`` from the step that builds
+    it; an SLA below the latency floor raises
+    :class:`~repro.core.model.InfeasibleSLAError` from ``allocation``.
+    """
+
+    app: str = "social-network"
+    scheme: str = "erms"
+    workload: float = 20_000.0
+    sla: float = 200.0
+    interference: float = 1.0
+    duration: float = 1.5
+    seed: int = 0
+    sampling_rate: float = 1.0
+    tail_threshold: Optional[float] = None
+    chaos: bool = False
+    resilience: bool = False
+    chaos_seed: int = 0
+    chaos_crashes: int = 1
+    chaos_error_rate: float = 0.05
+    chaos_spike: float = 3.0
+    chaos_restart_ms: float = 5_000.0
+    serve: Optional[int] = None
+    interval: float = 1.0
+    window: float = 1.0
+    max_traces: int = 0
+    scrape_interval: Optional[float] = None
+    rules: Optional[str] = None
+
+    @cached_property
+    def application(self) -> Application:
+        if self.app not in APPLICATIONS:
+            raise ValueError(
+                f"unknown application {self.app!r}; "
+                f"choose from {sorted(APPLICATIONS)}"
+            )
+        return APPLICATIONS[self.app]()
+
+    @cached_property
+    def scaler(self):
+        from repro.baselines import Firm, GrandSLAm, Rhythm
+        from repro.core.scaling import ErmsScaler
+
+        schemes = {
+            "erms": ErmsScaler,
+            "erms-fcfs": lambda: ErmsScaler(use_priority=False),
+            "grandslam": GrandSLAm,
+            "rhythm": Rhythm,
+            "firm": Firm,
+        }
+        if self.scheme not in schemes:
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}; choose from {sorted(schemes)}"
+            )
+        return schemes[self.scheme]()
+
+    @cached_property
+    def profiles(self) -> Profiles:
+        return self.application.analytic_profiles(self.interference)
+
+    @cached_property
+    def specs(self) -> List[ServiceSpec]:
+        return uniform_specs(self.application, self.workload, self.sla)
+
+    @cached_property
+    def allocation(self) -> Allocation:
+        """What the scheme deploys for this setting — containers, Eq. 5
+        targets and Eqs. 13–14 priorities — from a fresh episode."""
+        self.scaler.reset()
+        return self.scaler.scale(self.specs, self.profiles)
+
+    @property
+    def warmup(self) -> float:
+        return min(0.5, self.duration / 3)
+
+    @cached_property
+    def chaos_schedule(self):
+        """Seeded random fault schedule over the app, or ``None``."""
+        if not self.chaos:
+            return None
+        from repro.resilience import ChaosSchedule
+
+        return ChaosSchedule.random(
+            sorted(self.application.simulated),
+            duration_min=self.duration,
+            seed=self.chaos_seed,
+            crashes=self.chaos_crashes,
+            restart_after_ms=self.chaos_restart_ms,
+            error_rate=self.chaos_error_rate,
+            spike_multiplier=self.chaos_spike,
+        )
+
+    @property
+    def policies(self):
+        """Default policy bundle under ``resilience``, else ``None``."""
+        if not self.resilience:
+            return None
+        from repro.resilience import ResiliencePolicies
+
+        return ResiliencePolicies.default(seed=self.seed)
+
+    def meta(self, **extra) -> Dict:
+        """What the serve plane and the dashboard show about the run."""
+        return {
+            "app": self.app,
+            "scheme": self.scheme,
+            "workload": self.workload,
+            "sla": self.sla,
+            "seed": self.seed,
+            "duration_min": self.duration,
+            **extra,
+        }
+
+    def sink(self, always: bool = False):
+        """A fresh sink for one run of this spec (see :func:`replay_sink`).
+
+        A served run is watched live, so it windows and scrapes at a
+        live-view cadence whatever the flags say.
+        """
+        serving = self.serve is not None
+        window, scrape = (
+            (0.25, 0.1) if serving else (self.window, self.scrape_interval)
+        )
+        timeseries = None
+        if scrape is not None:
+            from repro.telemetry import (
+                TimeSeriesConfig,
+                TimeSeriesStore,
+                load_rules,
+            )
+
+            timeseries = TimeSeriesStore(
+                TimeSeriesConfig(scrape_interval_min=scrape),
+                rules=load_rules(self.rules) if self.rules else None,
+            )
+        return replay_sink(
+            self.sampling_rate,
+            self.tail_threshold,
+            self.seed,
+            window_min=window,
+            max_traces=self.max_traces,
+            timeseries=timeseries,
+            always=always,
+        )
+
+    def replay(
+        self, telemetry=None, resilience=None, on_simulator=None
+    ) -> SimulationResult:
+        """Hold the allocation fixed and replay it on the simulator.
+
+        ``resilience`` overrides the bundle the flags choose (the chaos
+        comparison replays one spec under two bundles).
+        """
+        return evaluate_allocation(
+            self.specs,
+            self.application.simulated,
+            self.allocation,
+            duration_min=self.duration,
+            warmup_min=self.warmup,
+            seed=self.seed,
+            container_multipliers=uniform_multipliers(
+                self.allocation, self.interference
+            ),
+            telemetry=telemetry,
+            chaos=self.chaos_schedule,
+            resilience=resilience if resilience is not None else self.policies,
+            on_simulator=on_simulator,
+        )
+
+    def autoscaled(self, telemetry=None):
+        """The scheme's control loop inside one continuous simulation,
+        built and ready to ``run()``.
+
+        The scheme re-decides every ``interval`` minutes from a fresh
+        episode; the cluster enforces the priorities it plans with
+        (scheduling follows ``allocation``, as in :meth:`replay`).
+        Containers run at the idle service time: the loop plans at
+        ``interference`` but the simulated hosts are not slowed.
+        """
+        from repro.simulator.autoscaled import (
+            AutoscaleConfig,
+            AutoscaledSimulation,
+        )
+
+        config = SimulationConfig(
+            duration_min=self.duration,
+            warmup_min=self.warmup,
+            seed=self.seed,
+            scheduling="priority" if self.allocation.priorities else "fcfs",
+        )
+        self.scaler.reset()
+        return AutoscaledSimulation(
+            self.specs,
+            self.application.simulated,
+            self.scaler,
+            self.profiles,
+            rates={spec.name: self.workload for spec in self.specs},
+            config=config,
+            autoscale=AutoscaleConfig(interval_min=self.interval),
+            telemetry=telemetry,
+            chaos=self.chaos_schedule,
+            resilience=self.policies,
+        )
 
 
 def _probe_cell(cell: Dict) -> float:
@@ -202,13 +512,3 @@ def fit_profiles_from_simulation(
             name=name, model=fit.model, resource_demand=demand
         )
     return profiles
-
-
-@dataclass(frozen=True)
-class SchemeOutcome:
-    """One scheme's results in a comparison experiment."""
-
-    scheme: str
-    containers: int
-    violation_rate: Optional[float] = None
-    p95_latency: Optional[float] = None

@@ -25,7 +25,11 @@ from repro.core.provisioning import (
     Provisioner,
 )
 from repro.core.scaling import Autoscaler
-from repro.experiments.harness import evaluate_allocation
+from repro.experiments.harness import (
+    evaluate_allocation,
+    planning_profiles,
+    uniform_specs,
+)
 from repro.experiments.parallel import WorkerPool, get_context, run_cells
 from repro.simulator.interference import InterferenceModel
 from repro.workloads.deathstarbench import Application
@@ -164,11 +168,9 @@ def run_interference_comparison(
     """
     if interference is None:
         interference = InterferenceModel()
-    if profiles is None:
-        profiles = app.analytic_profiles()
-    specs = app.with_workloads(
-        {s.name: workload for s in app.services}, sla=sla
-    )
+    # Idle profiles: the placement, not the plan, sets each container's level.
+    profiles, _ = planning_profiles(app, 1.0, profiles)
+    specs = uniform_specs(app, workload, sla)
     base_allocation = scaler.scale(specs, profiles)
 
     context = {

@@ -213,14 +213,14 @@ class WorkerPool:
         self,
         fn: Callable[[Cell], Result],
         cells: Sequence[Cell],
-        chunksize: Optional[int] = None,
     ) -> List[Result]:
         """``[fn(cell) for cell in cells]``, order-preserving.
 
-        Cells are dispatched in chunks so tiny payloads do not drown in
-        per-task IPC overhead.  An exception raised *by the cell
-        function* re-raises immediately (no serial re-run); only pool-
-        infrastructure failures fall back to the serial path.
+        Cells are dispatched in chunks (enough for ~4 per worker) so tiny
+        payloads do not drown in per-task IPC overhead.  An exception
+        raised *by the cell function* re-raises immediately (no serial
+        re-run); only pool-infrastructure failures fall back to the
+        serial path.
         """
         cells = list(cells)
         if not cells:
@@ -228,8 +228,7 @@ class WorkerPool:
         if self.workers <= 1 or len(cells) <= 1 or self._broken:
             return _run_serial(fn, cells, self._context)
 
-        if chunksize is None:
-            chunksize = max(1, -(-len(cells) // (self.workers * 4)))
+        chunksize = max(1, -(-len(cells) // (self.workers * 4)))
         # Pre-flight: everything about to be enqueued must pickle.  An
         # unpicklable function or payload dies inside the executor's
         # queue-feeder thread, after which ``shutdown(wait=True)`` can
@@ -286,7 +285,6 @@ def run_cells(
     *,
     context: Any = None,
     pool: Optional[WorkerPool] = None,
-    chunksize: Optional[int] = None,
 ) -> List[Result]:
     """Evaluate ``fn`` over ``cells``, order-preserving, optionally parallel.
 
@@ -304,8 +302,6 @@ def run_cells(
             the pool's current context (or no context).
         pool: A persistent :class:`WorkerPool` to reuse; worker start-up
             and context shipping then amortize across calls.
-        chunksize: Cells per dispatched task (default: enough for ~4
-            chunks per worker).
 
     Returns:
         ``[fn(cell) for cell in cells]`` — by construction the parallel
@@ -320,11 +316,11 @@ def run_cells(
     if pool is not None:
         if context is not None:
             pool.set_context(context)
-        return pool.map(fn, cells, chunksize=chunksize)
+        return pool.map(fn, cells)
     if workers == 0:
         workers = default_workers()
     if workers <= 1 or len(cells) <= 1:
         return _run_serial(fn, cells, context)
     with WorkerPool(min(workers, len(cells))) as ephemeral:
         ephemeral.set_context(context)
-        return ephemeral.map(fn, cells, chunksize=chunksize)
+        return ephemeral.map(fn, cells)

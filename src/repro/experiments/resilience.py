@@ -18,21 +18,20 @@ Two entry points:
   high-priority tenant is visible: errors recovered by retries, crash
   backlog shed from the best-effort tenant first (Eqs. 13–14 priority
   consistency — rank 0 is never shed).
-* :func:`run_chaos_comparison` — the same on/off comparison over a
-  benchmark application and a scaling scheme's allocation (the
+* :func:`run_chaos_comparison` — the same on/off comparison over the
+  allocation of one :class:`~repro.experiments.harness.RunSpec` (the
   ``python -m repro chaos`` subcommand).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.model import ServiceSpec
-from repro.core.scaling import Autoscaler
-from repro.experiments.harness import evaluate_allocation
+from repro.experiments.harness import RunSpec
 from repro.experiments.parallel import WorkerPool, get_context, run_cells
 from repro.graphs import DependencyGraph, call
 from repro.resilience import (
@@ -49,7 +48,6 @@ from repro.simulator.simulation import (
     SimulatedMicroservice,
     SimulationConfig,
 )
-from repro.workloads.deathstarbench import Application
 
 
 # ----------------------------------------------------------------------
@@ -304,72 +302,31 @@ class ChaosComparison:
     #: mode -> fault / policy decision records (actor, minute, reason).
     decisions: Dict[str, List[Dict]] = field(default_factory=dict)
 
-    def miss_rate(self, mode: str, service: str) -> float:
-        for row in self.rows.get(mode, []):
-            if row["service"] == service:
-                return row["sla_miss_rate"]
-        raise KeyError(f"no row for mode={mode!r} service={service!r}")
 
-
-def run_chaos_comparison(
-    app: Application,
-    scheme: Autoscaler,
-    workload: float,
-    sla: float,
-    chaos: Optional[ChaosSchedule] = None,
-    policies: Optional[ResiliencePolicies] = None,
-    duration_min: float = 2.0,
-    warmup_min: float = 0.25,
-    seed: int = 0,
-    on_simulator=None,
-) -> ChaosComparison:
+def run_chaos_comparison(run: RunSpec, on_simulator=None) -> ChaosComparison:
     """Scale an application, then replay one fault schedule on/off.
 
-    The allocation comes from ``scheme`` at the given (workload, SLA)
-    point; the same allocation then runs twice under the identical
-    ``chaos`` schedule — once observation-only
-    (:meth:`ResiliencePolicies.disabled`) and once with ``policies``
-    (the default bundle unless given).  Both runs attach a telemetry
-    sink so every injected fault and policy decision lands in the
-    returned decision records.  ``on_simulator`` (if given) is invoked
-    with the constructed simulator of the *resilient* run — the
-    ``--serve`` observability plane attaches to the run whose breaker /
-    chaos activity is worth watching live.
+    ``run`` is the setting (with ``chaos`` on): its allocation runs twice
+    under its fault schedule — once observation-only
+    (:meth:`ResiliencePolicies.disabled`) and once with the default
+    bundle.  Both runs attach a telemetry sink so every injected fault
+    and policy decision lands in the returned decision records.
+    ``on_simulator`` (if given) is invoked with the constructed simulator
+    of the *resilient* run — the ``--serve`` observability plane attaches
+    to the run whose breaker / chaos activity is worth watching live.
     """
-    from repro.telemetry import TelemetryConfig, TelemetrySink
-
-    specs = app.with_workloads(
-        {service.name: workload for service in app.services}, sla=sla
-    )
-    scheme.reset()
-    allocation = scheme.scale(specs, app.analytic_profiles())
-    if chaos is None:
-        chaos = ChaosSchedule.random(
-            sorted(app.simulated), duration_min=duration_min, seed=seed
-        )
-    if policies is None:
-        policies = ResiliencePolicies.default(seed=seed)
-    comparison = ChaosComparison(chaos=chaos)
+    comparison = ChaosComparison(chaos=run.chaos_schedule)
     for mode, bundle in (
-        ("no-policy", ResiliencePolicies.disabled(seed=policies.seed)),
-        ("resilient", policies),
+        ("no-policy", ResiliencePolicies.disabled(seed=run.seed)),
+        ("resilient", ResiliencePolicies.default(seed=run.seed)),
     ):
-        sink = TelemetrySink(
-            config=TelemetryConfig(seed=seed, max_traces=0)
-        )
-        result = evaluate_allocation(
-            specs,
-            app.simulated,
-            allocation,
-            duration_min=duration_min,
-            warmup_min=warmup_min,
-            seed=seed,
-            telemetry=sink,
-            chaos=chaos,
+        sink = run.sink(always=True)
+        result = run.replay(
+            sink,
             resilience=bundle,
             on_simulator=on_simulator if mode == "resilient" else None,
         )
-        comparison.rows[mode] = _service_rows(result, specs)
+        comparison.rows[mode] = _service_rows(result, run.specs)
         comparison.stats[mode] = result.resilience or {}
         comparison.decisions[mode] = [
             {

@@ -15,7 +15,13 @@ import numpy as np
 
 from repro.core.model import Allocation, InfeasibleSLAError, MicroserviceProfile
 from repro.core.scaling import Autoscaler
-from repro.experiments.harness import evaluate_allocation
+from repro.experiments.harness import (
+    evaluate_allocation,
+    planning_profiles,
+    replay_sink,
+    uniform_multipliers,
+    uniform_specs,
+)
 from repro.experiments.parallel import WorkerPool, get_context, run_cells
 from repro.workloads.deathstarbench import Application
 
@@ -105,34 +111,11 @@ def _simulate_static_cell(cell: Dict) -> Dict[float, Dict]:
     """
     context = get_context()
     app = context["app"]
-    specs = app.with_workloads(
-        {s.name: cell["workload"] for s in app.services}, sla=cell["slas"][0]
-    )
+    specs = uniform_specs(app, cell["workload"], cell["slas"][0])
     allocation = cell["allocation"]
-    interference_multiplier = context["interference_multiplier"]
-    multipliers = None
-    if interference_multiplier != 1.0:
-        multipliers = {
-            name: [interference_multiplier] * count
-            for name, count in allocation.containers.items()
-        }
-    sink = None
-    sampling_rate = context.get("sampling_rate", 1.0)
-    tail_threshold_ms = context.get("tail_threshold_ms")
-    if sampling_rate < 1.0 or tail_threshold_ms is not None:
-        from repro.telemetry import TelemetryConfig, TelemetrySink
-
-        # max_traces=0: the sweep only wants the retention *accounting*
-        # (sampled/kept/dropped), not the trace objects, so nothing is
-        # materialized or held across hundreds of grid cells.
-        sink = TelemetrySink(
-            config=TelemetryConfig(
-                sampling_rate=sampling_rate,
-                tail_threshold_ms=tail_threshold_ms,
-                seed=context["seed"],
-                max_traces=0,
-            )
-        )
+    sink = replay_sink(
+        context["sampling_rate"], context["tail_threshold_ms"], context["seed"]
+    )
     sim = evaluate_allocation(
         specs,
         app.simulated,
@@ -140,10 +123,12 @@ def _simulate_static_cell(cell: Dict) -> Dict[float, Dict]:
         duration_min=context["duration_min"],
         warmup_min=context["warmup_min"],
         seed=context["seed"],
-        container_multipliers=multipliers,
+        container_multipliers=uniform_multipliers(
+            allocation, context["interference_multiplier"]
+        ),
         telemetry=sink,
-        chaos=context.get("chaos"),
-        resilience=context.get("resilience"),
+        chaos=context["chaos"],
+        resilience=context["resilience"],
     )
     # A service whose requests all finished inside the warm-up has
     # nothing to measure and is left out of the averages.
@@ -181,7 +166,6 @@ def run_static_sweep(
     warmup_min: float = 0.5,
     seed: int = 0,
     interference_multiplier: float = 1.0,
-    historic_multiplier: Optional[float] = None,
     workers: int = 1,
     sampling_rate: float = 1.0,
     tail_threshold_ms: Optional[float] = None,
@@ -211,10 +195,9 @@ def run_static_sweep(
             with ``interference_aware`` condition their profiles on it
             (Erms feeds measured utilization into Eq. 15); the rest scale
             against *historic* profiles fitted when colocation was lighter
-            (``historic_multiplier``, default halfway between idle and the
-            current level) — the paper's §2.2 critique that fixed
-            statistics do not track interference.  The simulator replays
-            everyone at the true level.
+            (halfway between idle and the current level, see
+            :func:`~repro.experiments.harness.planning_profiles`).  The
+            simulator replays everyone at the true level.
         workers: Process count for the simulation replays (``0`` = one per
             CPU).  Allocations always run serially — schemes are stateful
             (``reset()``/``scale()``) — then the independent replays, one
@@ -239,14 +222,8 @@ def run_static_sweep(
         A :class:`StaticSweepResult`; infeasible (SLA below latency floor)
         combinations are skipped for all schemes alike.
     """
-    if profiles is None:
-        profiles = app.analytic_profiles(interference_multiplier)
-    if historic_multiplier is None:
-        historic_multiplier = 1.0 + (interference_multiplier - 1.0) / 2.0
-    blind_profiles = (
-        app.analytic_profiles(historic_multiplier)
-        if interference_multiplier != 1.0
-        else profiles
+    profiles, blind_profiles = planning_profiles(
+        app, interference_multiplier, profiles
     )
     # Pass 1 (serial): allocations.  Schemes are stateful, so reset/scale
     # must run in grid order; this pass is cheap relative to simulation.
@@ -255,9 +232,7 @@ def run_static_sweep(
     simulated: List[Tuple[Dict, Tuple]] = []  # (row, its replay's key)
     for workload in workloads:
         for sla in slas:
-            specs = app.with_workloads(
-                {s.name: workload for s in app.services}, sla=sla
-            )
+            specs = uniform_specs(app, workload, sla)
             for scheme in schemes:
                 scheme_profiles = (
                     profiles if scheme.interference_aware else blind_profiles

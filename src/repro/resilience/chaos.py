@@ -19,7 +19,7 @@ dedicated RNG for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,17 +144,6 @@ class ChaosSchedule:
         object.__setattr__(
             self, "latency_spikes", tuple(self.latency_spikes)
         )
-
-    # -- lookups (manager precomputes per-microservice tables) ----------
-    def error_windows_of(self, microservice: str) -> List[ErrorWindow]:
-        return [
-            w for w in self.error_windows if w.microservice == microservice
-        ]
-
-    def spikes_of(self, microservice: str) -> List[LatencySpike]:
-        return [
-            s for s in self.latency_spikes if s.microservice == microservice
-        ]
 
     def error_rate_at(self, microservice: str, minute: float) -> float:
         """Per-RPC error probability for ``microservice`` at ``minute``."""

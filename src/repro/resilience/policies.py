@@ -31,12 +31,6 @@ BREAKER_CLOSED = 0
 BREAKER_OPEN = 1
 BREAKER_HALF_OPEN = 2
 
-_STATE_NAMES = {
-    BREAKER_CLOSED: "closed",
-    BREAKER_OPEN: "open",
-    BREAKER_HALF_OPEN: "half-open",
-}
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -237,9 +231,6 @@ class CircuitBreaker:
         self.probes_in_flight = 0
         self.probe_successes = 0
         self.opens = 0  # lifetime count of CLOSED/HALF_OPEN -> OPEN trips
-
-    def state_name(self) -> str:
-        return _STATE_NAMES[self.state]
 
     def allow(self, now_ms: float):
         """(admitted, transition): may this attempt proceed?"""

@@ -60,9 +60,6 @@ class AutoscaledResult:
         default_factory=list
     )
 
-    def container_series(self) -> List[int]:
-        return [total for _, total in self.scaling_events]
-
 
 class AutoscaledSimulation:
     """Wires an :class:`Autoscaler` into a running :class:`ClusterSimulator`.

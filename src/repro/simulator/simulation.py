@@ -80,7 +80,7 @@ when called, whether the run is that system (``_single_station``):
 * no telemetry sink and no resilience manager (so no chaos either);
 * nothing already on ``self.events`` — an autoscaler tick, a delayed
   scale-up, a scheduled kill;
-* ``drain`` on and ``record_own_latency`` off.
+* ``record_own_latency`` off.
 
 If so, ``_run_station`` replays it; every other run takes the event loop
 (``_run_events``: everything described above), which is also the
@@ -205,7 +205,6 @@ class SimulationConfig:
     seed: int = 0
     delta: float = 0.05
     scheduling: str = "fcfs"  # "fcfs" | "priority"
-    drain: bool = True  # let in-flight requests finish after arrivals stop
     record_own_latency: bool = True
 
     def __post_init__(self) -> None:
@@ -1057,14 +1056,12 @@ class ClusterSimulator:
 
     def _single_station(self) -> Optional[_Container]:
         """The one container this run drives, if that is all the run is."""
-        config = self.config
         if (
             len(self.services) != 1
             or self._telemetry is not None
             or self._resilience is not None
             or len(self.events) != 0
-            or not config.drain
-            or config.record_own_latency
+            or self.config.record_own_latency
         ):
             return None
         name = self.services[0].name
@@ -1165,8 +1162,8 @@ class ClusterSimulator:
 
         processed = self.events.run_until(duration_ms)
         self._arrivals_open = False
-        if self.config.drain:
-            processed += self.events.run_until(float("inf"))
+        # Let in-flight requests finish after arrivals stop.
+        processed += self.events.run_until(float("inf"))
         result.events_processed += processed
         # A recycled record still names its last continuation, and through
         # it the finished request's spans, attempts and join frames.

@@ -29,9 +29,10 @@ it happens —
 The disabled path is a null check: the engine tests ``telemetry is not
 None`` once where each of the four hot-path hooks below would be called
 and touches nothing else, so a run without a sink pays a single
-predictable branch per event (``telemetry_overhead`` in
-``BENCH_des.json`` and the ``des_replay`` / ``des_observed`` ladder of
-``benchmarks/e2e`` track both sides).
+predictable branch per event (``disabled_path`` in ``BENCH_des.json``
+holds the cheapest attached sink against the bare engine; the
+``des_replay`` / ``des_observed`` ladder of ``benchmarks/e2e`` tracks
+what each enabled layer adds).
 
 Who owns what, per request: references point from a call up to its
 caller and never back.  A :class:`_SpanDone` holds its context, its

@@ -383,11 +383,5 @@ class DecisionLog:
     def by_actor(self, actor: str) -> List[DecisionRecord]:
         return [r for r in self.records if r.actor == actor]
 
-    def scale_ups(self) -> List[DecisionRecord]:
-        return [r for r in self.records if r.delta > 0]
-
-    def scale_downs(self) -> List[DecisionRecord]:
-        return [r for r in self.records if r.delta < 0]
-
     def to_dicts(self) -> List[Dict]:
         return [r.to_dict() for r in self.records]

@@ -19,18 +19,12 @@ A 10 % sampling rate (Jaeger's default in the paper) is applied on ingest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.graphs import CallNode, DependencyGraph
-from repro.tracing.spans import CallTree, Span, TraceRecord, group_stages
-
-
-def group_parallel(client_spans: Sequence[Span]) -> List[List[Span]]:
-    """Partition a microservice's outgoing calls into stages: the overlap
-    rule of :func:`~repro.tracing.spans.group_stages` over client spans."""
-    return group_stages((s.start, s.span_id, s.end, s) for s in client_spans)
+from repro.tracing.spans import CallTree, TraceRecord
 
 
 def trace_own_latencies(trace: TraceRecord) -> Dict[str, List[float]]:

@@ -80,10 +80,6 @@ class Span:
         """Response time covered by this span (ms)."""
         return self.end - self.start
 
-    def overlaps(self, other: "Span") -> bool:
-        """True when the two spans' time intervals intersect."""
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True)
 class SpanTiming:

@@ -33,7 +33,6 @@ from repro.workloads.prediction import (
     HoltPredictor,
     LastValuePredictor,
     WorkloadPredictor,
-    backtest,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "HoltPredictor",
     "LastValuePredictor",
     "WorkloadPredictor",
-    "backtest",
 ]

@@ -18,7 +18,7 @@ Implementations are deliberately simple and dependency-free:
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import Optional
 
 
 class WorkloadPredictor(abc.ABC):
@@ -95,18 +95,3 @@ class HoltPredictor(WorkloadPredictor):
         if self._level is None:
             raise RuntimeError("no observations yet")
         return max(self._level + horizon * self._trend, 0.0)
-
-
-def backtest(
-    predictor: WorkloadPredictor, series: List[float], horizon: float = 1.0
-) -> List[float]:
-    """Run a predictor over a series; returns one forecast per step.
-
-    The i-th output is the forecast made after observing ``series[:i+1]``
-    for time ``i + horizon`` — align with ``series[i + horizon]`` when
-    scoring.
-    """
-    forecasts = []
-    for value in series:
-        forecasts.append(predictor.observe_and_predict(value, horizon))
-    return forecasts

@@ -132,7 +132,7 @@ class TestAutoscaledSimulation:
             autoscale=AutoscaleConfig(interval_min=1.0, startup_delay_ms=0.0),
         )
         result = sim.run()
-        series = result.container_series()
+        series = [total for _, total in result.scaling_events]
         assert max(series) - min(series) <= 1  # no thrash on steady load
         assert result.simulation.tail_latency("svc") < spec.sla
 

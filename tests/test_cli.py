@@ -315,34 +315,161 @@ class TestCommands:
         assert analysis["critical_path"]
         assert "sampling" in analysis
 
-    @pytest.mark.parametrize(
-        "command, flag, value, field",
-        [
-            ("analyze", "--window", "0", "window_min"),
-            ("analyze", "--sampling-rate", "0", "sampling_rate"),
-            ("analyze", "--tail-threshold", "-5", "tail_threshold_ms"),
-            ("analyze", "--duration", "0", "duration_min"),
-            ("analyze", "--max-traces", "-1", "max_traces"),
-            ("analyze", "--top-paths", "-1", "top_paths"),
-            ("report", "--window", "0", "window_min"),
-            ("report", "--sampling", "0", "sampling_rate"),
-            ("report", "--duration", "0", "duration_min"),
-            ("report", "--max-traces", "-1", "max_traces"),
-            ("dashboard", "--window", "0", "window_min"),
-            ("dashboard", "--duration", "0", "duration_min"),
-            ("dashboard", "--scrape-interval", "0", "scrape_interval_min"),
-            ("simulate", "--sampling-rate", "0", "sampling_rate"),
-            ("simulate", "--tail-threshold", "-5", "tail_threshold_ms"),
+    # command, flag, value → exit code, first word(s) of the one stderr line.
+    # 2: a value some constructor rejects; 3: an infeasible setting or a
+    # path the OS refuses.  The run flags keep the rows that reach the
+    # simulator short.
+    _HOSTILE = [
+        ("analyze", "--window", "0", 2, "window_min"),
+        ("analyze", "--sampling-rate", "0", 2, "sampling_rate"),
+        ("analyze", "--tail-threshold", "-5", 2, "tail_threshold_ms"),
+        ("analyze", "--duration", "0", 2, "duration_min"),
+        ("analyze", "--max-traces", "-1", 2, "max_traces"),
+        ("analyze", "--top-paths", "-1", 2, "top_paths"),
+        ("report", "--window", "0", 2, "window_min"),
+        ("report", "--sampling", "0", 2, "sampling_rate"),
+        ("report", "--duration", "0", 2, "duration_min"),
+        ("report", "--max-traces", "-1", 2, "max_traces"),
+        ("dashboard", "--window", "0", 2, "window_min"),
+        ("dashboard", "--duration", "0", 2, "duration_min"),
+        ("dashboard", "--scrape-interval", "0", 2, "scrape_interval_min"),
+        ("simulate", "--sampling-rate", "0", 2, "sampling_rate"),
+        ("simulate", "--tail-threshold", "-5", 2, "tail_threshold_ms"),
+        *[
+            (command, "--sla", "1", 3, "infeasible setting:")
+            for command in (
+                "scale", "simulate", "report", "dashboard", "analyze", "chaos",
+            )
         ],
+        *[
+            (command, "--interference", "0.5", 2, "interference_multiplier")
+            for command in (
+                "scale", "simulate", "compare", "report", "dashboard",
+                "analyze", "chaos",
+            )
+        ],
+        ("scale", "--sla", "-1", 2, "sla"),
+        ("simulate", "--sla", "-1", 2, "sla"),
+        ("chaos", "--sla", "-1", 2, "sla"),
+        ("scale", "--workload", "-5", 2, "workload"),
+        ("report", "--workload", "-5", 2, "workload"),
+        ("analyze", "--workload", "-5", 2, "workload"),
+        ("compare", "--workloads", "-5", 2, "workload"),
+        ("simulate", "--duration", "0", 2, "duration_min"),
+        ("chaos", "--duration", "0", 2, "duration_min"),
+        ("chaos", "--chaos-error-rate", "7", 2, "error_rate"),
+        ("report", "--interval", "0", 2, "interval_min"),
+        ("trace-sim", "--services", "0", 2, "n_services"),
+        ("dashboard", "--rules", "/nonexistent/rules.json", 2, "cannot read rules"),
+        ("dashboard", "--output", "/nonexistent/d.html", 3, "[Errno 2]"),
+        ("report", "--output", "/nonexistent/r.json", 3, "[Errno 2]"),
+        ("report", "--chrome-trace", "/nonexistent/c.json", 3, "[Errno 2]"),
+        ("analyze", "--output", "/nonexistent/a.json", 3, "[Errno 2]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, flag, value, code, field",
+        _HOSTILE,
+        ids=["-".join(row[:3] + row[4:]) for row in _HOSTILE],
     )
     def test_bad_config_value_is_one_line_usage_error(
-        self, command, flag, value, field, capsys
+        self, command, flag, value, code, field, capsys
     ):
-        assert main([command, "--app", "hotel-reservation", flag, value]) == 2
+        argv = [command, flag, value]
+        if command not in ("compare", "trace-sim"):
+            argv += ["--app", "hotel-reservation"]
+        if flag != "--duration" and command not in ("scale", "compare", "trace-sim"):
+            argv += ["--duration", "0.3"]
+        assert main(argv) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"repro: error: {field} must be ")
+        assert captured.err.startswith(f"repro: error: {field} ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        if code == 2:
+            assert captured.out == ""
+
+
+class TestRunSpec:
+    """One recipe from the flags to the run, whichever command asks."""
+
+    @staticmethod
+    def _spec(*argv):
+        from repro.cli import _spec
+
+        return _spec(build_parser().parse_args(list(argv)))
+
+    def test_flags_are_the_only_fields(self):
+        """Every field is the ``dest`` of some flag, and a command's
+        own defaults reach the spec."""
+        import dataclasses
+
+        from repro.experiments import RunSpec
+
+        dests = {"sampling_rate"}  # report spells it --sampling
+        for command in ("scale", "simulate", "compare", "chaos", "report",
+                        "dashboard", "analyze"):
+            dests.update(vars(build_parser().parse_args([command])))
+        assert {f.name for f in dataclasses.fields(RunSpec)} <= dests
+        assert self._spec("chaos").duration == 2.0
+        assert self._spec("analyze").max_traces == 5000
+        assert self._spec("report", "--sampling", "0.5").sampling_rate == 0.5
+        assert self._spec("dashboard").scrape_interval == 0.25
+
+    def test_spec_pickles_and_is_json_able(self):
+        import dataclasses
+        import json
+        import pickle
+
+        spec = self._spec("simulate", "--app", "hotel-reservation", "--chaos")
+        spec.allocation, spec.chaos_schedule  # derived values ride along
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert json.loads(json.dumps(dataclasses.asdict(spec)))["chaos"] is True
+
+    def test_autoscaled_commands_enforce_the_priorities_they_plan(self):
+        """``report`` / ``dashboard`` / ``analyze`` simulate a cluster that
+        schedules by the Eqs. 13–14 ranks the allocation carries."""
+        from repro.simulator.scheduler import PriorityQueuePolicy
+
+        def prioritised(spec):
+            states = spec.autoscaled().simulator._microservices
+            return {
+                name
+                for name, state in states.items()
+                if all(
+                    isinstance(container.queue, PriorityQueuePolicy)
+                    for container in state.containers
+                )
+            }
+
+        erms = self._spec("analyze", "--scheme", "erms")
+        ranked = {
+            name
+            for name, ranks in erms.allocation.priorities.items()
+            if len(set(ranks.values())) >= 2
+        }
+        assert ranked == set(erms.application.shared_microservices())
+        assert ranked <= prioritised(erms)
+        assert prioritised(self._spec("analyze", "--scheme", "grandslam")) == set()
+
+    def test_chaos_honours_interference(self, capsys):
+        """Profiles *and* container multipliers, as ``simulate`` does."""
+        spec = self._spec("chaos", "--app", "hotel-reservation",
+                          "--workload", "4000", "--interference", "2.5")
+        idle = self._spec("chaos", "--app", "hotel-reservation",
+                          "--workload", "4000")
+        assert spec.allocation.total_containers() > idle.allocation.total_containers()
+        argv = ["chaos", "--app", "hotel-reservation", "--workload", "4000",
+                "--duration", "0.3"]
+        assert main(argv) == 0
+        at_idle = capsys.readouterr().out
+        assert main(argv + ["--interference", "2.5"]) == 0
+        assert capsys.readouterr().out != at_idle
+
+    def test_chaos_short_duration_runs(self, capsys):
+        """The warm-up follows the duration (it used to be pinned at
+        0.25 min, a traceback at ``--duration 0.2``)."""
+        assert main(["chaos", "--app", "hotel-reservation",
+                     "--workload", "2000", "--duration", "0.2"]) == 0
+        assert "resilient under the same fault schedule" in capsys.readouterr().out
 
 
 def _tiny_report(tmp_path):

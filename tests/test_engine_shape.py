@@ -338,7 +338,6 @@ _KEEPS_THE_EVENT_LOOP = {
     "resilience": lambda: _probe(resilience=ResiliencePolicies.default()),
     "an event scheduled before run()": _event_scheduled,
     "own latencies recorded": lambda: _probe(config={"record_own_latency": True}),
-    "no drain": lambda: _probe(config={"drain": False}),
 }
 
 

@@ -7,8 +7,12 @@ from repro.workloads import (
     DiurnalRate,
     HoltPredictor,
     LastValuePredictor,
-    backtest,
 )
+
+
+def backtest(predictor, series):
+    """One next-step forecast per observation of ``series``."""
+    return [predictor.observe_and_predict(value, 1.0) for value in series]
 
 
 class TestLastValuePredictor:
@@ -54,8 +58,8 @@ class TestHoltPredictor:
                            noise_sigma=0.0, seed=0)
         series = [rate(float(minute)) for minute in range(0, 60, 3)]
         actuals = np.array(series[1:])
-        holt = np.array(backtest(HoltPredictor(), series, horizon=1.0)[:-1])
-        naive = np.array(backtest(LastValuePredictor(), series, horizon=1.0)[:-1])
+        holt = np.array(backtest(HoltPredictor(), series)[:-1])
+        naive = np.array(backtest(LastValuePredictor(), series)[:-1])
         holt_error = float(np.mean(np.abs(holt - actuals)))
         naive_error = float(np.mean(np.abs(naive - actuals)))
         assert holt_error < naive_error

@@ -11,12 +11,17 @@ from repro.tracing import (
     TracingCoordinator,
     synthesize_trace,
 )
-from repro.tracing.coordinator import group_parallel
+from repro.tracing.spans import group_stages
 
 from tests.helpers import chain_graph, fig1_graph
 
 
 FIG1_LATENCIES = {"T": 10.0, "Url": 6.0, "U": 8.0, "C": 4.0}
+
+
+def group_parallel(client_spans):
+    """One caller's client spans, stage by stage (the overlap rule)."""
+    return group_stages((s.start, s.span_id, s.end, s) for s in client_spans)
 
 
 class TestSpan:
@@ -32,8 +37,8 @@ class TestSpan:
         a = Span("a", None, "A", SpanKind.CLIENT, 0.0, 10.0)
         b = Span("b", None, "A", SpanKind.CLIENT, 5.0, 15.0)
         c = Span("c", None, "A", SpanKind.CLIENT, 10.0, 20.0)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)  # touching endpoints do not overlap
+        assert group_parallel([a, b]) == [[a, b]]
+        assert group_parallel([a, c]) == [[a], [c]]  # touching endpoints do not overlap
 
 
 class TestSynthesizeTrace:
@@ -56,7 +61,7 @@ class TestSynthesizeTrace:
         clients = [s for s in trace.spans if s.kind is SpanKind.CLIENT]
         t_clients = [s for s in clients if s.microservice == "T"]
         url_u = sorted(t_clients, key=lambda s: s.start)[:2]
-        assert url_u[0].overlaps(url_u[1])
+        assert group_parallel(url_u) == [url_u]
 
     def test_network_delay_extends_spans(self):
         graph = chain_graph(["A", "B"])
