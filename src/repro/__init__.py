@@ -30,7 +30,7 @@ from repro.core import (
     PiecewiseLatencyModel,
     ServiceSpec,
 )
-from repro.graphs import DependencyGraph, GraphBuilder, call
+from repro.graphs import DependencyGraph, call
 
 __all__ = [
     "__version__",
@@ -41,6 +41,5 @@ __all__ = [
     "PiecewiseLatencyModel",
     "ServiceSpec",
     "DependencyGraph",
-    "GraphBuilder",
     "call",
 ]

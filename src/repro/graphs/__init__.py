@@ -9,11 +9,10 @@ the longest execution time over all *critical paths* of the graph.
 This package provides the graph data model used by every other part of the
 reproduction: the tracing coordinator extracts these graphs from spans, the
 Erms core merges them into chains of virtual microservices, and the cluster
-simulator walks them to drive request execution.
+simulator binds them to live containers — all through :class:`GraphPlan`.
 """
 
 from repro.graphs.dependency import CallNode, DependencyGraph, GraphPlan, call
-from repro.graphs.builder import GraphBuilder
 from repro.graphs.validation import GraphValidationError, validate_graph
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "DependencyGraph",
     "GraphPlan",
     "call",
-    "GraphBuilder",
     "GraphValidationError",
     "validate_graph",
     # repro.graphs.clustering is imported lazily by its users to avoid a

@@ -31,15 +31,26 @@ def _node_set(graph: DependencyGraph) -> Set[str]:
 
 
 def _edge_set(graph: DependencyGraph) -> Set[Tuple[str, str]]:
-    edges: Set[Tuple[str, str]] = set()
+    plan = graph.plan()
+    names, index, parents = plan.names, plan.index, plan.parents
+    return {
+        (names[index[parents[site]]], names[index[site]])
+        for site in range(1, len(index))
+    }
 
-    def _visit(node: CallNode) -> None:
-        for child in node.children():
-            edges.add((node.microservice, child.microservice))
-            _visit(child)
 
-    _visit(graph.root)
-    return edges
+def _copy_tree(graph: DependencyGraph) -> CallNode:
+    """A call tree equal to ``graph``'s that shares no node with it."""
+    plan = graph.plan()
+    copies: List = [None] * len(plan.nodes)  # per site; callees come first
+    for site in range(len(copies) - 1, -1, -1):
+        node = plan.nodes[site]
+        copies[site] = CallNode(
+            node.microservice,
+            [[copies[child] for child in stage] for stage in plan.stages[site]],
+            node.calls_per_request,
+        )
+    return copies[0]
 
 
 def graph_similarity(first: DependencyGraph, second: DependencyGraph) -> float:
@@ -71,11 +82,10 @@ def merge_variants(
     if not variants:
         raise ValueError("need at least one variant")
     from repro.tracing.coordinator import _merge_call_trees
-    import copy
 
-    merged = copy.deepcopy(variants[0].root)
+    merged = _copy_tree(variants[0])
     for variant in variants[1:]:
-        _merge_call_trees(merged, copy.deepcopy(variant.root))
+        _merge_call_trees(merged, _copy_tree(variant))
     return DependencyGraph(service=service, root=merged)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,18 +44,6 @@ class CallNode:
     microservice: str
     stages: List[List["CallNode"]] = field(default_factory=list)
     calls_per_request: float = 1.0
-
-    def children(self) -> Iterator["CallNode"]:
-        """Yield every downstream call node, stage by stage."""
-        for stage in self.stages:
-            for node in stage:
-                yield node
-
-    def walk(self) -> Iterator["CallNode"]:
-        """Yield this node and every descendant in depth-first order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
 
     def add_sequential(self, node: "CallNode") -> "CallNode":
         """Append ``node`` as a new sequential stage and return it."""
@@ -86,13 +74,14 @@ def call(
 class GraphPlan:
     """The compiled, immutable form of one :class:`DependencyGraph`.
 
-    One pass over the call tree lays it out flat, so that everything which
-    used to re-walk the tree — the Erms merge and Eq. 5, the structural
-    latency folds, workload multipliers, the sharing maps — is a loop over
-    tuples.  *Sites* are call nodes numbered in depth-first pre-order (a
-    node's descendants follow it, so a reverse loop sees children before
-    parents); microservice names are interned to their first-appearance
-    rank.
+    One pass over the call tree lays it out flat — the only traversal of
+    a call tree there is: every reader of a graph (the Erms merge and
+    Eq. 5, the latency folds, critical paths, validation, the row and span
+    writers, the variant merge, the simulator's call plans) is a loop over
+    these tuples, with no depth limit.  *Sites* are call nodes numbered in
+    depth-first pre-order (a node's descendants follow it: a forward loop
+    sees callers before callees, a reverse loop children before parents);
+    microservice names are interned to their first-appearance rank.
 
     Attributes:
         nodes: The :class:`CallNode` of every site.
@@ -101,16 +90,20 @@ class GraphPlan:
         factors: Per site, the product of ``calls_per_request`` from the
             root down to and including the site.
         stages: Per site, its stages as tuples of child site numbers.
+        parents: Per site, the site that calls it (``-1`` for the root).
         multipliers: Per name, the site factors summed in site order.
     """
 
-    __slots__ = ("nodes", "names", "index", "factors", "stages", "multipliers")
+    __slots__ = (
+        "nodes", "names", "index", "factors", "stages", "parents", "multipliers"
+    )
 
     def __init__(self, root: CallNode) -> None:
         nodes: List[CallNode] = []
         index: List[int] = []
         factors: List[float] = []
         stages: List[List[List[int]]] = []
+        parents: List[int] = []
         ranks: Dict[str, int] = {}
         multipliers: List[float] = []
         # (node, factor above it, parent site, stage of the parent); children
@@ -128,6 +121,7 @@ class GraphPlan:
             index.append(rank)
             factors.append(factor)
             stages.append([[] for _ in node.stages])
+            parents.append(parent)
             if parent >= 0:
                 stages[parent][stage].append(site)
             for number in range(len(node.stages) - 1, -1, -1):
@@ -140,6 +134,7 @@ class GraphPlan:
         self.stages = tuple(
             tuple(tuple(stage) for stage in site_stages) for site_stages in stages
         )
+        self.parents = tuple(parents)
         self.multipliers = tuple(multipliers)
 
     def fold(self, values: Sequence, maximum: Callable = max):
@@ -169,13 +164,14 @@ class GraphPlan:
 class DependencyGraph:
     """The call tree of one online service.
 
-    The structure queries below, and everything in :mod:`repro.core` and
-    :mod:`repro.baselines` that scales a service, read the graph's
-    :class:`GraphPlan`, which :meth:`plan` builds from the tree at first
-    use and keeps.  A graph is therefore frozen once it has been queried
-    or scaled: build the call tree completely first, and after mutating a
-    root in place make a new ``DependencyGraph(service, root)`` — the old
-    instance keeps answering for the tree it compiled.
+    Every reader of a graph — the structure queries below, validation,
+    the row and span writers, :mod:`repro.core` and :mod:`repro.baselines`,
+    the simulator — reads its :class:`GraphPlan`, which :meth:`plan` builds
+    from the tree at first use and keeps.  A graph is therefore frozen once
+    it has been queried, validated, scaled or simulated: build the call
+    tree completely first, and after mutating a root in place make a new
+    ``DependencyGraph(service, root)`` — the old instance keeps answering
+    for the tree it compiled.
 
     Attributes:
         service: Name of the online service this graph belongs to.
@@ -210,21 +206,10 @@ class DependencyGraph:
         """Number of call sites (counting repeated microservices)."""
         return len(self.plan().nodes)
 
-    def edge_count(self) -> int:
-        """Number of upstream->downstream call edges."""
-        return self.node_count() - 1
-
     def depth(self) -> int:
         """Length (in microservices) of the longest root-to-leaf chain."""
-
-        def _depth(node: CallNode) -> int:
-            extra = sum(
-                max((_depth(child) for child in stage), default=0)
-                for stage in node.stages
-            )
-            return 1 + extra
-
-        return _depth(self.root)
+        plan = self.plan()
+        return int(plan.fold([1] * len(plan.names)))
 
     def workload_multipliers(self) -> Dict[str, float]:
         """Per-microservice calls issued per one service request.
@@ -248,30 +233,21 @@ class DependencyGraph:
         The number of paths can grow exponentially in pathological graphs, so
         enumeration stops after ``limit`` paths.
         """
-        paths = list(itertools.islice(self._paths(self.root), limit))
-        return [tuple(p) for p in paths]
-
-    def _paths(self, node: CallNode) -> Iterator[List[str]]:
-        stage_choices: List[List[List[str]]] = []
-        for stage in node.stages:
-            choices: List[List[str]] = []
-            for child in stage:
-                choices.extend(self._paths(child))
-            stage_choices.append(choices)
-        if not stage_choices:
-            yield [node.microservice]
-            return
-        for combo in itertools.product(*stage_choices):
-            path = [node.microservice]
-            for sub in combo:
-                path.extend(sub)
-            yield path
-
-    def path_latency(
-        self, path: Sequence[str], latencies: Dict[str, float]
-    ) -> float:
-        """Sum of per-microservice latencies along ``path``."""
-        return sum(latencies[name] for name in path)
+        plan = self.plan()
+        names, index, stages = plan.names, plan.index, plan.stages
+        # Per site, the paths below it; the first ``limit`` paths of a site
+        # use no more than the first ``limit`` of each callee.
+        paths: List[List[Tuple[str, ...]]] = [[]] * len(index)
+        for site in range(len(index) - 1, -1, -1):
+            choices = [
+                [path for child in stage for path in paths[child]]
+                for stage in stages[site]
+            ]
+            paths[site] = [
+                sum(combo, (names[index[site]],))
+                for combo in itertools.islice(itertools.product(*choices), limit)
+            ]
+        return paths[0]
 
     def end_to_end_latency(self, latencies: Dict[str, float]) -> float:
         """End-to-end latency given each microservice's own latency.

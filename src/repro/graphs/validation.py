@@ -19,27 +19,35 @@ class GraphValidationError(ValueError):
 
 
 def validate_graph(graph: "dependency.DependencyGraph") -> None:
-    """Check every invariant; raise :class:`GraphValidationError` on failure."""
+    """Check every invariant; raise :class:`GraphValidationError` on failure.
+
+    Of several violations the first in depth-first order is reported: a
+    site, then stage by stage its callees' subtrees, an empty stage in turn.
+    """
     if not graph.service:
         raise GraphValidationError("service name must be non-empty")
-    _validate_node(graph.root, ancestry=[])
-
-
-def _validate_node(node: "dependency.CallNode", ancestry: List[str]) -> None:
-    if not node.microservice:
-        raise GraphValidationError("microservice name must be non-empty")
-    if node.calls_per_request <= 0:
-        raise GraphValidationError(
-            f"calls_per_request of {node.microservice!r} must be positive, "
-            f"got {node.calls_per_request}"
-        )
-    if node.microservice in ancestry:
-        cycle = " -> ".join(ancestry + [node.microservice])
-        raise GraphValidationError(f"recursive call cycle detected: {cycle}")
-    for index, stage in enumerate(node.stages):
-        if not stage:
+    plan = graph.plan()
+    nodes, index, stages, parents = plan.nodes, plan.index, plan.stages, plan.parents
+    due: List = [0]  # sites, and (site, stage number) where a stage is empty
+    while due:
+        site = due.pop()
+        if type(site) is tuple:
             raise GraphValidationError(
-                f"stage {index} of {node.microservice!r} is empty"
+                f"stage {site[1]} of {nodes[site[0]].microservice!r} is empty"
             )
-        for child in stage:
-            _validate_node(child, ancestry + [node.microservice])
+        node = nodes[site]
+        if not node.microservice:
+            raise GraphValidationError("microservice name must be non-empty")
+        if node.calls_per_request <= 0:
+            raise GraphValidationError(
+                f"calls_per_request of {node.microservice!r} must be positive, "
+                f"got {node.calls_per_request}"
+            )
+        chain = [site]  # up to the root
+        while chain[-1]:
+            chain.append(parents[chain[-1]])
+        if index[site] in [index[above] for above in chain[1:]]:
+            cycle = " -> ".join(nodes[s].microservice for s in reversed(chain))
+            raise GraphValidationError(f"recursive call cycle detected: {cycle}")
+        for number in range(len(stages[site]) - 1, -1, -1):
+            due.extend(stages[site][number][::-1] or [(site, number)])

@@ -21,13 +21,16 @@ P95-vs-load curve has the paper's piecewise-linear shape.
 Engine fast path
 ----------------
 
-What can be resolved once is resolved at construction.  Each service's
-:class:`~repro.graphs.DependencyGraph` is compiled into *call plans*
-(:class:`_CallPlan`, one per call node): the callee's live state instead
-of its name, and its downstream stages as tuples with
-``calls_per_request`` expanded into repeated entries and empty stages
-dropped.  Arrivals, calls and stage joins carry plans, so running a call
-is attribute reads on the plan — no name lookup, no per-node cache.
+What can be resolved once is resolved at construction.  Each site of a
+service's :class:`~repro.graphs.GraphPlan` — the form the allocator reads —
+is bound to a *call plan* (:class:`_CallPlan`; ``_compile``, one loop from
+the last site up): the callee's live state instead of its name, and its
+downstream stages as tuples with ``calls_per_request`` expanded into
+repeated entries and empty stages dropped.  Arrivals, calls and stage joins
+carry plans, so running a call is attribute reads on the plan — no name
+lookup, no per-node cache.  A response climbs its call chain as nested calls
+(≈ 3 frames a level): a chain the recursion limit cannot hold is a
+:class:`~repro.graphs.GraphValidationError` from ``_run_events``.
 
 A call at a container is one record for its whole life there
 (:class:`_Call`, recycled through a free list): ``_execute_node`` fills
@@ -136,6 +139,7 @@ stage (``_run_stages``).  ``benchmarks/e2e`` measures both sides
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -155,7 +159,7 @@ from typing import (
 import numpy as np
 
 from repro.core.model import ServiceSpec
-from repro.graphs import CallNode
+from repro.graphs import GraphPlan, GraphValidationError
 from repro.simulator.events import EventQueue
 from repro.simulator.scheduler import PriorityQueuePolicy
 
@@ -219,9 +223,9 @@ class SimulationConfig:
 
 
 class _CallPlan:
-    """One call node of a service's graph, resolved for the engine.
+    """One site of a service's graph plan, bound for the engine.
 
-    Compiled once per simulator (``ClusterSimulator._compile``): the
+    Bound once per simulator (``ClusterSimulator._compile``): the
     callee's live state in place of its name, and the downstream stages
     with ``calls_per_request`` already expanded into repeated entries and
     empty stages dropped, so executing a call looks nothing up.  The
@@ -856,26 +860,29 @@ class ClusterSimulator:
             self.result.containers[name] = len(container_objs)
         #: service -> call plan of its graph's root (what arrivals execute)
         self._roots: Dict[str, _CallPlan] = {
-            spec.name: self._compile(spec.graph.root) for spec in self.services
+            spec.name: self._compile(spec.graph.plan()) for spec in self.services
         }
         if chaos is not None or resilience is not None:
             from repro.resilience.manager import ResilienceManager
 
             self._resilience = ResilienceManager(self, resilience, chaos)
 
-    def _compile(self, node: CallNode) -> _CallPlan:
-        """Resolve ``node`` and everything below it into call plans."""
-        stages = []
-        for stage in node.stages:
-            calls = []
-            for child in stage:
-                plan = self._compile(child)
-                calls.extend([plan] * max(1, int(round(child.calls_per_request))))
-            if calls:
-                stages.append(tuple(calls))
-        return _CallPlan(
-            node.microservice, self._microservices[node.microservice], tuple(stages)
-        )
+    def _compile(self, plan: GraphPlan) -> _CallPlan:
+        """Bind every site of ``plan`` to its live state; the root's binding."""
+        nodes = plan.nodes
+        bound: List = [None] * len(nodes)  # per site; callees come first
+        for site in range(len(nodes) - 1, -1, -1):
+            stages = []
+            for stage in plan.stages[site]:
+                calls = []
+                for child in stage:
+                    repeats = max(1, int(round(nodes[child].calls_per_request)))
+                    calls.extend([bound[child]] * repeats)
+                if calls:
+                    stages.append(tuple(calls))
+            name = nodes[site].microservice
+            bound[site] = _CallPlan(name, self._microservices[name], tuple(stages))
+        return bound[0]
 
     def _wrap_multiplier(self, microservice: str, multiplier):
         """Compose chaos latency-spike windows onto a container multiplier."""
@@ -1160,10 +1167,19 @@ class ClusterSimulator:
             result._e2e_buffers(spec.name)
             _Arrival(self, spec, duration_ms).schedule_next(0.0)
 
-        processed = self.events.run_until(duration_ms)
-        self._arrivals_open = False
-        # Let in-flight requests finish after arrivals stop.
-        processed += self.events.run_until(float("inf"))
+        try:
+            processed = self.events.run_until(duration_ms)
+            self._arrivals_open = False
+            # Let in-flight requests finish after arrivals stop.
+            processed += self.events.run_until(float("inf"))
+        except RecursionError:
+            # the response path: nested calls up the deepest call chain
+            depth, name = max((s.graph.depth(), s.name) for s in self.services)
+            raise GraphValidationError(
+                f"service {name!r} is {depth} calls deep: its responses cannot "
+                f"climb that chain within the recursion limit of "
+                f"{sys.getrecursionlimit()}"
+            ) from None
         result.events_processed += processed
         # A recycled record still names its last continuation, and through
         # it the finished request's spans, attempts and join frames.

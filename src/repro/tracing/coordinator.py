@@ -125,12 +125,17 @@ class TracingCoordinator:
 
 def _call_node(tree: CallTree, node: int) -> CallNode:
     """One trace's dependency graph below ``node`` (lost calls left out)."""
-    call_node = CallNode(tree.names[node])
-    for stage in tree.stages.get(node, ()):
-        callees = [_call_node(tree, n) for n in stage if tree.names[n] is not None]
-        if callees:
-            call_node.stages.append(callees)
-    return call_node
+    root = CallNode(tree.names[node])
+    pending = [(node, root)]
+    for node, call_node in pending:  # grows by the callees of each node
+        for stage in tree.stages.get(node, ()):
+            callees = [
+                (n, CallNode(tree.names[n])) for n in stage if tree.names[n] is not None
+            ]
+            if callees:
+                call_node.stages.append([callee for _, callee in callees])
+                pending.extend(callees)
+    return root
 
 
 def _merge_call_trees(target: CallNode, other: CallNode) -> None:
@@ -142,15 +147,19 @@ def _merge_call_trees(target: CallNode, other: CallNode) -> None:
     over-approximates each individual trace, which is the paper's stated
     over-provisioning behaviour for dynamic graphs.
     """
-    for index, stage in enumerate(other.stages):
-        if index >= len(target.stages):
-            target.stages.append([])
-        target_stage = target.stages[index]
-        by_name = {child.microservice: child for child in target_stage}
-        for child in stage:
-            existing = by_name.get(child.microservice)
-            if existing is None:
-                target_stage.append(child)
-                by_name[child.microservice] = child
-            else:
-                _merge_call_trees(existing, child)
+    # Grows by each matched pair; first in, first merged, so calls matched
+    # to one callee hand it their callees in stage order.
+    pending = [(target, other)]
+    for target, other in pending:
+        for index, stage in enumerate(other.stages):
+            if index >= len(target.stages):
+                target.stages.append([])
+            target_stage = target.stages[index]
+            by_name = {child.microservice: child for child in target_stage}
+            for child in stage:
+                existing = by_name.get(child.microservice)
+                if existing is None:
+                    target_stage.append(child)
+                    by_name[child.microservice] = child
+                else:
+                    pending.append((existing, child))

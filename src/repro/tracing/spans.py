@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs import CallNode, DependencyGraph
+from repro.graphs import DependencyGraph
 
 
 class SpanKind(Enum):
@@ -638,48 +638,57 @@ def synthesize_trace(
         A :class:`TraceRecord` whose structure round-trips through
         :class:`~repro.tracing.coordinator.TracingCoordinator`.
     """
+    plan = graph.plan()
+    names, index, parents = plan.names, plan.index, plan.parents
+    own = [latencies[name] for name in names]
+    opens = {stage[0] for stages in plan.stages for stage in stages if stage}
+    # in site order: a site's client span is 2 * site - 1, its server span 2 * site
+    ids = [f"{trace_id}-s{number}" for number in range(2 * len(index))]
+    arrival = [start] * len(index)
+    sent = [0.0] * len(index)  # when the site's current stage went out
+    cursor = [0.0] * len(index)  # the latest response the site has seen
     spans: List[Span] = []
-    counter = itertools.count()
 
-    def _next_id() -> str:
-        return f"{trace_id}-s{next(counter)}"
-
-    def _emit(node: CallNode, arrival: float, parent_id: Optional[str]) -> Span:
-        own = latencies[node.microservice]
-        pre = own / 2.0
-        post = own - pre
-        server_id = _next_id()
-        cursor = arrival + pre
-        for stage in node.stages:
-            stage_end = cursor
-            for child in stage:
-                client_id = _next_id()
-                child_server = _emit(
-                    child, cursor + network_delay, client_id
-                )
-                client_end = child_server.end + network_delay
-                spans.append(
-                    Span(
-                        span_id=client_id,
-                        parent_id=server_id,
-                        microservice=node.microservice,
-                        kind=SpanKind.CLIENT,
-                        start=cursor,
-                        end=client_end,
-                    )
-                )
-                stage_end = max(stage_end, client_end)
-            cursor = stage_end
-        server_span = Span(
-            span_id=server_id,
-            parent_id=parent_id,
-            microservice=node.microservice,
-            kind=SpanKind.SERVER,
-            start=arrival,
-            end=cursor + post,
+    def _respond(site: int) -> None:
+        """``site`` is done: its server span, then its caller's client span."""
+        latency = own[index[site]]
+        end = cursor[site] + (latency - latency / 2.0)
+        spans.append(
+            Span(
+                span_id=ids[2 * site],
+                parent_id=ids[2 * site - 1] if site else None,
+                microservice=names[index[site]],
+                kind=SpanKind.SERVER,
+                start=arrival[site],
+                end=end,
+            )
         )
-        spans.append(server_span)
-        return server_span
+        if site:
+            caller = parents[site]
+            client_end = end + network_delay
+            spans.append(
+                Span(
+                    span_id=ids[2 * site - 1],
+                    parent_id=ids[2 * caller],
+                    microservice=names[index[caller]],
+                    kind=SpanKind.CLIENT,
+                    start=sent[caller],
+                    end=client_end,
+                )
+            )
+            cursor[caller] = max(cursor[caller], client_end)
 
-    _emit(graph.root, start, None)
+    waiting: List[int] = []  # the chain of callers above the site at hand
+    for site in range(len(index)):
+        caller = parents[site]
+        while waiting and waiting[-1] != caller:
+            _respond(waiting.pop())
+        if site:
+            if site in opens:  # the caller's earlier stages have responded
+                sent[caller] = cursor[caller]
+            arrival[site] = sent[caller] + network_delay
+        sent[site] = cursor[site] = arrival[site] + own[index[site]] / 2.0
+        waiting.append(site)
+    while waiting:
+        _respond(waiting.pop())
     return TraceRecord(trace_id=trace_id, service=graph.service, spans=spans)

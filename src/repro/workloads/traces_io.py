@@ -56,37 +56,34 @@ def graph_to_rows(
     The root microservice appears as the ``dm`` of the synthetic "USER"
     entry call with rpcid "0", matching the dataset's convention.
     """
-    rows: List[CallRow] = [
+    plan = graph.plan()
+    names, index = plan.names, plan.index
+    # One row per site, in site order; a caller writes the rows of its
+    # calls before the loop reaches them.
+    rows = [
         CallRow(
             traceid=traceid,
             service=graph.service,
             rpcid="0",
             um="USER",
-            dm=graph.root.microservice,
+            dm=names[index[0]],
             rt=rt,
         )
-    ]
-
-    def _visit(node: CallNode, rpcid: str) -> None:
-        index = 1
-        for stage in node.stages:
+    ] * len(index)
+    for site, stages in enumerate(plan.stages):
+        number = 0
+        for stage in stages:
             for position, child in enumerate(stage):
-                child_rpcid = f"{rpcid}.{index}"
-                rows.append(
-                    CallRow(
-                        traceid=traceid,
-                        service=graph.service,
-                        rpcid=child_rpcid,
-                        um=node.microservice,
-                        dm=child.microservice,
-                        rt=rt,
-                        parallel=position > 0,
-                    )
+                number += 1
+                rows[child] = CallRow(
+                    traceid=traceid,
+                    service=graph.service,
+                    rpcid=f"{rows[site].rpcid}.{number}",
+                    um=names[index[site]],
+                    dm=names[index[child]],
+                    rt=rt,
+                    parallel=position > 0,
                 )
-                _visit(child, child_rpcid)
-                index += 1
-
-    _visit(graph.root, "0")
     return rows
 
 

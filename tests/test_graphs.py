@@ -1,28 +1,118 @@
-"""Tests for repro.graphs: dependency model, builder, validation."""
+"""Tests for repro.graphs: dependency model, compiled plan, validation."""
+
+import sys
 
 import pytest
 
 from repro.graphs import (
     CallNode,
     DependencyGraph,
-    GraphBuilder,
     GraphValidationError,
     call,
     validate_graph,
 )
 
-from tests.helpers import chain_graph, fig1_graph
+from tests.helpers import chain_graph, fig1_graph, make_profile
+
+
+def _deep_chain(depth=None):
+    """A chain ``sys.getrecursionlimit() + 500`` calls deep (or ``depth``)."""
+    names = [f"m{i}" for i in range(depth or sys.getrecursionlimit() + 500)]
+    return names, chain_graph(names, service="deep")
+
+
+def _deep_simulator(names, graph):
+    from repro.core import ServiceSpec
+    from repro.simulator import ClusterSimulator, SimulatedMicroservice, SimulationConfig
+
+    return ClusterSimulator(
+        [ServiceSpec("deep", graph, workload=0.0, sla=1e9)],
+        {name: SimulatedMicroservice(name) for name in names},
+        containers={},
+        rates={"deep": 200.0},
+        config=SimulationConfig(duration_min=0.05, warmup_min=0.0, seed=0),
+    )
+
+
+def _validated(names, graph):
+    validate_graph(graph)
+    return graph.node_count()
+
+
+def _merged(names, graph):
+    from repro.graphs.clustering import merge_variants
+
+    return merge_variants("deep", [graph, graph]).node_count()
+
+
+def _similar(names, graph):
+    from repro.graphs.clustering import graph_similarity
+
+    assert graph_similarity(graph, DependencyGraph("deep", graph.root)) == 1.0
+    return graph.node_count()
+
+
+def _rows_round_trip(names, graph):
+    from repro.workloads.traces_io import graph_to_rows, rows_to_graph
+
+    rebuilt = rows_to_graph(graph_to_rows(graph))
+    assert rebuilt.microservices() == names
+    return rebuilt.depth()
+
+
+def _traced(names, graph):
+    from repro.tracing import TracingCoordinator, synthesize_trace
+
+    coordinator = TracingCoordinator()
+    assert coordinator.offer(synthesize_trace(graph, dict.fromkeys(names, 1.0)))
+    extracted = coordinator.extract_graph("deep")
+    assert extracted.microservices() == names
+    return extracted.depth()
+
+
+def _scaled(names, graph):
+    from repro.core import ErmsScaler, ServiceSpec
+
+    spec = ServiceSpec("deep", graph, workload=100.0, sla=10.0 * len(names))
+    profiles = {name: make_profile(name, 0.01, 1.0) for name in names}
+    return len(ErmsScaler().scale([spec], profiles).containers)
+
+
+def _bound(names, graph):
+    plan = _deep_simulator(names, graph)._roots["deep"]
+    depth = 1
+    while plan.stages:
+        ((plan,),) = plan.stages  # a chain: one stage of one call
+        depth += 1
+    return depth
+
+
+#: door -> reads a deep chain and returns its depth, as that door sees it
+_DEEP_DOORS = {
+    "validate": _validated,
+    "depth": lambda names, graph: graph.depth(),
+    "critical_paths": lambda names, graph: len(graph.critical_paths()[0]),
+    "similarity": _similar,
+    "merge_variants": _merged,
+    "rows_round_trip": _rows_round_trip,
+    "synthesize_offer_extract": _traced,
+    "erms_scale": _scaled,
+    "simulator_construction": _bound,
+}
 
 
 class TestCallNode:
     def test_walk_depth_first(self):
         graph = fig1_graph()
-        names = [node.microservice for node in graph.root.walk()]
+        names = [node.microservice for node in graph.nodes()]
         assert names == ["T", "Url", "U", "C"]
 
     def test_children_iterates_all_stages(self):
         graph = fig1_graph()
-        children = [c.microservice for c in graph.root.children()]
+        plan = graph.plan()
+        children = [
+            plan.nodes[child].microservice for stage in plan.stages[0] for child in stage
+        ]
         assert children == ["Url", "U", "C"]
 
     def test_add_sequential_creates_new_stage(self):
@@ -56,7 +146,8 @@ class TestDependencyGraph:
     def test_node_and_edge_counts(self):
         graph = fig1_graph()
         assert graph.node_count() == 4
-        assert graph.edge_count() == 3
+        edges = sum(len(stage) for stages in graph.plan().stages for stage in stages)
+        assert edges == graph.node_count() - 1 == 3  # one call per site but the root
 
     def test_depth_counts_longest_chain(self):
         assert fig1_graph().depth() == 3
@@ -109,7 +200,7 @@ class TestDependencyGraph:
         graph = fig1_graph()
         latencies = {"T": 1.0, "Url": 5.0, "U": 2.0, "C": 3.0}
         best = max(
-            graph.path_latency(p, latencies) for p in graph.critical_paths()
+            sum(latencies[name] for name in path) for path in graph.critical_paths()
         )
         assert graph.end_to_end_latency(latencies) == pytest.approx(best)
 
@@ -135,11 +226,13 @@ class TestGraphPlan:
         )
         plan = graph.plan()
         assert [node.microservice for node in plan.nodes] == list("ABCADC")
-        assert plan.nodes == tuple(graph.root.walk())
+        assert plan.nodes[0] is graph.root
+        assert plan.nodes[1] is graph.root.stages[0][0]
         assert plan.names == ("A", "B", "C", "D")
         assert plan.index == (0, 1, 2, 0, 3, 2)
         assert plan.factors == (1.0, 2.0, 2.0, 2.0, 0.5, 3.0)
         assert plan.stages == (((1, 4), (5,)), ((2, 3),), (), (), (), ())
+        assert plan.parents == (-1, 0, 1, 1, 0, 0)
         assert plan.multipliers == (3.0, 2.0, 5.0, 0.5)
         assert graph.workload_multipliers() == dict(zip(plan.names, plan.multipliers))
 
@@ -170,51 +263,29 @@ class TestGraphPlan:
         assert rebuilt.end_to_end_latency(latencies) == 7.0
 
     def test_a_chain_deeper_than_the_recursion_limit_folds(self):
-        import sys
+        names, graph = _deep_chain()
+        assert graph.node_count() == len(names)
+        assert graph.end_to_end_latency(dict.fromkeys(names, 1.0)) == float(len(names))
 
-        depth = sys.getrecursionlimit() + 500
-        names = [f"m{i}" for i in range(depth)]
-        node = call(names[-1])
-        for name in reversed(names[:-1]):
-            node = call(name, stages=[[node]])
-        graph = DependencyGraph("deep", node)
-        assert graph.node_count() == depth
-        assert graph.end_to_end_latency(dict.fromkeys(names, 1.0)) == float(depth)
+    @pytest.mark.parametrize("door", sorted(_DEEP_DOORS))
+    def test_a_chain_deeper_than_the_recursion_limit_goes_through(self, door):
+        """Every reader of a graph is a loop: none has a depth limit."""
+        names, graph = _deep_chain()
+        assert _DEEP_DOORS[door](names, graph) == len(names)
 
+    def test_a_chain_deeper_than_the_recursion_limit_is_not_simulated(self):
+        """A response climbs its chain as nested calls: a named error."""
+        names, graph = _deep_chain()
+        sim = _deep_simulator(names, graph)
+        with pytest.raises(GraphValidationError) as error:
+            sim.run()
+        for part in ("'deep'", str(len(names)), str(sys.getrecursionlimit())):
+            assert part in str(error.value)
 
-class TestGraphBuilder:
-    def test_build_fig1_incrementally(self):
-        builder = GraphBuilder("fig1")
-        t = builder.set_root("T")
-        url = builder.add_parallel(t, "Url")
-        builder.add_parallel(t, "U", stage=url)
-        builder.add_sequential(t, "C")
-        graph = builder.build()
-        assert set(graph.critical_paths()) == {("T", "Url", "C"), ("T", "U", "C")}
-
-    def test_root_twice_rejected(self):
-        builder = GraphBuilder("svc")
-        builder.set_root("A")
-        with pytest.raises(ValueError, match="root already set"):
-            builder.set_root("B")
-
-    def test_build_without_root_rejected(self):
-        with pytest.raises(ValueError, match="no root"):
-            GraphBuilder("svc").build()
-
-    def test_parallel_with_unknown_stage_rejected(self):
-        builder = GraphBuilder("svc")
-        root = builder.set_root("A")
-        stranger = CallNode("X")
-        with pytest.raises(ValueError, match="not a direct downstream"):
-            builder.add_parallel(root, "B", stage=stranger)
-
-    def test_build_validates_by_default(self):
-        builder = GraphBuilder("svc")
-        root = builder.set_root("A")
-        builder.add_sequential(root, "A")  # recursive self-call
-        with pytest.raises(GraphValidationError):
-            builder.build()
+    def test_a_chain_the_engine_can_climb_still_runs(self):
+        names, graph = _deep_chain(300)
+        result = _deep_simulator(names, graph).run()
+        assert result.completed["deep"] == result.generated["deep"] > 0
 
 
 class TestValidation:
@@ -257,8 +328,16 @@ class TestPathHelpers:
     def test_path_latency_sums_names(self):
         graph = fig1_graph()
         latencies = {"T": 1.0, "Url": 2.0, "U": 3.0, "C": 4.0}
-        assert graph.path_latency(("T", "Url", "C"), latencies) == pytest.approx(7.0)
+        sums = {path: sum(latencies[name] for name in path) for path in graph.critical_paths()}
+        assert sums == {("T", "Url", "C"): 7.0, ("T", "U", "C"): 8.0}
+        assert graph.end_to_end_latency(latencies) == max(sums.values())
 
     def test_edge_count_matches_rows(self):
+        from repro.workloads.traces_io import graph_to_rows
+
         graph = chain_graph(["A", "B", "C", "D", "E"])
-        assert graph.edge_count() == 4
+        rows = graph_to_rows(graph)
+        assert [(row.um, row.dm) for row in rows[1:]] == [
+            ("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")
+        ]
+        assert len(rows) - 1 == graph.node_count() - 1 == 4

@@ -20,9 +20,15 @@ These pin down behaviours the unit tests only sample:
   of one list of observations, and reads only the microservice asked for;
 * a `SpanTable` read as one forest gives the own latencies, critical paths
   and run analysis of the same traces taken one `TraceRecord` at a time;
+* every reader of a call graph — validation, depth, critical paths, the
+  row and span writers, graph extraction, the variant merge, the
+  simulator's call plans — gives, as a loop over `GraphPlan`, what the
+  recursive walk of the tree it replaced gave, field for field;
 * graph clustering always partitions variants and preserves weight mass.
 """
 
+import copy
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -153,7 +159,7 @@ class TestGraphFoldInvariants:
     def test_array_fold_equals_scalar_fold_column_by_column(self, service, data):
         """``end_to_end_series`` is ``end_to_end_latency`` per column, to the bit."""
         root = service[0].root
-        for node in root.walk():
+        for node in service[0].nodes():
             if data.draw(st.booleans()):  # empty stages fold as + 0.0
                 node.stages.insert(
                     data.draw(st.integers(0, len(node.stages))), []
@@ -836,6 +842,348 @@ class TestSpanForest:
     def test_negative_counts_are_rejected_by_name(self, build, field):
         with pytest.raises(ValueError, match=f"{field} must be non-negative"):
             build()
+
+
+# ----------------------------------------------------------------------
+# One traversal: loops over GraphPlan == the recursive walkers they replaced
+# ----------------------------------------------------------------------
+#
+# The reference bodies below are the recursions the library had before every
+# reader of a call graph became a loop over ``GraphPlan``.
+
+
+def walk_validate(graph):
+    from repro.graphs import GraphValidationError
+
+    def visit(node, ancestry):
+        if not node.microservice:
+            raise GraphValidationError("microservice name must be non-empty")
+        if node.calls_per_request <= 0:
+            raise GraphValidationError(
+                f"calls_per_request of {node.microservice!r} must be positive, "
+                f"got {node.calls_per_request}"
+            )
+        if node.microservice in ancestry:
+            cycle = " -> ".join(ancestry + [node.microservice])
+            raise GraphValidationError(f"recursive call cycle detected: {cycle}")
+        for index, stage in enumerate(node.stages):
+            if not stage:
+                raise GraphValidationError(
+                    f"stage {index} of {node.microservice!r} is empty"
+                )
+            for child in stage:
+                visit(child, ancestry + [node.microservice])
+
+    if not graph.service:
+        raise GraphValidationError("service name must be non-empty")
+    visit(graph.root, [])
+
+
+def walk_depth(node):
+    return 1 + sum(
+        max((walk_depth(child) for child in stage), default=0)
+        for stage in node.stages
+    )
+
+
+def walk_paths(node):
+    stage_choices = []
+    for stage in node.stages:
+        choices = []
+        for child in stage:
+            choices.extend(walk_paths(child))
+        stage_choices.append(choices)
+    if not stage_choices:
+        yield [node.microservice]
+        return
+    for combo in itertools.product(*stage_choices):
+        path = [node.microservice]
+        for sub in combo:
+            path.extend(sub)
+        yield path
+
+
+def walk_critical_paths(graph, limit=10_000):
+    return [tuple(p) for p in itertools.islice(walk_paths(graph.root), limit)]
+
+
+def walk_edge_set(graph):
+    edges = set()
+
+    def visit(node):
+        for stage in node.stages:
+            for child in stage:
+                edges.add((node.microservice, child.microservice))
+                visit(child)
+
+    visit(graph.root)
+    return edges
+
+
+def walk_rows(graph, traceid="trace-0", rt=1.0):
+    from repro.workloads.traces_io import CallRow
+
+    rows = [CallRow(traceid, graph.service, "0", "USER", graph.root.microservice, rt)]
+
+    def visit(node, rpcid):
+        index = 1
+        for stage in node.stages:
+            for position, child in enumerate(stage):
+                child_rpcid = f"{rpcid}.{index}"
+                rows.append(
+                    CallRow(
+                        traceid, graph.service, child_rpcid, node.microservice,
+                        child.microservice, rt, position > 0,
+                    )
+                )
+                visit(child, child_rpcid)
+                index += 1
+
+    visit(graph.root, "0")
+    return rows
+
+
+def walk_synthesize(graph, latencies, trace_id="trace-0", start=0.0, network_delay=0.0):
+    from repro.tracing.spans import Span, SpanKind
+
+    spans = []
+    counter = itertools.count()
+
+    def next_id():
+        return f"{trace_id}-s{next(counter)}"
+
+    def emit(node, arrival, parent_id):
+        own = latencies[node.microservice]
+        pre = own / 2.0
+        post = own - pre
+        server_id = next_id()
+        cursor = arrival + pre
+        for stage in node.stages:
+            stage_end = cursor
+            for child in stage:
+                client_id = next_id()
+                child_server = emit(child, cursor + network_delay, client_id)
+                client_end = child_server.end + network_delay
+                spans.append(
+                    Span(client_id, server_id, node.microservice, SpanKind.CLIENT,
+                         cursor, client_end)
+                )
+                stage_end = max(stage_end, client_end)
+            cursor = stage_end
+        server_span = Span(
+            server_id, parent_id, node.microservice, SpanKind.SERVER,
+            arrival, cursor + post,
+        )
+        spans.append(server_span)
+        return server_span
+
+    emit(graph.root, start, None)
+    return TraceRecord(trace_id=trace_id, service=graph.service, spans=spans)
+
+
+def walk_call_node(tree, node):
+    call_node = CallNode(tree.names[node])
+    for stage in tree.stages.get(node, ()):
+        callees = [walk_call_node(tree, n) for n in stage if tree.names[n] is not None]
+        if callees:
+            call_node.stages.append(callees)
+    return call_node
+
+
+def walk_merge(target, other):
+    for index, stage in enumerate(other.stages):
+        if index >= len(target.stages):
+            target.stages.append([])
+        target_stage = target.stages[index]
+        by_name = {child.microservice: child for child in target_stage}
+        for child in stage:
+            existing = by_name.get(child.microservice)
+            if existing is None:
+                target_stage.append(child)
+                by_name[child.microservice] = child
+            else:
+                walk_merge(existing, child)
+
+
+def walk_compile(sim, node):
+    from repro.simulator.simulation import _CallPlan
+
+    stages = []
+    for stage in node.stages:
+        calls = []
+        for child in stage:
+            plan = walk_compile(sim, child)
+            calls.extend([plan] * max(1, int(round(child.calls_per_request))))
+        if calls:
+            stages.append(tuple(calls))
+    return _CallPlan(
+        node.microservice, sim._microservices[node.microservice], tuple(stages)
+    )
+
+
+def tree_shape(node):
+    """A call tree as nested tuples: everything two equal trees share."""
+    return (
+        node.microservice,
+        node.calls_per_request,
+        tuple(tuple(tree_shape(child) for child in stage) for stage in node.stages),
+    )
+
+
+def bound_shape(plan):
+    """A bound call plan as nested tuples; ``id(state)`` keeps its identity and
+    a repeated entry shows as the position of its first occurrence."""
+    return (
+        plan.microservice,
+        id(plan.state),
+        tuple(
+            tuple(
+                stage.index(child) if stage.index(child) < position else bound_shape(child)
+                for position, child in enumerate(stage)
+            )
+            for stage in plan.stages
+        ),
+    )
+
+
+def verdict(check, graph):
+    from repro.graphs import GraphValidationError
+
+    try:
+        check(graph)
+    except GraphValidationError as error:
+        return str(error)
+    return None
+
+
+@st.composite
+def flawed_call_trees(draw):
+    """``shared_call_trees`` (a small name pool, so chains repeat a name)
+    with, here and there, an empty stage, an empty name or a fan-out <= 0."""
+    graph, _ = draw(shared_call_trees())
+    dice = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    for node in graph.nodes():
+        if draw(dice) > 0.75:
+            node.stages.insert(draw(st.integers(0, len(node.stages))), [])
+        if draw(dice) > 0.96:
+            node.microservice = ""
+        if draw(dice) > 0.94:
+            node.calls_per_request = draw(st.sampled_from([0.0, -1.0]))
+    service = "" if draw(dice) > 0.95 else "svc"
+    return DependencyGraph(service, graph.root)  # compiled after the last edit
+
+
+class TestPlanLoopsEqualTreeWalks:
+    @given(flawed_call_trees())
+    @example(DependencyGraph("svc", call("A", stages=[[call("B", stages=[[call("A")]])]])))
+    # an empty stage is met after the subtrees of the stages before it:
+    # B's second stage, then A's, then D's fan-out
+    @example(DependencyGraph("svc", call("A", stages=[
+        [call("B", stages=[[call("C")], []])], [], [call("D", calls_per_request=0.0)]
+    ])))
+    @example(DependencyGraph("svc", call("A", stages=[
+        [call("B", stages=[[call("C")]])], [], [call("D", calls_per_request=0.0)]
+    ])))
+    @example(DependencyGraph("svc", call("A", stages=[
+        [call("B", stages=[[call("C", calls_per_request=-1.0)], []])], []
+    ])))
+    @settings(max_examples=300, deadline=None)
+    def test_validate_verdict_and_message(self, graph):
+        from repro.graphs import validate_graph
+
+        assert verdict(validate_graph, graph) == verdict(walk_validate, graph)
+
+    @given(shared_call_trees(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_depth_paths_edges_and_rows(self, tree, data):
+        from repro.graphs.clustering import _edge_set
+        from repro.workloads.traces_io import graph_to_rows
+
+        root = tree[0].root
+        for node in tree[0].nodes():
+            if data.draw(st.integers(0, 7)) == 0:  # a site with an empty stage has no path
+                node.stages.insert(data.draw(st.integers(0, len(node.stages))), [])
+        graph = DependencyGraph("svc", root)
+        depth = graph.depth()
+        assert (type(depth), depth) == (int, walk_depth(root))
+        assert graph.critical_paths() == walk_critical_paths(graph)
+        for limit in (0, 1, 2, 3, 7):
+            assert graph.critical_paths(limit=limit) == walk_critical_paths(graph, limit)
+        assert _edge_set(graph) == walk_edge_set(graph)
+        assert graph_to_rows(graph) == walk_rows(graph)
+        assert graph_to_rows(graph, traceid="t-9", rt=2.5) == walk_rows(graph, "t-9", 2.5)
+
+    @given(
+        shared_call_trees(),
+        st.floats(min_value=-1e3, max_value=1e6),
+        st.sampled_from([0.0, 0.1, 0.25, 1.7]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_synthesized_spans_by_id_order_and_float_hex(self, tree, start, delay, data):
+        from repro.tracing.spans import synthesize_trace
+
+        graph = tree[0]
+        own = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+        latencies = {name: data.draw(own) for name in graph.microservices()}
+
+        def fields(record):
+            return [
+                (s.span_id, s.parent_id, s.microservice, s.kind, s.start.hex(), s.end.hex())
+                for s in record.spans
+            ]
+
+        mine = synthesize_trace(graph, latencies, "t-3", start, delay)
+        reference = walk_synthesize(graph, latencies, "t-3", start, delay)
+        assert (mine.trace_id, mine.service) == (reference.trace_id, reference.service)
+        assert fields(mine) == fields(reference)
+
+    @given(st.lists(shared_call_trees(max_sites=8), min_size=1, max_size=4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_extracted_and_merged_graphs_stage_by_stage(self, trees, data):
+        from repro.graphs.clustering import merge_variants
+        from repro.tracing import TracingCoordinator, synthesize_trace
+
+        variants = [graph for graph, _ in trees]
+        before = [tree_shape(graph.root) for graph in variants]
+
+        merged = merge_variants("svc", variants)
+        reference = copy.deepcopy(variants[0].root)
+        for variant in variants[1:]:
+            walk_merge(reference, copy.deepcopy(variant.root))
+        assert tree_shape(merged.root) == tree_shape(reference)
+        assert [tree_shape(graph.root) for graph in variants] == before
+        theirs = {id(node) for graph in variants for node in graph.nodes()}
+        assert not theirs & {id(node) for node in merged.nodes()}
+
+        coordinator = TracingCoordinator()
+        for number, graph in enumerate(variants):
+            own = st.floats(min_value=0.5, max_value=50.0)
+            latencies = {name: data.draw(own) for name in graph.microservices()}
+            coordinator.offer(synthesize_trace(graph, latencies, f"t-{number}"))
+        call_trees = [record.call_tree() for record in coordinator.traces["svc"]]
+        reference, *others = [walk_call_node(tree, tree.root) for tree in call_trees]
+        for other in others:
+            walk_merge(reference, other)
+        assert tree_shape(coordinator.extract_graph("svc").root) == tree_shape(reference)
+
+    @given(shared_call_trees(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bound_call_plans_site_by_site(self, tree, data):
+        from repro.simulator import ClusterSimulator, SimulatedMicroservice
+
+        root = tree[0].root
+        for node in tree[0].nodes():
+            if data.draw(st.integers(0, 5)) == 0:  # empty stages are dropped
+                node.stages.insert(data.draw(st.integers(0, len(node.stages))), [])
+        graph = DependencyGraph("svc", root)
+        sim = ClusterSimulator(
+            [ServiceSpec("svc", graph, workload=0.0, sla=1e9)],
+            {name: SimulatedMicroservice(name) for name in graph.microservices()},
+            containers={},
+            rates={"svc": 0.0},
+        )
+        assert bound_shape(sim._roots["svc"]) == bound_shape(walk_compile(sim, root))
 
 
 class TestClusteringInvariants:
