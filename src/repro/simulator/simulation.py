@@ -122,26 +122,28 @@ CLIENT/SERVER span record, flushed per finished request into the sink's
 columnar span table (``sink.traces``: lazy ``TraceRecord`` views, no
 per-span objects; ``analyze_run`` reads it as one forest — stages, Eq. 1
 and critical trees of all blocks in one pass over the columns — not
-view by view); finished calls stream own latencies and per-minute
-call counts into a live ``MetricsStore``, a per-window tick snapshots
-engine health and closes SLA windows, and ``scale_container_count``
+view by view); a finished call is recorded once, in the run's
+own-latency columns (kept whenever a sink is attached), from which the
+sink fills its ``MetricsStore`` at ``finalize``; a per-window tick
+snapshots engine health, closes SLA windows and notes the containers
+each flushed minute's calls divide by, and ``scale_container_count``
 records audit entries.  The sink never touches the engine RNG, so the
 pinned golden streams hold with telemetry on or off.  With
 ``telemetry=None`` and no resilience manager (the defaults) the hooks
-cost seven ``is not None`` tests, each where its hook is called:
+cost six ``is not None`` tests, each where its hook is called:
 ``wrap_root`` per request (``_Arrival``), ``note_processing`` per call
-started (``_start``), ``record_call`` per call finished (``_Call``),
-``wrap_call`` per stage fanned out (``_run_stages``); for resilience,
-shed and start per request (``_Arrival``) and ``submit_children`` per
-stage (``_run_stages``).  ``benchmarks/e2e`` measures both sides
-(``des_replay``, ``des_observed``).
+started (``_start``), ``wrap_call`` per stage fanned out
+(``_run_stages``); for resilience, shed and start per request
+(``_Arrival``) and ``submit_children`` per stage (``_run_stages``).
+``benchmarks/e2e`` measures both sides (``des_replay``,
+``des_observed``).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from typing import (
@@ -209,6 +211,7 @@ class SimulationConfig:
     seed: int = 0
     delta: float = 0.05
     scheduling: str = "fcfs"  # "fcfs" | "priority"
+    #: Keep every call's own latency; always on while a sink is attached.
     record_own_latency: bool = True
 
     def __post_init__(self) -> None:
@@ -286,7 +289,6 @@ class _MicroserviceState:
         "exp_i",
         "own_min",
         "own_lat",
-        "per_minute",
     )
 
     def __init__(self, spec: SimulatedMicroservice, containers: List[_Container]):
@@ -298,7 +300,6 @@ class _MicroserviceState:
         self.exp_i = 0
         self.own_min: Optional[array] = None  # wired when recording
         self.own_lat: Optional[array] = None
-        self.per_minute: Optional[Dict[int, int]] = None
 
     def pick(self) -> _Container:
         containers = self.containers
@@ -346,8 +347,6 @@ class SimulationResult:
         self.warmup_min = warmup_min
         self.generated: Dict[str, int] = {}
         self.completed: Dict[str, int] = {}
-        #: Per microservice: calls completed per minute index.
-        self.calls_per_minute: Dict[str, Dict[int, int]] = {}
         self.containers: Dict[str, int] = {}
         #: Events the engine processed to produce this result (perf metric).
         self.events_processed: int = 0
@@ -403,6 +402,19 @@ class SimulationResult:
             name: list(zip(minutes, values))
             for name, (minutes, values) in self._own.items()
         }
+
+    @property
+    def calls_per_minute(self) -> Dict[str, Dict[int, int]]:
+        """Per microservice: calls finished per minute index (a view of
+        the own-latency minute column; ``{}`` where no call finished)."""
+        view = {}
+        for name, (minutes, _) in self._own.items():
+            index, calls = np.unique(
+                np.frombuffer(minutes, dtype=np.float64).astype(np.int64),
+                return_counts=True,
+            )
+            view[name] = dict(zip(index.tolist(), calls.tolist()))
+        return view
 
     # -- measurements ---------------------------------------------------
     def latencies(self, service: str, include_warmup: bool = False) -> np.ndarray:
@@ -504,9 +516,10 @@ class SimulationResult:
         Bridges the simulator to the offline-profiling pipeline (§5.2):
         per-request own latencies become latency observations, per-minute
         completion counts become call-count samples (normalized by the
-        container count), and the given host utilization is recorded once
-        per minute.  Raises ``ValueError`` for a run made with
-        ``record_own_latency=False``, which has neither series.
+        final container count), and the given host utilization is
+        recorded once per minute.  Raises ``ValueError`` for a run made
+        with ``record_own_latency=False`` and no sink, which has neither
+        series.
         """
         from repro.tracing.metrics import MetricsStore
 
@@ -515,9 +528,27 @@ class SimulationResult:
                 "to_metrics_store() needs a run with record_own_latency=True"
             )
         store = MetricsStore()
-        # Only full steady-state minutes: warmup transients and the
-        # post-arrival drain tail would otherwise produce partial windows
-        # that corrupt the piecewise fit.
+        self._fill_steady(
+            store, lambda minute: self.containers,
+            cpu_utilization, memory_utilization, host_id,
+        )
+        return store
+
+    def _fill_steady(
+        self,
+        store,
+        containers: Callable[[int], Mapping[str, int]],
+        cpu_utilization: float = 0.0,
+        memory_utilization: float = 0.0,
+        host_id: str = "sim-host",
+    ) -> None:
+        """Write the run's steady-state samples into ``store``.
+
+        Own latencies and call counts of minutes in [warmup, duration)
+        only: warmup transients and the drain tail would corrupt the
+        piecewise fit.  A minute's calls divide by ``containers(minute)``;
+        the host utilization is recorded for every minute 0 .. int(duration).
+        """
         first = self.warmup_min
         last = self.duration_min
         for name, (minutes_arr, values_arr) in self._own.items():
@@ -529,17 +560,14 @@ class SimulationResult:
                 np.frombuffer(values_arr, dtype=np.float64)[steady],
             )
         for name, per_minute in self.calls_per_minute.items():
-            containers = max(self.containers.get(name, 1), 1)
             for minute, calls in per_minute.items():
                 if first <= minute < last:
-                    store.record_calls(
-                        float(minute), name, float(calls), containers
-                    )
+                    count = max(containers(minute).get(name, 1), 1)
+                    store.record_calls(float(minute), name, float(calls), count)
         for minute in range(int(last) + 1):
             store.record_utilization(
                 float(minute), host_id, cpu_utilization, memory_utilization
             )
-        return store
 
 
 class _RequestDone:
@@ -623,13 +651,8 @@ class _Call:
         state = node.state
         own_min = state.own_min
         if own_min is not None:
-            minute = finish / _MS_PER_MINUTE
-            own_min.append(minute)
+            own_min.append(finish / _MS_PER_MINUTE)
             state.own_lat.append(finish - arrival)
-            state.per_minute[int(minute)] += 1
-        tele = sim._telemetry
-        if tele is not None:
-            tele.record_call(state.spec.name, finish, finish - arrival)
         if node.stages:
             sim._run_stages(service, node, 0, finish, done)
         else:
@@ -1151,12 +1174,9 @@ class ClusterSimulator:
         """The event loop: any services, graphs, policies and hooks."""
         duration_ms = self.config.duration_min * _MS_PER_MINUTE
         result = self.result
-        if self.config.record_own_latency:
+        if self.config.record_own_latency or self._telemetry is not None:
             for name, state in self._microservices.items():
                 state.own_min, state.own_lat = result._own_buffers(name)
-                state.per_minute = result.calls_per_minute.setdefault(
-                    name, defaultdict(int)
-                )
         if self._telemetry is not None:
             self._telemetry.begin_run(self)
         if self._resilience is not None:

@@ -16,18 +16,18 @@ it happens —
   (also what a :class:`~repro.tracing.coordinator.TracingCoordinator` is
   offered) build ``Span`` objects only when ``spans`` / ``timings`` are
   read;
-* every processed call streams its own latency and per-minute call
-  counts into a live :class:`~repro.tracing.metrics.MetricsStore` (two
-  appends to that microservice's ``array`` columns, no object), so
-  the profiler consumes *observed* telemetry — byte-identical to what
-  :meth:`SimulationResult.to_metrics_store` reconstructs post-hoc;
+* every processed call is recorded once, by the engine, in its own-latency
+  columns; ``finalize`` fills a :class:`~repro.tracing.metrics.MetricsStore`
+  from them, so the profiler consumes *observed* telemetry — what
+  :meth:`SimulationResult.to_metrics_store` builds, but each minute's
+  calls divided by the containers in rotation when it was flushed;
 * a self-rescheduling *window tick* (one event per window — off the hot
   path) closes SLA windows, snapshots queue depth / busy fraction /
   event throughput into the metrics registry, and flushes completed
-  minutes into the MetricsStore.
+  minutes: it notes the container counts their calls divide by.
 
 The disabled path is a null check: the engine tests ``telemetry is not
-None`` once where each of the four hot-path hooks below would be called
+None`` once where each of the three hot-path hooks below would be called
 and touches nothing else, so a run without a sink pays a single
 predictable branch per event (``disabled_path`` in ``BENCH_des.json``
 holds the cheapest attached sink against the bare engine; the
@@ -106,9 +106,6 @@ class TelemetryConfig:
         max_traces: Retain at most this many assembled traces on the sink
             (``None`` = unbounded).  Traces are still offered to the
             coordinator after the cap.
-        cpu_utilization / memory_utilization / host_id: Constant host
-            utilization recorded per minute, mirroring
-            ``SimulationResult.to_metrics_store``.
         percentile: Tail percentile the SLA monitor watches.
         error_budget: When set, the SLA monitor raises an
             :class:`~repro.telemetry.monitor.ErrorBudgetAlert` for any
@@ -123,9 +120,6 @@ class TelemetryConfig:
     tail_threshold_ms: Optional[float] = None
     tail_floor: float = 0.01
     max_traces: Optional[int] = None
-    cpu_utilization: float = 0.0
-    memory_utilization: float = 0.0
-    host_id: str = "sim-host"
     percentile: float = 95.0
     error_budget: Optional[float] = None
 
@@ -289,10 +283,9 @@ class TelemetrySink:
         self._sim = None
         self._trace_n = 0
         self._window_ms = self.config.window_min * _MS_PER_MINUTE
-        self._warmup_min = 0.0
         self._duration_min = 0.0
-        #: live per-minute call counts: microservice -> minute -> calls
-        self._calls: Dict[str, Dict[int, int]] = {}
+        #: minute -> containers in rotation when it was flushed
+        self._divisors: Dict[int, Dict[str, int]] = {}
         self._flushed_minute = 0
         self._last_event_counter = 0
 
@@ -303,7 +296,6 @@ class TelemetrySink:
         if self._sim is not None:
             raise RuntimeError("a TelemetrySink serves exactly one run")
         self._sim = simulator
-        self._warmup_min = simulator.config.warmup_min
         self._duration_min = simulator.config.duration_min
         for spec in simulator.services:
             self.monitor.slas.setdefault(spec.name, spec.sla)
@@ -315,9 +307,11 @@ class TelemetrySink:
             self.timeseries.attach(self, simulator)
 
     def finalize(self, simulator) -> None:
-        """Close remaining windows and flush the tail (post-drain)."""
+        """Close remaining windows, flush the tail (post-drain) and fill
+        :attr:`metrics` from the engine's own-latency columns."""
         self.monitor.close_all(self.config.window_min)
         self._flush_minutes(int(self._duration_min) + 1)
+        simulator.result._fill_steady(self.metrics, self._divisors.__getitem__)
         self._snapshot_engine(simulator)
         self.registry.gauge("events_processed").set(
             simulator.result.events_processed
@@ -372,17 +366,6 @@ class TelemetrySink:
             done.proc_ms = proc_ms
             done.mult = mult
 
-    def record_call(self, microservice: str, finish_ms: float, own_ms: float) -> None:
-        """One processed call: own latency + per-minute call count."""
-        minute = finish_ms / _MS_PER_MINUTE
-        if self._warmup_min <= minute < self._duration_min:
-            self.metrics.record_latency(minute, microservice, own_ms)
-        by_minute = self._calls.get(microservice)
-        if by_minute is None:
-            by_minute = self._calls[microservice] = {}
-        key = int(minute)
-        by_minute[key] = by_minute.get(key, 0) + 1
-
     def record_e2e(self, service: str, start: float, finish: float) -> None:
         """One completed request: SLA window sample + latency histogram."""
         e2e = finish - start
@@ -420,36 +403,15 @@ class TelemetrySink:
             self._sim.events.schedule(next_tick, self._on_window)
 
     def _flush_minutes(self, through: int) -> None:
-        """Flush completed integer minutes < ``through`` into the store.
+        """Flush completed integer minutes < ``through``.
 
-        Applies the same steady-state filter as
-        ``SimulationResult.to_metrics_store``: call counts only for
-        minutes in [warmup, duration); utilization for every minute of
-        the run (0 .. int(duration)).
+        Their calls are divided by the containers in rotation now, at
+        the first window tick after the minute ends (or post-drain).
         """
-        start = self._flushed_minute
-        if through <= start:
-            return
-        containers = self._sim.result.containers if self._sim else {}
-        for minute in range(start, through):
-            if self._warmup_min <= minute < self._duration_min:
-                for name, by_minute in self._calls.items():
-                    calls = by_minute.pop(minute, None)
-                    if calls:
-                        self.metrics.record_calls(
-                            float(minute),
-                            name,
-                            float(calls),
-                            max(containers.get(name, 1), 1),
-                        )
-            if minute <= int(self._duration_min):
-                self.metrics.record_utilization(
-                    float(minute),
-                    self.config.host_id,
-                    self.config.cpu_utilization,
-                    self.config.memory_utilization,
-                )
-        self._flushed_minute = through
+        containers = dict(self._sim.result.containers)
+        while self._flushed_minute < through:
+            self._divisors[self._flushed_minute] = containers
+            self._flushed_minute += 1
 
     def _snapshot_engine(self, simulator, window_end_min: Optional[float] = None) -> None:
         """Gauge queue depth, busy fraction, and event throughput."""

@@ -22,7 +22,7 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -159,20 +159,6 @@ class MetricsStore:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def mean_utilization(
-        self, window: Optional[Tuple[float, float]] = None
-    ) -> Tuple[float, float]:
-        """Cluster-average (cpu, memory) utilization, optionally windowed."""
-        samples = self.utilization
-        if window is not None:
-            lo, hi = window
-            samples = [s for s in samples if lo <= s.timestamp < hi]
-        if not samples:
-            return 0.0, 0.0
-        cpu = float(np.mean([s.cpu for s in samples]))
-        mem = float(np.mean([s.memory for s in samples]))
-        return cpu, mem
-
     def profiling_windows(
         self, microservice: str, percentile: float = 95.0
     ) -> List[ProfilingWindow]:

@@ -149,10 +149,10 @@ class TestEngineShape:
         assert counts["_CallPlan"] == nodes  # running compiles nothing
 
     def test_every_finished_call_was_started_once(self, counts, monkeypatch):
-        """Idle, queued and re-queued starts all stamp ``note_processing``."""
-        hooks = {"note_processing": 0, "record_call": 0}
-        for name in hooks:
-            _count_calls(monkeypatch, TelemetrySink, name, hooks)
+        """Idle, queued and re-queued starts all stamp ``note_processing``,
+        and each finished call is one own-latency sample."""
+        hooks = {"note_processing": 0}
+        _count_calls(monkeypatch, TelemetrySink, "note_processing", hooks)
         # P near saturation on 4 × 2 threads; H and C (64 threads) stay idle
         sim = _shared_pair(
             rate=100_000.0, p_threads=2, containers=4, telemetry=TelemetrySink()
@@ -175,8 +175,9 @@ class TestEngineShape:
         assert not result.dropped_requests
         assert moved["killed"] > 0 and moved["scaled"] > 0  # both paths re-queued
         assert counts["append"] > 1_000  # and calls queued where they arrived
-        assert hooks["record_call"] == 2 * sum(result.completed.values())
-        assert hooks["note_processing"] == hooks["record_call"]
+        samples = sum(len(minutes) for minutes, _ in result._own.values())
+        assert hooks["note_processing"] == samples
+        assert samples == 2 * sum(result.completed.values())
 
 
 def _observed_replay(duration, sink, faults):

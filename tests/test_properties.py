@@ -13,7 +13,8 @@ These pin down behaviours the unit tests only sample:
 * the Eqs. 13–14 running sum equals the per-service re-summation it
   replaced, bit for bit whenever a rank map iterates in rank order;
 * a host's usage is its background load plus the one request sum;
-* the simulator conserves requests and respects latency lower bounds;
+* the simulator conserves requests and respects latency lower bounds,
+  and its per-minute call counts count its own-latency minute column;
 * a one-station run replayed as the Kiefer–Wolfowitz recursion leaves the
   bytes the event loop leaves, from idle to four times capacity;
 * the columnar `MetricsStore` joins the same profiling windows as a scan
@@ -470,6 +471,47 @@ class TestSimulatorInvariants:
         if len(latencies):
             # Latency is never negative and includes some processing.
             assert float(latencies.min()) >= 0.0
+
+    @given(random_services(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_calls_per_minute_counts_the_minute_column(self, service, seed):
+        """Warm-up, steady and drain minutes (``slow`` is ten times
+        overloaded, so its calls finish long after arrivals stop), and a
+        microservice no call reaches."""
+        from collections import Counter
+
+        from repro.simulator import (
+            ClusterSimulator,
+            SimulatedMicroservice,
+            SimulationConfig,
+        )
+
+        graph, _, _ = service
+        simulated = {
+            name: SimulatedMicroservice(name, base_service_ms=2.0, threads=4)
+            for name in graph.microservices()
+        }
+        simulated["slow"] = SimulatedMicroservice("slow", 20_000.0, threads=1)
+        simulated["idle"] = SimulatedMicroservice("idle")
+        specs = [ServiceSpec("svc", graph, 0.0, 1e9)] + [
+            ServiceSpec(name, DependencyGraph(name, call(name)), 0.0, 1e9)
+            for name in ("slow", "idle")
+        ]
+        result = ClusterSimulator(
+            specs,
+            simulated,
+            containers={},
+            rates={"svc": 600.0, "slow": 30.0, "idle": 0.0},
+            config=SimulationConfig(duration_min=1.0, warmup_min=0.25, seed=seed),
+        ).run()
+        calls = result.calls_per_minute
+        assert calls == {
+            name: dict(Counter(int(minute) for minute, _ in samples))
+            for name, samples in result.own_latency.items()
+        }
+        assert sum(calls["m0"].values()) == result.completed["svc"] > 0
+        assert max(calls["slow"]) > result.duration_min
+        assert calls["idle"] == {}
 
 
 class TestStationRecursion:

@@ -195,24 +195,6 @@ class TestTracingCoordinator:
 
 
 class TestMetricsStore:
-    def test_mean_utilization(self):
-        store = MetricsStore()
-        store.record_utilization(0.0, "h0", 0.4, 0.6)
-        store.record_utilization(0.5, "h1", 0.8, 0.2)
-        cpu, mem = store.mean_utilization()
-        assert cpu == pytest.approx(0.6)
-        assert mem == pytest.approx(0.4)
-
-    def test_mean_utilization_windowed(self):
-        store = MetricsStore()
-        store.record_utilization(0.0, "h0", 0.2, 0.2)
-        store.record_utilization(5.0, "h0", 0.8, 0.8)
-        cpu, _ = store.mean_utilization(window=(4.0, 6.0))
-        assert cpu == pytest.approx(0.8)
-
-    def test_mean_utilization_empty(self):
-        assert MetricsStore().mean_utilization() == (0.0, 0.0)
-
     def test_profiling_windows_join(self):
         store = MetricsStore()
         for tick in range(10):
