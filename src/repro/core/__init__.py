@@ -14,8 +14,8 @@ Submodules:
   ``Autoscaler`` interface.
 * :mod:`repro.core.provisioning` — interference-aware container placement
   with POP host-group decomposition (§5.4).
-* :mod:`repro.core.controller` — the periodic ``ErmsController`` tying
-  profiling, scaling, provisioning, and deployment together (Fig. 6).
+* :mod:`repro.core.controller` — the periodic ``ControlLoop`` (observe →
+  plan → act, Fig. 6) and ``ErmsController``, the loop that deploys.
 """
 
 from repro.core.model import (
@@ -61,10 +61,9 @@ from repro.core.multiplexing import (
 from repro.core.scaling import (
     Autoscaler,
     ErmsScaler,
-    ScalingReport,
     delta_schedule_probabilities,
 )
-from repro.core.controller import ControllerReport, ErmsController
+from repro.core.controller import ControlLoop, ControllerReport, ErmsController
 from repro.core.provisioning import (
     Cluster,
     ClusterIndex,
@@ -111,8 +110,8 @@ __all__ = [
     "shared_microservices",
     "Autoscaler",
     "ErmsScaler",
-    "ScalingReport",
     "delta_schedule_probabilities",
+    "ControlLoop",
     "ControllerReport",
     "ErmsController",
     "Cluster",

@@ -183,29 +183,3 @@ def delta_schedule_probabilities(
         else:
             probabilities[service] = (delta**rank) * (1 - delta)
     return probabilities
-
-
-@dataclass
-class ScalingReport:
-    """Summary of one scaling decision for logging and experiments."""
-
-    scheme: str
-    total_containers: int
-    total_resource: float
-    per_microservice: Dict[str, int]
-    priorities: Dict[str, Dict[str, int]]
-
-    @classmethod
-    def from_allocation(
-        cls,
-        scheme: str,
-        allocation: Allocation,
-        profiles: Mapping[str, MicroserviceProfile],
-    ) -> "ScalingReport":
-        return cls(
-            scheme=scheme,
-            total_containers=allocation.total_containers(),
-            total_resource=allocation.total_resource_usage(dict(profiles)),
-            per_microservice=dict(allocation.containers),
-            priorities={k: dict(v) for k, v in allocation.priorities.items()},
-        )

@@ -18,29 +18,26 @@ from typing import Dict, Mapping, Optional
 from repro.core.provisioning import Cluster, ClusterIndex, Provisioner
 from repro.deployment.api import ApiEvent, MockKubeApi
 from repro.deployment.objects import Pod, PodPhase
-from repro.telemetry.monitor import DecisionLog
 
 
 @dataclass
 class DeploymentController:
     """Reconciles the mock API against a provisioned cluster.
 
+    The actuator of :class:`~repro.core.controller.ErmsController`, whose
+    control loop records the decisions behind each pass.
+
     Attributes:
         api: The mock Kubernetes API.
         cluster: Host inventory (capacities + background load).
         provisioner: Chooses hosts for placements and releases.
         startup_seconds: Container cold-start time (paper: seconds).
-        audit: Optional decision log; every reconcile pass that changes a
-            deployment's pod count appends one record per microservice
-            (declared replicas, actual delta, reason), so rollouts are
-            explainable alongside the in-DES autoscaler's decisions.
     """
 
     api: MockKubeApi
     cluster: Cluster
     provisioner: Provisioner
     startup_seconds: float = 3.0
-    audit: Optional[DecisionLog] = None
     _clock: float = field(default=0.0, repr=False)
 
     # ------------------------------------------------------------------
@@ -65,8 +62,7 @@ class DeploymentController:
         for microservice, deployment in self.api.deployments.items():
             if microservice not in self.cluster.sizes:
                 self.cluster.sizes[microservice] = deployment.spec
-            current = self.api.active_replicas(microservice)
-            delta = deployment.replicas - current
+            delta = deployment.replicas - self.api.active_replicas(microservice)
             if not delta:
                 continue
             if index is None:
@@ -76,15 +72,6 @@ class DeploymentController:
             for _ in range(-delta):
                 self._scale_down_one(microservice, index)
             deltas[microservice] = delta
-            if self.audit is not None:
-                self.audit.record(
-                    minute=self._clock / 60.0,
-                    actor="controller",
-                    microservice=microservice,
-                    before=current,
-                    after=deployment.replicas,
-                    reason="reconcile pods to declared replicas",
-                )
         return deltas
 
     def tick(self, seconds: float) -> int:

@@ -14,7 +14,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.model import InfeasibleSLAError, MicroserviceProfile
+from repro.core.controller import ControlLoop
+from repro.core.model import MicroserviceProfile
 from repro.core.scaling import Autoscaler
 from repro.experiments.harness import (
     evaluate_allocation,
@@ -128,17 +129,22 @@ def run_dynamic_workload(
     profiles, blind_profiles = planning_profiles(
         app, interference_multiplier, profiles
     )
+    specs = uniform_specs(app, 0.0, sla)
+    loops = [
+        ControlLoop(specs, s, profiles if s.interference_aware else blind_profiles)
+        for s in schemes
+    ]
     result = DynamicResult()
     for scheme in schemes:
         result.containers[scheme.name] = []
         result.p95[scheme.name] = []
         result.violations[scheme.name] = []
 
-    # Pass 1 (serial): observe, predict, allocate — in window order, since
-    # schemes and the predictor carry state between windows.  Each
-    # feasible (window, scheme) allocation becomes one pending replay;
-    # infeasible windows record their sentinel row (0 containers, NaN
-    # P95, violation 1.0) immediately.
+    # Pass 1 (serial): observe, predict, one control-loop step per scheme
+    # — in window order, since schemes and the predictor carry state
+    # between windows.  Each feasible (window, scheme) allocation becomes
+    # one pending replay; infeasible windows record their sentinel row
+    # (0 containers, NaN P95, violation 1.0) immediately.
     pending: List[Dict] = []  # payloads for _dynamic_cell
     slots: List[tuple] = []  # (scheme name, index into that scheme's rows)
     minute = 0.0
@@ -152,33 +158,20 @@ def run_dynamic_workload(
             observed = predictor.observe_and_predict(observed, horizon)
         result.windows.append(minute)
         result.rates.append(actual)
-        specs = uniform_specs(app, observed, sla)
-        for scheme in schemes:
-            scheme_profiles = (
-                profiles if scheme.interference_aware else blind_profiles
-            )
-            try:
-                allocation = scheme.scale(specs, scheme_profiles)
-            except InfeasibleSLAError:
-                result.containers[scheme.name].append(0)
-                result.p95[scheme.name].append(float("nan"))
-                result.violations[scheme.name].append(1.0)
-                continue
-            result.containers[scheme.name].append(
-                allocation.total_containers()
-            )
-            result.p95[scheme.name].append(float("nan"))
-            result.violations[scheme.name].append(0.0)
-            slots.append(
-                (scheme.name, len(result.p95[scheme.name]) - 1)
-            )
-            pending.append(
-                {
-                    "actual": actual,
-                    "allocation": allocation,
-                    "seed": seed + int(minute),
-                }
-            )
+        workloads = {spec.name: observed for spec in specs}
+        for loop in loops:
+            name = loop.scaler.name
+            report = loop.step(minute, workloads)
+            feasible = report is not None
+            result.containers[name].append(report.total_containers() if feasible else 0)
+            result.p95[name].append(float("nan"))
+            result.violations[name].append(0.0 if feasible else 1.0)
+            if feasible:
+                slots.append((name, len(result.p95[name]) - 1))
+                pending.append(
+                    {"actual": actual, "allocation": report.allocation,
+                     "seed": seed + int(minute)}
+                )
         minute += window_min
 
     # Pass 2 (parallel-safe): the independent window replays.

@@ -2,13 +2,14 @@
 
 The experiment harness's windowed replay (one fresh simulation per
 scaling window) measures steady-state windows; this module instead runs
-the *whole* control loop inside one continuous simulation, as the real
-deployment does: every ``interval_min`` the autoscaler observes the
-arrival rate of the previous interval, recomputes the allocation, and the
-simulator applies it — new containers only join after a cold-start delay,
-removed ones drain.  Queues carry over across scaling decisions, so
-under-provisioned intervals leave a backlog the next interval must clear,
-exactly the transient the windowed harness cannot see.
+the *whole* control loop (:class:`~repro.core.controller.ControlLoop`)
+inside one continuous simulation, as the real deployment does: every
+``interval_min`` the loop observes the arrival rate of the previous
+interval, recomputes the allocation, and the simulator applies it — new
+containers only join after a cold-start delay, removed ones drain.
+Queues carry over across scaling decisions, so under-provisioned
+intervals leave a backlog the next interval must clear, exactly the
+transient the windowed harness cannot see.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.model import (
-    InfeasibleSLAError,
-    MicroserviceProfile,
-    ServiceSpec,
-)
+from repro.core.controller import ControlLoop, ControllerReport
+from repro.core.model import MicroserviceProfile, ServiceSpec
 from repro.core.scaling import Autoscaler
 from repro.simulator.simulation import (
     ClusterSimulator,
@@ -61,8 +59,8 @@ class AutoscaledResult:
     )
 
 
-class AutoscaledSimulation:
-    """Wires an :class:`Autoscaler` into a running :class:`ClusterSimulator`.
+class AutoscaledSimulation(ControlLoop):
+    """The control loop whose actuator is a running :class:`ClusterSimulator`.
 
     Args:
         specs: Services (graphs + SLAs).
@@ -76,10 +74,8 @@ class AutoscaledSimulation:
             when given, the scaler plans for the predicted next-interval
             rate instead of the last observed one.
         telemetry: Optional :class:`~repro.telemetry.TelemetrySink`; the
-            simulation emits live telemetry and every reconcile records
-            decision-audit entries (observed/planned workload, container
-            deltas, and the reason — including kept-allocation outcomes
-            on infeasible SLAs).
+            simulation emits live telemetry and the loop records its
+            decisions in ``telemetry.decisions``.
         chaos: Optional :class:`~repro.resilience.ChaosSchedule` of
             deterministic faults.  Crashed containers are restored by the
             next reconcile (the autoscaler sees the reduced count and
@@ -89,6 +85,8 @@ class AutoscaledSimulation:
             :class:`~repro.resilience.ResiliencePolicies` woven into the
             request path of the underlying simulator.
     """
+
+    actor = "simulator"
 
     def __init__(
         self,
@@ -104,9 +102,8 @@ class AutoscaledSimulation:
         chaos=None,
         resilience=None,
     ):
-        self.specs = list(specs)
-        self.scaler = scaler
-        self.profiles = dict(profiles)
+        decisions = telemetry.decisions if telemetry is not None else None
+        super().__init__(specs, scaler, dict(profiles), decisions)
         self.autoscale = autoscale or AutoscaleConfig()
         self.config = config or SimulationConfig()
 
@@ -117,8 +114,7 @@ class AutoscaledSimulation:
             initial_rates[spec.name] = (
                 rate_spec(0.0) if callable(rate_spec) else float(rate_spec)
             )
-        initial_specs = scaler.with_workloads(self.specs, initial_rates)
-        allocation = scaler.scale(initial_specs, self.profiles)
+        allocation = self.plan(initial_rates, self.profile_source)
 
         self.simulator = ClusterSimulator(
             self.specs,
@@ -131,7 +127,6 @@ class AutoscaledSimulation:
             chaos=chaos,
             resilience=resilience,
         )
-        self._telemetry = telemetry
         self.result = AutoscaledResult(simulation=self.simulator.result)
         self._predictors: Dict[str, WorkloadPredictor] = {}
         if predictor_factory is not None:
@@ -148,13 +143,13 @@ class AutoscaledSimulation:
         interval_ms = self.autoscale.interval_min * _MS_PER_MINUTE
         tick = interval_ms
         while tick < duration_ms:
-            self.simulator.events.schedule(tick, self._rescale)
+            self.simulator.events.schedule(tick, self._observe)
             tick += interval_ms
         self.simulator.run()
         return self.result
 
     # ------------------------------------------------------------------
-    def _rescale(self, now_ms: float) -> None:
+    def _observe(self, now_ms: float) -> None:
         # Each tick re-runs the full Eq. 5 pipeline.  The graph, SLA and
         # profiles are constant across ticks (only observed rates move),
         # so the merge-tree cache and the targets memo in
@@ -173,48 +168,20 @@ class AutoscaledSimulation:
                 rate = predictor.observe_and_predict(rate, horizon=1.0)
             observed[spec.name] = rate
         self.result.observed_rates.append((minute, dict(observed)))
+        self.step(minute, observed)
 
-        planning_specs = self.scaler.with_workloads(self.specs, observed)
-        try:
-            allocation = self.scaler.scale(planning_specs, self.profiles)
-        except InfeasibleSLAError:
-            if self._telemetry is not None:
-                self._telemetry.decisions.record(
-                    minute=minute,
-                    actor="autoscaler",
-                    microservice="*",
-                    before=0,
-                    after=0,
-                    reason=(
-                        f"{self.scaler.name}: SLA infeasible for observed "
-                        "workload; kept current allocation"
-                    ),
-                    workload=sum(observed.values()),
-                )
-            return  # keep the current deployment
-        total_observed = sum(observed.values())
-        reason = (
-            f"{self.scaler.name} reconcile @ {minute:g} min "
-            f"(observed {total_observed:.0f} req/min)"
-        )
-        # Per-microservice latency target for the audit trail: the
-        # tightest target any service imposes on it.
-        targets: Dict[str, float] = {}
-        for per_ms in allocation.targets.values():
-            for name, value in per_ms.items():
-                if name not in targets or value < targets[name]:
-                    targets[name] = value
-        for name, count in allocation.containers.items():
-            self.simulator.scale_container_count(
-                name,
-                count,
-                startup_delay_ms=self.autoscale.startup_delay_ms,
-                reason=reason,
-                workload=total_observed,
-                latency_target_ms=targets.get(name),
+    def act(
+        self, report: ControllerReport, profiles: Mapping[str, MicroserviceProfile]
+    ) -> None:
+        """Resize every allocated microservice in the running simulator."""
+        simulator = self.simulator
+        containers = report.allocation.containers
+        for name, count in containers.items():
+            delta = count - simulator.container_count(name)
+            simulator.scale_container_count(
+                name, count, startup_delay_ms=self.autoscale.startup_delay_ms
             )
-        total = sum(
-            self.simulator.container_count(name)
-            for name in allocation.containers
-        )
-        self.result.scaling_events.append((minute, total))
+            if delta:
+                report.pod_deltas[name] = delta
+        total = sum(simulator.container_count(name) for name in containers)
+        self.result.scaling_events.append((report.minute, total))

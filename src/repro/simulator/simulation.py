@@ -126,11 +126,12 @@ view by view); a finished call is recorded once, in the run's
 own-latency columns (kept whenever a sink is attached), from which the
 sink fills its ``MetricsStore`` at ``finalize``; a per-window tick
 snapshots engine health, closes SLA windows and notes the containers
-each flushed minute's calls divide by, and ``scale_container_count``
-records audit entries.  The sink never touches the engine RNG, so the
-pinned golden streams hold with telemetry on or off.  With
-``telemetry=None`` and no resilience manager (the defaults) the hooks
-cost six ``is not None`` tests, each where its hook is called:
+each flushed minute's calls divide by, and each container kill or
+restart goes into its decision log (a ``scale_container_count`` is
+recorded by the control loop that calls it).  The sink never touches
+the engine RNG, so the pinned golden streams hold with telemetry on or
+off.  With ``telemetry=None`` and no resilience manager (the defaults)
+the hooks cost six ``is not None`` tests, each where its hook is called:
 ``wrap_root`` per request (``_Arrival``), ``note_processing`` per call
 started (``_start``), ``wrap_call`` per stage fanned out
 (``_run_stages``); for resilience, shed and start per request
@@ -794,7 +795,7 @@ class ClusterSimulator:
             overrides ``containers`` counts for listed microservices.
         telemetry: Optional live :class:`~repro.telemetry.TelemetrySink`;
             when given, the run emits spans, windowed metrics, SLA
-            alerts, and scaling audit records as it executes.
+            alerts, and container kill/restart records as it executes.
         chaos: Optional :class:`~repro.resilience.ChaosSchedule` of
             deterministic faults (container crashes with restart
             recovery, per-RPC error windows, latency spikes) replayed
@@ -949,40 +950,20 @@ class ClusterSimulator:
         target: int,
         startup_delay_ms: float = 0.0,
         multiplier: float = 1.0,
-        reason: Optional[str] = None,
-        workload: Optional[float] = None,
-        latency_target_ms: Optional[float] = None,
-        actor: str = "simulator",
     ) -> None:
         """Scale a microservice to ``target`` containers at runtime.
 
         New containers join the rotation after ``startup_delay_ms`` (cold
         start).  Removed containers leave the rotation immediately: their
         queued jobs are redistributed and in-flight work finishes.  The
-        floor is one container.
-
-        With telemetry attached, every call that changes the count is
-        audited: the decision log records the before/after counts plus
-        the optional ``reason`` / ``workload`` / ``latency_target_ms``
-        context the caller acted on, under the given ``actor`` (the
-        failure-recovery path restarts containers as ``chaos`` /
-        ``failure-injection``).
+        floor is one container.  An actuator, not a decision: the caller
+        records why (:class:`~repro.core.controller.ControlLoop`,
+        :meth:`inject_container_failure`).
         """
         if target < 1:
             raise ValueError(f"target must be >= 1, got {target}")
         state = self._microservices[microservice]
         delta = target - len(state.containers)
-        if delta != 0 and self._telemetry is not None:
-            self._telemetry.decisions.record(
-                minute=self.events.now / _MS_PER_MINUTE,
-                actor=actor,
-                microservice=microservice,
-                before=len(state.containers),
-                after=target,
-                reason=reason or "scale_container_count",
-                workload=workload,
-                latency_target_ms=latency_target_ms,
-            )
         for _ in range(max(delta, 0)):
             container = _Container(
                 self._make_queue(microservice),
@@ -1025,26 +1006,39 @@ class ClusterSimulator:
 
         With ``restart_after_ms`` set, a fresh container re-joins the
         rotation after that delay through the startup machinery of
-        :meth:`scale_container_count` (crash-with-recovery: the restart
-        is audited in the decision log under the same ``actor``).  The
+        :meth:`scale_container_count` (crash-with-recovery).  The
         replacement starts clean — a static interference multiplier
         carries over, a time-varying one does not (fresh host).
 
-        Returns the number of queued jobs affected.  The last container
-        of a microservice cannot be killed.
+        With telemetry attached, the kill and any restart are recorded in
+        the decision log under ``actor``.  Returns the number of queued
+        jobs affected.  The last container of a microservice cannot be
+        killed.
         """
         state = self._microservices[microservice]
         removed = state.remove_last()
         if self._telemetry is not None:
-            self._telemetry.decisions.record(
-                minute=self.events.now / _MS_PER_MINUTE,
+            decisions = self._telemetry.decisions
+            minute = self.events.now / _MS_PER_MINUTE
+            left = len(state.containers)
+            decisions.record(
+                minute=minute,
                 actor=actor,
                 microservice=microservice,
-                before=len(state.containers) + 1,
-                after=len(state.containers),
+                before=left + 1,
+                after=left,
                 reason="container killed"
                 + (" (queued jobs retried)" if retry else " (queued jobs lost)"),
             )
+            if restart_after_ms is not None:
+                decisions.record(
+                    minute=minute,
+                    actor=actor,
+                    microservice=microservice,
+                    before=left,
+                    after=left + 1,
+                    reason=f"container restart in {restart_after_ms:g} ms",
+                )
         waiting = removed.queue
         affected = len(waiting)
         dropped = self.result.dropped_requests
@@ -1065,8 +1059,6 @@ class ClusterSimulator:
                     if removed.static_mult is not None
                     else 1.0
                 ),
-                reason=f"container restart in {restart_after_ms:g} ms",
-                actor=actor,
             )
         return affected
 

@@ -11,11 +11,12 @@ Two structured event streams that make a run explainable after the fact:
   API — both bucket a request by ``int(finish_minute / window)`` (true
   division, then truncation: ``int(1.0 / 0.1) == 10`` where
   ``1.0 // 0.1 == 9.0``).
-* :class:`DecisionLog` — every container-count change (in-DES
-  ``scale_container_count``, autoscaler reconcile, deployment-controller
-  reconcile) appends a :class:`DecisionRecord` carrying the observed
-  workload, the latency/SLA context, the container delta, and a
-  human-readable reason, so "why did it scale?" has an answer.
+* :class:`DecisionLog` — every container-count change (each move of a
+  :class:`~repro.core.controller.ControlLoop` period, in the DES or on
+  the deployment; each container kill or restart) appends a
+  :class:`DecisionRecord` carrying the observed workload, the
+  latency/SLA context, the container delta, and a human-readable
+  reason, so "why did it scale?" has an answer.
 """
 
 from __future__ import annotations

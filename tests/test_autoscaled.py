@@ -264,3 +264,55 @@ class TestAutoscaledSharedServices:
         # initial deployment keeps serving.
         assert result.scaling_events == []
         assert result.simulation.completed["svc"] > 0
+
+
+class TestPinnedDecisionLog:
+    """sha256 of the decision log of two pinned runs, taken before the
+    in-simulation loop, the controller and the window replay became
+    drivers of one ``ControlLoop``: a 3 000 → 12 000 req/min step with a
+    crash-and-restart of ``A`` (``simulator`` and ``chaos`` records), and
+    the same run with the SLA sabotaged so every tick is infeasible
+    (``autoscaler`` records)."""
+
+    DIGESTS = {
+        False: "eb80d7a31a4c1e4eb639d4bce8a32dd0b156d97271f88f99aa7a7d2e512c0fc5",
+        True: "8605d8b98ff1a496163bc7e42a7db39d4a094e95e39d57601c5cedaeb3b49b72",
+    }
+    SCALING_EVENTS = {
+        False: [(0.5, 2), (1.0, 2), (1.5, 2), (2.0, 3), (2.5, 3)],
+        True: [],
+    }
+
+    @pytest.mark.parametrize("infeasible", [False, True])
+    def test_decision_log_digest(self, infeasible):
+        import hashlib
+        import json
+
+        from repro.resilience import ChaosSchedule, CrashEvent
+        from repro.telemetry import TelemetrySink
+
+        spec, simulated, profiles = chain_setup()
+        sink = TelemetrySink()
+        sim = AutoscaledSimulation(
+            [spec],
+            simulated,
+            ErmsScaler(),
+            profiles,
+            rates={"svc": SteppedRate(((0.0, 3_000.0), (1.0, 12_000.0)))},
+            config=SimulationConfig(duration_min=3.0, warmup_min=0.0, seed=11),
+            autoscale=AutoscaleConfig(interval_min=0.5, startup_delay_ms=500.0),
+            telemetry=sink,
+            chaos=ChaosSchedule(
+                crashes=[
+                    CrashEvent(at_min=1.6, microservice="A", restart_after_ms=2000.0)
+                ]
+            ),
+        )
+        if infeasible:
+            sim.specs = [ServiceSpec("svc", spec.graph, workload=0.0, sla=5.0)]
+        result = sim.run()
+        digest = hashlib.sha256(
+            json.dumps(sink.decisions.to_dicts()).encode()
+        ).hexdigest()
+        assert digest == self.DIGESTS[infeasible]
+        assert result.scaling_events == self.SCALING_EVENTS[infeasible]

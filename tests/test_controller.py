@@ -90,6 +90,38 @@ class TestErmsController:
             ctl.tick(3.0)
         assert len(ctl.history) == 3
 
+    def test_infeasible_period_keeps_deployment(self, controller):
+        """An infeasible period keeps the current pods, returns None and
+        records one ``autoscaler`` decision, as the in-simulation loop does."""
+        from repro.core import ServiceSpec
+        from repro.telemetry import DecisionLog
+
+        app, ctl = controller
+        workloads = {spec.name: 4_000.0 for spec in app.services}
+        ctl.reconcile(workloads)
+        ctl.tick(3.0)
+
+        def pods():
+            return {name: (p.node, p.phase) for name, p in ctl.api.pods.items()}
+
+        before = pods()
+        history = list(ctl.history)
+        ctl.decisions = DecisionLog()
+        # Sabotage: no allocation meets a 5 ms SLA.
+        ctl.specs = [
+            ServiceSpec(spec.name, spec.graph, workload=0.0, sla=5.0)
+            for spec in app.services
+        ]
+        for period in range(2):
+            assert ctl.reconcile(workloads) is None
+            assert len(ctl.decisions) == period + 1
+        assert pods() == before
+        assert ctl.history == history
+        for record in ctl.decisions.records:
+            assert record.actor == "autoscaler"
+            assert (record.microservice, record.delta) == ("*", 0)
+            assert record.workload == sum(workloads.values())
+
     def test_cluster_and_api_stay_consistent(self, controller):
         """Pod counts on hosts always match the cluster bookkeeping."""
         app, ctl = controller

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     ErmsScaler,
-    ScalingReport,
     ServiceSpec,
     VirtualParams,
     clear_merge_cache,
@@ -81,13 +80,6 @@ class TestErmsScaler:
         allocation = ErmsScaler().scale(specs, profiles)
         assert set(allocation.targets["svc1"]) == {"U", "P"}
         assert set(allocation.targets["svc2"]) == {"H", "P"}
-
-    def test_report_from_allocation(self):
-        specs, profiles = shared_pair()
-        allocation = ErmsScaler().scale(specs, profiles)
-        report = ScalingReport.from_allocation("erms", allocation, profiles)
-        assert report.total_containers == allocation.total_containers()
-        assert report.per_microservice == allocation.containers
 
 
 class TestAllocatorShape:

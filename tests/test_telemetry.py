@@ -17,9 +17,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import Cluster, InterferenceAwareProvisioner
+from repro.core import Cluster
 from repro.core.model import ServiceSpec
-from repro.deployment import DeploymentController, MockKubeApi
 from repro.graphs import DependencyGraph, call
 from repro.simulator import (
     ClusterSimulator,
@@ -43,6 +42,14 @@ from repro.tracing.coordinator import TracingCoordinator
 from repro.tracing.spans import SpanKind
 
 
+SHARED_SIMULATED = {
+    "F": SimulatedMicroservice("F", 4.0, 2),
+    "G": SimulatedMicroservice("G", 6.0, 2),
+    "P": SimulatedMicroservice("P", 3.0, 4),
+    "Q": SimulatedMicroservice("Q", 5.0, 2),
+}
+
+
 def shared_simulator(telemetry=None, seed=42):
     """The golden shared-fanout scenario (same shape as the pinned run)."""
     s1 = ServiceSpec(
@@ -56,12 +63,7 @@ def shared_simulator(telemetry=None, seed=42):
     )
     return ClusterSimulator(
         [s1, s2],
-        {
-            "F": SimulatedMicroservice("F", 4.0, 2),
-            "G": SimulatedMicroservice("G", 6.0, 2),
-            "P": SimulatedMicroservice("P", 3.0, 4),
-            "Q": SimulatedMicroservice("Q", 5.0, 2),
-        },
+        SHARED_SIMULATED,
         containers={"F": 2, "G": 2, "P": 2, "Q": 2},
         rates={"s1": 9_000.0, "s2": 6_000.0},
         config=SimulationConfig(duration_min=0.5, warmup_min=0.1, seed=seed),
@@ -467,18 +469,46 @@ class TestWindowSeries:
 # ----------------------------------------------------------------------
 class TestDecisionAudit:
     def test_scale_container_count_records(self):
+        """The actuator records nothing; the control loop driving it
+        records each move with its reason, workload and Eq. 5 target."""
+        from repro.core import ErmsScaler
+        from repro.simulator.autoscaled import AutoscaledSimulation
+        from repro.workloads import analytic_profile
+
         sink = TelemetrySink()
         simulator = shared_simulator(telemetry=sink)
-        simulator.scale_container_count(
-            "P", 4, reason="test scale", workload=123.0, latency_target_ms=50.0
+        simulator.scale_container_count("P", 4)
+        assert simulator.container_count("P") == 4
+        assert len(sink.decisions) == 0
+
+        sink = TelemetrySink()
+        loop = AutoscaledSimulation(
+            simulator.services,
+            SHARED_SIMULATED,
+            ErmsScaler(),
+            {
+                name: analytic_profile(name, ms.base_service_ms, ms.threads)
+                for name, ms in SHARED_SIMULATED.items()
+            },
+            rates={"s1": 9_000.0, "s2": 6_000.0},
+            telemetry=sink,
         )
-        simulator.scale_container_count("P", 4)  # no delta -> no record
-        assert len(sink.decisions) == 1
-        record = sink.decisions.records[0]
-        assert record.actor == "simulator"
-        assert (record.before, record.after) == (2, 4)
-        assert record.workload == 123.0
-        assert record.latency_target_ms == 50.0
+        report = loop.step(0.25, {"s1": 90_000.0, "s2": 60_000.0})
+        assert report.pod_deltas
+        assert len(sink.decisions) == len(report.pod_deltas)
+        targets = report.allocation.targets
+        for record in sink.decisions.records:
+            name = record.microservice
+            assert record.actor == "simulator"
+            assert record.reason == (
+                "erms reconcile @ 0.25 min (observed 150000 req/min)"
+            )
+            assert record.workload == 150_000.0
+            assert record.latency_target_ms == min(
+                per_ms[name] for per_ms in targets.values() if name in per_ms
+            )
+            assert record.delta == report.pod_deltas[name]
+            assert record.after == report.allocation.containers[name]
 
     def test_autoscaler_records_reconciles(self):
         from repro.core import ErmsScaler
@@ -517,19 +547,27 @@ class TestDecisionAudit:
         assert all(r.workload is not None for r in ups)
 
     def test_controller_audit_log(self):
-        audit = DecisionLog()
-        controller = DeploymentController(
-            api=MockKubeApi(),
-            cluster=Cluster.homogeneous(4),
-            provisioner=InterferenceAwareProvisioner(),
-            audit=audit,
+        from repro.core.controller import ErmsController
+        from repro.workloads import hotel_reservation
+
+        app = hotel_reservation()
+        ctl = ErmsController(
+            app.services, Cluster.homogeneous(6), app.analytic_profiles()
         )
-        controller.apply_allocation({"ms": 3})
-        controller.reconcile()
-        controller.apply_allocation({"ms": 1})
-        controller.reconcile()
-        assert [r.delta for r in audit.records] == [3, -2]
-        assert all(r.actor == "controller" for r in audit.records)
+        ctl.decisions = DecisionLog()
+        reports = []
+        for rate in (20_000.0, 4_000.0):
+            reports.append(ctl.reconcile({s.name: rate for s in app.services}))
+            ctl.tick(5.0)
+        moves = [(report, name) for report in reports for name in report.pod_deltas]
+        assert moves and len(ctl.decisions) == len(moves)
+        for record, (report, name) in zip(ctl.decisions.records, moves):
+            assert record.actor == "controller"
+            assert record.microservice == name
+            assert record.minute == report.minute
+            assert record.delta == report.pod_deltas[name]
+            assert record.after == report.allocation.containers[name]
+        assert any(r.delta < 0 for r in ctl.decisions.records)
 
 
 # ----------------------------------------------------------------------
