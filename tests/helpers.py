@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 from typing import Callable, Dict, Iterable, Tuple
 
@@ -89,6 +90,35 @@ def fig1_service(workload: float = 2000.0, sla: float = 200.0) -> ServiceSpec:
 
 
 FIG1_PARAMS = [("T", 0.5, 2.0), ("Url", 1.0, 3.0), ("U", 2.0, 4.0), ("C", 0.8, 1.0)]
+
+
+def mask_throughput(report: Dict) -> Dict:
+    """A copy of a run report with the engine-throughput fields masked.
+
+    How many events the engine scheduled and processed (and their rate)
+    measures how the engine did its work, not what it simulated, so an
+    engine that reaches the same spans, latencies and decisions in fewer
+    events leaves the rest of the report byte for byte: the top-level
+    ``events_processed``, the registry's ``events_scheduled`` counter and
+    ``events_per_sec`` / ``events_processed`` gauges, every window's
+    ``events_per_sec`` and the TSDB series of those names.
+    """
+    masked = copy.deepcopy(report)
+    masked["events_processed"] = None
+    for section, name in (
+        ("counters", "events_scheduled"),
+        ("gauges", "events_per_sec"),
+        ("gauges", "events_processed"),
+    ):
+        values = masked["registry"][section]
+        if name in values:
+            values[name] = None
+    for window in masked["window_series"]:
+        window["events_per_sec"] = None
+    for series in masked.get("timeseries", {}).get("series_data", ()):
+        if series["name"] in ("events_per_sec", "events_scheduled"):
+            series["points"] = None
+    return masked
 
 
 def gc_residue(run: Callable[[], object]) -> Tuple[int, int]:

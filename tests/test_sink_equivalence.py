@@ -9,7 +9,8 @@ own-latency columns, keeping only the divisor each tick saw.  The digests
 below were taken from the per-call recorder (``PYTHONPATH=src python -m
 tests.test_sink_equivalence`` prints them for whatever ``repro`` is
 importable).  Each covers the sorted own latencies and call counts (as
-``float.hex``), the utilization samples and the JSON run report.
+``float.hex``), the utilization samples and the JSON run report, its
+engine-throughput fields masked (``tests.helpers.mask_throughput``).
 
 Cases: Hotel Reservation under its autoscaler for 2.5 simulated minutes
 at windows of 0.3 and 1.5 minutes — at 0.3 a container count changes
@@ -25,6 +26,7 @@ import pytest
 
 from repro.experiments.harness import RunSpec
 from repro.telemetry import build_run_report
+from tests.helpers import mask_throughput
 
 #: Near the thresholds where Hotel Reservation's allocation at
 #: interference 3 changes, so the autoscaler's decisions differ.
@@ -59,10 +61,10 @@ CASES = {
 }
 
 EXPECTED = {
-    "autoscaled_window_0.3": "b1c7e3e803cdf85a8e25b6ddefc73e7062bb64c9008caa6629ca1360591c43c8",
-    "autoscaled_window_1.5": "e4350448583cbe60e9d2737ebecca7ca046b45c09318cbb257252fec38f11cb7",
-    "autoscaled_chaos_resilience": "1ea721c758c1f0d63666017584b19a17f7e696e72bebcbdec9a492278ae59495",
-    "replay": "13cde505421d507fd98a97dc73e538fe7b52ba88b3ebc4907499d2ba4ad451a4",
+    "autoscaled_window_0.3": "aa0f387ebe59ed6e9f54201992b941dc7913b65a9de2852ed1ae60d19ab2d139",
+    "autoscaled_window_1.5": "7dc522a5b8891e5c3f589f2f38690c31f53e5d60587de66a5bd75f5776cf4a5f",
+    "autoscaled_chaos_resilience": "cdbaef1ee521b18a0759273810c501ba52032cab463b0d48024f5541ccec43b7",
+    "replay": "f5df732725ff105f4a85a505ef80c3b3aaaf16b0abfbb7933a5d72d0367c8e98",
 }
 
 
@@ -80,7 +82,9 @@ def digest(spec, sink, result):
         f"{u.host_id} {u.timestamp.hex()} {u.cpu.hex()} {u.memory.hex()}"
         for u in store.utilization
     ]
-    lines.append(json.dumps(build_run_report(sink, result, spec.specs)))
+    lines.append(
+        json.dumps(mask_throughput(build_run_report(sink, result, spec.specs)))
+    )
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
