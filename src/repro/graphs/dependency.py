@@ -109,9 +109,21 @@ class GraphPlan:
         # (node, factor above it, parent site, stage of the parent); children
         # are pushed in reverse so that sites pop in pre-order.
         pending = [(root, 1.0, -1, -1)]
+        path: List[int] = []  # the sites from the root down to the caller
+        above = set()  # ids of their nodes: a node met again contains itself
         while pending:
             node, factor, parent, stage = pending.pop()
             site = len(nodes)
+            while path and path[-1] != parent:
+                above.discard(id(nodes[path.pop()]))
+            if id(node) in above:
+                from repro.graphs.validation import GraphValidationError
+
+                raise GraphValidationError(
+                    f"call node {node.microservice!r} contains itself"
+                )
+            path.append(site)
+            above.add(id(node))
             factor *= node.calls_per_request
             rank = ranks.setdefault(node.microservice, len(ranks))
             if rank == len(multipliers):

@@ -25,7 +25,10 @@ and span, and a sampled attempt's own span wraps the attempt
 (``_SpanDone.inner``).  Nothing points back down — ``submit_children``
 reads the span the children attach to off the continuation it is handed —
 so a finished call's records are freed by reference count, not left as
-cycles for the collector.  All randomness (error draws, backoff
+cycles for the collector.  The one other holder of a pending attempt is
+the manager's :class:`_DeadlineLane` for its timeout length, until the
+attempt finishes or times out; a deadline that never fires costs no heap
+event.  All randomness (error draws, backoff
 jitter) comes from the manager's dedicated RNG — the engine's pinned
 draw order is never touched, and with the manager absent the engine pays
 one ``is not None`` branch per arrival and per stage fan-out.
@@ -33,8 +36,9 @@ one ``is not None`` branch per arrival and per stage fan-out.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -113,20 +117,29 @@ class _AttemptDone:
     attempt's timeout: whichever fires first wins, the loser no-ops
     (late completions are counted — stragglers the client abandoned).
     The telemetry span covering a sampled attempt wraps it
-    (``_SpanDone.inner``); the attempt holds no reference back.
+    (``_SpanDone.inner``); the attempt holds no reference back.  Under a
+    timeout policy it waits in ``lane`` until it finishes or times out.
     """
 
-    __slots__ = ("call", "alive")
+    __slots__ = ("call", "alive", "lane", "deadline")
 
     def __init__(self, call: "_ResilientCall"):
         self.call = call
         self.alive = True
+        self.lane = None
 
     def __call__(self, finish: float) -> None:
         if not self.alive:
             self.call.mgr.stats.late_completions += 1
             return
         self.alive = False
+        lane = self.lane
+        if lane is not None:
+            pending = lane.pending
+            if pending[0] is self:  # release it and the finished behind it
+                pending.popleft()
+                while pending and not pending[0].alive:
+                    pending.popleft()
         call = self.call
         mgr = call.mgr
         rate_windows = mgr._error_windows.get(call.node.microservice)
@@ -143,22 +156,47 @@ class _AttemptDone:
         call.attempt_succeeded(finish)
 
 
-class _AttemptTimeout:
-    """Scheduled abandonment of one attempt (fires unless it completed)."""
+class _DeadlineLane:
+    """The pending attempts of one timeout length, oldest deadline first.
 
-    __slots__ = ("attempt",)
+    Attempts start in time order and share the length, so appending keeps
+    the deque sorted by deadline.  The lane is its own timer: at most one
+    heap entry, at the deadline of its oldest live attempt when armed.
+    Firing times out every live attempt due by then, in start order, and
+    re-arms at the next live deadline; a finished head is dropped here or
+    by the attempt itself, so a deadline that never fires costs no event.
+    """
 
-    def __init__(self, attempt: _AttemptDone):
-        self.attempt = attempt
+    __slots__ = ("mgr", "length", "pending", "armed")
+
+    def __init__(self, mgr: "ResilienceManager", length: float):
+        self.mgr = mgr
+        self.length = length
+        self.pending: Deque[_AttemptDone] = deque()
+        self.armed = False
+
+    def watch(self, attempt: _AttemptDone, t: float) -> None:
+        attempt.lane = self
+        attempt.deadline = t + self.length
+        self.pending.append(attempt)
+        if not self.armed:
+            self.armed = True
+            self.mgr.events.push(attempt.deadline, self)
 
     def __call__(self, now: float) -> None:
-        attempt = self.attempt
-        if attempt.alive:
-            attempt.alive = False
-            call = attempt.call
-            call.mgr.stats.timeouts += 1
-            call.mgr._count("resilience_timeouts")
-            call.attempt_failed(now, "timeout")
+        mgr, pending = self.mgr, self.pending
+        while pending:
+            attempt = pending[0]
+            if attempt.alive and attempt.deadline > now:
+                mgr.events.push(attempt.deadline, self)
+                return
+            pending.popleft()
+            if attempt.alive:
+                attempt.alive = False
+                mgr.stats.timeouts += 1
+                mgr._count("resilience_timeouts")
+                attempt.call.attempt_failed(now, "timeout")
+        self.armed = False
 
 
 class _Retry:
@@ -174,7 +212,10 @@ class _Retry:
 
 
 class _ResilientCall:
-    """One logical RPC: breaker gate, attempts, backoff, final outcome."""
+    """One logical RPC: breaker gate, attempts, backoff, final outcome.
+
+    Its breaker and deadline lane are resolved once, at construction.
+    """
 
     __slots__ = (
         "mgr",
@@ -185,6 +226,8 @@ class _ResilientCall:
         "span",
         "is_root",
         "attempt",
+        "breaker",
+        "lane",
     )
 
     def __init__(
@@ -207,13 +250,18 @@ class _ResilientCall:
         self.span = span
         self.is_root = is_root
         self.attempt = 0
+        self.breaker = mgr._breaker_for(service, node.microservice)
+        self.lane = mgr._lanes.get(node.microservice)
 
     # -- attempt lifecycle ---------------------------------------------
     def execute_attempt(self, t: float) -> None:
         mgr = self.mgr
-        breaker = mgr._breaker_for(self.service, self.node.microservice)
-        if breaker is not None and not mgr._breaker_allow(
-            breaker, self.service, self.node.microservice, t
+        breaker = self.breaker
+        # a closed breaker admits every attempt: ``allow`` would change nothing
+        if (
+            breaker is not None
+            and breaker.state != BREAKER_CLOSED
+            and not mgr._breaker_allow(breaker, self.service, self.node.microservice, t)
         ):
             # Fast fail: no engine work, no breaker feedback (nothing was
             # probed), straight to the retry/fail decision.  The fast
@@ -223,51 +271,49 @@ class _ResilientCall:
             self.attempt += 1
             mgr.stats.breaker_fast_fails += 1
             mgr._count("breaker_fast_fails")
-            self._after_failure(t, "breaker-open", breaker=None)
+            self._after_failure(t, "breaker-open")
             return
         self.attempt += 1
         attempt = inner = _AttemptDone(self)
         if self.span is not None and not self.is_root:
             # every attempt of the call is its own span under the caller's
             inner = mgr.tele.wrap_call(self.span, self.node, t, attempt)
-        timeout = mgr._timeout
-        if timeout is not None:
-            mgr.events.push(
-                t + timeout.timeout_for(self.node.microservice),
-                _AttemptTimeout(attempt),
-            )
+        lane = self.lane
+        if lane is not None:
+            lane.watch(attempt, t)
         mgr.sim._execute_node(self.service, self.node, t, inner)
 
     def attempt_succeeded(self, finish: float) -> None:
-        mgr = self.mgr
-        breaker = mgr._breaker_for(self.service, self.node.microservice)
+        breaker = self.breaker
         if breaker is not None:
-            before = breaker.state
-            transition = breaker.record_success(finish)
-            if transition is not None:
-                mgr._breaker_transition(
-                    self.service, self.node.microservice,
-                    before, transition, finish, "probe successes",
-                )
+            if breaker.state == BREAKER_CLOSED:
+                breaker.consecutive_failures = 0  # all record_success does
+            else:
+                before = breaker.state
+                transition = breaker.record_success(finish)
+                if transition is not None:
+                    self.mgr._breaker_transition(
+                        self.service, self.node.microservice,
+                        before, transition, finish, "probe successes",
+                    )
         if self.is_root:
-            mgr._finish_request(self.req, finish)
+            self.mgr._finish_request(self.req, finish)
         else:
             self.downstream(finish)
 
     def attempt_failed(self, t: float, kind: str) -> None:
-        mgr = self.mgr
-        breaker = mgr._breaker_for(self.service, self.node.microservice)
+        breaker = self.breaker
         if breaker is not None:
             before = breaker.state
             transition = breaker.record_failure(t)
             if transition is not None:
-                mgr._breaker_transition(
+                self.mgr._breaker_transition(
                     self.service, self.node.microservice,
                     before, transition, t, kind,
                 )
-        self._after_failure(t, kind, breaker)
+        self._after_failure(t, kind)
 
-    def _after_failure(self, t: float, kind: str, breaker) -> None:
+    def _after_failure(self, t: float, kind: str) -> None:
         mgr = self.mgr
         retry = mgr._retry
         if retry is not None and self.attempt < retry.max_attempts:
@@ -322,6 +368,15 @@ class ResilienceManager:
                     (window.start_min, window.end_min, window.error_rate),
                 )
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
+        #: microservice -> the deadline lane of its timeout length
+        self._lanes: Dict[str, _DeadlineLane] = {}
+        if self._timeout is not None:
+            by_length: Dict[float, _DeadlineLane] = {}
+            for name in sim._microservices:
+                length = self._timeout.timeout_for(name)
+                if length not in by_length:
+                    by_length[length] = _DeadlineLane(self, length)
+                self._lanes[name] = by_length[length]
         self._ranks: Dict[str, int] = {}
         self._graph_states: Dict[str, List] = {}
         self._root_ms: Dict[str, str] = {}
@@ -496,10 +551,9 @@ class ResilienceManager:
             raise RuntimeError("resilient fan-out without an attempt context")
         parent = attempt.call
         span = parent.span if attempt is done else done
+        req = parent.req
         for child in calls:
-            _ResilientCall(
-                self, parent.req, service, child, downstream=frame, span=span
-            ).execute_attempt(t)
+            _ResilientCall(self, req, service, child, frame, span).execute_attempt(t)
 
     # ------------------------------------------------------------------
     # Outcomes

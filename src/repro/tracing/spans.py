@@ -397,6 +397,12 @@ class SpanForest:
         return self._paths
 
 
+#: What a block's row reads off one engine call record, in column order.
+_CALL_FIELDS = attrgetter(
+    "start", "finish", "proc_start", "proc_ms", "mult", "ordinal", "microservice", "parent"
+)
+
+
 class SpanTable(SequenceABC):
     """Columnar store of a live run's traces; a sequence of :class:`TraceView`.
 
@@ -442,29 +448,38 @@ class SpanTable(SequenceABC):
     def append_trace(self, service: str, number: int, calls: Sequence) -> "TraceView":
         """Flush one finished request's calls as a block of rows.
 
-        ``calls`` are the engine's per-call records in completion order,
-        each with ``start`` / ``finish`` / ``proc_start`` / ``proc_ms`` /
-        ``mult`` / ``ordinal`` / ``microservice`` and ``parent`` (the
-        calling record, ``None`` at the root).
+        ``calls`` (at least the root) are the engine's per-call records in
+        completion order, each with ``start`` / ``finish`` / ``proc_start``
+        / ``proc_ms`` / ``mult`` / ``ordinal`` / ``microservice`` and
+        ``parent`` (the calling record, ``None`` at the root).
         """
         intern = self._intern
-        parents = [call.parent for call in calls]
+        start, finish, proc_start, proc_ms, mult, ordinal, ms, parents = zip(
+            *map(_CALL_FIELDS, calls)
+        )
         self._forest = None
         self.trace_service.append(intern(service))
+        ids = self._ids
+        # Lists first: a new name must not leave half a column behind.  A
+        # caller can be new too: its attempt may have been abandoned.
+        try:
+            ms = list(map(ids.__getitem__, ms))
+            callers = [-1 if p is None else ids[p.microservice] for p in parents]
+        except KeyError:
+            ms = [intern(name) for name in ms]
+            callers = [-1 if p is None else intern(p.microservice) for p in parents]
         self.trace_number.append(number)
         self.trace_offset.append(len(self.start))
         self.trace_rows.append(len(calls))
-        self.start.extend([call.start for call in calls])
-        self.finish.extend([call.finish for call in calls])
-        self.proc_start.extend([call.proc_start for call in calls])
-        self.proc_ms.extend([call.proc_ms for call in calls])
-        self.mult.extend([call.mult for call in calls])
-        self.ordinal.extend([call.ordinal for call in calls])
-        self.ms.extend([intern(call.microservice) for call in calls])
+        self.start.extend(start)
+        self.finish.extend(finish)
+        self.proc_start.extend(proc_start)
+        self.proc_ms.extend(proc_ms)
+        self.mult.extend(mult)
+        self.ordinal.extend(ordinal)
+        self.ms.extend(ms)
         self.parent.extend([-1 if p is None else p.ordinal for p in parents])
-        self.caller.extend(
-            [-1 if p is None else intern(p.microservice) for p in parents]
-        )
+        self.caller.extend(callers)
         return TraceView(self, len(self.trace_rows) - 1)
 
     def column(self, name: str) -> np.ndarray:

@@ -5,14 +5,15 @@ Counts, not timings: graphs are resolved into call plans once per
 simulator, an idle priority container starts a call without an ``append``
 or a ``popleft``, every call that gets a thread — idle, queued or
 moved to another container — passes the one start block once, a
-finished request leaves no object for the cycle collector to find, and a
-run that is one FCFS station pushes no event and builds no call record
-while every other run still does.
+finished request leaves no object for the cycle collector to find, an
+attempt that finishes in time through a closed breaker costs no heap event
+and no breaker call, and a run that is one FCFS station pushes no event and
+builds no call record while every other run still does.
 """
 
 import gc
 import weakref
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from hypothesis import strategies as st
 
 from repro.core import ServiceSpec
 from repro.graphs import CallNode, DependencyGraph, call
-from repro.resilience import ChaosSchedule, ErrorWindow, ResiliencePolicies
+from repro.resilience import (
+    ChaosSchedule,
+    CircuitBreaker,
+    ErrorWindow,
+    ResiliencePolicies,
+    manager,
+)
 from repro.simulator import (
     ClusterSimulator,
     PriorityQueuePolicy,
@@ -29,6 +36,7 @@ from repro.simulator import (
     SimulationConfig,
     simulation,
 )
+from repro.simulator.events import EventQueue
 from repro.telemetry import (
     TelemetryConfig,
     TelemetrySink,
@@ -267,6 +275,74 @@ class TestNoResidue:
         gc.collect()
         assert simulator.result is result  # the simulator is alive
         assert sum(ref() is not None for ref in contexts) == 0
+
+
+class TestResilienceShape:
+    """What the resilience layer adds to a replay, as counts.
+
+    Social Network with an error window under the default policies against
+    the same seed with no resilience: the same traffic, so the extra events
+    are the retries — one ``_Retry`` each plus the engine events of the
+    executions it repeats — and the deadline timers that fired.  An attempt
+    that finishes in time through a closed breaker pushes nothing and calls
+    no breaker method.
+    """
+
+    def test_an_attempt_in_time_costs_no_event(self, monkeypatch):
+        counts = dict.fromkeys(
+            ("_execute_node", "_breaker_for", "allow", "record_success", "record_failure"), 0
+        )
+        _count_calls(monkeypatch, ClusterSimulator, "_execute_node", counts)
+        bare = _observed_replay(0.06, sink=False, faults=False)[2]
+        executed_bare, counts["_execute_node"] = counts["_execute_node"], 0
+
+        built = {"_AttemptDone": 0, "_ResilientCall": 0}
+
+        def counting(cls):
+            class Counted(cls):
+                __slots__ = ()
+
+                def __init__(self, *args, **kwargs):
+                    built[cls.__name__] += 1
+                    super().__init__(*args, **kwargs)
+
+            monkeypatch.setattr(manager, cls.__name__, Counted)
+
+        counting(manager._AttemptDone)
+        counting(manager._ResilientCall)
+        fired = {"__call__": 0}
+        _count_calls(monkeypatch, manager._DeadlineLane, "__call__", fired)
+        _count_calls(monkeypatch, manager.ResilienceManager, "_breaker_for", counts)
+        for name in ("allow", "record_success", "record_failure"):
+            _count_calls(monkeypatch, CircuitBreaker, name, counts)
+        pushed = Counter()
+        push = EventQueue.push
+
+        def tallied(self, time, callback):
+            if type(callback).__module__ == manager.__name__:
+                pushed[type(callback).__name__] += 1
+            push(self, time, callback)
+
+        monkeypatch.setattr(EventQueue, "push", tallied)
+        result = _observed_replay(0.06, sink=False, faults=True)[2]
+
+        stats = result.resilience
+        assert result.generated == bare.generated and result.completed == bare.completed
+        assert stats["retries"] > 0 and stats["breaker_opens"] == 0
+        assert stats["shed"] == stats["timeouts"] == stats["failed"] == 0
+        firings, attempts = fired["__call__"], built["_AttemptDone"]
+        assert result.events_processed - bare.events_processed == (
+            stats["retries"] + firings + counts["_execute_node"] - executed_bare
+        )
+        assert 0 < firings <= 0.01 * attempts
+        # one record per attempt, on the heap only a timer per firing
+        assert attempts == counts["_execute_node"]
+        assert attempts == built["_ResilientCall"] + stats["retries"]
+        assert pushed == {"_DeadlineLane": firings, "_Retry": stats["retries"]}
+        # one breaker lookup per logical call; a closed breaker is never asked
+        assert counts["_breaker_for"] == built["_ResilientCall"]
+        assert counts["allow"] == counts["record_success"] == 0
+        assert counts["record_failure"] == stats["errors_injected"]
 
 
 def _probe(seed=4, **changes):

@@ -323,6 +323,28 @@ class TestValidation:
         with pytest.raises(GraphValidationError, match="calls_per_request"):
             validate_graph(graph)
 
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_a_node_that_contains_itself_is_rejected(self, depth):
+        """Compiling an object cycle used to grow the work list forever."""
+        looped = call("L")
+        node = looped
+        for level in range(depth):
+            node = call(f"m{level}", stages=[[call("leaf")], [node]])
+        looped.stages.append([call("x"), node])
+        graph = DependencyGraph("svc", call("root", stages=[[looped]]))
+        with pytest.raises(GraphValidationError, match="'L' contains itself"):
+            graph.plan()
+        with pytest.raises(GraphValidationError, match="'L' contains itself"):
+            validate_graph(graph)
+
+    def test_a_subtree_shared_by_two_parents_is_no_cycle(self):
+        shared = call("S", stages=[[call("T")]])
+        graph = DependencyGraph(
+            "svc", call("A", stages=[[call("B", stages=[[shared]]), shared], [shared]])
+        )
+        validate_graph(graph)
+        assert [node.microservice for node in graph.nodes()] == list("ABSTSTST")
+
 
 class TestPathHelpers:
     def test_path_latency_sums_names(self):
