@@ -17,10 +17,10 @@ schedule or a policy bundle is attached.  It owns:
 Every logical RPC becomes a :class:`_ResilientCall` that drives one
 engine execution per attempt; the engine's continuation chain is
 untouched except that attempt continuations (:class:`_AttemptDone`)
-stand between the engine and the join frames, so a timed-out attempt's
-late completion is ignored and a failed attempt can be retried without
-the join machinery noticing.  References run one way, from a call up to
-what it completes into: attempt → logical call → the caller's join frame
+stand between the engine and the caller's call record, so a timed-out
+attempt's late completion is ignored and a failed attempt can be retried
+without the join noticing.  References run one way, from a call up to
+what it completes into: attempt → logical call → the caller's call record
 and span, and a sampled attempt's own span wraps the attempt
 (``_SpanDone.inner``).  Nothing points back down — ``submit_children``
 reads the span the children attach to off the continuation it is handed —
@@ -281,7 +281,7 @@ class _ResilientCall:
         lane = self.lane
         if lane is not None:
             lane.watch(attempt, t)
-        mgr.sim._execute_node(self.service, self.node, t, inner)
+        mgr.sim._execute(self.service, (self.node,), t, inner)
 
     def attempt_succeeded(self, finish: float) -> None:
         breaker = self.breaker
@@ -482,7 +482,7 @@ class ResilienceManager:
                 )
 
     # ------------------------------------------------------------------
-    # Request path (called from _Arrival / _run_stages)
+    # Request path (called from _Arrival / _Call)
     # ------------------------------------------------------------------
     def should_shed(self, service: str, t: float) -> bool:
         admission = self._admission
@@ -538,8 +538,8 @@ class ResilienceManager:
             span=final if type(final) is _SpanDone else None, is_root=True,
         ).execute_attempt(t)
 
-    def submit_children(self, service: str, calls, t: float, frame, done) -> None:
-        """Fan one stage's calls out as resilient logical RPCs.
+    def submit_children(self, service: str, calls, t: float, record, done) -> None:
+        """Fan one stage's calls out as resilient RPCs completing into ``record``.
 
         ``done`` is the parent node's continuation: the telemetry span
         wrapping its attempt — the span the children attach to — or the
@@ -553,7 +553,7 @@ class ResilienceManager:
         span = parent.span if attempt is done else done
         req = parent.req
         for child in calls:
-            _ResilientCall(self, req, service, child, frame, span).execute_attempt(t)
+            _ResilientCall(self, req, service, child, record, span).execute_attempt(t)
 
     # ------------------------------------------------------------------
     # Outcomes

@@ -26,32 +26,35 @@ service's :class:`~repro.graphs.GraphPlan` — the form the allocator reads —
 is bound to a *call plan* (:class:`_CallPlan`; ``_compile``, one loop from
 the last site up): the callee's live state instead of its name, and its
 downstream stages as tuples with ``calls_per_request`` expanded into
-repeated entries and empty stages dropped.  Arrivals, calls and stage joins
-carry plans, so running a call is attribute reads on the plan — no name
-lookup, no per-node cache.  A response climbs its call chain as nested calls
-(≈ 3 frames a level): a chain the recursion limit cannot hold is a
+repeated entries and empty stages dropped.  Arrivals and calls carry
+plans, so running a call is attribute reads on the plan — no name lookup,
+no per-node cache.  A response climbs its call chain as nested calls (one
+record, ≈ 2 frames, a level): a chain the recursion limit cannot hold is a
 :class:`~repro.graphs.GraphValidationError` from ``_run_events``.
 
-A call at a container is one record for its whole life there
-(:class:`_Call`, recycled through a free list): ``_execute_node`` fills
-it in, it waits in the container's queue if it must, ``_start`` puts it
-on the event heap when it gets a thread, and it is its own thread-release
-event — own latency, downstream stages, then ``_dispatch`` for the next
-waiting call.  ``_start`` is the one start block: the only code that
-evaluates a callable multiplier, draws a service time, stamps telemetry
-and pushes a completion.  It is reached from two places.  A call that
-finds a free thread and nothing queued goes straight to it, whatever the
-discipline (the *idle start*: no queue roundtrip); for δ-priority
-containers this is exact, not approximate:
+A call is one record from its arrival at a container to its response
+(:class:`_Call`, recycled through a free list).  ``_execute``, the one
+fan-out loop (arrivals, resilience attempts, stage fan-outs), takes it
+from the free list; it waits in the container's queue if it must, goes on
+the event heap when it gets a thread, is its own thread-release event —
+own latency, the first downstream stage, then ``_dispatch`` for the next
+waiting call — and then the join point of its stages, freed once it has
+delivered its response.  A call starts in one of two blocks, the only code
+that evaluates a callable multiplier, draws a service time, stamps
+telemetry and pushes a completion.  A call that finds a free thread and
+nothing queued starts in place in ``_execute``, whatever the discipline
+(the *idle start*: no queue roundtrip); for δ-priority containers this is
+exact, not approximate:
 :class:`~repro.simulator.scheduler.PriorityQueuePolicy` consults the RNG
 only to choose between two or more non-empty ranks, so the draw order is
 the one ``append`` + ``popleft`` would have produced.  Every other call
-waits and is started by the ``_dispatch`` loop, which asks the queue
-(``popleft``) while threads are free.  Scale-down and kill-with-retry
-move waiting records to surviving containers through ``_requeue``.
+waits and is started by ``_start`` from the ``_dispatch`` loop, which asks
+the queue (``popleft``) while threads are free.  Scale-down and
+kill-with-retry move waiting records to surviving containers through
+``_requeue``.
 
-The hot loop avoids per-event closure allocation: arrivals, calls and
-stage joins are ``__slots__`` record objects whose ``__call__`` the
+The hot loop avoids per-event closure allocation: arrivals and calls
+are ``__slots__`` record objects whose ``__call__`` the
 :class:`~repro.simulator.events.EventQueue` dispatches directly.  RNG
 draws are batched: unit exponentials per microservice (service times) and
 pre-scaled inter-arrival gaps per service (static rates) are drawn in
@@ -132,10 +135,10 @@ recorded by the control loop that calls it).  The sink never touches
 the engine RNG, so the pinned golden streams hold with telemetry on or
 off.  With ``telemetry=None`` and no resilience manager (the defaults)
 the hooks cost six ``is not None`` tests, each where its hook is called:
-``wrap_root`` per request (``_Arrival``), ``note_processing`` per call
-started (``_start``), ``wrap_call`` per stage fanned out
-(``_run_stages``); for resilience, shed and start per request
-(``_Arrival``) and ``submit_children`` per stage (``_run_stages``).
+``wrap_root`` per request (``_Arrival``), ``wrap_call`` per call sent to
+a container and ``note_processing`` per call started (``_execute``, and
+``_start`` for a queued call); for resilience, shed and start per
+request (``_Arrival``) and ``submit_children`` per stage (``_Call``).
 ``benchmarks/e2e`` measures both sides (``des_replay``,
 ``des_observed``).
 """
@@ -596,41 +599,19 @@ class _RequestDone:
         self.pool.append(self)
 
 
-class _StageFrame:
-    """Join point for one stage's parallel calls (callable as child-done)."""
-
-    __slots__ = ("sim", "service", "node", "next_stage", "pending", "latest", "done")
-
-    def __init__(self, sim, service, node, next_stage, pending, latest, done):
-        self.sim = sim
-        self.service = service
-        self.node = node
-        self.next_stage = next_stage
-        self.pending = pending
-        self.latest = latest
-        self.done = done
-
-    def __call__(self, finish: float) -> None:
-        if finish > self.latest:
-            self.latest = finish
-        pending = self.pending - 1
-        self.pending = pending
-        if pending == 0:
-            self.sim._run_stages(
-                self.service, self.node, self.next_stage, self.latest, self.done
-            )
-
-
 class _Call:
-    """One call at a container, for as long as it is there.
+    """One call, from its arrival at a container to its response.
 
-    Taken from the simulator's free list in ``_execute_node``, it waits in
-    the container's queue if it has to, goes on the event heap when
-    ``_start`` gives it a thread, and is itself the thread-release event.
+    Taken from the free list in ``_execute``, it waits in the container's
+    queue if it has to, is on the event heap while it holds a thread and
+    is itself the thread-release event; then it joins its stages, each
+    child completing into it: ``pending`` children of ``stage`` are out
+    (0 before the release), ``latest`` is the stage's last finish.
     Scale-down and kills move a waiting call by re-pointing ``container``.
     """
 
-    __slots__ = ("sim", "container", "service", "node", "arrival", "done")
+    __slots__ = ("sim", "container", "service", "node", "arrival", "done",
+                 "pending", "latest", "stage")
 
     def __init__(self, sim, container, service, node, arrival, done):
         self.sim = sim
@@ -639,26 +620,45 @@ class _Call:
         self.node = node
         self.arrival = arrival
         self.done = done
+        self.pending = 0
 
     def __call__(self, finish: float) -> None:
+        pending = self.pending
+        if pending:  # a child returned
+            if finish > self.latest:
+                self.latest = finish
+            self.pending = pending = pending - 1
+            if pending:
+                return
+            stage = self.stage + 1
+            finish = self.latest
+            container = None
+        else:  # the thread release
+            container = self.container
+            container.free_threads += 1
+            state = self.node.state
+            own_min = state.own_min
+            if own_min is not None:
+                own_min.append(finish / _MS_PER_MINUTE)
+                state.own_lat.append(finish - self.arrival)
+            stage = 0
         sim = self.sim
-        container = self.container
-        service = self.service
-        node = self.node
-        arrival = self.arrival
-        done = self.done
-        sim._call_pool.append(self)  # bounded by peak calls in the cluster
-        container.free_threads += 1
-        state = node.state
-        own_min = state.own_min
-        if own_min is not None:
-            own_min.append(finish / _MS_PER_MINUTE)
-            state.own_lat.append(finish - arrival)
-        if node.stages:
-            sim._run_stages(service, node, 0, finish, done)
+        stages = self.node.stages
+        if stage < len(stages):
+            calls = stages[stage]  # never empty: plans drop empty stages
+            self.stage = stage
+            self.latest = finish
+            self.pending = len(calls)
+            res = sim._resilience
+            if res is not None:  # resilient logical RPCs, spans wrapped there
+                res.submit_children(self.service, calls, finish, self, self.done)
+            else:
+                sim._execute(self.service, calls, finish, self, self.done)
         else:
+            done = self.done
+            sim._call_pool.append(self)  # bounded by peak calls in flight
             done(finish)
-        if container.queue:
+        if container is not None and container.queue:
             sim._dispatch(container)
 
 
@@ -738,7 +738,7 @@ class _Arrival:
                 # retries, breakers) managed off the engine fast path.
                 res.start_request(name, self.root, t, done)
             else:
-                self.sim._execute_node(name, self.root, t, done)
+                self.sim._execute(name, (self.root,), t, done)
         self.schedule_next(t)
 
     def schedule_next(self, now: float) -> None:
@@ -1194,7 +1194,7 @@ class ClusterSimulator:
             ) from None
         result.events_processed += processed
         # A recycled record still names its last continuation, and through
-        # it the finished request's spans, attempts and join frames.
+        # it the finished request's spans, attempts and caller records.
         self._call_pool.clear()
         if self._resilience is not None:
             result.resilience = self._resilience.stats.to_dict()
@@ -1205,44 +1205,74 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Request lifecycle
     # ------------------------------------------------------------------
-    def _execute_node(
+    def _execute(
         self,
         service: str,
-        node: _CallPlan,
+        calls: Sequence[_CallPlan],
         t: float,
         done: Callable[[float], None],
+        caller: Optional[Callable[[float], None]] = None,
     ) -> None:
-        state = node.state
-        containers = state.containers
-        index = state._next
-        if index >= len(containers):
-            index = 0
-        state._next = index + 1
-        container = containers[index]
+        """Send ``calls`` to their containers at ``t``, each completing into
+        ``done``: an arrival's root, an attempt, or a stage of the record
+        ``done``, whose continuation ``caller`` carries the span context."""
         pool = self._call_pool
-        if pool:
-            call = pool.pop()
-            call.container = container
-            call.service = service
-            call.node = node
-            call.arrival = t
-            call.done = done
-        else:
-            call = _Call(self, container, service, node, t, done)
-        queue = container.queue
-        free = container.free_threads
-        if free > 0 and not queue:
-            # Idle start, any policy (module docstring): a thread is free
-            # and nothing is queued — no queue roundtrip, and the RNG
-            # draws append + dispatch would have made.
-            self._start(call, self.events.now)
-        else:
-            queue.append(call)
-            if free > 0:
-                self._dispatch(container)
+        tele = self._telemetry
+        events = self.events
+        now = events.now
+        for node in calls:
+            state = node.state
+            containers = state.containers
+            index = state._next
+            if index >= len(containers):
+                index = 0
+            state._next = index + 1
+            container = containers[index]
+            child = done
+            if tele is not None and caller is not None:
+                child = tele.wrap_call(caller, node, t, done)
+            if pool:
+                call = pool.pop()
+                call.container = container
+                call.service = service
+                call.node = node
+                call.arrival = t
+                call.done = child
+            else:
+                call = _Call(self, container, service, node, t, child)
+            queue = container.queue
+            free = container.free_threads
+            if free > 0 and not queue:
+                # Idle start, any policy (module docstring): a thread is
+                # free and nothing is queued — no queue roundtrip, and the
+                # RNG draws append + dispatch would have made.
+                container.free_threads = free - 1
+                mean_ms = container.mean_ms
+                if mean_ms is None:
+                    mean_ms = state.base_ms * float(
+                        container.multiplier(now / _MS_PER_MINUTE)
+                    )
+                index = state.exp_i
+                buf = state.exp_buf
+                if index >= len(buf):
+                    buf = state.exp_buf = self.rng.exponential(1.0, _RNG_BLOCK).tolist()
+                    index = 0
+                state.exp_i = index + 1
+                processing = buf[index] * mean_ms
+                if tele is not None:
+                    tele.note_processing(
+                        child, now, processing, mean_ms / state.base_ms
+                    )
+                count = events._counter
+                events._counter = count + 1
+                heappush(events._heap, (now + processing, count, call))
+            else:
+                queue.append(call)
+                if free > 0:
+                    self._dispatch(container)
 
     def _start(self, call: _Call, now: float) -> None:
-        """Give ``call`` a thread of its container: the one start block."""
+        """Give a waiting ``call`` a thread of its container."""
         container = call.container
         container.free_threads -= 1
         state = call.node.state
@@ -1280,38 +1310,3 @@ class ClusterSimulator:
         container = call.container = call.node.state.pick()
         container.queue.append(call)
         self._dispatch(container)
-
-    def _run_stages(
-        self,
-        service: str,
-        node: _CallPlan,
-        stage_index: int,
-        t: float,
-        done: Callable[[float], None],
-    ) -> None:
-        stages = node.stages
-        if stage_index >= len(stages):
-            done(t)
-            return
-        calls = stages[stage_index]  # never empty: plans drop empty stages
-        frame = _StageFrame(
-            self, service, node, stage_index + 1, len(calls), t, done
-        )
-        res = self._resilience
-        if res is not None:
-            # Each downstream call becomes a resilient logical RPC
-            # (timeout / retry / breaker); the manager wraps per-attempt
-            # telemetry spans itself.
-            res.submit_children(service, calls, t, frame, done)
-            return
-        tele = self._telemetry
-        if tele is not None:
-            # Each downstream call gets its own span-emitting
-            # continuation; span context rides on ``done``.
-            for child in calls:
-                self._execute_node(
-                    service, child, t, tele.wrap_call(done, child, t, frame)
-                )
-        else:
-            for child in calls:
-                self._execute_node(service, child, t, frame)

@@ -36,11 +36,11 @@ what each enabled layer adds).
 
 Who owns what, per request: references point from a call up to its
 caller and never back.  A :class:`_SpanDone` holds its context, its
-parent's record and the continuation it wraps (``inner``: the engine's
-join frame, or the resilience layer's attempt — which does not point back
-at its span); the engine's call record and the frames below hold the
-``_SpanDone``.  The one loop, ``_TraceCtx.calls`` → finished records →
-``ctx``, is cut when the root span closes the trace
+parent's record and the continuation it wraps (``inner``: the caller's
+engine call record, which joins its stages, or the resilience layer's
+attempt — which does not point back at its span); the engine's call
+record holds the ``_SpanDone``.  The one loop, ``_TraceCtx.calls`` →
+finished records → ``ctx``, is cut when the root span closes the trace
 (``_complete_trace``), so the records of a request that completes die by
 reference count with it and the cycle collector finds nothing (counted in
 ``tests/test_engine_shape.py``).  A request the resilience layer *fails*
@@ -335,27 +335,27 @@ class TelemetrySink:
             return _SpanDone(ctx, 0, None, node.microservice, t, inner)
         return _E2EDone(self, service, t, inner)
 
-    def wrap_call(self, done, child, t: float, frame):
-        """Wrap one downstream call's continuation (from ``_run_stages``).
+    def wrap_call(self, done, child, t: float, inner):
+        """Wrap one downstream call's continuation ``inner`` (``_execute``).
 
         ``done`` is the *parent* call's continuation; span context flows
-        through it.  Unsampled requests carry no context, so the frame
+        through it.  Unsampled requests carry no context, so ``inner``
         passes through untouched.
         """
         if type(done) is not _SpanDone:
-            return frame
+            return inner
         ctx = done.ctx
         n = ctx.n
         ctx.n = n + 2  # n: the caller's client span, n + 1: the server span
-        return _SpanDone(ctx, n + 1, done, child.microservice, t, frame)
+        return _SpanDone(ctx, n + 1, done, child.microservice, t, inner)
 
     def note_processing(
         self, done, start_ms: float, proc_ms: float, mult: float
     ) -> None:
         """Engine hook: the call behind ``done`` acquired a thread.
 
-        Called by the simulator's one start block
-        (``ClusterSimulator._start``) with the processing start time, the
+        Called where the simulator starts a call (``ClusterSimulator._execute``,
+        or ``_start`` for a queued one) with the processing start time, the
         drawn processing duration, and the container's interference
         multiplier at that moment.  A no-op for unsampled requests
         (``done`` is not a span continuation), and never touches the

@@ -4,14 +4,17 @@
 Counts, not timings: graphs are resolved into call plans once per
 simulator, an idle priority container starts a call without an ``append``
 or a ``popleft``, every call that gets a thread — idle, queued or
-moved to another container — passes the one start block once, a
+moved to another container — passes a start block once, a
 finished request leaves no object for the cycle collector to find, an
 attempt that finishes in time through a closed breaker costs no heap event
-and no breaker call, and a run that is one FCFS station pushes no event and
-builds no call record while every other run still does.
+and no breaker call, a bare replay builds no object per stage and makes
+a pinned number of Python-level calls, and a run that is one FCFS station
+pushes no event and builds no call record while every other run still
+does.
 """
 
 import gc
+import sys
 import weakref
 from collections import Counter, deque, namedtuple
 
@@ -290,11 +293,17 @@ class TestResilienceShape:
 
     def test_an_attempt_in_time_costs_no_event(self, monkeypatch):
         counts = dict.fromkeys(
-            ("_execute_node", "_breaker_for", "allow", "record_success", "record_failure"), 0
+            ("executed", "_breaker_for", "allow", "record_success", "record_failure"), 0
         )
-        _count_calls(monkeypatch, ClusterSimulator, "_execute_node", counts)
+        execute = ClusterSimulator._execute
+
+        def counted(self, service, calls, *args):
+            counts["executed"] += len(calls)  # engine calls sent to a container
+            return execute(self, service, calls, *args)
+
+        monkeypatch.setattr(ClusterSimulator, "_execute", counted)
         bare = _observed_replay(0.06, sink=False, faults=False)[2]
-        executed_bare, counts["_execute_node"] = counts["_execute_node"], 0
+        executed_bare, counts["executed"] = counts["executed"], 0
 
         built = {"_AttemptDone": 0, "_ResilientCall": 0}
 
@@ -332,17 +341,120 @@ class TestResilienceShape:
         assert stats["shed"] == stats["timeouts"] == stats["failed"] == 0
         firings, attempts = fired["__call__"], built["_AttemptDone"]
         assert result.events_processed - bare.events_processed == (
-            stats["retries"] + firings + counts["_execute_node"] - executed_bare
+            stats["retries"] + firings + counts["executed"] - executed_bare
         )
         assert 0 < firings <= 0.01 * attempts
         # one record per attempt, on the heap only a timer per firing
-        assert attempts == counts["_execute_node"]
+        assert attempts == counts["executed"]
         assert attempts == built["_ResilientCall"] + stats["retries"]
         assert pushed == {"_DeadlineLane": firings, "_Retry": stats["retries"]}
         # one breaker lookup per logical call; a closed breaker is never asked
         assert counts["_breaker_for"] == built["_ResilientCall"]
         assert counts["allow"] == counts["record_success"] == 0
         assert counts["record_failure"] == stats["errors_injected"]
+
+
+#: Frames CPython 3.12 no longer makes (PEP 709 inlines comprehensions).
+_INLINED = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
+
+
+def counted_call_path(rate=20_000.0, duration=0.05):
+    """One seed-0 bare Social Network replay under ``sys.setprofile``,
+    the cycle collector off.
+
+    Python-level calls (``"call"`` events, comprehensions not counted),
+    objects built per class of ``repro.simulator.simulation`` (calls of its
+    ``__init__``), heap pushes before and during ``run()``, and the events
+    processed.
+    """
+    simulator = _social_simulator(rate, duration, seed=0)
+    inits = {
+        cls.__init__.__code__: name
+        for name, cls in vars(simulation).items()
+        if isinstance(cls, type)
+        and cls.__module__ == simulation.__name__
+        and "__init__" in vars(cls)
+    }
+    calls = 0
+    built = {}
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            code = frame.f_code
+            if code.co_name not in _INLINED:
+                calls += 1
+            name = inits.get(code)
+            if name is not None:
+                built[name] = built.get(name, 0) + 1
+
+    before = simulator.events._counter
+    previous, collecting = sys.getprofile(), gc.isenabled()
+    gc.collect()  # no finalizer of other code's garbage runs in the count
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = simulator.run()
+    finally:
+        sys.setprofile(previous)
+        if collecting:
+            gc.enable()
+    return {
+        "python_calls": calls,
+        "built": dict(sorted(built.items())),
+        "pushed_before": before,
+        "pushed": simulator.events._counter,
+        "events": result.events_processed,
+        "completed": sum(result.completed.values()),
+    }
+
+
+def peak_calls_in_flight(rate=20_000.0, duration=0.05):
+    """Most calls between arrival at a container and response at once.
+
+    Read off the same replay's spans: a call's server span runs from its
+    arrival at the container to its subtree's completion; at equal times
+    arrivals count first.
+    """
+    sink = TelemetrySink()
+    _social_simulator(rate, duration, seed=0, telemetry=sink).run()
+    table = sink.traces
+    times = np.concatenate((table.column("start"), table.column("finish")))
+    rows = len(times) // 2
+    closes = np.repeat((0, 1), rows)
+    order = np.lexsort((closes, times))
+    return int(np.cumsum(1 - 2 * closes[order]).max())
+
+
+class TestCallPathShape:
+    """The engine's counted run (ROADMAP item 2, engine slice).
+
+    ``counted_call_path()`` pinned for equality.  The parent engine — one
+    ``_StageFrame`` per stage fanned out, ``_execute_node`` per call, the
+    record recycled at its thread release — made 353 415 Python-level
+    calls and built 30 494 ``_StageFrame``, 121 ``_Call``, 123
+    ``_RequestDone`` and 3 ``_Arrival`` on this replay, pushing and
+    processing 50 178 events for 2 965 requests.  A record now lives until
+    its response, so more ``_Call`` are built, never more than the peak
+    of calls in flight (324 here).  Regenerate with ``PYTHONPATH=src
+    python -c "from tests.test_engine_shape import counted_call_path;
+    print(counted_call_path())"``.
+    """
+
+    PINNED = {
+        "python_calls": 226_075,
+        "built": {"_Arrival": 3, "_Call": 323, "_RequestDone": 123},
+        "pushed_before": 0,
+        "pushed": 50_178,
+        "events": 50_178,
+        "completed": 2_965,
+    }
+
+    def test_a_call_is_one_record_from_arrival_to_response(self):
+        counted = counted_call_path()
+        assert counted == self.PINNED
+        assert counted["pushed"] == counted["pushed_before"] + counted["events"]
+        assert counted["built"]["_Call"] <= peak_calls_in_flight()
 
 
 def _probe(seed=4, **changes):

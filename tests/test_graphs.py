@@ -287,6 +287,13 @@ class TestGraphPlan:
         result = _deep_simulator(names, graph).run()
         assert result.completed["deep"] == result.generated["deep"] > 0
 
+    def test_a_chain_400_calls_deep_runs(self):
+        """A response climbs one call record per level (≈ 2 frames); with a
+        join frame and a stage runner per level it stopped short of 400."""
+        names, graph = _deep_chain(400)
+        result = _deep_simulator(names, graph).run()
+        assert result.completed["deep"] == result.generated["deep"] > 0
+
 
 class TestValidation:
     def test_valid_graph_passes(self):
