@@ -14,24 +14,25 @@ schedule or a policy bundle is attached.  It owns:
   actor ``circuit-breaker``), and queue-depth / latency-aware admission
   control that sheds low-priority requests first.
 
-Every logical RPC becomes a :class:`_ResilientCall` that drives one
-engine execution per attempt; the engine's continuation chain is
-untouched except that attempt continuations (:class:`_AttemptDone`)
-stand between the engine and the caller's call record, so a timed-out
-attempt's late completion is ignored and a failed attempt can be retried
-without the join noticing.  References run one way, from a call up to
-what it completes into: attempt → logical call → the caller's call record
-and span, and a sampled attempt's own span wraps the attempt
-(``_SpanDone.inner``).  Nothing points back down — ``submit_children``
-reads the span the children attach to off the continuation it is handed —
-so a finished call's records are freed by reference count, not left as
-cycles for the collector.  The one other holder of a pending attempt is
-the manager's :class:`_DeadlineLane` for its timeout length, until the
-attempt finishes or times out; a deadline that never fires costs no heap
-event.  All randomness (error draws, backoff
-jitter) comes from the manager's dedicated RNG — the engine's pinned
-draw order is never touched, and with the manager absent the engine pays
-one ``is not None`` branch per arrival and per stage fan-out.
+Every attempt of a logical RPC is one :class:`_Attempt` record: it
+carries the call's state, runs one engine execution and is that
+execution's continuation, standing between the engine and the caller's
+call record, so a timed-out attempt's late completion is ignored and a
+failed attempt is retried (a fresh record) without the join noticing.
+A call site's breaker, deadline lane and error windows are resolved the
+first time the site is seen.  References run one way, from a call up to
+what it completes into: attempt → the caller's call record and span, and
+a sampled attempt's own span wraps the attempt (``_SpanDone.inner``).
+Nothing points back down — ``submit_children`` reads the span the
+children attach to off the continuation it is handed — so a finished
+call's records are freed by reference count, not left as cycles for the
+collector.  The one other holder of a pending attempt is the manager's
+:class:`_DeadlineLane` for its timeout length, until the attempt finishes
+or times out; a deadline that never fires costs no heap event.  All
+randomness (error draws, backoff jitter) comes from the manager's
+dedicated RNG — the engine's pinned draw order is never touched, and with
+the manager absent the engine pays one ``is not None`` branch per arrival
+and per stage fan-out.
 """
 
 from __future__ import annotations
@@ -110,61 +111,19 @@ class _RequestCtx:
         self.failed = False
 
 
-class _AttemptDone:
-    """Engine continuation of one attempt of one logical call.
-
-    ``alive`` settles the race between the subtree completing and the
-    attempt's timeout: whichever fires first wins, the loser no-ops
-    (late completions are counted — stragglers the client abandoned).
-    The telemetry span covering a sampled attempt wraps it
-    (``_SpanDone.inner``); the attempt holds no reference back.  Under a
-    timeout policy it waits in ``lane`` until it finishes or times out.
-    """
-
-    __slots__ = ("call", "alive", "lane", "deadline")
-
-    def __init__(self, call: "_ResilientCall"):
-        self.call = call
-        self.alive = True
-        self.lane = None
-
-    def __call__(self, finish: float) -> None:
-        if not self.alive:
-            self.call.mgr.stats.late_completions += 1
-            return
-        self.alive = False
-        lane = self.lane
-        if lane is not None:
-            pending = lane.pending
-            if pending[0] is self:  # release it and the finished behind it
-                pending.popleft()
-                while pending and not pending[0].alive:
-                    pending.popleft()
-        call = self.call
-        mgr = call.mgr
-        rate_windows = mgr._error_windows.get(call.node.microservice)
-        if rate_windows is not None:
-            minute = finish / _MS_PER_MINUTE
-            for start_min, end_min, rate in rate_windows:
-                if start_min <= minute < end_min:
-                    if mgr._draw_unit() < rate:
-                        mgr.stats.errors_injected += 1
-                        mgr._count("chaos_errors")
-                        call.attempt_failed(finish, "error")
-                        return
-                    break
-        call.attempt_succeeded(finish)
-
-
 class _DeadlineLane:
     """The pending attempts of one timeout length, oldest deadline first.
 
-    Attempts start in time order and share the length, so appending keeps
-    the deque sorted by deadline.  The lane is its own timer: at most one
-    heap entry, at the deadline of its oldest live attempt when armed.
-    Firing times out every live attempt due by then, in start order, and
-    re-arms at the next live deadline; a finished head is dropped here or
-    by the attempt itself, so a deadline that never fires costs no event.
+    The lane is its own timer: at most one heap entry, at the deadline of
+    its oldest live attempt when armed.  Firing times out every live
+    attempt due by then, in start order, and re-arms at the next live
+    deadline, so a deadline that never fires costs no event.
+
+    Two other places write the deque, both in :class:`_Attempt`, inlined
+    there because they run once per attempt: ``start`` appends the
+    attempt and arms an idle lane (attempts start in time order and share
+    the length, so appending keeps the deque sorted by deadline), and a
+    completing head pops itself and the finished attempts behind it.
     """
 
     __slots__ = ("mgr", "length", "pending", "armed")
@@ -172,16 +131,8 @@ class _DeadlineLane:
     def __init__(self, mgr: "ResilienceManager", length: float):
         self.mgr = mgr
         self.length = length
-        self.pending: Deque[_AttemptDone] = deque()
+        self.pending: Deque[_Attempt] = deque()
         self.armed = False
-
-    def watch(self, attempt: _AttemptDone, t: float) -> None:
-        attempt.lane = self
-        attempt.deadline = t + self.length
-        self.pending.append(attempt)
-        if not self.armed:
-            self.armed = True
-            self.mgr.events.push(attempt.deadline, self)
 
     def __call__(self, now: float) -> None:
         mgr, pending = self.mgr, self.pending
@@ -195,96 +146,137 @@ class _DeadlineLane:
                 attempt.alive = False
                 mgr.stats.timeouts += 1
                 mgr._count("resilience_timeouts")
-                attempt.call.attempt_failed(now, "timeout")
+                attempt.failed(now, "timeout")
         self.armed = False
 
 
 class _Retry:
-    """Scheduled re-execution of a logical call after backoff."""
+    """Scheduled start of a logical call's next attempt, after backoff."""
 
-    __slots__ = ("call",)
+    __slots__ = ("attempt",)
 
-    def __init__(self, call: "_ResilientCall"):
-        self.call = call
+    def __init__(self, attempt: "_Attempt"):
+        self.attempt = attempt
 
     def __call__(self, now: float) -> None:
-        self.call.execute_attempt(now)
+        self.attempt.start(now)
 
 
-class _ResilientCall:
-    """One logical RPC: breaker gate, attempts, backoff, final outcome.
+class _Site:
+    """What one call site's attempts share, resolved the first time it is seen."""
 
-    Its breaker and deadline lane are resolved once, at construction.
+    __slots__ = ("plan", "breaker", "lane", "windows")
+
+    def __init__(self, plan, breaker, lane, windows):
+        self.plan = plan  # the callee's compiled call plan
+        self.breaker = breaker
+        self.lane = lane
+        self.windows = windows
+
+
+class _Attempt:
+    """One attempt of one logical RPC, and the engine's continuation for it.
+
+    It carries the logical call's state — request, caller's continuation
+    (``downstream``) and span, attempt ``number`` — and its call
+    :class:`_Site`.  :meth:`start` gates the attempt on the breaker and
+    sends it to the engine; :meth:`__call__`
+    settles the race with the timeout: ``alive`` is cleared by whichever
+    of completion and lane fires first, and the loser no-ops (late
+    completions are counted — stragglers the client abandoned).  A retry
+    is a fresh attempt with ``number + 1``.  The telemetry span covering
+    a sampled attempt wraps it (``_SpanDone.inner``); the attempt holds
+    no reference back.
     """
 
     __slots__ = (
         "mgr",
         "req",
         "service",
-        "node",
+        "site",
         "downstream",
         "span",
         "is_root",
-        "attempt",
-        "breaker",
-        "lane",
+        "number",
+        "alive",
+        "deadline",
     )
 
     def __init__(
-        self,
-        mgr: "ResilienceManager",
-        req: _RequestCtx,
-        service: str,
-        node,
-        downstream,
-        span,
-        is_root: bool = False,
+        self, mgr: "ResilienceManager", req: _RequestCtx, service: str,
+        site: _Site, downstream, span, is_root: bool = False, number: int = 1,
     ):
         self.mgr = mgr
         self.req = req
         self.service = service
-        self.node = node
+        self.site = site
         self.downstream = downstream
         #: telemetry span context (``None`` when the request is unsampled):
         #: the request's own span at the root, the calling span below it
         self.span = span
         self.is_root = is_root
-        self.attempt = 0
-        self.breaker = mgr._breaker_for(service, node.microservice)
-        self.lane = mgr._lanes.get(node.microservice)
+        self.number = number
+        self.alive = True
 
-    # -- attempt lifecycle ---------------------------------------------
-    def execute_attempt(self, t: float) -> None:
+    def start(self, t: float) -> None:
         mgr = self.mgr
-        breaker = self.breaker
+        site = self.site
+        breaker = site.breaker
         # a closed breaker admits every attempt: ``allow`` would change nothing
-        if (
-            breaker is not None
-            and breaker.state != BREAKER_CLOSED
-            and not mgr._breaker_allow(breaker, self.service, self.node.microservice, t)
-        ):
-            # Fast fail: no engine work, no breaker feedback (nothing was
-            # probed), straight to the retry/fail decision.  The fast
-            # fail consumes an attempt — otherwise a call facing an open
-            # breaker would loop retry -> fast-fail on every backoff for
-            # as long as the breaker stays open.
-            self.attempt += 1
-            mgr.stats.breaker_fast_fails += 1
-            mgr._count("breaker_fast_fails")
-            self._after_failure(t, "breaker-open")
-            return
-        self.attempt += 1
-        attempt = inner = _AttemptDone(self)
+        if breaker is not None and breaker.state != BREAKER_CLOSED:
+            before = breaker.state
+            allowed, transition = breaker.allow(t)
+            if transition is not None:
+                mgr._breaker_transition(self, before, transition, t, "cooldown elapsed")
+            if not allowed:
+                # Fast fail: no engine work, no breaker feedback (nothing
+                # was probed), straight to the retry/fail decision.  The
+                # fast fail consumes an attempt — otherwise a call facing
+                # an open breaker would loop retry -> fast-fail on every
+                # backoff for as long as the breaker stays open.
+                mgr.stats.breaker_fast_fails += 1
+                mgr._count("breaker_fast_fails")
+                self._after_failure(t, "breaker-open")
+                return
+        inner = self
         if self.span is not None and not self.is_root:
             # every attempt of the call is its own span under the caller's
-            inner = mgr.tele.wrap_call(self.span, self.node, t, attempt)
-        lane = self.lane
-        if lane is not None:
-            lane.watch(attempt, t)
-        mgr.sim._execute(self.service, (self.node,), t, inner)
+            inner = mgr.tele.wrap_call(self.span, site.plan, t, self)
+        lane = site.lane
+        if lane is not None:  # wait in the lane until finished or timed out
+            self.deadline = deadline = t + lane.length
+            lane.pending.append(self)
+            if not lane.armed:
+                lane.armed = True
+                mgr.events.push(deadline, lane)
+        mgr.sim._execute(self.service, (site.plan,), t, inner)
 
-    def attempt_succeeded(self, finish: float) -> None:
-        breaker = self.breaker
+    def __call__(self, finish: float) -> None:
+        mgr = self.mgr
+        if not self.alive:
+            mgr.stats.late_completions += 1
+            return
+        self.alive = False
+        site = self.site
+        lane = site.lane
+        if lane is not None:
+            pending = lane.pending
+            if pending[0] is self:  # release it and the finished behind it
+                pending.popleft()
+                while pending and not pending[0].alive:
+                    pending.popleft()
+        windows = site.windows
+        if windows is not None:
+            minute = finish / _MS_PER_MINUTE
+            for start_min, end_min, rate in windows:
+                if start_min <= minute < end_min:
+                    if mgr._draw_unit() < rate:
+                        mgr.stats.errors_injected += 1
+                        mgr._count("chaos_errors")
+                        self.failed(finish, "error")
+                        return
+                    break
+        breaker = site.breaker
         if breaker is not None:
             if breaker.state == BREAKER_CLOSED:
                 breaker.consecutive_failures = 0  # all record_success does
@@ -292,35 +284,36 @@ class _ResilientCall:
                 before = breaker.state
                 transition = breaker.record_success(finish)
                 if transition is not None:
-                    self.mgr._breaker_transition(
-                        self.service, self.node.microservice,
-                        before, transition, finish, "probe successes",
+                    mgr._breaker_transition(
+                        self, before, transition, finish, "probe successes"
                     )
         if self.is_root:
-            self.mgr._finish_request(self.req, finish)
+            mgr._finish_request(self.req, finish)
         else:
             self.downstream(finish)
 
-    def attempt_failed(self, t: float, kind: str) -> None:
-        breaker = self.breaker
+    def failed(self, t: float, kind: str) -> None:
+        breaker = self.site.breaker
         if breaker is not None:
             before = breaker.state
             transition = breaker.record_failure(t)
             if transition is not None:
-                self.mgr._breaker_transition(
-                    self.service, self.node.microservice,
-                    before, transition, t, kind,
-                )
+                self.mgr._breaker_transition(self, before, transition, t, kind)
         self._after_failure(t, kind)
 
     def _after_failure(self, t: float, kind: str) -> None:
         mgr = self.mgr
         retry = mgr._retry
-        if retry is not None and self.attempt < retry.max_attempts:
+        number = self.number
+        if retry is not None and number < retry.max_attempts:
             mgr.stats.retries += 1
             mgr._count("resilience_retries")
-            delay = retry.backoff_ms(max(self.attempt, 1), mgr._draw_unit())
-            mgr.events.push(t + delay, _Retry(self))
+            delay = retry.backoff_ms(number, mgr._draw_unit())
+            again = _Attempt(
+                mgr, self.req, self.service, self.site,
+                self.downstream, self.span, self.is_root, number + 1,
+            )
+            mgr.events.push(t + delay, _Retry(again))
             return
         # Retries exhausted (or no retry policy): the logical call fails.
         if self.is_root:
@@ -377,6 +370,8 @@ class ResilienceManager:
                 if length not in by_length:
                     by_length[length] = _DeadlineLane(self, length)
                 self._lanes[name] = by_length[length]
+        #: call plan -> its site, resolved at first use
+        self._sites: Dict[object, _Site] = {}
         self._ranks: Dict[str, int] = {}
         self._graph_states: Dict[str, List] = {}
         self._root_ms: Dict[str, str] = {}
@@ -532,11 +527,11 @@ class ResilienceManager:
 
     def start_request(self, service: str, node, t: float, final) -> None:
         self.stats.requests += 1
-        req = _RequestCtx(service, t, final)
-        _ResilientCall(
-            self, req, service, node, downstream=final,
-            span=final if type(final) is _SpanDone else None, is_root=True,
-        ).execute_attempt(t)
+        site = self._sites.get(node) or self._site(service, node)
+        span = final if type(final) is _SpanDone else None
+        _Attempt(
+            self, _RequestCtx(service, t, final), service, site, final, span, True
+        ).start(t)
 
     def submit_children(self, service: str, calls, t: float, record, done) -> None:
         """Fan one stage's calls out as resilient RPCs completing into ``record``.
@@ -546,14 +541,27 @@ class ResilienceManager:
         bare attempt (the root call, whose span is the request's; any call
         of an unsampled request, which has none).
         """
-        attempt = done.inner if type(done) is _SpanDone else done
-        if type(attempt) is not _AttemptDone:  # pragma: no cover - engine invariant
-            raise RuntimeError("resilient fan-out without an attempt context")
-        parent = attempt.call
-        span = parent.span if attempt is done else done
+        parent = done.inner if type(done) is _SpanDone else done
+        span = parent.span if parent is done else done
         req = parent.req
+        sites = self._sites
         for child in calls:
-            _ResilientCall(self, req, service, child, record, span).execute_attempt(t)
+            site = sites.get(child) or self._site(service, child)
+            _Attempt(self, req, service, site, record, span).start(t)
+
+    def _site(self, service: str, node) -> _Site:
+        """Resolve a call site's breaker, deadline lane and error windows.
+
+        Keyed by the call plan alone: each service compiles its own plans.
+        """
+        microservice = node.microservice
+        site = self._sites[node] = _Site(
+            node,
+            self._breaker_for(service, microservice),
+            self._lanes.get(microservice),
+            self._error_windows.get(microservice),
+        )
+        return site
 
     # ------------------------------------------------------------------
     # Outcomes
@@ -599,27 +607,10 @@ class ResilienceManager:
             breaker = self._breakers[key] = CircuitBreaker(policy)
         return breaker
 
-    def _breaker_allow(
-        self, breaker: CircuitBreaker, service: str, microservice: str, t: float
-    ) -> bool:
-        before = breaker.state
-        allowed, transition = breaker.allow(t)
-        if transition is not None:
-            self._breaker_transition(
-                service, microservice, before, transition, t,
-                "cooldown elapsed",
-            )
-        return allowed
-
     def _breaker_transition(
-        self,
-        service: str,
-        microservice: str,
-        before: int,
-        state: int,
-        t: float,
-        cause: str,
+        self, attempt: _Attempt, before: int, state: int, t: float, cause: str
     ) -> None:
+        service, microservice = attempt.service, attempt.site.plan.microservice
         if state == BREAKER_OPEN:
             self.stats.breaker_opens += 1
         elif state == BREAKER_CLOSED:

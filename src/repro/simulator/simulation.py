@@ -138,7 +138,8 @@ the hooks cost six ``is not None`` tests, each where its hook is called:
 ``wrap_root`` per request (``_Arrival``), ``wrap_call`` per call sent to
 a container and ``note_processing`` per call started (``_execute``, and
 ``_start`` for a queued call); for resilience, shed and start per
-request (``_Arrival``) and ``submit_children`` per stage (``_Call``).
+request (``_Arrival``) and ``submit_children`` per stage (``_Call``) —
+still six, however the manager behind them records its attempts.
 ``benchmarks/e2e`` measures both sides (``des_replay``,
 ``des_observed``).
 """

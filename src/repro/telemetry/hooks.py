@@ -38,12 +38,12 @@ Who owns what, per request: references point from a call up to its
 caller and never back.  A :class:`_SpanDone` holds its context, its
 parent's record and the continuation it wraps (``inner``: the caller's
 engine call record, which joins its stages, or the resilience layer's
-attempt — which does not point back at its span); the engine's call
-record holds the ``_SpanDone``.  The one loop, ``_TraceCtx.calls`` →
-finished records → ``ctx``, is cut when the root span closes the trace
-(``_complete_trace``), so the records of a request that completes die by
-reference count with it and the cycle collector finds nothing (counted in
-``tests/test_engine_shape.py``).  A request the resilience layer *fails*
+one record per attempt, which holds the caller's span, never its own);
+the engine's call record holds the ``_SpanDone``.  The one loop,
+``_TraceCtx.calls`` → finished records → ``ctx``, is cut when the root
+span closes the trace (``_complete_trace``), so the records of a request
+that completes die by reference count with it and the cycle collector
+finds nothing (counted in ``tests/test_engine_shape.py``).  A request the resilience layer *fails*
 never fires its root continuation: its context stays open, its buffered
 spans are never flushed, and that loop is left to the collector.
 

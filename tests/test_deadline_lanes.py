@@ -28,6 +28,7 @@ from repro.resilience import (
 )
 from repro.simulator import ClusterSimulator, SimulatedMicroservice, SimulationConfig
 from repro.telemetry import TelemetrySink
+from repro.telemetry.hooks import _SpanDone
 from tests.test_engine_equivalence import _digest
 from tests.test_resilience import make_sim
 from tests.test_span_equivalence import _sha, observe, trace_lines
@@ -45,26 +46,21 @@ class _AttemptTimeout:
         attempt = self.attempt
         if attempt.alive:
             attempt.alive = False
-            call = attempt.call
-            call.mgr.fired.append(now)
-            call.mgr.stats.timeouts += 1
-            call.mgr._count("resilience_timeouts")
-            call.attempt_failed(now, "timeout")
-
-
-class _EventPerAttempt:
-    """A lane that keeps nothing: it pushes one timeout event per attempt."""
-
-    def __init__(self, mgr, length):
-        self.mgr = mgr
-        self.length = length
-
-    def watch(self, attempt, t):
-        self.mgr.events.push(t + self.length, _AttemptTimeout(attempt))
+            mgr = attempt.mgr
+            mgr.fired.append(now)
+            mgr.stats.timeouts += 1
+            mgr._count("resilience_timeouts")
+            attempt.failed(now, "timeout")
 
 
 class PerAttemptTimeouts(manager.ResilienceManager):
-    """The manager with one heap event per attempt for its timeout."""
+    """The manager with one heap event per attempt for its timeout.
+
+    Its call sites resolve no lane; each attempt pushes its own timeout
+    event as it is sent to the engine, where a lane would have filed it.
+    The seam is the simulator's ``_execute``, shadowed on the instance:
+    with a manager attached every engine call there is one attempt's.
+    """
 
     built = []  # every instance, in construction order
 
@@ -72,10 +68,20 @@ class PerAttemptTimeouts(manager.ResilienceManager):
         super().__init__(*args)
         self.built.append(self)
         self.fired = []  # when each timeout fired, in firing order
-        self._lanes = {
-            name: _EventPerAttempt(self, lane.length)
-            for name, lane in self._lanes.items()
-        }
+        self.lengths = {name: lane.length for name, lane in self._lanes.items()}
+        self._lanes = {}
+        sim = self.sim
+        execute = sim._execute
+
+        def execute_timed(service, nodes, t, done):
+            (node,) = nodes
+            attempt = done.inner if type(done) is _SpanDone else done
+            self.events.push(
+                t + self.lengths[node.microservice], _AttemptTimeout(attempt)
+            )
+            execute(service, nodes, t, done)
+
+        sim._execute = execute_timed
 
 
 def _two_lengths():
@@ -199,7 +205,7 @@ def test_lanes_time_out_what_per_attempt_events_did(case, monkeypatch):
     if case == "tight_timeout":
         assert (stats["timeouts"], stats["retries"]) == (82, 98)
     if case == "two_override_lengths":
-        assert len({lane.length for lane in mgr._lanes.values()}) == 3
+        assert len(set(mgr.lengths.values())) == 3
     if case == "fan_out_ties":
         assert len(mgr.fired) - len(set(mgr.fired)) > 10  # siblings, one deadline
     if case == "breaker_opens":

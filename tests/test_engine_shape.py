@@ -8,12 +8,14 @@ moved to another container — passes a start block once, a
 finished request leaves no object for the cycle collector to find, an
 attempt that finishes in time through a closed breaker costs no heap event
 and no breaker call, a bare replay builds no object per stage and makes
-a pinned number of Python-level calls, and a run that is one FCFS station
+a pinned number of Python-level calls, an observed replay builds one
+resilience record per attempt, and a run that is one FCFS station
 pushes no event and builds no call record while every other run still
 does.
 """
 
 import gc
+import os
 import sys
 import weakref
 from collections import Counter, deque, namedtuple
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import ServiceSpec
 from repro.graphs import CallNode, DependencyGraph, call
 from repro.resilience import (
@@ -191,11 +194,10 @@ class TestEngineShape:
         assert samples == 2 * sum(result.completed.values())
 
 
-def _observed_replay(duration, sink, faults):
-    """Social Network under Erms with ``des_observed``'s hooks on.
+def _observed_simulator(duration, sink, faults):
+    """Social Network under Erms with ``des_observed``'s hooks on, and its sink.
 
-    Four windows and four scrapes whatever the duration.  Returns the
-    simulator too: it outlives its run, as under ``--serve``.
+    Four windows and four scrapes whatever the duration.
     """
     telemetry = None
     attached = {}
@@ -213,7 +215,13 @@ def _observed_replay(duration, sink, faults):
             ]
         )
         attached["resilience"] = ResiliencePolicies.default()
-    simulator = _social_simulator(10_000.0, duration, seed=0, **attached)
+    return _social_simulator(10_000.0, duration, seed=0, **attached), telemetry
+
+
+def _observed_replay(duration, sink, faults):
+    """``_observed_simulator`` run.  Returns the simulator too: it outlives
+    its run, as under ``--serve``."""
+    simulator, telemetry = _observed_simulator(duration, sink, faults)
     return simulator, telemetry, simulator.run()
 
 
@@ -305,20 +313,17 @@ class TestResilienceShape:
         bare = _observed_replay(0.06, sink=False, faults=False)[2]
         executed_bare, counts["executed"] = counts["executed"], 0
 
-        built = {"_AttemptDone": 0, "_ResilientCall": 0}
+        built = {"attempts": 0, "first": 0}
 
-        def counting(cls):
-            class Counted(cls):
-                __slots__ = ()
+        class Counted(manager._Attempt):
+            __slots__ = ()
 
-                def __init__(self, *args, **kwargs):
-                    built[cls.__name__] += 1
-                    super().__init__(*args, **kwargs)
+            def __init__(self, *args):
+                super().__init__(*args)
+                built["attempts"] += 1
+                built["first"] += self.number == 1  # one per logical call
 
-            monkeypatch.setattr(manager, cls.__name__, Counted)
-
-        counting(manager._AttemptDone)
-        counting(manager._ResilientCall)
+        monkeypatch.setattr(manager, "_Attempt", Counted)
         fired = {"__call__": 0}
         _count_calls(monkeypatch, manager._DeadlineLane, "__call__", fired)
         _count_calls(monkeypatch, manager.ResilienceManager, "_breaker_for", counts)
@@ -333,23 +338,29 @@ class TestResilienceShape:
             push(self, time, callback)
 
         monkeypatch.setattr(EventQueue, "push", tallied)
-        result = _observed_replay(0.06, sink=False, faults=True)[2]
+        simulator, _, result = _observed_replay(0.06, sink=False, faults=True)
 
         stats = result.resilience
         assert result.generated == bare.generated and result.completed == bare.completed
         assert stats["retries"] > 0 and stats["breaker_opens"] == 0
         assert stats["shed"] == stats["timeouts"] == stats["failed"] == 0
-        firings, attempts = fired["__call__"], built["_AttemptDone"]
+        firings, attempts = fired["__call__"], built["attempts"]
         assert result.events_processed - bare.events_processed == (
             stats["retries"] + firings + counts["executed"] - executed_bare
         )
         assert 0 < firings <= 0.01 * attempts
         # one record per attempt, on the heap only a timer per firing
         assert attempts == counts["executed"]
-        assert attempts == built["_ResilientCall"] + stats["retries"]
+        assert attempts == built["first"] + stats["retries"]
         assert pushed == {"_DeadlineLane": firings, "_Retry": stats["retries"]}
-        # one breaker lookup per logical call; a closed breaker is never asked
-        assert counts["_breaker_for"] == built["_ResilientCall"]
+        # one breaker lookup per call site; a closed breaker is never asked
+        sites, plans = set(), list(simulator._roots.values())
+        while plans:
+            plan = plans.pop()
+            if plan not in sites:
+                sites.add(plan)
+                plans.extend(child for stage in plan.stages for child in stage)
+        assert 0 < counts["_breaker_for"] <= len(sites) < built["first"]
         assert counts["allow"] == counts["record_success"] == 0
         assert counts["record_failure"] == stats["errors_injected"]
 
@@ -358,23 +369,23 @@ class TestResilienceShape:
 _INLINED = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
 
 
-def counted_call_path(rate=20_000.0, duration=0.05):
-    """One seed-0 bare Social Network replay under ``sys.setprofile``,
-    the cycle collector off.
+def _counted_run(simulator, modules, repro_only=False):
+    """``simulator.run()`` under ``sys.setprofile``, the cycle collector off.
 
-    Python-level calls (``"call"`` events, comprehensions not counted),
-    objects built per class of ``repro.simulator.simulation`` (calls of its
-    ``__init__``), heap pushes before and during ``run()``, and the events
-    processed.
+    Python-level calls (``"call"`` events; comprehensions not counted, and
+    with ``repro_only`` only frames whose code is under ``repro/``),
+    objects built per class of ``modules`` (calls of its ``__init__``),
+    heap pushes before and during ``run()``, and the events processed.
     """
-    simulator = _social_simulator(rate, duration, seed=0)
     inits = {
         cls.__init__.__code__: name
-        for name, cls in vars(simulation).items()
+        for module in modules
+        for name, cls in vars(module).items()
         if isinstance(cls, type)
-        and cls.__module__ == simulation.__name__
+        and cls.__module__ == module.__name__
         and "__init__" in vars(cls)
     }
+    root = os.path.dirname(repro.__file__) + os.sep if repro_only else ""
     calls = 0
     built = {}
 
@@ -382,7 +393,7 @@ def counted_call_path(rate=20_000.0, duration=0.05):
         nonlocal calls
         if event == "call":
             code = frame.f_code
-            if code.co_name not in _INLINED:
+            if code.co_name not in _INLINED and code.co_filename.startswith(root):
                 calls += 1
             name = inits.get(code)
             if name is not None:
@@ -407,6 +418,24 @@ def counted_call_path(rate=20_000.0, duration=0.05):
         "events": result.events_processed,
         "completed": sum(result.completed.values()),
     }
+
+
+def counted_call_path(rate=20_000.0, duration=0.05):
+    """One seed-0 bare Social Network replay, counted (``_counted_run``):
+    records of ``repro.simulator.simulation``, every frame."""
+    return _counted_run(_social_simulator(rate, duration, seed=0), (simulation,))
+
+
+def counted_observed_path(sink):
+    """One seed-0 ``_observed_replay(0.06, sink, faults=True)``, counted
+    (``_counted_run``): records of the simulation, resilience manager and
+    telemetry hooks modules, frames of ``repro`` code only.  A short run
+    first does the lazy imports, whatever ran before."""
+    _observed_replay(0.01, sink, faults=True)
+    simulator, _ = _observed_simulator(0.06, sink, faults=True)
+    return _counted_run(
+        simulator, (simulation, manager, telemetry_hooks), repro_only=True
+    )
 
 
 def peak_calls_in_flight(rate=20_000.0, duration=0.05):
@@ -455,6 +484,60 @@ class TestCallPathShape:
         assert counted == self.PINNED
         assert counted["pushed"] == counted["pushed_before"] + counted["events"]
         assert counted["built"]["_Call"] <= peak_calls_in_flight()
+
+
+class TestObservedCallPathShape:
+    """The observed replay's counted run (ROADMAP item 2, second slice).
+
+    ``counted_observed_path(sink)`` at the "resilience" and "sink +
+    resilience" rungs: records built, pushes and events pinned for
+    equality, Python-level calls held under a bound.  Only frames of
+    ``repro`` code are counted: numpy's Python-level functions
+    (``np.unique`` when the sink finalizes) vary with the numpy release.
+    The parent resilience layer — one ``_ResilientCall`` per logical call
+    driving one ``_AttemptDone`` per attempt, a breaker lookup per logical
+    call and an error-window lookup per completion — made 356 770 and
+    490 067 calls, building 27 172 ``_ResilientCall`` and 27 187
+    ``_AttemptDone``, over the same events.  This layer made 248 211 and
+    381 508 on CPython 3.11; the call counts become exact pins once 3.10
+    and 3.12 are shown to agree.  Regenerate with ``PYTHONPATH=src python
+    -c "from tests.test_engine_shape import counted_observed_path as c;
+    print(c(False)); print(c(True))"``.
+    """
+
+    BUILT = {
+        "_Arrival": 3,
+        "_Attempt": 27_187,
+        "_Call": 107,
+        "_RequestCtx": 1_718,
+        "_RequestDone": 39,
+        "_Retry": 15,
+        "_Site": 48,
+    }
+    PINNED = {
+        "resilience": {
+            "built": BUILT,
+            "pushed_before": 0,
+            "pushed": 28_928,
+            "events": 28_928,
+            "completed": 1_718,
+        },
+        "sink+resilience": {
+            "built": {**BUILT, "_SpanDone": 27_187, "_TraceCtx": 1_718},
+            "pushed_before": 0,
+            "pushed": 28_936,
+            "events": 28_936,
+            "completed": 1_718,
+        },
+    }
+    MAX_CALLS = {"resilience": 255_000, "sink+resilience": 390_000}
+
+    @pytest.mark.parametrize("rung", sorted(PINNED))
+    def test_one_record_per_attempt(self, rung):
+        counted = counted_observed_path(sink=rung == "sink+resilience")
+        assert counted.pop("python_calls") <= self.MAX_CALLS[rung]
+        assert counted == self.PINNED[rung]
+        assert counted["pushed"] == counted["pushed_before"] + counted["events"]
 
 
 def _probe(seed=4, **changes):
