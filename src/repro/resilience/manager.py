@@ -134,7 +134,7 @@ class _DeadlineLane:
         self.pending: Deque[_Attempt] = deque()
         self.armed = False
 
-    def __call__(self, now: float) -> None:
+    def fire(self, now: float) -> None:
         mgr, pending = self.mgr, self.pending
         while pending:
             attempt = pending[0]
@@ -158,7 +158,7 @@ class _Retry:
     def __init__(self, attempt: "_Attempt"):
         self.attempt = attempt
 
-    def __call__(self, now: float) -> None:
+    def fire(self, now: float) -> None:
         self.attempt.start(now)
 
 
@@ -180,7 +180,7 @@ class _Attempt:
     It carries the logical call's state — request, caller's continuation
     (``downstream``) and span, attempt ``number`` — and its call
     :class:`_Site`.  :meth:`start` gates the attempt on the breaker and
-    sends it to the engine; :meth:`__call__`
+    sends it to the engine; :meth:`fire`, the engine's continuation,
     settles the race with the timeout: ``alive`` is cleared by whichever
     of completion and lane fires first, and the loser no-ops (late
     completions are counted — stragglers the client abandoned).  A retry
@@ -251,7 +251,7 @@ class _Attempt:
                 mgr.events.push(deadline, lane)
         mgr.sim._execute(self.service, (site.plan,), t, inner)
 
-    def __call__(self, finish: float) -> None:
+    def fire(self, finish: float) -> None:
         mgr = self.mgr
         if not self.alive:
             mgr.stats.late_completions += 1
@@ -290,7 +290,7 @@ class _Attempt:
         if self.is_root:
             mgr._finish_request(self.req, finish)
         else:
-            self.downstream(finish)
+            self.downstream.fire(finish)
 
     def failed(self, t: float, kind: str) -> None:
         breaker = self.site.breaker
@@ -323,7 +323,7 @@ class _Attempt:
             # sibling calls and later stages still execute (servers finish
             # work for clients that already saw the error).
             self.req.failed = True
-            self.downstream(t)
+            self.downstream.fire(t)
 
 
 class ResilienceManager:
@@ -351,7 +351,7 @@ class ResilienceManager:
             seed = (seed * 1_000_003 + chaos.seed) % (2**63)
         self.rng = np.random.default_rng(seed)
         self._unit_buf: List[float] = []
-        self._unit_i = 0
+        self._unit_i = _RNG_BLOCK  # exhausted: the first draw refills
         #: microservice -> ((start_min, end_min, rate), ...) error windows
         self._error_windows: Dict[str, Tuple[Tuple[float, float, float], ...]] = {}
         if chaos is not None:
@@ -581,7 +581,7 @@ class ResilienceManager:
                 if previous is None
                 else alpha * sample + (1.0 - alpha) * previous
             )
-        req.final(finish)
+        req.final.fire(finish)
 
     def _fail_request(self, req: _RequestCtx, t: float, kind: str) -> None:
         self.stats.failed += 1
@@ -639,12 +639,11 @@ class ResilienceManager:
     def _draw_unit(self) -> float:
         """One uniform [0,1) draw from the manager's batched stream."""
         index = self._unit_i
-        buf = self._unit_buf
-        if index >= len(buf):
-            buf = self._unit_buf = self.rng.random(_RNG_BLOCK).tolist()
+        if index >= _RNG_BLOCK:
+            self._unit_buf = self.rng.random(_RNG_BLOCK).tolist()
             index = 0
         self._unit_i = index + 1
-        return buf[index]
+        return self._unit_buf[index]
 
     def _count(self, name: str) -> None:
         tele = self.tele
@@ -661,7 +660,7 @@ class _CrashFire:
         self.mgr = mgr
         self.crash = crash
 
-    def __call__(self, now: float) -> None:
+    def fire(self, now: float) -> None:
         mgr = self.mgr
         crash = self.crash
         sim = mgr.sim

@@ -54,18 +54,24 @@ kill-with-retry move waiting records to surviving containers through
 ``_requeue``.
 
 The hot loop avoids per-event closure allocation: arrivals and calls
-are ``__slots__`` record objects whose ``__call__`` the
-:class:`~repro.simulator.events.EventQueue` dispatches directly.  RNG
-draws are batched: unit exponentials per microservice (service times) and
-pre-scaled inter-arrival gaps per service (static rates) are drawn in
-vectorized numpy blocks, refilled on exhaustion.  Containers with a
-static interference multiplier precompute their mean service time so the
-``callable()`` check never touches the per-call path.  Latency samples
-append to flat ``array('d')`` column buffers; the tuple-list views
-(``end_to_end``, ``own_latency``) are materialized lazily.  For a fixed
-seed the engine is fully deterministic; its sample streams are pinned by
-``tests/test_determinism_golden.py`` and, case by case against the engine
-before call plans, by ``tests/test_engine_equivalence.py``.
+are ``__slots__`` records, and every event and continuation is entered
+through its ``fire(t)`` method — the
+:class:`~repro.simulator.events.EventQueue` run loop calls
+``record.fire(time)``, a finished call ``done.fire(finish)``.  No
+``len()`` is called on the per-call path: a plan carries its stage count
+and stage sizes, a microservice its container count, and each batched
+draw buffer its index, which starts at ``_RNG_BLOCK`` so the first draw
+refills.  RNG draws are batched: unit exponentials per microservice
+(service times) and pre-scaled inter-arrival gaps per service (static
+rates) are drawn in vectorized numpy blocks, refilled on exhaustion.
+Containers with a static interference multiplier precompute their mean
+service time so the ``callable()`` check never touches the per-call
+path.  Latency samples append to flat ``array('d')`` column buffers; the
+tuple-list views (``end_to_end``, ``own_latency``) are materialized
+lazily.  For a fixed seed the engine is fully deterministic; its sample
+streams are pinned by ``tests/test_determinism_golden.py`` and, case by
+case against the engine before call plans, by
+``tests/test_engine_equivalence.py``.
 
 One station
 -----------
@@ -239,9 +245,11 @@ class _CallPlan:
     empty stages dropped, so executing a call looks nothing up.  The
     telemetry and resilience hooks receive plans where they used to
     receive :class:`~repro.graphs.CallNode` and read ``microservice``.
+    ``n_stages`` and ``sizes`` (calls per stage) spare the engine a
+    ``len()`` per call.
     """
 
-    __slots__ = ("microservice", "state", "stages")
+    __slots__ = ("microservice", "state", "stages", "n_stages", "sizes")
 
     def __init__(
         self,
@@ -252,6 +260,8 @@ class _CallPlan:
         self.microservice = microservice
         self.state = state
         self.stages = stages
+        self.n_stages = len(stages)
+        self.sizes = tuple(len(calls) for calls in stages)
 
 
 class _Container:
@@ -283,11 +293,16 @@ class _Container:
 
 
 class _MicroserviceState:
-    """All containers of one microservice plus dispatch bookkeeping."""
+    """All containers of one microservice plus dispatch bookkeeping.
+
+    ``n`` is ``len(containers)``, kept by :meth:`add` and
+    :meth:`remove_last`, the only writers of ``containers``.
+    """
 
     __slots__ = (
         "spec",
         "containers",
+        "n",
         "_next",
         "base_ms",
         "exp_buf",
@@ -299,28 +314,30 @@ class _MicroserviceState:
     def __init__(self, spec: SimulatedMicroservice, containers: List[_Container]):
         self.spec = spec
         self.containers = containers
+        self.n = len(containers)
         self._next = 0
         self.base_ms = spec.base_service_ms
         self.exp_buf: List[float] = []  # unit exponentials (service times)
-        self.exp_i = 0
+        self.exp_i = _RNG_BLOCK  # exhausted: the first draw refills
         self.own_min: Optional[array] = None  # wired when recording
         self.own_lat: Optional[array] = None
 
     def pick(self) -> _Container:
-        containers = self.containers
         index = self._next
-        if index >= len(containers):
+        if index >= self.n:
             index = 0
         self._next = index + 1
-        return containers[index]
+        return self.containers[index]
 
     def add(self, container: _Container) -> None:
         self.containers.append(container)
+        self.n += 1
 
     def remove_last(self) -> _Container:
         """Take one container out of rotation (it keeps finishing work)."""
-        if len(self.containers) <= 1:
+        if self.n <= 1:
             raise ValueError("cannot remove the last container")
+        self.n -= 1
         return self.containers.pop()
 
     def load(self) -> Tuple[int, int, int]:
@@ -334,7 +351,7 @@ class _MicroserviceState:
         for container in self.containers:
             queued += len(container.queue)
             busy += threads - container.free_threads
-        return queued, busy, threads * len(self.containers)
+        return queued, busy, threads * self.n
 
 
 class SimulationResult:
@@ -593,7 +610,7 @@ class _RequestDone:
         self.values = values
         self.start = start
 
-    def __call__(self, finish: float) -> None:
+    def fire(self, finish: float) -> None:
         self.completed[self.name] += 1
         self.minutes.append(finish / _MS_PER_MINUTE)
         self.values.append(finish - self.start)
@@ -623,7 +640,7 @@ class _Call:
         self.done = done
         self.pending = 0
 
-    def __call__(self, finish: float) -> None:
+    def fire(self, finish: float) -> None:
         pending = self.pending
         if pending:  # a child returned
             if finish > self.latest:
@@ -644,12 +661,12 @@ class _Call:
                 state.own_lat.append(finish - self.arrival)
             stage = 0
         sim = self.sim
-        stages = self.node.stages
-        if stage < len(stages):
-            calls = stages[stage]  # never empty: plans drop empty stages
+        node = self.node
+        if stage < node.n_stages:
+            calls = node.stages[stage]  # never empty: plans drop empty stages
             self.stage = stage
             self.latest = finish
-            self.pending = len(calls)
+            self.pending = node.sizes[stage]
             res = sim._resilience
             if res is not None:  # resilient logical RPCs, spans wrapped there
                 res.submit_children(self.service, calls, finish, self, self.done)
@@ -658,7 +675,7 @@ class _Call:
         else:
             done = self.done
             sim._call_pool.append(self)  # bounded by peak calls in flight
-            done(finish)
+            done.fire(finish)
         if container is not None and container.queue:
             sim._dispatch(container)
 
@@ -707,7 +724,7 @@ class _Arrival:
             rate = float(rate_spec)
             self.mean_gap = _MS_PER_MINUTE / rate if rate > 0.0 else None
         self.gap_buf: List[float] = []
-        self.gap_i = 0
+        self.gap_i = _RNG_BLOCK  # exhausted: the first draw refills
         result = sim.result
         self.generated = result.generated
         self.completed = result.completed
@@ -716,7 +733,7 @@ class _Arrival:
         self.tele = sim._telemetry
         self.res = sim._resilience
 
-    def __call__(self, t: float) -> None:
+    def fire(self, t: float) -> None:
         name = self.name
         self.generated[name] += 1
         res = self.res
@@ -748,14 +765,13 @@ class _Arrival:
         if mean_gap is not None:
             # Static positive rate: batched, pre-scaled gap draws.
             index = self.gap_i
-            buf = self.gap_buf
-            if index >= len(buf):
-                buf = self.gap_buf = self.sim.rng.exponential(
+            if index >= _RNG_BLOCK:
+                self.gap_buf = self.sim.rng.exponential(
                     mean_gap, _RNG_BLOCK
                 ).tolist()
                 index = 0
             self.gap_i = index + 1
-            arrival = now + buf[index]
+            arrival = now + self.gap_buf[index]
             if arrival <= self.end_ms:
                 self.events.push(arrival, self)
             return
@@ -769,7 +785,7 @@ class _Arrival:
         if rate <= 0.0:
             # Re-probe one minute later (a dynamic rate may become positive).
             if now + _MS_PER_MINUTE <= self.end_ms:
-                self.events.push(now + _MS_PER_MINUTE, self.schedule_next)
+                self.events.schedule(now + _MS_PER_MINUTE, self.schedule_next)
             return
         gap = self.sim._draw_unit() * (_MS_PER_MINUTE / rate)
         arrival = now + gap
@@ -846,7 +862,7 @@ class ClusterSimulator:
         self._arrivals_open = True
         self._call_pool: List[_Call] = []
         self._unit_buf: List[float] = []
-        self._unit_i = 0
+        self._unit_i = _RNG_BLOCK  # exhausted: the first draw refills
         self._microservices: Dict[str, _MicroserviceState] = {}
         needed = {
             name for spec in self.services for name in spec.graph.microservices()
@@ -931,12 +947,11 @@ class ClusterSimulator:
     def _draw_unit(self) -> float:
         """One unit-exponential draw from the shared batched stream."""
         index = self._unit_i
-        buf = self._unit_buf
-        if index >= len(buf):
-            buf = self._unit_buf = self.rng.exponential(1.0, _RNG_BLOCK).tolist()
+        if index >= _RNG_BLOCK:
+            self._unit_buf = self.rng.exponential(1.0, _RNG_BLOCK).tolist()
             index = 0
         self._unit_i = index + 1
-        return buf[index]
+        return self._unit_buf[index]
 
     # ------------------------------------------------------------------
     # Dynamic scaling (used by the in-simulation autoscaling loop)
@@ -1223,12 +1238,11 @@ class ClusterSimulator:
         now = events.now
         for node in calls:
             state = node.state
-            containers = state.containers
             index = state._next
-            if index >= len(containers):
+            if index >= state.n:
                 index = 0
             state._next = index + 1
-            container = containers[index]
+            container = state.containers[index]
             child = done
             if tele is not None and caller is not None:
                 child = tele.wrap_call(caller, node, t, done)
@@ -1254,12 +1268,11 @@ class ClusterSimulator:
                         container.multiplier(now / _MS_PER_MINUTE)
                     )
                 index = state.exp_i
-                buf = state.exp_buf
-                if index >= len(buf):
-                    buf = state.exp_buf = self.rng.exponential(1.0, _RNG_BLOCK).tolist()
+                if index >= _RNG_BLOCK:
+                    state.exp_buf = self.rng.exponential(1.0, _RNG_BLOCK).tolist()
                     index = 0
                 state.exp_i = index + 1
-                processing = buf[index] * mean_ms
+                processing = state.exp_buf[index] * mean_ms
                 if tele is not None:
                     tele.note_processing(
                         child, now, processing, mean_ms / state.base_ms
@@ -1283,12 +1296,11 @@ class ClusterSimulator:
                 container.multiplier(now / _MS_PER_MINUTE)
             )
         index = state.exp_i
-        buf = state.exp_buf
-        if index >= len(buf):
-            buf = state.exp_buf = self.rng.exponential(1.0, _RNG_BLOCK).tolist()
+        if index >= _RNG_BLOCK:
+            state.exp_buf = self.rng.exponential(1.0, _RNG_BLOCK).tolist()
             index = 0
         state.exp_i = index + 1
-        processing = buf[index] * mean_ms
+        processing = state.exp_buf[index] * mean_ms
         tele = self._telemetry
         if tele is not None:
             tele.note_processing(

@@ -169,9 +169,9 @@ class _TraceCtx:
 class _SpanDone:
     """Completion continuation that is also its call's span record.
 
-    Fired when the call's whole subtree finishes (the engine's ``done``
-    chain): stamps ``finish``, joins the request's finished calls, then
-    delegates to the wrapped continuation.  One record covers the
+    :meth:`fire` runs when the call's whole subtree finishes (the
+    engine's ``done`` chain): it stamps ``finish``, joins the request's
+    finished calls, then fires the wrapped continuation (``inner``).  One record covers the
     callee's SERVER span (``ordinal``) and, below the root, the caller's
     CLIENT span (``ordinal - 1``, child of ``parent``'s server span).
     The root (``parent is None``) closes the trace; a record firing after
@@ -206,7 +206,7 @@ class _SpanDone:
         self.proc_ms = _NAN
         self.mult = 1.0
 
-    def __call__(self, finish: float) -> None:
+    def fire(self, finish: float) -> None:
         ctx = self.ctx
         calls = ctx.calls
         if calls is None:  # its attempt was abandoned and outlived the trace
@@ -217,7 +217,7 @@ class _SpanDone:
             calls.append(self)
             if self.parent is None:
                 ctx.sink._complete_trace(ctx, finish)
-        self.inner(finish)
+        self.inner.fire(finish)
 
 
 class _E2EDone:
@@ -231,9 +231,9 @@ class _E2EDone:
         self.start = start
         self.inner = inner
 
-    def __call__(self, finish: float) -> None:
+    def fire(self, finish: float) -> None:
         self.sink.record_e2e(self.service, self.start, finish)
-        self.inner(finish)
+        self.inner.fire(finish)
 
 
 @dataclass

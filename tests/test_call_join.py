@@ -45,7 +45,7 @@ _MS_PER_MINUTE = 60_000.0
 
 
 class _StageFrame:
-    """Join point for one stage's parallel calls (callable as child-done)."""
+    """Join point for one stage's parallel calls (fired as child-done)."""
 
     __slots__ = ("sim", "service", "node", "next_stage", "pending", "latest", "done")
 
@@ -58,7 +58,7 @@ class _StageFrame:
         self.latest = latest
         self.done = done
 
-    def __call__(self, finish):
+    def fire(self, finish):
         if finish > self.latest:
             self.latest = finish
         pending = self.pending - 1
@@ -82,7 +82,7 @@ class _ThreadCall:
         self.arrival = arrival
         self.done = done
 
-    def __call__(self, finish):
+    def fire(self, finish):
         sim = self.sim
         container = self.container
         node = self.node
@@ -96,7 +96,7 @@ class _ThreadCall:
         if node.stages:
             sim._run_stages(self.service, node, 0, finish, done)
         else:
-            done(finish)
+            done.fire(finish)
         if container.queue:
             sim._dispatch(container)
 
@@ -133,7 +133,7 @@ class StageFrameSimulator(ClusterSimulator):
     def _run_stages(self, service, node, stage_index, t, done):
         stages = node.stages
         if stage_index >= len(stages):
-            done(t)
+            done.fire(t)
             return
         calls = stages[stage_index]
         frame = _StageFrame(self, service, node, stage_index + 1, len(calls), t, done)
@@ -274,10 +274,10 @@ def _assert_same(build, kill):
     class Bounded(simulation._Call):
         __slots__ = ()
 
-        def __call__(self, finish):
+        def fire(self, finish):
             fired[0] += 1
             assert fired[0] <= limit, "the join never settles"
-            super().__call__(finish)
+            super().fire(finish)
 
     original, simulation._Call = simulation._Call, Bounded
     try:

@@ -42,7 +42,7 @@ class _AttemptTimeout:
     def __init__(self, attempt):
         self.attempt = attempt
 
-    def __call__(self, now):
+    def fire(self, now):
         attempt = self.attempt
         if attempt.alive:
             attempt.alive = False

@@ -8,12 +8,13 @@ moved to another container — passes a start block once, a
 finished request leaves no object for the cycle collector to find, an
 attempt that finishes in time through a closed breaker costs no heap event
 and no breaker call, a bare replay builds no object per stage and makes
-a pinned number of Python-level calls, an observed replay builds one
-resilience record per attempt, and a run that is one FCFS station
-pushes no event and builds no call record while every other run still
-does.
+a pinned number of Python-level calls and no ``len()`` per call, an
+observed replay builds one resilience record per attempt, and a run that
+is one FCFS station pushes no event and builds no call record while
+every other run still does.
 """
 
+import builtins
 import gc
 import os
 import sys
@@ -42,6 +43,7 @@ from repro.simulator import (
     SimulationConfig,
     simulation,
 )
+from repro.simulator import events as engine_events
 from repro.simulator.events import EventQueue
 from repro.telemetry import (
     TelemetryConfig,
@@ -324,8 +326,8 @@ class TestResilienceShape:
                 built["first"] += self.number == 1  # one per logical call
 
         monkeypatch.setattr(manager, "_Attempt", Counted)
-        fired = {"__call__": 0}
-        _count_calls(monkeypatch, manager._DeadlineLane, "__call__", fired)
+        fired = {"fire": 0}
+        _count_calls(monkeypatch, manager._DeadlineLane, "fire", fired)
         _count_calls(monkeypatch, manager.ResilienceManager, "_breaker_for", counts)
         for name in ("allow", "record_success", "record_failure"):
             _count_calls(monkeypatch, CircuitBreaker, name, counts)
@@ -344,7 +346,7 @@ class TestResilienceShape:
         assert result.generated == bare.generated and result.completed == bare.completed
         assert stats["retries"] > 0 and stats["breaker_opens"] == 0
         assert stats["shed"] == stats["timeouts"] == stats["failed"] == 0
-        firings, attempts = fired["__call__"], built["attempts"]
+        firings, attempts = fired["fire"], built["attempts"]
         assert result.events_processed - bare.events_processed == (
             stats["retries"] + firings + counts["executed"] - executed_bare
         )
@@ -373,7 +375,8 @@ def _counted_run(simulator, modules, repro_only=False):
     """``simulator.run()`` under ``sys.setprofile``, the cycle collector off.
 
     Python-level calls (``"call"`` events; comprehensions not counted, and
-    with ``repro_only`` only frames whose code is under ``repro/``),
+    with ``repro_only`` only frames whose code is under ``repro/``), calls
+    of the builtin ``len`` from those frames (``"c_call"`` events),
     objects built per class of ``modules`` (calls of its ``__init__``),
     heap pushes before and during ``run()``, and the events processed.
     """
@@ -386,11 +389,11 @@ def _counted_run(simulator, modules, repro_only=False):
         and "__init__" in vars(cls)
     }
     root = os.path.dirname(repro.__file__) + os.sep if repro_only else ""
-    calls = 0
+    calls = lens = 0
     built = {}
 
     def profile(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, lens
         if event == "call":
             code = frame.f_code
             if code.co_name not in _INLINED and code.co_filename.startswith(root):
@@ -398,6 +401,9 @@ def _counted_run(simulator, modules, repro_only=False):
             name = inits.get(code)
             if name is not None:
                 built[name] = built.get(name, 0) + 1
+        elif event == "c_call" and arg is builtins.len:
+            if frame.f_code.co_filename.startswith(root):
+                lens += 1
 
     before = simulator.events._counter
     previous, collecting = sys.getprofile(), gc.isenabled()
@@ -412,6 +418,7 @@ def _counted_run(simulator, modules, repro_only=False):
             gc.enable()
     return {
         "python_calls": calls,
+        "len_calls": lens,
         "built": dict(sorted(built.items())),
         "pushed_before": before,
         "pushed": simulator.events._counter,
@@ -422,19 +429,23 @@ def _counted_run(simulator, modules, repro_only=False):
 
 def counted_call_path(rate=20_000.0, duration=0.05):
     """One seed-0 bare Social Network replay, counted (``_counted_run``):
-    records of ``repro.simulator.simulation``, every frame."""
-    return _counted_run(_social_simulator(rate, duration, seed=0), (simulation,))
+    records of ``repro.simulator.simulation`` and ``.events``, every frame."""
+    return _counted_run(
+        _social_simulator(rate, duration, seed=0), (simulation, engine_events)
+    )
 
 
 def counted_observed_path(sink):
     """One seed-0 ``_observed_replay(0.06, sink, faults=True)``, counted
-    (``_counted_run``): records of the simulation, resilience manager and
-    telemetry hooks modules, frames of ``repro`` code only.  A short run
-    first does the lazy imports, whatever ran before."""
+    (``_counted_run``): records of the event queue, simulation, resilience
+    manager and telemetry hooks modules, frames of ``repro`` code only.  A
+    short run first does the lazy imports, whatever ran before."""
     _observed_replay(0.01, sink, faults=True)
     simulator, _ = _observed_simulator(0.06, sink, faults=True)
     return _counted_run(
-        simulator, (simulation, manager, telemetry_hooks), repro_only=True
+        simulator,
+        (engine_events, simulation, manager, telemetry_hooks),
+        repro_only=True,
     )
 
 
@@ -465,13 +476,20 @@ class TestCallPathShape:
     ``_RequestDone`` and 3 ``_Arrival`` on this replay, pushing and
     processing 50 178 events for 2 965 requests.  A record now lives until
     its response, so more ``_Call`` are built, never more than the peak
-    of calls in flight (324 here).  Regenerate with ``PYTHONPATH=src
-    python -c "from tests.test_engine_shape import counted_call_path;
+    of calls in flight (324 here).  Records are entered through ``fire``
+    (one frame each, as ``__call__`` was), so ``python_calls`` held; the
+    engine that sized every stage, container list and draw buffer with
+    ``len()`` made 205 596 calls of the builtin on this replay, and the
+    one left is the run's ``len(self.services)``.  No ``_Fire`` adapter
+    (``repro.simulator.events``) is built: every event is a record.
+    Regenerate with ``PYTHONPATH=src python -c "from
+    tests.test_engine_shape import counted_call_path;
     print(counted_call_path())"``.
     """
 
     PINNED = {
         "python_calls": 226_075,
+        "len_calls": 1,
         "built": {"_Arrival": 3, "_Call": 323, "_RequestDone": 123},
         "pushed_before": 0,
         "pushed": 50_178,
@@ -481,6 +499,7 @@ class TestCallPathShape:
 
     def test_a_call_is_one_record_from_arrival_to_response(self):
         counted = counted_call_path()
+        assert counted["len_calls"] <= 100
         assert counted == self.PINNED
         assert counted["pushed"] == counted["pushed_before"] + counted["events"]
         assert counted["built"]["_Call"] <= peak_calls_in_flight()
@@ -491,8 +510,8 @@ class TestObservedCallPathShape:
 
     ``counted_observed_path(sink)`` at the "resilience" and "sink +
     resilience" rungs: records built, pushes and events pinned for
-    equality, Python-level calls held under a bound.  Only frames of
-    ``repro`` code are counted: numpy's Python-level functions
+    equality, Python-level calls and ``len()`` calls held under bounds.
+    Only frames of ``repro`` code are counted: numpy's Python-level functions
     (``np.unique`` when the sink finalizes) vary with the numpy release.
     The parent resilience layer — one ``_ResilientCall`` per logical call
     driving one ``_AttemptDone`` per attempt, a breaker lookup per logical
@@ -500,8 +519,15 @@ class TestObservedCallPathShape:
     490 067 calls, building 27 172 ``_ResilientCall`` and 27 187
     ``_AttemptDone``, over the same events.  This layer made 248 211 and
     381 508 on CPython 3.11; the call counts become exact pins once 3.10
-    and 3.12 are shown to agree.  Regenerate with ``PYTHONPATH=src python
-    -c "from tests.test_engine_shape import counted_observed_path as c;
+    and 3.12 are shown to agree.  The sink's timers — four window ticks,
+    four TSDB scrapes — are bound methods, so the sink rung builds one
+    ``_Fire`` adapter per timer event, two frames each: 381 524 calls.
+    The engine that sized its stages, container lists and draw buffers
+    with ``len()`` made 144 823 and 151 783 calls of the builtin from
+    ``repro`` frames; this one makes 16 824 and 23 460, nearly all from
+    admission control reading queue depths (``_MicroserviceState.load``)
+    once per request.  Regenerate with ``PYTHONPATH=src python -c "from
+    tests.test_engine_shape import counted_observed_path as c;
     print(c(False)); print(c(True))"``.
     """
 
@@ -523,7 +549,7 @@ class TestObservedCallPathShape:
             "completed": 1_718,
         },
         "sink+resilience": {
-            "built": {**BUILT, "_SpanDone": 27_187, "_TraceCtx": 1_718},
+            "built": {**BUILT, "_Fire": 8, "_SpanDone": 27_187, "_TraceCtx": 1_718},
             "pushed_before": 0,
             "pushed": 28_936,
             "events": 28_936,
@@ -531,11 +557,13 @@ class TestObservedCallPathShape:
         },
     }
     MAX_CALLS = {"resilience": 255_000, "sink+resilience": 390_000}
+    MAX_LEN = {"resilience": 20_000, "sink+resilience": 30_000}
 
     @pytest.mark.parametrize("rung", sorted(PINNED))
     def test_one_record_per_attempt(self, rung):
         counted = counted_observed_path(sink=rung == "sink+resilience")
         assert counted.pop("python_calls") <= self.MAX_CALLS[rung]
+        assert counted.pop("len_calls") <= self.MAX_LEN[rung]
         assert counted == self.PINNED[rung]
         assert counted["pushed"] == counted["pushed_before"] + counted["events"]
 

@@ -88,6 +88,69 @@ class TestEventQueue:
         assert queue.run_until(float("inf")) == 0
         assert queue.now == 5.0
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_rejected(self, time):
+        # Regression: a NaN time fired first with t = nan, and an infinite
+        # one fired on a drain and left now = inf, so every later schedule
+        # was "in the past".
+        queue = EventQueue()
+        with pytest.raises(ValueError, match=f"finite, got {time}"):
+            queue.schedule(time, lambda t: None)
+        if not time < 0:  # a negative delay is refused as negative
+            with pytest.raises(ValueError, match=f"finite, got {time}"):
+                queue.schedule_in(time, lambda t: None)
+        assert len(queue) == 0
+        queue.schedule(1.0, lambda t: None)
+        assert queue.run_until(float("inf")) == 1
+        assert queue.now == 1.0
+
+    def test_records_and_callables_tie_in_insertion_order(self):
+        queue = EventQueue()
+        seen = []
+
+        class Record:
+            __slots__ = ("tag",)
+
+            def __init__(self, tag):
+                self.tag = tag
+
+            def fire(self, t):
+                seen.append((self.tag, t))
+
+        queue.schedule(1.0, Record("a"))
+        queue.schedule(1.0, lambda t: seen.append(("b", t)))
+        queue.push(1.0, Record("c"))
+        queue.schedule_in(1.0, lambda t: seen.append(("d", t)))
+        queue.run_until(2.0)
+        assert seen == [("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)]
+
+    def test_a_record_is_stored_as_itself(self):
+        class Record:
+            def fire(self, t):
+                pass
+
+        queue = EventQueue()
+        record = Record()
+        queue.schedule(1.0, record)
+        queue.schedule(2.0, print)  # a builtin: wrapped in an adapter record
+        (_, _, first), (_, _, second) = sorted(queue._heap)
+        assert first is record
+        assert second.fn is print
+
+    def test_run_until_counts_adapted_events(self):
+        queue = EventQueue()
+        seen = []
+
+        class Record:
+            def fire(self, t):
+                seen.append(t)
+
+        queue.schedule(1.0, seen.append)  # a bound method
+        queue.schedule(2.0, Record())
+        queue.schedule(3.0, lambda t: seen.append(t))
+        assert queue.run_until(float("inf")) == 3
+        assert seen == [1.0, 2.0, 3.0]
+
 
 #: What a queue sees of a waiting call: its service (``tag`` tells calls apart).
 Waiting = namedtuple("Waiting", "tag service")
