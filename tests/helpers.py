@@ -121,6 +121,38 @@ def mask_throughput(report: Dict) -> Dict:
     return masked
 
 
+#: The top-level keys of a run report when the equivalence digests
+#: (``tests/test_sink_equivalence.py``, ``tests/fixtures/span_equivalence.json``)
+#: were taken, in report order.  Later schema additions are additive.
+PINNED_REPORT_KEYS = (
+    "schema", "duration_min", "warmup_min", "window_min", "events_processed",
+    "containers", "services", "windows", "alerts", "decisions",
+    "window_series", "registry", "traces_collected", "traces_sampled",
+    "traces_kept", "tail_dropped", "tail_threshold_ms", "profiling_samples",
+    "late_spans", "error_alerts", "timeseries", "analysis",
+)
+
+
+def pinned_report(report: Dict) -> Dict:
+    """A run report projected onto the keys the equivalence digests pin.
+
+    Drops every top-level key outside :data:`PINNED_REPORT_KEYS` and each
+    registry histogram's ``buckets`` entry, so a report that only gains
+    keys hashes as before; every pinned value and its order is kept.
+    """
+    pinned = {
+        key: value for key, value in report.items() if key in PINNED_REPORT_KEYS
+    }
+    registry = pinned.get("registry")
+    if registry is not None:
+        pinned["registry"] = dict(registry)
+        pinned["registry"]["histograms"] = {
+            name: {key: value for key, value in entry.items() if key != "buckets"}
+            for name, entry in registry.get("histograms", {}).items()
+        }
+    return pinned
+
+
 def gc_residue(run: Callable[[], object]) -> Tuple[int, int]:
     """What ``run()`` leaves behind that reference counting did not free.
 

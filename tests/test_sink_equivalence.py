@@ -10,7 +10,9 @@ below were taken from the per-call recorder (``PYTHONPATH=src python -m
 tests.test_sink_equivalence`` prints them for whatever ``repro`` is
 importable).  Each covers the sorted own latencies and call counts (as
 ``float.hex``), the utilization samples and the JSON run report, its
-engine-throughput fields masked (``tests.helpers.mask_throughput``).
+engine-throughput fields masked (``tests.helpers.mask_throughput``) and
+keys added to the report since projected away
+(``tests.helpers.pinned_report``).
 
 Cases: Hotel Reservation under its autoscaler for 2.5 simulated minutes
 at windows of 0.3 and 1.5 minutes — at 0.3 a container count changes
@@ -26,7 +28,7 @@ import pytest
 
 from repro.experiments.harness import RunSpec
 from repro.telemetry import build_run_report
-from tests.helpers import mask_throughput
+from tests.helpers import mask_throughput, pinned_report
 
 #: Near the thresholds where Hotel Reservation's allocation at
 #: interference 3 changes, so the autoscaler's decisions differ.
@@ -82,9 +84,8 @@ def digest(spec, sink, result):
         f"{u.host_id} {u.timestamp.hex()} {u.cpu.hex()} {u.memory.hex()}"
         for u in store.utilization
     ]
-    lines.append(
-        json.dumps(mask_throughput(build_run_report(sink, result, spec.specs)))
-    )
+    report = build_run_report(sink, result, spec.specs)
+    lines.append(json.dumps(mask_throughput(pinned_report(report))))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

@@ -13,7 +13,8 @@ importable), so these tests pin:
 * ``analyze_run(...).to_dict()`` and ``json.dumps(build_run_report(...))``
   byte-identical, the report with its engine-throughput fields masked
   (``tests.helpers.mask_throughput``: an engine that reaches the same
-  spans in fewer events may move them);
+  spans in fewer events may move them) and keys added to the report
+  since projected away (``tests.helpers.pinned_report``);
 * the Eq. 1 decomposition still exact and the live ``MetricsStore`` still
   the post-hoc ``to_metrics_store`` sample for sample.
 
@@ -48,7 +49,7 @@ from repro.telemetry import (
 from repro.telemetry.analysis import AnalysisOptions, analyze_run
 from repro.tracing import TracingCoordinator
 from repro.workloads import social_network
-from tests.helpers import mask_throughput
+from tests.helpers import mask_throughput, pinned_report
 
 FIXTURE = Path(__file__).parent / "fixtures" / "span_equivalence.json"
 WINDOW_MIN = 0.05
@@ -177,7 +178,8 @@ def digests(case: str) -> dict:
     }
     if not CASES[case][4]:
         # a run that drops late spans says so in its report (new field)
-        out["report_sha"] = _sha([json.dumps(mask_throughput(report))])
+        pinned = mask_throughput(pinned_report(report))
+        out["report_sha"] = _sha([json.dumps(pinned)])
     coordinator = sink.coordinator
     if coordinator is not None:
         lines = []
