@@ -153,7 +153,6 @@ class _ServeSession:
         self.source = RunSource(
             sink,
             simulator=simulator,
-            specs=simulator.services,
             meta=self.meta,
             targets=self.targets,
             chaos=self.chaos,
@@ -428,13 +427,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
-    from repro.telemetry import dashboard_data, write_dashboard
+    from repro.telemetry import dashboard_data, run_state, write_dashboard
 
     spec, sink, result = _instrumented_run(args)
     data = dashboard_data(
-        sink,
-        result,
-        specs=spec.specs,
+        run_state(sink, result),
+        sink.timeseries,
         meta=spec.meta(),
         # What the SLA decomposed into (the run recomputes its own).
         targets=spec.allocation.targets,

@@ -37,6 +37,7 @@ from repro.telemetry.registry import (
 from repro.telemetry.export import (
     build_run_report,
     chrome_trace_events,
+    run_state,
     write_chrome_trace,
     write_run_report,
 )
@@ -61,7 +62,6 @@ from repro.telemetry.dashboard import (
 from repro.telemetry.logging import StructuredLogger
 from repro.telemetry.serve import (
     ObservabilityServer,
-    ReplaySource,
     RunSource,
     load_replay_source,
     render_top,
@@ -79,7 +79,6 @@ __all__ = [
     "MetricsRegistry",
     "ObservabilityServer",
     "RecordingRule",
-    "ReplaySource",
     "RuleAlert",
     "RuleSet",
     "RunDiff",
@@ -104,6 +103,7 @@ __all__ = [
     "render_dashboard",
     "render_dashboard_body",
     "render_top",
+    "run_state",
     "write_chrome_trace",
     "write_dashboard",
     "write_run_report",

@@ -8,7 +8,7 @@ what the paper's §5 monitoring loop sees over a run:
   TSDB's delta-windowed histogram scrapes) with the service's SLA as a
   target line (the input Eq. 5 decomposes into per-microservice
   targets);
-* **SLA miss rate per window**, sourced from the live
+* **SLA miss rate per window**, sourced from the
   :class:`~repro.telemetry.monitor.SLAMonitor` windows — so the plotted
   series matches ``SimulationResult.violation_rate_by_window`` window
   for window — with the Eq. 5 tail budget (1 − P, e.g. 5 % at P95) as a
@@ -19,8 +19,9 @@ what the paper's §5 monitoring loop sees over a run:
   exactly from the :class:`~repro.telemetry.monitor.DecisionLog`.
 
 Split in two layers so tests can assert on data rather than markup:
-:func:`dashboard_data` assembles a plain dict from the sink/result, and
-:func:`render_dashboard` turns that dict into HTML.  Chart styling
+:func:`dashboard_data` assembles a plain dict from the run state
+(:func:`~repro.telemetry.export.run_state`, or an archived run report)
+and the TSDB, and :func:`render_dashboard` turns that dict into HTML.  Chart styling
 follows a fixed design spec (categorical series slots, status colors
 reserved for state, text in ink tokens, 2 px lines, hairline solid
 gridlines, legends for multi-series charts, a data table per chart).
@@ -48,51 +49,45 @@ _RULES_ACTOR = "rules-engine"
 
 
 def dashboard_data(
-    sink,
-    result,
-    specs: Optional[Sequence] = None,
+    state: Dict,
+    store=None,
     meta: Optional[Dict] = None,
     targets: Optional[Dict] = None,
     chaos=None,
 ) -> Dict:
-    """Assemble the dashboard's plain-dict model from one run.
+    """Assemble the dashboard's plain-dict model from one run's state.
 
     Args:
-        sink: The run's :class:`~repro.telemetry.hooks.TelemetrySink`
-            (with or without an attached
-            :class:`~repro.telemetry.timeseries.TimeSeriesStore`).
-        result: The run's ``SimulationResult``.
-        specs: Optional service specs (adds SLAs the monitor lacks).
+        state: The run state — :func:`~repro.telemetry.export.run_state`
+            of a live run, or an archived run report.
+        store: Optional :class:`~repro.telemetry.timeseries.TimeSeriesStore`
+            for the latency and breaker series (the sink's live, or one
+            rebuilt from a report's dump).
         meta: Optional run description (app/scheme/workload/seed/...).
         targets: Optional Eq. 5 latency targets,
             ``{service: {microservice: target_ms}}``.
         chaos: Optional :class:`~repro.resilience.ChaosSchedule`.
     """
-    slas = dict(sink.monitor.slas)
-    if specs:
-        for spec in specs:
-            slas.setdefault(spec.name, spec.sla)
-    store = getattr(sink, "timeseries", None)
-    window_min = sink.config.window_min
-    tail_budget = round(1.0 - sink.config.percentile / 100.0, 6)
+    window_min = state["window_min"]
+    tail_budget = round(1.0 - state["percentile"] / 100.0, 6)
+    windows_all = state["windows"]
 
     services: Dict[str, Dict] = {}
-    monitored = sorted({w.service for w in sink.monitor.windows})
-    for service in monitored:
-        windows = [w for w in sink.monitor.windows if w.service == service]
-        sla = slas.get(service)
+    for service in sorted({w["service"] for w in windows_all}):
+        windows = [w for w in windows_all if w["service"] == service]
+        sla = state["services"].get(service, {}).get("sla_ms")
         entry: Dict = {
             "sla_ms": sla if sla not in (None, float("inf")) else None,
             "tail_budget": tail_budget,
             "windows": [
                 {
-                    "window": w.window,
-                    "start_min": round(w.start_min, 6),
-                    "end_min": round(w.start_min + window_min, 6),
-                    "miss_rate": round(w.violation_rate, 6),
-                    "p95_ms": round(w.p95_ms, 4),
-                    "count": w.count,
-                    "errors": w.errors,
+                    "window": w["window"],
+                    "start_min": w["start_min"],
+                    "end_min": round(w["start_min"] + window_min, 6),
+                    "miss_rate": w["violation_rate"],
+                    "p95_ms": w["p95_ms"],
+                    "count": w["count"],
+                    "errors": w.get("errors", 0),
                 }
                 for w in windows
             ],
@@ -125,31 +120,27 @@ def dashboard_data(
                     }
                 )
 
-    duration = float(getattr(result, "duration_min", 0.0))
-    containers = _container_timelines(sink, result, duration)
-
+    duration = float(state["duration_min"])
     chaos_dict = None
     if chaos is not None and not chaos.is_empty():
         chaos_dict = chaos.to_dict()
 
-    rule_alerts = [a.to_dict() for a in sink.monitor.rule_alerts]
-    windows_all = sink.monitor.windows
-    total_count = sum(w.count for w in windows_all)
-    total_violations = sum(w.violations for w in windows_all)
+    total_count = sum(w["count"] for w in windows_all)
+    total_violations = sum(w["violations"] for w in windows_all)
     summary = {
         "duration_min": duration,
         "window_min": window_min,
-        "completed": int(sum(result.completed.values())),
-        "generated": int(sum(result.generated.values())),
-        "events_processed": int(result.events_processed),
-        "containers": int(sum(result.containers.values())),
+        "completed": sum(s["completed"] for s in state["services"].values()),
+        "generated": sum(s["generated"] for s in state["services"].values()),
+        "events_processed": int(state["events_processed"]),
+        "containers": sum(state["containers"].values()),
         "miss_rate": round(
             total_violations / total_count if total_count else 0.0, 6
         ),
-        "sla_alerts": len(sink.monitor.alerts),
-        "error_alerts": len(sink.monitor.error_alerts),
-        "rule_alerts": len(rule_alerts),
-        "decisions": len(sink.decisions),
+        "sla_alerts": len(state["alerts"]),
+        "error_alerts": len(state["error_alerts"]),
+        "rule_alerts": len(state["rule_alerts"]),
+        "decisions": len(state["decisions"]),
     }
     if store is not None:
         summary["tsdb_series"] = len(store.series)
@@ -165,30 +156,30 @@ def dashboard_data(
             for svc, by_ms in (targets or {}).items()
         },
         "breakers": breakers,
-        "containers": containers,
+        "containers": _container_timelines(state, duration),
         "chaos": chaos_dict,
         "alerts": {
-            "sla": [a.to_dict() for a in sink.monitor.alerts],
-            "error_budget": [a.to_dict() for a in sink.monitor.error_alerts],
-            "rules": rule_alerts,
+            "sla": state["alerts"],
+            "error_budget": state["error_alerts"],
+            "rules": state["rule_alerts"],
         },
     }
 
 
-def _container_timelines(sink, result, duration: float) -> Dict[str, List]:
+def _container_timelines(state: Dict, duration: float) -> Dict[str, List]:
     """Exact per-microservice container step series from the DecisionLog."""
     records: Dict[str, List] = {}
-    for rec in sink.decisions.records:
-        if rec.actor == _RULES_ACTOR:
+    for rec in state["decisions"]:
+        if rec["actor"] == _RULES_ACTOR:
             continue  # rule firings carry 0/1 markers, not container counts
-        records.setdefault(rec.microservice, []).append(rec)
+        records.setdefault(rec["microservice"], []).append(rec)
     timelines: Dict[str, List] = {}
-    for name in sorted(result.containers):
+    for name, count in sorted(state["containers"].items()):
         events = records.get(name, [])
-        initial = events[0].before if events else result.containers[name]
+        initial = events[0]["before"] if events else count
         points: List[List[float]] = [[0.0, float(initial)]]
         for rec in events:
-            points.append([round(rec.minute, 6), float(rec.after)])
+            points.append([rec["minute"], float(rec["after"])])
         if duration > 0 and points[-1][0] < duration:
             points.append([duration, points[-1][1]])
         timelines[name] = points
@@ -607,7 +598,7 @@ def _breaker_section(breakers: List[Dict], duration: float, chaos) -> str:
             2.0,
             height=170,
             y_ticks=[0.0, 1.0, 2.0],
-            y_tick_labels={0.0: "closed", 1.0: "open", 2.0: "half-open"},
+            y_tick_labels=_BREAKER_STATES,
         )
         _chaos_overlays(chart, chaos, microservice=breaker["microservice"])
         label = f"{breaker['service']} -> {breaker['microservice']}"

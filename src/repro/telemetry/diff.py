@@ -127,7 +127,7 @@ def load_run_report(path: str) -> Dict:
     """Read one JSON run report, validating the schema version."""
     with open(path, "r", encoding="utf-8") as handle:
         report = json.load(handle)
-    schema = report.get("schema")
+    schema = report.get("schema") if isinstance(report, dict) else None
     if schema != 1:
         raise ValueError(f"{path}: unsupported run-report schema {schema!r}")
     return report

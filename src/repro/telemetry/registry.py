@@ -22,6 +22,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "default_latency_buckets",
+    "expose_snapshot",
     "parse_prometheus_text",
 ]
 
@@ -46,7 +47,7 @@ def _prom_float(value: float) -> str:
     return repr(value)
 
 
-def _exemplar_suffix(exemplar: Optional[Tuple[float, str]]) -> str:
+def _exemplar_suffix(exemplar: Optional[Sequence]) -> str:
     """OpenMetrics exemplar suffix for one bucket line ('' when absent)."""
     if exemplar is None:
         return ""
@@ -196,7 +197,15 @@ class MetricsRegistry:
         return metric
 
     def snapshot(self) -> Dict:
-        """JSON-ready view of every registered metric."""
+        """JSON-ready view of every registered metric.
+
+        Each histogram entry keeps its rounded summary (``count``,
+        ``sum``, ``mean``, ``p50`` / ``p95`` / ``p99``) and adds its
+        exact state under ``buckets``: bounds, per-bucket counts, the
+        unrounded sum and exemplars keyed by bucket index — enough for
+        :func:`expose_snapshot` to render the same exposition after a
+        JSON round trip.
+        """
         report: Dict = {
             "counters": {n: c.value for n, c in sorted(self.counters.items())},
             "gauges": {n: g.value for n, g in sorted(self.gauges.items())},
@@ -209,101 +218,122 @@ class MetricsRegistry:
                 entry["p50"] = hist.quantile(0.50)
                 entry["p95"] = hist.quantile(0.95)
                 entry["p99"] = hist.quantile(0.99)
+            entry["buckets"] = {
+                "bounds": list(hist.bounds),
+                "counts": list(hist.counts),
+                "sum": hist.sum,
+                "exemplars": {
+                    str(index): list(exemplar)
+                    for index, exemplar in sorted((hist.exemplars or {}).items())
+                },
+            }
             report["histograms"][name] = entry
         return report
 
-    def _exposed_families(self) -> Dict[Tuple[str, str], str]:
-        """Collision-free exposed family name per (kind, registry name).
-
-        Distinct registry names can sanitize to the same Prometheus name
-        (``e2e_latency_ms.svc-a`` and ``e2e_latency_ms.svc_a`` both
-        become ``e2e_latency_ms_svc_a``), which would emit duplicate
-        ``# TYPE`` lines and silently merge series.  Walking metrics in
-        exposition order (counters, gauges, histograms; each sorted by
-        registry name), the first claimant keeps the plain sanitized
-        name and every later collider gets a stable ``_<sha1[:8]>``
-        suffix of its *original* name — deterministic regardless of
-        registration order.
-        """
-        entries: List[Tuple[str, str, str]] = (
-            [("counter", n, _prom_name(n) + "_total") for n in sorted(self.counters)]
-            + [("gauge", n, _prom_name(n)) for n in sorted(self.gauges)]
-            + [("histogram", n, _prom_name(n)) for n in sorted(self.histograms)]
-        )
-
-        def reserved(kind: str, family: str) -> List[str]:
-            # A histogram family also owns its derived sample names — a
-            # gauge literally named ``req_sum`` must not share a line
-            # name with histogram ``req``'s ``req_sum`` sample.
-            if kind == "histogram":
-                return [family, f"{family}_bucket", f"{family}_sum",
-                        f"{family}_count"]
-            return [family]
-
-        families: Dict[Tuple[str, str], str] = {}
-        claimed: Dict[str, Tuple[str, str]] = {}
-        for kind, raw, prom in entries:
-            unique = prom
-            digest = hashlib.sha1(raw.encode("utf-8")).hexdigest()
-            length = 8
-            while any(name in claimed for name in reserved(kind, unique)):
-                unique = f"{prom}_{digest[:length]}"
-                length *= 2
-                if length > len(digest):
-                    raise ValueError(
-                        f"cannot disambiguate metric name {raw!r}"
-                    )
-            for name in reserved(kind, unique):
-                claimed[name] = (kind, raw)
-            families[(kind, raw)] = unique
-        return families
-
     def expose_text(self) -> str:
-        """Render every metric in Prometheus text exposition format.
+        """This registry in Prometheus text exposition format.
 
-        Counters are suffixed ``_total``; histograms emit cumulative
-        ``_bucket{le="..."}`` series plus ``_sum`` and ``_count``, ending
-        with the mandatory ``le="+Inf"`` bucket — the exact layout
-        ``promtool`` and any Prometheus scraper accept.  Registry names
-        containing characters illegal in Prometheus metric names (the
-        sink's ``e2e_latency_ms.<service>`` histograms) are sanitized to
-        underscores; sanitized-name collisions are disambiguated
-        deterministically (see :meth:`_exposed_families`).
+        ``expose_snapshot(self.snapshot())``: a live scrape, a replayed
+        run report and ``repro report --format prom`` share one renderer.
         """
-        families = self._exposed_families()
-        lines: List[str] = []
-        for name, counter in sorted(self.counters.items()):
-            prom = families[("counter", name)]
-            lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom} {_prom_float(counter.value)}")
-        for name, gauge in sorted(self.gauges.items()):
-            prom = families[("gauge", name)]
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {_prom_float(gauge.value)}")
-        for name, hist in sorted(self.histograms.items()):
-            prom = families[("histogram", name)]
-            exemplars = hist.exemplars or {}
-            lines.append(f"# TYPE {prom} histogram")
-            cumulative = 0
-            for index, (bound, count) in enumerate(zip(hist.bounds, hist.counts)):
-                cumulative += count
-                lines.append(
-                    f'{prom}_bucket{{le="{_prom_float(bound)}"}} {cumulative}'
-                    + _exemplar_suffix(exemplars.get(index))
+        return expose_snapshot(self.snapshot())
+
+
+def _exposed_families(snapshot: Dict) -> Dict[Tuple[str, str], str]:
+    """Collision-free exposed family name per (kind, registry name).
+
+    Distinct registry names can sanitize to the same Prometheus name
+    (``e2e_latency_ms.svc-a`` and ``e2e_latency_ms.svc_a`` both
+    become ``e2e_latency_ms_svc_a``), which would emit duplicate
+    ``# TYPE`` lines and silently merge series.  Walking metrics in
+    exposition order (counters, gauges, histograms; each sorted by
+    registry name), the first claimant keeps the plain sanitized
+    name and every later collider gets a stable ``_<sha1[:8]>``
+    suffix of its *original* name — deterministic regardless of
+    registration order.
+    """
+    entries: List[Tuple[str, str, str]] = (
+        [("counter", n, _prom_name(n) + "_total") for n in sorted(snapshot["counters"])]
+        + [("gauge", n, _prom_name(n)) for n in sorted(snapshot["gauges"])]
+        + [("histogram", n, _prom_name(n)) for n in sorted(snapshot["histograms"])]
+    )
+
+    def reserved(kind: str, family: str) -> List[str]:
+        # A histogram family also owns its derived sample names — a
+        # gauge literally named ``req_sum`` must not share a line
+        # name with histogram ``req``'s ``req_sum`` sample.
+        if kind == "histogram":
+            return [family, f"{family}_bucket", f"{family}_sum",
+                    f"{family}_count"]
+        return [family]
+
+    families: Dict[Tuple[str, str], str] = {}
+    claimed: Dict[str, Tuple[str, str]] = {}
+    for kind, raw, prom in entries:
+        unique = prom
+        digest = hashlib.sha1(raw.encode("utf-8")).hexdigest()
+        length = 8
+        while any(name in claimed for name in reserved(kind, unique)):
+            unique = f"{prom}_{digest[:length]}"
+            length *= 2
+            if length > len(digest):
+                raise ValueError(
+                    f"cannot disambiguate metric name {raw!r}"
                 )
+        for name in reserved(kind, unique):
+            claimed[name] = (kind, raw)
+        families[(kind, raw)] = unique
+    return families
+
+
+def expose_snapshot(snapshot: Dict) -> str:
+    """Render a :meth:`MetricsRegistry.snapshot` in Prometheus text format.
+
+    Counters are suffixed ``_total``; histograms emit cumulative
+    ``_bucket{le="..."}`` series plus ``_sum`` and ``_count``, ending
+    with the mandatory ``le="+Inf"`` bucket — the exact layout
+    ``promtool`` and any Prometheus scraper accept.  Registry names
+    containing characters illegal in Prometheus metric names (the
+    sink's ``e2e_latency_ms.<service>`` histograms) are sanitized to
+    underscores; sanitized-name collisions are disambiguated
+    deterministically (see :func:`_exposed_families`).
+    """
+    families = _exposed_families(snapshot)
+    lines: List[str] = []
+    for name, value in sorted(snapshot["counters"].items()):
+        prom = families[("counter", name)]
+        lines.append(f"# TYPE {prom} counter")
+        lines.append(f"{prom} {_prom_float(value)}")
+    for name, value in sorted(snapshot["gauges"].items()):
+        prom = families[("gauge", name)]
+        lines.append(f"# TYPE {prom} gauge")
+        lines.append(f"{prom} {_prom_float(value)}")
+    for name, entry in sorted(snapshot["histograms"].items()):
+        prom = families[("histogram", name)]
+        buckets = entry["buckets"]
+        bounds = buckets["bounds"]
+        exemplars = buckets["exemplars"]
+        lines.append(f"# TYPE {prom} histogram")
+        cumulative = 0
+        for index, (bound, count) in enumerate(zip(bounds, buckets["counts"])):
+            cumulative += count
             lines.append(
-                f'{prom}_bucket{{le="+Inf"}} {hist.count}'
-                + _exemplar_suffix(exemplars.get(len(hist.bounds)))
+                f'{prom}_bucket{{le="{_prom_float(bound)}"}} {cumulative}'
+                + _exemplar_suffix(exemplars.get(str(index)))
             )
-            lines.append(f"{prom}_sum {_prom_float(hist.sum)}")
-            lines.append(f"{prom}_count {hist.count}")
-        return "\n".join(lines) + "\n" if lines else ""
+        lines.append(
+            f'{prom}_bucket{{le="+Inf"}} {entry["count"]}'
+            + _exemplar_suffix(exemplars.get(str(len(bounds))))
+        )
+        lines.append(f"{prom}_sum {_prom_float(buckets['sum'])}")
+        lines.append(f"{prom}_count {entry['count']}")
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def parse_prometheus_text(text: str) -> Dict[str, Dict]:
     """Parse Prometheus text exposition back into a structured dict.
 
-    The inverse of :meth:`MetricsRegistry.expose_text` (for round-trip
+    The inverse of :func:`expose_snapshot` (for round-trip
     tests and downstream tooling): returns ``{metric_name: {"type": ...,
     "value": ...}}`` for counters/gauges and ``{"type": "histogram",
     "buckets": {le: cumulative_count}, "sum": ..., "count": ...}`` for

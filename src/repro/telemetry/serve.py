@@ -34,11 +34,12 @@ attached (pinned in ``tests/test_serve.py``).  Concurrent mutation of a
 dict/deque mid-iteration can raise ``RuntimeError`` in the *reader*;
 :func:`_snapshot` retries the read — the writer is never disturbed.
 
-Two sources share the endpoint surface: :class:`RunSource` wraps a live
-:class:`~repro.telemetry.hooks.TelemetrySink` (plus the simulator for
-progress), and :class:`ReplaySource` rebuilds the same views from an
-archived ``repro report --output`` JSON — ``repro serve --replay`` puts
-the full plane (minus live progress) in front of any saved run.
+One source serves the endpoint surface: a :class:`RunSource` reads one
+run-state dict — :func:`~repro.telemetry.export.run_state` of a live
+:class:`~repro.telemetry.hooks.TelemetrySink` per request, or an archived
+``repro report --output`` JSON, which extends it — so ``repro serve
+--replay`` puts the full plane (minus live progress) in front of any
+saved run and answers as the live run did at completion.
 """
 
 from __future__ import annotations
@@ -50,19 +51,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.telemetry.monitor import (
-    AlertEvent,
-    DecisionLog,
-    ErrorBudgetAlert,
-    SLAMonitor,
-    WindowStats,
+from repro.telemetry.dashboard import (
+    _BREAKER_STATES,
+    dashboard_css,
+    dashboard_data,
+    render_dashboard,
+    render_dashboard_body,
 )
-from repro.telemetry.registry import Histogram, MetricsRegistry
-from repro.telemetry.timeseries.store import parse_metric_name
+from repro.telemetry.diff import load_run_report
+from repro.telemetry.export import run_state
+from repro.telemetry.registry import expose_snapshot
+from repro.telemetry.timeseries.store import TimeSeriesStore, parse_metric_name
 
 __all__ = [
     "ObservabilityServer",
-    "ReplaySource",
     "RunSource",
     "load_replay_source",
     "render_top",
@@ -87,52 +89,53 @@ def _snapshot(fn, retries: int = 10):
             time.sleep(0.002)
 
 
-class _ResultView:
-    """Duck-typed ``SimulationResult`` stand-in for replayed runs."""
-
-    def __init__(
-        self, duration_min, warmup_min, events_processed, containers,
-        completed, generated,
-    ):
-        self.duration_min = duration_min
-        self.warmup_min = warmup_min
-        self.events_processed = events_processed
-        self.containers = dict(containers)
-        self.completed = dict(completed)
-        self.generated = dict(generated)
-
-
 class RunSource:
-    """Snapshot-read adapter over a live (or just-finished) run.
+    """The endpoint surface over one run's state.
 
-    Everything the server exposes funnels through here; the instance
-    holds references only — no copies are made until a request arrives.
+    Every endpoint reads one run-state dict (:meth:`state`): live, the
+    :func:`~repro.telemetry.export.run_state` of ``sink`` and the
+    result, taken per request through :func:`_snapshot`; replayed
+    (``report=``), the archived run report.  Only ``/api/query``,
+    ``/api/series`` and the dashboard's latency and breaker series read
+    :attr:`store` — the sink's TSDB live, one rebuilt from the report's
+    dump on replay — and only live progress reads the simulator clock.
     """
-
-    mode = "live"
 
     def __init__(
         self,
-        sink,
+        sink=None,
         simulator=None,
         result=None,
-        specs=None,
         meta: Optional[Dict] = None,
         targets: Optional[Dict] = None,
         chaos=None,
+        report: Optional[Dict] = None,
     ):
         self.sink = sink
         self.simulator = simulator
-        self.result = result if result is not None else (
-            simulator.result if simulator is not None else None
-        )
+        if result is None and simulator is not None:
+            result = simulator.result
+        if result is None and report is None:
+            # No simulation to read (the aggregate source of a `compare
+            # --serve` sweep): an empty result keeps every reader on its
+            # normal path.
+            from repro.simulator.simulation import SimulationResult
+
+            result = SimulationResult(0.0, 0.0)
+        self.result = result
         self.meta = dict(meta or {})
         self.targets = targets
         self.chaos = chaos
-        self.complete = False
-        self.slas: Dict[str, float] = dict(sink.monitor.slas)
-        for spec in specs or []:
-            self.slas.setdefault(spec.name, spec.sla)
+        self.mode = "live" if report is None else "replay"
+        self.complete = report is not None
+        # A report omits empty error alerts; the run state always has them.
+        self.report = None if report is None else {"error_alerts": [], **report}
+        if report is None:
+            self.store = sink.timeseries
+        elif "timeseries" in report:
+            self.store = TimeSeriesStore.from_dict(report["timeseries"])
+        else:
+            self.store = None
 
     def mark_complete(self, result=None) -> None:
         """The run finished; freeze progress on its final result."""
@@ -140,41 +143,30 @@ class RunSource:
             self.result = result
         self.complete = True
 
+    def state(self) -> Dict:
+        """The run state every endpoint reads."""
+        if self.report is not None:
+            return self.report
+        return _snapshot(lambda: run_state(self.sink, self.result))
+
     # -- views ----------------------------------------------------------
-    @property
-    def registry(self):
-        return self.sink.registry
-
-    @property
-    def monitor(self):
-        return self.sink.monitor
-
-    @property
-    def decisions(self):
-        return self.sink.decisions
-
-    @property
-    def store(self):
-        return getattr(self.sink, "timeseries", None)
-
-    @property
-    def window_min(self) -> float:
-        return self.sink.config.window_min
-
     def expose_metrics(self) -> str:
-        return _snapshot(self.registry.expose_text)
+        return expose_snapshot(self.state()["registry"])
 
-    def progress(self) -> Dict:
-        result = self.result
-        duration = float(getattr(result, "duration_min", 0.0) or 0.0)
-        if self.complete or self.simulator is None:
-            now_min = duration
-        else:
-            now_min = min(
-                self.simulator.events.now / _MS_PER_MINUTE, duration
-            )
-        monitor = self.monitor
-        entry = {
+    def progress(self, state: Dict) -> Dict:
+        """Progress of the run whose state is ``state``."""
+        duration = float(state["duration_min"])
+        live = self.simulator is not None and not self.complete
+        now_min = (
+            min(self.simulator.events.now / _MS_PER_MINUTE, duration)
+            if live
+            else duration
+        )
+        events = state["events_processed"]
+        if not events and self.simulator is not None:
+            events = self.simulator.events._counter
+        services = state["services"].values()
+        return {
             "mode": self.mode,
             "complete": bool(self.complete),
             "now_min": round(now_min, 6),
@@ -182,125 +174,49 @@ class RunSource:
             "progress_pct": round(100.0 * now_min / duration, 2)
             if duration
             else 0.0,
-            "events_processed": int(
-                getattr(result, "events_processed", 0)
-                or (
-                    self.simulator.events._counter
-                    if self.simulator is not None
-                    else 0
-                )
-            ),
-            "completed": int(sum(getattr(result, "completed", {}).values()))
-            if result is not None
-            else 0,
-            "generated": int(sum(getattr(result, "generated", {}).values()))
-            if result is not None
-            else 0,
+            "events_processed": int(events),
+            "completed": int(sum(s["completed"] for s in services)),
+            "generated": int(sum(s["generated"] for s in services)),
             "alerts": {
-                "sla": len(monitor.alerts),
-                "error_budget": len(monitor.error_alerts),
-                "rules": len(monitor.rule_alerts),
+                "sla": len(state["alerts"]),
+                "error_budget": len(state["error_alerts"]),
+                "rules": len(state["rule_alerts"]),
             },
-            "decisions": len(self.decisions.records),
+            "decisions": len(state["decisions"]),
         }
-        return entry
-
-    def _service_rows(self) -> List[Dict]:
-        registry = self.registry
-        monitor = self.monitor
-        names = sorted(
-            set(self.slas)
-            | {
-                parse_metric_name(n)[1].get("service", "")
-                for n in registry.histograms
-                if parse_metric_name(n)[0] == "e2e_latency_ms"
-            }
-            - {""}
-        )
-        rows: List[Dict] = []
-        for service in names:
-            row: Dict = {"service": service, "sla_ms": self.slas.get(service)}
-            hist = registry.histograms.get(f"e2e_latency_ms.{service}")
-            if hist is not None and hist.count:
-                row["completed"] = hist.count
-                row["p50_ms"] = hist.quantile(0.50)
-                row["p95_ms"] = hist.quantile(0.95)
-                row["p99_ms"] = hist.quantile(0.99)
-            else:
-                row["completed"] = 0
-            windows = [w for w in monitor.windows if w.service == service]
-            total = sum(w.count for w in windows)
-            row["windows"] = len(windows)
-            row["miss_rate"] = round(
-                sum(w.violations for w in windows) / total, 6
-            ) if total else 0.0
-            row["errors"] = sum(w.errors for w in windows)
-            rows.append(row)
-        return rows
-
-    def _breaker_rows(self) -> List[Dict]:
-        states = {0.0: "closed", 1.0: "open", 2.0: "half-open"}
-        rows = []
-        for name in sorted(self.registry.gauges):
-            family, labels = parse_metric_name(name)
-            if family != "breaker_state":
-                continue
-            value = self.registry.gauges[name].value
-            rows.append(
-                {
-                    "service": labels.get("service", ""),
-                    "microservice": labels.get("microservice", ""),
-                    "state": states.get(value, str(value)),
-                    "value": value,
-                }
-            )
-        return rows
 
     def summary(self) -> Dict:
-        def build():
-            result = self.result
-            return {
-                "schema": 1,
-                "meta": dict(self.meta),
-                "progress": self.progress(),
-                "services": self._service_rows(),
-                "breakers": self._breaker_rows(),
-                "containers": dict(
-                    sorted(getattr(result, "containers", {}).items())
-                )
-                if result is not None
-                else {},
-            }
-
-        return _snapshot(build)
+        state = self.state()
+        return {
+            "schema": 1,
+            "meta": dict(self.meta),
+            "progress": self.progress(state),
+            "services": _service_rows(state),
+            "breakers": _breaker_rows(state),
+            "containers": dict(state["containers"]),
+        }
 
     def alerts(self, limit: Optional[int] = None) -> Dict:
         def tail(items):
-            dicts = [a.to_dict() for a in list(items)]
-            return dicts[-limit:] if limit else dicts
+            return items[-limit:] if limit else items
 
-        monitor = self.monitor
-        return _snapshot(
-            lambda: {
-                "sla": tail(monitor.alerts),
-                "error_budget": tail(monitor.error_alerts),
-                "rules": tail(monitor.rule_alerts),
-            }
-        )
+        state = self.state()
+        return {
+            "sla": tail(state["alerts"]),
+            "error_budget": tail(state["error_alerts"]),
+            "rules": tail(state["rule_alerts"]),
+        }
 
     def decision_tail(
         self, limit: Optional[int] = None, actor: Optional[str] = None
     ) -> Dict:
-        def build():
-            records = list(self.decisions.records)
-            if actor:
-                records = [r for r in records if r.actor == actor]
-            total = len(records)
-            if limit:
-                records = records[-limit:]
-            return {"total": total, "decisions": [r.to_dict() for r in records]}
-
-        return _snapshot(build)
+        records = self.state()["decisions"]
+        if actor:
+            records = [r for r in records if r["actor"] == actor]
+        total = len(records)
+        if limit:
+            records = records[-limit:]
+        return {"total": total, "decisions": records}
 
     def query(self, expr: str, at: Optional[float] = None) -> Dict:
         store = self.store
@@ -341,19 +257,11 @@ class RunSource:
         return _snapshot(build)
 
     def dashboard_payload(self) -> Dict:
-        from repro.telemetry.dashboard import dashboard_data
-
-        result = self.result
-        if result is None:
-            # No simulation result to render yet (e.g. the aggregate
-            # source of a `compare --serve` sweep): a zeroed stand-in
-            # keeps the dashboard template on its normal path.
-            result = _ResultView(0.0, 0.0, 0, {}, {}, {})
+        state = self.state()
         return _snapshot(
             lambda: dashboard_data(
-                self.sink,
-                result,
-                specs=None,
+                state,
+                self.store,
                 meta=self.meta,
                 targets=self.targets,
                 chaos=self.chaos,
@@ -361,160 +269,72 @@ class RunSource:
         )
 
 
-class ReplaySource(RunSource):
-    """The same endpoint surface, rebuilt from an archived run report.
+def _service_rows(state: Dict) -> List[Dict]:
+    """Per-service rows of ``/api/summary`` (and ``repro top``)."""
+    histograms = state["registry"]["histograms"]
+    services = state["services"]
+    names = {
+        name for name, entry in services.items() if entry["sla_ms"] is not None
+    }
+    for name in histograms:
+        family, labels = parse_metric_name(name)
+        if family == "e2e_latency_ms" and labels.get("service"):
+            names.add(labels["service"])
+    rows: List[Dict] = []
+    for service in sorted(names):
+        row: Dict = {
+            "service": service,
+            "sla_ms": services.get(service, {}).get("sla_ms"),
+        }
+        hist = histograms.get(f"e2e_latency_ms.{service}")
+        if hist is not None and hist["count"]:
+            row["completed"] = hist["count"]
+            row["p50_ms"] = hist["p50"]
+            row["p95_ms"] = hist["p95"]
+            row["p99_ms"] = hist["p99"]
+        else:
+            row["completed"] = 0
+        windows = [w for w in state["windows"] if w["service"] == service]
+        total = sum(w["count"] for w in windows)
+        row["windows"] = len(windows)
+        row["miss_rate"] = round(
+            sum(w["violations"] for w in windows) / total, 6
+        ) if total else 0.0
+        row["errors"] = sum(w.get("errors", 0) for w in windows)
+        rows.append(row)
+    return rows
 
-    ``repro report --output run.json`` (schema 1) round-trips: windows,
-    alerts, decisions, counters and gauges are exact; histograms come
-    back as a single-bucket approximation (the snapshot keeps count /
-    sum / p50 / p95 / p99, not full buckets), and the TSDB is rebuilt
-    from the report's bounded ``timeseries`` dump when present.
-    """
 
-    mode = "replay"
-
-    def __init__(self, report: Dict, path: Optional[str] = None):
-        self.report = report
-        sink = _SinkView(report)
-        meta = {"replay": path or "run-report"}
-        result = _ResultView(
-            duration_min=report.get("duration_min", 0.0),
-            warmup_min=report.get("warmup_min", 0.0),
-            events_processed=report.get("events_processed", 0),
-            containers=report.get("containers", {}),
-            completed={
-                name: entry.get("completed", 0)
-                for name, entry in report.get("services", {}).items()
-            },
-            generated={
-                name: entry.get("generated", 0)
-                for name, entry in report.get("services", {}).items()
-            },
+def _breaker_rows(state: Dict) -> List[Dict]:
+    """Current circuit-breaker states from the registry's gauges."""
+    rows = []
+    for name, value in sorted(state["registry"]["gauges"].items()):
+        family, labels = parse_metric_name(name)
+        if family != "breaker_state":
+            continue
+        rows.append(
+            {
+                "service": labels.get("service", ""),
+                "microservice": labels.get("microservice", ""),
+                "state": _BREAKER_STATES.get(value, str(value)),
+                "value": value,
+            }
         )
-        super().__init__(sink, simulator=None, result=result, meta=meta)
-        for name, entry in report.get("services", {}).items():
-            sla = entry.get("sla_ms")
-            if sla:
-                self.slas.setdefault(name, sla)
-        self.complete = True
-        self._hist_snapshot = report.get("registry", {}).get("histograms", {})
-
-    def _service_rows(self) -> List[Dict]:
-        # Exact snapshot percentiles beat the single-bucket rebuild.
-        rows = super()._service_rows()
-        for row in rows:
-            snap = self._hist_snapshot.get(
-                f"e2e_latency_ms.{row['service']}", {}
-            )
-            for stat in ("p50", "p95", "p99"):
-                if stat in snap:
-                    row[f"{stat}_ms"] = snap[stat]
-        return rows
+    return rows
 
 
-class _SinkView:
-    """Duck-typed ``TelemetrySink`` rebuilt from a run-report dict."""
-
-    def __init__(self, report: Dict):
-        from repro.telemetry.hooks import TelemetryConfig
-        from repro.telemetry.timeseries import TimeSeriesStore
-
-        self.config = TelemetryConfig(
-            window_min=report.get("window_min", 1.0) or 1.0,
-            spans=False,
-            max_traces=0,
-        )
-        self.monitor = SLAMonitor()
-        for w in report.get("windows", []):
-            self.monitor.windows.append(
-                WindowStats(
-                    service=w["service"],
-                    window=w["window"],
-                    start_min=w["start_min"],
-                    count=w["count"],
-                    violations=w["violations"],
-                    p95_ms=w["p95_ms"],
-                    sla_ms=w.get("sla_ms", 0.0),
-                    errors=w.get("errors", 0),
-                )
-            )
-        for a in report.get("alerts", []):
-            self.monitor.alerts.append(
-                AlertEvent(
-                    service=a["service"],
-                    window=a["window"],
-                    start_min=a["start_min"],
-                    p95_ms=a["p95_ms"],
-                    sla_ms=a["sla_ms"],
-                    violations=a["violations"],
-                    count=a["count"],
-                )
-            )
-        for a in report.get("error_alerts", []):
-            self.monitor.error_alerts.append(
-                ErrorBudgetAlert(
-                    service=a["service"],
-                    window=a["window"],
-                    start_min=a["start_min"],
-                    errors=a["errors"],
-                    count=a["count"],
-                    error_rate=a["error_rate"],
-                    budget=a["budget"],
-                )
-            )
-        self.decisions = DecisionLog()
-        for d in report.get("decisions", []):
-            self.decisions.record(
-                minute=d["minute"],
-                actor=d["actor"],
-                microservice=d["microservice"],
-                before=d["before"],
-                after=d["after"],
-                reason=d["reason"],
-                workload=d.get("workload"),
-                latency_target_ms=d.get("latency_target_ms"),
-            )
-        self.registry = MetricsRegistry()
-        snapshot = report.get("registry", {})
-        for name, value in snapshot.get("counters", {}).items():
-            self.registry.counter(name).value = value
-        for name, value in snapshot.get("gauges", {}).items():
-            self.registry.gauge(name).set(value)
-        for name, entry in snapshot.get("histograms", {}).items():
-            # Single-bucket rebuild: the snapshot has no bucket layout,
-            # so the whole population sits at/below its recorded p99.
-            bound = float(entry.get("p99") or entry.get("p95") or 1.0)
-            hist = Histogram(name, bounds=[bound])
-            hist.count = int(entry.get("count", 0))
-            hist.sum = float(entry.get("sum", 0.0))
-            hist.counts = [hist.count, 0]
-            self.registry.histograms[name] = hist
-        self.window_series = list(report.get("window_series", []))
-        self.timeseries = None
-        ts = report.get("timeseries")
-        if ts and ts.get("series_data"):
-            store = TimeSeriesStore()
-            for sd in ts["series_data"]:
-                for t, v in sd.get("points", []):
-                    store.record(sd["name"], sd.get("labels", {}), t, v)
-            store.scrapes = ts.get("scrapes", 0)
-            store.last_scrape_min = max(
-                (s.times[-1] for s in store.series.values() if s.times),
-                default=None,
-            )
-            self.timeseries = store
-
-
-def load_replay_source(path: str) -> ReplaySource:
+def load_replay_source(path: str) -> RunSource:
     """Load an archived ``repro report`` JSON as a servable source."""
-    with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    if report.get("schema") != 1:
+    report = load_run_report(path)
+    histograms = report.get("registry", {}).get("histograms", {})
+    if "percentile" not in report or any(
+        "buckets" not in entry for entry in histograms.values()
+    ):
         raise ValueError(
-            f"{path}: not a schema-1 run report "
-            f"(schema={report.get('schema')!r})"
+            f"{path}: run report has no histogram buckets; "
+            f"write it again with `repro report --output`"
         )
-    return ReplaySource(report, path=path)
+    return RunSource(report=report, meta={"replay": path})
 
 
 # ----------------------------------------------------------------------
@@ -762,19 +582,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(self.obs.source.summary())
 
     def _get_dashboard(self) -> None:
-        from repro.telemetry.dashboard import render_dashboard_body
-
         body = render_dashboard_body(self.obs.source.dashboard_payload())
         self._send(body.encode("utf-8"), "text/html; charset=utf-8")
 
     def _get_index(self) -> None:
-        from repro.telemetry.dashboard import (
-            dashboard_css,
-            render_dashboard,
-        )
-
         source = self.obs.source
-        if source.complete and source.mode == "replay":
+        if source.mode == "replay":
             # Archived run: nothing will change — serve the static,
             # script-free artifact directly.
             html = render_dashboard(source.dashboard_payload())
@@ -804,40 +617,37 @@ class _Handler(BaseHTTPRequestHandler):
             sent += 1
             return limit is None or sent < limit
 
-        monitor = source.monitor
-        decisions = source.decisions
+        state = source.state()
         seen = {
-            "sla": len(monitor.alerts),
-            "error_budget": len(monitor.error_alerts),
-            "rules": len(monitor.rule_alerts),
-            "decisions": len(decisions.records),
+            "alerts": len(state["alerts"]),
+            "error_alerts": len(state["error_alerts"]),
+            "rule_alerts": len(state["rule_alerts"]),
+            "decisions": len(state["decisions"]),
         }
         try:
-            if not emit("progress", source.progress()):
+            if not emit("progress", source.progress(state)):
                 return
             while not obs.stopping:
                 time.sleep(obs.poll_interval_s)
-                for kind, items in (
-                    ("sla", monitor.alerts),
-                    ("error_budget", monitor.error_alerts),
-                    ("rules", monitor.rule_alerts),
+                complete = source.complete  # before the state: none missed
+                state = source.state()
+                for key, kind in (
+                    ("alerts", "sla"),
+                    ("error_alerts", "error_budget"),
+                    ("rule_alerts", "rules"),
                 ):
-                    while seen[kind] < len(items):
-                        alert = items[seen[kind]]
-                        seen[kind] += 1
-                        if not emit(
-                            "alert", {"kind": kind, **alert.to_dict()}
-                        ):
+                    for alert in state[key][seen[key]:]:
+                        seen[key] += 1
+                        if not emit("alert", {"kind": kind, **alert}):
                             return
-                while seen["decisions"] < len(decisions.records):
-                    record = decisions.records[seen["decisions"]]
+                for record in state["decisions"][seen["decisions"]:]:
                     seen["decisions"] += 1
-                    if not emit("decision", record.to_dict()):
+                    if not emit("decision", record):
                         return
-                if not emit("progress", source.progress()):
+                if not emit("progress", source.progress(state)):
                     return
-                if source.complete:
-                    emit("complete", source.progress())
+                if complete:
+                    emit("complete", source.progress(state))
                     return
         except (BrokenPipeError, ConnectionResetError):
             return

@@ -590,3 +590,28 @@ class TimeSeriesStore:
                 for key in sorted(self.series)
             ],
         }
+
+    @classmethod
+    def from_dict(cls, dump: Dict) -> "TimeSeriesStore":
+        """Rebuild a store from :meth:`to_dict` output (no rules attached).
+
+        Every dumped point is recorded again, so the raw rings (sized to
+        hold the longest series) and the downsample bins hold what the
+        dump holds; ``last_scrape_min`` is the latest dumped time.
+        """
+        series_data = dump["series_data"]
+        longest = max((len(s["points"]) for s in series_data), default=0)
+        store = cls(
+            TimeSeriesConfig(
+                scrape_interval_min=dump["scrape_interval_min"],
+                raw_capacity=max(TimeSeriesConfig.raw_capacity, longest),
+            )
+        )
+        for entry in series_data:
+            for t, value in entry["points"]:
+                store.record(entry["name"], entry["labels"], t, value)
+        store.scrapes = dump["scrapes"]
+        store.last_scrape_min = max(
+            (s.times[-1] for s in store.series.values()), default=None
+        )
+        return store

@@ -14,6 +14,7 @@ from repro.telemetry import (
     TimeSeriesStore,
     dashboard_data,
     render_dashboard,
+    run_state,
     write_dashboard,
 )
 from repro.workloads import social_network
@@ -54,7 +55,7 @@ class TestDashboardData:
         """The plotted per-window miss rate equals the simulator's own
         post-hoc ``violation_rate_by_window`` — window for window."""
         sink, result, specs, _ = instrumented_run
-        data = dashboard_data(sink, result, specs=specs)
+        data = dashboard_data(run_state(sink, result), sink.timeseries)
         for spec in specs:
             entry = data["services"][spec.name]
             expected = result.violation_rate_by_window(
@@ -68,7 +69,7 @@ class TestDashboardData:
 
     def test_services_carry_latency_series_and_sla(self, instrumented_run):
         sink, result, specs, _ = instrumented_run
-        data = dashboard_data(sink, result, specs=specs)
+        data = dashboard_data(run_state(sink, result), sink.timeseries)
         for spec in specs:
             entry = data["services"][spec.name]
             assert entry["sla_ms"] == spec.sla
@@ -79,7 +80,7 @@ class TestDashboardData:
         self, instrumented_run
     ):
         sink, result, _, _ = instrumented_run
-        data = dashboard_data(sink, result)
+        data = dashboard_data(run_state(sink, result), sink.timeseries)
         assert set(data["containers"]) == set(result.containers)
         for name, points in data["containers"].items():
             # final plotted value is the live simulator's final count
@@ -91,7 +92,7 @@ class TestDashboardData:
 
     def test_summary_counts(self, instrumented_run):
         sink, result, specs, _ = instrumented_run
-        data = dashboard_data(sink, result, specs=specs)
+        data = dashboard_data(run_state(sink, result), sink.timeseries)
         summary = data["summary"]
         assert summary["completed"] == sum(result.completed.values())
         assert summary["events_processed"] == result.events_processed
@@ -103,7 +104,8 @@ class TestDashboardHtml:
     def test_self_contained(self, instrumented_run, tmp_path):
         sink, result, specs, allocation = instrumented_run
         data = dashboard_data(
-            sink, result, specs=specs, targets=allocation.targets,
+            run_state(sink, result), sink.timeseries,
+            targets=allocation.targets,
             meta={"app": "social-network", "seed": 3},
         )
         path = tmp_path / "dash.html"
@@ -122,7 +124,8 @@ class TestDashboardHtml:
 
     def test_geometry_stays_inside_viewbox(self, instrumented_run):
         sink, result, specs, _ = instrumented_run
-        html = render_dashboard(dashboard_data(sink, result, specs=specs))
+        data = dashboard_data(run_state(sink, result), sink.timeseries)
+        html = render_dashboard(data)
         assert "NaN" not in html and "Infinity" not in html
         xs = [float(m) for m in re.findall(r'(?:cx|x1|x2)="(-?[\d.]+)"', html)]
         assert xs and all(-1 <= x <= 721 for x in xs)

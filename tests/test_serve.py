@@ -25,6 +25,7 @@ from repro.simulator import (
     SimulatedMicroservice,
     SimulationConfig,
 )
+from repro.simulator.simulation import SimulationResult
 from repro.telemetry import (
     ObservabilityServer,
     RunSource,
@@ -90,10 +91,7 @@ def shared_run():
     )
     simulator = _shared_simulator(sink)
     source = RunSource(
-        sink,
-        simulator=simulator,
-        specs=simulator.services,
-        meta={"app": "shared-fanout", "seed": 42},
+        sink, simulator=simulator, meta={"app": "shared-fanout", "seed": 42}
     )
     server = ObservabilityServer(source, poll_interval_s=0.02).start()
     midrun = {}
@@ -116,8 +114,22 @@ def shared_run():
         midrun["dashboard"] = _get(base + "/dashboard")
         midrun["index"] = _get(base + "/")
 
+    # Which threads read the result's sample arrays while the run is in
+    # flight: a numpy view of one would make the engine's next append
+    # raise BufferError.
+    readers = midrun["latency_readers"] = set()
+    latencies = SimulationResult.latencies
+
+    def recording_latencies(self, *args, **kwargs):
+        readers.add(threading.current_thread().name)
+        return latencies(self, *args, **kwargs)
+
     simulator.events.schedule(0.3 * _MS, probe)
-    result = simulator.run()
+    SimulationResult.latencies = recording_latencies
+    try:
+        result = simulator.run()
+    finally:
+        SimulationResult.latencies = latencies
     source.mark_complete(result)
     yield SimpleNamespace(
         server=server,
@@ -139,6 +151,11 @@ class TestLiveEndpoints:
         assert fingerprint(
             shared_run.result, ["s1", "s2"], ["F", "G", "P", "Q"]
         ) == GOLDEN_SHARED
+
+    def test_server_never_reads_result_samples_midrun(self, shared_run):
+        assert shared_run.midrun["latency_readers"] <= {
+            threading.current_thread().name
+        }
 
     def test_health_and_ready(self, shared_run):
         assert shared_run.midrun["healthz"] == {"status": "ok", "mode": "live"}
@@ -327,6 +344,34 @@ class TestReplay:
             assert row["p95_ms"] == live[row["service"]]["p95_ms"]
             assert row["completed"] == live[row["service"]]["completed"]
 
+    def test_replay_metrics_equal_live(self, replay, shared_run):
+        # Every bucket and exemplar survives the report round trip.
+        _, live = _get(shared_run.server.url + "/metrics")
+        _, replayed = _get(replay.server.url + "/metrics")
+        assert replayed == live
+        assert live.count("_bucket{le=") > 2 * len(
+            [n for n in parse_prometheus_text(live) if "e2e_latency_ms" in n]
+        )
+
+    def test_replay_dashboard_equals_live(self, replay, shared_run):
+        live = shared_run.source.dashboard_payload()
+        replayed = replay.source.dashboard_payload()
+        assert replayed["meta"] == {"replay": str(replay.path)}
+        del live["meta"], replayed["meta"]
+        assert replayed == live
+        for entry in replayed["services"].values():
+            assert entry["sla_ms"] == 300.0
+
+    def test_replay_endpoints_equal_live(self, replay, shared_run):
+        for path in ("/api/summary", "/api/alerts", "/api/decisions"):
+            live = _get_json(shared_run.server.url + path)
+            replayed = _get_json(replay.server.url + path)
+            if path == "/api/summary":
+                assert live["progress"].pop("mode") == "live"
+                assert replayed["progress"].pop("mode") == "replay"
+                del live["meta"], replayed["meta"]
+            assert replayed == live, path
+
     def test_replay_metrics_parse(self, replay):
         status, text = _get(replay.server.url + "/metrics")
         parsed = parse_prometheus_text(text)
@@ -350,6 +395,15 @@ class TestReplay:
         bogus.write_text('{"schema": 99}')
         with pytest.raises(ValueError, match="schema"):
             load_replay_source(str(bogus))
+
+    def test_rejects_report_without_buckets(self, replay, tmp_path):
+        report = json.loads(replay.path.read_text())
+        for entry in report["registry"]["histograms"].values():
+            del entry["buckets"]
+        path = tmp_path / "old.json"
+        write_run_report(report, str(path))
+        with pytest.raises(ValueError, match="buckets"):
+            load_replay_source(str(path))
 
 
 class TestRenderTop:

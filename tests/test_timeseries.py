@@ -1,5 +1,7 @@
 """Embedded TSDB: store, query layer, rules engine, and sim integration."""
 
+import json
+
 import pytest
 
 from repro.core.model import ServiceSpec
@@ -14,6 +16,7 @@ from repro.telemetry import (
     TelemetrySink,
     TimeSeriesConfig,
     TimeSeriesStore,
+    build_run_report,
 )
 from repro.telemetry.timeseries import (
     RuleEngine,
@@ -351,6 +354,27 @@ class TestGoldenNeutrality:
         assert dump["scrapes"] == store.scrapes
         assert dump["samples"] == store.total_samples
         assert all(len(s["points"]) <= 4 for s in dump["series_data"])
+
+    def test_report_round_trip_keeps_every_raw_point(self):
+        """A run report dumps every raw point the store holds (its ring
+        is the bound), so a store rebuilt from it answers an early query
+        as the live one does."""
+        sink, store, result = run_instrumented(scrape_interval=0.0002)
+        assert store.scrapes >= 2_500
+        report = json.loads(json.dumps(build_run_report(sink, result)))
+        replayed = TimeSeriesStore.from_dict(report["timeseries"])
+        assert replayed.scrapes == store.scrapes
+        assert set(replayed.series) == set(store.series)
+        for key, series in store.series.items():
+            copy = replayed.series[key]
+            assert list(copy.times) == [round(t, 6) for t in series.times]
+            assert list(copy.values) == list(series.values)
+
+        def early(target):  # between the 50th and 51st scrape
+            return [(s.key, v) for s, v in target.query("queue_depth", at=0.0101)]
+
+        assert early(replayed) == early(store)
+        assert early(store)
 
 
 class TestQueryEdgeCases:
