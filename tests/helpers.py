@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import builtins
 import copy
 import gc
+import os
+import sys
 from typing import Callable, Dict, Iterable, Tuple
 
+import repro
 from repro.core import (
     ContainerSpec,
     LatencySegment,
@@ -173,3 +177,71 @@ def gc_residue(run: Callable[[], object]) -> Tuple[int, int]:
     finally:
         if enabled:
             gc.enable()
+
+
+#: Frames CPython 3.12 no longer makes (PEP 709 inlines comprehensions).
+_INLINED = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
+
+
+def counted_run(fn: Callable[[], object], modules, repro_only: bool = False):
+    """``fn()`` under ``sys.setprofile``, the cycle collector off.
+
+    Returns ``fn``'s result and its counts: Python-level calls
+    (``"call"`` events; comprehensions not counted, and with
+    ``repro_only`` only frames whose code is under ``repro/``), calls of
+    the builtin ``len`` from those frames (``"c_call"`` events) and
+    objects built per class of ``modules`` (calls of its ``__init__``).
+    """
+    inits = {
+        cls.__init__.__code__: name
+        for module in modules
+        for name, cls in vars(module).items()
+        if isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and "__init__" in vars(cls)
+    }
+    root = os.path.dirname(repro.__file__) + os.sep if repro_only else ""
+    calls = lens = 0
+    built = {}
+
+    def profile(frame, event, arg):
+        nonlocal calls, lens
+        if event == "call":
+            code = frame.f_code
+            if code.co_name not in _INLINED and code.co_filename.startswith(root):
+                calls += 1
+            name = inits.get(code)
+            if name is not None:
+                built[name] = built.get(name, 0) + 1
+        elif event == "c_call" and arg is builtins.len:
+            if frame.f_code.co_filename.startswith(root):
+                lens += 1
+
+    previous, collecting = sys.getprofile(), gc.isenabled()
+    gc.collect()  # no finalizer of other code's garbage runs in the count
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+        if collecting:
+            gc.enable()
+    return result, {
+        "python_calls": calls,
+        "len_calls": lens,
+        "built": dict(sorted(built.items())),
+    }
+
+
+def count_calls(monkeypatch, owner, name: str, counts: Dict, key=None) -> None:
+    """Count the calls of ``owner.name`` (a method, or a function of a
+    module) in ``counts[key]``, ``key`` defaulting to ``name``."""
+    original = getattr(owner, name)
+    key = key or name
+
+    def counted(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)

@@ -1,5 +1,8 @@
 """Tests for repro.simulator.autoscaled: the in-DES control loop."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.simulator import (
     SimulationConfig,
 )
 from repro.workloads import HoltPredictor, StaticRate, SteppedRate, analytic_profile
+from tests.pinned import expected
 
 
 def chain_setup(sla=200.0):
@@ -266,18 +270,52 @@ class TestAutoscaledSharedServices:
         assert result.simulation.completed["svc"] > 0
 
 
-class TestPinnedDecisionLog:
-    """sha256 of the decision log of two pinned runs, taken before the
-    in-simulation loop, the controller and the window replay became
-    drivers of one ``ControlLoop``: a 3 000 → 12 000 req/min step with a
-    crash-and-restart of ``A`` (``simulator`` and ``chaos`` records), and
-    the same run with the SLA sabotaged so every tick is infeasible
-    (``autoscaler`` records)."""
+#: The two pinned runs of ``TestPinnedDecisionLog``: is the SLA sabotaged?
+CASES = {"feasible": False, "infeasible": True}
 
-    DIGESTS = {
-        False: "eb80d7a31a4c1e4eb639d4bce8a32dd0b156d97271f88f99aa7a7d2e512c0fc5",
-        True: "8605d8b98ff1a496163bc7e42a7db39d4a094e95e39d57601c5cedaeb3b49b72",
-    }
+
+def _decision_log(infeasible):
+    """sha256 of one pinned run's decision log, and its scaling events."""
+    from repro.resilience import ChaosSchedule, CrashEvent
+    from repro.telemetry import TelemetrySink
+
+    spec, simulated, profiles = chain_setup()
+    sink = TelemetrySink()
+    sim = AutoscaledSimulation(
+        [spec],
+        simulated,
+        ErmsScaler(),
+        profiles,
+        rates={"svc": SteppedRate(((0.0, 3_000.0), (1.0, 12_000.0)))},
+        config=SimulationConfig(duration_min=3.0, warmup_min=0.0, seed=11),
+        autoscale=AutoscaleConfig(interval_min=0.5, startup_delay_ms=500.0),
+        telemetry=sink,
+        chaos=ChaosSchedule(
+            crashes=[
+                CrashEvent(at_min=1.6, microservice="A", restart_after_ms=2000.0)
+            ]
+        ),
+    )
+    if infeasible:
+        sim.specs = [ServiceSpec("svc", spec.graph, workload=0.0, sla=5.0)]
+    result = sim.run()
+    digest = hashlib.sha256(json.dumps(sink.decisions.to_dicts()).encode())
+    return digest.hexdigest(), result.scaling_events
+
+
+def record(case):
+    return _decision_log(CASES[case])[0]
+
+
+class TestPinnedDecisionLog:
+    """sha256 of the decision log of two pinned runs
+    (``tests/fixtures/autoscaled.json``), taken before the in-simulation
+    loop, the controller and the window replay became drivers of one
+    ``ControlLoop``: a 3 000 → 12 000 req/min step with a crash-and-restart
+    of ``A`` (``simulator`` and ``chaos`` records), and the same run with
+    the SLA sabotaged so every tick is infeasible (``autoscaler``
+    records)."""
+
     SCALING_EVENTS = {
         False: [(0.5, 2), (1.0, 2), (1.5, 2), (2.0, 3), (2.5, 3)],
         True: [],
@@ -285,34 +323,7 @@ class TestPinnedDecisionLog:
 
     @pytest.mark.parametrize("infeasible", [False, True])
     def test_decision_log_digest(self, infeasible):
-        import hashlib
-        import json
-
-        from repro.resilience import ChaosSchedule, CrashEvent
-        from repro.telemetry import TelemetrySink
-
-        spec, simulated, profiles = chain_setup()
-        sink = TelemetrySink()
-        sim = AutoscaledSimulation(
-            [spec],
-            simulated,
-            ErmsScaler(),
-            profiles,
-            rates={"svc": SteppedRate(((0.0, 3_000.0), (1.0, 12_000.0)))},
-            config=SimulationConfig(duration_min=3.0, warmup_min=0.0, seed=11),
-            autoscale=AutoscaleConfig(interval_min=0.5, startup_delay_ms=500.0),
-            telemetry=sink,
-            chaos=ChaosSchedule(
-                crashes=[
-                    CrashEvent(at_min=1.6, microservice="A", restart_after_ms=2000.0)
-                ]
-            ),
-        )
-        if infeasible:
-            sim.specs = [ServiceSpec("svc", spec.graph, workload=0.0, sla=5.0)]
-        result = sim.run()
-        digest = hashlib.sha256(
-            json.dumps(sink.decisions.to_dicts()).encode()
-        ).hexdigest()
-        assert digest == self.DIGESTS[infeasible]
-        assert result.scaling_events == self.SCALING_EVENTS[infeasible]
+        digest, scaling_events = _decision_log(infeasible)
+        case = "infeasible" if infeasible else "feasible"
+        assert digest == expected(__name__)[case]
+        assert scaling_events == self.SCALING_EVENTS[infeasible]

@@ -20,7 +20,7 @@ from repro.core import (
 from repro.graphs import DependencyGraph, call
 from repro.workloads import social_network
 
-from tests.helpers import discontinuous_profile, make_profile
+from tests.helpers import count_calls, discontinuous_profile, make_profile
 
 
 def sensitive_pair(workload=20_000.0, sla=300.0):
@@ -91,20 +91,10 @@ class TestStatsShape:
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {}
-
-        def counted(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(DependencyGraph, "end_to_end_latency")
-        counted(DependencyGraph, "end_to_end_series")
-        counted(PiecewiseLatencyModel, "latency")
-        counted(np, "corrcoef")
+        count_calls(monkeypatch, DependencyGraph, "end_to_end_latency", counts)
+        count_calls(monkeypatch, DependencyGraph, "end_to_end_series", counts)
+        count_calls(monkeypatch, PiecewiseLatencyModel, "latency", counts)
+        count_calls(monkeypatch, np, "corrcoef", counts)
         return counts
 
     def test_no_scalar_fold_model_call_or_corrcoef(self, calls):

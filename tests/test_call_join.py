@@ -39,7 +39,8 @@ from repro.simulator import (
 from repro.telemetry import TelemetrySink
 from tests.test_engine_equivalence import _social_simulator
 from tests.test_properties import shared_call_trees
-from tests.test_span_equivalence import _sha, trace_lines
+from tests.pinned import sha_lines
+from tests.test_span_equivalence import trace_lines
 
 _MS_PER_MINUTE = 60_000.0
 
@@ -257,7 +258,7 @@ def _replay(sim, kill):
         "events": result.events_processed,
         "rng": sim.rng.bit_generator.state,
         "resilience_rng": None if res is None else res.rng.bit_generator.state,
-        "spans": None if sink is None else _sha(trace_lines(sink.traces)),
+        "spans": None if sink is None else sha_lines(trace_lines(sink.traces)),
     }
 
 

@@ -29,9 +29,9 @@ from repro.resilience import (
 from repro.simulator import ClusterSimulator, SimulatedMicroservice, SimulationConfig
 from repro.telemetry import TelemetrySink
 from repro.telemetry.hooks import _SpanDone
-from tests.test_engine_equivalence import _digest
+from tests.pinned import sha_buffers, sha_lines
 from tests.test_resilience import make_sim
-from tests.test_span_equivalence import _sha, observe, trace_lines
+from tests.test_span_equivalence import observe, trace_lines
 
 
 class _AttemptTimeout:
@@ -182,10 +182,10 @@ def outcome(sink, result):
         "failed": result.failed_requests,
         "shed": result.shed_requests,
         "dropped": result.dropped_requests,
-        "e2e": _digest(result._e2e),
-        "own": _digest(result._own),
+        "e2e": sha_buffers(result._e2e),
+        "own": sha_buffers(result._own),
         "decisions": sink.decisions.to_dicts(),
-        "traces_sha": _sha(trace_lines(sink.traces)),
+        "traces_sha": sha_lines(trace_lines(sink.traces)),
     }
 
 

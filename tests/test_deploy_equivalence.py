@@ -3,8 +3,8 @@
 ``tests/fixtures/deploy_equivalence.json`` was generated on the commit
 before ``DeploymentController.reconcile`` shared one ``ClusterIndex`` per
 pass and ``MockKubeApi`` indexed its pods by microservice
-(``python tests/test_deploy_equivalence.py`` rewrites it from whatever
-``repro`` is importable).  It pins, per control period of a seeded
+(``PYTHONPATH=src python -m tests.pinned deploy_equivalence`` rewrites
+it).  It pins, per control period of a seeded
 ``generate_taobao`` population driven through ``ErmsController``:
 
 * the report's ``pod_deltas`` and ``cluster_imbalance``;
@@ -29,10 +29,7 @@ this rendering on the last commit that still generated ``np.str_`` names,
 where the ``repr`` hashes also still matched.
 """
 
-import hashlib
-import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -45,10 +42,10 @@ from repro.core import (
 )
 from repro.core.controller import ErmsController
 from repro.workloads import generate_taobao
+from tests.pinned import expected, sha_lines
 
-FIXTURE = Path(__file__).parent / "fixtures" / "deploy_equivalence.json"
-
-PROVISIONERS = {
+#: the provisioner configurations, by case name
+CASES = {
     "erms_groups1": lambda: InterferenceAwareProvisioner(groups=1),
     "erms_groups4": lambda: InterferenceAwareProvisioner(groups=4),
     "k8s_default": KubernetesDefaultProvisioner,
@@ -100,21 +97,13 @@ def _items(by_name):
     return sorted((str(name), value) for name, value in by_name.items())
 
 
-def _sha(lines):
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
-def run(config):
+def record(config):
     """Drive the loop; one ``{created, deleted, sha}`` record per period."""
     specs, profiles = _population()
     cluster = Cluster.homogeneous(HOSTS)
     _set_background(cluster, BACKGROUND_BEFORE)
     controller = ErmsController(
-        specs, cluster, profiles, provisioner=PROVISIONERS[config]()
+        specs, cluster, profiles, provisioner=CASES[config]()
     )
     api = controller.api
     alias = {}  # pod name -> "<microservice>#<creation order in this run>"
@@ -146,31 +135,24 @@ def run(config):
         periods.append({
             "created": created,
             "deleted": created - sum(report.pod_deltas.values()),
-            "sha": _sha(lines),
+            "sha": sha_lines(lines),
         })
     return periods
 
 
-@pytest.mark.parametrize("config", sorted(PROVISIONERS))
+@pytest.mark.parametrize("config", sorted(CASES))
 def test_identical_to_per_pod_index_path(config):
-    expected = json.loads(FIXTURE.read_text())[config]
-    got = run(config)
-    for period, (want, have) in enumerate(zip(expected, got)):
+    pinned = expected(__name__)[config]
+    got = record(config)
+    for period, (want, have) in enumerate(zip(pinned, got)):
         assert have == want, f"{config}: period {period} differs"
-    assert len(got) == len(expected)
+    assert len(got) == len(pinned)
 
 
 def test_scenario_scales_both_ways_every_period():
     """The pinned run exercises placement and release in each period."""
-    for config, periods in json.loads(FIXTURE.read_text()).items():
+    for config, periods in expected(__name__).items():
         assert len(periods) == PERIODS
         for period in periods[1:]:
             assert period["created"] > 0 and period["deleted"] > 0, config
 
-
-if __name__ == "__main__":  # regenerate the fixture from the importable repro
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(
-        json.dumps({c: run(c) for c in sorted(PROVISIONERS)}, indent=1) + "\n"
-    )
-    print(FIXTURE.read_text())

@@ -31,6 +31,7 @@ from repro.core.provisioning import ClusterIndex
 from repro.deployment import DeploymentController, MockKubeApi, PodPhase
 from repro.deployment.objects import Pod
 from repro.workloads import hotel_reservation
+from tests.helpers import count_calls
 
 
 class CountingStore(dict):
@@ -65,14 +66,8 @@ def make_controller(hosts=6, provisioner=None):
 @pytest.fixture()
 def index_builds(monkeypatch):
     """Counts ``ClusterIndex`` constructions, wherever they happen."""
-    builds = []
-    original = ClusterIndex.__init__
-
-    def counting(self, cluster):
-        builds.append(cluster)
-        original(self, cluster)
-
-    monkeypatch.setattr(ClusterIndex, "__init__", counting)
+    builds = {"ClusterIndex": 0}
+    count_calls(monkeypatch, ClusterIndex, "__init__", builds, "ClusterIndex")
     return builds
 
 
@@ -99,12 +94,12 @@ class TestOneIndexPerPass:
         api, _, controller = make_controller(provisioner=provisioner())
         controller.apply_allocation({"a": 40, "b": 25, "c": 3})
         assert sum(controller.reconcile().values()) == 68
-        assert len(index_builds) == 1
+        assert index_builds["ClusterIndex"] == 1
 
         controller.tick(10.0)
         controller.apply_allocation({"a": 5, "b": 60, "c": 3})
         assert controller.reconcile() == {"a": -35, "b": 35}
-        assert len(index_builds) == 2
+        assert index_builds["ClusterIndex"] == 2
         assert api.active_replicas("a") == 5 and api.active_replicas("b") == 60
 
     def test_no_build_when_every_delta_is_zero(self, index_builds):
@@ -112,11 +107,11 @@ class TestOneIndexPerPass:
         assert controller.reconcile() == {}
         controller.apply_allocation({"a": 4, "b": 0})
         controller.reconcile()
-        del index_builds[:]
+        index_builds["ClusterIndex"] = 0
         assert controller.reconcile() == {}
         controller.apply_allocation({"a": 4, "b": 0})
         assert controller.reconcile() == {}
-        assert index_builds == []
+        assert index_builds["ClusterIndex"] == 0
 
     def test_background_change_between_passes_is_seen(self):
         api, cluster, controller = make_controller(hosts=5)

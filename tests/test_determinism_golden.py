@@ -5,10 +5,12 @@ draw *order* differs from the pre-fast-path engine — but for a fixed seed
 it must stay byte-identical to itself across runs, Python processes, and
 future refactors.  These tests pin that contract two ways:
 
-* checked-in SHA-256 fingerprints over the generated/completed counts and
-  the raw latency sample streams of two canonical configurations (a
-  change here means the engine's sampled behaviour changed — bump the
-  fingerprints only with a deliberate engine revision);
+* SHA-256 fingerprints over the generated/completed counts and the raw
+  latency sample streams of two canonical configurations, pinned in
+  ``tests/fixtures/determinism_golden.json`` (a change here means the
+  engine's sampled behaviour changed — ``PYTHONPATH=src python -m
+  tests.pinned determinism_golden`` re-pins them, only with a deliberate
+  engine revision);
 * ``workers=N`` process-parallel sweeps must equal ``workers=1`` serial
   sweeps row-for-row (the parallel runner's determinism contract).
 """
@@ -31,10 +33,7 @@ from repro.simulator import (
     SimulationConfig,
 )
 from repro.workloads import social_network
-
-#: Engine-version fingerprints (fast-path engine, PR 1).
-GOLDEN_SINGLE = "270cd4d9c5a49698191c13bfdf2b0fd0c8821c9f62ba0cf1dda9033bd25105f0"
-GOLDEN_SHARED = "289d7cd272aa2a967404f9c8554b894fd3943d8af93f5b4e761fdcb52f2344c4"
+from tests.pinned import expected
 
 
 def fingerprint(result, services, microservices):
@@ -63,7 +62,8 @@ def run_single():
     ).run()
 
 
-def run_shared():
+def shared_simulator(**hooks):
+    """Two services sharing ``P`` (``s1`` also calls ``Q``), seed 42."""
     s1 = ServiceSpec(
         "s1",
         DependencyGraph("s1", call("F", stages=[[call("P"), call("Q")]])),
@@ -84,19 +84,35 @@ def run_shared():
         containers={"F": 2, "G": 2, "P": 2, "Q": 2},
         rates={"s1": 9_000.0, "s2": 6_000.0},
         config=SimulationConfig(duration_min=0.5, warmup_min=0.1, seed=42),
-    ).run()
+        **hooks,
+    )
+
+
+def run_shared():
+    return shared_simulator().run()
+
+
+def shared_fingerprint(result):
+    return fingerprint(result, ["s1", "s2"], ["F", "G", "P", "Q"])
+
+
+#: name -> the fingerprint of one pinned run
+CASES = {
+    "single": lambda: fingerprint(run_single(), ["svc"], ["B"]),
+    "shared": lambda: shared_fingerprint(run_shared()),
+}
+
+
+def record(case):
+    return CASES[case]()
 
 
 class TestGoldenFingerprints:
     def test_single_microservice_stream_pinned(self):
-        result = run_single()
-        assert fingerprint(result, ["svc"], ["B"]) == GOLDEN_SINGLE
+        assert record("single") == expected(__name__)["single"]
 
     def test_shared_fanout_stream_pinned(self):
-        result = run_shared()
-        assert fingerprint(result, ["s1", "s2"], ["F", "G", "P", "Q"]) == (
-            GOLDEN_SHARED
-        )
+        assert record("shared") == expected(__name__)["shared"]
 
     def test_rerun_is_byte_identical(self):
         first, second = run_shared(), run_shared()
@@ -121,41 +137,19 @@ class TestChaosDeterminism:
             ResiliencePolicies,
         )
 
-        s1 = ServiceSpec(
-            "s1",
-            DependencyGraph("s1", call("F", stages=[[call("P"), call("Q")]])),
-            0.0,
-            300.0,
-        )
-        s2 = ServiceSpec(
-            "s2", DependencyGraph("s2", call("G", stages=[[call("P")]])), 0.0, 300.0
-        )
         chaos = ChaosSchedule(
             crashes=[CrashEvent(0.2, "P", restart_after_ms=4_000.0)],
             error_windows=[ErrorWindow("Q", 0.15, 0.35, 0.3)],
             latency_spikes=[LatencySpike("F", 0.1, 0.3, 2.5)],
             seed=7,
         )
-        return ClusterSimulator(
-            [s1, s2],
-            {
-                "F": SimulatedMicroservice("F", 4.0, 2),
-                "G": SimulatedMicroservice("G", 6.0, 2),
-                "P": SimulatedMicroservice("P", 3.0, 4),
-                "Q": SimulatedMicroservice("Q", 5.0, 2),
-            },
-            containers={"F": 2, "G": 2, "P": 2, "Q": 2},
-            rates={"s1": 9_000.0, "s2": 6_000.0},
-            config=SimulationConfig(duration_min=0.5, warmup_min=0.1, seed=42),
-            chaos=chaos,
-            resilience=ResiliencePolicies.default(seed=1),
+        return shared_simulator(
+            chaos=chaos, resilience=ResiliencePolicies.default(seed=1)
         ).run()
 
     def test_chaotic_rerun_is_byte_identical(self):
         first, second = self.run_chaotic(), self.run_chaotic()
-        assert fingerprint(
-            first, ["s1", "s2"], ["F", "G", "P", "Q"]
-        ) == fingerprint(second, ["s1", "s2"], ["F", "G", "P", "Q"])
+        assert shared_fingerprint(first) == shared_fingerprint(second)
         assert first.failed_requests == second.failed_requests
         assert first.shed_requests == second.shed_requests
         assert first.resilience == second.resilience
@@ -166,9 +160,7 @@ class TestChaosDeterminism:
         bar of the resilience layer)."""
         result = run_shared()
         assert result.resilience is None
-        assert fingerprint(result, ["s1", "s2"], ["F", "G", "P", "Q"]) == (
-            GOLDEN_SHARED
-        )
+        assert shared_fingerprint(result) == expected(__name__)["shared"]
 
 
 class TestTimeSeriesNeutrality:
@@ -189,36 +181,12 @@ class TestTimeSeriesNeutrality:
             config=TelemetryConfig(window_min=0.25, spans=False, max_traces=0),
             timeseries=store,
         )
-        s1 = ServiceSpec(
-            "s1",
-            DependencyGraph("s1", call("F", stages=[[call("P"), call("Q")]])),
-            0.0,
-            300.0,
-        )
-        s2 = ServiceSpec(
-            "s2", DependencyGraph("s2", call("G", stages=[[call("P")]])), 0.0, 300.0
-        )
-        result = ClusterSimulator(
-            [s1, s2],
-            {
-                "F": SimulatedMicroservice("F", 4.0, 2),
-                "G": SimulatedMicroservice("G", 6.0, 2),
-                "P": SimulatedMicroservice("P", 3.0, 4),
-                "Q": SimulatedMicroservice("Q", 5.0, 2),
-            },
-            containers={"F": 2, "G": 2, "P": 2, "Q": 2},
-            rates={"s1": 9_000.0, "s2": 6_000.0},
-            config=SimulationConfig(duration_min=0.5, warmup_min=0.1, seed=42),
-            telemetry=sink,
-        ).run()
-        return store, result
+        return store, shared_simulator(telemetry=sink).run()
 
     def test_tsdb_scraping_keeps_golden_fingerprint(self):
         store, result = self.run_shared_with_tsdb()
         assert store.scrapes > 0 and store.total_samples > 0
-        assert fingerprint(result, ["s1", "s2"], ["F", "G", "P", "Q"]) == (
-            GOLDEN_SHARED
-        )
+        assert shared_fingerprint(result) == expected(__name__)["shared"]
 
 
 class TestParallelEqualsSerial:

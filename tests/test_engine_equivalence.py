@@ -3,8 +3,8 @@
 ``tests/fixtures/engine_equivalence.json`` was generated on the commit
 before ``ClusterSimulator`` compiled its graphs into call plans and gave
 priority containers the idle start FCFS containers had
-(``PYTHONPATH=src python -m tests.test_engine_equivalence`` rewrites it
-from whatever ``repro`` is importable).  That commit sent every call at a
+(``PYTHONPATH=src python -m tests.pinned engine_equivalence`` rewrites
+it).  That commit sent every call at a
 priority container through ``_Job`` → ``push`` → ``_dispatch`` → a
 sort-based ``pop`` and expanded ``calls_per_request`` lazily per node.
 Per case the fixture pins the generated / completed / dropped counts,
@@ -29,11 +29,8 @@ same change.
 """
 
 import functools
-import hashlib
 import json
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core import ErmsScaler, ServiceSpec
@@ -55,18 +52,7 @@ from repro.simulator import (
 )
 from repro.telemetry import TelemetryConfig, TelemetrySink
 from repro.workloads import StaticRate, analytic_profile, social_network
-
-FIXTURE = Path(__file__).parent / "fixtures" / "engine_equivalence.json"
-
-
-def _digest(buffers):
-    digest = hashlib.sha256()
-    for name in sorted(buffers):
-        minutes, values = buffers[name]
-        digest.update(f"{name}:{len(values)};".encode())
-        digest.update(np.frombuffer(minutes, dtype=np.float64).tobytes())
-        digest.update(np.frombuffer(values, dtype=np.float64).tobytes())
-    return digest.hexdigest()
+from tests.pinned import expected, sha_buffers
 
 
 def _record(result, **extra):
@@ -75,8 +61,8 @@ def _record(result, **extra):
         "completed": dict(sorted(result.completed.items())),
         "dropped": dict(sorted(result.dropped_requests.items())),
         "events": result.events_processed,
-        "e2e": _digest(result._e2e),
-        "own": _digest(result._own),
+        "e2e": sha_buffers(result._e2e),
+        "own": sha_buffers(result._own),
         **extra,
     }
 
@@ -335,13 +321,9 @@ def record(case):
     return json.loads(json.dumps(CASES[case]()))
 
 
-def _expected():
-    return json.loads(FIXTURE.read_text())
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_replay_matches_the_parent_engine(case):
-    want, have = _expected()[case], record(case)
+    want, have = expected(__name__)[case], record(case)
     assert sorted(have) == sorted(want)
     for key in want:
         assert have[key] == want[key], f"{case}: {key}"
@@ -349,29 +331,23 @@ def test_replay_matches_the_parent_engine(case):
 
 def test_cases_cover_what_they_claim():
     """Queues really form, kills really hit queued jobs, faults really fire."""
-    expected = _expected()
-    assert set(expected) == set(CASES)
-    idle, saturated = expected["social_idle"], expected["social_saturated"]
+    pinned = expected(__name__)
+    assert set(pinned) == set(CASES)
+    idle, saturated = pinned["social_idle"], pinned["social_saturated"]
     assert idle["completed"] == idle["generated"]
     assert min(saturated["completed"].values()) > 1_000
     for case in ("three_ranks", "two_ranks_default", "strict_priority"):
-        assert min(expected[case]["completed"].values()) > 1_000, case
-    kills = expected["scale_down_and_kills"]
+        assert min(pinned[case]["completed"].values()) > 1_000, case
+    kills = pinned["scale_down_and_kills"]
     assert kills["containers"] == 2
     assert min(kills["affected"]) > 0
     assert sum(kills["dropped"].values()) == kills["affected"][1]
     assert sum(kills["completed"].values()) < sum(kills["generated"].values())
-    chaos = expected["social_chaos_resilience"]["resilience"]
+    chaos = pinned["social_chaos_resilience"]["resilience"]
     assert chaos["crashes"] == 1 and chaos["restarts"] == 1
     assert chaos["errors_injected"] > 0 and chaos["retries"] > 0
-    telemetry = expected["social_telemetry"]
+    telemetry = pinned["social_telemetry"]
     assert telemetry["traces"] == sum(telemetry["completed"].values())
     assert telemetry["spans"] > 10 * telemetry["traces"]
-    assert len(expected["autoscaled"]["scaling_events"]) >= 3
+    assert len(pinned["autoscaled"]["scaling_events"]) >= 3
 
-
-if __name__ == "__main__":  # regenerate the fixture from the importable repro
-    FIXTURE.parent.mkdir(exist_ok=True)
-    lines = [f"{json.dumps(c)}: {json.dumps(record(c))}" for c in CASES]
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {FIXTURE} ({FIXTURE.stat().st_size} bytes, {len(lines)} cases)")

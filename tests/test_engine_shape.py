@@ -14,10 +14,7 @@ is one FCFS station pushes no event and builds no call record while
 every other run still does.
 """
 
-import builtins
 import gc
-import os
-import sys
 import weakref
 from collections import Counter, deque, namedtuple
 
@@ -26,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.core import ServiceSpec
 from repro.graphs import CallNode, DependencyGraph, call
 from repro.resilience import (
@@ -52,7 +48,7 @@ from repro.telemetry import (
     TimeSeriesStore,
 )
 from repro.telemetry import hooks as telemetry_hooks
-from tests.helpers import gc_residue
+from tests.helpers import count_calls, counted_run, gc_residue
 from tests.test_engine_equivalence import _social_simulator
 
 
@@ -83,34 +79,14 @@ def _shared_pair(rate, p_threads, seed=2, containers=2, telemetry=None):
     )
 
 
-def _count_calls(monkeypatch, cls, name, counts):
-    """Count calls of ``cls.name`` in ``counts[name]``."""
-    operation = getattr(cls, name)
-
-    def counted(self, *args):
-        counts[name] += 1
-        return operation(self, *args)
-
-    monkeypatch.setattr(cls, name, counted)
-
-
 class TestEngineShape:
     @pytest.fixture
     def counts(self, monkeypatch):
         """Call plans compiled; calls made of the policy's queue operations."""
         counts = {"_CallPlan": 0, "append": 0, "popleft": 0}
-
-        class CountedPlan(simulation._CallPlan):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                counts["_CallPlan"] += 1
-                super().__init__(*args)
-
-        monkeypatch.setattr(simulation, "_CallPlan", CountedPlan)
-
-        _count_calls(monkeypatch, PriorityQueuePolicy, "append", counts)
-        _count_calls(monkeypatch, PriorityQueuePolicy, "popleft", counts)
+        count_calls(monkeypatch, simulation._CallPlan, "__init__", counts, "_CallPlan")
+        count_calls(monkeypatch, PriorityQueuePolicy, "append", counts)
+        count_calls(monkeypatch, PriorityQueuePolicy, "popleft", counts)
         return counts
 
     def test_idle_priority_containers_start_jobs_directly(self, counts):
@@ -168,7 +144,7 @@ class TestEngineShape:
         """Idle, queued and re-queued starts all stamp ``note_processing``,
         and each finished call is one own-latency sample."""
         hooks = {"note_processing": 0}
-        _count_calls(monkeypatch, TelemetrySink, "note_processing", hooks)
+        count_calls(monkeypatch, TelemetrySink, "note_processing", hooks)
         # P near saturation on 4 × 2 threads; H and C (64 threads) stay idle
         sim = _shared_pair(
             rate=100_000.0, p_threads=2, containers=4, telemetry=TelemetrySink()
@@ -327,10 +303,10 @@ class TestResilienceShape:
 
         monkeypatch.setattr(manager, "_Attempt", Counted)
         fired = {"fire": 0}
-        _count_calls(monkeypatch, manager._DeadlineLane, "fire", fired)
-        _count_calls(monkeypatch, manager.ResilienceManager, "_breaker_for", counts)
+        count_calls(monkeypatch, manager._DeadlineLane, "fire", fired)
+        count_calls(monkeypatch, manager.ResilienceManager, "_breaker_for", counts)
         for name in ("allow", "record_success", "record_failure"):
-            _count_calls(monkeypatch, CircuitBreaker, name, counts)
+            count_calls(monkeypatch, CircuitBreaker, name, counts)
         pushed = Counter()
         push = EventQueue.push
 
@@ -367,59 +343,14 @@ class TestResilienceShape:
         assert counts["record_failure"] == stats["errors_injected"]
 
 
-#: Frames CPython 3.12 no longer makes (PEP 709 inlines comprehensions).
-_INLINED = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
-
-
-def _counted_run(simulator, modules, repro_only=False):
-    """``simulator.run()`` under ``sys.setprofile``, the cycle collector off.
-
-    Python-level calls (``"call"`` events; comprehensions not counted, and
-    with ``repro_only`` only frames whose code is under ``repro/``), calls
-    of the builtin ``len`` from those frames (``"c_call"`` events),
-    objects built per class of ``modules`` (calls of its ``__init__``),
-    heap pushes before and during ``run()``, and the events processed.
-    """
-    inits = {
-        cls.__init__.__code__: name
-        for module in modules
-        for name, cls in vars(module).items()
-        if isinstance(cls, type)
-        and cls.__module__ == module.__name__
-        and "__init__" in vars(cls)
-    }
-    root = os.path.dirname(repro.__file__) + os.sep if repro_only else ""
-    calls = lens = 0
-    built = {}
-
-    def profile(frame, event, arg):
-        nonlocal calls, lens
-        if event == "call":
-            code = frame.f_code
-            if code.co_name not in _INLINED and code.co_filename.startswith(root):
-                calls += 1
-            name = inits.get(code)
-            if name is not None:
-                built[name] = built.get(name, 0) + 1
-        elif event == "c_call" and arg is builtins.len:
-            if frame.f_code.co_filename.startswith(root):
-                lens += 1
-
+def _counted_replay(simulator, modules, repro_only=False):
+    """``simulator.run()`` counted (``tests.helpers.counted_run``), with
+    the heap pushes before and during it, the events processed and the
+    requests completed."""
     before = simulator.events._counter
-    previous, collecting = sys.getprofile(), gc.isenabled()
-    gc.collect()  # no finalizer of other code's garbage runs in the count
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        result = simulator.run()
-    finally:
-        sys.setprofile(previous)
-        if collecting:
-            gc.enable()
+    result, counts = counted_run(simulator.run, modules, repro_only)
     return {
-        "python_calls": calls,
-        "len_calls": lens,
-        "built": dict(sorted(built.items())),
+        **counts,
         "pushed_before": before,
         "pushed": simulator.events._counter,
         "events": result.events_processed,
@@ -428,21 +359,21 @@ def _counted_run(simulator, modules, repro_only=False):
 
 
 def counted_call_path(rate=20_000.0, duration=0.05):
-    """One seed-0 bare Social Network replay, counted (``_counted_run``):
+    """One seed-0 bare Social Network replay, counted (``_counted_replay``):
     records of ``repro.simulator.simulation`` and ``.events``, every frame."""
-    return _counted_run(
+    return _counted_replay(
         _social_simulator(rate, duration, seed=0), (simulation, engine_events)
     )
 
 
 def counted_observed_path(sink):
     """One seed-0 ``_observed_replay(0.06, sink, faults=True)``, counted
-    (``_counted_run``): records of the event queue, simulation, resilience
+    (``_counted_replay``): records of the event queue, simulation, resilience
     manager and telemetry hooks modules, frames of ``repro`` code only.  A
     short run first does the lazy imports, whatever ran before."""
     _observed_replay(0.01, sink, faults=True)
     simulator, _ = _observed_simulator(0.06, sink, faults=True)
-    return _counted_run(
+    return _counted_replay(
         simulator,
         (engine_events, simulation, manager, telemetry_hooks),
         repro_only=True,
@@ -648,19 +579,8 @@ class TestOneStation:
     def built(self, monkeypatch):
         """Per-call records constructed, by class name."""
         built = {"_Call": 0, "_RequestDone": 0}
-
-        def counting(cls):
-            class Counted(cls):
-                __slots__ = ()
-
-                def __init__(self, *args):
-                    built[cls.__name__] += 1
-                    super().__init__(*args)
-
-            monkeypatch.setattr(simulation, cls.__name__, Counted)
-
-        counting(simulation._Call)
-        counting(simulation._RequestDone)
+        for cls in (simulation._Call, simulation._RequestDone):
+            count_calls(monkeypatch, cls, "__init__", built, cls.__name__)
         return built
 
     def test_a_probe_pushes_no_event_and_builds_no_record(self, built):

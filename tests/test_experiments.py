@@ -22,6 +22,7 @@ from repro.experiments import (
 from repro.experiments.interference import multipliers_from_placement
 from repro.simulator import InterferenceModel, SimulatedMicroservice
 from repro.workloads import DiurnalRate, generate_taobao, hotel_reservation
+from tests.helpers import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -243,21 +244,13 @@ class TestStaticSweepReplays:
         """The sweep's rows and its number of ``ClusterSimulator.run`` calls."""
         from repro.simulator import ClusterSimulator
 
-        runs = []
-        run = ClusterSimulator.run
-
-        def counted(simulator):
-            runs.append(simulator)
-            return run(simulator)
-
-        ClusterSimulator.run = counted
-        try:
+        runs = {"run": 0}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            count_calls(monkeypatch, ClusterSimulator, "run", runs)
             sweep = run_static_sweep(
                 hotel, _five_schemes(), simulate=True, **self.GRID, **self.SIM
             )
-        finally:
-            ClusterSimulator.run = run
-        return sweep.rows, len(runs)
+        return sweep.rows, runs["run"]
 
     def test_rows_equal_replaying_every_cell_on_its_own(self, reference, serial):
         assert len(serial[0]) == 20

@@ -14,7 +14,7 @@ from repro.core import (
 from repro.graphs import DependencyGraph, GraphPlan, call
 from repro.workloads import generate_taobao
 
-from tests.helpers import make_profile
+from tests.helpers import count_calls, make_profile
 
 
 def shared_pair(gamma1=40_000.0, gamma2=40_000.0, sla=300.0):
@@ -93,12 +93,6 @@ class TestAllocatorShape:
         specs, profiles = population.services, population.profiles
         counts = {"compiled": 0, "walked": 0, "virtual": 0}
 
-        compile_plan = GraphPlan.__init__
-
-        def compiled(plan, root):
-            counts["compiled"] += 1
-            compile_plan(plan, root)
-
         class Walked(list):
             """A node's stage list that counts how often it is iterated."""
 
@@ -106,10 +100,7 @@ class TestAllocatorShape:
                 counts["walked"] += 1
                 return super().__iter__()
 
-        def constructed(params):
-            counts["virtual"] += 1
-
-        monkeypatch.setattr(GraphPlan, "__init__", compiled)
+        count_calls(monkeypatch, GraphPlan, "__init__", counts, "compiled")
         clear_merge_cache()
         clear_targets_memo()
         first = ErmsScaler().scale(specs, profiles)
@@ -119,7 +110,7 @@ class TestAllocatorShape:
         for spec in specs:
             for node in spec.graph.nodes():
                 node.stages = Walked(node.stages)
-        monkeypatch.setattr(VirtualParams, "__post_init__", constructed)
+        count_calls(monkeypatch, VirtualParams, "__post_init__", counts, "virtual")
         clear_merge_cache()
         clear_targets_memo()
         again = ErmsScaler().scale(specs, profiles)

@@ -40,7 +40,8 @@ from repro.telemetry import (
     render_top,
     write_run_report,
 )
-from tests.test_determinism_golden import GOLDEN_SHARED, fingerprint
+from tests.pinned import expected
+from tests.test_determinism_golden import shared_fingerprint, shared_simulator
 
 _MS = 60_000.0
 
@@ -56,32 +57,6 @@ def _get_json(url):
     return json.loads(body)
 
 
-def _shared_simulator(sink):
-    """The golden shared-fanout topology with a telemetry sink attached."""
-    s1 = ServiceSpec(
-        "s1",
-        DependencyGraph("s1", call("F", stages=[[call("P"), call("Q")]])),
-        0.0,
-        300.0,
-    )
-    s2 = ServiceSpec(
-        "s2", DependencyGraph("s2", call("G", stages=[[call("P")]])), 0.0, 300.0
-    )
-    return ClusterSimulator(
-        [s1, s2],
-        {
-            "F": SimulatedMicroservice("F", 4.0, 2),
-            "G": SimulatedMicroservice("G", 6.0, 2),
-            "P": SimulatedMicroservice("P", 3.0, 4),
-            "Q": SimulatedMicroservice("Q", 5.0, 2),
-        },
-        containers={"F": 2, "G": 2, "P": 2, "Q": 2},
-        rates={"s1": 9_000.0, "s2": 6_000.0},
-        config=SimulationConfig(duration_min=0.5, warmup_min=0.1, seed=42),
-        telemetry=sink,
-    )
-
-
 @pytest.fixture(scope="module")
 def shared_run():
     """One served golden run, probed mid-flight; server kept alive."""
@@ -89,7 +64,7 @@ def shared_run():
         config=TelemetryConfig(window_min=0.25, spans=False, max_traces=0),
         timeseries=TimeSeriesStore(TimeSeriesConfig(scrape_interval_min=0.1)),
     )
-    simulator = _shared_simulator(sink)
+    simulator = shared_simulator(telemetry=sink)
     source = RunSource(
         sink, simulator=simulator, meta={"app": "shared-fanout", "seed": 42}
     )
@@ -148,9 +123,9 @@ class TestLiveEndpoints:
 
     def test_golden_fingerprint_with_server_attached(self, shared_run):
         """Serving mid-run must not shift a single RNG draw or event."""
-        assert fingerprint(
-            shared_run.result, ["s1", "s2"], ["F", "G", "P", "Q"]
-        ) == GOLDEN_SHARED
+        assert shared_fingerprint(shared_run.result) == (
+            expected("tests.test_determinism_golden")["shared"]
+        )
 
     def test_server_never_reads_result_samples_midrun(self, shared_run):
         assert shared_run.midrun["latency_readers"] <= {

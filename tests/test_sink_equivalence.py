@@ -6,9 +6,9 @@ bumped a per-minute counter that each window tick flushed into call-count
 samples, divided by the containers in rotation at that tick.  The sink
 now fills ``sink.metrics`` once, at ``finalize``, from the engine's
 own-latency columns, keeping only the divisor each tick saw.  The digests
-below were taken from the per-call recorder (``PYTHONPATH=src python -m
-tests.test_sink_equivalence`` prints them for whatever ``repro`` is
-importable).  Each covers the sorted own latencies and call counts (as
+in ``tests/fixtures/sink_equivalence.json`` were taken from the per-call
+recorder (``PYTHONPATH=src python -m tests.pinned sink_equivalence``
+rewrites them).  Each covers the sorted own latencies and call counts (as
 ``float.hex``), the utilization samples and the JSON run report, its
 engine-throughput fields masked (``tests.helpers.mask_throughput``) and
 keys added to the report since projected away
@@ -29,6 +29,7 @@ import pytest
 from repro.experiments.harness import RunSpec
 from repro.telemetry import build_run_report
 from tests.helpers import mask_throughput, pinned_report
+from tests.pinned import expected
 
 #: Near the thresholds where Hotel Reservation's allocation at
 #: interference 3 changes, so the autoscaler's decisions differ.
@@ -62,13 +63,6 @@ CASES = {
     "replay": _replay,
 }
 
-EXPECTED = {
-    "autoscaled_window_0.3": "aa0f387ebe59ed6e9f54201992b941dc7913b65a9de2852ed1ae60d19ab2d139",
-    "autoscaled_window_1.5": "7dc522a5b8891e5c3f589f2f38690c31f53e5d60587de66a5bd75f5776cf4a5f",
-    "autoscaled_chaos_resilience": "cdbaef1ee521b18a0759273810c501ba52032cab463b0d48024f5541ccec43b7",
-    "replay": "f5df732725ff105f4a85a505ef80c3b3aaaf16b0abfbb7933a5d72d0367c8e98",
-}
-
 
 def digest(spec, sink, result):
     store = sink.metrics
@@ -89,6 +83,10 @@ def digest(spec, sink, result):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def record(case):
+    return digest(*CASES[case]())
+
+
 @pytest.fixture(scope="module")
 def runs():
     return {case: CASES[case]() for case in CASES}
@@ -96,7 +94,7 @@ def runs():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_store_matches_the_per_call_recorder(case, runs):
-    assert digest(*runs[case]) == EXPECTED[case]
+    assert digest(*runs[case]) == expected(__name__)[case]
 
 
 def test_cases_cover_what_they_claim(runs):
@@ -111,7 +109,3 @@ def test_cases_cover_what_they_claim(runs):
     _, _, result = runs["autoscaled_chaos_resilience"]
     assert result.resilience["errors_injected"] > 0
 
-
-if __name__ == "__main__":
-    for case in CASES:
-        print(f"    {case!r}: {digest(*CASES[case]())!r},")

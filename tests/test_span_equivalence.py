@@ -1,9 +1,8 @@
 """The columnar span store is observably identical to the object path.
 
 ``tests/fixtures/span_equivalence.json`` was generated on the commit
-before the span table existed (``PYTHONPATH=src python -m
-tests.test_span_equivalence`` rewrites it from whatever ``repro`` is
-importable), so these tests pin:
+before the span table existed (``PYTHONPATH=src python -m tests.pinned
+span_equivalence`` rewrites it), so these tests pin:
 
 * materialised ``sink.traces`` — ids, parent ids, microservice, kind,
   start, end, timings, order — hash-identical to the old tuple→object
@@ -23,9 +22,7 @@ Erms allocation, an error window and a latency spike on the busiest
 microservice, default resilience policies, TSDB attached.
 """
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -50,8 +47,8 @@ from repro.telemetry.analysis import AnalysisOptions, analyze_run
 from repro.tracing import TracingCoordinator
 from repro.workloads import social_network
 from tests.helpers import mask_throughput, pinned_report
+from tests.pinned import expected, sha_lines
 
-FIXTURE = Path(__file__).parent / "fixtures" / "span_equivalence.json"
 WINDOW_MIN = 0.05
 
 #: name -> (seed, duration_min, TelemetryConfig extras, coordinator?, tight timeout?)
@@ -138,14 +135,6 @@ def observe(case: str):
     return sink, result, analysis, report
 
 
-def _sha(parts) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
 def trace_lines(traces):
     """Every field of every span and timing, in order, floats by repr."""
     for trace in traces:
@@ -167,19 +156,19 @@ def _graph_lines(node, depth=0):
             yield from _graph_lines(child, depth + 1)
 
 
-def digests(case: str) -> dict:
+def record(case: str) -> dict:
     sink, result, analysis, report = observe(case)
     out = {
         "traces": len(sink.traces),
         "spans": sum(len(t.spans) for t in sink.traces),
         "kept": sink.kept_traces,
-        "traces_sha": _sha(trace_lines(sink.traces)),
-        "analysis_sha": _sha([json.dumps(analysis.to_dict())]),
+        "traces_sha": sha_lines(trace_lines(sink.traces)),
+        "analysis_sha": sha_lines([json.dumps(analysis.to_dict())]),
     }
     if not CASES[case][4]:
         # a run that drops late spans says so in its report (new field)
         pinned = mask_throughput(pinned_report(report))
-        out["report_sha"] = _sha([json.dumps(pinned)])
+        out["report_sha"] = sha_lines([json.dumps(pinned)])
     coordinator = sink.coordinator
     if coordinator is not None:
         lines = []
@@ -189,14 +178,13 @@ def digests(case: str) -> dict:
             for name, values in sorted(coordinator.latency_samples(service).items()):
                 lines.append(f"{name} {values!r}")
             lines.extend(trace_lines(coordinator.traces[service]))
-        out["coordinator_sha"] = _sha(lines)
+        out["coordinator_sha"] = sha_lines(lines)
     return out
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_identical_to_object_path(case):
-    expected = json.loads(FIXTURE.read_text())[case]
-    assert digests(case) == expected
+    assert record(case) == expected(__name__)[case]
 
 
 def test_decomposition_exact_and_live_metrics_match_posthoc():
@@ -210,8 +198,3 @@ def test_decomposition_exact_and_live_metrics_match_posthoc():
     assert sorted(sink.metrics.call_counts, key=key) == sorted(posthoc.call_counts, key=key)
     assert sink.metrics.utilization == posthoc.utilization
 
-
-if __name__ == "__main__":  # regenerate the fixture from the importable repro
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps({c: digests(c) for c in sorted(CASES)}, indent=1) + "\n")
-    print(FIXTURE.read_text())
