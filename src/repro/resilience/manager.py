@@ -21,18 +21,19 @@ call record, so a timed-out attempt's late completion is ignored and a
 failed attempt is retried (a fresh record) without the join noticing.
 A call site's breaker, deadline lane and error windows are resolved the
 first time the site is seen.  References run one way, from a call up to
-what it completes into: attempt → the caller's call record and span, and
-a sampled attempt's own span wraps the attempt (``_SpanDone.inner``).
-Nothing points back down — ``submit_children`` reads the span the
-children attach to off the continuation it is handed — so a finished
-call's records are freed by reference count, not left as cycles for the
-collector.  The one other holder of a pending attempt is the manager's
-:class:`_DeadlineLane` for its timeout length, until the attempt finishes
-or times out; a deadline that never fires costs no heap event.  All
-randomness (error draws, backoff jitter) comes from the manager's
-dedicated RNG — the engine's pinned draw order is never touched, and with
-the manager absent the engine pays one ``is not None`` branch per arrival
-and per stage fan-out.
+what it completes into: attempt → the caller's call record, and the span
+its engine call hangs under (``span``: the calling record, itself a span
+when its request is sampled).  A sampled attempt's span is its engine
+call record, which copies its caller's ordinal and microservice as values
+when it is sent.  Nothing points back down, so a finished call's records
+are freed by reference count, not left as cycles for the collector — a
+request the manager fails included.  The one other holder of a pending
+attempt is the manager's :class:`_DeadlineLane` for its timeout length,
+until the attempt finishes or times out; a deadline that never fires
+costs no heap event.  All randomness (error draws, backoff jitter) comes
+from the manager's dedicated RNG — the engine's pinned draw order is
+never touched, and with the manager absent the engine pays one ``is not
+None`` branch per arrival and per stage fan-out.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.resilience.policies import (
     CircuitBreaker,
     ResiliencePolicies,
 )
-from repro.telemetry.hooks import _SpanDone
 
 if TYPE_CHECKING:  # runtime import would cycle through the simulator
     from repro.simulator.simulation import ClusterSimulator
@@ -184,9 +184,9 @@ class _Attempt:
     settles the race with the timeout: ``alive`` is cleared by whichever
     of completion and lane fires first, and the loser no-ops (late
     completions are counted — stragglers the client abandoned).  A retry
-    is a fresh attempt with ``number + 1``.  The telemetry span covering
-    a sampled attempt wraps it (``_SpanDone.inner``); the attempt holds
-    no reference back.
+    is a fresh attempt with ``number + 1``.  With a sink, the engine call
+    of an attempt below the root is that attempt's span; the call holds
+    the attempt (its ``done``), never the other way round.
     """
 
     __slots__ = (
@@ -211,8 +211,10 @@ class _Attempt:
         self.service = service
         self.site = site
         self.downstream = downstream
-        #: telemetry span context (``None`` when the request is unsampled):
-        #: the request's own span at the root, the calling span below it
+        #: what the engine call's span hangs under (``_execute``'s
+        #: ``caller``): the calling ``_Call`` when it is a span, else the
+        #: request's end continuation (its trace when sampled); ``None`` at
+        #: the root, whose attempts are no spans
         self.span = span
         self.is_root = is_root
         self.number = number
@@ -238,10 +240,6 @@ class _Attempt:
                 mgr._count("breaker_fast_fails")
                 self._after_failure(t, "breaker-open")
                 return
-        inner = self
-        if self.span is not None and not self.is_root:
-            # every attempt of the call is its own span under the caller's
-            inner = mgr.tele.wrap_call(self.span, site.plan, t, self)
         lane = site.lane
         if lane is not None:  # wait in the lane until finished or timed out
             self.deadline = deadline = t + lane.length
@@ -249,7 +247,8 @@ class _Attempt:
             if not lane.armed:
                 lane.armed = True
                 mgr.events.push(deadline, lane)
-        mgr.sim._execute(self.service, (site.plan,), t, inner)
+        # with a sink, every attempt below the root is its own span
+        mgr.sim._execute(self.service, (site.plan,), t, self, self.span)
 
     def fire(self, finish: float) -> None:
         mgr = self.mgr
@@ -528,22 +527,20 @@ class ResilienceManager:
     def start_request(self, service: str, node, t: float, final) -> None:
         self.stats.requests += 1
         site = self._sites.get(node) or self._site(service, node)
-        span = final if type(final) is _SpanDone else None
         _Attempt(
-            self, _RequestCtx(service, t, final), service, site, final, span, True
+            self, _RequestCtx(service, t, final), service, site, final, None, True
         ).start(t)
 
     def submit_children(self, service: str, calls, t: float, record, done) -> None:
         """Fan one stage's calls out as resilient RPCs completing into ``record``.
 
-        ``done`` is the parent node's continuation: the telemetry span
-        wrapping its attempt — the span the children attach to — or the
-        bare attempt (the root call, whose span is the request's; any call
-        of an unsampled request, which has none).
+        ``done`` is the calling record's attempt.  The children's spans
+        hang under ``record`` when it is a span (``record.ctx``), else under
+        the request's end continuation: the trace of a sampled request,
+        whose root attempts are no spans.
         """
-        parent = done.inner if type(done) is _SpanDone else done
-        span = parent.span if parent is done else done
-        req = parent.req
+        req = done.req
+        span = record if record.ctx is not None else req.final
         sites = self._sites
         for child in calls:
             site = sites.get(child) or self._site(service, child)

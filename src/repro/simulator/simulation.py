@@ -126,8 +126,11 @@ Live telemetry
 --------------
 
 Passing a :class:`~repro.telemetry.TelemetrySink` as ``telemetry=``
-instruments the run: each call's ``done`` continuation doubles as its
-CLIENT/SERVER span record, flushed per finished request into the sink's
+instruments the run: a sampled request's call record is also its
+CLIENT/SERVER span (``ctx``, ``ordinal``, the ``parent`` ordinal and
+``caller`` microservice set when it is sent, the processing stamp when
+it gets a thread), and when its subtree completes it appends one row of
+values to its trace, flushed per finished request into the sink's
 columnar span table (``sink.traces``: lazy ``TraceRecord`` views, no
 per-span objects; ``analyze_run`` reads it as one forest — stages, Eq. 1
 and critical trees of all blocks in one pass over the columns — not
@@ -140,12 +143,14 @@ restart goes into its decision log (a ``scale_container_count`` is
 recorded by the control loop that calls it).  The sink never touches
 the engine RNG, so the pinned golden streams hold with telemetry on or
 off.  With ``telemetry=None`` and no resilience manager (the defaults)
-the hooks cost six ``is not None`` tests, each where its hook is called:
-``wrap_root`` per request (``_Arrival``), ``wrap_call`` per call sent to
-a container and ``note_processing`` per call started (``_execute``, and
-``_start`` for a queued call); for resilience, shed and start per
-request (``_Arrival``) and ``submit_children`` per stage (``_Call``) —
-still six, however the manager behind them records its attempts.
+the hooks cost nine ``is not None`` tests, each where its hook acts:
+``wrap_root`` per request (``_Arrival``); the span parent per fan-out and
+the span fields per call sent (``_execute``); the processing stamp per
+call started (``_execute``'s idle start, and ``_start`` for a queued
+call) and the row per call finished (``_Call``), both on the call's
+``ctx``, which no call has without a sink; for resilience, shed and
+start per request (``_Arrival``) and ``submit_children`` per stage
+(``_Call``).
 ``benchmarks/e2e`` measures both sides (``des_replay``,
 ``des_observed``).
 """
@@ -626,10 +631,17 @@ class _Call:
     child completing into it: ``pending`` children of ``stage`` are out
     (0 before the release), ``latest`` is the stage's last finish.
     Scale-down and kills move a waiting call by re-pointing ``container``.
+
+    A call of a sampled request is also its span (``ctx``, its trace, is
+    ``None`` otherwise): ``ordinal`` and the ``parent`` ordinal and
+    ``caller`` microservice it hangs under are set when it is sent,
+    ``proc_start`` / ``proc_ms`` / ``mult`` when it gets a thread, and
+    when its subtree completes it appends one row of values to its trace.
     """
 
     __slots__ = ("sim", "container", "service", "node", "arrival", "done",
-                 "pending", "latest", "stage")
+                 "pending", "latest", "stage", "ctx", "ordinal", "parent",
+                 "caller", "proc_start", "proc_ms", "mult")
 
     def __init__(self, sim, container, service, node, arrival, done):
         self.sim = sim
@@ -639,6 +651,7 @@ class _Call:
         self.arrival = arrival
         self.done = done
         self.pending = 0
+        self.ctx = None
 
     def fire(self, finish: float) -> None:
         pending = self.pending
@@ -668,11 +681,22 @@ class _Call:
             self.latest = finish
             self.pending = node.sizes[stage]
             res = sim._resilience
-            if res is not None:  # resilient logical RPCs, spans wrapped there
+            if res is not None:  # resilient logical RPCs
                 res.submit_children(self.service, calls, finish, self, self.done)
             else:
-                sim._execute(self.service, calls, finish, self, self.done)
+                sim._execute(self.service, calls, finish, self, self)
         else:
+            ctx = self.ctx
+            if ctx is not None:  # the span's row, as SpanTable.append_trace reads it
+                rows = ctx.rows
+                if rows is None:  # its attempt was abandoned and outlived the trace
+                    ctx.sink.drop_late_span()
+                else:
+                    rows.extend((
+                        self.arrival, finish, self.proc_start, self.proc_ms,
+                        self.mult, self.ordinal, node.microservice, self.parent,
+                        self.caller,
+                    ))
             done = self.done
             sim._call_pool.append(self)  # bounded by peak calls in flight
             done.fire(finish)
@@ -755,8 +779,8 @@ class _Arrival:
                 # The request runs as resilient logical calls (timeouts,
                 # retries, breakers) managed off the engine fast path.
                 res.start_request(name, self.root, t, done)
-            else:
-                self.sim._execute(name, (self.root,), t, done)
+            else:  # a sampled request's root call hangs under its trace
+                self.sim._execute(name, (self.root,), t, done, done)
         self.schedule_next(t)
 
     def schedule_next(self, now: float) -> None:
@@ -1226,16 +1250,30 @@ class ClusterSimulator:
         service: str,
         calls: Sequence[_CallPlan],
         t: float,
-        done: Callable[[float], None],
-        caller: Optional[Callable[[float], None]] = None,
+        done,
+        caller=None,
     ) -> None:
         """Send ``calls`` to their containers at ``t``, each completing into
         ``done``: an arrival's root, an attempt, or a stage of the record
-        ``done``, whose continuation ``caller`` carries the span context."""
+        ``done``.  With a sink, their spans hang under ``caller``: a sampled
+        ``_Call``, a sampled request's ``_TraceCtx`` (its root call; under
+        resilience, its root's stages) — anything else sends no span."""
         pool = self._call_pool
         tele = self._telemetry
         events = self.events
         now = events.now
+        trace = None
+        if tele is not None and caller is not None:
+            if type(caller) is _Call:
+                trace = caller.ctx
+                if trace is not None:
+                    parent = caller.ordinal
+                    parent_ms = caller.node.microservice
+            else:
+                parent = caller.ordinal  # None: an unsampled request's root
+                if parent is not None:
+                    trace = caller
+                    parent_ms = caller.microservice
         for node in calls:
             state = node.state
             index = state._next
@@ -1243,18 +1281,23 @@ class ClusterSimulator:
                 index = 0
             state._next = index + 1
             container = state.containers[index]
-            child = done
-            if tele is not None and caller is not None:
-                child = tele.wrap_call(caller, node, t, done)
             if pool:
                 call = pool.pop()
                 call.container = container
                 call.service = service
                 call.node = node
                 call.arrival = t
-                call.done = child
+                call.done = done
             else:
-                call = _Call(self, container, service, node, t, child)
+                call = _Call(self, container, service, node, t, done)
+            if tele is not None:
+                call.ctx = trace
+                if trace is not None:
+                    n = trace.n
+                    trace.n = n + 2  # n: the caller's client span
+                    call.ordinal = n + 1
+                    call.parent = parent
+                    call.caller = parent_ms
             queue = container.queue
             free = container.free_threads
             if free > 0 and not queue:
@@ -1273,10 +1316,10 @@ class ClusterSimulator:
                     index = 0
                 state.exp_i = index + 1
                 processing = state.exp_buf[index] * mean_ms
-                if tele is not None:
-                    tele.note_processing(
-                        child, now, processing, mean_ms / state.base_ms
-                    )
+                if trace is not None:
+                    call.proc_start = now
+                    call.proc_ms = processing
+                    call.mult = mean_ms / state.base_ms
                 count = events._counter
                 events._counter = count + 1
                 heappush(events._heap, (now + processing, count, call))
@@ -1301,11 +1344,10 @@ class ClusterSimulator:
             index = 0
         state.exp_i = index + 1
         processing = state.exp_buf[index] * mean_ms
-        tele = self._telemetry
-        if tele is not None:
-            tele.note_processing(
-                call.done, now, processing, mean_ms / state.base_ms
-            )
+        if call.ctx is not None:
+            call.proc_start = now
+            call.proc_ms = processing
+            call.mult = mean_ms / state.base_ms
         events = self.events
         count = events._counter
         events._counter = count + 1

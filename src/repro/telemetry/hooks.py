@@ -8,9 +8,11 @@ Prometheus utilization, joined per-minute by the Tracing Coordinator
 it happens —
 
 * every completed request emits a CLIENT/SERVER span pair per call (zero
-  network delay, matching the engine's timing exactly).  The span
-  continuations the engine carries anyway are the only per-call objects:
-  a finished, retained request is flushed as one block of rows into the
+  network delay, matching the engine's timing exactly).  A sampled
+  call's span is fields on the engine's own call record, which lives
+  for exactly the SERVER span's interval; when the call finishes it
+  appends one row of values to its request's :class:`_TraceCtx`, and a
+  finished, retained request is flushed as one block of rows into the
   columnar :class:`~repro.tracing.spans.SpanTable` that is
   ``sink.traces``, whose :class:`~repro.tracing.spans.TraceView` items
   (also what a :class:`~repro.tracing.coordinator.TracingCoordinator` is
@@ -27,25 +29,26 @@ it happens —
   minutes: it notes the container counts their calls divide by.
 
 The disabled path is a null check: the engine tests ``telemetry is not
-None`` once where each of the three hot-path hooks below would be called
-and touches nothing else, so a run without a sink pays a single
-predictable branch per event (``disabled_path`` in ``BENCH_des.json``
+None`` where it calls :meth:`TelemetrySink.wrap_root` and where it
+stamps a sent call's span fields, and a call's ``ctx`` (its trace, never
+set without a sink) where it stamps the processing time and writes the
+row; it touches nothing else, so a run without a sink pays a single
+predictable branch per hook (``disabled_path`` in ``BENCH_des.json``
 holds the cheapest attached sink against the bare engine; the
 ``des_replay`` / ``des_observed`` ladder of ``benchmarks/e2e`` tracks
 what each enabled layer adds).
 
 Who owns what, per request: references point from a call up to its
-caller and never back.  A :class:`_SpanDone` holds its context, its
-parent's record and the continuation it wraps (``inner``: the caller's
-engine call record, which joins its stages, or the resilience layer's
-one record per attempt, which holds the caller's span, never its own);
-the engine's call record holds the ``_SpanDone``.  The one loop,
-``_TraceCtx.calls`` → finished records → ``ctx``, is cut when the root
-span closes the trace (``_complete_trace``), so the records of a request
-that completes die by reference count with it and the cycle collector
-finds nothing (counted in ``tests/test_engine_shape.py``).  A request the resilience layer *fails*
-never fires its root continuation: its context stays open, its buffered
-spans are never flushed, and that loop is left to the collector.
+trace and never back.  A sampled call record holds its
+:class:`_TraceCtx` and copies its caller's ordinal and microservice as
+values when it is sent; the trace holds its sink, the request's end
+continuation (``inner``) and rows of values.  Nothing holds a call, so
+there is no loop: the records of a request die by reference count with
+it and the cycle collector finds nothing (counted in
+``tests/test_engine_shape.py``).  That holds for a request the
+resilience layer *fails* too: it never fires its root continuation, so
+its trace stays open and its rows are never flushed, and they are freed
+with it.
 
 Span timing contract (kept in lockstep with the engine): a call's SERVER
 span runs from the call entering its container's queue to the call's
@@ -149,74 +152,47 @@ class TelemetryConfig:
 
 
 class _TraceCtx:
-    """Per-request span context (sampled requests only).
+    """A sampled request's trace, and the continuation of its root.
 
-    ``calls`` collects the request's finished :class:`_SpanDone` records
-    in completion order; ``None`` once the root span closed the trace.
+    Each sampled call appends its span to ``rows`` as one row of values
+    when its subtree completes (``simulation._Call.fire``), in completion
+    order; ``rows`` is ``None`` once the trace closed.  A call sent under
+    the trace takes ``n + 1`` as its SERVER span's ordinal and ``n`` as
+    its caller's CLIENT span's.  ``ordinal`` / ``microservice`` are the
+    span that calls sent directly under the trace hang under: -1 /
+    ``None`` when the root call is the root span (it takes ordinal 0), 0
+    and the root's microservice when the request is — under resilience,
+    whose root attempts are no spans — and then :meth:`fire` writes the
+    request's row, the block's last.  :meth:`fire` closes the trace and
+    fires the request's end continuation (``inner``).
     """
 
-    __slots__ = ("sink", "number", "service", "start", "calls", "n")
+    __slots__ = (
+        "sink", "number", "service", "start", "inner", "rows", "n",
+        "ordinal", "microservice",
+    )
 
-    def __init__(self, sink: "TelemetrySink", number: int, service: str, start: float):
+    def __init__(self, sink: "TelemetrySink", number: int, service: str,
+                 start: float, inner, microservice: Optional[str]):
         self.sink = sink
         self.number = number
         self.service = service
         self.start = start
-        self.calls: Optional[List[_SpanDone]] = []
-        self.n = 1  # span ordinal counter (ordinal 0 is the root server span)
-
-
-class _SpanDone:
-    """Completion continuation that is also its call's span record.
-
-    :meth:`fire` runs when the call's whole subtree finishes (the
-    engine's ``done`` chain): it stamps ``finish``, joins the request's
-    finished calls, then fires the wrapped continuation (``inner``).  One record covers the
-    callee's SERVER span (``ordinal``) and, below the root, the caller's
-    CLIENT span (``ordinal - 1``, child of ``parent``'s server span).
-    The root (``parent is None``) closes the trace; a record firing after
-    that belongs to an attempt the client abandoned on timeout and is
-    dropped (``TelemetrySink.late_spans``).  ``proc_start`` / ``proc_ms``
-    / ``mult`` are stamped by ``TelemetrySink.note_processing`` when the
-    call acquires a thread: the exact queue / service / interference
-    split (``SpanTiming``).
-    """
-
-    __slots__ = (
-        "ctx",
-        "ordinal",
-        "parent",
-        "microservice",
-        "start",
-        "inner",
-        "finish",
-        "proc_start",
-        "proc_ms",
-        "mult",
-    )
-
-    def __init__(self, ctx, ordinal, parent, microservice, start, inner):
-        self.ctx = ctx
-        self.ordinal = ordinal
-        self.parent = parent
-        self.microservice = microservice
-        self.start = start
         self.inner = inner
-        self.proc_start = start
-        self.proc_ms = _NAN
-        self.mult = 1.0
+        self.rows: Optional[list] = []
+        self.microservice = microservice
+        if microservice is None:  # the root call takes ordinal 0
+            self.ordinal, self.n = -1, -1
+        else:  # the request is span 0
+            self.ordinal, self.n = 0, 1
 
     def fire(self, finish: float) -> None:
-        ctx = self.ctx
-        calls = ctx.calls
-        if calls is None:  # its attempt was abandoned and outlived the trace
-            ctx.sink.late_spans += 1
-            ctx.sink.registry.counter("spans_dropped_late").inc()
-        else:
-            self.finish = finish
-            calls.append(self)
-            if self.parent is None:
-                ctx.sink._complete_trace(ctx, finish)
+        if self.ordinal == 0:
+            self.rows.extend((
+                self.start, finish, self.start, _NAN, 1.0,
+                0, self.microservice, -1, None,
+            ))
+        self.sink._complete_trace(self, finish)
         self.inner.fire(finish)
 
 
@@ -224,6 +200,9 @@ class _E2EDone:
     """Root continuation for unsampled requests: e2e recording only."""
 
     __slots__ = ("sink", "service", "start", "inner")
+
+    #: No span for the request's calls to hang under (``_TraceCtx.ordinal``).
+    ordinal = None
 
     def __init__(self, sink, service, start, inner):
         self.sink = sink
@@ -281,6 +260,8 @@ class TelemetrySink:
         self.late_spans = 0
         self._rng = np.random.default_rng(self.config.seed)
         self._sim = None
+        #: A request is its trace's root span (``_TraceCtx``): resilience on.
+        self._request_spans = False
         self._trace_n = 0
         self._window_ms = self.config.window_min * _MS_PER_MINUTE
         self._duration_min = 0.0
@@ -296,6 +277,7 @@ class TelemetrySink:
         if self._sim is not None:
             raise RuntimeError("a TelemetrySink serves exactly one run")
         self._sim = simulator
+        self._request_spans = simulator._resilience is not None
         self._duration_min = simulator.config.duration_min
         for spec in simulator.services:
             self.monitor.slas.setdefault(spec.name, spec.sla)
@@ -324,47 +306,25 @@ class TelemetrySink:
     # Hot-path hooks (engine side guards with `telemetry is not None`)
     # ------------------------------------------------------------------
     def wrap_root(self, service: str, node, t: float, inner):
-        """Wrap a request's end continuation at arrival time ``t``."""
+        """Wrap a request's end continuation at arrival time ``t``: in a
+        :class:`_TraceCtx` when the request is sampled."""
         if self.config.spans and (
             self.config.sampling_rate >= 1.0
             or self._rng.random() < self.config.sampling_rate
         ):
             self.sampled_traces += 1
-            ctx = _TraceCtx(self, self._trace_n, service, t)
+            ctx = _TraceCtx(
+                self, self._trace_n, service, t, inner,
+                node.microservice if self._request_spans else None,
+            )
             self._trace_n += 1
-            return _SpanDone(ctx, 0, None, node.microservice, t, inner)
+            return ctx
         return _E2EDone(self, service, t, inner)
 
-    def wrap_call(self, done, child, t: float, inner):
-        """Wrap one downstream call's continuation ``inner`` (``_execute``).
-
-        ``done`` is the *parent* call's continuation; span context flows
-        through it.  Unsampled requests carry no context, so ``inner``
-        passes through untouched.
-        """
-        if type(done) is not _SpanDone:
-            return inner
-        ctx = done.ctx
-        n = ctx.n
-        ctx.n = n + 2  # n: the caller's client span, n + 1: the server span
-        return _SpanDone(ctx, n + 1, done, child.microservice, t, inner)
-
-    def note_processing(
-        self, done, start_ms: float, proc_ms: float, mult: float
-    ) -> None:
-        """Engine hook: the call behind ``done`` acquired a thread.
-
-        Called where the simulator starts a call (``ClusterSimulator._execute``,
-        or ``_start`` for a queued one) with the processing start time, the
-        drawn processing duration, and the container's interference
-        multiplier at that moment.  A no-op for unsampled requests
-        (``done`` is not a span continuation), and never touches the
-        engine RNG.
-        """
-        if type(done) is _SpanDone:
-            done.proc_start = start_ms
-            done.proc_ms = proc_ms
-            done.mult = mult
+    def drop_late_span(self) -> None:
+        """A span finished after its trace closed: its attempt was abandoned."""
+        self.late_spans += 1
+        self.registry.counter("spans_dropped_late").inc()
 
     def record_e2e(self, service: str, start: float, finish: float) -> None:
         """One completed request: SLA window sample + latency histogram."""
@@ -454,7 +414,7 @@ class TelemetrySink:
     # Trace assembly
     # ------------------------------------------------------------------
     def _complete_trace(self, ctx: _TraceCtx, finish: float) -> None:
-        calls, ctx.calls = ctx.calls, None  # closed: later spans are dropped
+        rows, ctx.rows = ctx.rows, None  # closed: later spans are dropped
         self.record_e2e(ctx.service, ctx.start, finish)
         config = self.config
         threshold = config.tail_threshold_ms
@@ -479,6 +439,6 @@ class TelemetrySink:
         if retain or coordinator is not None:
             # Past the cap, blocks are written for the coordinator alone
             # (``traces`` shows only its first ``max_traces`` blocks).
-            trace = traces.append_trace(ctx.service, ctx.number, calls)
+            trace = traces.append_trace(ctx.service, ctx.number, rows)
             if coordinator is not None:
                 coordinator.offer(trace)

@@ -397,10 +397,8 @@ class SpanForest:
         return self._paths
 
 
-#: What a block's row reads off one engine call record, in column order.
-_CALL_FIELDS = attrgetter(
-    "start", "finish", "proc_start", "proc_ms", "mult", "ordinal", "microservice", "parent"
-)
+#: Values per row of a trace's buffer (``SpanTable.append_trace``).
+ROW = 9
 
 
 class SpanTable(SequenceABC):
@@ -419,9 +417,11 @@ class SpanTable(SequenceABC):
     count.  None of it is tracked by the cyclic GC, and no id string
     exists until a view is read.  As a sequence the table shows its first
     ``limit`` traces (the sink's ``max_traces``); later blocks are reached
-    only through the view :meth:`append_trace` returned.  :meth:`forest`
-    reads every block's stages, own latencies and critical tree in one
-    pass; it is kept until the next block is appended.
+    only through the view :meth:`append_trace` returned, which takes a
+    block as the flat buffer of values the engine's call records wrote
+    (:data:`ROW` a span) and moves it into the columns one slice each.
+    :meth:`forest` reads every block's stages, own latencies and critical
+    tree in one pass; it is kept until the next block is appended.
     """
 
     def __init__(self, limit: Optional[int] = None) -> None:
@@ -436,7 +436,8 @@ class SpanTable(SequenceABC):
         self.trace_service, self.trace_number = array("i"), array("q")
         self.trace_offset, self.trace_rows = array("q"), array("i")
         self.names: List[str] = []
-        self._ids: Dict[str, int] = {}
+        #: name -> id; ``None``, the root span's caller, is -1
+        self._ids: Dict[Optional[str], int] = {None: -1}
 
     def _intern(self, name: str) -> int:
         index = self._ids.get(name)
@@ -445,41 +446,40 @@ class SpanTable(SequenceABC):
             self.names.append(name)
         return index
 
-    def append_trace(self, service: str, number: int, calls: Sequence) -> "TraceView":
-        """Flush one finished request's calls as a block of rows.
+    def append_trace(self, service: str, number: int, rows: List) -> "TraceView":
+        """Flush one finished request's spans as a block of rows.
 
-        ``calls`` (at least the root) are the engine's per-call records in
-        completion order, each with ``start`` / ``finish`` / ``proc_start``
-        / ``proc_ms`` / ``mult`` / ``ordinal`` / ``microservice`` and
-        ``parent`` (the calling record, ``None`` at the root).
+        ``rows`` is the trace's flat buffer: :data:`ROW` values a span (at
+        least the root's), in completion order — ``start``, ``finish``,
+        ``proc_start``, ``proc_ms``, ``mult``, ``ordinal``, microservice,
+        the ``parent`` ordinal (-1 at the root) and the caller's
+        microservice (``None`` at the root).
         """
         intern = self._intern
-        start, finish, proc_start, proc_ms, mult, ordinal, ms, parents = zip(
-            *map(_CALL_FIELDS, calls)
-        )
         self._forest = None
         self.trace_service.append(intern(service))
         ids = self._ids
+        names, callers = rows[6::ROW], rows[8::ROW]
         # Lists first: a new name must not leave half a column behind.  A
         # caller can be new too: its attempt may have been abandoned.
         try:
-            ms = list(map(ids.__getitem__, ms))
-            callers = [-1 if p is None else ids[p.microservice] for p in parents]
+            ms = list(map(ids.__getitem__, names))
+            callers = list(map(ids.__getitem__, callers))
         except KeyError:
-            ms = [intern(name) for name in ms]
-            callers = [-1 if p is None else intern(p.microservice) for p in parents]
+            ms = [intern(name) for name in names]
+            callers = [intern(name) for name in callers]
         self.trace_number.append(number)
         self.trace_offset.append(len(self.start))
-        self.trace_rows.append(len(calls))
-        self.start.extend(start)
-        self.finish.extend(finish)
-        self.proc_start.extend(proc_start)
-        self.proc_ms.extend(proc_ms)
-        self.mult.extend(mult)
-        self.ordinal.extend(ordinal)
-        self.ms.extend(ms)
-        self.parent.extend([-1 if p is None else p.ordinal for p in parents])
-        self.caller.extend(callers)
+        self.trace_rows.append(len(ms))
+        self.start.fromlist(rows[0::ROW])
+        self.finish.fromlist(rows[1::ROW])
+        self.proc_start.fromlist(rows[2::ROW])
+        self.proc_ms.fromlist(rows[3::ROW])
+        self.mult.fromlist(rows[4::ROW])
+        self.ordinal.fromlist(rows[5::ROW])
+        self.ms.fromlist(ms)
+        self.parent.fromlist(rows[7::ROW])
+        self.caller.fromlist(callers)
         return TraceView(self, len(self.trace_rows) - 1)
 
     def column(self, name: str) -> np.ndarray:

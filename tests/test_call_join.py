@@ -5,9 +5,11 @@ its container to its response: after the thread release the record is the
 join point of its downstream stages, and it goes back to the free list only
 once its response is delivered.  ``StageFrameSimulator`` below restores the
 engine before that — a record recycled at its thread release, one
-``_StageFrame`` per stage fanned out, ``_execute_node`` per call — as a
-differential oracle.  Under hypothesis both replay two services drawn from
-``tests/test_properties.py``'s ``shared_call_trees`` (parallel stages,
+``_StageFrame`` per stage fanned out, ``_execute_node`` per call, and a
+sampled call's span a continuation of its own (``_Span``) in place of
+fields on the call record — as a differential oracle.  Under hypothesis
+both replay two services drawn from ``tests/test_properties.py``'s
+``shared_call_trees`` (parallel stages,
 ``calls_per_request`` 0.4 / 2.5 / 3, microservices shared by several sites
 and by both services), optionally under δ-priority queues, a mid-run
 container kill, a span-recording sink and a resilience bundle, and must
@@ -37,12 +39,56 @@ from repro.simulator import (
     simulation,
 )
 from repro.telemetry import TelemetrySink
+from repro.telemetry.hooks import _TraceCtx
 from tests.test_engine_equivalence import _social_simulator
 from tests.test_properties import shared_call_trees
 from tests.pinned import sha_lines
 from tests.test_span_equivalence import trace_lines
 
 _MS_PER_MINUTE = 60_000.0
+
+
+class _Span:
+    """A sampled call's span as the continuation its subtree completes into.
+
+    Writes the row the engine's call record writes, then fires ``inner``.
+    """
+
+    __slots__ = ("ctx", "ordinal", "parent", "caller", "microservice", "start",
+                 "inner", "proc_start", "proc_ms", "mult")
+
+    def __init__(self, ctx, ordinal, parent, caller, microservice, start, inner):
+        self.ctx = ctx
+        self.ordinal = ordinal
+        self.parent = parent
+        self.caller = caller
+        self.microservice = microservice
+        self.start = start
+        self.inner = inner
+
+    def fire(self, finish):
+        rows = self.ctx.rows
+        if rows is None:
+            self.ctx.sink.drop_late_span()
+        else:
+            rows.extend((
+                self.start, finish, self.proc_start, self.proc_ms, self.mult,
+                self.ordinal, self.microservice, self.parent, self.caller,
+            ))
+        self.inner.fire(finish)
+
+
+def _span_parent(caller):
+    """``(trace, ordinal, microservice)`` of the span calls sent under
+    ``caller`` hang under: a stage of a sampled call, or a sampled
+    request's trace; ``None`` for anything else."""
+    if type(caller) is _StageFrame:
+        span = caller.done
+        if type(span) is _Span:
+            return span.ctx, span.ordinal, span.microservice
+    elif isinstance(caller, _TraceCtx):
+        return caller, caller.ordinal, caller.microservice
+    return None
 
 
 class _StageFrame:
@@ -59,6 +105,11 @@ class _StageFrame:
         self.latest = latest
         self.done = done
 
+    @property
+    def ctx(self):
+        """The trace of the calling span (``submit_children`` reads it)."""
+        return self.done.ctx if type(self.done) is _Span else None
+
     def fire(self, finish):
         if finish > self.latest:
             self.latest = finish
@@ -73,7 +124,8 @@ class _StageFrame:
 class _ThreadCall:
     """The call record recycled at its thread release."""
 
-    __slots__ = ("sim", "container", "service", "node", "arrival", "done")
+    __slots__ = ("sim", "container", "service", "node", "arrival", "done",
+                 "ctx", "proc_start", "proc_ms", "mult")
 
     def __init__(self, sim, container, service, node, arrival, done):
         self.sim = sim
@@ -88,6 +140,10 @@ class _ThreadCall:
         container = self.container
         node = self.node
         done = self.done
+        if self.ctx is not None:  # ``_start`` stamped the record: the span's
+            done.proc_start, done.proc_ms, done.mult = (
+                self.proc_start, self.proc_ms, self.mult
+            )
         sim._call_pool.append(self)
         container.free_threads += 1
         state = node.state
@@ -107,10 +163,17 @@ class StageFrameSimulator(ClusterSimulator):
 
     def _execute(self, service, calls, t, done, caller=None):
         # arrivals and resilience attempts; stages go through _run_stages
+        parent = None if self._telemetry is None else _span_parent(caller)
         for node in calls:
-            self._execute_node(service, node, t, done)
+            self._execute_node(service, node, t, done, parent)
 
-    def _execute_node(self, service, node, t, done):
+    def _execute_node(self, service, node, t, done, parent):
+        trace = None
+        if parent is not None:
+            trace, ordinal, caller = parent
+            n = trace.n
+            trace.n = n + 2
+            done = _Span(trace, n + 1, ordinal, caller, node.microservice, t, done)
         container = node.state.pick()
         pool = self._call_pool
         if pool:
@@ -122,6 +185,7 @@ class StageFrameSimulator(ClusterSimulator):
             call.done = done
         else:
             call = _ThreadCall(self, container, service, node, t, done)
+        call.ctx = trace
         queue = container.queue
         free = container.free_threads
         if free > 0 and not queue:
@@ -139,16 +203,12 @@ class StageFrameSimulator(ClusterSimulator):
         calls = stages[stage_index]
         frame = _StageFrame(self, service, node, stage_index + 1, len(calls), t, done)
         if self._resilience is not None:
-            self._resilience.submit_children(service, calls, t, frame, done)
+            attempt = done.inner if type(done) is _Span else done
+            self._resilience.submit_children(service, calls, t, frame, attempt)
             return
-        tele = self._telemetry
+        parent = None if self._telemetry is None else _span_parent(frame)
         for child in calls:
-            self._execute_node(
-                service,
-                child,
-                t,
-                frame if tele is None else tele.wrap_call(done, child, t, frame),
-            )
+            self._execute_node(service, child, t, frame, parent)
 
 
 def _calls_per_request(node):

@@ -28,7 +28,6 @@ from repro.resilience import (
 )
 from repro.simulator import ClusterSimulator, SimulatedMicroservice, SimulationConfig
 from repro.telemetry import TelemetrySink
-from repro.telemetry.hooks import _SpanDone
 from tests.pinned import sha_buffers, sha_lines
 from tests.test_resilience import make_sim
 from tests.test_span_equivalence import observe, trace_lines
@@ -73,13 +72,12 @@ class PerAttemptTimeouts(manager.ResilienceManager):
         sim = self.sim
         execute = sim._execute
 
-        def execute_timed(service, nodes, t, done):
+        def execute_timed(service, nodes, t, attempt, caller=None):
             (node,) = nodes
-            attempt = done.inner if type(done) is _SpanDone else done
             self.events.push(
                 t + self.lengths[node.microservice], _AttemptTimeout(attempt)
             )
-            execute(service, nodes, t, done)
+            execute(service, nodes, t, attempt, caller)
 
         sim._execute = execute_timed
 

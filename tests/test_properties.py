@@ -723,12 +723,27 @@ class TestColumnarMetricsStore:
 
 def _span_call(ordinal, parent, microservice, start, duration,
                queued=0.0, proc_ms=float("nan"), mult=1.0):
-    """One engine call record, as ``SpanTable.append_trace`` reads it."""
+    """One span: the fields of an engine call record, its caller's record
+    as ``parent`` (``None`` at the root)."""
     return SimpleNamespace(
         ordinal=ordinal, parent=parent, microservice=microservice,
         start=start, finish=start + duration,
         proc_start=start + queued, proc_ms=proc_ms, mult=mult,
     )
+
+
+def _rows(calls):
+    """``calls`` as the trace buffer ``SpanTable.append_trace`` reads."""
+    rows = []
+    for c in calls:
+        parent = c.parent
+        rows.extend((
+            c.start, c.finish, c.proc_start, c.proc_ms, c.mult, c.ordinal,
+            c.microservice,
+            -1 if parent is None else parent.ordinal,
+            None if parent is None else parent.microservice,
+        ))
+    return rows
 
 
 #: An attempt the client abandoned: its children reach the block, it does not.
@@ -780,7 +795,7 @@ class TestSpanForest:
     def table_of(blocks, limit=None):
         table = SpanTable(limit)
         for number, calls in enumerate(blocks):
-            table.append_trace(("svc", "alt")[number % 2], number, calls)
+            table.append_trace(("svc", "alt")[number % 2], number, _rows(calls))
         return table
 
     def check(self, table):
@@ -813,7 +828,7 @@ class TestSpanForest:
     def test_forest_equals_the_per_trace_path(self, blocks, late):
         table = self.table_of(blocks)
         self.check(table)
-        table.append_trace("svc", len(blocks), late)  # the forest is rebuilt
+        table.append_trace("svc", len(blocks), _rows(late))  # the forest is rebuilt
         self.check(table)
 
     def test_named_cases(self):
@@ -855,7 +870,7 @@ class TestSpanForest:
             analyze_run(traces=table)
         # own latencies need no root, and the table can still grow
         assert table[1].own_latencies()[1] == [1.0, 1.0, 1.0]
-        table.append_trace("svc", 2, [root])
+        table.append_trace("svc", 2, _rows([root]))
 
     def test_appended_block_is_seen_and_the_cap_only_hides(self):
         root = _span_call(0, None, "A", 0.0, 2.0)
@@ -863,13 +878,15 @@ class TestSpanForest:
         assert analyze_run(traces=table).n_traces == 1
         forest = table.forest()
         assert table.forest() is forest  # kept until the table grows
-        table.append_trace("alt", 1, [_span_call(2, root, "B", 0.5, 1.0), root])
+        table.append_trace("alt", 1, _rows([_span_call(2, root, "B", 0.5, 1.0), root]))
         assert table.forest() is not forest
         analysis = analyze_run(traces=table)
         assert analysis.n_traces == 2
         assert [row["microservice"] for row in analysis.critical_path] == ["A", "B"]
         # past the cap a block is still read (the coordinator holds its view)
-        hidden = table.append_trace("svc", 2, [_span_call(2, root, "C", 0.0, 1.5), root])
+        hidden = table.append_trace(
+            "svc", 2, _rows([_span_call(2, root, "C", 0.0, 1.5), root])
+        )
         assert len(table) == 2 and analyze_run(traces=table).n_traces == 2
         assert hidden.own_latencies() == (["C", "A"], [1.5, 0.5])
         assert [s.microservice for s in extract_critical_path(hidden).segments] == ["A", "C"]
