@@ -20,7 +20,7 @@ from repro.experiments.parallel import (
     run_cells,
 )
 from repro.experiments.reporting import format_table, render_run_report
-from repro.experiments.plots import bar_chart, cdf_table, sparkline
+from repro.experiments.plots import cdf_table, sparkline
 from repro.experiments.static import StaticSweepResult, run_static_sweep
 from repro.experiments.dynamic import DynamicResult, run_dynamic_workload
 from repro.experiments.interference import (
@@ -50,7 +50,6 @@ __all__ = [
     "simulate_profiling_sweep",
     "format_table",
     "render_run_report",
-    "bar_chart",
     "cdf_table",
     "sparkline",
     "StaticSweepResult",

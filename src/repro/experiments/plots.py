@@ -1,4 +1,4 @@
-"""Terminal plots: sparklines, bars, and CDFs for benchmark output.
+"""Terminal plots: sparklines and CDFs for benchmark output.
 
 The paper's figures become text in this reproduction; these helpers make
 the printed results legible at a glance without any plotting dependency.
@@ -6,7 +6,7 @@ the printed results legible at a glance without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,24 +26,6 @@ def sparkline(values: Sequence[float], width: int = None) -> str:
         return _BLOCKS[4] * data.size
     scaled = (data - lo) / (hi - lo) * (len(_BLOCKS) - 2)
     return "".join(_BLOCKS[int(round(v)) + 1] for v in scaled)
-
-
-def bar_chart(
-    values: Mapping[str, float], width: int = 40, fmt: str = "{:.1f}"
-) -> str:
-    """Horizontal bar chart, one labelled row per entry."""
-    if not values:
-        return "(no data)"
-    top = max(values.values())
-    label_width = max(len(str(k)) for k in values)
-    lines: List[str] = []
-    for key, value in values.items():
-        length = 0 if top <= 0 else int(round(value / top * width))
-        lines.append(
-            f"{str(key).ljust(label_width)}  "
-            f"{'█' * length}{'·' if length == 0 else ''} {fmt.format(value)}"
-        )
-    return "\n".join(lines)
 
 
 def cdf_table(

@@ -124,12 +124,22 @@ class RunDiff:
 
 
 def load_run_report(path: str) -> Dict:
-    """Read one JSON run report, validating the schema version."""
+    """Read one JSON run report, validating the schema version and the
+    shape of what the diff and the replay read: ``services`` an object of
+    objects, ``registry`` an object.  Raises ``ValueError`` naming
+    ``path`` otherwise."""
     with open(path, "r", encoding="utf-8") as handle:
         report = json.load(handle)
     schema = report.get("schema") if isinstance(report, dict) else None
     if schema != 1:
         raise ValueError(f"{path}: unsupported run-report schema {schema!r}")
+    services = report.get("services", {})
+    if not isinstance(services, dict) or not all(
+        isinstance(entry, dict) for entry in services.values()
+    ):
+        raise ValueError(f"{path}: run-report 'services' is not an object of objects")
+    if not isinstance(report.get("registry", {}), dict):
+        raise ValueError(f"{path}: run-report 'registry' is not an object")
     return report
 
 

@@ -33,10 +33,10 @@ None`` where it calls :meth:`TelemetrySink.wrap_root` and where it
 stamps a sent call's span fields, and a call's ``ctx`` (its trace, never
 set without a sink) where it stamps the processing time and writes the
 row; it touches nothing else, so a run without a sink pays a single
-predictable branch per hook (``disabled_path`` in ``BENCH_des.json``
-holds the cheapest attached sink against the bare engine; the
-``des_replay`` / ``des_observed`` ladder of ``benchmarks/e2e`` tracks
-what each enabled layer adds).
+predictable branch per hook (``tests/test_engine_shape.py`` pins the
+counted run of the bare replay and of the same replay with the cheapest
+attached sink; the ``des_replay`` / ``des_observed`` ladder of
+``benchmarks/e2e`` tracks what each enabled layer adds).
 
 Who owns what, per request: references point from a call up to its
 trace and never back.  A sampled call record holds its

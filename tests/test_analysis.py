@@ -48,6 +48,8 @@ from repro.telemetry.analysis import (
     extract_critical_path,
     refit_profile,
 )
+from repro.tracing.spans import CallTree, SpanForest
+from tests.helpers import count_calls
 
 
 def shared_simulator(telemetry=None, seed=42, duration=0.5):
@@ -529,6 +531,23 @@ class TestAnalyzeRun:
         report = build_run_report(sink, result_stub, analysis=analysis)
         assert report["analysis"]["n_traces"] == analysis.n_traces
         json.dumps(report)  # the full report stays JSON-ready
+
+    def test_a_span_table_is_read_as_one_forest(self, monkeypatch):
+        """Counts, not timings: handed the sink's ``SpanTable``,
+        critical paths and blame come off one ``SpanForest`` and no trace
+        builds a ``CallTree``; the same traces materialised build one
+        tree each."""
+        sink = run_underprovisioned()
+        records = [view.materialize() for view in sink.traces]
+        counts = {"SpanForest": 0, "from_spans": 0}
+        count_calls(monkeypatch, SpanForest, "__init__", counts, "SpanForest")
+        count_calls(monkeypatch, CallTree, "from_spans", counts)
+        inputs = dict(targets={"s1": {"F": 10.0, "P": 8.0}}, slas={"s1": 30.0})
+        analysis = analyze_run(traces=sink.traces, **inputs)
+        assert analysis.blame.violating_windows and analysis.n_traces > 1_000
+        assert counts == {"SpanForest": 1, "from_spans": 0}
+        analyze_run(traces=records, **inputs)
+        assert counts == {"SpanForest": 1, "from_spans": len(records)}
 
     def test_empty_traces_analyze_cleanly(self):
         analysis = analyze_run(traces=[])

@@ -17,8 +17,10 @@ from repro.core import (
     ServiceSpec,
     predicted_end_to_end,
 )
+from repro.core.model import Allocation, best_effort_containers
+from repro.core.scaling import apply_fcfs_shared_scaling
 from repro.graphs import DependencyGraph, call
-from repro.workloads import social_network
+from repro.workloads import generate_taobao, social_network
 
 from tests.helpers import count_calls, discontinuous_profile, make_profile
 
@@ -31,6 +33,78 @@ def sensitive_pair(workload=20_000.0, sla=300.0):
         "P": make_profile("P", slope=0.5, intercept=2.0),
     }
     return [ServiceSpec("svc", graph, workload=workload, sla=sla)], profiles
+
+
+def reference_containers(specs, profiles, rule, sweep_points=40):
+    """GrandSLAm/Rhythm container map by a straightforward scalar loop.
+
+    Every model evaluated once per sweep point, the graph folded once per
+    sweep point, ``np.corrcoef`` per microservice, then the proportional
+    SLA split, best-effort containers max-merged over services and FCFS
+    min-target scaling at shared microservices.  ``rule`` is
+    ``"grandslam"`` (weight = mean) or ``"rhythm"`` (mean × variance ×
+    |correlation|, normalised to its maximum and floored at 0.1).
+    """
+    fractions = np.linspace(0.05, 1.3, sweep_points)
+    allocation = Allocation()
+    for spec in specs:
+        graph = spec.graph
+        names = graph.microservices()
+        series = {
+            name: np.array([
+                profiles[name].model.latency(load)
+                for load in fractions * profiles[name].model.cutoff
+            ])
+            for name in names
+        }
+        e2e = np.array([
+            graph.end_to_end_latency(
+                {name: float(series[name][index]) for name in names}
+            )
+            for index in range(sweep_points)
+        ])
+        weights = {}
+        for name in names:
+            values = series[name]
+            weights[name] = float(np.mean(values))
+            if rule == "rhythm":
+                correlated = np.std(values) > 0 and np.std(e2e) > 0
+                weights[name] *= float(np.var(values)) * (
+                    abs(float(np.corrcoef(values, e2e)[0, 1])) if correlated else 0.0
+                )
+        if rule == "rhythm":
+            top = max(weights.values())
+            weights = {
+                name: max(value / top, 0.1) if top > 0 else 1.0
+                for name, value in weights.items()
+            }
+        fold = graph.end_to_end_latency(weights)
+        allocation.targets[spec.name] = targets = {
+            name: spec.sla * weights[name] / fold for name in names
+        }
+        workloads = spec.microservice_workloads()
+        for name in names:
+            allocation.containers[name] = max(
+                allocation.containers.get(name, 0),
+                best_effort_containers(
+                    profiles[name].model, workloads[name], targets[name]
+                ),
+            )
+    apply_fcfs_shared_scaling(specs, profiles, allocation.targets, allocation)
+    return allocation.containers
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("scheme", [GrandSLAm, Rhythm])
+    def test_scheme_allocates_like_the_scalar_loop(self, scheme):
+        # ≈ 860 (service, microservice) pairs over a shared pool of 250
+        population = generate_taobao(
+            n_services=20, mean_graph_size=40, shared_pool=250, seed=0
+        )
+        specs, profiles = population.services, population.profiles
+        assert scheme().scale(specs, profiles).containers == (
+            reference_containers(specs, profiles, scheme.name)
+        )
 
 
 class TestStats:

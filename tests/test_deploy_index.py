@@ -6,6 +6,9 @@
 * ``MockKubeApi``'s per-microservice pod index answers every query the
   way a scan of the store would, after any sequence of mutations, and
   the per-deployment queries look only at that deployment's pods.
+* After a pass that places every pod and one that releases half of them,
+  on hosts with uneven background load, each deployment's active pods,
+  its desired count and its containers on the cluster agree.
 * A control period's deploy stage follows what the period ships: pods
   whose bands already match keep their dict, and a host's container dict
   is walked once per question asked about it (index build, mean
@@ -145,6 +148,37 @@ class TestOneIndexPerPass:
         ]
         assert got == expected
         assert "host-000" not in {node for _, node in got}
+
+
+class TestPodsMatchTheCluster:
+    @pytest.mark.parametrize(
+        "provisioner",
+        [InterferenceAwareProvisioner, KubernetesDefaultProvisioner],
+    )
+    def test_scale_up_then_halve(self, provisioner):
+        api, cluster, controller = make_controller(hosts=20, provisioner=provisioner())
+        for i, host in enumerate(cluster.hosts):
+            host.background_cpu = (i % 7) * 2.0
+            host.background_memory_mb = (i % 5) * 2_000.0
+        sizes = [
+            ContainerSpec(cpu=0.1, memory_mb=200.0),
+            ContainerSpec(cpu=0.2, memory_mb=300.0),
+            ContainerSpec(cpu=0.4, memory_mb=800.0),
+        ]
+        desired = {f"ms-{i:02d}": 1 + i % 7 for i in range(42)}
+        halved = {name: count // 2 for name, count in desired.items()}
+        controller.apply_allocation(
+            desired, {name: sizes[i % 3] for i, name in enumerate(desired)}
+        )
+        assert controller.reconcile() == desired
+        controller.tick(10.0)
+        controller.apply_allocation(halved)
+        assert controller.reconcile() == {
+            name: halved[name] - count for name, count in desired.items()
+        }
+        placed = cluster.placement()
+        for name, count in halved.items():
+            assert api.active_replicas(name) == count == placed.get(name, 0)
 
 
 class TestPerDeploymentReads:

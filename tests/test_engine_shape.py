@@ -377,6 +377,25 @@ def counted_call_path(rate=20_000.0, duration=0.05):
     )
 
 
+def counted_sink_off_path(rate=20_000.0, duration=0.05):
+    """``counted_call_path``'s replay with the cheapest sink attached — no
+    spans, no retained trace, four windows — counted (``_counted_replay``):
+    records of the simulation, event queue and telemetry hooks modules,
+    frames of ``repro`` code only.  A short run first does the lazy
+    imports, whatever ran before."""
+
+    def simulator(duration):
+        sink = TelemetrySink(
+            config=TelemetryConfig(window_min=duration / 4, spans=False, max_traces=0)
+        )
+        return _social_simulator(rate, duration, seed=0, telemetry=sink)
+
+    simulator(0.01).run()
+    return _counted_replay(
+        simulator(duration), (simulation, engine_events, telemetry_hooks), repro_only=True
+    )
+
+
 def counted_observed_path(sink):
     """One seed-0 ``_observed_replay(0.06, sink, faults=True)``, counted
     (``_counted_replay``): records of the event queue, simulation, resilience
@@ -435,6 +454,21 @@ class TestCallPathShape:
         assert counted["pushed"] == counted["pushed_before"] + counted["events"]
         assert counted["built"]["_Call"] <= peak_calls_in_flight()
 
+    def test_the_cheapest_sink_costs_a_pinned_amount(self):
+        """``counted_sink_off_path()`` pinned for equality
+        (``record("sink-off")``): the same traffic as the bare replay, one
+        ``_E2EDone`` per request, and one event and ``_Fire`` per window
+        tick on top of the bare replay's events.  It made 253 238
+        Python-level calls of ``repro`` code (the bare replay makes
+        226 075 counting every frame) and 459 ``len()`` calls, nearly all
+        from the window ticks' per-container snapshots."""
+        counted = counted_sink_off_path()
+        assert counted == expected(__name__)["sink-off"]
+        bare = expected(__name__)["bare"]
+        assert counted["completed"] == counted["built"]["_E2EDone"] == bare["completed"]
+        assert counted["events"] == bare["events"] + counted["built"]["_Fire"]
+        assert counted["pushed"] == counted["pushed_before"] + counted["events"]
+
 
 class TestObservedCallPathShape:
     """The observed replay's counted run (ROADMAP item 2, second slice).
@@ -474,7 +508,7 @@ class TestObservedCallPathShape:
 
     @pytest.mark.parametrize("rung", sorted(MAX_CALLS))
     def test_one_record_per_attempt(self, rung):
-        counted = counted_observed_path(sink=CASES[rung])
+        counted = CASES[rung]()
         assert counted.pop("python_calls") <= self.MAX_CALLS[rung]
         assert counted.pop("len_calls") <= self.MAX_LEN[rung]
         assert counted == expected(__name__)[rung]
@@ -482,19 +516,23 @@ class TestObservedCallPathShape:
 
 
 #: The counted runs pinned in ``tests/fixtures/engine_shape.json``: the
-#: bare replay (``counted_call_path``) and the observed replay's rungs
-#: (``counted_observed_path(sink)``, the value is ``sink``).
-CASES = {"bare": None, "resilience": False, "sink+resilience": True}
+#: bare replay, the same replay with the cheapest sink attached and the
+#: observed replay's rungs.
+CASES = {
+    "bare": counted_call_path,
+    "sink-off": counted_sink_off_path,
+    "resilience": lambda: counted_observed_path(sink=False),
+    "sink+resilience": lambda: counted_observed_path(sink=True),
+}
 
 
 def record(case):
     """What ``case``'s counted run pins for equality: everything, except
     the observed rungs' Python-level and ``len()`` calls, held under
     bounds in ``TestObservedCallPathShape``."""
-    if CASES[case] is None:
-        return counted_call_path()
-    counted = counted_observed_path(sink=CASES[case])
-    del counted["python_calls"], counted["len_calls"]
+    counted = CASES[case]()
+    if case in TestObservedCallPathShape.MAX_CALLS:
+        del counted["python_calls"], counted["len_calls"]
     return counted
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import bar_chart, cdf_table, sparkline
+from repro.experiments import cdf_table, sparkline
 
 
 class TestSparkline:
@@ -22,23 +22,6 @@ class TestSparkline:
 
     def test_empty(self):
         assert sparkline([]) == ""
-
-
-class TestBarChart:
-    def test_rows_per_entry(self):
-        chart = bar_chart({"a": 10.0, "b": 5.0})
-        assert len(chart.splitlines()) == 2
-
-    def test_longest_bar_for_max(self):
-        lines = bar_chart({"a": 10.0, "b": 5.0}, width=10).splitlines()
-        assert lines[0].count("█") > lines[1].count("█")
-
-    def test_zero_value_marked(self):
-        chart = bar_chart({"a": 10.0, "b": 0.0})
-        assert "·" in chart
-
-    def test_empty(self):
-        assert bar_chart({}) == "(no data)"
 
 
 class TestCdfTable:

@@ -101,11 +101,39 @@ class TestDiffVerdicts:
 
 
 class TestDiffIO:
+    MALFORMED = [
+        {"schema": 99},
+        {"schema": 1, "services": {"a": 5}},
+        {"schema": 1, "services": [1, 2]},
+        {"schema": 1, "registry": []},
+    ]
+
     def test_load_rejects_unknown_schema(self, tmp_path):
+        """A report of another schema, or one whose ``services`` or
+        ``registry`` the diff cannot read, is refused by name."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": 99}))
-        with pytest.raises(ValueError):
-            load_run_report(str(path))
+        for report in self.MALFORMED:
+            path.write_text(json.dumps(report))
+            with pytest.raises(ValueError, match="bad.json"):
+                load_run_report(str(path))
+
+    def test_cli_diff_of_a_malformed_report_is_a_usage_error(self, tmp_path, capsys):
+        """Exit 2 and one error line, not a traceback (exit 1 would read
+        as a regression) or a verdict over services that are not there."""
+        from repro.cli import main
+
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"schema": 1}))
+        for report in self.MALFORMED[1:]:
+            bad.write_text(json.dumps(report))
+            for pair in ((bad, bad), (bad, good), (good, bad)):
+                assert main(["report", "--diff", *map(str, pair)]) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.count("\n") == 1 and err.startswith("repro: error: ")
+                assert "bad.json" in err
+            assert main(["serve", "--replay", str(bad)]) == 3
+            capsys.readouterr()
 
     def test_cli_diff_same_seed_exits_zero(self, tmp_path, capsys):
         from repro.cli import main
