@@ -22,24 +22,14 @@ Package layout:
 
 __version__ = "1.0.0"
 
-from repro.core import (
-    Allocation,
-    ErmsScaler,
-    LatencySegment,
-    MicroserviceProfile,
-    PiecewiseLatencyModel,
-    ServiceSpec,
-)
-from repro.graphs import DependencyGraph, call
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "Allocation",
-    "ErmsScaler",
-    "LatencySegment",
-    "MicroserviceProfile",
-    "PiecewiseLatencyModel",
-    "ServiceSpec",
-    "DependencyGraph",
-    "call",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "core.model": (
+        "Allocation", "LatencySegment", "MicroserviceProfile",
+        "PiecewiseLatencyModel", "ServiceSpec",
+    ),
+    "core.scaling": ("ErmsScaler",),
+    "graphs.dependency": ("DependencyGraph", "call"),
+})
+__all__.insert(0, "__version__")

@@ -18,20 +18,13 @@ evaluation), and treat shared microservices with default FCFS min-target
 scaling.
 """
 
-from repro.baselines.base import (
-    MicroserviceStats,
-    ProfileStatisticsError,
-    stats_from_profiles,
-)
-from repro.baselines.grandslam import GrandSLAm
-from repro.baselines.rhythm import Rhythm
-from repro.baselines.firm import Firm
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "MicroserviceStats",
-    "ProfileStatisticsError",
-    "stats_from_profiles",
-    "GrandSLAm",
-    "Rhythm",
-    "Firm",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "base": (
+        "MicroserviceStats", "ProfileStatisticsError", "stats_from_profiles",
+    ),
+    "grandslam": ("GrandSLAm",),
+    "rhythm": ("Rhythm",),
+    "firm": ("Firm",),
+})

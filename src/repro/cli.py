@@ -60,18 +60,10 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from repro.baselines import Firm, GrandSLAm, ProfileStatisticsError, Rhythm
-from repro.core import ErmsScaler
+from repro.baselines import ProfileStatisticsError
 from repro.core.model import InfeasibleSLAError
+from repro.experiments.reporting import format_table
 from repro.graphs import GraphValidationError
-from repro.experiments import (
-    RunSpec,
-    format_table,
-    render_run_report,
-    run_static_sweep,
-    run_trace_simulation,
-)
-from repro.experiments.harness import replay_sink
 from repro.workloads import generate_taobao
 
 EXIT_USAGE = 2
@@ -91,10 +83,7 @@ class UsageError(CLIError):
     """Bad argument values — exit code 2, matching argparse's own."""
 
 
-_SPEC_FIELDS = [field.name for field in dataclasses.fields(RunSpec)]
-
-
-def _spec(args: argparse.Namespace, **fixed) -> RunSpec:
+def _spec(args: argparse.Namespace, **fixed):
     """The one conversion from parsed flags to the run they describe.
 
     Every flag whose ``dest`` names a :class:`RunSpec` field is taken;
@@ -103,10 +92,13 @@ def _spec(args: argparse.Namespace, **fixed) -> RunSpec:
     of the recipe raises from where it is built, and ``main`` is the one
     place that turns that into an exit code.
     """
+    from repro.experiments.harness import RunSpec
+
     flags = dict(vars(args), **fixed)
     if "sampling" in flags:  # the dest of ``report --sampling-rate``
         flags["sampling_rate"] = flags["sampling"]
-    return RunSpec(**{name: flags[name] for name in _SPEC_FIELDS if name in flags})
+    fields = [field.name for field in dataclasses.fields(RunSpec)]
+    return RunSpec(**{name: flags[name] for name in fields if name in flags})
 
 
 def _logger_for(args: argparse.Namespace, seed: int = 0):
@@ -279,6 +271,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.baselines import Firm, GrandSLAm, Rhythm
+    from repro.core.scaling import ErmsScaler
+    from repro.experiments.harness import replay_sink
+    from repro.experiments.static import run_static_sweep
+
     spec = _spec(args)
     app = spec.application
     schemes = [ErmsScaler(), ErmsScaler(use_priority=False), GrandSLAm(), Rhythm(), Firm()]
@@ -345,6 +342,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_sim(args: argparse.Namespace) -> int:
+    from repro.baselines import GrandSLAm, Rhythm
+    from repro.core.scaling import ErmsScaler
+    from repro.experiments.trace_sim import run_trace_simulation
+
     workload = generate_taobao(n_services=args.services, seed=args.seed)
     schemes = [ErmsScaler(), ErmsScaler(use_priority=False), GrandSLAm(), Rhythm()]
     with _run_pool(args.workers) as pool:
@@ -405,6 +406,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         return 1 if diff.regressions else 0
 
+    from repro.experiments.reporting import render_run_report
     from repro.telemetry import (
         build_run_report,
         write_chrome_trace,

@@ -18,108 +18,34 @@ Submodules:
   plan → act, Fig. 6) and ``ErmsController``, the loop that deploys.
 """
 
-from repro.core.model import (
-    Allocation,
-    ContainerSpec,
-    InfeasibleSLAError,
-    LatencySegment,
-    MicroserviceProfile,
-    PiecewiseLatencyModel,
-    ServiceSpec,
-    containers_for_target,
-)
-from repro.core.merge import (
-    MergedGraph,
-    MergeTreeCache,
-    VirtualParams,
-    clear_merge_cache,
-    distribute_targets,
-    merge_graph,
-    merge_tree_cache,
-    parallel_merge,
-    sequential_merge,
-)
-from repro.core.latency_targets import (
-    ServiceTargets,
-    clear_targets_memo,
-    compute_service_targets,
-    predicted_end_to_end,
-    set_targets_memo,
-    targets_memo_stats,
-)
-from repro.core.multiplexing import (
-    MultiplexedAllocation,
-    SharedScenario,
-    assign_priorities,
-    modified_workloads,
-    resource_usage_fcfs_sharing,
-    resource_usage_non_sharing,
-    resource_usage_priority_bound,
-    scale_with_priorities,
-    shared_microservices,
-)
-from repro.core.scaling import (
-    Autoscaler,
-    ErmsScaler,
-    delta_schedule_probabilities,
-)
-from repro.core.controller import ControlLoop, ControllerReport, ErmsController
-from repro.core.provisioning import (
-    Cluster,
-    ClusterIndex,
-    Host,
-    InterferenceAwareProvisioner,
-    KubernetesDefaultProvisioner,
-    PlacementAction,
-    PlacementPlan,
-    Provisioner,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Allocation",
-    "ContainerSpec",
-    "InfeasibleSLAError",
-    "LatencySegment",
-    "MicroserviceProfile",
-    "PiecewiseLatencyModel",
-    "ServiceSpec",
-    "containers_for_target",
-    "MergedGraph",
-    "MergeTreeCache",
-    "VirtualParams",
-    "clear_merge_cache",
-    "distribute_targets",
-    "merge_graph",
-    "merge_tree_cache",
-    "parallel_merge",
-    "sequential_merge",
-    "ServiceTargets",
-    "clear_targets_memo",
-    "compute_service_targets",
-    "predicted_end_to_end",
-    "set_targets_memo",
-    "targets_memo_stats",
-    "MultiplexedAllocation",
-    "SharedScenario",
-    "assign_priorities",
-    "modified_workloads",
-    "resource_usage_fcfs_sharing",
-    "resource_usage_non_sharing",
-    "resource_usage_priority_bound",
-    "scale_with_priorities",
-    "shared_microservices",
-    "Autoscaler",
-    "ErmsScaler",
-    "delta_schedule_probabilities",
-    "ControlLoop",
-    "ControllerReport",
-    "ErmsController",
-    "Cluster",
-    "ClusterIndex",
-    "Host",
-    "InterferenceAwareProvisioner",
-    "KubernetesDefaultProvisioner",
-    "PlacementAction",
-    "PlacementPlan",
-    "Provisioner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "model": (
+        "Allocation", "ContainerSpec", "InfeasibleSLAError", "LatencySegment",
+        "MicroserviceProfile", "PiecewiseLatencyModel", "ServiceSpec",
+        "containers_for_target",
+    ),
+    "merge": (
+        "MergedGraph", "MergeTreeCache", "VirtualParams", "clear_merge_cache",
+        "distribute_targets", "merge_graph", "merge_tree_cache",
+        "parallel_merge", "sequential_merge",
+    ),
+    "latency_targets": (
+        "ServiceTargets", "clear_targets_memo", "compute_service_targets",
+        "predicted_end_to_end", "set_targets_memo", "targets_memo_stats",
+    ),
+    "multiplexing": (
+        "MultiplexedAllocation", "SharedScenario", "assign_priorities",
+        "modified_workloads", "resource_usage_fcfs_sharing",
+        "resource_usage_non_sharing", "resource_usage_priority_bound",
+        "scale_with_priorities", "shared_microservices",
+    ),
+    "scaling": ("Autoscaler", "ErmsScaler", "delta_schedule_probabilities"),
+    "controller": ("ControlLoop", "ControllerReport", "ErmsController"),
+    "provisioning": (
+        "Cluster", "ClusterIndex", "Host", "InterferenceAwareProvisioner",
+        "KubernetesDefaultProvisioner", "PlacementAction", "PlacementPlan",
+        "Provisioner",
+    ),
+})

@@ -159,10 +159,12 @@ class ServiceSpec:
     sla: float
 
     def __post_init__(self) -> None:
-        if self.workload < 0:
-            raise ValueError(f"workload must be non-negative, got {self.workload}")
-        if self.sla <= 0:
-            raise ValueError(f"sla must be positive, got {self.sla}")
+        if not 0 <= self.workload < math.inf:
+            raise ValueError(
+                f"workload must be non-negative and finite, got {self.workload}"
+            )
+        if not 0 < self.sla < math.inf:
+            raise ValueError(f"sla must be positive and finite, got {self.sla}")
 
     def microservice_workloads(self) -> Dict[str, float]:
         """Total workload (req/min) each microservice receives from this service."""

@@ -19,21 +19,11 @@ mock of the Kubernetes API:
   microservice.
 """
 
-from repro.deployment.objects import (
-    Deployment,
-    Pod,
-    PodPhase,
-)
-from repro.deployment.api import ApiEvent, MockKubeApi
-from repro.deployment.controller import DeploymentController
-from repro.deployment.priority import NetworkPriorityConfigurator
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Deployment",
-    "Pod",
-    "PodPhase",
-    "ApiEvent",
-    "MockKubeApi",
-    "DeploymentController",
-    "NetworkPriorityConfigurator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "objects": ("Deployment", "Pod", "PodPhase"),
+    "api": ("ApiEvent", "MockKubeApi"),
+    "controller": ("DeploymentController",),
+    "priority": ("NetworkPriorityConfigurator",),
+})

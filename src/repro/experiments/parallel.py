@@ -51,6 +51,13 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _worker_count(workers: int) -> int:
+    """``workers`` with ``0`` read as one per CPU; a negative count raises."""
+    if workers < 0:
+        raise ValueError(f"workers must be non-negative, got {workers}")
+    return workers or default_workers()
+
+
 # ----------------------------------------------------------------------
 # Shared read-only context
 # ----------------------------------------------------------------------
@@ -153,14 +160,15 @@ class WorkerPool:
     context object — identical context objects are free.
 
     Args:
-        workers: Process count (``0`` = one per CPU).
+        workers: Process count (``0`` = one per CPU; negative raises
+            ``ValueError``).
         measure: Record per-map dispatch statistics (payload bytes) in
             :attr:`last_map_stats`; costs one extra pickle per payload,
             so it is off by default and only used by benchmarks.
     """
 
     def __init__(self, workers: int = 0, measure: bool = False) -> None:
-        self.workers = workers if workers > 0 else default_workers()
+        self.workers = _worker_count(workers)
         self.measure = measure
         #: Statistics of the most recent parallel map (measure=True only):
         #: ``{"cells": int, "payload_bytes": int, "chunksize": int}``.
@@ -295,9 +303,10 @@ def run_cells(
             RNG seed.  Inside ``fn``, :func:`get_context` returns the
             shared context on both the serial and the parallel path.
         cells: Cell payloads; results come back in the same order.
-        workers: Process count.  ``<= 1`` runs serially in-process;
-            ``0`` means "one per CPU" (:func:`default_workers`).
-            Ignored when ``pool`` is given.
+        workers: Process count.  ``1`` runs serially in-process;
+            ``0`` means "one per CPU" (:func:`default_workers`); a
+            negative count raises ``ValueError``.  Otherwise ignored
+            when ``pool`` is given.
         context: Shared read-only context for this map.  ``None`` keeps
             the pool's current context (or no context).
         pool: A persistent :class:`WorkerPool` to reuse; worker start-up
@@ -313,13 +322,12 @@ def run_cells(
         infrastructure failures are absorbed by the serial fallback.
     """
     cells = list(cells)
+    workers = _worker_count(workers)
     if pool is not None:
         if context is not None:
             pool.set_context(context)
         return pool.map(fn, cells)
-    if workers == 0:
-        workers = default_workers()
-    if workers <= 1 or len(cells) <= 1:
+    if workers == 1 or len(cells) <= 1:
         return _run_serial(fn, cells, context)
     with WorkerPool(min(workers, len(cells))) as ephemeral:
         ephemeral.set_context(context)

@@ -12,16 +12,11 @@ Erms core merges them into chains of virtual microservices, and the cluster
 simulator binds them to live containers — all through :class:`GraphPlan`.
 """
 
-from repro.graphs.dependency import CallNode, DependencyGraph, GraphPlan, call
-from repro.graphs.validation import GraphValidationError, validate_graph
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CallNode",
-    "DependencyGraph",
-    "GraphPlan",
-    "call",
-    "GraphValidationError",
-    "validate_graph",
-    # repro.graphs.clustering is imported lazily by its users to avoid a
-    # circular import with repro.tracing (whose merge rule it reuses).
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    # repro.graphs.clustering is imported by its users, not exported: it
+    # reuses repro.tracing's merge rule.
+    "dependency": ("CallNode", "DependencyGraph", "GraphPlan", "call"),
+    "validation": ("GraphValidationError", "validate_graph"),
+})

@@ -16,42 +16,16 @@ and a small MLP) are implemented from scratch for the Fig. 10 accuracy
 comparison.
 """
 
-from repro.profiling.piecewise import PiecewiseFit, fit_piecewise
-from repro.profiling.decision_tree import DecisionTreeRegressor
-from repro.profiling.interference import (
-    InterferenceAwareModel,
-    fit_interference_model,
-)
-from repro.profiling.extended import (
-    ExtendedInterferenceModel,
-    fit_extended_model,
-)
-from repro.profiling.baselines import (
-    GradientBoostedTrees,
-    MLPRegressor,
-)
-from repro.profiling.dataset import (
-    ProfilingDataset,
-    SyntheticMicroservice,
-    generate_synthetic_day,
-)
-from repro.profiling.accuracy import accuracy_score, mape, r_squared, within_tolerance
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "PiecewiseFit",
-    "fit_piecewise",
-    "DecisionTreeRegressor",
-    "InterferenceAwareModel",
-    "fit_interference_model",
-    "ExtendedInterferenceModel",
-    "fit_extended_model",
-    "GradientBoostedTrees",
-    "MLPRegressor",
-    "ProfilingDataset",
-    "SyntheticMicroservice",
-    "generate_synthetic_day",
-    "accuracy_score",
-    "mape",
-    "r_squared",
-    "within_tolerance",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "piecewise": ("PiecewiseFit", "fit_piecewise"),
+    "decision_tree": ("DecisionTreeRegressor",),
+    "interference": ("InterferenceAwareModel", "fit_interference_model"),
+    "extended": ("ExtendedInterferenceModel", "fit_extended_model"),
+    "baselines": ("GradientBoostedTrees", "MLPRegressor"),
+    "dataset": (
+        "ProfilingDataset", "SyntheticMicroservice", "generate_synthetic_day",
+    ),
+    "accuracy": ("accuracy_score", "mape", "r_squared", "within_tolerance"),
+})

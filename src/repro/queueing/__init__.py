@@ -9,24 +9,10 @@ two-class priority queue, and the sharing-vs-partitioning comparison,
 cross-validated against the discrete-event simulator in the test suite.
 """
 
-from repro.queueing.mmc import (
-    MMc,
-    erlang_c,
-    mm1_mean_response,
-    mm1_mean_wait,
-)
-from repro.queueing.priority import MM1Priority
-from repro.queueing.sharing import (
-    sharing_vs_partitioning,
-    SharingComparison,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "MMc",
-    "erlang_c",
-    "mm1_mean_response",
-    "mm1_mean_wait",
-    "MM1Priority",
-    "sharing_vs_partitioning",
-    "SharingComparison",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "mmc": ("MMc", "erlang_c", "mm1_mean_response", "mm1_mean_wait"),
+    "priority": ("MM1Priority",),
+    "sharing": ("sharing_vs_partitioning", "SharingComparison"),
+})

@@ -17,41 +17,17 @@ resilience=policies)``.  With neither attached the engine is untouched —
 golden determinism fingerprints are bit-identical.
 """
 
-from repro.resilience.chaos import (
-    ChaosSchedule,
-    CrashEvent,
-    ErrorWindow,
-    LatencySpike,
-    SpikeMultiplier,
-)
-from repro.resilience.manager import ResilienceManager, ResilienceStats
-from repro.resilience.policies import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    AdmissionPolicy,
-    CircuitBreaker,
-    CircuitBreakerPolicy,
-    ResiliencePolicies,
-    RetryPolicy,
-    TimeoutPolicy,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AdmissionPolicy",
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "ChaosSchedule",
-    "CircuitBreaker",
-    "CircuitBreakerPolicy",
-    "CrashEvent",
-    "ErrorWindow",
-    "LatencySpike",
-    "ResilienceManager",
-    "ResiliencePolicies",
-    "ResilienceStats",
-    "RetryPolicy",
-    "SpikeMultiplier",
-    "TimeoutPolicy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "chaos": (
+        "ChaosSchedule", "CrashEvent", "ErrorWindow", "LatencySpike",
+        "SpikeMultiplier",
+    ),
+    "manager": ("ResilienceManager", "ResilienceStats"),
+    "policies": (
+        "BREAKER_CLOSED", "BREAKER_HALF_OPEN", "BREAKER_OPEN",
+        "AdmissionPolicy", "CircuitBreaker", "CircuitBreakerPolicy",
+        "ResiliencePolicies", "RetryPolicy", "TimeoutPolicy",
+    ),
+})

@@ -18,6 +18,7 @@ dedicated RNG for the same reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -214,8 +215,10 @@ class ChaosSchedule:
         """
         if not microservices:
             raise ValueError("microservices must be non-empty")
-        if duration_min <= 0:
-            raise ValueError("duration_min must be positive")
+        if not 0 < duration_min < math.inf:
+            raise ValueError(
+                f"duration_min must be positive and finite, got {duration_min}"
+            )
         rng = np.random.default_rng(seed)
         names = list(microservices)
         lo, hi = 0.1 * duration_min, 0.9 * duration_min

@@ -13,32 +13,18 @@ piecewise-linear shape of paper Fig. 3, so the simulator doubles as the
 ground truth that :mod:`repro.profiling` profiles and Erms controls.
 """
 
-from repro.simulator.events import EventQueue
-from repro.simulator.scheduler import PriorityQueuePolicy
-from repro.simulator.simulation import (
-    ClusterSimulator,
-    SimulatedMicroservice,
-    SimulationConfig,
-    SimulationResult,
-)
-from repro.simulator.interference import InterferenceModel
-from repro.simulator.injection import InterferenceSchedule
-from repro.simulator.autoscaled import (
-    AutoscaleConfig,
-    AutoscaledResult,
-    AutoscaledSimulation,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "EventQueue",
-    "PriorityQueuePolicy",
-    "ClusterSimulator",
-    "SimulatedMicroservice",
-    "SimulationConfig",
-    "SimulationResult",
-    "InterferenceModel",
-    "InterferenceSchedule",
-    "AutoscaleConfig",
-    "AutoscaledResult",
-    "AutoscaledSimulation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "events": ("EventQueue",),
+    "scheduler": ("PriorityQueuePolicy",),
+    "simulation": (
+        "ClusterSimulator", "SimulatedMicroservice", "SimulationConfig",
+        "SimulationResult",
+    ),
+    "interference": ("InterferenceModel",),
+    "injection": ("InterferenceSchedule",),
+    "autoscaled": (
+        "AutoscaleConfig", "AutoscaledResult", "AutoscaledSimulation",
+    ),
+})

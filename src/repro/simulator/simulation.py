@@ -157,6 +157,7 @@ start per request (``_Arrival``) and ``submit_children`` per stage
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from collections import deque
@@ -231,8 +232,10 @@ class SimulationConfig:
     record_own_latency: bool = True
 
     def __post_init__(self) -> None:
-        if self.duration_min <= 0:
-            raise ValueError("duration_min must be positive")
+        if not 0 < self.duration_min < math.inf:
+            raise ValueError(
+                f"duration_min must be positive and finite, got {self.duration_min}"
+            )
         if not 0 <= self.warmup_min < self.duration_min:
             raise ValueError("warmup_min must be in [0, duration_min)")
         if self.scheduling not in ("fcfs", "priority"):

@@ -17,94 +17,34 @@ and replay of archived run reports) attached to a run via the CLI's
 ``--serve`` flag or :class:`ObservabilityServer` directly.
 """
 
-from repro.telemetry.hooks import TelemetryConfig, TelemetrySink
-from repro.telemetry.monitor import (
-    AlertEvent,
-    DecisionLog,
-    DecisionRecord,
-    ErrorBudgetAlert,
-    SLAMonitor,
-    WindowStats,
-)
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_latency_buckets,
-    parse_prometheus_text,
-)
-from repro.telemetry.export import (
-    build_run_report,
-    chrome_trace_events,
-    run_state,
-    write_chrome_trace,
-    write_run_report,
-)
-from repro.telemetry.timeseries import (
-    AlertRule,
-    RecordingRule,
-    RuleAlert,
-    RuleSet,
-    TimeSeriesConfig,
-    TimeSeriesStore,
-    load_rules,
-    parse_selector,
-)
-from repro.telemetry.diff import RunDiff, diff_run_reports
-from repro.telemetry.dashboard import (
-    dashboard_css,
-    dashboard_data,
-    render_dashboard,
-    render_dashboard_body,
-    write_dashboard,
-)
-from repro.telemetry.logging import StructuredLogger
-from repro.telemetry.serve import (
-    ObservabilityServer,
-    RunSource,
-    load_replay_source,
-    render_top,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AlertEvent",
-    "AlertRule",
-    "Counter",
-    "DecisionLog",
-    "DecisionRecord",
-    "ErrorBudgetAlert",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ObservabilityServer",
-    "RecordingRule",
-    "RuleAlert",
-    "RuleSet",
-    "RunDiff",
-    "RunSource",
-    "SLAMonitor",
-    "StructuredLogger",
-    "TelemetryConfig",
-    "TelemetrySink",
-    "TimeSeriesConfig",
-    "TimeSeriesStore",
-    "WindowStats",
-    "build_run_report",
-    "chrome_trace_events",
-    "dashboard_css",
-    "dashboard_data",
-    "default_latency_buckets",
-    "diff_run_reports",
-    "load_replay_source",
-    "load_rules",
-    "parse_prometheus_text",
-    "parse_selector",
-    "render_dashboard",
-    "render_dashboard_body",
-    "render_top",
-    "run_state",
-    "write_chrome_trace",
-    "write_dashboard",
-    "write_run_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "hooks": ("TelemetryConfig", "TelemetrySink"),
+    "monitor": (
+        "AlertEvent", "DecisionLog", "DecisionRecord", "ErrorBudgetAlert",
+        "SLAMonitor", "WindowStats",
+    ),
+    "registry": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "default_latency_buckets", "parse_prometheus_text",
+    ),
+    "export": (
+        "build_run_report", "chrome_trace_events", "run_state",
+        "write_chrome_trace", "write_run_report",
+    ),
+    "timeseries.rules": (
+        "AlertRule", "RecordingRule", "RuleAlert", "RuleSet", "load_rules",
+    ),
+    "timeseries.store": ("TimeSeriesConfig", "TimeSeriesStore"),
+    "timeseries.query": ("parse_selector",),
+    "diff": ("RunDiff", "diff_run_reports"),
+    "dashboard": (
+        "dashboard_css", "dashboard_data", "render_dashboard",
+        "render_dashboard_body", "write_dashboard",
+    ),
+    "logging": ("StructuredLogger",),
+    "serve": (
+        "ObservabilityServer", "RunSource", "load_replay_source", "render_top",
+    ),
+})

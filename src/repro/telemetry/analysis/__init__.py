@@ -23,44 +23,19 @@ Tail-based sampling itself lives in the sink
 blame tests violating-trace *presence*, never healthy-traffic rates.
 """
 
-from repro.telemetry.analysis.blame import (
-    BlameEntry,
-    BlameReport,
-    PriorityInversion,
-    attribute_blame,
-)
-from repro.telemetry.analysis.critical_path import (
-    CriticalPath,
-    PathSegment,
-    critical_path_summary,
-    extract_critical_path,
-)
-from repro.telemetry.analysis.drift import (
-    DriftReport,
-    DriftThresholds,
-    detect_profile_drift,
-    refit_profile,
-)
-from repro.telemetry.analysis.report import (
-    AnalysisOptions,
-    RunAnalysis,
-    analyze_run,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AnalysisOptions",
-    "BlameEntry",
-    "BlameReport",
-    "CriticalPath",
-    "DriftReport",
-    "DriftThresholds",
-    "PathSegment",
-    "PriorityInversion",
-    "RunAnalysis",
-    "analyze_run",
-    "attribute_blame",
-    "critical_path_summary",
-    "detect_profile_drift",
-    "extract_critical_path",
-    "refit_profile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "blame": (
+        "BlameEntry", "BlameReport", "PriorityInversion", "attribute_blame",
+    ),
+    "critical_path": (
+        "CriticalPath", "PathSegment", "critical_path_summary",
+        "extract_critical_path",
+    ),
+    "drift": (
+        "DriftReport", "DriftThresholds", "detect_profile_drift",
+        "refit_profile",
+    ),
+    "report": ("AnalysisOptions", "RunAnalysis", "analyze_run"),
+})

@@ -6,50 +6,19 @@ functions, and :mod:`~repro.telemetry.timeseries.rules` for the
 recording/alerting rules engine.
 """
 
-from repro.telemetry.timeseries.query import (
-    Expr,
-    Matcher,
-    Selector,
-    evaluate,
-    parse_expr,
-    parse_selector,
-    range_functions,
-)
-from repro.telemetry.timeseries.rules import (
-    AlertRule,
-    RecordingRule,
-    RuleAlert,
-    RuleEngine,
-    RuleSet,
-    load_rules,
-)
-from repro.telemetry.timeseries.store import (
-    Bin,
-    Series,
-    TimeSeriesConfig,
-    TimeSeriesStore,
-    parse_metric_name,
-    series_key,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AlertRule",
-    "Bin",
-    "Expr",
-    "Matcher",
-    "RecordingRule",
-    "RuleAlert",
-    "RuleEngine",
-    "RuleSet",
-    "Selector",
-    "Series",
-    "TimeSeriesConfig",
-    "TimeSeriesStore",
-    "evaluate",
-    "load_rules",
-    "parse_expr",
-    "parse_metric_name",
-    "parse_selector",
-    "range_functions",
-    "series_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "query": (
+        "Expr", "Matcher", "Selector", "evaluate", "parse_expr",
+        "parse_selector", "range_functions",
+    ),
+    "rules": (
+        "AlertRule", "RecordingRule", "RuleAlert", "RuleEngine", "RuleSet",
+        "load_rules",
+    ),
+    "store": (
+        "Bin", "Series", "TimeSeriesConfig", "TimeSeriesStore",
+        "parse_metric_name", "series_key",
+    ),
+})

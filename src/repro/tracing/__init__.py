@@ -9,33 +9,15 @@ parallel), derives per-microservice latency via paper Eq. 1, and assembles
 per-minute profiling samples.
 """
 
-from repro.tracing.spans import (
-    Span,
-    SpanKind,
-    SpanTiming,
-    TraceRecord,
-    synthesize_trace,
-)
-from repro.tracing.coordinator import TracingCoordinator
-from repro.tracing.metrics import MetricsStore, UtilizationSample
-from repro.tracing.serialization import (
-    dump_traces,
-    load_traces,
-    trace_from_dict,
-    trace_to_dict,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "SpanKind",
-    "SpanTiming",
-    "TraceRecord",
-    "synthesize_trace",
-    "TracingCoordinator",
-    "MetricsStore",
-    "UtilizationSample",
-    "dump_traces",
-    "load_traces",
-    "trace_from_dict",
-    "trace_to_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "spans": (
+        "Span", "SpanKind", "SpanTiming", "TraceRecord", "synthesize_trace",
+    ),
+    "coordinator": ("TracingCoordinator",),
+    "metrics": ("MetricsStore", "UtilizationSample"),
+    "serialization": (
+        "dump_traces", "load_traces", "trace_from_dict", "trace_to_dict",
+    ),
+})

@@ -11,44 +11,14 @@
   Taobao-scale service populations for the Fig. 16 simulations.
 """
 
-from repro.workloads.arrival import (
-    DiurnalRate,
-    StaticRate,
-    SteppedRate,
-    TraceRate,
-)
-from repro.workloads.deathstarbench import (
-    Application,
-    analytic_profile,
-    hotel_reservation,
-    media_service,
-    social_network,
-)
-from repro.workloads.alibaba import (
-    TaobaoWorkload,
-    generate_taobao,
-    sharing_counts,
-)
-from repro.workloads.prediction import (
-    HoltPredictor,
-    LastValuePredictor,
-    WorkloadPredictor,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DiurnalRate",
-    "StaticRate",
-    "SteppedRate",
-    "TraceRate",
-    "Application",
-    "analytic_profile",
-    "hotel_reservation",
-    "media_service",
-    "social_network",
-    "TaobaoWorkload",
-    "generate_taobao",
-    "sharing_counts",
-    "HoltPredictor",
-    "LastValuePredictor",
-    "WorkloadPredictor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "arrival": ("DiurnalRate", "StaticRate", "SteppedRate", "TraceRate"),
+    "deathstarbench": (
+        "Application", "analytic_profile", "hotel_reservation",
+        "media_service", "social_network",
+    ),
+    "alibaba": ("TaobaoWorkload", "generate_taobao", "sharing_counts"),
+    "prediction": ("HoltPredictor", "LastValuePredictor", "WorkloadPredictor"),
+})

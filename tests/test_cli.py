@@ -357,6 +357,14 @@ class TestCommands:
         ("compare", "--workloads", "-5", 2, "workload"),
         ("simulate", "--duration", "0", 2, "duration_min"),
         ("chaos", "--duration", "0", 2, "duration_min"),
+        ("simulate", "--duration", "inf", 2, "duration_min"),
+        ("chaos", "--duration", "inf", 2, "duration_min"),
+        ("scale", "--workload", "inf", 2, "workload"),
+        ("scale", "--workload", "nan", 2, "workload"),
+        ("scale", "--sla", "inf", 2, "sla"),
+        ("simulate", "--sla", "nan", 2, "sla"),
+        ("trace-sim", "--workers", "-1", 2, "workers"),
+        ("compare", "--workers", "-1", 2, "workers"),
         ("chaos", "--chaos-error-rate", "7", 2, "error_rate"),
         ("report", "--interval", "0", 2, "interval_min"),
         ("trace-sim", "--services", "0", 2, "n_services"),

@@ -127,12 +127,14 @@ class TestServiceSpec:
         }
 
     def test_negative_workload_rejected(self):
-        with pytest.raises(ValueError, match="workload"):
-            ServiceSpec("svc", fig1_graph(), workload=-1.0, sla=100.0)
+        for bad in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"workload .* got {bad}"):
+                ServiceSpec("svc", fig1_graph(), workload=bad, sla=100.0)
 
     def test_nonpositive_sla_rejected(self):
-        with pytest.raises(ValueError, match="sla"):
-            ServiceSpec("svc", fig1_graph(), workload=1.0, sla=0.0)
+        for bad in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"sla .* got {bad}"):
+                ServiceSpec("svc", fig1_graph(), workload=1.0, sla=bad)
 
 
 class TestAllocation:

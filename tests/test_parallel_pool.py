@@ -160,6 +160,15 @@ class TestPersistentPool:
         cells = [{"i": i} for i in range(23)]
         assert run_cells(_ident, cells, workers=3) == list(range(23))
 
+    @pytest.mark.parametrize("start", [
+        lambda: WorkerPool(-3),
+        lambda: run_cells(_ident, [{"i": 0}, {"i": 1}], workers=-3),
+    ], ids=["WorkerPool", "run_cells"])
+    def test_negative_worker_count_is_rejected(self, start):
+        """0 means one worker per CPU; below that is no count at all."""
+        with pytest.raises(ValueError, match="workers must be non-negative, got -3"):
+            start()
+
     def test_measure_records_payload_stats(self):
         with WorkerPool(2, measure=True) as pool:
             pool.set_context({"base": 0})

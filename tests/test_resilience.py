@@ -63,6 +63,9 @@ class TestChaosSchedule:
             ErrorWindow("B", start_min=0.0, end_min=1.0, error_rate=1.5)
         with pytest.raises(ValueError, match="multiplier"):
             LatencySpike("B", start_min=0.0, end_min=1.0, multiplier=0.0)
+        for bad in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"duration_min .* got {bad}"):
+                ChaosSchedule.random(["a"], duration_min=bad)
 
     def test_random_is_deterministic(self):
         first = ChaosSchedule.random(["a", "b", "c"], duration_min=2.0, seed=9)

@@ -378,6 +378,11 @@ class TestClusterSimulator:
             SimulationConfig(duration_min=0.0)
         with pytest.raises(ValueError, match="warmup"):
             SimulationConfig(duration_min=1.0, warmup_min=1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"duration_min .* got {bad}"):
+                SimulationConfig(duration_min=bad)
+            with pytest.raises(ValueError, match="warmup_min"):
+                SimulationConfig(duration_min=1.0, warmup_min=bad)
         with pytest.raises(ValueError, match="scheduling"):
             SimulationConfig(scheduling="lifo")
 
