@@ -4,13 +4,14 @@ Paper §5.2: "CPU and memory utilization alone are sufficient for
 achieving good profiling performance" — but the model "can be easily
 extended to include various shared resources, including memory bandwidth,
 LLC, and network bandwidth", which §9 defers to future work.  Both halves
-are measured here with the generalized model: on a workload whose
-interference is CPU/memory-dominated the extra features buy nothing,
-while on a memory-bandwidth-bound workload they matter.
+are measured here with the one Eq. 15 fitter, given two or three resource
+series: on a workload whose interference is CPU/memory-dominated the extra
+feature buys nothing, while on a memory-bandwidth-bound workload it
+matters.
 """
 
 from repro.experiments import format_table
-from repro.profiling import accuracy_score, fit_extended_model
+from repro.profiling import accuracy_score, fit_interference_model
 
 from conftest import run_once
 
@@ -30,8 +31,8 @@ def _run():
         train, test = split_extended(
             extended_synthetic_samples(mbw_weight=mbw_weight, seed=31)
         )
-        full = fit_extended_model(train[0], train[1], train[2])
-        reduced = fit_extended_model(
+        full = fit_interference_model(train[0], train[1], train[2])
+        reduced = fit_interference_model(
             train[0],
             {"cpu": train[1]["cpu"], "memory": train[1]["memory"]},
             train[2],

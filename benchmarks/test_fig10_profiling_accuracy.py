@@ -64,9 +64,12 @@ def _rich_features(data):
 
 def _erms_accuracy(train, test):
     model = fit_interference_model(
-        train.loads, train.cpus, train.memories, train.latencies
+        train.loads, {"cpu": train.cpus, "memory": train.memories},
+        train.latencies,
     )
-    predictions = model.predict(test.loads, test.cpus, test.memories)
+    predictions = model.predict(
+        test.loads, {"cpu": test.cpus, "memory": test.memories}
+    )
     return accuracy_score(test.latencies, predictions)
 
 

@@ -36,8 +36,12 @@ class LatencySegment:
     intercept: float
 
     def __post_init__(self) -> None:
-        if self.slope <= 0:
-            raise ValueError(f"slope must be positive, got {self.slope}")
+        if not 0 < self.slope < math.inf:
+            raise ValueError(
+                f"slope must be positive and finite, got {self.slope}"
+            )
+        if not math.isfinite(self.intercept):
+            raise ValueError(f"intercept must be finite, got {self.intercept}")
         # Note: the intercept may be negative.  The steep post-cutoff
         # segment extrapolates below zero at low loads in practice, and all
         # of the Eq. 5 machinery (budget = SLA − Σb, headroom = T − b)
@@ -71,11 +75,16 @@ class PiecewiseLatencyModel:
     max_load: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        if self.max_load is not None and self.max_load < self.cutoff:
+        if not 0 < self.cutoff < math.inf:
             raise ValueError(
-                f"max_load {self.max_load} must be >= cutoff {self.cutoff}"
+                f"cutoff must be positive and finite, got {self.cutoff}"
+            )
+        if self.max_load is not None and not (
+            self.cutoff <= self.max_load < math.inf
+        ):
+            raise ValueError(
+                f"max_load {self.max_load} must be finite and >= cutoff "
+                f"{self.cutoff}"
             )
 
     def latency(self, per_container_load: float) -> float:

@@ -11,8 +11,10 @@ per-container workload, with interference-dependent coefficients
 
 where :math:`C, M` are host CPU/memory utilization and the cut-off
 :math:`\\sigma` is itself a function of interference, learned by a decision
-tree.  Baseline learners (gradient-boosted trees standing in for XGBoost,
-and a small MLP) are implemented from scratch for the Fig. 10 accuracy
+tree.  The fit takes a named resource vector, so further shared resources
+(memory bandwidth, LLC, ...; paper §9) enter the same way as C and M.
+Baseline learners (gradient-boosted trees standing in for XGBoost, and a
+small MLP) are implemented from scratch for the Fig. 10 accuracy
 comparison.
 """
 
@@ -21,8 +23,7 @@ from repro.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "piecewise": ("PiecewiseFit", "fit_piecewise"),
     "decision_tree": ("DecisionTreeRegressor",),
-    "interference": ("InterferenceAwareModel", "fit_interference_model"),
-    "extended": ("ExtendedInterferenceModel", "fit_extended_model"),
+    "interference": ("InterferenceModel", "fit_interference_model"),
     "baselines": ("GradientBoostedTrees", "MLPRegressor"),
     "dataset": (
         "ProfilingDataset", "SyntheticMicroservice", "generate_synthetic_day",

@@ -1,69 +1,92 @@
-"""Interference-aware latency model: the full Eq. 15 fit.
+"""Interference-aware latency model: the Eq. 15 fit over shared resources.
 
 For each interval l ∈ {low, high} the tail latency is
 
-.. math:: L = (\\alpha^l C + \\beta^l M + c^l)\\,\\gamma + b^l
+.. math:: L = \\Big(\\sum_r w_r^l\\, u_r + c^l\\Big)\\,\\gamma + b^l
 
-with :math:`C, M` the host CPU and memory utilization and :math:`\\gamma`
-the per-container workload.  The interval boundary :math:`\\sigma(C, M)` is
-learned by a decision tree (paper §5.2): interference pushes the cut-off
-point forward, so latency starts rising earlier on busy hosts (Fig. 3).
+with :math:`u` a *named resource vector* of host utilizations and
+:math:`\\gamma` the per-container workload.  The paper's Eq. 15 is the case
+``resources = {"cpu": C, "memory": M}`` (:math:`w = \\langle\\alpha,
+\\beta\\rangle`); §5.2 notes the model "can be easily extended to include
+various shared resources, including memory bandwidth, LLC, and network
+bandwidth", which §9 leaves as future work — any further series passed in
+``resources`` is that extension.  The interval boundary :math:`\\sigma(u)`
+is learned by a decision tree over the same vector: interference pushes the
+cut-off point forward, so latency starts rising earlier on busy hosts
+(Fig. 3).
 
 Fitting procedure:
 
-1. Bucket samples by (C, M); fit a 1-D piecewise model per bucket to get a
-   local cut-off estimate.
-2. Train the decision tree to predict the cut-off from (C, M).
+1. Quantile-bucket the resource vector (:data:`BUCKET_QUANTILES` levels per
+   resource); fit a 1-D piecewise model per bucket to get a local cut-off
+   estimate.
+2. Train the decision tree to predict the cut-off from the bucket centres.
 3. Partition *all* samples by the tree's cut-off and solve one linear
-   least-squares per interval on the design ``[Cγ, Mγ, γ, 1]``.
+   least-squares per interval on the design ``[u·γ, γ, 1]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.model import LatencySegment, PiecewiseLatencyModel
 from repro.profiling.decision_tree import DecisionTreeRegressor
-from repro.profiling.piecewise import MIN_SLOPE, fit_piecewise
+from repro.profiling.piecewise import MIN_SLOPE, fit_piecewise, require_finite
+
+#: Levels each resource is quantized into for local cut-off estimation.
+BUCKET_QUANTILES = 4
+#: Buckets with fewer samples give no local cut-off estimate.
+MIN_BUCKET_SAMPLES = 12
+#: Depth of the σ(u) decision tree.
+TREE_DEPTH = 4
 
 
 @dataclass(frozen=True)
-class SegmentCoefficients:
-    """⟨α, β, c, b⟩ of one interval of Eq. 15."""
+class InterferenceSegment:
+    """One interval: named resource weights, base slope c, intercept b."""
 
-    alpha: float
-    beta: float
+    weights: Tuple[Tuple[str, float], ...]
     c: float
     b: float
 
-    def slope(self, cpu: float, memory: float) -> float:
+    def slope(self, utilization: Mapping[str, float]) -> float:
         """Interference-conditioned slope, clamped positive."""
-        return max(self.alpha * cpu + self.beta * memory + self.c, MIN_SLOPE)
-
-    def segment(self, cpu: float, memory: float) -> LatencySegment:
-        return LatencySegment(slope=self.slope(cpu, memory), intercept=self.b)
+        value = self.c + sum(
+            weight * utilization.get(name, 0.0) for name, weight in self.weights
+        )
+        return max(value, MIN_SLOPE)
 
 
 @dataclass
-class InterferenceAwareModel:
-    """The fitted Eq. 15 model of one microservice."""
+class InterferenceModel:
+    """The fitted Eq. 15 model of one microservice.
 
-    low: SegmentCoefficients
-    high: SegmentCoefficients
+    Utilization mappings are keyed by resource name; a resource missing
+    from one counts as idle (0).
+    """
+
+    resource_names: Tuple[str, ...]
+    low: InterferenceSegment
+    high: InterferenceSegment
     cutoff_tree: DecisionTreeRegressor
     default_cutoff: float
 
-    def cutoff(self, cpu: float, memory: float) -> float:
-        """σ(C, M): the load beyond which the steep interval applies."""
-        value = float(self.cutoff_tree.predict(np.array([[cpu, memory]]))[0])
+    def _vector(self, utilization: Mapping[str, float]) -> np.ndarray:
+        return np.array(
+            [[utilization.get(name, 0.0) for name in self.resource_names]]
+        )
+
+    def cutoff(self, utilization: Mapping[str, float]) -> float:
+        """σ(u): the load beyond which the steep interval applies."""
+        value = float(self.cutoff_tree.predict(self._vector(utilization))[0])
         if not np.isfinite(value) or value <= 0:
             return self.default_cutoff
         return value
 
-    def model_at(self, cpu: float, memory: float) -> PiecewiseLatencyModel:
+    def model_at(self, utilization: Mapping[str, float]) -> PiecewiseLatencyModel:
         """Condition on interference: a concrete piecewise model.
 
         This is what *Online Scaling* does each round — it feeds the
@@ -71,221 +94,157 @@ class InterferenceAwareModel:
         ⟨slope, intercept⟩ pairs for the optimization (paper §5.3.1).
         """
         return PiecewiseLatencyModel(
-            low=self.low.segment(cpu, memory),
-            high=self.high.segment(cpu, memory),
-            cutoff=self.cutoff(cpu, memory),
+            low=LatencySegment(self.low.slope(utilization), self.low.b),
+            high=LatencySegment(self.high.slope(utilization), self.high.b),
+            cutoff=self.cutoff(utilization),
         )
 
     def predict(
-        self, loads: np.ndarray, cpus: np.ndarray, memories: np.ndarray
+        self, loads: np.ndarray, resources: Mapping[str, np.ndarray]
     ) -> np.ndarray:
-        """Vectorized latency prediction for sample triples."""
+        """Vectorized latency prediction; ``resources`` as in the fit."""
         loads = np.asarray(loads, dtype=float)
-        cpus = np.asarray(cpus, dtype=float)
-        memories = np.asarray(memories, dtype=float)
-        cutoffs = np.array(
-            [self.cutoff(c, m) for c, m in zip(cpus, memories)]
+        matrix = np.column_stack(
+            [np.asarray(resources[name], dtype=float) for name in self.resource_names]
         )
-        slopes_low = np.maximum(
-            self.low.alpha * cpus + self.low.beta * memories + self.low.c,
-            MIN_SLOPE,
+        cutoffs = self.cutoff_tree.predict(matrix)
+        cutoffs = np.where(
+            np.isfinite(cutoffs) & (cutoffs > 0), cutoffs, self.default_cutoff
         )
-        slopes_high = np.maximum(
-            self.high.alpha * cpus + self.high.beta * memories + self.high.c,
-            MIN_SLOPE,
-        )
-        low = slopes_low * loads + self.low.b
-        high = slopes_high * loads + self.high.b
+
+        def _slopes(segment: InterferenceSegment) -> np.ndarray:
+            weights = np.array([w for _, w in segment.weights])
+            return np.maximum(matrix @ weights + segment.c, MIN_SLOPE)
+
+        low = _slopes(self.low) * loads + self.low.b
+        high = _slopes(self.high) * loads + self.high.b
         return np.where(loads <= cutoffs, low, high)
 
 
-def _fit_interval(
-    loads: np.ndarray,
-    cpus: np.ndarray,
-    memories: np.ndarray,
-    latencies: np.ndarray,
-) -> SegmentCoefficients:
-    """Least squares on [Cγ, Mγ, γ, 1] for one interval."""
-    if len(loads) < 4:
-        # Too few points for 4 unknowns: fall back to a plain line in γ.
+def _fit_side(
+    loads: np.ndarray, matrix: np.ndarray, latencies: np.ndarray, names
+) -> InterferenceSegment:
+    """Least squares on ``[u·γ, γ, 1]`` for one interval."""
+    if len(loads) < matrix.shape[1] + 2:
+        # Too few points for the unknowns: fall back to a plain line in γ.
+        slope = MIN_SLOPE
+        intercept = float(np.mean(latencies)) if len(latencies) else 0.0
         if len(loads) >= 2 and float(np.ptp(loads)) > 0:
-            slope = float(
-                np.sum((loads - loads.mean()) * (latencies - latencies.mean()))
-                / np.sum((loads - loads.mean()) ** 2)
+            slope = max(
+                float(
+                    np.sum((loads - loads.mean()) * (latencies - latencies.mean()))
+                    / np.sum((loads - loads.mean()) ** 2)
+                ),
+                MIN_SLOPE,
             )
-            slope = max(slope, MIN_SLOPE)
             intercept = float(latencies.mean() - slope * loads.mean())
-        else:
-            slope, intercept = MIN_SLOPE, float(np.mean(latencies)) if len(latencies) else 0.0
-        return SegmentCoefficients(alpha=0.0, beta=0.0, c=slope, b=intercept)
-
+        return InterferenceSegment(
+            weights=tuple((name, 0.0) for name in names), c=slope, b=intercept
+        )
     design = np.column_stack(
-        [cpus * loads, memories * loads, loads, np.ones_like(loads)]
+        [matrix * loads[:, None], loads, np.ones_like(loads)]
     )
     solution, *_ = np.linalg.lstsq(design, latencies, rcond=None)
-    alpha, beta, c, b = (float(v) for v in solution)
-    return SegmentCoefficients(alpha=alpha, beta=beta, c=c, b=b)
+    *weights, c, b = (float(v) for v in solution)
+    return InterferenceSegment(
+        weights=tuple(zip(names, weights)), c=c, b=b
+    )
 
 
 def fit_interference_model(
     loads: np.ndarray,
-    cpus: np.ndarray,
-    memories: np.ndarray,
+    resources: Mapping[str, Sequence[float]],
     latencies: np.ndarray,
-    bucket_size: float = 0.1,
-    min_bucket_samples: int = 12,
-    tree_depth: int = 4,
-    refinement_rounds: int = 2,
-) -> InterferenceAwareModel:
-    """Fit the full interference-aware profile of one microservice.
+) -> InterferenceModel:
+    """Fit the interference-aware profile of one microservice.
 
     Args:
         loads: Per-container workloads γ.
-        cpus: Host CPU utilizations C (fractions).
-        memories: Host memory utilizations M (fractions).
+        resources: Named host utilization series (fractions), all the same
+            length as ``loads``; ``{"cpu": C, "memory": M}`` is Eq. 15.
         latencies: Tail latency observations L (ms).
-        bucket_size: Grid size used to bucket (C, M) for local cut-off
-            estimation.
-        min_bucket_samples: Buckets with fewer samples are skipped.
-        tree_depth: Depth of the σ(C, M) decision tree.
-        refinement_rounds: After the initial fit, per-bucket cut-offs are
-            re-derived as the SSE-minimizing boundary under the fitted
-            interval surfaces, the tree is retrained, and coefficients are
-            refit — an EM-style polish that stabilizes the fit on sparse
-            or noisy samples.
 
     Returns:
-        The fitted :class:`InterferenceAwareModel`.
+        The fitted :class:`InterferenceModel`.
+
+    Raises:
+        ValueError: no resource series, series of different lengths, fewer
+            than 8 samples, or a non-finite value (the message names the
+            series).
     """
     loads = np.asarray(loads, dtype=float)
-    cpus = np.asarray(cpus, dtype=float)
-    memories = np.asarray(memories, dtype=float)
     latencies = np.asarray(latencies, dtype=float)
-    n = len(loads)
-    if not (len(cpus) == len(memories) == len(latencies) == n):
-        raise ValueError("all sample arrays must have the same length")
-    if n < 8:
-        raise ValueError(f"need at least 8 samples, got {n}")
+    names = tuple(sorted(resources))
+    if not names:
+        raise ValueError("need at least one resource series")
+    series = [np.asarray(resources[name], dtype=float) for name in names]
+    if any(len(s) != len(loads) for s in series) or len(latencies) != len(loads):
+        raise ValueError("all series must have the same length")
+    if len(loads) < 8:
+        raise ValueError(f"need at least 8 samples, got {len(loads)}")
+    require_finite("loads", loads)
+    for name, values in zip(names, series):
+        require_finite(f"resource {name!r}", values)
+    require_finite("latencies", latencies)
+    matrix = np.column_stack(series)
 
-    # Step 1: per-(C, M)-bucket cut-off estimates.
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    for index in range(n):
-        key = (
-            int(cpus[index] / bucket_size),
-            int(memories[index] / bucket_size),
+    # Quantile-bucket the resource vector for local cut-off estimates.
+    keys: List[Tuple[int, ...]] = []
+    edges = [
+        np.quantile(matrix[:, j], np.linspace(0, 1, BUCKET_QUANTILES + 1)[1:-1])
+        for j in range(matrix.shape[1])
+    ]
+    for row in matrix:
+        keys.append(
+            tuple(int(np.searchsorted(edges[j], row[j])) for j in range(len(row)))
         )
+    buckets: Dict[Tuple[int, ...], List[int]] = {}
+    for index, key in enumerate(keys):
         buckets.setdefault(key, []).append(index)
 
-    centers: List[Tuple[float, float]] = []
-    cutoffs: List[float] = []
-    for key, indices in buckets.items():
-        if len(indices) < min_bucket_samples:
+    centers, cutoffs = [], []
+    for indices in buckets.values():
+        if len(indices) < MIN_BUCKET_SAMPLES:
             continue
         idx = np.array(indices)
         try:
             fit = fit_piecewise(loads[idx], latencies[idx])
         except ValueError:
             continue
-        centers.append(
-            (float(np.mean(cpus[idx])), float(np.mean(memories[idx])))
-        )
+        centers.append(matrix[idx].mean(axis=0))
         cutoffs.append(fit.model.cutoff)
 
     if centers:
-        tree = DecisionTreeRegressor(max_depth=tree_depth, min_samples_leaf=1)
+        tree = DecisionTreeRegressor(max_depth=TREE_DEPTH, min_samples_leaf=1)
         tree.fit(np.array(centers), np.array(cutoffs))
         default_cutoff = float(np.median(cutoffs))
     else:
         # No bucket was dense enough: use one global cut-off.
         fit = fit_piecewise(loads, latencies)
         tree = DecisionTreeRegressor(max_depth=0)
-        tree.fit(np.zeros((1, 2)), np.array([fit.model.cutoff]))
+        tree.fit(np.zeros((1, matrix.shape[1])), np.array([fit.model.cutoff]))
         default_cutoff = fit.model.cutoff
     if default_cutoff <= 0:
         default_cutoff = float(np.median(loads)) or 1.0
 
-    # Step 2: partition all samples by the tree's cut-off.
-    predicted_cutoffs = tree.predict(np.column_stack([cpus, memories]))
-    predicted_cutoffs = np.where(
-        np.isfinite(predicted_cutoffs) & (predicted_cutoffs > 0),
-        predicted_cutoffs,
-        default_cutoff,
+    # One linear solve per interval.  If a side is empty, both share one fit
+    # (a single-segment microservice).
+    predicted = tree.predict(matrix)
+    predicted = np.where(
+        np.isfinite(predicted) & (predicted > 0), predicted, default_cutoff
     )
-    low_mask = loads <= predicted_cutoffs
-
-    # Step 3: one linear solve per interval.  If a side is empty, reuse the
-    # other side's coefficients (a single-segment microservice).
-    def _side(mask: np.ndarray) -> SegmentCoefficients:
-        return _fit_interval(
-            loads[mask], cpus[mask], memories[mask], latencies[mask]
-        )
-
+    low_mask = loads <= predicted
     if low_mask.any() and (~low_mask).any():
-        low, high = _side(low_mask), _side(~low_mask)
+        low = _fit_side(loads[low_mask], matrix[low_mask], latencies[low_mask], names)
+        high = _fit_side(loads[~low_mask], matrix[~low_mask], latencies[~low_mask], names)
     else:
-        shared = _fit_interval(loads, cpus, memories, latencies)
+        shared = _fit_side(loads, matrix, latencies, names)
         low = high = shared
 
-    # EM-style polish: re-derive each bucket's cut-off as the boundary
-    # that best separates the two fitted surfaces, retrain σ(C, M), and
-    # refit the interval coefficients.
-    for _ in range(max(refinement_rounds, 0)):
-        slopes_low = np.maximum(
-            low.alpha * cpus + low.beta * memories + low.c, MIN_SLOPE
-        )
-        slopes_high = np.maximum(
-            high.alpha * cpus + high.beta * memories + high.c, MIN_SLOPE
-        )
-        err_low = (slopes_low * loads + low.b - latencies) ** 2
-        err_high = (slopes_high * loads + high.b - latencies) ** 2
-
-        centers = []
-        cutoffs = []
-        for key, indices in buckets.items():
-            if len(indices) < max(min_bucket_samples // 2, 4):
-                continue
-            idx = np.array(indices)
-            order = idx[np.argsort(loads[idx])]
-            # Prefix sums over sorted loads: boundary after position k
-            # means samples [0..k] use the low surface.
-            low_prefix = np.cumsum(err_low[order])
-            high_suffix = np.cumsum(err_high[order][::-1])[::-1]
-            total = np.empty(len(order) + 1)
-            total[0] = high_suffix[0] if len(order) else 0.0
-            for k in range(1, len(order)):
-                total[k] = low_prefix[k - 1] + high_suffix[k]
-            total[len(order)] = low_prefix[-1]
-            best = int(np.argmin(total))
-            if best == 0 or best == len(order):
-                # The bucket's whole load range sits on one side of the
-                # cut-off: it carries no boundary information, so it must
-                # not train the σ(C, M) tree.
-                continue
-            boundary = float(
-                (loads[order[best - 1]] + loads[order[best]]) / 2.0
-            )
-            if boundary <= 0:
-                continue
-            centers.append(
-                (float(np.mean(cpus[idx])), float(np.mean(memories[idx])))
-            )
-            cutoffs.append(boundary)
-
-        if not centers:
-            break
-        tree = DecisionTreeRegressor(max_depth=tree_depth, min_samples_leaf=1)
-        tree.fit(np.array(centers), np.array(cutoffs))
-        default_cutoff = float(np.median(cutoffs))
-        predicted_cutoffs = tree.predict(np.column_stack([cpus, memories]))
-        predicted_cutoffs = np.where(
-            np.isfinite(predicted_cutoffs) & (predicted_cutoffs > 0),
-            predicted_cutoffs,
-            default_cutoff,
-        )
-        low_mask = loads <= predicted_cutoffs
-        if low_mask.any() and (~low_mask).any():
-            low, high = _side(low_mask), _side(~low_mask)
-
-    return InterferenceAwareModel(
-        low=low, high=high, cutoff_tree=tree, default_cutoff=default_cutoff
+    return InterferenceModel(
+        resource_names=names,
+        low=low,
+        high=high,
+        cutoff_tree=tree,
+        default_cutoff=default_cutoff,
     )

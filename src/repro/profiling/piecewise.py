@@ -22,6 +22,16 @@ from repro.core.model import LatencySegment, PiecewiseLatencyModel
 MIN_SLOPE = 1e-9
 
 
+def require_finite(name: str, values: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the series ``name`` if it holds nan/inf."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(
+            f"{name} must be finite, got {values[index]} at index {index}"
+        )
+
+
 def _fit_line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
     """Least-squares line with slope > 0 (intercepts may be negative).
 
@@ -84,6 +94,10 @@ def fit_piecewise(
         The best :class:`PiecewiseFit` by summed squared error.  When no
         breakpoint leaves enough points on both sides, a single line is
         fitted and duplicated across both segments (cutoff at the median).
+
+    Raises:
+        ValueError: mismatched shapes, fewer than 2 samples, or a nan/inf
+            in ``loads`` or ``latencies`` (the message names the series).
     """
     loads = np.asarray(loads, dtype=float)
     latencies = np.asarray(latencies, dtype=float)
@@ -94,6 +108,8 @@ def fit_piecewise(
         )
     if len(loads) < 2:
         raise ValueError(f"need at least 2 samples, got {len(loads)}")
+    require_finite("loads", loads)
+    require_finite("latencies", latencies)
 
     order = np.argsort(loads)
     x, y = loads[order], latencies[order]

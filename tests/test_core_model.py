@@ -27,8 +27,12 @@ class TestLatencySegment:
         assert seg.load_for_latency(seg.latency(7.5)) == pytest.approx(7.5)
 
     def test_nonpositive_slope_rejected(self):
-        with pytest.raises(ValueError, match="slope"):
-            LatencySegment(slope=0.0, intercept=1.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slope"):
+                LatencySegment(slope=bad, intercept=1.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="intercept"):
+                LatencySegment(slope=1.0, intercept=bad)
 
     def test_negative_intercept_allowed(self):
         # The steep post-cutoff segment extrapolates below zero at low
@@ -63,12 +67,21 @@ class TestPiecewiseLatencyModel:
         assert model.segment_for_target(50.0) is model.high
 
     def test_nonpositive_cutoff_rejected(self):
-        with pytest.raises(ValueError, match="cutoff"):
-            PiecewiseLatencyModel(
-                low=LatencySegment(1.0, 0.0),
-                high=LatencySegment(2.0, 0.0),
-                cutoff=0.0,
-            )
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cutoff"):
+                PiecewiseLatencyModel(
+                    low=LatencySegment(1.0, 0.0),
+                    high=LatencySegment(2.0, 0.0),
+                    cutoff=bad,
+                )
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="max_load"):
+                PiecewiseLatencyModel(
+                    low=LatencySegment(1.0, 0.0),
+                    high=LatencySegment(2.0, 0.0),
+                    cutoff=10.0,
+                    max_load=bad,
+                )
 
 
 class TestContainerSpec:

@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from repro.profiling import accuracy_score, fit_interference_model
-from repro.profiling.extended import (
-    ExtendedInterferenceModel,
-    fit_extended_model,
-)
 
 
 def synthetic_samples(
@@ -50,34 +46,11 @@ def split(arrays, fraction=22 / 24):
 
 
 class TestFitExtendedModel:
-    def test_matches_two_resource_fit_on_cpu_mem_data(self):
-        """With cpu+mem-only ground truth, extended == base model quality."""
-        train, test = split(synthetic_samples(mbw_weight=0.0, seed=1))
-        extended = fit_extended_model(
-            train[0], {"cpu": train[1]["cpu"], "memory": train[1]["memory"]},
-            train[2],
-        )
-        base = fit_interference_model(
-            train[0], train[1]["cpu"], train[1]["memory"], train[2]
-        )
-        acc_ext = accuracy_score(
-            test[2],
-            extended.predict(
-                test[0], {"cpu": test[1]["cpu"], "memory": test[1]["memory"]}
-            ),
-        )
-        acc_base = accuracy_score(
-            test[2],
-            base.predict(test[0], test[1]["cpu"], test[1]["memory"]),
-        )
-        assert acc_ext == pytest.approx(acc_base, abs=0.1)
-        assert acc_ext > 0.75
-
     def test_extra_resource_pays_when_it_matters(self):
         """§9: when memory bandwidth drives latency, modeling it helps."""
         train, test = split(synthetic_samples(mbw_weight=1.5, seed=2))
-        with_mbw = fit_extended_model(train[0], train[1], train[2])
-        without = fit_extended_model(
+        with_mbw = fit_interference_model(train[0], train[1], train[2])
+        without = fit_interference_model(
             train[0],
             {"cpu": train[1]["cpu"], "memory": train[1]["memory"]},
             train[2],
@@ -95,30 +68,30 @@ class TestFitExtendedModel:
 
     def test_model_at_conditions_on_vector(self):
         train, _ = split(synthetic_samples(mbw_weight=1.5, seed=3))
-        model = fit_extended_model(train[0], train[1], train[2])
+        model = fit_interference_model(train[0], train[1], train[2])
         calm = model.model_at({"cpu": 0.2, "memory": 0.2, "mbw": 0.2})
         busy = model.model_at({"cpu": 0.8, "memory": 0.8, "mbw": 0.8})
         assert busy.high.slope > calm.high.slope
 
     def test_missing_resources_default_to_zero(self):
         train, _ = split(synthetic_samples(seed=4))
-        model = fit_extended_model(train[0], train[1], train[2])
+        model = fit_interference_model(train[0], train[1], train[2])
         conditioned = model.model_at({"cpu": 0.5})  # memory, mbw default 0
         assert conditioned.low.slope > 0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one resource"):
-            fit_extended_model(np.ones(10), {}, np.ones(10))
+            fit_interference_model(np.ones(10), {}, np.ones(10))
         with pytest.raises(ValueError, match="same length"):
-            fit_extended_model(
+            fit_interference_model(
                 np.ones(10), {"cpu": np.ones(9)}, np.ones(10)
             )
         with pytest.raises(ValueError, match="at least 8"):
-            fit_extended_model(
+            fit_interference_model(
                 np.ones(4), {"cpu": np.ones(4)}, np.ones(4)
             )
 
     def test_resource_names_sorted_and_stable(self):
         train, _ = split(synthetic_samples(seed=5))
-        model = fit_extended_model(train[0], train[1], train[2])
+        model = fit_interference_model(train[0], train[1], train[2])
         assert model.resource_names == ("cpu", "mbw", "memory")

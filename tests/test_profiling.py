@@ -75,6 +75,15 @@ class TestFitPiecewise:
         with pytest.raises(ValueError, match="at least 2"):
             fit_piecewise(np.array([1.0]), np.array([1.0]))
 
+    def test_non_finite_rejected(self):
+        loads, latencies = synthetic_piecewise(n=50)
+        for bad in (np.nan, np.inf, -np.inf):
+            for series in ("loads", "latencies"):
+                arrays = {"loads": loads.copy(), "latencies": latencies.copy()}
+                arrays[series][7] = bad
+                with pytest.raises(ValueError, match=f"{series} must be finite"):
+                    fit_piecewise(arrays["loads"], arrays["latencies"])
+
     def test_negative_intercepts_are_fitted_unbiased(self):
         """The steep segment's extrapolated intercept may be negative."""
         rng = np.random.default_rng(3)
@@ -140,37 +149,46 @@ class TestInterferenceModel:
         data = generate_synthetic_day(truth, noise=0.03, seed=1)
         train, test = data.split(22 / 24)
         model = fit_interference_model(
-            train.loads, train.cpus, train.memories, train.latencies
+            train.loads,
+            {"cpu": train.cpus, "memory": train.memories},
+            train.latencies,
         )
-        predictions = model.predict(test.loads, test.cpus, test.memories)
-        assert accuracy_score(test.latencies, predictions) > 0.75
+        predictions = model.predict(
+            test.loads, {"cpu": test.cpus, "memory": test.memories}
+        )
+        assert accuracy_score(test.latencies, predictions) >= 0.93
 
     def test_slope_grows_with_interference(self):
         """The Fig. 3 observation: busier hosts mean steeper latency."""
         truth = SyntheticMicroservice()
         data = generate_synthetic_day(truth, noise=0.02, seed=2)
         model = fit_interference_model(
-            data.loads, data.cpus, data.memories, data.latencies
+            data.loads, {"cpu": data.cpus, "memory": data.memories},
+            data.latencies,
         )
-        calm = model.model_at(0.2, 0.2)
-        busy = model.model_at(0.8, 0.8)
+        calm = model.model_at({"cpu": 0.2, "memory": 0.2})
+        busy = model.model_at({"cpu": 0.8, "memory": 0.8})
         assert busy.high.slope > calm.high.slope
 
     def test_cutoff_moves_forward_with_interference(self):
         truth = SyntheticMicroservice(sigma_slope=0.6)
         data = generate_synthetic_day(truth, noise=0.02, seed=3, minutes=2880)
         model = fit_interference_model(
-            data.loads, data.cpus, data.memories, data.latencies
+            data.loads, {"cpu": data.cpus, "memory": data.memories},
+            data.latencies,
         )
-        assert model.cutoff(0.8, 0.8) < model.cutoff(0.15, 0.15)
+        assert model.cutoff({"cpu": 0.8, "memory": 0.8}) < model.cutoff(
+            {"cpu": 0.15, "memory": 0.15}
+        )
 
     def test_model_at_produces_valid_piecewise(self):
         truth = SyntheticMicroservice()
         data = generate_synthetic_day(truth, seed=4)
         model = fit_interference_model(
-            data.loads, data.cpus, data.memories, data.latencies
+            data.loads, {"cpu": data.cpus, "memory": data.memories},
+            data.latencies,
         )
-        conditioned = model.model_at(0.5, 0.5)
+        conditioned = model.model_at({"cpu": 0.5, "memory": 0.5})
         assert conditioned.low.slope > 0
         assert conditioned.high.slope > 0
         assert conditioned.cutoff > 0
@@ -178,14 +196,37 @@ class TestInterferenceModel:
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             fit_interference_model(
-                np.ones(10), np.ones(9), np.ones(10), np.ones(10)
+                np.ones(10), {"cpu": np.ones(9), "memory": np.ones(10)},
+                np.ones(10),
             )
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least 8"):
             fit_interference_model(
-                np.ones(4), np.ones(4), np.ones(4), np.ones(4)
+                np.ones(4), {"cpu": np.ones(4), "memory": np.ones(4)},
+                np.ones(4),
             )
+
+    def test_non_finite_rejected(self):
+        data = generate_synthetic_day(SyntheticMicroservice(), minutes=120)
+        for bad in (np.nan, np.inf):
+            for series, label in (
+                ("loads", "loads"),
+                ("cpus", "resource 'cpu'"),
+                ("memories", "resource 'memory'"),
+                ("latencies", "latencies"),
+            ):
+                arrays = {
+                    name: getattr(data, name).copy()
+                    for name in ("loads", "cpus", "memories", "latencies")
+                }
+                arrays[series][3] = bad
+                with pytest.raises(ValueError, match=f"{label} must be finite"):
+                    fit_interference_model(
+                        arrays["loads"],
+                        {"cpu": arrays["cpus"], "memory": arrays["memories"]},
+                        arrays["latencies"],
+                    )
 
 
 class TestDataset:
