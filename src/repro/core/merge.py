@@ -48,9 +48,10 @@ from repro.graphs import DependencyGraph, GraphPlan, GraphValidationError
 
 
 def _check_positive(slope: float, resource: float) -> None:
-    if slope <= 0:
+    """Reject a non-positive or NaN slope or resource (``nan <= 0`` is False)."""
+    if not slope > 0:
         raise ValueError(f"slope must be positive, got {slope}")
-    if resource <= 0:
+    if not resource > 0:
         raise ValueError(f"resource must be positive, got {resource}")
 
 
@@ -156,7 +157,7 @@ def merge_graph(
     for site in range(count - 1, -1, -1):
         a, b, r = leaf_params[index[site]]
         a = a * factors[site]
-        if a <= 0 or r <= 0:
+        if not (a > 0 and r > 0):
             _check_positive(a, r)
         if stages[site]:
             own_intercept = b

@@ -151,7 +151,7 @@ def replay_sink(
     accounting (a rate below 1.0 or a tail threshold), when a
     ``timeseries`` store scrapes it, or when the caller reads the sink
     whatever the settings (``always``).  ``max_traces=0`` keeps the
-    accounting (sampled / kept / dropped) and materializes no trace.
+    accounting (sampled / kept / dropped) and keeps no trace.
     """
     if not (
         always

@@ -102,11 +102,14 @@ class InterferenceModel:
     def predict(
         self, loads: np.ndarray, resources: Mapping[str, np.ndarray]
     ) -> np.ndarray:
-        """Vectorized latency prediction; ``resources`` as in the fit."""
+        """Vectorized latency prediction; ``resources`` as in the fit, a
+        fitted resource left out idle (0), as in :meth:`cutoff`."""
         loads = np.asarray(loads, dtype=float)
-        matrix = np.column_stack(
-            [np.asarray(resources[name], dtype=float) for name in self.resource_names]
-        )
+        idle = np.zeros(len(loads))
+        matrix = np.column_stack([
+            np.asarray(resources.get(name, idle), dtype=float)
+            for name in self.resource_names
+        ])
         cutoffs = self.cutoff_tree.predict(matrix)
         cutoffs = np.where(
             np.isfinite(cutoffs) & (cutoffs > 0), cutoffs, self.default_cutoff

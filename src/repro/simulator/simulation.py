@@ -67,7 +67,7 @@ rates) are drawn in vectorized numpy blocks, refilled on exhaustion.
 Containers with a static interference multiplier precompute their mean
 service time so the ``callable()`` check never touches the per-call
 path.  Latency samples append to flat ``array('d')`` column buffers; the
-tuple-list views (``end_to_end``, ``own_latency``) are materialized
+tuple-list views (``end_to_end``, ``own_latency``) are built
 lazily.  For a fixed seed the engine is fully deterministic; its sample
 streams are pinned by ``tests/test_determinism_golden.py`` and, case by
 case against the engine before call plans, by
@@ -131,7 +131,7 @@ CLIENT/SERVER span (``ctx``, ``ordinal``, the ``parent`` ordinal and
 ``caller`` microservice set when it is sent, the processing stamp when
 it gets a thread), and when its subtree completes it appends one row of
 values to its trace, flushed per finished request into the sink's
-columnar span table (``sink.traces``: lazy ``TraceRecord`` views, no
+columnar span table (``sink.traces``: lazy ``TraceView`` items, no
 per-span objects; ``analyze_run`` reads it as one forest — stages, Eq. 1
 and critical trees of all blocks in one pass over the columns — not
 view by view); a finished call is recorded once, in the run's
@@ -366,7 +366,7 @@ class SimulationResult:
     """Everything measured during one run.
 
     The recording hot path appends to flat ``array('d')`` column buffers;
-    ``end_to_end`` and ``own_latency`` materialize the familiar
+    ``end_to_end`` and ``own_latency`` build the familiar
     ``{name: [(minute, latency_ms), ...]}`` views lazily on access, and
     ``latencies()`` / ``own_latency_percentile()`` read the columns
     directly without building tuples.

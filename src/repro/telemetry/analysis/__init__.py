@@ -1,8 +1,9 @@
 """Trace analytics engine (paper §5.1–§5.3 turned inward on the DES).
 
-Four analyses over one run's telemetry — live
-:class:`~repro.telemetry.TelemetrySink` output or post-hoc
-:class:`~repro.tracing.spans.TraceRecord` lists are consumed uniformly:
+Four analyses over one run's telemetry — a live
+:class:`~repro.telemetry.TelemetrySink`'s output, or its pieces given
+one by one, traces always as one
+:class:`~repro.tracing.spans.SpanTable` read off its forest:
 
 * :mod:`~repro.telemetry.analysis.critical_path` — per-trace critical-path
   extraction, decomposing end-to-end latency exactly into per-microservice
@@ -30,8 +31,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "BlameEntry", "BlameReport", "PriorityInversion", "attribute_blame",
     ),
     "critical_path": (
-        "CriticalPath", "PathSegment", "critical_path_summary",
-        "extract_critical_path",
+        "CriticalPath", "PathSegment", "extract_critical_path",
     ),
     "drift": (
         "DriftReport", "DriftThresholds", "detect_profile_drift",

@@ -18,11 +18,11 @@ allocation paid for did not hold on the floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.tracing.spans import SpanTable, TraceRecord
+from repro.tracing.spans import SpanTable
 
 _MS_PER_MINUTE = 60_000.0
 
@@ -143,28 +143,8 @@ def _table_samples(table: SpanTable):
     )
 
 
-def _trace_samples(traces: Sequence[TraceRecord]):
-    """The same columns from records or views taken one at a time."""
-    ids: Dict[str, int] = {}
-    service, end, e2e, trace, ms, own = [], [], [], [], [], []
-    for index, record in enumerate(traces):
-        root = record.root()
-        service.append(ids.setdefault(record.service, len(ids)))
-        end.append(root.end)
-        e2e.append(root.duration)
-        for name, value in zip(*record.own_latencies()):
-            if name is not None:  # a call whose server span was lost
-                trace.append(index)
-                ms.append(ids.setdefault(name, len(ids)))
-                own.append(value)
-    return (
-        list(ids), np.array(service, int), np.array(end, float), np.array(e2e, float),
-        np.array(trace, int), np.array(ms, int), np.array(own, float),
-    )
-
-
 def attribute_blame(
-    traces: Sequence[TraceRecord],
+    traces: SpanTable,
     targets: Mapping[str, Mapping[str, float]],
     slas: Mapping[str, float],
     priorities: Optional[Mapping[str, Mapping[str, int]]] = None,
@@ -174,9 +154,9 @@ def attribute_blame(
     """Attribute SLA violations to microservices over their targets.
 
     Args:
-        traces: Collected traces: a live sink's
-            :class:`~repro.tracing.spans.SpanTable` (read off its forest)
-            or any sequence of post-hoc records / views.
+        traces: Collected traces, read off the
+            :class:`~repro.tracing.spans.SpanTable`'s forest (its first
+            ``limit`` blocks).
         targets: Per service, the latency target per microservice — e.g.
             ``Allocation.targets`` from an Erms scaling decision.
         slas: End-to-end SLA per service (ms).
@@ -197,8 +177,7 @@ def attribute_blame(
     """
     if window_min <= 0:
         raise ValueError("window_min must be positive")
-    samples = _table_samples if isinstance(traces, SpanTable) else _trace_samples
-    names, service_of, end, e2e, trace_of, ms_of, own_of = samples(traces)
+    names, service_of, end, e2e, trace_of, ms_of, own_of = _table_samples(traces)
     ids = {name: index for index, name in enumerate(names)}
     windows = (end / _MS_PER_MINUTE / window_min).astype(np.int64)
     limits = np.array([np.inf if slas.get(name) is None else slas[name] for name in names])

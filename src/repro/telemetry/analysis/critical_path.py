@@ -3,19 +3,18 @@
 A request's end-to-end latency is not the sum of everything that ran —
 parallel stages overlap — but it *is* exactly the sum of own latencies
 along the **critical tree**: starting from the root server span, each
-stage contributes its slowest call, recursively.  This module walks that
-tree per trace and decomposes the end-to-end latency into one
-:class:`PathSegment` per on-path microservice occurrence.  Many paths at
-once are :class:`PathColumns` — flattened from :class:`CriticalPath`
-objects, or read straight off a :class:`~repro.tracing.spans.SpanTable`'s
-forest without building any — and the per-microservice summary is one
-aggregation over those columns.
+stage contributes its slowest call, recursively.  A
+:class:`~repro.tracing.spans.SpanTable`'s forest holds that tree for
+every trace; :func:`extract_critical_path` reads one trace's off it as
+one :class:`PathSegment` per on-path microservice occurrence, and
+:class:`PathColumns` reads all of them as flat columns, whose
+per-microservice summary is one aggregation.
 
-With engine timings attached (live :class:`~repro.telemetry.TelemetrySink`
-traces carry :class:`~repro.tracing.spans.SpanTiming`), each segment's
-own latency further splits exactly into queue wait, service time, and the
-interference inflation share of the service time.  Post-hoc traces
-(synthesized, imported) decompose to own latencies only.
+With engine timings (live :class:`~repro.telemetry.TelemetrySink`
+traces carry them), each segment's own latency further splits exactly
+into queue wait, service time, and the interference inflation share of
+the service time.  Post-hoc traces (synthesized, imported) decompose to
+own latencies only.
 
 The identity ``sum(segment.own_ms) == end_to_end`` is exact because the
 per-stage maximum telescopes: a server span's duration is its own latency
@@ -26,19 +25,13 @@ recursion replaces each such maximum with that child's full expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.tracing.spans import SpanTable, TraceRecord
+from repro.tracing.spans import SpanTable, TraceView
 
-__all__ = [
-    "CriticalPath",
-    "PathColumns",
-    "PathSegment",
-    "critical_path_summary",
-    "extract_critical_path",
-]
+__all__ = ["CriticalPath", "PathColumns", "PathSegment", "extract_critical_path"]
 
 
 @dataclass(frozen=True)
@@ -94,37 +87,27 @@ class CriticalPath:
         }
 
 
-def extract_critical_path(trace: TraceRecord) -> CriticalPath:
+def extract_critical_path(trace: TraceView) -> CriticalPath:
     """Decompose one trace's end-to-end latency along its critical tree.
 
-    Walks the trace's :class:`~repro.tracing.spans.CallTree`: at every
-    server span, stages are regrouped from client-span overlap (the
-    coordinator's rule); each stage's slowest call — by server span
-    duration, client duration when the server span was lost — joins the
-    path, and the walk descends into it.  Segments are listed in
-    root-first path order; own latencies are the tree's (Eq. 1, computed
-    once per trace and shared with blame attribution).
+    The trace's rows on its table forest's critical tree (each stage's
+    slowest call by server span duration, the walk descending into it),
+    in root-first, depth-first order with earlier stages first; own
+    latencies are the forest's (Eq. 1, shared with blame attribution).
     """
-    tree = trace.call_tree()
-    names = tree.names
-    own = tree.own_latencies()
-    slowest = tree.slowest
-    path: List[int] = []
-    pending = [tree.root]
-    while pending:  # depth-first, earlier stages first
-        node = pending.pop()
-        path.append(node)
-        if node in slowest:
-            # a call whose server span was lost ends its branch
-            pending.extend(
-                [n for n in reversed(slowest[node]) if names[n] is not None]
-            )
+    table, root = trace.table, trace.root_row()
+    forest = table.forest()
+    rows, offsets = forest.paths()
+    path = rows[offsets[trace.index]:offsets[trace.index + 1]].tolist()
     segments = [
-        PathSegment(names[node], span_id, own[node], *timing)
-        for node, (span_id, timing) in zip(path, trace.node_details(path))
+        PathSegment(table.names[table.ms[row]], span_id, own, *timing)
+        for row, own, (span_id, timing) in zip(
+            path, forest.own[path].tolist(), trace.span_details(path)
+        )
     ]
     return CriticalPath(
-        trace.trace_id, trace.service, tree.durations[tree.root], tuple(segments)
+        trace.trace_id, trace.service, table.finish[root] - table.start[root],
+        tuple(segments),
     )
 
 
@@ -141,33 +124,12 @@ class PathColumns(NamedTuple):
     e2e: np.ndarray  #: end-to-end latency per path
 
     @classmethod
-    def of_paths(cls, paths: Sequence[CriticalPath]) -> "PathColumns":
-        segments = [segment for path in paths for segment in path.segments]
-        ids: Dict[str, int] = {}
-        ms = [ids.setdefault(s.microservice, len(ids)) for s in segments]
-        untimed = (np.nan, np.nan, np.nan)
-        split = [
-            untimed if s.queue_ms is None else (s.queue_ms, s.service_ms, s.inflation_ms)
-            for s in segments
-        ]
-        return cls(
-            list(ids),
-            np.repeat(
-                np.arange(len(paths)), np.array([len(p.segments) for p in paths], int)
-            ),
-            np.array(ms, int),
-            np.array([s.own_ms for s in segments], float),
-            np.array(split, float).reshape(-1, 3).T,
-            np.array([path.end_to_end_ms for path in paths], float),
-        )
-
-    @classmethod
     def of_table(cls, table: SpanTable) -> "PathColumns":
         """The table's traces (its first ``limit`` blocks) off its forest."""
         forest, blocks = table.forest(), len(table)
         rootless = np.flatnonzero(forest.root_count[:blocks] != 1)
         if len(rootless):
-            table[int(rootless[0])].call_tree().root  # raises, naming the trace
+            table[int(rootless[0])].root_row()  # raises, naming the trace
         rows, offsets = forest.paths()
         offsets = offsets[: blocks + 1]
         rows = rows[: offsets[-1]]
@@ -188,10 +150,16 @@ class PathColumns(NamedTuple):
         )
 
     def summary(self) -> List[Dict]:
-        """Per-microservice attribution rows (:func:`critical_path_summary`).
+        """Aggregate the paths into per-microservice attribution rows.
 
-        ``bincount`` adds in input order — segment by segment, as a loop
-        over the paths would — so the sums are the same floats.
+        Each row carries the microservice's appearance count, its total
+        and mean own latency on critical paths, its share of the summed
+        end-to-end latency, and — where engine timings were present — the
+        queue/service/inflation split of its contribution.  Rows are
+        sorted by total own latency, the most latency-responsible
+        microservice first.  ``bincount`` adds in input order — segment by
+        segment, as a loop over the paths would — so the sums are the same
+        floats.
         """
         size = len(self.names)
         present, first_seen = np.unique(self.ms, return_index=True)
@@ -221,16 +189,3 @@ class PathColumns(NamedTuple):
             rows.append(entry)
         rows.sort(key=lambda r: r["total_own_ms"], reverse=True)
         return rows
-
-
-def critical_path_summary(paths: Iterable[CriticalPath]) -> List[Dict]:
-    """Aggregate critical paths into per-microservice attribution rows.
-
-    Each row carries the microservice's appearance count, its total and
-    mean own latency on critical paths, its share of the summed
-    end-to-end latency, and — where engine timings were present — the
-    queue/service/inflation split of its contribution.  Rows are sorted
-    by total own latency, the most latency-responsible microservice
-    first.
-    """
-    return PathColumns.of_paths(list(paths)).summary()

@@ -11,7 +11,7 @@ equivalent pieces passed explicitly for post-hoc analysis, and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.telemetry.analysis.drift import (
     detect_profile_drift,
 )
 from repro.tracing.metrics import MetricsStore
-from repro.tracing.spans import SpanTable, TraceRecord
+from repro.tracing.spans import SpanTable
 
 __all__ = ["AnalysisOptions", "RunAnalysis", "analyze_run"]
 
@@ -54,7 +54,7 @@ class RunAnalysis:
 
     n_traces: int
     #: Per-microservice critical-path attribution rows (see
-    #: :func:`~repro.telemetry.analysis.critical_path.critical_path_summary`).
+    #: :meth:`~repro.telemetry.analysis.critical_path.PathColumns.summary`).
     critical_path: List[Dict] = field(default_factory=list)
     #: The ``top_paths`` slowest traces, with full segment breakdowns.
     slowest: List[CriticalPath] = field(default_factory=list)
@@ -87,7 +87,7 @@ class RunAnalysis:
 def analyze_run(
     *,
     sink=None,
-    traces: Optional[Sequence[TraceRecord]] = None,
+    traces: Optional[SpanTable] = None,
     store: Optional[MetricsStore] = None,
     slas: Optional[Mapping[str, float]] = None,
     targets: Optional[Mapping[str, Mapping[str, float]]] = None,
@@ -103,9 +103,9 @@ def analyze_run(
             metrics), and ``slas`` (the monitor's registry), and receives
             drift alerts/audit records through its monitor and decision
             log.
-        traces: Traces to analyze (overrides the sink's).  A
-            :class:`~repro.tracing.spans.SpanTable` is aggregated off its
-            forest; any other sequence goes trace by trace.
+        traces: The :class:`~repro.tracing.spans.SpanTable` to analyze
+            (overrides the sink's; empty when neither is given), read off
+            its forest: its first ``limit`` blocks.
         store: Live profiling windows for drift detection.
         slas: End-to-end SLA per service — enables blame attribution when
             ``targets`` is also given.
@@ -127,19 +127,16 @@ def analyze_run(
             store = sink.metrics
         if slas is None:
             slas = dict(sink.monitor.slas)
-    if isinstance(traces, SpanTable):
-        columns = PathColumns.of_table(traces)
-
-        def path_of(index: int) -> CriticalPath:  # only the ones shown are built
-            return extract_critical_path(traces[index])
-    else:
-        traces = list(traces or [])
-        paths = [extract_critical_path(trace) for trace in traces]
-        columns, path_of = PathColumns.of_paths(paths), paths.__getitem__
+    if traces is None:
+        traces = SpanTable()
+    elif not isinstance(traces, SpanTable):
+        raise TypeError(f"traces must be a SpanTable, got {type(traces).__name__}")
+    columns = PathColumns.of_table(traces)
     own_sums = np.bincount(columns.trace, columns.own, len(columns.e2e))
     max_err = float(np.abs(own_sums - columns.e2e).max(initial=0.0))
     order = np.argsort(-columns.e2e, kind="stable")[: options.top_paths]
-    slowest = [path_of(index) for index in order.tolist()]
+    # only the paths shown are built
+    slowest = [extract_critical_path(traces[index]) for index in order.tolist()]
 
     blame: Optional[BlameReport] = None
     if targets is not None and slas:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.tracing.spans import TraceRecord
+from repro.tracing.spans import TraceView
 
 __all__ = [
     "build_run_report",
@@ -35,7 +35,7 @@ __all__ = [
 _US_PER_MS = 1000.0
 
 
-def chrome_trace_events(traces: Iterable[TraceRecord]) -> List[Dict]:
+def chrome_trace_events(traces: Iterable[TraceView]) -> List[Dict]:
     """Spans as Chrome trace-event dicts (timestamps in microseconds).
 
     Services map to numeric ``pid``s and individual traces to ``tid``s,
@@ -89,7 +89,7 @@ def chrome_trace_events(traces: Iterable[TraceRecord]) -> List[Dict]:
     return events
 
 
-def write_chrome_trace(traces: Iterable[TraceRecord], path: str) -> int:
+def write_chrome_trace(traces: Iterable[TraceView], path: str) -> int:
     """Write traces as a chrome://tracing JSON file; returns event count."""
     events = chrome_trace_events(traces)
     with open(path, "w", encoding="utf-8") as handle:

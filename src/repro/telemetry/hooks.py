@@ -233,7 +233,7 @@ class TelemetrySink:
     decisions: DecisionLog = field(default_factory=DecisionLog)
     metrics: MetricsStore = field(default_factory=MetricsStore)
     #: Retained traces: a columnar table that reads as a sequence of
-    #: ``TraceRecord``-compatible views (its first ``max_traces`` blocks).
+    #: :class:`~repro.tracing.spans.TraceView` items (its first ``max_traces`` blocks).
     traces: SpanTable = field(init=False)
     #: One row per closed window: engine/queue health over time.
     window_series: List[Dict] = field(default_factory=list)

@@ -13,7 +13,8 @@ from repro.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "spans": (
-        "Span", "SpanKind", "SpanTiming", "TraceRecord", "synthesize_trace",
+        "Span", "SpanKind", "SpanTable", "SpanTiming", "TraceView",
+        "synthesize_trace",
     ),
     "coordinator": ("TracingCoordinator",),
     "metrics": ("MetricsStore", "UtilizationSample"),

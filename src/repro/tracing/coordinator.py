@@ -19,29 +19,26 @@ A 10 % sampling rate (Jaeger's default in the paper) is applied on ingest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.graphs import CallNode, DependencyGraph
-from repro.tracing.spans import CallTree, TraceRecord
+from repro.tracing.spans import TraceView
 
 
-def trace_own_latencies(trace: TraceRecord) -> Dict[str, List[float]]:
+def trace_own_latencies(trace: TraceView) -> Dict[str, List[float]]:
     """Own latency of every microservice occurrence in one trace (Eq. 1).
 
     For each server span: response time minus the summed per-stage
     downstream *server* response times (max within a parallel stage), so
-    own latency keeps the transmission time, as the paper's L_i does; the
-    client span stands in for a lost server span.  Computed once — per
-    trace (:class:`~repro.tracing.spans.CallTree`) for a record, per table
-    (:class:`~repro.tracing.spans.SpanForest`) for a live view, which
-    hands over its block's slice.
+    own latency keeps the transmission time, as the paper's L_i does.
+    Computed once per table (:class:`~repro.tracing.spans.SpanForest`);
+    the view hands over its block's slice.
     """
     latencies: Dict[str, List[float]] = {}
     for name, own in zip(*trace.own_latencies()):
-        if name is not None:
-            latencies.setdefault(name, []).append(own)
+        latencies.setdefault(name, []).append(own)
     return latencies
 
 
@@ -58,7 +55,7 @@ class TracingCoordinator:
 
     sampling_rate: float = 1.0
     seed: int = 0
-    traces: Dict[str, List[TraceRecord]] = field(default_factory=dict)
+    traces: Dict[str, List[TraceView]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.sampling_rate <= 1.0:
@@ -70,17 +67,12 @@ class TracingCoordinator:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def offer(self, trace: TraceRecord) -> bool:
+    def offer(self, trace: TraceView) -> bool:
         """Offer a trace for collection; returns True when sampled in."""
         if self.sampling_rate < 1.0 and self._rng.random() >= self.sampling_rate:
             return False
         self.traces.setdefault(trace.service, []).append(trace)
         return True
-
-    def trace_count(self, service: Optional[str] = None) -> int:
-        if service is not None:
-            return len(self.traces.get(service, []))
-        return sum(len(ts) for ts in self.traces.values())
 
     # ------------------------------------------------------------------
     # Graph extraction
@@ -90,8 +82,7 @@ class TracingCoordinator:
         records = self.traces.get(service)
         if not records:
             raise ValueError(f"no traces recorded for service {service!r}")
-        trees = [record.call_tree() for record in records]
-        merged, *others = [_call_node(tree, tree.root) for tree in trees]
+        merged, *others = [_call_node(trace) for trace in records]
         for other in others:
             _merge_call_trees(merged, other)
         return DependencyGraph(service=service, root=merged)
@@ -118,23 +109,18 @@ class TracingCoordinator:
             )
         return float(np.percentile(samples, percentile))
 
-    def end_to_end_latencies(self, service: str) -> List[float]:
-        """End-to-end latency of every collected trace of a service."""
-        return [t.root().duration for t in self.traces.get(service, [])]
 
-
-def _call_node(tree: CallTree, node: int) -> CallNode:
-    """One trace's dependency graph below ``node`` (lost calls left out)."""
-    root = CallNode(tree.names[node])
+def _call_node(trace: TraceView) -> CallNode:
+    """One trace's dependency graph, from its root call down."""
+    names, stages = trace.names(), trace.stages()
+    node = trace.root_row() - trace.rows.start
+    root = CallNode(names[node])
     pending = [(node, root)]
     for node, call_node in pending:  # grows by the callees of each node
-        for stage in tree.stages.get(node, ()):
-            callees = [
-                (n, CallNode(tree.names[n])) for n in stage if tree.names[n] is not None
-            ]
-            if callees:
-                call_node.stages.append([callee for _, callee in callees])
-                pending.extend(callees)
+        for stage in stages.get(node, ()):
+            callees = [(n, CallNode(names[n])) for n in stage]
+            call_node.stages.append([callee for _, callee in callees])
+            pending.extend(callees)
     return root
 
 

@@ -1,4 +1,4 @@
-"""Span data model, the per-trace call tree, and the columnar span table.
+"""Span data model and the columnar span table.
 
 Following Jaeger's model as described in paper §5.1, every call between a
 pair of microservices produces two spans:
@@ -13,18 +13,16 @@ microservice receiving the user request).  A CLIENT span's parent is the
 caller's SERVER span; a SERVER span's parent is the corresponding CLIENT
 span.
 
-Two stores hold that model.  A :class:`TraceRecord` is a list of
-:class:`Span` objects (synthesized or imported traces); it reduces to one
-:class:`CallTree` per trace — stages regrouped by the overlap rule
-(:func:`group_stages`) plus the Eq. 1 kernel.  A :class:`SpanTable` holds
-a live run's traces as flat ``array`` columns, one row per call, so a
-retained trace costs no per-span object; the overlap rule, Eq. 1 and the
-critical tree are read off all of its blocks at once
-(:class:`SpanForest`), which is what ``analyze_run`` and blame aggregate
-from.  Its :class:`TraceView` objects answer the ``TraceRecord``
-interface — ``call_tree()`` packages the block's slice of the forest —
-and build ``Span`` objects and id strings only when ``spans`` /
-``timings`` are read.
+One store holds that model: a :class:`SpanTable`, one row per call and
+one block of rows per trace, as flat ``array`` columns, so a trace costs
+no per-span object.  Blocks come from a live run's sink
+(:meth:`SpanTable.append_trace`), from :func:`synthesize_trace` and from
+:func:`~repro.tracing.serialization.load_traces`.  The overlap rule, Eq. 1
+and the critical tree are read off all blocks at once
+(:class:`SpanForest`); graph extraction, critical paths, blame and the
+exporters all read them there.  A block is read through its
+:class:`TraceView`, which builds :class:`Span` objects and id strings only
+when ``spans`` / ``timings`` are read.
 """
 
 from __future__ import annotations
@@ -32,9 +30,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,183 +98,6 @@ class SpanTiming:
     inflation_ms: float = 0.0
 
 
-def group_stages(calls: Iterable[Tuple]) -> List[List]:
-    """Partition one caller's outgoing calls into stages (the overlap rule).
-
-    ``calls`` are ``(start, span_id, end, payload)`` of the caller's client
-    spans.  Sorted by ``(start, span_id)``, a call joins the current stage
-    if it starts inside the stage's running time window (the paper marks
-    calls whose client spans overlap existing calls as parallel), otherwise
-    it opens a new sequential stage.  Returns the payloads, stage by stage.
-    """
-    stages: List[List] = []
-    window_end = float("-inf")
-    for start, _, end, payload in sorted(calls, key=itemgetter(0, 1)):
-        if stages and start < window_end:
-            stages[-1].append(payload)
-        else:
-            stages.append([payload])
-        if end > window_end:
-            window_end = end
-    return stages
-
-
-class CallTree:
-    """One trace's calls as a tree, and paper Eq. 1 over it.
-
-    A node is one server span — or, named ``None``, a call whose server
-    span was lost (its client span's duration stands in).  ``stages`` maps
-    each node with downstream calls to its child nodes, stage by stage;
-    ``roots`` are the parentless nodes.  Trees built from :class:`Span`
-    lists also keep each node's span and the span-level child index.
-    """
-
-    __slots__ = (
-        "trace_id", "names", "durations", "stages", "roots",
-        "spans", "children", "slowest", "_own",
-    )
-
-    def __init__(self, trace_id, names, durations, stages, roots,
-                 spans=None, children=None):
-        self.trace_id, self.names, self.durations = trace_id, names, durations
-        self.stages, self.roots = stages, roots
-        self.spans, self.children = spans, children
-        #: node -> slowest call of each of its stages (the critical tree);
-        #: filled by :meth:`own_latencies`.
-        self.slowest: Dict[int, List[int]] = {}
-        self._own: Optional[List[float]] = None
-
-    @classmethod
-    def from_spans(cls, trace_id: str, spans: List[Span]) -> "CallTree":
-        """Index a span list in one pass (post-hoc / imported traces)."""
-        children: Dict[Optional[str], List[Span]] = {}
-        servers: List[Span] = []
-        for span in spans:
-            children.setdefault(span.parent_id, []).append(span)
-            if span.kind is SpanKind.SERVER:
-                servers.append(span)
-        for siblings in children.values():
-            siblings.sort(key=attrgetter("start", "span_id"))
-        node_of = {id(span): node for node, span in enumerate(servers)}
-        names: List[Optional[str]] = [s.microservice for s in servers]
-        durations = [s.end - s.start for s in servers]
-        stages: Dict[int, List[List[int]]] = {}
-        for node, server in enumerate(servers):
-            calls = []
-            for client in children.get(server.span_id, ()):
-                if client.kind is not SpanKind.CLIENT:
-                    continue
-                callees = [
-                    node_of[id(s)]
-                    for s in children.get(client.span_id, ())
-                    if s.kind is SpanKind.SERVER
-                ]
-                if not callees:  # server span lost (e.g. sampling)
-                    callees = [len(names)]
-                    names.append(None)
-                    durations.append(client.end - client.start)
-                calls.append((client.start, client.span_id, client.end, callees))
-            if calls:
-                stages[node] = [
-                    [callee for callees in stage for callee in callees]
-                    for stage in group_stages(calls)
-                ]
-        roots = [node_of[id(s)] for s in children.get(None, ()) if id(s) in node_of]
-        return cls(trace_id, names, durations, stages, roots, servers, children)
-
-    @property
-    def root(self) -> int:
-        """The entering microservice's node."""
-        if len(self.roots) != 1:
-            raise ValueError(
-                f"trace {self.trace_id}: expected exactly 1 root span, "
-                f"found {len(self.roots)}"
-            )
-        return self.roots[0]
-
-    def own_latencies(self) -> List[float]:
-        """Own latency of every node (paper Eq. 1), computed once.
-
-        Response time minus the summed per-stage downstream response times
-        (the slowest call of each parallel stage).  The residual includes
-        queueing, processing, and transmission — the quantity Erms
-        profiles.  The per-stage slowest calls are kept in ``slowest``.
-        """
-        own = self._own
-        if own is None:
-            durations = self.durations
-            own = self._own = list(durations)
-            duration_of = durations.__getitem__
-            for node, stages in self.stages.items():
-                slowest = self.slowest[node] = [
-                    stage[0] if len(stage) == 1 else max(stage, key=duration_of)
-                    for stage in stages
-                ]
-                downstream = 0.0
-                for child in slowest:
-                    downstream += durations[child]
-                own[node] = max(durations[node] - downstream, 0.0)
-        return own
-
-
-@dataclass
-class TraceRecord:
-    """All spans of one end-to-end request.
-
-    ``timings`` optionally maps server span ids to the engine's exact
-    :class:`SpanTiming` decomposition (live-instrumented runs only).
-    """
-
-    trace_id: str
-    service: str
-    spans: List[Span] = field(default_factory=list)
-    timings: Optional[Dict[str, SpanTiming]] = None
-    _tree: Optional[Tuple[List[Span], int, CallTree]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def call_tree(self) -> CallTree:
-        """The trace's :class:`CallTree`, cached until ``spans`` changes."""
-        spans = self.spans
-        cached = self._tree
-        if cached is None or cached[0] is not spans or cached[1] != len(spans):
-            cached = self._tree = (
-                spans, len(spans), CallTree.from_spans(self.trace_id, spans)
-            )
-        return cached[2]
-
-    def own_latencies(self) -> Tuple[Sequence[Optional[str]], Sequence[float]]:
-        """Microservice and Eq. 1 own latency of every call-tree node."""
-        tree = self.call_tree()
-        return tree.names, tree.own_latencies()
-
-    def root(self) -> Span:
-        """The entering microservice's SERVER span."""
-        tree = self.call_tree()
-        return tree.spans[tree.root]
-
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct child spans, ordered by start time."""
-        return list(self.call_tree().children.get(span.span_id, ()))
-
-    def end_to_end_latency(self) -> float:
-        """Duration of the root server span."""
-        return self.root().duration
-
-    def server_spans(self) -> List[Span]:
-        return list(self.call_tree().spans)
-
-    def node_details(self, nodes: Iterable[int]) -> List[Tuple[str, Tuple[float, ...]]]:
-        """Per :meth:`call_tree` node: server span id and engine timing
-        ``(queue_ms, service_ms, inflation_ms)``, ``()`` if none was recorded."""
-        spans, timings = self.call_tree().spans, self.timings or {}
-        ids = [spans[node].span_id for node in nodes]
-        return [
-            (span_id, (t.queue_ms, t.service_ms, t.inflation_ms) if t else ())
-            for span_id, t in zip(ids, map(timings.get, ids))
-        ]
-
-
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the positions where a run of equal values begins."""
     starts = np.ones(len(values), dtype=bool)
@@ -288,10 +108,9 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 class SpanForest:
     """All blocks of a :class:`SpanTable` as one forest of call trees.
 
-    One pass over the columns does what :meth:`CallTree.from_spans`,
-    :meth:`CallTree.own_latencies` and the critical-path walk do trace by
-    trace — for table rows this is where the overlap rule and Eq. 1 live.
-    Everything is a table row number (``int32``):
+    One pass over the columns regroups every caller's calls into stages,
+    takes Eq. 1 and walks the critical trees — the one place the overlap
+    rule and Eq. 1 live.  Everything is a table row number (``int32``):
 
     * ``child`` — the calls whose caller's row is in their block (a
       caller that never reached it orphans them), siblings together in
@@ -399,10 +218,11 @@ class SpanForest:
 
 #: Values per row of a trace's buffer (``SpanTable.append_trace``).
 ROW = 9
+NAN = float("nan")
 
 
 class SpanTable(SequenceABC):
-    """Columnar store of a live run's traces; a sequence of :class:`TraceView`.
+    """Columnar store of traces; a sequence of :class:`TraceView`.
 
     One row per call — the callee's SERVER span and, below the root, the
     caller's CLIENT span over the same interval — in one contiguous block
@@ -414,12 +234,14 @@ class SpanTable(SequenceABC):
     the root — not a row, because an abandoned attempt's children can sit
     in a block their parent never reached), interned ``ms`` / ``caller``
     microservice ids.  Per trace: service id, trace number, row offset and
-    count.  None of it is tracked by the cyclic GC, and no id string
-    exists until a view is read.  As a sequence the table shows its first
-    ``limit`` traces (the sink's ``max_traces``); later blocks are reached
-    only through the view :meth:`append_trace` returned, which takes a
-    block as the flat buffer of values the engine's call records wrote
-    (:data:`ROW` a span) and moves it into the columns one slice each.
+    count; a block written with its own trace id (synthesized or loaded)
+    has it in ``labels``, by block.  None of it is tracked by the cyclic
+    GC, and no id string exists until a view is read.  As a sequence the
+    table shows its first ``limit`` traces (the sink's ``max_traces``);
+    later blocks are reached only through the view :meth:`append_trace`
+    returned, which takes a block as the flat buffer of values the
+    engine's call records wrote (:data:`ROW` a span) and moves it into the
+    columns one slice each.
     :meth:`forest` reads every block's stages, own latencies and critical
     tree in one pass; it is kept until the next block is appended.
     """
@@ -436,6 +258,7 @@ class SpanTable(SequenceABC):
         self.trace_service, self.trace_number = array("i"), array("q")
         self.trace_offset, self.trace_rows = array("q"), array("i")
         self.names: List[str] = []
+        self.labels: Dict[int, str] = {}
         #: name -> id; ``None``, the root span's caller, is -1
         self._ids: Dict[Optional[str], int] = {None: -1}
 
@@ -513,51 +336,73 @@ class SpanTable(SequenceABC):
 
 
 class TraceView:
-    """One :class:`SpanTable` block behind the :class:`TraceRecord` interface.
+    """One :class:`SpanTable` block: a trace, read off the table's columns.
 
-    The methods defined here read the columns (a call-tree node is a row
-    of the block; stages and Eq. 1 come from the table's
-    :class:`SpanForest`); everything else (``spans``, ``timings``,
-    ``children_of()``, …) is answered by the :class:`TraceRecord` that
-    :meth:`materialize` builds on first use, the one thing a view keeps.
+    A call-tree node is a row of the block (``rows``); stages, Eq. 1 and
+    the critical tree come from the table's :class:`SpanForest`.  The
+    :class:`Span` objects and engine timings of ``spans`` / ``timings``
+    are built on first read, and kept by the view.
     """
 
-    __slots__ = ("_table", "_index", "_rows", "_id", "_record")
+    __slots__ = ("table", "index", "rows", "_id", "_spans", "_timings")
 
     def __init__(self, table: SpanTable, index: int) -> None:
-        self._table = table
-        self._index = index
+        self.table = table
+        self.index = index
         offset = table.trace_offset[index]
-        self._rows = range(offset, offset + table.trace_rows[index])
+        self.rows = range(offset, offset + table.trace_rows[index])
         self._id: Optional[str] = None
-        self._record: Optional[TraceRecord] = None
+        self._spans: Optional[List[Span]] = None
+        self._timings: Optional[Dict[str, SpanTiming]] = None
 
     @property
     def service(self) -> str:
-        table = self._table
-        return table.names[table.trace_service[self._index]]
+        table = self.table
+        return table.names[table.trace_service[self.index]]
 
     @property
     def trace_id(self) -> str:
         if self._id is None:
-            self._id = f"{self.service}-t{self._table.trace_number[self._index]}"
+            label = self.table.labels.get(self.index)
+            self._id = (
+                f"{self.service}-t{self.table.trace_number[self.index]}"
+                if label is None else label
+            )
         return self._id
 
-    def _names(self) -> List[str]:
-        table, rows = self._table, self._rows
+    def names(self) -> List[str]:
+        """The microservice of every row of the block."""
+        table, rows = self.table, self.rows
         return [table.names[i] for i in table.ms[rows.start:rows.stop]]
 
+    def root_row(self) -> int:
+        """The table row of the block's one parentless call."""
+        rows = self.rows
+        roots = [
+            row
+            for row, parent in zip(rows, self.table.parent[rows.start:rows.stop])
+            if parent == -1
+        ]
+        if len(roots) != 1:
+            raise ValueError(
+                f"trace {self.trace_id}: expected exactly 1 root span, "
+                f"found {len(roots)}"
+            )
+        return roots[0]
+
     def root(self) -> Span:
-        """The entering microservice's SERVER span: the block's last row."""
-        table, row = self._table, self._rows[-1]
+        """The entering microservice's SERVER span."""
+        table, row = self.table, self.root_row()
         return Span(
             f"{self.trace_id}-s{table.ordinal[row]}", None, table.names[table.ms[row]],
             SpanKind.SERVER, table.start[row], table.finish[row],
         )
 
-    def node_details(self, nodes: Iterable[int]) -> List[Tuple[str, Tuple[float, ...]]]:
-        t, prefix = self._table, f"{self.trace_id}-s"
-        rows = [self._rows.start + node for node in nodes]
+    def span_details(self, rows: Iterable[int]) -> List[Tuple[str, Tuple[float, ...]]]:
+        """Per table row: server span id and engine timing
+        ``(queue_ms, service_ms, inflation_ms)``, ``()`` if none was recorded."""
+        t, prefix = self.table, f"{self.trace_id}-s"
+        rows = list(rows)
         timings = [
             ()
             if proc_ms != proc_ms
@@ -568,64 +413,65 @@ class TraceView:
         ]
         return [(f"{prefix}{t.ordinal[r]}", timing) for r, timing in zip(rows, timings)]
 
-    def call_tree(self) -> CallTree:
-        """The block's :class:`CallTree`: its slice of the table's forest."""
-        table, lo, hi = self._table, self._rows.start, self._rows.stop
-        forest = table.forest()
+    def stages(self) -> Dict[int, List[List[int]]]:
+        """Per row with downstream calls, its callees stage by stage (rows
+        counted from the block's first): the block's slice of the forest."""
+        lo, hi = self.rows.start, self.rows.stop
+        forest = self.table.forest()
         first, last = np.searchsorted(forest.caller, (lo, hi)).tolist()
         calls = slice(*np.searchsorted(forest.stage, (first, last)).tolist())
         opened = np.flatnonzero(_run_starts(forest.stage[calls]))[1:]
         stages: Dict[int, List[List[int]]] = {}
-        slowest: Dict[int, List[int]] = {}
-        for caller, slow, stage in zip(
+        for caller, stage in zip(
             (forest.caller[first:last] - lo).tolist(),
-            (forest.slowest[first:last] - lo).tolist(),
             np.split(forest.child[calls] - lo, opened),
         ):
             stages.setdefault(caller, []).append(stage.tolist())
-            slowest.setdefault(caller, []).append(slow)
-        durations = [
-            end - begin for begin, end in zip(table.start[lo:hi], table.finish[lo:hi])
-        ]
-        roots = [n for n, parent in enumerate(table.parent[lo:hi]) if parent == -1]
-        tree = CallTree(self.trace_id, self._names(), durations, stages, roots)
-        tree.slowest, tree._own = slowest, forest.own[lo:hi].tolist()
-        return tree
+        return stages
 
-    def own_latencies(self) -> Tuple[Sequence[Optional[str]], Sequence[float]]:
+    def own_latencies(self) -> Tuple[Sequence[str], Sequence[float]]:
         """Microservice and Eq. 1 own latency of every row of the block."""
-        rows = self._rows
-        return self._names(), self._table.forest().own[rows.start:rows.stop].tolist()
+        rows = self.rows
+        return self.names(), self.table.forest().own[rows.start:rows.stop].tolist()
 
-    def materialize(self) -> TraceRecord:
-        """The block as a :class:`TraceRecord` of :class:`Span` objects."""
-        if self._record is None:
-            table, names, trace_id = self._table, self._table.names, self.trace_id
-            details = self.node_details(range(len(self._rows)))
-            spans: List[Span] = []
-            for (server_id, _), row in zip(details, self._rows):
-                ordinal, name = table.ordinal[row], names[table.ms[row]]
-                client_id = f"{trace_id}-s{ordinal - 1}" if ordinal else None
-                times = table.start[row], table.finish[row]
-                spans.append(Span(server_id, client_id, name, SpanKind.SERVER, *times))
-                if client_id is not None:
-                    spans.append(
-                        Span(client_id, f"{trace_id}-s{table.parent[row]}",
-                             names[table.caller[row]], SpanKind.CLIENT, *times)
-                    )
-            timings = {
-                span_id: SpanTiming(*timing) for span_id, timing in details if timing
-            }
-            self._record = TraceRecord(trace_id, self.service, spans, timings or None)
-        return self._record
+    @property
+    def spans(self) -> List[Span]:
+        """Per row, its SERVER span, then (below the root) the caller's
+        CLIENT span over the same interval."""
+        if self._spans is None:
+            self._read()
+        return self._spans
 
-    def __getattr__(self, name: str):
-        return getattr(self.materialize(), name)
+    @property
+    def timings(self) -> Optional[Dict[str, SpanTiming]]:
+        """Engine timing per server span id; ``None`` when none was recorded."""
+        if self._spans is None:
+            self._read()
+        return self._timings
+
+    def _read(self) -> None:
+        table, names, trace_id = self.table, self.table.names, self.trace_id
+        details = self.span_details(self.rows)
+        spans: List[Span] = []
+        for (server_id, _), row in zip(details, self.rows):
+            parent, name = table.parent[row], names[table.ms[row]]
+            client_id = None if parent == -1 else f"{trace_id}-s{table.ordinal[row] - 1}"
+            times = table.start[row], table.finish[row]
+            spans.append(Span(server_id, client_id, name, SpanKind.SERVER, *times))
+            if client_id is not None:
+                spans.append(
+                    Span(client_id, f"{trace_id}-s{parent}",
+                         names[table.caller[row]], SpanKind.CLIENT, *times)
+                )
+        timings = {span_id: SpanTiming(*timing) for span_id, timing in details if timing}
+        self._spans, self._timings = spans, timings or None
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, TraceView):
-            other = other.materialize()
-        return self.materialize() == other
+        if not isinstance(other, TraceView):
+            return NotImplemented
+        return (self.trace_id, self.service, self.spans, self.timings) == (
+            other.trace_id, other.service, other.spans, other.timings
+        )
 
 
 def synthesize_trace(
@@ -633,8 +479,7 @@ def synthesize_trace(
     latencies: Mapping[str, float],
     trace_id: str = "trace-0",
     start: float = 0.0,
-    network_delay: float = 0.0,
-) -> TraceRecord:
+) -> TraceView:
     """Generate the spans a tracing system would record for one request.
 
     Each microservice's *own* latency (queueing + processing, paper Fig. 1)
@@ -647,51 +492,32 @@ def synthesize_trace(
         latencies: Own latency per microservice name (ms).
         trace_id: Identifier for the produced trace.
         start: Timestamp of the user request arriving at the root (ms).
-        network_delay: One-way transmission delay added around each call.
 
     Returns:
-        A :class:`TraceRecord` whose structure round-trips through
+        The :class:`TraceView` of a new table's one block, in completion
+        order; its structure round-trips through
         :class:`~repro.tracing.coordinator.TracingCoordinator`.
     """
     plan = graph.plan()
     names, index, parents = plan.names, plan.index, plan.parents
     own = [latencies[name] for name in names]
     opens = {stage[0] for stages in plan.stages for stage in stages if stage}
-    # in site order: a site's client span is 2 * site - 1, its server span 2 * site
-    ids = [f"{trace_id}-s{number}" for number in range(2 * len(index))]
     arrival = [start] * len(index)
     sent = [0.0] * len(index)  # when the site's current stage went out
     cursor = [0.0] * len(index)  # the latest response the site has seen
-    spans: List[Span] = []
+    rows: List = []  # completion order; a site's server span is 2 * site
 
     def _respond(site: int) -> None:
-        """``site`` is done: its server span, then its caller's client span."""
+        """``site`` is done: its row, over its server and client spans."""
         latency = own[index[site]]
         end = cursor[site] + (latency - latency / 2.0)
-        spans.append(
-            Span(
-                span_id=ids[2 * site],
-                parent_id=ids[2 * site - 1] if site else None,
-                microservice=names[index[site]],
-                kind=SpanKind.SERVER,
-                start=arrival[site],
-                end=end,
-            )
-        )
+        caller = parents[site] if site else -1
+        rows.extend((
+            arrival[site], end, NAN, NAN, 1.0, 2 * site, names[index[site]],
+            2 * caller if site else -1, names[index[caller]] if site else None,
+        ))
         if site:
-            caller = parents[site]
-            client_end = end + network_delay
-            spans.append(
-                Span(
-                    span_id=ids[2 * site - 1],
-                    parent_id=ids[2 * caller],
-                    microservice=names[index[caller]],
-                    kind=SpanKind.CLIENT,
-                    start=sent[caller],
-                    end=client_end,
-                )
-            )
-            cursor[caller] = max(cursor[caller], client_end)
+            cursor[caller] = max(cursor[caller], end)
 
     waiting: List[int] = []  # the chain of callers above the site at hand
     for site in range(len(index)):
@@ -701,9 +527,11 @@ def synthesize_trace(
         if site:
             if site in opens:  # the caller's earlier stages have responded
                 sent[caller] = cursor[caller]
-            arrival[site] = sent[caller] + network_delay
+            arrival[site] = sent[caller]
         sent[site] = cursor[site] = arrival[site] + own[index[site]] / 2.0
         waiting.append(site)
     while waiting:
         _respond(waiting.pop())
-    return TraceRecord(trace_id=trace_id, service=graph.service, spans=spans)
+    table = SpanTable()
+    table.labels[0] = trace_id
+    return table.append_trace(graph.service, 0, rows)

@@ -43,12 +43,11 @@ from repro.telemetry.analysis import (
     DriftThresholds,
     analyze_run,
     attribute_blame,
-    critical_path_summary,
     detect_profile_drift,
     extract_critical_path,
     refit_profile,
 )
-from repro.tracing.spans import CallTree, SpanForest
+from repro.tracing.spans import SpanForest, SpanTable, TraceView
 from tests.helpers import count_calls
 
 
@@ -159,8 +158,7 @@ class TestCriticalPathExactness:
     def test_summary_shares_sum_to_one(self):
         sink = TelemetrySink(config=TelemetryConfig())
         shared_simulator(telemetry=sink).run()
-        paths = [extract_critical_path(t) for t in sink.traces]
-        rows = critical_path_summary(paths)
+        rows = analyze_run(traces=sink.traces).critical_path
         assert rows[0]["total_own_ms"] == max(r["total_own_ms"] for r in rows)
         assert sum(r["share_pct"] for r in rows) == pytest.approx(100.0, abs=0.1)
 
@@ -456,7 +454,7 @@ class TestTailSampling:
         kept_violating = sum(
             1
             for trace in sink.traces
-            if trace.end_to_end_latency() > threshold
+            if trace.root().duration > threshold
         )
         assert n_violating > 0
         assert kept_violating == n_violating
@@ -533,24 +531,25 @@ class TestAnalyzeRun:
         json.dumps(report)  # the full report stays JSON-ready
 
     def test_a_span_table_is_read_as_one_forest(self, monkeypatch):
-        """Counts, not timings: handed the sink's ``SpanTable``,
-        critical paths and blame come off one ``SpanForest`` and no trace
-        builds a ``CallTree``; the same traces materialised build one
-        tree each."""
+        """Counts, not timings: handed the sink's ``SpanTable``, critical
+        paths and blame come off one ``SpanForest``, only the ``top_paths``
+        shown are extracted one by one, and no view builds its spans."""
         sink = run_underprovisioned()
-        records = [view.materialize() for view in sink.traces]
-        counts = {"SpanForest": 0, "from_spans": 0}
+        counts = {"SpanForest": 0, "_read": 0, "extract_critical_path": 0}
         count_calls(monkeypatch, SpanForest, "__init__", counts, "SpanForest")
-        count_calls(monkeypatch, CallTree, "from_spans", counts)
+        count_calls(monkeypatch, TraceView, "_read", counts)
+        from repro.telemetry.analysis import report
+
+        count_calls(monkeypatch, report, "extract_critical_path", counts)
         inputs = dict(targets={"s1": {"F": 10.0, "P": 8.0}}, slas={"s1": 30.0})
         analysis = analyze_run(traces=sink.traces, **inputs)
         assert analysis.blame.violating_windows and analysis.n_traces > 1_000
-        assert counts == {"SpanForest": 1, "from_spans": 0}
-        analyze_run(traces=records, **inputs)
-        assert counts == {"SpanForest": 1, "from_spans": len(records)}
+        assert counts == {"SpanForest": 1, "_read": 0, "extract_critical_path": 5}
 
     def test_empty_traces_analyze_cleanly(self):
-        analysis = analyze_run(traces=[])
+        with pytest.raises(TypeError, match="traces must be a SpanTable, got list"):
+            analyze_run(traces=[])
+        analysis = analyze_run(traces=SpanTable())
         assert analysis.n_traces == 0
         assert analysis.critical_path == []
         assert analysis.blame is None

@@ -173,7 +173,9 @@ class TestMergeGraph:
     @pytest.mark.parametrize(
         "bad, message",
         [((0.0, 1.0, 1.0), "slope must be positive"),
-         ((1.0, 1.0, -2.0), "resource must be positive")],
+         ((1.0, 1.0, -2.0), "resource must be positive"),
+         ((float("nan"), 1.0, 1.0), "slope must be positive, got nan"),
+         ((1.0, 1.0, float("nan")), "resource must be positive, got nan")],
     )
     def test_every_leaf_is_checked_like_virtual_params(self, bad, message):
         graph = fig1_graph()

@@ -158,6 +158,20 @@ class TestInterferenceModel:
         )
         assert accuracy_score(test.latencies, predictions) >= 0.93
 
+    def test_a_missing_resource_predicts_as_idle(self):
+        """As in ``cutoff`` / ``model_at``, a fitted resource left out of
+        the mapping is idle: the same prediction as passing zeros."""
+        data = generate_synthetic_day(SyntheticMicroservice(), noise=0.03, seed=1)
+        model = fit_interference_model(
+            data.loads, {"cpu": data.cpus, "memory": data.memories}, data.latencies
+        )
+        alone = model.predict(data.loads, {"cpu": data.cpus})
+        zeros = model.predict(
+            data.loads, {"cpu": data.cpus, "memory": np.zeros(len(data.loads))}
+        )
+        assert alone.tolist() == zeros.tolist()
+        assert model.cutoff({"cpu": 0.5}) == model.cutoff({"cpu": 0.5, "memory": 0.0})
+
     def test_slope_grows_with_interference(self):
         """The Fig. 3 observation: busier hosts mean steeper latency."""
         truth = SyntheticMicroservice()

@@ -1,5 +1,7 @@
 """Tests for span serialization and the simulator-to-metrics bridge."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.simulator import (
     SimulationConfig,
 )
 from repro.tracing import (
+    SpanTable,
     TracingCoordinator,
     dump_traces,
     load_traces,
@@ -33,9 +36,7 @@ class TestTraceSerialization:
         assert rebuilt.trace_id == trace.trace_id
         assert rebuilt.service == trace.service
         assert len(rebuilt.spans) == len(trace.spans)
-        assert rebuilt.end_to_end_latency() == pytest.approx(
-            trace.end_to_end_latency(), abs=0.01
-        )
+        assert rebuilt.root().duration == pytest.approx(trace.root().duration, abs=0.01)
 
     def test_round_trip_supports_extraction(self):
         trace = synthesize_trace(fig1_graph(), LATENCIES)
@@ -64,10 +65,96 @@ class TestTraceSerialization:
     def test_load_skips_blank_lines(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         trace = synthesize_trace(fig1_graph(), LATENCIES)
-        path.write_text(
-            "\n" + __import__("json").dumps(trace_to_dict(trace)) + "\n\n"
-        )
+        path.write_text("\n" + json.dumps(trace_to_dict(trace)) + "\n\n")
         assert len(load_traces(str(path))) == 1
+
+    def test_a_synthesized_table_round_trips_view_for_view(self, tmp_path):
+        views = [
+            synthesize_trace(
+                fig1_graph(),
+                {name: 1.0 + i + 0.25 * k for k, name in enumerate(LATENCIES)},
+                f"t{i}",
+                10.0 * i,
+            )
+            for i in range(4)
+        ]
+        path = tmp_path / "traces.jsonl"
+        assert dump_traces(views, str(path)) == 4
+        loaded = load_traces(str(path))
+        assert isinstance(loaded, SpanTable) and loaded == views
+        assert [view.spans for view in loaded] == [view.spans for view in views]
+        assert dump_traces(loaded, str(path)) == 4 and load_traces(str(path)) == loaded
+        assert [view.own_latencies() for view in loaded] == [
+            view.own_latencies() for view in views
+        ]
+
+    @staticmethod
+    def _edit(payload, span_id, **fields):
+        for item in payload["spans"]:
+            if item["spanID"] == span_id:
+                item.update(fields)
+        return payload
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            # a client span over another interval than its server span's
+            (lambda p: TestTraceSerialization._edit(p, "t7-s3", duration=1), "covers"),
+            (lambda p: TestTraceSerialization._edit(p, "t7-s4", startTime=4000), "covers"),
+            # a lost server span, or a client span with no caller
+            (lambda p: p["spans"].pop(2) and p, "t7-s3 has no server span"),
+            (lambda p: TestTraceSerialization._edit(p, "t7-s3", references=[]),
+             "t7-s3 has no parent"),
+            # a server span that is not its client span's child
+            (lambda p: TestTraceSerialization._edit(
+                p, "t7-s4", references=[{"refType": "CHILD_OF", "spanID": "t7-s1"}]),
+             "not the child of t7-s3"),
+            # ids the row model cannot number, and the root
+            (lambda p: TestTraceSerialization._edit(p, "t7-s4", spanID="t7-x4"), "not t7-s<n>"),
+            (lambda p: TestTraceSerialization._edit(p, "t7-s0", references=[
+                {"refType": "CHILD_OF", "spanID": "t7-s9"}]), "not the child of t7-s-1"),
+            (lambda p: p["spans"].append(dict(p["spans"][-1])) or p, "appears twice"),
+            (lambda p: p["spans"].pop() and p, "found 0"),
+            (lambda p: TestTraceSerialization._edit(p, "t7-s0", duration=-5), "interval"),
+            (lambda p: p.pop("serviceName") and p, "missing field 'serviceName'"),
+        ],
+    )
+    def test_what_the_row_model_cannot_hold_is_rejected(self, tmp_path, edit, reason):
+        payload = edit(trace_to_dict(synthesize_trace(fig1_graph(), LATENCIES, "t7")))
+        path = tmp_path / "traces.jsonl"
+        path.write_text(json.dumps(payload) + "\n")
+        with pytest.raises(ValueError, match=f"^trace t7: .*{reason}"):
+            load_traces(str(path))
+        with pytest.raises(ValueError, match=f"^trace t7: .*{reason}"):
+            trace_from_dict(payload)
+
+    def test_a_root_listed_first_becomes_the_blocks_last_row(self):
+        def span(number, parent, name, kind, start, duration):
+            return {
+                "spanID": f"x-s{number}",
+                "references": [] if parent is None else [{"spanID": f"x-s{parent}"}],
+                "processServiceName": name,
+                "startTime": start,
+                "duration": duration,
+                "tags": [{"key": "span.kind", "value": kind}],
+            }
+
+        payload = {"traceID": "x", "serviceName": "svc", "spans": [
+            span(4, None, "A", "server", 0, 9000),
+            span(2, 1, "B", "server", 1000, 5000),
+            span(1, 4, "A", "client", 1000, 5000),
+        ]}
+        view = trace_from_dict(payload)
+        assert [s.span_id for s in view.spans] == ["x-s2", "x-s1", "x-s4"]
+        assert view.root().span_id == "x-s4" and view.root().duration == 9.0
+        assert view.own_latencies() == (["B", "A"], [5.0, 4.0])
+        assert trace_from_dict(trace_to_dict(view)) == view
+
+    def test_a_line_that_is_not_json_is_named(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        path.write_text("\n{not json\n")
+        with pytest.raises(ValueError, match="traces.jsonl:2: not a JSON trace"):
+            load_traces(str(path))
 
 
 class TestSimulatorMetricsBridge:

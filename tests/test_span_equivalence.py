@@ -173,7 +173,7 @@ def record(case: str) -> dict:
     if coordinator is not None:
         lines = []
         for service in sorted(coordinator.traces):
-            lines.append(f"{service} {coordinator.trace_count(service)}")
+            lines.append(f"{service} {len(coordinator.traces[service])}")
             lines.extend(_graph_lines(coordinator.extract_graph(service).root))
             for name, values in sorted(coordinator.latency_samples(service).items()):
                 lines.append(f"{name} {values!r}")

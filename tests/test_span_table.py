@@ -4,8 +4,8 @@
   ``timings`` is read (count-based, no timing);
 * a span that finishes after its trace closed — an attempt the client
   abandoned on timeout — is dropped explicitly and counted;
-* ``TraceRecord``'s span-level queries run off one cached call-tree
-  index, rebuilt when ``spans`` changes.
+* a synthesized trace is a block too: its queries run off the table's
+  one forest, rebuilt when the table grows.
 """
 
 import gc
@@ -20,10 +20,13 @@ from repro.resilience import ResiliencePolicies, RetryPolicy, TimeoutPolicy
 from repro.simulator import ClusterSimulator, SimulatedMicroservice, SimulationConfig
 from repro.telemetry import TelemetryConfig, TelemetrySink, build_run_report
 from repro.telemetry.analysis import attribute_blame, extract_critical_path
-from repro.tracing import Span, SpanKind, SpanTiming, TraceRecord, synthesize_trace
+from repro.tracing import Span, SpanTiming, synthesize_trace
 from repro.tracing.coordinator import trace_own_latencies
-from repro.tracing.spans import CallTree
-from tests.helpers import fig1_graph
+from repro.tracing.spans import SpanForest, SpanTable
+from tests import span_oracle
+from tests.helpers import count_calls, fig1_graph
+
+NAN = float("nan")
 
 
 def run(sink, resilience=None, duration=0.3, seed=5):
@@ -95,6 +98,8 @@ class TestAllocationShape:
         assert _instances(Span) == spans_before
 
     def test_views_are_trace_records(self):
+        """A view reads as a sequence item: equal to the same block's view
+        and to no other, its spans read alone as the oracle reads them."""
         sink = TelemetrySink(config=TelemetryConfig(window_min=0.1, max_traces=50))
         run(sink, duration=0.1)
         assert len(sink.traces) == 50 and len(sink.traces[10:20]) == 10
@@ -102,13 +107,11 @@ class TestAllocationShape:
         with pytest.raises(IndexError):
             sink.traces[50]
         view = sink.traces[3]
-        record = TraceRecord(view.trace_id, view.service, view.spans, view.timings)
-        assert view == record and record == view
-        assert view.root() == record.root()
-        assert view.children_of(view.root()) == record.children_of(record.root())
-        assert view.end_to_end_latency() == record.end_to_end_latency()
-        assert trace_own_latencies(view) == trace_own_latencies(record)
-        assert extract_critical_path(view) == extract_critical_path(record)
+        assert view.spans is view.spans and view.timings is view.timings
+        assert view.root() == view.spans[-1] and view.root().parent_id is None
+        assert view.own_latencies() == span_oracle.own_latencies(view)
+        assert trace_own_latencies(view)["F"] == [span_oracle.own_latencies(view)[1][-1]]
+        assert extract_critical_path(view) == span_oracle.critical_path(view)
 
 
 # ----------------------------------------------------------------------
@@ -149,53 +152,62 @@ class TestLateSpans:
 
 
 # ----------------------------------------------------------------------
-# Post-hoc traces: one cached index
+# Post-hoc traces: blocks of a table, read off its one forest
 # ----------------------------------------------------------------------
 class TestTraceRecordIndex:
     LATENCIES = {"T": 10.0, "Url": 4.0, "U": 6.0, "C": 3.0}
 
     def test_queries_share_one_index(self, monkeypatch):
         trace = synthesize_trace(fig1_graph(), self.LATENCIES)
-        builds = []
-        original = CallTree.from_spans.__func__
-        monkeypatch.setattr(
-            CallTree, "from_spans",
-            classmethod(lambda cls, *a: builds.append(1) or original(cls, *a)),
-        )
+        counts = {"SpanForest": 0}
+        count_calls(monkeypatch, SpanForest, "__init__", counts, "SpanForest")
         root = trace.root()
-        for span in trace.spans:
-            trace.children_of(span)
-        assert [s.kind for s in trace.server_spans()] == [SpanKind.SERVER] * 4
+        assert [len(stage) for stage in trace.stages()[3]] == [2, 1]
         trace_own_latencies(trace)
         extract_critical_path(trace)
-        assert trace.end_to_end_latency() == root.duration
-        assert builds == [1]
+        assert trace.root() == root and root.duration == 10.0 + 6.0 + 3.0
+        assert counts == {"SpanForest": 1}
 
     def test_reassigning_or_growing_spans_rebuilds(self):
         trace = synthesize_trace(fig1_graph(), self.LATENCIES)
+        table = trace.table
         assert trace.root().microservice == "T"
-        other = synthesize_trace(fig1_graph(), self.LATENCIES, trace_id="x", start=5.0)
-        trace.spans = other.spans
-        assert trace.root().span_id.startswith("x-")
-        trace.spans.append(Span("x-extra", None, "T", SpanKind.SERVER, 0.0, 1.0))
+        forest = table.forest()
+        other = table.append_trace("fig1", 1, [5.0, 6.0, NAN, NAN, 1.0, 0, "T", -1, None])
+        assert table.forest() is not forest and list(table) == [trace, other]
+        assert other.root().span_id == "fig1-t1-s0" and trace.root().span_id == "trace-0-s0"
+        assert extract_critical_path(other).end_to_end_ms == 1.0
+        assert extract_critical_path(trace).end_to_end_ms == trace.root().duration
+        rows = [5.0, 6.0, NAN, NAN, 1.0, 2, "T", -1, None] * 2
         with pytest.raises(ValueError, match="exactly 1 root span, found 2"):
-            trace.root()
+            table.append_trace("fig1", 2, rows).root()
 
     def test_rootless_trace_still_yields_own_latencies(self):
-        trace = synthesize_trace(fig1_graph(), self.LATENCIES)
-        trace.spans = [s for s in trace.spans if s.parent_id is not None]
+        source = synthesize_trace(fig1_graph(), self.LATENCIES)
+        t = source.table
+        rows = [
+            value
+            for r in source.rows[:-1]  # every call but the root's
+            for value in (
+                t.start[r], t.finish[r], NAN, NAN, 1.0, t.ordinal[r],
+                t.names[t.ms[r]], t.parent[r], t.names[t.caller[r]],
+            )
+        ]
+        trace = t.append_trace("fig1", 1, rows)
         with pytest.raises(ValueError, match="exactly 1 root span, found 0"):
             extract_critical_path(trace)
         assert trace_own_latencies(trace)["C"] == [pytest.approx(3.0)]
 
     def test_children_sorted_by_start_then_id(self):
-        spans = [
-            Span("r", None, "A", SpanKind.SERVER, 0.0, 9.0),
-            Span("c2", "r", "A", SpanKind.CLIENT, 1.0, 4.0),
-            Span("c10", "r", "A", SpanKind.CLIENT, 1.0, 5.0),
-            Span("c0", "r", "A", SpanKind.CLIENT, 6.0, 8.0),
+        # client ids "s11" and "s3" start together: as strings "s11" sorts
+        # first; the call at 6.0 opens a second stage
+        rows = [
+            1.0, 4.0, NAN, NAN, 1.0, 4, "C", 0, "A",
+            1.0, 5.0, NAN, NAN, 1.0, 12, "B", 0, "A",
+            6.0, 8.0, NAN, NAN, 1.0, 2, "D", 0, "A",
+            0.0, 9.0, NAN, NAN, 1.0, 0, "A", -1, None,
         ]
-        trace = TraceRecord("t", "svc", spans)
-        assert [s.span_id for s in trace.children_of(spans[0])] == ["c10", "c2", "c0"]
-        # lost server spans: the client durations stand in (max 4, then 2)
-        assert trace_own_latencies(trace) == {"A": [pytest.approx(3.0)]}
+        trace = SpanTable().append_trace("svc", 0, rows)
+        assert trace.stages() == {3: [[1, 0], [2]]}
+        # the slowest of each stage (4, then 2) is subtracted
+        assert trace_own_latencies(trace)["A"] == [pytest.approx(3.0)]

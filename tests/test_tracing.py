@@ -7,21 +7,28 @@ from repro.tracing import (
     MetricsStore,
     Span,
     SpanKind,
-    TraceRecord,
+    SpanTable,
     TracingCoordinator,
     synthesize_trace,
 )
-from repro.tracing.spans import group_stages
 
 from tests.helpers import chain_graph, fig1_graph
 
 
 FIG1_LATENCIES = {"T": 10.0, "Url": 6.0, "U": 8.0, "C": 4.0}
+NAN = float("nan")
 
 
 def group_parallel(client_spans):
-    """One caller's client spans, stage by stage (the overlap rule)."""
-    return group_stages((s.start, s.span_id, s.end, s) for s in client_spans)
+    """One caller's client spans, stage by stage, as the span forest groups
+    them (the overlap rule): each a call of a root that outlasts them all."""
+    rows = []
+    for number, span in enumerate(client_spans, 1):
+        rows.extend((span.start, span.end, NAN, NAN, 1.0, 2 * number, f"m{number}", 0, "X"))
+    end = max([span.end for span in client_spans], default=0.0)
+    rows.extend((0.0, end, NAN, NAN, 1.0, 0, "X", -1, None))
+    stages = SpanTable().append_trace("svc", 0, rows).stages()
+    return [[client_spans[row] for row in stage] for stage in stages.get(len(client_spans), [])]
 
 
 class TestSpan:
@@ -46,14 +53,14 @@ class TestSynthesizeTrace:
         graph = fig1_graph()
         trace = synthesize_trace(graph, FIG1_LATENCIES)
         # e2e = T + max(Url, U) + C = 10 + 8 + 4 = 22
-        assert trace.end_to_end_latency() == pytest.approx(22.0)
+        assert trace.root().duration == pytest.approx(22.0)
 
     def test_two_spans_per_call(self):
         graph = fig1_graph()
         trace = synthesize_trace(graph, FIG1_LATENCIES)
         # 4 server spans + 3 client spans (3 calls).
         assert len(trace.spans) == 7
-        assert len(trace.server_spans()) == 4
+        assert [s.kind for s in trace.spans].count(SpanKind.SERVER) == 4
 
     def test_parallel_client_spans_overlap(self):
         graph = fig1_graph()
@@ -62,14 +69,6 @@ class TestSynthesizeTrace:
         t_clients = [s for s in clients if s.microservice == "T"]
         url_u = sorted(t_clients, key=lambda s: s.start)[:2]
         assert group_parallel(url_u) == [url_u]
-
-    def test_network_delay_extends_spans(self):
-        graph = chain_graph(["A", "B"])
-        plain = synthesize_trace(graph, {"A": 10.0, "B": 5.0})
-        delayed = synthesize_trace(graph, {"A": 10.0, "B": 5.0}, network_delay=2.0)
-        assert delayed.end_to_end_latency() == pytest.approx(
-            plain.end_to_end_latency() + 4.0
-        )
 
     def test_root_detection(self):
         trace = synthesize_trace(fig1_graph(), FIG1_LATENCIES)
@@ -123,18 +122,6 @@ class TestTracingCoordinator:
         for name, expected in FIG1_LATENCIES.items():
             assert samples[name][0] == pytest.approx(expected)
 
-    def test_latency_extraction_includes_network_delay(self):
-        graph = chain_graph(["A", "B"])
-        coordinator = TracingCoordinator()
-        coordinator.offer(
-            synthesize_trace(graph, {"A": 10.0, "B": 5.0}, network_delay=1.5)
-        )
-        samples = coordinator.latency_samples("chain")
-        # A's own latency absorbs the 2 x 1.5ms round trip (paper: L_i
-        # includes transmission latency).
-        assert samples["A"][0] == pytest.approx(13.0)
-        assert samples["B"][0] == pytest.approx(5.0)
-
     def test_sampling_rate_filters(self):
         graph = chain_graph(["A", "B"])
         coordinator = TracingCoordinator(sampling_rate=0.1, seed=42)
@@ -145,7 +132,7 @@ class TestTracingCoordinator:
             for i in range(2000)
         )
         assert 120 <= accepted <= 280  # ~10%
-        assert coordinator.trace_count("chain") == accepted
+        assert len(coordinator.traces["chain"]) == accepted
 
     def test_invalid_sampling_rate(self):
         with pytest.raises(ValueError, match="sampling_rate"):
@@ -191,7 +178,9 @@ class TestTracingCoordinator:
         graph = chain_graph(["A", "B"])
         coordinator = TracingCoordinator()
         coordinator.offer(synthesize_trace(graph, {"A": 4.0, "B": 6.0}))
-        assert coordinator.end_to_end_latencies("chain") == [pytest.approx(10.0)]
+        assert [t.root().duration for t in coordinator.traces["chain"]] == [
+            pytest.approx(10.0)
+        ]
 
 
 class TestMetricsStore:
