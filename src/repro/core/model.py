@@ -51,10 +51,6 @@ class LatencySegment:
         """Predicted tail latency at ``per_container_load`` req/min/container."""
         return self.slope * per_container_load + self.intercept
 
-    def load_for_latency(self, latency: float) -> float:
-        """Per-container load at which this segment reaches ``latency``."""
-        return (latency - self.intercept) / self.slope
-
 
 @dataclass(frozen=True)
 class PiecewiseLatencyModel:
@@ -100,17 +96,6 @@ class PiecewiseLatencyModel:
         means the microservice must operate in the low-load interval.
         """
         return self.high.latency(self.cutoff)
-
-    def segment_for_target(self, target: float) -> LatencySegment:
-        """Choose the segment consistent with meeting ``target``.
-
-        Erms first assumes the high-load segment (fewest containers); if the
-        allocated target falls below the cut-off latency the microservice
-        needs the low-load segment instead (paper §5.3.1).
-        """
-        if target < self.latency_at_cutoff():
-            return self.low
-        return self.high
 
 
 @dataclass(frozen=True)

@@ -119,12 +119,3 @@ class MockKubeApi:
     def serving_replicas(self, microservice: str) -> int:
         return sum(1 for p in self.pods_of(microservice) if p.is_serving())
 
-    def pods_on_node(self, node: str) -> List[Pod]:
-        return [
-            pod
-            for pod in self.pods.values()
-            if pod.node == node and pod.is_active()
-        ]
-
-    def events_of_kind(self, kind: str) -> List[ApiEvent]:
-        return [event for event in self.events if event.kind == kind]

@@ -162,17 +162,10 @@ class WorkerPool:
     Args:
         workers: Process count (``0`` = one per CPU; negative raises
             ``ValueError``).
-        measure: Record per-map dispatch statistics (payload bytes) in
-            :attr:`last_map_stats`; costs one extra pickle per payload,
-            so it is off by default and only used by benchmarks.
     """
 
-    def __init__(self, workers: int = 0, measure: bool = False) -> None:
+    def __init__(self, workers: int = 0) -> None:
         self.workers = _worker_count(workers)
-        self.measure = measure
-        #: Statistics of the most recent parallel map (measure=True only):
-        #: ``{"cells": int, "payload_bytes": int, "chunksize": int}``.
-        self.last_map_stats: Optional[dict] = None
         self._context: Any = None
         self._executor = None
         self._broken = False
@@ -242,24 +235,13 @@ class WorkerPool:
         # queue-feeder thread, after which ``shutdown(wait=True)`` can
         # deadlock joining the manager thread — so verify up front and
         # run serially instead.  The pool itself stays healthy for later
-        # maps; the pickle pass doubles as the payload measurement.
+        # maps.
         try:
             pickle.dumps(functools.partial(_guarded, fn))
-            payload_bytes = sum(len(pickle.dumps(cell)) for cell in cells)
+            for cell in cells:
+                pickle.dumps(cell)
         except Exception:
-            if self.measure:
-                self.last_map_stats = {
-                    "cells": len(cells),
-                    "payload_bytes": -1,
-                    "chunksize": chunksize,
-                }
             return _run_serial(fn, cells, self._context)
-        if self.measure:
-            self.last_map_stats = {
-                "cells": len(cells),
-                "payload_bytes": payload_bytes,
-                "chunksize": chunksize,
-            }
         try:
             executor = self._ensure_executor()
             results = list(

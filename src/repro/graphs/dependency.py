@@ -45,18 +45,6 @@ class CallNode:
     stages: List[List["CallNode"]] = field(default_factory=list)
     calls_per_request: float = 1.0
 
-    def add_sequential(self, node: "CallNode") -> "CallNode":
-        """Append ``node`` as a new sequential stage and return it."""
-        self.stages.append([node])
-        return node
-
-    def add_parallel(self, node: "CallNode") -> "CallNode":
-        """Append ``node`` to the last stage (creating one if needed)."""
-        if not self.stages:
-            self.stages.append([])
-        self.stages[-1].append(node)
-        return node
-
 
 def call(
     microservice: str,
@@ -214,25 +202,10 @@ class DependencyGraph:
         """Unique microservice names, in first-appearance order."""
         return list(self.plan().names)
 
-    def node_count(self) -> int:
-        """Number of call sites (counting repeated microservices)."""
-        return len(self.plan().nodes)
-
     def depth(self) -> int:
         """Length (in microservices) of the longest root-to-leaf chain."""
         plan = self.plan()
         return int(plan.fold([1] * len(plan.names)))
-
-    def workload_multipliers(self) -> Dict[str, float]:
-        """Per-microservice calls issued per one service request.
-
-        A microservice appearing at several call sites accumulates the
-        product of ``calls_per_request`` factors along each path.  This is
-        the :math:`\\gamma_i / \\gamma_{service}` ratio used to translate a
-        service arrival rate into microservice workloads.
-        """
-        plan = self.plan()
-        return dict(zip(plan.names, plan.multipliers))
 
     # ------------------------------------------------------------------
     # Critical paths

@@ -19,7 +19,7 @@ dedicated RNG for the same reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -146,17 +146,6 @@ class ChaosSchedule:
             self, "latency_spikes", tuple(self.latency_spikes)
         )
 
-    def error_rate_at(self, microservice: str, minute: float) -> float:
-        """Per-RPC error probability for ``microservice`` at ``minute``."""
-        rate = 0.0
-        for window in self.error_windows:
-            if (
-                window.microservice == microservice
-                and window.start_min <= minute < window.end_min
-            ):
-                rate = max(rate, window.error_rate)
-        return rate
-
     def is_empty(self) -> bool:
         return not (self.crashes or self.error_windows or self.latency_spikes)
 
@@ -218,6 +207,16 @@ class ChaosSchedule:
         if not 0 < duration_min < math.inf:
             raise ValueError(
                 f"duration_min must be positive and finite, got {duration_min}"
+            )
+        if restart_after_ms is not None and not 0 <= restart_after_ms < math.inf:
+            raise ValueError(
+                "restart_after_ms must be non-negative and finite, "
+                f"got {restart_after_ms}"
+            )
+        if not 0 < spike_multiplier < math.inf:
+            raise ValueError(
+                "spike_multiplier must be positive and finite, "
+                f"got {spike_multiplier}"
             )
         rng = np.random.default_rng(seed)
         names = list(microservices)

@@ -14,6 +14,7 @@ transient the windowed harness cannot see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,10 +41,15 @@ class AutoscaleConfig:
     startup_delay_ms: float = 3_000.0  # container cold start (paper: seconds)
 
     def __post_init__(self) -> None:
-        if self.interval_min <= 0:
-            raise ValueError("interval_min must be positive")
-        if self.startup_delay_ms < 0:
-            raise ValueError("startup_delay_ms must be non-negative")
+        if not 0 < self.interval_min < math.inf:
+            raise ValueError(
+                f"interval_min must be positive and finite, got {self.interval_min}"
+            )
+        if not 0 <= self.startup_delay_ms < math.inf:
+            raise ValueError(
+                "startup_delay_ms must be non-negative and finite, "
+                f"got {self.startup_delay_ms}"
+            )
 
 
 @dataclass

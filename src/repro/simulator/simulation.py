@@ -368,8 +368,7 @@ class SimulationResult:
     The recording hot path appends to flat ``array('d')`` column buffers;
     ``end_to_end`` and ``own_latency`` build the familiar
     ``{name: [(minute, latency_ms), ...]}`` views lazily on access, and
-    ``latencies()`` / ``own_latency_percentile()`` read the columns
-    directly without building tuples.
+    ``latencies()`` reads the columns directly without building tuples.
     """
 
     def __init__(self, duration_min: float, warmup_min: float):
@@ -520,20 +519,6 @@ class SimulationResult:
             in_window = values[windows == window]
             rates[int(window)] = float(np.mean(in_window > sla))
         return rates
-
-    def own_latency_percentile(
-        self, microservice: str, percentile: float = 95.0
-    ) -> float:
-        pair = self._own.get(microservice)
-        if pair is not None:
-            minutes = np.frombuffer(pair[0], dtype=np.float64)
-            values = np.frombuffer(pair[1], dtype=np.float64)
-            samples = values[minutes >= self.warmup_min]
-        else:
-            samples = np.array([])
-        if len(samples) == 0:
-            raise ValueError(f"no own-latency samples for {microservice!r}")
-        return float(np.percentile(samples, percentile))
 
     def to_metrics_store(
         self,

@@ -129,10 +129,11 @@ def _table_samples(table: SpanTable):
     """A table's traces as the flat columns :func:`attribute_blame` reads.
 
     Names (services and microservices) by id; per trace its service id and
-    its root's finish and duration (a block's root is its last row); per
-    call its trace, microservice id and Eq. 1 own latency, off the forest.
+    its root's finish and duration (a block's root is its last row, and
+    a block without exactly one root raises ``ValueError``); per call its
+    trace, microservice id and Eq. 1 own latency, off the forest.
     """
-    blocks, column, forest = len(table), table.column, table.forest()
+    blocks, column, forest = len(table), table.column, table.rooted_forest()
     last = column("trace_offset")[:blocks] + column("trace_rows")[:blocks] - 1
     rows = int(last[-1]) + 1 if blocks else 0
     finish = column("finish")[last]

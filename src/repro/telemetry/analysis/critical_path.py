@@ -126,10 +126,7 @@ class PathColumns(NamedTuple):
     @classmethod
     def of_table(cls, table: SpanTable) -> "PathColumns":
         """The table's traces (its first ``limit`` blocks) off its forest."""
-        forest, blocks = table.forest(), len(table)
-        rootless = np.flatnonzero(forest.root_count[:blocks] != 1)
-        if len(rootless):
-            table[int(rootless[0])].root_row()  # raises, naming the trace
+        forest, blocks = table.rooted_forest(), len(table)
         rows, offsets = forest.paths()
         offsets = offsets[: blocks + 1]
         rows = rows[: offsets[-1]]

@@ -63,6 +63,7 @@ regroups them into the original stages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -127,15 +128,20 @@ class TelemetryConfig:
     error_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.window_min <= 0:
-            raise ValueError("window_min must be positive")
+        if not 0 < self.window_min < math.inf:
+            raise ValueError(
+                f"window_min must be positive and finite, got {self.window_min}"
+            )
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError(
                 f"sampling_rate must be in (0, 1], got {self.sampling_rate}"
             )
-        if self.tail_threshold_ms is not None and self.tail_threshold_ms <= 0:
+        if self.tail_threshold_ms is not None and not (
+            0 < self.tail_threshold_ms < math.inf
+        ):
             raise ValueError(
-                f"tail_threshold_ms must be positive, got {self.tail_threshold_ms}"
+                "tail_threshold_ms must be positive and finite, "
+                f"got {self.tail_threshold_ms}"
             )
         if not 0.0 <= self.tail_floor <= 1.0:
             raise ValueError(

@@ -21,8 +21,8 @@ Two structured event streams that make a run explainable after the fact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -380,9 +380,6 @@ class DecisionLog:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def by_actor(self, actor: str) -> List[DecisionRecord]:
-        return [r for r in self.records if r.actor == actor]
 
     def to_dicts(self) -> List[Dict]:
         return [r.to_dict() for r in self.records]

@@ -18,7 +18,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "load_rules",
     ),
     "store": (
-        "Bin", "Series", "TimeSeriesConfig", "TimeSeriesStore",
-        "parse_metric_name", "series_key",
+        "Series", "TimeSeriesConfig", "TimeSeriesStore", "parse_metric_name",
+        "series_key",
     ),
 })

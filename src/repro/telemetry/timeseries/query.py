@@ -12,13 +12,10 @@ A deliberately small PromQL-shaped surface:
   ``quantile_over_time(q, ...)`` over a trailing ``[Nm]`` / ``[Ns]``
   window ending at the evaluation time.
 
-Range functions read the raw ring buffer when it still covers the
-window and transparently fall back to the downsampled min/max/sum/count
-bins once raw samples have been evicted (``rate`` then assumes
-monotonic counters; ``quantile_over_time`` and ``last_over_time`` are
-raw-only and return ``None`` past raw retention).  Every function
-returns ``None`` — never raises — when a series has no usable samples
-in the window, so rules evaluation is total.
+Range functions read the samples inside the window, which the store
+keeps for the whole run at scrape resolution.  Every function returns
+``None`` — never raises — when a series has no usable samples in the
+window (``rate`` needs two), so rules evaluation is total.
 """
 
 from __future__ import annotations
@@ -134,60 +131,27 @@ def parse_selector(text: str) -> Selector:
 def _rate(series, start: float, end: float) -> Optional[float]:
     """Per-minute increase of a (counter) series over the window.
 
-    On raw samples, counter resets (a decrease) restart the
-    accumulation, like PromQL's ``rate``.  On the bin fallback the
-    series is assumed monotonic (max of the last bin minus min of the
-    first).
+    Counter resets (a decrease) restart the accumulation, like PromQL's
+    ``rate``; fewer than two samples in the window give ``None``.
     """
     points = series.window(start, end)
-    if series.raw_covers(start) and len(points) >= 2:
-        increase = 0.0
-        prev = points[0][1]
-        for _, value in points[1:]:
-            increase += value - prev if value >= prev else value
-            prev = value
-        span = points[-1][0] - points[0][0]
-        return increase / span if span > 0 else None
-    bins = series.bins(start, end)
-    if not bins:
+    if len(points) < 2:
         return None
-    span = bins[-1].end - bins[0].start
-    if span <= 0:
-        return None
-    return (bins[-1].max - bins[0].min) / span
+    increase = 0.0
+    prev = points[0][1]
+    for _, value in points[1:]:
+        increase += value - prev if value >= prev else value
+        prev = value
+    span = points[-1][0] - points[0][0]
+    return increase / span if span > 0 else None
 
 
-def _fold(
-    raw: Callable[[List[float]], float],
-    from_bins: Callable[[List], Optional[float]],
-) -> Callable:
+def _over_time(fold: Callable[[List[float]], float]) -> Callable:
     def function(series, start: float, end: float) -> Optional[float]:
-        if series.raw_covers(start):
-            values = [v for _, v in series.window(start, end)]
-            return raw(values) if values else None
-        bins = series.bins(start, end)
-        if bins:
-            return from_bins(bins)
         values = [v for _, v in series.window(start, end)]
-        return raw(values) if values else None
+        return fold(values) if values else None
 
     return function
-
-
-_avg_over_time = _fold(
-    lambda vs: sum(vs) / len(vs),
-    lambda bins: (
-        sum(b.sum for b in bins) / sum(b.count for b in bins)
-        if sum(b.count for b in bins)
-        else None
-    ),
-)
-_min_over_time = _fold(min, lambda bins: min(b.min for b in bins))
-_max_over_time = _fold(max, lambda bins: max(b.max for b in bins))
-_sum_over_time = _fold(sum, lambda bins: sum(b.sum for b in bins))
-_count_over_time = _fold(
-    lambda vs: float(len(vs)), lambda bins: float(sum(b.count for b in bins))
-)
 
 
 def _last_over_time(series, start: float, end: float) -> Optional[float]:
@@ -198,11 +162,7 @@ def _last_over_time(series, start: float, end: float) -> Optional[float]:
 def _quantile_over_time(
     q: float, series, start: float, end: float
 ) -> Optional[float]:
-    """Nearest-rank quantile over the window's *raw* samples.
-
-    Raw-only by design: the downsampled bins keep min/max/sum/count,
-    which cannot answer an arbitrary quantile honestly.
-    """
+    """Nearest-rank quantile over the window's samples."""
     values = sorted(v for _, v in series.window(start, end))
     if not values:
         return None
@@ -213,11 +173,11 @@ def _quantile_over_time(
 #: name -> range function (series, start, end) -> Optional[float]
 _RANGE_FUNCTIONS: Dict[str, Callable] = {
     "rate": _rate,
-    "avg_over_time": _avg_over_time,
-    "min_over_time": _min_over_time,
-    "max_over_time": _max_over_time,
-    "sum_over_time": _sum_over_time,
-    "count_over_time": _count_over_time,
+    "avg_over_time": _over_time(lambda vs: sum(vs) / len(vs)),
+    "min_over_time": _over_time(min),
+    "max_over_time": _over_time(max),
+    "sum_over_time": _over_time(sum),
+    "count_over_time": _over_time(lambda vs: float(len(vs))),
     "last_over_time": _last_over_time,
 }
 

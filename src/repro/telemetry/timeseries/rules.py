@@ -7,8 +7,8 @@ A :class:`RuleSet` is a plain data structure (JSON-loadable via
 * **Recording rules** — ``{"record": "svc_p95_rate", "expr":
   "rate(requests_completed[1m])"}`` write each matching series' value
   back into the store under the recorded name (source labels
-  preserved), so derived signals get the same bounded multi-resolution
-  retention as scraped ones.
+  preserved), so derived signals are kept and queried like scraped
+  ones.
 * **Alert rules** — ``{"alert": "HighMissRate", "expr":
   "avg_over_time(sla_miss_rate{service=\"A\"}[1m])", "op": ">",
   "threshold": 0.05, "for": 0.5, "severity": "page"}`` compare each

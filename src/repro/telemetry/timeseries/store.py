@@ -15,10 +15,10 @@ embedded TSDB driven entirely by the *simulation* clock —
   and live engine state (queue depth, busy fraction, per-microservice
   container counts — which also covers the resilience layer's
   ``breaker_state`` gauges);
-* every sample lands in a bounded multi-resolution
-  :class:`Series` — a raw ring buffer plus stacked downsampled
-  min/max/sum/count :class:`Bin` levels, so long runs stay bounded while
-  coarse history survives raw eviction;
+* every sample lands in its :class:`Series` and stays there for the
+  whole run, at the one resolution it was scraped at: a run's duration
+  bounds the store (one sample per series per scrape), so it neither
+  evicts nor downsamples;
 * dotted registry names (``e2e_latency_ms.<service>``,
   ``request_errors.<service>.<kind>``, ``breaker_state.<service>.<ms>``)
   are split into a metric *family* plus labels, giving the query layer
@@ -33,14 +33,16 @@ disabled path costs nothing at all (no sink field, no events).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 _MS_PER_MINUTE = 60_000.0
 
+#: Delta-window quantiles scraped from each histogram.
+_QUANTILES = (0.50, 0.95, 0.99)
+
 __all__ = [
-    "Bin",
     "Series",
     "TimeSeriesConfig",
     "TimeSeriesStore",
@@ -92,65 +94,23 @@ def series_key(name: str, labels: Dict[str, str]) -> Tuple:
     return (name, tuple(sorted(labels.items())))
 
 
-@dataclass(frozen=True)
-class Bin:
-    """One downsampled aggregate over consecutive raw samples."""
-
-    start: float  # minute of the first covered sample
-    end: float  # minute of the last covered sample
-    min: float
-    max: float
-    sum: float
-    count: int
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict:
-        return {
-            "start": round(self.start, 6),
-            "end": round(self.end, 6),
-            "min": self.min,
-            "max": self.max,
-            "sum": self.sum,
-            "count": self.count,
-        }
-
-
 class Series:
-    """One bounded multi-resolution sample stream.
+    """One sample stream: every ``(time, value)`` of its run.
 
-    Raw ``(time, value)`` pairs live in a ring buffer of
-    ``raw_capacity`` samples; every ``downsample_factor`` raw samples
-    fold into one :class:`Bin` on level 0, every ``downsample_factor``
-    level-0 bins fold into a level-1 bin, and so on — so when the raw
-    ring evicts, min/max/sum/count history survives at coarser
-    resolution.  Appends must be time-ordered (the scrape loop runs on
+    Samples live in two flat columns, ``times`` and ``values``; a run's
+    length bounds them (one sample per scrape), so nothing is evicted or
+    downsampled.  Appends must be time-ordered (the scrape loop runs on
     the simulation clock, so they are).
     """
 
-    __slots__ = ("name", "labels", "key", "times", "values", "levels", "_pending", "_factor")
+    __slots__ = ("name", "labels", "key", "times", "values")
 
-    def __init__(
-        self,
-        name: str,
-        labels: Dict[str, str],
-        raw_capacity: int = 4096,
-        downsample_factor: int = 8,
-        downsample_levels: int = 2,
-        level_capacity: int = 1024,
-    ):
+    def __init__(self, name: str, labels: Dict[str, str]):
         self.name = name
         self.labels = dict(labels)
         self.key = series_key(name, labels)
-        self.times: deque = deque(maxlen=raw_capacity)
-        self.values: deque = deque(maxlen=raw_capacity)
-        self._factor = downsample_factor
-        self.levels: List[deque] = [
-            deque(maxlen=level_capacity) for _ in range(downsample_levels)
-        ]
-        self._pending: List[List[Bin]] = [[] for _ in range(downsample_levels)]
+        self.times: List[float] = []
+        self.values: List[float] = []
 
     def __len__(self) -> int:
         return len(self.times)
@@ -167,73 +127,18 @@ class Series:
             )
         self.times.append(t)
         self.values.append(value)
-        self._feed(0, Bin(t, t, value, value, value, 1))
-
-    def _feed(self, level: int, piece: Bin) -> None:
-        if level >= len(self.levels):
-            return
-        pending = self._pending[level]
-        pending.append(piece)
-        if len(pending) >= self._factor:
-            merged = Bin(
-                start=pending[0].start,
-                end=pending[-1].end,
-                min=min(b.min for b in pending),
-                max=max(b.max for b in pending),
-                sum=sum(b.sum for b in pending),
-                count=sum(b.count for b in pending),
-            )
-            del pending[:]
-            self.levels[level].append(merged)
-            self._feed(level + 1, merged)
 
     # -- reads ----------------------------------------------------------
     def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        """Raw samples with ``start <= t <= end`` (time-ordered)."""
+        """Samples with ``start <= t <= end`` (time-ordered)."""
         return [
             (t, v)
             for t, v in zip(self.times, self.values)
             if start <= t <= end
         ]
 
-    def raw_covers(self, start: float) -> bool:
-        """True when the raw ring still reaches back to ``start``."""
-        if not self.times:
-            return False
-        if len(self.times) < (self.times.maxlen or 0):
-            return True  # nothing evicted yet: full history retained
-        return self.times[0] <= start
-
-    def bins(self, start: float, end: float) -> List[Bin]:
-        """Finest-level closed bins overlapping ``[start, end]``.
-
-        Falls through to coarser levels only for the portion of the
-        range the finer level no longer retains; pending (unclosed)
-        samples are not included — use :meth:`window` for the raw tail.
-        """
-        out: List[Bin] = []
-        cutoff: Optional[float] = None  # earliest time already covered
-        for level in self.levels:
-            if cutoff is None:
-                selected = [
-                    b for b in level if b.end >= start and b.start <= end
-                ]
-            else:
-                # Older history only: whole bins strictly before what the
-                # finer level already answered (straddling bins are
-                # skipped rather than double-counted).
-                selected = [
-                    b for b in level if b.end >= start and b.end <= cutoff
-                ]
-            if selected:
-                out = selected + out
-                cutoff = out[0].start
-                if cutoff <= start:
-                    break
-        return out
-
     def last(self, at: Optional[float] = None) -> Optional[Tuple[float, float]]:
-        """Latest raw sample at or before ``at`` (latest overall if None)."""
+        """Latest sample at or before ``at`` (latest overall if None)."""
         if not self.times:
             return None
         if at is None:
@@ -260,32 +165,16 @@ class TimeSeriesConfig:
 
     Attributes:
         scrape_interval_min: Sim-time cadence of the scrape tick.
-        raw_capacity: Raw ring-buffer samples retained per series.
-        downsample_factor: Raw samples (or finer bins) folded per bin.
-        downsample_levels: Stacked downsample levels per series.
-        level_capacity: Bins retained per downsample level.
-        quantiles: Delta-window quantiles scraped from each histogram.
     """
 
     scrape_interval_min: float = 0.25
-    raw_capacity: int = 4096
-    downsample_factor: int = 8
-    downsample_levels: int = 2
-    level_capacity: int = 1024
-    quantiles: Sequence[float] = (0.50, 0.95, 0.99)
 
     def __post_init__(self) -> None:
-        if self.scrape_interval_min <= 0:
-            raise ValueError("scrape_interval_min must be positive")
-        if self.raw_capacity < 2:
-            raise ValueError("raw_capacity must be at least 2")
-        if self.downsample_factor < 2:
-            raise ValueError("downsample_factor must be at least 2")
-        if self.downsample_levels < 0:
-            raise ValueError("downsample_levels must be non-negative")
-        for q in self.quantiles:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"quantile {q} outside [0, 1]")
+        if not 0 < self.scrape_interval_min < math.inf:
+            raise ValueError(
+                "scrape_interval_min must be positive and finite, "
+                f"got {self.scrape_interval_min}"
+            )
 
 
 def _delta_quantile(
@@ -309,7 +198,7 @@ def _delta_quantile(
 
 
 class TimeSeriesStore:
-    """Scrapes one :class:`TelemetrySink` into bounded series.
+    """Scrapes one :class:`TelemetrySink` into its series.
 
     Attach by passing as ``timeseries=`` to the sink; the sink calls
     :meth:`attach` from ``begin_run`` (which schedules the sim-clock
@@ -445,7 +334,7 @@ class TimeSeriesStore:
         self.record(
             family, {**base, "stat": "mean"}, now_min, delta_sum / delta_count
         )
-        for q in self.config.quantiles:
+        for q in _QUANTILES:
             self.record(
                 family,
                 {**base, "stat": f"p{q * 100:g}"},
@@ -519,15 +408,7 @@ class TimeSeriesStore:
         key = series_key(name, labels)
         series = self.series.get(key)
         if series is None:
-            config = self.config
-            series = self.series[key] = Series(
-                name,
-                labels,
-                raw_capacity=config.raw_capacity,
-                downsample_factor=config.downsample_factor,
-                downsample_levels=config.downsample_levels,
-                level_capacity=config.level_capacity,
-            )
+            series = self.series[key] = Series(name, labels)
         series.append(t, value)
         return series
 
@@ -595,19 +476,13 @@ class TimeSeriesStore:
     def from_dict(cls, dump: Dict) -> "TimeSeriesStore":
         """Rebuild a store from :meth:`to_dict` output (no rules attached).
 
-        Every dumped point is recorded again, so the raw rings (sized to
-        hold the longest series) and the downsample bins hold what the
-        dump holds; ``last_scrape_min`` is the latest dumped time.
+        Every dumped point is recorded again, so each series holds what
+        the dump holds; ``last_scrape_min`` is the latest dumped time.
         """
-        series_data = dump["series_data"]
-        longest = max((len(s["points"]) for s in series_data), default=0)
         store = cls(
-            TimeSeriesConfig(
-                scrape_interval_min=dump["scrape_interval_min"],
-                raw_capacity=max(TimeSeriesConfig.raw_capacity, longest),
-            )
+            TimeSeriesConfig(scrape_interval_min=dump["scrape_interval_min"])
         )
-        for entry in series_data:
+        for entry in dump["series_data"]:
             for t, value in entry["points"]:
                 store.record(entry["name"], entry["labels"], t, value)
         store.scrapes = dump["scrapes"]

@@ -317,6 +317,18 @@ class SpanTable(SequenceABC):
             self._forest = SpanForest(self)
         return self._forest
 
+    def rooted_forest(self) -> "SpanForest":
+        """:meth:`forest`, once each block within ``limit`` has one root.
+
+        Raises :meth:`TraceView.root_row`'s ``ValueError``, naming the
+        first block with no parentless call or with several.
+        """
+        forest = self.forest()
+        rootless = np.flatnonzero(forest.root_count[: len(self)] != 1)
+        if len(rootless):
+            self[int(rootless[0])].root_row()  # raises, naming the trace
+        return forest
+
     def __len__(self) -> int:
         blocks, limit = len(self.trace_rows), self.limit
         return blocks if limit is None or blocks < limit else limit

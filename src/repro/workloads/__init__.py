@@ -1,7 +1,7 @@
 """Workloads: arrival processes and benchmark application topologies.
 
-* :mod:`repro.workloads.arrival` — static, stepped, and diurnal
-  (Alibaba-like) request arrival-rate processes.
+* :mod:`repro.workloads.arrival` — stepped and diurnal (Alibaba-like)
+  request arrival-rate processes.
 * :mod:`repro.workloads.deathstarbench` — synthetic stand-ins for the three
   DeathStarBench applications the paper evaluates (Social Network, Media
   Service, Hotel Reservation) with the same microservice/service/shared
@@ -14,7 +14,7 @@
 from repro.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "arrival": ("DiurnalRate", "StaticRate", "SteppedRate", "TraceRate"),
+    "arrival": ("DiurnalRate", "SteppedRate"),
     "deathstarbench": (
         "Application", "analytic_profile", "hotel_reservation",
         "media_service", "social_network",

@@ -2,30 +2,17 @@
 
 All processes are callables ``rate(minute) -> requests/minute`` so they can
 be handed directly to :class:`~repro.simulator.simulation.ClusterSimulator`
-or sampled per scaling round by the experiment harness.
+or sampled per scaling round by the experiment harness.  A constant
+workload needs no process: the simulator takes a plain number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class StaticRate:
-    """Constant workload (the paper's static settings, 600–100 000 req/min)."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError(f"rate must be non-negative, got {self.rate}")
-
-    def __call__(self, minute: float) -> float:
-        return self.rate
 
 
 @dataclass(frozen=True)
@@ -84,23 +71,3 @@ class DiurnalRate:
         noise = self._noise[int(minute) % len(self._noise)]
         return max(self.base * wave * noise, 0.0)
 
-
-@dataclass(frozen=True)
-class TraceRate:
-    """Replay of a recorded per-minute rate series (held flat per minute)."""
-
-    series: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.series:
-            raise ValueError("series must be non-empty")
-        if any(value < 0 for value in self.series):
-            raise ValueError("rates must be non-negative")
-
-    def __call__(self, minute: float) -> float:
-        index = min(int(minute), len(self.series) - 1)
-        return self.series[index]
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "TraceRate":
-        return cls(tuple(float(v) for v in samples))

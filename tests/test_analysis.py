@@ -214,6 +214,32 @@ class TestBlameAttribution:
         assert report.entries == []
         assert report.top_offender() is None
 
+    def test_a_rootless_block_is_rejected_like_analyze_run(self):
+        """A block without its root call has no end-to-end latency: blame
+        raises the error analyze_run raises, instead of reading the
+        block's last call as its root."""
+        from repro.tracing import synthesize_trace
+        from tests.helpers import fig1_graph
+
+        source = synthesize_trace(
+            fig1_graph(), {"T": 10.0, "Url": 4.0, "U": 6.0, "C": 3.0}
+        )
+        t = source.table
+        rows = [
+            value
+            for r in source.rows[:-1]  # every call but the root's
+            for value in (
+                t.start[r], t.finish[r], np.nan, np.nan, 1.0, t.ordinal[r],
+                t.names[t.ms[r]], t.parent[r], t.names[t.caller[r]],
+            )
+        ]
+        t.append_trace("fig1", 1, rows)
+        message = "trace fig1-t1: expected exactly 1 root span, found 0"
+        with pytest.raises(ValueError, match=message):
+            attribute_blame(t, {"fig1": {"C": 1.0}}, {"fig1": 1.0})
+        with pytest.raises(ValueError, match=message):
+            analyze_run(traces=t)
+
     def test_entries_sorted_by_excess(self):
         sink = run_underprovisioned()
         report = attribute_blame(sink.traces, self.TARGETS, self.SLAS)

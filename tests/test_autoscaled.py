@@ -14,7 +14,7 @@ from repro.simulator import (
     SimulatedMicroservice,
     SimulationConfig,
 )
-from repro.workloads import HoltPredictor, StaticRate, SteppedRate, analytic_profile
+from repro.workloads import HoltPredictor, SteppedRate, analytic_profile
 from tests.pinned import expected
 
 
@@ -131,7 +131,7 @@ class TestAutoscaledSimulation:
             simulated,
             ErmsScaler(),
             profiles,
-            rates={"svc": StaticRate(6_000.0)},
+            rates={"svc": lambda minute: 6_000.0},
             config=SimulationConfig(duration_min=4.0, warmup_min=1.0, seed=4),
             autoscale=AutoscaleConfig(interval_min=1.0, startup_delay_ms=0.0),
         )
@@ -154,7 +154,7 @@ class TestAutoscaledSimulation:
             simulated,
             ErmsScaler(),
             profiles,
-            rates={"svc": StaticRate(3_000.0)},
+            rates={"svc": lambda minute: 3_000.0},
             config=SimulationConfig(duration_min=2.0, warmup_min=0.0, seed=5),
             autoscale=AutoscaleConfig(interval_min=1.0),
             predictor_factory=factory,
@@ -198,7 +198,6 @@ class TestAutoscaledSharedServices:
     def test_priority_scheduling_survives_rescaling(self):
         """Shared services keep δ-priority queues as containers scale."""
         from repro.graphs import DependencyGraph
-        from repro.workloads import StaticRate
 
         specs = [
             ServiceSpec(
@@ -229,7 +228,7 @@ class TestAutoscaledSharedServices:
             simulated,
             ErmsScaler(),
             profiles,
-            rates={"hot": StaticRate(4_000.0), "cold": StaticRate(4_000.0)},
+            rates={"hot": lambda minute: 4_000.0, "cold": lambda minute: 4_000.0},
             config=SimulationConfig(
                 duration_min=3.0, warmup_min=0.5, seed=9, scheduling="priority"
             ),
@@ -255,7 +254,7 @@ class TestAutoscaledSharedServices:
             simulated,
             ErmsScaler(),
             profiles,
-            rates={"svc": StaticRate(2_000.0)},
+            rates={"svc": lambda minute: 2_000.0},
             config=SimulationConfig(duration_min=2.0, warmup_min=0.0, seed=10),
             autoscale=AutoscaleConfig(interval_min=1.0),
         )

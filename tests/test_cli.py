@@ -363,6 +363,12 @@ class TestCommands:
         ("scale", "--workload", "nan", 2, "workload"),
         ("scale", "--sla", "inf", 2, "sla"),
         ("simulate", "--sla", "nan", 2, "sla"),
+        ("dashboard", "--scrape-interval", "nan", 2, "scrape_interval_min"),
+        ("dashboard", "--interval", "nan", 2, "interval_min"),
+        ("dashboard", "--window", "nan", 2, "window_min"),
+        ("report", "--tail-threshold", "nan", 2, "tail_threshold_ms"),
+        ("simulate --chaos", "--chaos-spike", "nan", 2, "spike_multiplier"),
+        ("simulate --chaos", "--chaos-restart-ms", "nan", 2, "restart_after_ms"),
         ("trace-sim", "--workers", "-1", 2, "workers"),
         ("compare", "--workers", "-1", 2, "workers"),
         ("chaos", "--chaos-error-rate", "7", 2, "error_rate"),
@@ -383,7 +389,7 @@ class TestCommands:
     def test_bad_config_value_is_one_line_usage_error(
         self, command, flag, value, code, field, capsys
     ):
-        argv = [command, flag, value]
+        argv = [*command.split(), flag, value]
         if command not in ("compare", "trace-sim"):
             argv += ["--app", "hotel-reservation"]
         if flag != "--duration" and command not in ("scale", "compare", "trace-sim"):

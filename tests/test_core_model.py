@@ -22,10 +22,6 @@ class TestLatencySegment:
         assert seg.latency(0.0) == pytest.approx(3.0)
         assert seg.latency(10.0) == pytest.approx(23.0)
 
-    def test_load_for_latency_inverts(self):
-        seg = LatencySegment(slope=2.0, intercept=3.0)
-        assert seg.load_for_latency(seg.latency(7.5)) == pytest.approx(7.5)
-
     def test_nonpositive_slope_rejected(self):
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="slope"):
@@ -60,11 +56,6 @@ class TestPiecewiseLatencyModel:
     def test_latency_at_cutoff_uses_high_segment(self):
         model = self._model()
         assert model.latency_at_cutoff() == pytest.approx(2.0 * 10 + 2)
-
-    def test_segment_for_target_picks_low_when_tight(self):
-        model = self._model()
-        assert model.segment_for_target(5.0) is model.low
-        assert model.segment_for_target(50.0) is model.high
 
     def test_nonpositive_cutoff_rejected(self):
         for bad in (0.0, float("nan"), float("inf")):

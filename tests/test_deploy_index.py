@@ -138,13 +138,13 @@ class TestOneIndexPerPass:
                 host.place(name)
                 expected.append((name, host.host_id))
 
-        scheduled_before = len(api.events_of_kind("pod-scheduled"))
+        events_before = len(api.events)
         controller.apply_allocation({"a": 17, "b": 9})
         controller.reconcile()
-        scheduled = api.events_of_kind("pod-scheduled")[scheduled_before:]
         got = [
             (api.pods[event.subject].microservice, event.detail.split("=", 1)[1])
-            for event in scheduled
+            for event in api.events[events_before:]
+            if event.kind == "pod-scheduled"
         ]
         assert got == expected
         assert "host-000" not in {node for _, node in got}
@@ -304,10 +304,6 @@ def assert_matches_store_scan(api):
         assert api.serving_replicas(name) == sum(
             1 for pod in mine if pod.phase is PodPhase.RUNNING
         )
-    for node in NODES:
-        assert api.pods_on_node(node) == [
-            pod for pod in store if pod.node == node and pod.is_active()
-        ]
 
 
 @given(operations)

@@ -34,7 +34,7 @@ class TestMockKubeApi:
         api.apply("ms", 3)
         api.apply("ms", 5)
         assert api.deployments["ms"].replicas == 5
-        assert len(api.events_of_kind("apply")) == 2
+        assert [event.kind for event in api.events] == ["apply", "apply"]
 
     def test_create_pod_requires_deployment(self):
         api = MockKubeApi()
@@ -103,7 +103,7 @@ class TestDeploymentController:
         cluster.hosts[0].background_memory_mb = 56_000.0
         controller.apply_allocation({"ms": 6})
         controller.reconcile()
-        assert len(api.pods_on_node("host-000")) == 0
+        assert all(pod.node != "host-000" for pod in api.pods.values())
 
     def test_multiple_microservices(self):
         api, cluster, controller = make_controller()

@@ -51,7 +51,7 @@ from repro.simulator import (
     SimulationConfig,
 )
 from repro.telemetry import TelemetryConfig, TelemetrySink
-from repro.workloads import StaticRate, analytic_profile, social_network
+from repro.workloads import analytic_profile, social_network
 from tests.pinned import expected, sha_buffers
 
 
@@ -281,7 +281,7 @@ def _autoscaled():
         {n: analytic_profile(n, ms, t) for n, (ms, t) in shapes.items()},
         rates={
             "hot": lambda minute: 3_000.0 if minute < 0.5 else 7_000.0,
-            "cold": StaticRate(4_000.0),
+            "cold": lambda minute: 4_000.0,
         },
         config=SimulationConfig(
             duration_min=1.2, warmup_min=0.2, seed=17, scheduling="priority"

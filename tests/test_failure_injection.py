@@ -14,7 +14,7 @@ from repro.simulator import (
     SimulatedMicroservice,
     SimulationConfig,
 )
-from repro.workloads import StaticRate, analytic_profile
+from repro.workloads import analytic_profile
 
 
 def make_simulator(containers=3, rate=10_000.0, duration=1.0, seed=1):
@@ -144,7 +144,7 @@ class TestAutoscalerRecovery:
             simulated,
             ErmsScaler(),
             profiles,
-            rates={"svc": StaticRate(30_000.0)},
+            rates={"svc": lambda minute: 30_000.0},
             config=SimulationConfig(duration_min=4.0, warmup_min=0.0, seed=3),
             autoscale=AutoscaleConfig(interval_min=1.0, startup_delay_ms=500.0),
         )
@@ -185,7 +185,7 @@ class TestDecisionLogUnderFailure:
             simulated,
             ErmsScaler(),
             profiles,
-            rates={"svc": StaticRate(30_000.0)},
+            rates={"svc": lambda minute: 30_000.0},
             config=SimulationConfig(duration_min=6.0, warmup_min=0.0, seed=seed),
             autoscale=AutoscaleConfig(interval_min=1.0, startup_delay_ms=500.0),
             telemetry=sink,

@@ -36,20 +36,20 @@ def _deep_simulator(names, graph):
 
 def _validated(names, graph):
     validate_graph(graph)
-    return graph.node_count()
+    return len(graph.nodes())
 
 
 def _merged(names, graph):
     from repro.graphs.clustering import merge_variants
 
-    return merge_variants("deep", [graph, graph]).node_count()
+    return len(merge_variants("deep", [graph, graph]).nodes())
 
 
 def _similar(names, graph):
     from repro.graphs.clustering import graph_similarity
 
     assert graph_similarity(graph, DependencyGraph("deep", graph.root)) == 1.0
-    return graph.node_count()
+    return len(graph.nodes())
 
 
 def _rows_round_trip(names, graph):
@@ -115,23 +115,6 @@ class TestCallNode:
         ]
         assert children == ["Url", "U", "C"]
 
-    def test_add_sequential_creates_new_stage(self):
-        node = call("A")
-        node.add_sequential(call("B"))
-        node.add_sequential(call("C"))
-        assert len(node.stages) == 2
-
-    def test_add_parallel_joins_last_stage(self):
-        node = call("A")
-        node.add_sequential(call("B"))
-        node.add_parallel(call("C"))
-        assert len(node.stages) == 1
-        assert [c.microservice for c in node.stages[0]] == ["B", "C"]
-
-    def test_add_parallel_to_empty_creates_stage(self):
-        node = call("A")
-        node.add_parallel(call("B"))
-        assert len(node.stages) == 1
 
 
 class TestDependencyGraph:
@@ -145,9 +128,9 @@ class TestDependencyGraph:
 
     def test_node_and_edge_counts(self):
         graph = fig1_graph()
-        assert graph.node_count() == 4
+        assert len(graph.nodes()) == 4
         edges = sum(len(stage) for stages in graph.plan().stages for stage in stages)
-        assert edges == graph.node_count() - 1 == 3  # one call per site but the root
+        assert edges == len(graph.nodes()) - 1 == 3  # one call per site but the root
 
     def test_depth_counts_longest_chain(self):
         assert fig1_graph().depth() == 3
@@ -161,12 +144,7 @@ class TestDependencyGraph:
 
     def test_workload_multipliers_simple(self):
         graph = fig1_graph()
-        assert graph.workload_multipliers() == {
-            "T": 1.0,
-            "Url": 1.0,
-            "U": 1.0,
-            "C": 1.0,
-        }
+        assert graph.plan().multipliers == (1.0, 1.0, 1.0, 1.0)
 
     def test_workload_multipliers_with_fanout(self):
         graph = DependencyGraph(
@@ -174,16 +152,17 @@ class TestDependencyGraph:
             call("A", stages=[[call("B", calls_per_request=3.0,
                                     stages=[[call("C", calls_per_request=2.0)]])]]),
         )
-        multipliers = graph.workload_multipliers()
-        assert multipliers["B"] == pytest.approx(3.0)
-        assert multipliers["C"] == pytest.approx(6.0)
+        plan = graph.plan()
+        assert plan.names == ("A", "B", "C")
+        assert plan.multipliers == pytest.approx((1.0, 3.0, 6.0))
 
     def test_workload_multipliers_accumulate_repeats(self):
         # Microservice B appears at two call sites.
         graph = DependencyGraph(
             "rep", call("A", stages=[[call("B")], [call("B")]])
         )
-        assert graph.workload_multipliers()["B"] == pytest.approx(2.0)
+        plan = graph.plan()
+        assert plan.multipliers[plan.names.index("B")] == pytest.approx(2.0)
 
     def test_end_to_end_latency_sequential(self):
         graph = chain_graph(["A", "B", "C"])
@@ -234,7 +213,6 @@ class TestGraphPlan:
         assert plan.stages == (((1, 4), (5,)), ((2, 3),), (), (), (), ())
         assert plan.parents == (-1, 0, 1, 1, 0, 0)
         assert plan.multipliers == (3.0, 2.0, 5.0, 0.5)
-        assert graph.workload_multipliers() == dict(zip(plan.names, plan.multipliers))
 
     def test_compiled_once_and_not_part_of_equality(self):
         graph = fig1_graph()
@@ -247,24 +225,24 @@ class TestGraphPlan:
         graph.microservices().append("X")
         graph.nodes().clear()
         assert graph.microservices() == ["T", "Url", "U", "C"]
-        assert graph.node_count() == 4
+        assert len(graph.nodes()) == 4
 
     def test_a_mutated_root_needs_a_new_graph(self):
         """The freeze contract: the plan is built at first use and kept."""
         graph = chain_graph(["A", "B"])
         latencies = {"A": 1.0, "B": 2.0, "C": 4.0}
         assert graph.end_to_end_latency(latencies) == 3.0
-        graph.root.add_sequential(call("C", calls_per_request=2.0))
+        graph.root.stages.append([call("C", calls_per_request=2.0)])
         assert graph.microservices() == ["A", "B"]  # still the compiled tree
         assert graph.end_to_end_latency(latencies) == 3.0
         rebuilt = DependencyGraph(graph.service, graph.root)
         assert rebuilt.microservices() == ["A", "B", "C"]
-        assert rebuilt.workload_multipliers()["C"] == 2.0
+        assert rebuilt.plan().multipliers == (1.0, 1.0, 2.0)
         assert rebuilt.end_to_end_latency(latencies) == 7.0
 
     def test_a_chain_deeper_than_the_recursion_limit_folds(self):
         names, graph = _deep_chain()
-        assert graph.node_count() == len(names)
+        assert len(graph.nodes()) == len(names)
         assert graph.end_to_end_latency(dict.fromkeys(names, 1.0)) == float(len(names))
 
     @pytest.mark.parametrize("door", sorted(_DEEP_DOORS))
@@ -369,4 +347,4 @@ class TestPathHelpers:
         assert [(row.um, row.dm) for row in rows[1:]] == [
             ("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")
         ]
-        assert len(rows) - 1 == graph.node_count() - 1 == 4
+        assert len(rows) - 1 == len(graph.nodes()) - 1 == 4

@@ -83,7 +83,7 @@ class TestComputeServiceTargets:
         """Graphs are frozen once scaled; a grown root needs a new graph."""
         spec, profiles = two_tier_service()
         before = compute_service_targets(spec, profiles)
-        spec.graph.root.add_sequential(call("Q"))
+        spec.graph.root.stages.append([call("Q")])
         profiles["Q"] = make_profile("Q", slope=1.0, intercept=1.0)
         stale = compute_service_targets(spec, profiles)
         assert stale.targets == before.targets

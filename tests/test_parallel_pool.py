@@ -168,12 +168,3 @@ class TestPersistentPool:
         """0 means one worker per CPU; below that is no count at all."""
         with pytest.raises(ValueError, match="workers must be non-negative, got -3"):
             start()
-
-    def test_measure_records_payload_stats(self):
-        with WorkerPool(2, measure=True) as pool:
-            pool.set_context({"base": 0})
-            pool.map(_ctx_plus, [{"x": i} for i in range(6)])
-            stats = pool.last_map_stats
-        assert stats["cells"] == 6
-        assert stats["payload_bytes"] > 0
-        assert stats["chunksize"] >= 1

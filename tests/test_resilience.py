@@ -75,13 +75,10 @@ class TestChaosSchedule:
             ["a", "b", "c"], duration_min=2.0, seed=10
         )
 
-    def test_error_rate_lookup(self):
+    def test_an_error_window_makes_a_schedule_non_empty(self):
         schedule = ChaosSchedule(
             error_windows=[ErrorWindow("B", 1.0, 2.0, 0.25)]
         )
-        assert schedule.error_rate_at("B", 1.5) == 0.25
-        assert schedule.error_rate_at("B", 2.5) == 0.0
-        assert schedule.error_rate_at("other", 1.5) == 0.0
         assert not schedule.is_empty()
         assert ChaosSchedule().is_empty()
 

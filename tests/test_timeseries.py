@@ -79,30 +79,12 @@ class TestSeries:
         with pytest.raises(ValueError):
             s.append(0.5, 2.0)
 
-    def test_ring_eviction_feeds_downsample_levels(self):
-        s = Series("x", {}, raw_capacity=16, downsample_factor=4,
-                   downsample_levels=2, level_capacity=8)
-        for i in range(64):
+    def test_every_sample_is_kept(self):
+        s = Series("x", {})
+        for i in range(5000):  # more than any run's scrapes
             s.append(float(i), float(i))
-        assert len(s) == 16  # raw ring holds only the newest 16
-        assert not s.raw_covers(0.0)
-        # evicted history is still answerable through bins
-        bins = s.bins(0.0, 20.0)
-        assert bins
-        assert bins[0].start == 0.0
-        assert bins[0].min == 0.0
-        total = sum(b.count for b in s.bins(0.0, 64.0))
-        assert total >= 64 - 16  # everything evicted is in some bin
-
-    def test_bin_stats(self):
-        s = Series("x", {}, raw_capacity=4, downsample_factor=4,
-                   downsample_levels=1, level_capacity=8)
-        for i, v in enumerate([1.0, 5.0, 3.0, 7.0, 0.0, 0.0, 0.0, 0.0]):
-            s.append(float(i), v)
-        first = s.bins(0.0, 3.0)[0]
-        assert first.min == 1.0 and first.max == 7.0
-        assert first.sum == 16.0 and first.count == 4
-        assert first.mean == 4.0
+        assert len(s) == 5000
+        assert s.window(0.0, 3.0) == [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
 
 
 class TestNaming:
@@ -162,6 +144,25 @@ class TestQueries:
             store.record("lat", {}, i * 0.01, float(i + 1))
         [(_, p95)] = store.query("quantile_over_time(0.95, lat[5m])")
         assert p95 == 95.0
+
+    def test_rate_needs_two_samples_in_the_window(self):
+        """A counter scraped once a minute has one sample in a 30 s
+        window: no slope to report, however long the series is."""
+        store = TimeSeriesStore(TimeSeriesConfig())
+        for i in range(10):
+            store.record("c", {}, float(i), 7.0 * i)
+        [(_, value)] = store.query("rate(c[30s])", at=6.2)
+        assert value is None
+        [(_, value)] = store.query("rate(c[2m])", at=6.2)
+        assert value == 7.0
+
+    def test_quantile_over_time_reaches_the_first_sample(self):
+        store = TimeSeriesStore(TimeSeriesConfig())
+        for i in range(5000):
+            store.record("lat", {}, float(i), float(i))
+        # the window holds the run's first ten samples, 4 990 scrapes back
+        [(_, value)] = store.query("quantile_over_time(0.5, lat[10m])", at=9.0)
+        assert value == 4.0  # nearest rank: ceil(0.5 * 10) = 5th of 0..9
 
     def test_empty_window_returns_none(self):
         store = TimeSeriesStore(TimeSeriesConfig())
@@ -344,7 +345,7 @@ class TestRules:
         assert store.engine is not None
         assert len(store.engine.alerts) == 1  # fires once, stays firing
         assert sink.monitor.rule_alerts == store.engine.alerts
-        assert sink.decisions.by_actor(RULES_ACTOR)
+        assert any(r.actor == RULES_ACTOR for r in sink.decisions.records)
 
 
 class TestGoldenNeutrality:
@@ -379,8 +380,8 @@ class TestGoldenNeutrality:
 
 class TestQueryEdgeCases:
     """Edges the live query endpoint leans on: empty windows, windows
-    that straddle the raw-ring / downsample-bin boundary, and selectors
-    over labels containing quotes, backslashes, and commas."""
+    that reach back to a long series' first sample, and selectors over
+    labels containing quotes, backslashes, and commas."""
 
     def test_quantile_over_time_empty_window_is_none(self):
         store = TimeSeriesStore(TimeSeriesConfig(scrape_interval_min=0.1))
@@ -405,28 +406,15 @@ class TestQueryEdgeCases:
             assert value is None, expr
 
     def test_rate_across_downsample_stitch(self):
-        # Tiny ring: 16 raw samples, bins of 4, two stacked levels.  A
-        # 200-sample monotonic counter evicts most of the raw ring, so a
-        # long window must stitch level-1 + level-0 bins + the raw tail.
-        store = TimeSeriesStore(
-            TimeSeriesConfig(
-                scrape_interval_min=0.1,
-                raw_capacity=16,
-                downsample_factor=4,
-                downsample_levels=2,
-                level_capacity=64,
-            )
-        )
-        for i in range(200):
+        # A 5 000-sample monotonic counter: a window back to its first
+        # sample reads every sample, so the slope is exact.
+        store = TimeSeriesStore(TimeSeriesConfig())
+        for i in range(5000):
             store.record("ctr", {}, float(i), 2.0 * i)  # slope 2/min
-        series = store.get("ctr", {})
-        assert not series.raw_covers(10.0)  # the window predates the ring
-        [(_, value)] = store.query("rate(ctr[180m])", at=199.0)
-        # bin fallback: (max of last bin - min of first bin) / span ≈ slope
-        assert value == pytest.approx(2.0, rel=0.05)
-        # a recent window still answered from raw samples stays exact
-        [(_, recent)] = store.query("rate(ctr[5m])", at=199.0)
-        assert recent == pytest.approx(2.0, rel=1e-9)
+        [(_, value)] = store.query("rate(ctr[5000m])", at=4999.0)
+        assert value == 2.0
+        [(_, recent)] = store.query("rate(ctr[5m])", at=4999.0)
+        assert recent == 2.0
 
     def test_selector_on_escaped_label_values(self):
         store = TimeSeriesStore(TimeSeriesConfig(scrape_interval_min=0.1))

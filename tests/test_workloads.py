@@ -9,9 +9,7 @@ from repro.core import compute_service_targets, scale_with_priorities
 from repro.graphs import validate_graph
 from repro.workloads import (
     DiurnalRate,
-    StaticRate,
     SteppedRate,
-    TraceRate,
     generate_taobao,
     hotel_reservation,
     media_service,
@@ -43,15 +41,6 @@ def record(case):
 
 
 class TestArrivalProcesses:
-    def test_static_rate(self):
-        rate = StaticRate(5000.0)
-        assert rate(0.0) == 5000.0
-        assert rate(100.0) == 5000.0
-
-    def test_static_negative_rejected(self):
-        with pytest.raises(ValueError, match="rate"):
-            StaticRate(-1.0)
-
     def test_stepped_rate(self):
         rate = SteppedRate(((0.0, 100.0), (10.0, 500.0), (20.0, 50.0)))
         assert rate(5.0) == 100.0
@@ -83,18 +72,6 @@ class TestArrivalProcesses:
             DiurnalRate(base=0.0)
         with pytest.raises(ValueError, match="amplitude"):
             DiurnalRate(base=1.0, amplitude=2.0)
-
-    def test_trace_rate_replays_and_clamps(self):
-        rate = TraceRate.from_samples([10.0, 20.0, 30.0])
-        assert rate(0.5) == 10.0
-        assert rate(1.0) == 20.0
-        assert rate(99.0) == 30.0  # held at the last sample
-
-    def test_trace_rate_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            TraceRate(())
-        with pytest.raises(ValueError, match="non-negative"):
-            TraceRate((1.0, -2.0))
 
 
 class TestDeathStarBench:
@@ -193,7 +170,7 @@ class TestAlibabaGenerators:
     def test_taobao_scale_parameters(self):
         workload = generate_taobao(n_services=60, seed=2)
         assert len(workload.services) == 60
-        sizes = [s.graph.node_count() for s in workload.services]
+        sizes = [len(s.graph.nodes()) for s in workload.services]
         assert 30 <= np.mean(sizes) <= 70  # ~50 microservices per service
         assert len(workload.shared_microservices()) > 50
 
