@@ -23,6 +23,8 @@ from repro.core import ErmsScaler
 from repro.core.model import ServiceSpec
 from repro.experiments import (
     run_delta_sweep,
+    run_dynamic_workload,
+    run_interference_comparison,
     run_static_sweep,
     simulate_profiling_sweep,
 )
@@ -32,7 +34,7 @@ from repro.simulator import (
     SimulatedMicroservice,
     SimulationConfig,
 )
-from repro.workloads import social_network
+from repro.workloads import hotel_reservation, social_network
 from tests.pinned import expected
 
 
@@ -221,6 +223,55 @@ class TestParallelEqualsSerial:
         parallel = run_delta_sweep(duration_min=0.4, warmup_min=0.1, workers=2)
         assert serial == parallel
         assert [row["delta"] for row in serial] == [0.0, 0.05, 0.2]
+
+    def test_dynamic_workload_identical(self):
+        from repro.baselines import GrandSLAm
+
+        def run(workers):
+            return run_dynamic_workload(
+                hotel_reservation(),
+                [ErmsScaler(), GrandSLAm()],
+                rate=lambda minute: 3_000.0 + 1_000.0 * minute,
+                sla=300.0,
+                total_min=3.0,
+                window_min=1.0,
+                sim_duration_min=0.2,
+                interference_multiplier=1.2,
+                workers=workers,
+            )
+
+        serial, parallel = run(1), run(2)
+        assert serial.containers == parallel.containers
+        assert serial.p95 == parallel.p95
+        assert serial.violations == parallel.violations
+        assert len(serial.p95["erms"]) == 3
+
+    def test_interference_comparison_identical(self):
+        from repro.core.provisioning import (
+            InterferenceAwareProvisioner,
+            KubernetesDefaultProvisioner,
+        )
+
+        def run(workers):
+            return run_interference_comparison(
+                hotel_reservation(),
+                scaler=ErmsScaler(),
+                provisioners=[
+                    InterferenceAwareProvisioner(),
+                    KubernetesDefaultProvisioner(),
+                ],
+                workload=3_000.0,
+                sla=300.0,
+                hosts=4,
+                background=((26.0, 52_000.0),),
+                duration_min=0.3,
+                max_growth_rounds=3,
+                workers=workers,
+            )
+
+        serial, parallel = run(1), run(2)
+        assert serial.rows == parallel.rows
+        assert len(serial.rows) == 2
 
     def test_trace_sim_prefilter_identical(self):
         from repro.experiments import run_trace_simulation
