@@ -13,53 +13,28 @@ Results are averaged over seeds; P95 near saturation is noisy.
 
 import numpy as np
 
-from repro.core.model import ServiceSpec
-from repro.experiments import format_table
-from repro.graphs import DependencyGraph, call
-from repro.simulator import (
-    ClusterSimulator,
-    SimulatedMicroservice,
-    SimulationConfig,
-)
+from repro.experiments import format_table, run_delta_sweep
 
 from conftest import run_once
 
 DELTAS = [0.0, 0.05, 0.2]
-RATES = {"hot": 36_000.0, "cold": 6_000.0}  # capacity: 48k req/min
 SEEDS = range(4)
 
 
 def _run():
-    specs = [
-        ServiceSpec("hot", DependencyGraph("hot", call("P")), 0.0, 50.0),
-        ServiceSpec("cold", DependencyGraph("cold", call("P")), 0.0, 300.0),
+    # run_delta_sweep's scenario: hot 36k + cold 6k req/min on one
+    # 4-thread container of P (capacity 48k req/min)
+    sweeps = [
+        run_delta_sweep(DELTAS, seed=seed, duration_min=2.0, warmup_min=0.5)
+        for seed in SEEDS
     ]
-    microservices = {"P": SimulatedMicroservice("P", base_service_ms=5.0, threads=4)}
-    outcomes = {}
-    for delta in DELTAS:
-        hot, cold = [], []
-        for seed in SEEDS:
-            sim = ClusterSimulator(
-                specs,
-                microservices,
-                containers={"P": 1},
-                rates=RATES,
-                config=SimulationConfig(
-                    duration_min=2.0,
-                    warmup_min=0.5,
-                    seed=seed,
-                    scheduling="priority",
-                    delta=delta,
-                ),
-                priorities={"P": {"hot": 0, "cold": 1}},
-            ).run()
-            hot.append(sim.tail_latency("hot"))
-            cold.append(sim.tail_latency("cold"))
-        outcomes[delta] = {
-            "hot_p95": float(np.mean(hot)),
-            "cold_p95": float(np.mean(cold)),
+    return {
+        delta: {
+            "hot_p95": float(np.mean([sweep[i]["hot_p95_ms"] for sweep in sweeps])),
+            "cold_p95": float(np.mean([sweep[i]["cold_p95_ms"] for sweep in sweeps])),
         }
-    return outcomes
+        for i, delta in enumerate(DELTAS)
+    }
 
 
 def test_fig09_delta_sweep(benchmark, report):

@@ -7,8 +7,8 @@ tight-SLA ("hot") service for starvation-freedom on the loose-SLA
 
 :func:`run_delta_sweep` reproduces that sweep on the simulator: a shared
 microservice serving one hot and one cold service, replayed once per δ
-value.  Each δ cell is an independent simulation with its own seed, so
-the sweep fans out through :func:`repro.experiments.parallel.run_cells`.
+value.  Each δ is an independent replay with its own seed, so the sweep
+fans out through :func:`repro.experiments.harness.replay_cells`.
 """
 
 from __future__ import annotations
@@ -16,43 +16,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.model import ServiceSpec
-from repro.experiments.parallel import WorkerPool, get_context, run_cells
+from repro.experiments.harness import Replay, ReplayContext, replay_cells
+from repro.experiments.parallel import WorkerPool
 from repro.graphs import DependencyGraph, call
-from repro.simulator.simulation import (
-    ClusterSimulator,
-    SimulatedMicroservice,
-    SimulationConfig,
-)
+from repro.simulator.simulation import SimulatedMicroservice
 
 __all__ = ["run_delta_sweep"]
 
 
-def _delta_cell(cell: Dict) -> Dict:
-    """Simulate one δ value (top-level so it pickles into pool workers).
-
-    The scenario (specs, microservice, rates, priorities, settings) is
-    constant across the sweep and lives in the shared context; the payload
-    is just the δ under test.
-    """
-    context = get_context()
-    result = ClusterSimulator(
-        context["specs"],
-        context["simulated"],
-        containers=context["containers"],
-        rates=context["rates"],
-        config=SimulationConfig(
-            duration_min=context["duration_min"],
-            warmup_min=context["warmup_min"],
-            seed=context["seed"],
-            scheduling="priority",
-            delta=cell["delta"],
-        ),
-        priorities=context["priorities"],
-    ).run()
+def _tails(result, sink, context: ReplayContext) -> Dict:
     return {
-        "delta": cell["delta"],
-        "hot_p95_ms": result.tail_latency("hot"),
-        "cold_p95_ms": result.tail_latency("cold"),
+        f"{spec.name}_p95_ms": result.tail_latency(spec.name)
+        for spec in context.specs
     }
 
 
@@ -86,15 +61,23 @@ def run_delta_sweep(
         ServiceSpec("hot", DependencyGraph("hot", call(name)), 0.0, hot_sla),
         ServiceSpec("cold", DependencyGraph("cold", call(name)), 0.0, cold_sla),
     ]
-    context = {
-        "specs": specs,
-        "simulated": {name: shared},
-        "containers": {name: 1},
-        "rates": {"hot": hot_rate, "cold": cold_rate},
-        "priorities": {name: {"hot": 0, "cold": 1}},
-        "duration_min": duration_min,
-        "warmup_min": warmup_min,
-        "seed": seed,
-    }
-    cells = [{"delta": float(delta)} for delta in deltas]
-    return run_cells(_delta_cell, cells, workers, context=context, pool=pool)
+    context = ReplayContext(
+        specs=specs,
+        simulated={name: shared},
+        duration_min=duration_min,
+        warmup_min=warmup_min,
+    )
+    replays = [
+        Replay(
+            rates={"hot": hot_rate, "cold": cold_rate},
+            containers={name: 1},
+            priorities={name: {"hot": 0, "cold": 1}},
+            seed=seed,
+            delta=float(delta),
+        )
+        for delta in deltas
+    ]
+    rows = replay_cells(replays, _tails, context, workers, pool)
+    return [
+        {"delta": replay.delta, **row} for replay, row in zip(replays, rows)
+    ]

@@ -18,12 +18,14 @@ from repro.core.controller import ControlLoop
 from repro.core.model import MicroserviceProfile
 from repro.core.scaling import Autoscaler
 from repro.experiments.harness import (
-    evaluate_allocation,
+    Replay,
+    ReplayContext,
     planning_profiles,
+    replay_cells,
     uniform_multipliers,
     uniform_specs,
 )
-from repro.experiments.parallel import WorkerPool, get_context, run_cells
+from repro.experiments.parallel import WorkerPool
 from repro.workloads.deathstarbench import Application
 from repro.workloads.prediction import WorkloadPredictor
 
@@ -54,36 +56,14 @@ class DynamicResult:
         return float(np.corrcoef(self.rates, self.containers[scheme])[0, 1])
 
 
-def _dynamic_cell(cell: Dict) -> Dict:
-    """Replay one (window, scheme) allocation (top-level so it pickles).
-
-    The application, SLA and simulation settings are constant across the
-    whole run and live in the shared context; the payload carries only
-    the window's actual rate, the scheme's allocation and the seed.
-    """
-    context = get_context()
-    app = context["app"]
-    sla = context["sla"]
-    sim_duration_min = context["sim_duration_min"]
-    actual_specs = uniform_specs(app, cell["actual"], sla)
-    allocation = cell["allocation"]
-    sim = evaluate_allocation(
-        actual_specs,
-        app.simulated,
-        allocation,
-        duration_min=sim_duration_min,
-        warmup_min=min(0.3, sim_duration_min / 3),
-        seed=cell["seed"],
-        container_multipliers=uniform_multipliers(
-            allocation, context["interference_multiplier"]
-        ),
-    )
+def _window_row(result, sink, context: ReplayContext) -> Dict:
+    """Mean P95 and SLA violation rate of one window's replay."""
     p95s, violations = [], []
-    for spec in actual_specs:
-        if not sim.has_samples(spec.name):
+    for spec in context.specs:
+        if not result.has_samples(spec.name):
             continue
-        p95s.append(sim.tail_latency(spec.name))
-        violations.append(sim.sla_violation_rate(spec.name, sla))
+        p95s.append(result.tail_latency(spec.name))
+        violations.append(result.sla_violation_rate(spec.name, spec.sla))
     return {
         "p95": float(np.mean(p95s)) if p95s else float("nan"),
         "violation": float(np.mean(violations)) if violations else 0.0,
@@ -122,9 +102,9 @@ def run_dynamic_workload(
     observation (reactive scaling).
 
     Allocations run serially in window order — schemes and the predictor
-    are stateful — then every (window, scheme) replay fans out as one
-    independent cell over ``workers`` processes (or the given ``pool``);
-    results are identical to ``workers=1``.
+    are stateful — then the (window, scheme) replays fan out over
+    ``workers`` processes (or the given ``pool``), schemes that agree in a
+    window sharing one; results are identical to ``workers=1``.
     """
     profiles, blind_profiles = planning_profiles(
         app, interference_multiplier, profiles
@@ -145,7 +125,7 @@ def run_dynamic_workload(
     # between windows.  Each feasible (window, scheme) allocation becomes
     # one pending replay; infeasible windows record their sentinel row
     # (0 containers, NaN P95, violation 1.0) immediately.
-    pending: List[Dict] = []  # payloads for _dynamic_cell
+    pending: List[Replay] = []
     slots: List[tuple] = []  # (scheme name, index into that scheme's rows)
     minute = 0.0
     while minute < total_min:
@@ -168,23 +148,30 @@ def run_dynamic_workload(
             result.violations[name].append(0.0 if feasible else 1.0)
             if feasible:
                 slots.append((name, len(result.p95[name]) - 1))
+                allocation = report.allocation
                 pending.append(
-                    {"actual": actual, "allocation": report.allocation,
-                     "seed": seed + int(minute)}
+                    Replay(
+                        rates={spec.name: actual for spec in specs},
+                        containers=allocation.containers,
+                        priorities=allocation.priorities,
+                        multipliers=uniform_multipliers(
+                            allocation, interference_multiplier
+                        ),
+                        seed=seed + int(minute),
+                    )
                 )
         minute += window_min
 
-    # Pass 2 (parallel-safe): the independent window replays.
+    # Pass 2 (parallel-safe): the window replays, one per distinct
+    # (window, allocation) — schemes that agree in a window share one.
     if pending:
-        context = {
-            "app": app,
-            "sla": sla,
-            "sim_duration_min": sim_duration_min,
-            "interference_multiplier": interference_multiplier,
-        }
-        measured = run_cells(
-            _dynamic_cell, pending, workers, context=context, pool=pool
+        context = ReplayContext(
+            specs=specs,
+            simulated=app.simulated,
+            duration_min=sim_duration_min,
+            warmup_min=min(0.3, sim_duration_min / 3),
         )
+        measured = replay_cells(pending, _window_row, context, workers, pool)
         for (scheme_name, index), row in zip(slots, measured):
             result.p95[scheme_name][index] = row["p95"]
             result.violations[scheme_name][index] = row["violation"]

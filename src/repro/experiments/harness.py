@@ -8,9 +8,9 @@ the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,7 +148,8 @@ def replay_sink(
     """The telemetry one replay carries, or ``None`` when nothing reads it.
 
     A replay gets a sink when the sampling settings ask for retention
-    accounting (a rate below 1.0 or a tail threshold), when a
+    accounting (a rate other than 1.0 — the sink's config rejects one
+    outside (0, 1] — or a tail threshold), when a
     ``timeseries`` store scrapes it, or when the caller reads the sink
     whatever the settings (``always``).  ``max_traces=0`` keeps the
     accounting (sampled / kept / dropped) and keeps no trace.
@@ -156,7 +157,7 @@ def replay_sink(
     if not (
         always
         or timeseries is not None
-        or sampling_rate < 1.0
+        or sampling_rate != 1.0
         or tail_threshold_ms is not None
     ):
         return None
@@ -391,35 +392,122 @@ class RunSpec:
         )
 
 
-def _probe_cell(cell: Dict) -> float:
-    """Drive one container at one load level; returns the tail latency.
+@dataclass(frozen=True)
+class Replay:
+    """What one replay of a grid varies; hashable, so equal ones run once.
 
-    Top-level so it pickles into pool workers.  The probed microservice
-    and the sweep settings are shared context (shipped once per worker);
-    the payload carries only the load level and the cell's own seed,
-    making the result identical in-process or not.
+    Mappings are held as name-sorted pairs (a mapping passed in is
+    converted), since the simulator looks every entry up by name.
+    ``multipliers`` (per-container service-time multipliers) override
+    ``containers`` for the names they list.
     """
-    context = get_context()
-    microservice: SimulatedMicroservice = context["microservice"]
-    graph = DependencyGraph("probe", call(microservice.name))
-    spec = ServiceSpec("probe", graph, workload=0.0, sla=1.0e9)
-    simulator = ClusterSimulator(
-        [spec],
-        {microservice.name: microservice},
-        containers={microservice.name: 1},
-        rates={"probe": float(cell["load"])},
-        config=SimulationConfig(
-            duration_min=context["duration_min"],
-            warmup_min=context["warmup_min"],
-            seed=cell["seed"],
-            record_own_latency=False,  # only the end-to-end tail is read
-        ),
-        container_multipliers={
-            microservice.name: [context["interference_multiplier"]]
-        },
+
+    rates: Tuple[Tuple[str, float], ...]
+    containers: Tuple[Tuple[str, int], ...]
+    priorities: Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...] = ()
+    multipliers: Optional[Tuple[Tuple[str, Tuple[float, ...]], ...]] = None
+    seed: int = 0
+    delta: float = 0.05
+    #: Left out of the hash (a policy bundle may hold dicts); equality
+    #: still tells bundles apart.
+    resilience: Optional[object] = field(default=None, hash=False)
+
+    def __post_init__(self) -> None:
+        freeze = partial(object.__setattr__, self)
+        freeze("rates", _pairs(self.rates))
+        freeze("containers", _pairs(self.containers))
+        freeze("priorities", _pairs(self.priorities, _pairs))
+        if self.multipliers:
+            freeze("multipliers", _pairs(self.multipliers, tuple))
+        else:
+            freeze("multipliers", None)
+
+
+def _pairs(mapping, value=lambda v: v) -> Tuple:
+    """``mapping`` (or its pairs) as name-sorted ``(name, value(v))`` pairs."""
+    return tuple(sorted((name, value(v)) for name, v in dict(mapping).items()))
+
+
+@dataclass(frozen=True)
+class ReplayContext:
+    """What every replay of one grid holds fixed; shipped once per worker.
+
+    A replay gets a counting telemetry sink when the sampling settings ask
+    for one (:func:`replay_sink`, seeded with the replay's seed).
+    """
+
+    specs: Sequence[ServiceSpec]
+    simulated: Mapping[str, SimulatedMicroservice]
+    duration_min: float
+    warmup_min: float
+    chaos: Optional[object] = None
+    sampling_rate: float = 1.0
+    tail_threshold_ms: Optional[float] = None
+
+
+def _replay(cell: Tuple[Callable, Replay]):
+    """Run one replay on the shared context; its fold's row (top-level so
+    it pickles into pool workers)."""
+    fold, replay = cell
+    context: ReplayContext = get_context()
+    sink = replay_sink(
+        context.sampling_rate, context.tail_threshold_ms, replay.seed
     )
-    result = simulator.run()
-    return result.tail_latency("probe", context["percentile"])
+    result = evaluate_allocation(
+        context.specs,
+        context.simulated,
+        Allocation(
+            containers=dict(replay.containers),
+            priorities={name: dict(ranks) for name, ranks in replay.priorities},
+        ),
+        rates=dict(replay.rates),
+        duration_min=context.duration_min,
+        warmup_min=context.warmup_min,
+        seed=replay.seed,
+        delta=replay.delta,
+        container_multipliers=(
+            dict(replay.multipliers) if replay.multipliers else None
+        ),
+        telemetry=sink,
+        chaos=context.chaos,
+        resilience=replay.resilience,
+    )
+    return fold(result, sink, context)
+
+
+def replay_cells(
+    replays: Sequence[Replay],
+    fold: Callable,
+    context: ReplayContext,
+    workers: int = 1,
+    pool: Optional[WorkerPool] = None,
+) -> List:
+    """``fold(result, sink, context)`` of each replay's run, in order.
+
+    Each *distinct* replay runs once through :func:`evaluate_allocation`
+    and every cell equal to it gets its row — the same object, so treat
+    rows as read-only.  ``fold`` must pickle (top-level, or a
+    ``functools.partial`` of one).  The runs fan out like
+    :func:`~repro.experiments.parallel.run_cells`, ``context`` shipped
+    once per worker, with rows identical to ``workers=1``.
+    """
+    distinct = list(dict.fromkeys(replays))
+    rows = run_cells(
+        _replay,
+        [(fold, replay) for replay in distinct],
+        workers,
+        context=context,
+        pool=pool,
+    )
+    measured = dict(zip(distinct, rows))
+    return [measured[replay] for replay in replays]
+
+
+def _tail(
+    result: SimulationResult, sink, context: ReplayContext, percentile: float
+) -> float:
+    """The probed service's tail latency."""
+    return result.tail_latency(context.specs[0].name, percentile)
 
 
 def simulate_profiling_sweep(
@@ -444,18 +532,27 @@ def simulate_profiling_sweep(
     Returns:
         (loads, p95_latencies) arrays.
     """
-    context = {
-        "microservice": microservice,
-        "interference_multiplier": interference_multiplier,
-        "duration_min": duration_min,
-        "warmup_min": warmup_min,
-        "percentile": percentile,
-    }
-    cells = [
-        {"load": load, "seed": seed + index}
+    name = microservice.name
+    context = ReplayContext(
+        specs=(
+            ServiceSpec("probe", DependencyGraph("probe", call(name)), 0.0, 1.0e9),
+        ),
+        simulated={name: microservice},
+        duration_min=duration_min,
+        warmup_min=warmup_min,
+    )
+    replays = [
+        Replay(
+            rates={"probe": float(load)},
+            containers={name: 1},
+            multipliers={name: [interference_multiplier]},
+            seed=seed + index,
+        )
         for index, load in enumerate(loads)
     ]
-    latencies = run_cells(_probe_cell, cells, workers, context=context, pool=pool)
+    latencies = replay_cells(
+        replays, partial(_tail, percentile=percentile), context, workers, pool
+    )
     return np.asarray(loads, dtype=float), np.asarray(latencies)
 
 

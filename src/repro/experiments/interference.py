@@ -19,18 +19,20 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.model import Allocation, MicroserviceProfile
+from repro.core.model import MicroserviceProfile
 from repro.core.provisioning import (
     Cluster,
     Provisioner,
 )
 from repro.core.scaling import Autoscaler
 from repro.experiments.harness import (
-    evaluate_allocation,
+    Replay,
+    ReplayContext,
     planning_profiles,
+    replay_cells,
     uniform_specs,
 )
-from repro.experiments.parallel import WorkerPool, get_context, run_cells
+from repro.experiments.parallel import WorkerPool
 from repro.simulator.interference import InterferenceModel
 from repro.workloads.deathstarbench import Application
 
@@ -73,70 +75,18 @@ class InterferenceResult:
     rows: List[Dict] = field(default_factory=list)
 
 
-def _provisioner_search(cell: Dict) -> Dict:
-    """The grow-until-SLA-holds loop for one provisioner (picklable cell).
-
-    Rounds within one provisioner are inherently sequential (each round's
-    counts depend on the previous verdict), but provisioners never share
-    state, so each search is one parallel cell.  Everything the searches
-    have in common (specs, profiles, the base allocation, the cluster
-    shape) travels once in the shared context; the payload is just the
-    provisioner under test.
-    """
-    context = get_context()
-    provisioner: Provisioner = cell["provisioner"]
-    specs = context["specs"]
-    profiles = context["profiles"]
-    base_allocation: Allocation = context["base_allocation"]
-    interference: InterferenceModel = context["interference"]
-    duration_min = context["duration_min"]
-
-    counts = dict(base_allocation.containers)
-    p95_equal = float("nan")
-    imbalance = float("nan")
-    for round_index in range(context["max_growth_rounds"]):
-        cluster = _place(
-            provisioner, context["hosts"], context["background"], counts, profiles
-        )
-        multipliers = multipliers_from_placement(cluster, interference)
-        allocation = Allocation(
-            containers=dict(counts),
-            priorities=base_allocation.priorities,
-        )
-        sim = evaluate_allocation(
-            specs,
-            context["simulated"],
-            allocation,
-            duration_min=duration_min,
-            warmup_min=min(0.3, duration_min / 3),
-            seed=context["seed"] + round_index,
-            container_multipliers=multipliers,
-        )
-        violations, p95s = [], []
-        for spec in specs:
-            if not sim.has_samples(spec.name):
-                violations.append(1.0)
-                continue
-            violations.append(sim.sla_violation_rate(spec.name, spec.sla))
-            p95s.append(sim.tail_latency(spec.name))
-        violation = float(np.mean(violations)) if violations else 0.0
-        final_p95 = float(np.mean(p95s)) if p95s else float("nan")
-        if round_index == 0:
-            # Equal-container comparison (Fig. 15b) uses the first round.
-            p95_equal = final_p95
-            imbalance = cluster.imbalance()
-        if violation <= context["violation_threshold"]:
-            break
-        counts = {
-            name: max(count + 1, math.ceil(count * context["growth_factor"]))
-            for name, count in counts.items()
-        }
-    return {
-        "provisioner": provisioner.name,
-        "containers": sum(counts.values()),
-        "p95_equal": p95_equal,
-        "imbalance": imbalance,
-    }
+def _round_row(result, sink, context: ReplayContext) -> Tuple[float, float]:
+    """``(violation, p95)`` of one round: mean SLA violation rate (a
+    service with nothing measured counts as violated) and mean P95."""
+    violations, p95s = [], []
+    for spec in context.specs:
+        if not result.has_samples(spec.name):
+            violations.append(1.0)
+            continue
+        violations.append(result.sla_violation_rate(spec.name, spec.sla))
+        p95s.append(result.tail_latency(spec.name))
+    violation = float(np.mean(violations)) if violations else 0.0
+    return violation, float(np.mean(p95s)) if p95s else float("nan")
 
 
 def run_interference_comparison(
@@ -162,9 +112,10 @@ def run_interference_comparison(
     Both provisioners start from the same scheme allocation; whenever the
     simulated violation rate exceeds ``violation_threshold`` every
     microservice's count grows by ``growth_factor`` and the placement is
-    redone — mirroring an operator scaling until the SLA holds.  With
-    ``workers > 1`` the per-provisioner searches run in parallel
-    processes; results are identical to the serial run.
+    redone — mirroring an operator scaling until the SLA holds.  Round
+    ``r`` is seeded ``seed + r``; its placements fan out over ``workers``
+    processes (or the given ``pool``) with results identical to the
+    serial run.
     """
     if interference is None:
         interference = InterferenceModel()
@@ -173,28 +124,59 @@ def run_interference_comparison(
     specs = uniform_specs(app, workload, sla)
     base_allocation = scaler.scale(specs, profiles)
 
-    context = {
-        "specs": specs,
-        "profiles": profiles,
-        "simulated": app.simulated,
-        "base_allocation": base_allocation,
-        "interference": interference,
-        "hosts": hosts,
-        "background": background,
-        "max_growth_rounds": max_growth_rounds,
-        "growth_factor": growth_factor,
-        "violation_threshold": violation_threshold,
-        "duration_min": duration_min,
-        "seed": seed,
-    }
-    cells = [{"provisioner": provisioner} for provisioner in provisioners]
+    context = ReplayContext(
+        specs=specs,
+        simulated=app.simulated,
+        duration_min=duration_min,
+        warmup_min=min(0.3, duration_min / 3),
+    )
+    # Round-synchronous search: each round replays every placement whose
+    # SLA does not hold yet, and grows those that still violate.
+    counts = [dict(base_allocation.containers) for _ in provisioners]
+    p95_equal = imbalance = [float("nan")] * len(provisioners)
+    growing = list(range(len(provisioners)))
+    for round_index in range(max_growth_rounds):
+        if not growing:
+            break
+        clusters = [
+            _place(provisioners[i], hosts, background, counts[i], profiles)
+            for i in growing
+        ]
+        replays = [
+            Replay(
+                rates={spec.name: spec.workload for spec in specs},
+                containers=counts[i],
+                priorities=base_allocation.priorities,
+                multipliers=multipliers_from_placement(cluster, interference),
+                seed=seed + round_index,
+            )
+            for i, cluster in zip(growing, clusters)
+        ]
+        measured = replay_cells(replays, _round_row, context, workers, pool)
+        if round_index == 0:
+            # Equal-container comparison (Fig. 15b) uses the first round.
+            p95_equal = [p95 for _, p95 in measured]
+            imbalance = [cluster.imbalance() for cluster in clusters]
+        growing = [
+            i
+            for i, (violation, _) in zip(growing, measured)
+            if violation > violation_threshold
+        ]
+        for i in growing:
+            counts[i] = {
+                name: max(count + 1, math.ceil(count * growth_factor))
+                for name, count in counts[i].items()
+            }
     result = InterferenceResult()
-    for row in run_cells(
-        _provisioner_search, cells, workers, context=context, pool=pool
-    ):
-        name = row["provisioner"]
-        result.containers_needed[name] = row["containers"]
-        result.p95_equal_containers[name] = row["p95_equal"]
-        result.imbalance[name] = row["imbalance"]
-        result.rows.append(dict(row))
+    for i, provisioner in enumerate(provisioners):
+        row = {
+            "provisioner": provisioner.name,
+            "containers": sum(counts[i].values()),
+            "p95_equal": p95_equal[i],
+            "imbalance": imbalance[i],
+        }
+        result.containers_needed[provisioner.name] = row["containers"]
+        result.p95_equal_containers[provisioner.name] = row["p95_equal"]
+        result.imbalance[provisioner.name] = row["imbalance"]
+        result.rows.append(row)
     return result

@@ -15,7 +15,7 @@ Two primitives:
   read-only context*.  The context (application object, specs, profiles,
   allocation tables — everything constant across a sweep) is shipped to
   each worker exactly **once**, through the fork initializer; per-cell
-  payloads then shrink to index-plus-scalar dicts.  One pool is reused
+  payloads then shrink to small records.  One pool is reused
   across every ``run_cells`` call of a ``compare``/``trace-sim`` run;
   the executor is only re-forked when the context actually changes.
 * :func:`run_cells` — maps a *top-level, picklable* function over a list

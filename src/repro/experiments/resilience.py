@@ -7,8 +7,8 @@ deployment under several :class:`~repro.resilience.ResiliencePolicies`
 bundles — from observation-only (``disabled``) to the full
 retry + timeout + breaker + admission stack — and the per-service SLA
 miss rate is compared.  Because the schedule and every policy RNG are
-seeded, each cell is a pure function of (context, payload) and the grid
-fans out over :func:`~repro.experiments.parallel.run_cells` unchanged.
+seeded, each replay is a pure function of (context, replay) and the grid
+fans out over :func:`~repro.experiments.harness.replay_cells` unchanged.
 
 Two entry points:
 
@@ -31,8 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.model import ServiceSpec
-from repro.experiments.harness import RunSpec
-from repro.experiments.parallel import WorkerPool, get_context, run_cells
+from repro.experiments.harness import Replay, ReplayContext, RunSpec, replay_cells
+from repro.experiments.parallel import WorkerPool
 from repro.graphs import DependencyGraph, call
 from repro.resilience import (
     ChaosSchedule,
@@ -43,11 +43,7 @@ from repro.resilience import (
     RetryPolicy,
     TimeoutPolicy,
 )
-from repro.simulator.simulation import (
-    ClusterSimulator,
-    SimulatedMicroservice,
-    SimulationConfig,
-)
+from repro.simulator.simulation import SimulatedMicroservice
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +173,9 @@ class ResilienceSweepResult:
         return self.miss_rate(baseline, service) - self.miss_rate(policy, service)
 
 
-def _service_rows(result, specs: Sequence[ServiceSpec]) -> List[Dict]:
-    """Per-service outcome rows from one simulation result.
+def _service_rows(result, sink, context) -> List[Dict]:
+    """One outcome row per spec of ``context.specs`` (a replay context or
+    a :class:`RunSpec`) from one simulation result, with its ``stats``.
 
     The SLA miss rate folds every way a request can miss its target:
     completions over the SLA (warmup included — faults do not wait for
@@ -186,7 +183,7 @@ def _service_rows(result, specs: Sequence[ServiceSpec]) -> List[Dict]:
     admission control, and queued jobs dropped by a non-retried crash.
     """
     rows = []
-    for spec in specs:
+    for spec in context.specs:
         generated = result.generated.get(spec.name, 0)
         completed = result.completed.get(spec.name, 0)
         failed = result.failed_requests.get(spec.name, 0)
@@ -210,36 +207,9 @@ def _service_rows(result, specs: Sequence[ServiceSpec]) -> List[Dict]:
                 "violations": violations,
                 "p95": p95,
                 "sla_miss_rate": missed / generated if generated else 0.0,
+                "stats": result.resilience,
             }
         )
-    return rows
-
-
-def _resilience_cell(cell: Dict) -> List[Dict]:
-    """Run one policy bundle under the shared schedule (pickles for pools)."""
-    context = get_context()
-    scenario = context["scenario"]
-    config = SimulationConfig(
-        duration_min=context["duration_min"],
-        warmup_min=context["warmup_min"],
-        seed=context["seed"],
-        scheduling="priority" if scenario["priorities"] else "fcfs",
-    )
-    simulator = ClusterSimulator(
-        scenario["specs"],
-        scenario["simulated"],
-        containers=scenario["containers"],
-        rates=scenario["rates"],
-        config=config,
-        priorities=scenario["priorities"],
-        chaos=context["chaos"],
-        resilience=cell["policies"],
-    )
-    result = simulator.run()
-    rows = _service_rows(result, scenario["specs"])
-    for row in rows:
-        row["policy"] = cell["label"]
-        row["stats"] = result.resilience
     return rows
 
 
@@ -267,23 +237,28 @@ def run_resilience_sweep(
         chaos = default_chaos_schedule(seed=seed)
     if policy_grid is None:
         policy_grid = default_policy_grid(seed=seed)
-    context = {
-        "scenario": scenario,
-        "chaos": chaos,
-        "duration_min": duration_min,
-        "warmup_min": warmup_min,
-        "seed": seed,
-    }
-    payloads = [
-        {"label": label, "policies": policies}
-        for label, policies in policy_grid
-    ]
-    cell_rows = run_cells(
-        _resilience_cell, payloads, workers, context=context, pool=pool
+    context = ReplayContext(
+        specs=scenario["specs"],
+        simulated=scenario["simulated"],
+        duration_min=duration_min,
+        warmup_min=warmup_min,
+        chaos=chaos,
     )
+    replays = [
+        Replay(
+            rates=scenario["rates"],
+            containers=scenario["containers"],
+            priorities=scenario["priorities"],
+            seed=seed,
+            resilience=policies,
+        )
+        for _, policies in policy_grid
+    ]
     result = ResilienceSweepResult(chaos=chaos)
-    for rows in cell_rows:
-        result.rows.extend(rows)
+    for (label, _), rows in zip(
+        policy_grid, replay_cells(replays, _service_rows, context, workers, pool)
+    ):
+        result.rows.extend(dict(row, policy=label) for row in rows)
     return result
 
 
@@ -326,7 +301,7 @@ def run_chaos_comparison(run: RunSpec, on_simulator=None) -> ChaosComparison:
             resilience=bundle,
             on_simulator=on_simulator if mode == "resilient" else None,
         )
-        comparison.rows[mode] = _service_rows(result, run.specs)
+        comparison.rows[mode] = _service_rows(result, sink, run)
         comparison.stats[mode] = result.resilience or {}
         comparison.decisions[mode] = [
             {

@@ -9,20 +9,22 @@ rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.model import Allocation, InfeasibleSLAError, MicroserviceProfile
+from repro.core.model import InfeasibleSLAError, MicroserviceProfile
 from repro.core.scaling import Autoscaler
 from repro.experiments.harness import (
-    evaluate_allocation,
+    Replay,
+    ReplayContext,
     planning_profiles,
-    replay_sink,
+    replay_cells,
     uniform_multipliers,
     uniform_specs,
 )
-from repro.experiments.parallel import WorkerPool, get_context, run_cells
+from repro.experiments.parallel import WorkerPool
 from repro.workloads.deathstarbench import Application
 
 
@@ -77,64 +79,22 @@ class StaticSweepResult:
         return 1.0 - ours / theirs
 
 
-def _replay_key(workload: float, allocation: Allocation) -> Tuple:
-    """Everything a replay reads that differs between cells of one sweep."""
-    return (
-        workload,
-        tuple(sorted(allocation.containers.items())),
-        tuple(
-            (name, tuple(sorted(ranks.items())))
-            for name, ranks in sorted(allocation.priorities.items())
-        ),
-    )
+def _measure(
+    result, sink, context: ReplayContext, slas: Sequence[float]
+) -> Dict[float, Dict]:
+    """One replay's row fields at every SLA of the grid.
 
-
-def _simulate_static_cell(cell: Dict) -> Dict[float, Dict]:
-    """Replay one deployment; measure it per SLA (top-level so it pickles).
-
-    The sweep-wide constants — the application, seed, simulation
-    settings, sampling configuration, chaos and resilience — live in the
-    shared context shipped to each worker once (:func:`get_context`); the
-    payload carries only what a replay reads beyond that: the workload
-    and the allocation (``containers``, ``priorities``), plus the SLAs of
-    the grid cells that share them.  An SLA reaches the engine only as
-    the :class:`~repro.telemetry.SLAMonitor` alert threshold of a
-    counting sink, which no row reads (the group's first SLA is used), so
-    one :class:`~repro.simulator.SimulationResult` serves every SLA: P95
-    is read once, the violation rate once per SLA.  Specs are rebuilt
-    in-worker from the coordinates, so the result remains a pure function
-    of (context, payload) and identical whether it runs in-process or in
-    a worker process.
-
-    Returns:
-        ``{sla: measured row fields}`` for every SLA in ``cell["slas"]``.
+    An SLA reaches the engine only as the alert threshold of a counting
+    sink, which no row reads, so one replay serves every SLA: P95 is read
+    once, the violation rate once per SLA.  A service whose requests all
+    finished inside the warm-up has nothing to measure and is left out of
+    the averages.
     """
-    context = get_context()
-    app = context["app"]
-    specs = uniform_specs(app, cell["workload"], cell["slas"][0])
-    allocation = cell["allocation"]
-    sink = replay_sink(
-        context["sampling_rate"], context["tail_threshold_ms"], context["seed"]
-    )
-    sim = evaluate_allocation(
-        specs,
-        app.simulated,
-        allocation,
-        duration_min=context["duration_min"],
-        warmup_min=context["warmup_min"],
-        seed=context["seed"],
-        container_multipliers=uniform_multipliers(
-            allocation, context["interference_multiplier"]
-        ),
-        telemetry=sink,
-        chaos=context["chaos"],
-        resilience=context["resilience"],
-    )
-    # A service whose requests all finished inside the warm-up has
-    # nothing to measure and is left out of the averages.
-    names = [spec.name for spec in specs if sim.has_samples(spec.name)]
+    names = [
+        spec.name for spec in context.specs if result.has_samples(spec.name)
+    ]
     shared: Dict = {
-        "p95": float(np.mean([sim.tail_latency(name) for name in names]))
+        "p95": float(np.mean([result.tail_latency(name) for name in names]))
         if names
         else None
     }
@@ -145,13 +105,13 @@ def _simulate_static_cell(cell: Dict) -> Dict[float, Dict]:
     return {
         sla: {
             "violation": float(
-                np.mean([sim.sla_violation_rate(name, sla) for name in names])
+                np.mean([result.sla_violation_rate(name, sla) for name in names])
             )
             if names
             else None,
             **shared,
         }
-        for sla in cell["slas"]
+        for sla in slas
     }
 
 
@@ -228,8 +188,7 @@ def run_static_sweep(
     # Pass 1 (serial): allocations.  Schemes are stateful, so reset/scale
     # must run in grid order; this pass is cheap relative to simulation.
     result = StaticSweepResult()
-    replays: Dict[Tuple, Dict] = {}  # one payload per distinct deployment
-    simulated: List[Tuple[Dict, Tuple]] = []  # (row, its replay's key)
+    replays: List[Replay] = []  # one per simulated row
     for workload in workloads:
         for sla in slas:
             specs = uniform_specs(app, workload, sla)
@@ -252,43 +211,34 @@ def run_static_sweep(
                 }
                 result.rows.append(row)
                 if simulate:
-                    key = _replay_key(workload, allocation)
-                    replay = replays.setdefault(
-                        key,
-                        {"workload": workload, "allocation": allocation, "slas": []},
+                    replays.append(
+                        Replay(
+                            rates={spec.name: workload for spec in specs},
+                            containers=allocation.containers,
+                            priorities=allocation.priorities,
+                            multipliers=uniform_multipliers(
+                                allocation, interference_multiplier
+                            ),
+                            seed=seed,
+                            resilience=resilience,
+                        )
                     )
-                    if sla not in replay["slas"]:
-                        replay["slas"].append(sla)
-                    simulated.append((row, key))
 
-    # Pass 2 (parallel-safe): independent simulation replays, one per
-    # distinct (workload, containers, priorities) — schemes often agree,
-    # and an SLA does not reach the engine — each fully determined by the
-    # shared context + its payload.
-    if simulated:
-        context = {
-            "app": app,
-            "duration_min": duration_min,
-            "warmup_min": warmup_min,
-            "seed": seed,
-            "interference_multiplier": interference_multiplier,
-            "sampling_rate": sampling_rate,
-            "tail_threshold_ms": tail_threshold_ms,
-            "chaos": chaos,
-            "resilience": resilience,
-        }
-        measured = dict(
-            zip(
-                replays,
-                run_cells(
-                    _simulate_static_cell,
-                    list(replays.values()),
-                    workers,
-                    context=context,
-                    pool=pool,
-                ),
-            )
+    # Pass 2 (parallel-safe): the replays, one per distinct deployment —
+    # schemes often agree, and an SLA does not reach the engine.
+    if replays:
+        context = ReplayContext(
+            specs=uniform_specs(app, 0.0, slas[0]),
+            simulated=app.simulated,
+            duration_min=duration_min,
+            warmup_min=warmup_min,
+            chaos=chaos,
+            sampling_rate=sampling_rate,
+            tail_threshold_ms=tail_threshold_ms,
         )
-        for row, key in simulated:
-            row.update(measured[key][row["sla"]])
+        measured = replay_cells(
+            replays, partial(_measure, slas=tuple(slas)), context, workers, pool
+        )
+        for row, fields in zip(result.rows, measured):
+            row.update(fields[row["sla"]])
     return result

@@ -54,10 +54,25 @@ class CrashEvent:
     retry: bool = True
 
     def __post_init__(self) -> None:
-        if self.at_min < 0:
-            raise ValueError("at_min must be non-negative")
-        if self.restart_after_ms is not None and self.restart_after_ms < 0:
-            raise ValueError("restart_after_ms must be non-negative")
+        if not 0 <= self.at_min < math.inf:
+            raise ValueError(
+                f"at_min must be non-negative and finite, got {self.at_min}"
+            )
+        restart = self.restart_after_ms
+        if restart is not None and not 0 <= restart < math.inf:
+            raise ValueError(
+                f"restart_after_ms must be non-negative and finite, got {restart}"
+            )
+
+
+def _check_window(window) -> None:
+    """A fault window's bounds are finite and ordered."""
+    for name in ("start_min", "end_min"):
+        value = getattr(window, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if window.end_min <= window.start_min:
+        raise ValueError("end_min must exceed start_min")
 
 
 @dataclass(frozen=True)
@@ -71,8 +86,7 @@ class ErrorWindow:
     error_rate: float
 
     def __post_init__(self) -> None:
-        if self.end_min <= self.start_min:
-            raise ValueError("end_min must exceed start_min")
+        _check_window(self)
         if not 0.0 < self.error_rate <= 1.0:
             raise ValueError(
                 f"error_rate must be in (0, 1], got {self.error_rate}"
@@ -91,10 +105,11 @@ class LatencySpike:
     multiplier: float
 
     def __post_init__(self) -> None:
-        if self.end_min <= self.start_min:
-            raise ValueError("end_min must exceed start_min")
-        if self.multiplier <= 0:
-            raise ValueError("multiplier must be positive")
+        _check_window(self)
+        if not 0 < self.multiplier < math.inf:
+            raise ValueError(
+                f"multiplier must be positive and finite, got {self.multiplier}"
+            )
 
 
 class SpikeMultiplier:

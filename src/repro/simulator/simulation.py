@@ -76,11 +76,11 @@ case against the engine before call plans, by
 One station
 -----------
 
-Offline profiling (§5.2, ``experiments.harness._probe_cell``) drives one
-container of one microservice at a fixed rate and reads nothing but
-end-to-end latency: an M/M/c station (:mod:`repro.queueing`), whose start
-and finish times follow from the arrival and service draws by the
-Kiefer–Wolfowitz recursion — a call starts at the later of its arrival
+Offline profiling (§5.2, ``experiments.harness.simulate_profiling_sweep``)
+drives one container of one microservice at a fixed rate and reads
+nothing but end-to-end latency: an M/M/c station (:mod:`repro.queueing`),
+whose start and finish times follow from the arrival and service draws
+by the Kiefer–Wolfowitz recursion — a call starts at the later of its arrival
 and the earliest time a thread is free — with no event heap, no ``_Call``
 and no ``_RequestDone``.  ``run()`` decides once, from state it can read
 when called, whether the run is that system (``_single_station``):

@@ -120,6 +120,8 @@ class Series:
 
     # -- ingest ---------------------------------------------------------
     def append(self, t: float, value: float) -> None:
+        if not math.isfinite(t):
+            raise ValueError(f"series {self.key!r}: non-finite sample time {t}")
         if self.times and t < self.times[-1]:
             raise ValueError(
                 f"series {self.key!r}: out-of-order sample at t={t} "

@@ -25,6 +25,7 @@ instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
@@ -101,9 +102,9 @@ class Application:
         reaching ~15× base close to saturation.  Host interference
         multiplies service time, scaling latency up and capacity down.
         """
-        if interference_multiplier < 1.0:
+        if not 1.0 <= interference_multiplier < math.inf:
             raise ValueError(
-                f"interference_multiplier must be >= 1, "
+                f"interference_multiplier must be >= 1 and finite, "
                 f"got {interference_multiplier}"
             )
         return {

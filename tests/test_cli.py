@@ -335,6 +335,9 @@ class TestCommands:
         ("dashboard", "--scrape-interval", "0", 2, "scrape_interval_min"),
         ("simulate", "--sampling-rate", "0", 2, "sampling_rate"),
         ("simulate", "--tail-threshold", "-5", 2, "tail_threshold_ms"),
+        ("simulate", "--sampling-rate", "nan", 2, "sampling_rate"),
+        ("scale", "--interference", "inf", 2, "interference_multiplier"),
+        ("simulate", "--interference", "nan", 2, "interference_multiplier"),
         *[
             (command, "--sla", "1", 3, "infeasible setting:")
             for command in (

@@ -537,7 +537,7 @@ def record(case):
 
 
 def _probe(seed=4, **changes):
-    """``_probe_cell``'s system — one service, one call, one container.
+    """A profiling probe's system — one service, one call, one container.
 
     ``changes`` replace constructor arguments; ``config`` entries are
     merged into the probe's ``SimulationConfig``.

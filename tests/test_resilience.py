@@ -67,6 +67,31 @@ class TestChaosSchedule:
             with pytest.raises(ValueError, match=f"duration_min .* got {bad}"):
                 ChaosSchedule.random(["a"], duration_min=bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_crash_rejects_non_finite_fields(self, bad):
+        with pytest.raises(ValueError, match="at_min"):
+            CrashEvent(bad, "B")
+        with pytest.raises(ValueError, match="restart_after_ms"):
+            CrashEvent(0.1, "B", restart_after_ms=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_error_window_rejects_non_finite_fields(self, bad):
+        with pytest.raises(ValueError, match="start_min"):
+            ErrorWindow("B", bad, 1.0, 0.5)
+        with pytest.raises(ValueError, match="end_min"):
+            ErrorWindow("B", 0.0, bad, 0.5)
+        with pytest.raises(ValueError, match="error_rate"):
+            ErrorWindow("B", 0.0, 1.0, bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_latency_spike_rejects_non_finite_fields(self, bad):
+        with pytest.raises(ValueError, match="start_min"):
+            LatencySpike("B", bad, 1.0, 2.0)
+        with pytest.raises(ValueError, match="end_min"):
+            LatencySpike("B", 0.0, bad, 2.0)
+        with pytest.raises(ValueError, match="multiplier"):
+            LatencySpike("B", 0.0, 1.0, bad)
+
     def test_random_is_deterministic(self):
         first = ChaosSchedule.random(["a", "b", "c"], duration_min=2.0, seed=9)
         second = ChaosSchedule.random(["a", "b", "c"], duration_min=2.0, seed=9)

@@ -79,6 +79,16 @@ class TestSeries:
         with pytest.raises(ValueError):
             s.append(0.5, 2.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_time_rejected(self, bad):
+        s = Series("x", {"svc": "a"})
+        with pytest.raises(ValueError, match="series .*x.*non-finite"):
+            s.append(bad, 1.0)
+        s.append(1.0, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            s.append(bad, 2.0)
+        assert s.times == [1.0]
+
     def test_every_sample_is_kept(self):
         s = Series("x", {})
         for i in range(5000):  # more than any run's scrapes
