@@ -27,9 +27,8 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "containers_for_target",
     ),
     "merge": (
-        "MergedGraph", "MergeTreeCache", "VirtualParams", "clear_merge_cache",
-        "distribute_targets", "merge_graph", "merge_tree_cache",
-        "parallel_merge", "sequential_merge",
+        "MergedGraph", "VirtualParams", "clear_merge_cache", "distribute_targets",
+        "merge_graph", "merge_tree_cache", "parallel_merge", "sequential_merge",
     ),
     "latency_targets": (
         "ServiceTargets", "clear_targets_memo", "compute_service_targets",

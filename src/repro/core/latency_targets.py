@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.merge import distribute_targets, merge_tree_cache
+from repro.core import merge
+from repro.core.merge import distribute_targets
 from repro.core.model import (
     InfeasibleSLAError,
     LatencySegment,
@@ -156,7 +157,7 @@ def _targets_loop(
     """The §5.3.1 pass loop; returns (targets, segments, intercept, passes).
 
     All sequences follow ``spec.graph.plan().names``.  Each pass is one
-    merge + Eq. 5 + unmerge.
+    merge (starting from the previous pass's) + Eq. 5 + unmerge.
     """
     # Initial pass: high-load segment for everyone (§5.3.1).
     segments = [model.high for model in models]
@@ -166,9 +167,10 @@ def _targets_loop(
     # few more rounds; switching is one-way (high -> low), so the loop is
     # monotone and terminates within the number of microservices.
     passes = 1
+    merged = None
     for pass_index in range(max(max_passes, 1)):
-        merged = merge_tree_cache().tree(
-            spec.graph, _leaf_params(segments, ratios, resources)
+        merged = merge.merge_graph(
+            spec.graph, _leaf_params(segments, ratios, resources), merged
         )
         if spec.sla <= merged.intercept:
             error = InfeasibleSLAError(

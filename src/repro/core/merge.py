@@ -35,13 +35,15 @@ as handling the service arrival rate.
 graph's compiled :class:`~repro.graphs.GraphPlan` — the same folds in the
 same order on plain floats — and keeps, per merged call site, the Eq. 5
 shares the unmerge needs, so :func:`distribute_targets` is one more loop.
+Given the previous §5.3.1 pass's merge, it recomputes only the call sites
+whose microservice switched segment and the sites above them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.graphs import DependencyGraph, GraphPlan, GraphValidationError
@@ -112,7 +114,11 @@ class MergedGraph(NamedTuple):
     ``(share, intercept, floor, pieces)`` — the site's own Eq. 5 share
     ``√(aR) / Σ√(aR)`` and intercept among the sequential pieces it was
     merged from, the sum of all their intercepts, and one
-    ``(child sites, share, intercept)`` per stage.
+    ``(child sites, share, intercept)`` per stage.  ``leaf_params`` is what
+    the merge was built from, and ``slopes`` / ``intercepts`` /
+    ``resources`` hold each site's merged ⟨a, b, R⟩ (its subtree as one
+    virtual microservice), so the next merge of the graph can start from
+    this one.
     """
 
     plan: GraphPlan
@@ -120,10 +126,16 @@ class MergedGraph(NamedTuple):
     intercept: float
     resource: float
     splits: List[Optional[tuple]]
+    leaf_params: Tuple[LeafParams, ...]
+    slopes: List[float]
+    intercepts: List[float]
+    resources: List[float]
 
 
 def merge_graph(
-    graph: DependencyGraph, leaf_params: Sequence[LeafParams]
+    graph: DependencyGraph,
+    leaf_params: Sequence[LeafParams],
+    previous: Optional[MergedGraph] = None,
 ) -> MergedGraph:
     """Collapse a dependency graph into a single virtual microservice.
 
@@ -135,26 +147,52 @@ def merge_graph(
     :func:`sequential_merge`.  Every leaf and every virtual microservice is
     checked like a :class:`VirtualParams`.
 
+    Given ``previous``, a merge of the same graph (the last §5.3.1 pass),
+    a site keeps its ⟨a, b, R⟩ and split from there unless its
+    microservice's params changed or a site below it was recomputed; the
+    sites recomputed go through the same float operations in the same
+    order, so the result is bit-identical to a merge from scratch.
+
     Args:
         graph: The service's dependency graph.
         leaf_params: ``(slope, intercept, resource)`` per microservice, in
             ``graph.plan().names`` order — the chosen latency segment
             (interval selection happens upstream) and the profile's
             resource demand.
+        previous: An earlier merge of ``graph`` to start from, or ``None``.
 
     Raises:
         GraphValidationError: If a stage of the graph is empty.
-        ValueError: If a slope or resource demand is not positive.
+        ValueError: If a slope or resource demand is not positive, or if
+            ``previous`` merged another graph.
     """
     plan = graph.plan()
     index, factors, stages = plan.index, plan.factors, plan.stages
     sqrt = math.sqrt
     count = len(index)
-    slopes = [0.0] * count
-    intercepts = [0.0] * count
-    resources = [0.0] * count
-    splits: List[Optional[tuple]] = [None] * count
-    for site in range(count - 1, -1, -1):
+    leaf_params = tuple(leaf_params)
+    if previous is None:
+        sites: Sequence[int] = range(count - 1, -1, -1)
+        slopes = [0.0] * count
+        intercepts = [0.0] * count
+        resources = [0.0] * count
+        splits: List[Optional[tuple]] = [None] * count
+    elif previous.plan is not plan:
+        raise ValueError(f"service {graph.service!r}: previous merges another graph")
+    else:
+        # the sites of a microservice whose params changed, and their callers
+        changed = [new != old for new, old in zip(leaf_params, previous.leaf_params)]
+        stale = set()
+        for site, rank in enumerate(index):
+            while changed[rank] and site >= 0 and site not in stale:
+                stale.add(site)
+                site = plan.parents[site]
+        sites = sorted(stale, reverse=True)  # children first
+        slopes = list(previous.slopes)
+        intercepts = list(previous.intercepts)
+        resources = list(previous.resources)
+        splits = list(previous.splits)
+    for site in sites:
         a, b, r = leaf_params[index[site]]
         a = a * factors[site]
         if not (a > 0 and r > 0):
@@ -198,7 +236,10 @@ def merge_graph(
                 ),
             )
         slopes[site], intercepts[site], resources[site] = a, b, r
-    return MergedGraph(plan, slopes[0], intercepts[0], resources[0], splits)
+    return MergedGraph(
+        plan, slopes[0], intercepts[0], resources[0], splits,
+        leaf_params, slopes, intercepts, resources,
+    )
 
 
 def distribute_targets(merged: MergedGraph, sla: float) -> List[float]:
@@ -238,65 +279,14 @@ def distribute_targets(merged: MergedGraph, sla: float) -> List[float]:
 
 
 # ----------------------------------------------------------------------
-# Merge cache
+# Shims kept for the end-to-end benchmark's imports
 # ----------------------------------------------------------------------
-class MergeTreeCache:
-    """LRU cache of merged graphs keyed by (plan, effective parameters).
-
-    In grid sweeps and in the in-DES autoscaler loop the same (graph,
-    segment-assignment) pair recurs for every cell/tick, so the merge is
-    cached.  The key is everything the merge depends on: the graph's
-    compiled plan — held by the key, so a live entry pins it — and each
-    microservice's *effective* slope (already ratio-scaled), intercept and
-    resource demand.
-
-    Graphs are frozen once used for scaling (see
-    :class:`~repro.graphs.DependencyGraph`): a mutated root needs a new
-    graph, which has a new plan and so never meets a stale entry.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[tuple, MergedGraph]" = OrderedDict()
-
-    def tree(
-        self, graph: DependencyGraph, leaf_params: Tuple[LeafParams, ...]
-    ) -> MergedGraph:
-        """``merge_graph(graph, leaf_params)``, merged once per distinct key."""
-        key = (graph.plan(), leaf_params)
-        merged = self._entries.get(key)
-        if merged is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return merged
-        self.misses += 1
-        merged = self._entries[key] = merge_graph(graph, leaf_params)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return merged
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: Process-wide default cache used by the latency-target layer.
-_MERGE_CACHE = MergeTreeCache()
-
-
-def merge_tree_cache() -> MergeTreeCache:
-    """The process-wide merge cache (inspect ``hits``/``misses``)."""
-    return _MERGE_CACHE
+def merge_tree_cache() -> SimpleNamespace:
+    """Hit and miss counters that both read 0: the merge caches nothing.
+    Kept only because ``benchmarks/e2e`` reads them."""
+    return SimpleNamespace(hits=0, misses=0)
 
 
 def clear_merge_cache() -> None:
-    """Drop every cached merge."""
-    _MERGE_CACHE.clear()
+    """Does nothing, as the merge caches nothing.  Kept only because
+    ``benchmarks/e2e`` imports it."""

@@ -158,10 +158,9 @@ class AutoscaledSimulation(ControlLoop):
     def _observe(self, now_ms: float) -> None:
         # Each tick re-runs the full Eq. 5 pipeline.  The graph, SLA and
         # profiles are constant across ticks (only observed rates move),
-        # so the merge-tree cache and the targets memo in
-        # ``repro.core.latency_targets`` turn the per-tick phase-1 target
-        # computation into a lookup; only container counts and the
-        # priority phase are recomputed from live rates.
+        # so the targets memo in ``repro.core.latency_targets`` turns the
+        # per-tick phase-1 target computation into a lookup; only container
+        # counts and the priority phase are recomputed from live rates.
         minute = now_ms / _MS_PER_MINUTE
         observed: Dict[str, float] = {}
         for spec in self.specs:

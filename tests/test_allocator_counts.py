@@ -25,7 +25,6 @@ from repro.core import (
     ErmsController,
     ErmsScaler,
     InfeasibleSLAError,
-    clear_merge_cache,
     clear_targets_memo,
     compute_service_targets,
     merge,
@@ -71,7 +70,6 @@ CASES = {"scale": scale, "controller_period": controller_period}
 def record(case):
     """``{"merges", "sqrt", "alive"}`` of one cold run of ``case``."""
     run = CASES[case]()
-    clear_merge_cache()
     clear_targets_memo()
     counts = {"merges": 0, "sqrt": 0}
     merge_graph, sqrt = merge.merge_graph, math.sqrt
@@ -91,7 +89,6 @@ def record(case):
         merge.merge_graph, math.sqrt = merge_graph, sqrt
     gc.collect()
     counts["alive"] = sum(isinstance(o, merge.MergedGraph) for o in gc.get_objects())
-    clear_merge_cache()
     clear_targets_memo()
     return counts
 

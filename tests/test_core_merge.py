@@ -179,11 +179,19 @@ class TestMergeGraph:
     )
     def test_every_leaf_is_checked_like_virtual_params(self, bad, message):
         graph = fig1_graph()
+        previous = merge_graph(graph, [(1.0, 1.0, 1.0)] * 4)
         for position in range(4):
             leaf_params = [(1.0, 1.0, 1.0)] * 4
             leaf_params[position] = bad
             with pytest.raises(ValueError, match=message):
                 merge_graph(graph, leaf_params)
+            with pytest.raises(ValueError, match=message):
+                merge_graph(graph, leaf_params, previous)
+
+    def test_previous_merge_of_another_graph_is_refused(self):
+        previous = merge_graph(fig1_graph(), [(1.0, 1.0, 1.0)] * 4)
+        with pytest.raises(ValueError, match="previous merges another graph"):
+            merge_graph(fig1_graph(), [(1.0, 1.0, 1.0)] * 4, previous)
 
 
 class TestDistributeTargets:

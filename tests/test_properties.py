@@ -282,6 +282,42 @@ class TestFlatMergeEqualsTreeMerge:
             assert [t.hex() for t in flat] == [expected[n].hex() for n in names]
 
 
+def float_hex(value):
+    """``value`` with every float spelled by ``float.hex``, nested
+    tuples and lists as lists."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [float_hex(item) for item in value]
+    return value
+
+
+class TestMergeFromPreviousPass:
+    @given(shared_call_trees(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_merge_from_scratch_by_float_hex(self, tree, data):
+        """Passes that switch a random subset of microservices to another
+        segment (slope and intercept) merge as from scratch."""
+        graph, params = tree
+        names = graph.plan().names
+        merged = merge_graph(graph, [params[name] for name in names])
+        slopes = st.floats(min_value=0.01, max_value=100.0)
+        intercepts = st.floats(min_value=0.0, max_value=50.0)
+        for _ in range(3):
+            for name in data.draw(st.sets(st.sampled_from(names))):
+                resource = params[name][2]
+                params[name] = (data.draw(slopes), data.draw(intercepts), resource)
+            leaves = [params[name] for name in names]
+            scratch = merge_graph(graph, leaves)
+            merged = merge_graph(graph, leaves, merged)
+            assert merged.plan is scratch.plan
+            assert float_hex(merged[1:]) == float_hex(scratch[1:])
+            for sla in (scratch.intercept + 1.0, scratch.intercept + 300.0):
+                assert float_hex(distribute_targets(merged, sla)) == float_hex(
+                    distribute_targets(scratch, sla)
+                )
+
+
 class TestBestEffortInvariants:
     @given(
         piecewise_models(),
