@@ -67,12 +67,18 @@ def _place(
 
 @dataclass
 class InterferenceResult:
-    """Outcome per provisioner."""
+    """Outcome per provisioner.
+
+    ``containers_needed`` is the last count each provisioner was replayed
+    with; ``unmet`` names those not shown to meet the violation threshold
+    within the growth rounds (still over it at that count).
+    """
 
     containers_needed: Dict[str, int] = field(default_factory=dict)
     p95_equal_containers: Dict[str, float] = field(default_factory=dict)
     imbalance: Dict[str, float] = field(default_factory=dict)
     rows: List[Dict] = field(default_factory=list)
+    unmet: List[str] = field(default_factory=list)
 
 
 def _round_row(result, sink, context: ReplayContext) -> Tuple[float, float]:
@@ -112,10 +118,10 @@ def run_interference_comparison(
     Both provisioners start from the same scheme allocation; whenever the
     simulated violation rate exceeds ``violation_threshold`` every
     microservice's count grows by ``growth_factor`` and the placement is
-    redone — mirroring an operator scaling until the SLA holds.  Round
-    ``r`` is seeded ``seed + r``; its placements fan out over ``workers``
-    processes (or the given ``pool``) with results identical to the
-    serial run.
+    redone — mirroring an operator scaling until the SLA holds, for at
+    most ``max_growth_rounds`` replays.  Round ``r`` is seeded
+    ``seed + r``; its placements fan out over ``workers`` processes (or
+    the given ``pool``) with results identical to the serial run.
     """
     if interference is None:
         interference = InterferenceModel()
@@ -136,8 +142,12 @@ def run_interference_comparison(
     p95_equal = imbalance = [float("nan")] * len(provisioners)
     growing = list(range(len(provisioners)))
     for round_index in range(max_growth_rounds):
-        if not growing:
-            break
+        if round_index:
+            for i in growing:
+                counts[i] = {
+                    name: max(count + 1, math.ceil(count * growth_factor))
+                    for name, count in counts[i].items()
+                }
         clusters = [
             _place(provisioners[i], hosts, background, counts[i], profiles)
             for i in growing
@@ -162,12 +172,9 @@ def run_interference_comparison(
             for i, (violation, _) in zip(growing, measured)
             if violation > violation_threshold
         ]
-        for i in growing:
-            counts[i] = {
-                name: max(count + 1, math.ceil(count * growth_factor))
-                for name, count in counts[i].items()
-            }
-    result = InterferenceResult()
+        if not growing:
+            break
+    result = InterferenceResult(unmet=[provisioners[i].name for i in growing])
     for i, provisioner in enumerate(provisioners):
         row = {
             "provisioner": provisioner.name,

@@ -19,8 +19,10 @@ from repro.experiments import (
     run_trace_simulation,
     simulate_profiling_sweep,
 )
+from repro.experiments.harness import uniform_specs
 from repro.experiments.interference import multipliers_from_placement
 from repro.simulator import InterferenceModel, SimulatedMicroservice
+from repro.simulator.simulation import ClusterSimulator
 from repro.workloads import DiurnalRate, generate_taobao, hotel_reservation
 from tests.helpers import count_calls
 
@@ -371,6 +373,32 @@ class TestInterferenceComparison:
             "k8s-default",
         }
         assert all(v > 0 for v in result.containers_needed.values())
+        assert set(result.unmet) <= set(result.containers_needed)
+
+    def test_reports_only_counts_it_replayed(self, hotel, monkeypatch):
+        """A provisioner still violating after the last round reports the
+        count that round replayed, and is listed as unmet."""
+        counts = {}
+        count_calls(monkeypatch, ClusterSimulator, "run", counts)
+        result = run_interference_comparison(
+            hotel,
+            ErmsScaler(),
+            [KubernetesDefaultProvisioner()],
+            workload=3_000.0,
+            sla=300.0,
+            hosts=4,
+            background=((26.0, 52_000.0),) * 4,
+            duration_min=0.3,
+            max_growth_rounds=1,
+            violation_threshold=0.0,
+        )
+        replayed = ErmsScaler().scale(
+            uniform_specs(hotel, 3_000.0, 300.0), hotel.analytic_profiles(1.0)
+        ).total_containers()
+        assert counts == {"run": 1}
+        assert result.containers_needed == {"k8s-default": replayed}
+        assert result.rows[0]["containers"] == replayed
+        assert result.unmet == ["k8s-default"]
 
     def test_multipliers_from_placement(self):
         from repro.core import Cluster, ContainerSpec
