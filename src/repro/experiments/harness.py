@@ -8,7 +8,7 @@ the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -408,9 +408,7 @@ class Replay:
     multipliers: Optional[Tuple[Tuple[str, Tuple[float, ...]], ...]] = None
     seed: int = 0
     delta: float = 0.05
-    #: Left out of the hash (a policy bundle may hold dicts); equality
-    #: still tells bundles apart.
-    resilience: Optional[object] = field(default=None, hash=False)
+    resilience: Optional[object] = None
 
     def __post_init__(self) -> None:
         freeze = partial(object.__setattr__, self)

@@ -11,8 +11,8 @@ recovers), which is the no-policy baseline of the resilience sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "AdmissionPolicy",
@@ -30,6 +30,12 @@ __all__ = [
 BREAKER_CLOSED = 0
 BREAKER_OPEN = 1
 BREAKER_HALF_OPEN = 2
+
+
+def _freeze_pairs(policy, name: str) -> None:
+    """Store the mapping (or pairs) ``policy.<name>`` as name-sorted pairs."""
+    pairs = tuple(sorted(dict(getattr(policy, name)).items()))
+    object.__setattr__(policy, name, pairs)
 
 
 @dataclass(frozen=True)
@@ -71,21 +77,23 @@ class TimeoutPolicy:
 
     The abandoned subtree keeps executing (servers finish work for
     disconnected clients); only the caller stops waiting.  Optional
-    per-microservice overrides tighten or loosen individual dependencies.
+    per-microservice overrides tighten or loosen individual dependencies
+    (a mapping, held as name-sorted pairs so the policy hashes).
     """
 
     call_timeout_ms: float = 500.0
-    overrides: Mapping[str, float] = field(default_factory=dict)
+    overrides: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        _freeze_pairs(self, "overrides")
         if self.call_timeout_ms <= 0:
             raise ValueError("call_timeout_ms must be positive")
-        for name, value in self.overrides.items():
+        for name, value in self.overrides:
             if value <= 0:
                 raise ValueError(f"timeout override for {name!r} must be positive")
 
     def timeout_for(self, microservice: str) -> float:
-        return self.overrides.get(microservice, self.call_timeout_ms)
+        return dict(self.overrides).get(microservice, self.call_timeout_ms)
 
 
 @dataclass(frozen=True)
@@ -132,16 +140,18 @@ class AdmissionPolicy:
     (highest priority, the paper's Eqs. 13–14 ordering) is never shed, so
     high-priority services keep their Eq. 5 targets while best-effort
     load degrades first.  ``ranks`` overrides the ranks derived from the
-    simulator's priority configuration.
+    simulator's priority configuration (a mapping, held as name-sorted
+    pairs so the policy hashes).
     """
 
     max_queue_per_thread: float = 8.0
     shed_rank_floor: int = 1
     latency_threshold_ms: Optional[float] = None
     ewma_alpha: float = 0.1
-    ranks: Mapping[str, int] = field(default_factory=dict)
+    ranks: Tuple[Tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
+        _freeze_pairs(self, "ranks")
         if self.max_queue_per_thread <= 0:
             raise ValueError("max_queue_per_thread must be positive")
         if self.shed_rank_floor < 1:

@@ -134,6 +134,31 @@ class TestSpikeMultiplier:
         assert spiked.tail_latency("svc") > calm.tail_latency("svc") * 2
 
 
+class TestPolicyBundles:
+    def test_equal_bundles_hash_equal_whatever_the_mapping_order(self):
+        def bundle(overrides, ranks):
+            return ResiliencePolicies(
+                retry=RetryPolicy(),
+                timeout=TimeoutPolicy(call_timeout_ms=50.0, overrides=overrides),
+                breaker=CircuitBreakerPolicy(),
+                admission=AdmissionPolicy(ranks=ranks),
+            )
+
+        first = bundle({"a": 5.0, "b": 7.0}, {"gold": 0, "be": 1})
+        second = bundle({"b": 7.0, "a": 5.0}, {"be": 1, "gold": 0})
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second, ResiliencePolicies.default()}) == 2
+        assert first.timeout.overrides == (("a", 5.0), ("b", 7.0))
+        assert first.admission.ranks == (("be", 1), ("gold", 0))
+
+    def test_lookups_read_the_mappings_they_were_given(self):
+        timeout = TimeoutPolicy(call_timeout_ms=50.0, overrides={"a": 5.0})
+        assert (timeout.timeout_for("a"), timeout.timeout_for("z")) == (5.0, 50.0)
+        with pytest.raises(ValueError, match="override for 'b' must be positive"):
+            TimeoutPolicy(overrides={"a": 1.0, "b": 0.0})
+
+
 class TestCircuitBreakerUnit:
     def test_full_lifecycle(self):
         policy = CircuitBreakerPolicy(
