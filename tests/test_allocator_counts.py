@@ -2,7 +2,7 @@
 
 The population is the one the end-to-end ``control_loop`` workload
 re-decides every period (60 Taobao services, seed 0), restricted to its
-feasible services.  Each case runs on cold caches and records:
+feasible services.  Each case runs with a cold targets memo and records:
 
 * ``merges`` — calls of ``repro.core.merge.merge_graph`` (one per §5.3.1
   pass and per §5.3.2 priority pass of every service);
