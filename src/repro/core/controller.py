@@ -21,7 +21,7 @@ current deployment: one ``autoscaler`` record, and ``step`` returns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.model import (
     Allocation,
@@ -144,6 +144,10 @@ class ControlLoop:
 class ErmsController(ControlLoop):
     """Periodic cluster-wide resource manager (the whole paper system).
 
+    A period keeps nothing but the deployment it leaves in :attr:`api` and
+    on :attr:`cluster`: each :meth:`reconcile` returns its report, and a
+    caller that wants a history keeps the reports.
+
     Args:
         specs, profile_source: As for :class:`ControlLoop`.
         cluster: Host inventory.
@@ -184,7 +188,6 @@ class ErmsController(ControlLoop):
             startup_seconds=startup_seconds,
         )
         self.configurator = NetworkPriorityConfigurator()
-        self.history: List[ControllerReport] = []
 
     # ------------------------------------------------------------------
     def reconcile(
@@ -193,8 +196,9 @@ class ErmsController(ControlLoop):
         utilization: Optional[Tuple[float, float]] = None,
     ) -> Optional[ControllerReport]:
         """One control period on the deployer's clock (:meth:`step`);
-        ``utilization`` defaults to the cluster's own current mean."""
-        if utilization is None:
+        ``utilization`` defaults to the cluster's own current mean, measured
+        only when the profile source is callable (the one reader of it)."""
+        if utilization is None and callable(self.profile_source):
             utilization = self.cluster.mean_utilization()
         return self.step(self.deployer.clock / 60.0, workloads, utilization)
 
@@ -210,7 +214,6 @@ class ErmsController(ControlLoop):
             self.api, allocation
         )
         report.cluster_imbalance = self.cluster.imbalance()
-        self.history.append(report)
 
     def tick(self, seconds: float) -> int:
         """Advance time between control periods; returns pods started."""

@@ -88,10 +88,14 @@ class ServiceTargets:
 # merge treats every call site as handling the service arrival rate.
 # Targets, chosen segments, the merged intercept and the §5.3.1 pass
 # count are therefore identical across grid cells that differ only in
-# workload (same graph, SLA and override ratios) — only the container
-# counts change.  The memo below caches exactly that workload-independent
-# tuple; container counts are always recomputed from the cell's actual
-# workloads, so memoized results are bit-identical to fresh ones.
+# workload (same graph and SLA) — only the container counts change.  The
+# memo below caches exactly that workload-independent tuple, for calls
+# whose override ratios are all 1.0: every call without overrides, and
+# every §5.3.2 priority pass whose overrides scale no slope.  A scaled
+# slope's ratios follow the workload mix, so such a call is computed
+# fresh and is counted as neither a hit nor a miss.  Container counts are
+# always recomputed from the cell's actual workloads, so memoized results
+# are bit-identical to fresh ones.
 _TARGETS_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
 _TARGETS_MEMO_MAX = 1024
 _MEMO_ENABLED = True
@@ -221,11 +225,11 @@ def compute_service_targets(
         KeyError: If a microservice in the graph has no profile.
 
     The workload-independent part (targets/segments/passes — see the memo
-    note above) is cached across calls keyed by the graph's compiled plan,
-    SLA and override ratios, so sweeping a workload axis or re-running the
-    autoscaler tick-by-tick pays for Eq. 5 once.  Graphs are frozen once
-    scaled (a mutated root needs a new ``DependencyGraph``) and profiles
-    are treated as immutable.
+    note above) of a call whose overrides scale no slope is cached across
+    calls keyed by the graph's compiled plan and SLA, so sweeping a
+    workload axis or re-running the autoscaler tick-by-tick pays for Eq. 5
+    once per plan and SLA.  Graphs are frozen once scaled (a mutated root
+    needs a new ``DependencyGraph``) and profiles are treated as immutable.
     """
     plan = spec.graph.plan()
     names = plan.names
@@ -241,8 +245,8 @@ def compute_service_targets(
     )
 
     key = None
-    if _MEMO_ENABLED:
-        key = (plan, spec.sla, max_passes, tuple(map(id, used)), ratios)
+    if _MEMO_ENABLED and all(ratio == 1.0 for ratio in ratios):
+        key = (plan, spec.sla, max_passes, tuple(map(id, used)))
         entry = _TARGETS_MEMO.get(key)
         if entry is not None:
             global _MEMO_HITS

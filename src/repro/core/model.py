@@ -105,6 +105,12 @@ class ContainerSpec:
     cpu: float = 0.1
     memory_mb: float = 200.0
 
+    def __post_init__(self) -> None:
+        for name in ("cpu", "memory_mb"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
     def dominant_share(self, cluster_cpu: float, cluster_memory_mb: float) -> float:
         """Dominant resource demand R_i of paper Eq. 3."""
         return max(self.cpu / cluster_cpu, self.memory_mb / cluster_memory_mb)

@@ -19,6 +19,7 @@ Two provisioners are exposed:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -42,6 +43,22 @@ class Host:
     background_cpu: float = 0.0
     background_memory_mb: float = 0.0
     containers: Dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("cpu_capacity", "memory_capacity_mb"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"host {self.host_id}: {name} must be positive and finite, "
+                    f"got {value}"
+                )
+        for name in ("background_cpu", "background_memory_mb"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"host {self.host_id}: {name} must be non-negative and "
+                    f"finite, got {value}"
+                )
 
     def place(self, microservice: str, count: int = 1) -> None:
         """Place ``count`` containers of ``microservice`` on this host."""

@@ -3,7 +3,8 @@
 Holds the declarative state (Deployments) and the observed state (Pods),
 and records every mutation as an :class:`ApiEvent` so tests and the
 experiment harness can audit exactly what the controller did — the
-in-process equivalent of ``kubectl get events``.
+in-process equivalent of ``kubectl get events``.  An apply that changes
+nothing is no mutation and records nothing, as in Kubernetes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ class MockKubeApi:
     are also kept per microservice, in the same order, so the
     per-deployment queries read one deployment's pods rather than the
     store; pods enter and leave both only through :meth:`create_pod` and
-    :meth:`reap_terminated`.
+    :meth:`reap_terminated`.  Each microservice's count of active pods is
+    kept beside them: a pod becomes active only in :meth:`create_pod` and
+    stops being active only in :meth:`delete_pod`, so
+    :meth:`active_replicas` reads a number instead of counting pods.
     """
 
     deployments: Dict[str, Deployment] = field(default_factory=dict)
@@ -41,10 +45,13 @@ class MockKubeApi:
     _by_microservice: Dict[str, Dict[str, Pod]] = field(
         default_factory=dict, init=False, repr=False
     )
+    _active: Dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for pod in self.pods.values():
             self._by_microservice.setdefault(pod.microservice, {})[pod.name] = pod
+        for name, pods in self._by_microservice.items():
+            self._active[name] = sum(1 for pod in pods.values() if pod.is_active())
 
     # ------------------------------------------------------------------
     # Declarative state
@@ -55,20 +62,25 @@ class MockKubeApi:
         replicas: int,
         spec: Optional[ContainerSpec] = None,
     ) -> Deployment:
-        """Create or update a Deployment (idempotent, like kubectl apply)."""
-        existing = self.deployments.get(microservice)
-        if existing is not None:
-            existing.replicas = replicas
-            if spec is not None:
-                existing.spec = spec
-            deployment = existing
-        else:
+        """Create or update a Deployment (idempotent, like kubectl apply).
+
+        An ``"apply"`` event is recorded only when the Deployment is created
+        or its replicas or spec change; otherwise it is returned as it is.
+        """
+        deployment = self.deployments.get(microservice)
+        if deployment is None:
             deployment = Deployment(
                 microservice=microservice,
                 replicas=replicas,
                 spec=spec if spec is not None else ContainerSpec(),
             )
             self.deployments[microservice] = deployment
+        else:
+            spec = deployment.spec if spec is None else spec
+            if replicas == deployment.replicas and spec == deployment.spec:
+                return deployment
+            deployment.replicas = replicas
+            deployment.spec = spec
         self.events.append(
             ApiEvent("apply", microservice, f"replicas={replicas}")
         )
@@ -84,6 +96,7 @@ class MockKubeApi:
         pod = Pod.fresh(microservice, deployment.spec)
         self.pods[pod.name] = pod
         self._by_microservice.setdefault(microservice, {})[pod.name] = pod
+        self._active[microservice] = self.active_replicas(microservice) + 1
         self.events.append(ApiEvent("pod-created", pod.name))
         return pod
 
@@ -91,6 +104,8 @@ class MockKubeApi:
         pod = self.pods.get(pod_name)
         if pod is None:
             raise KeyError(f"no pod {pod_name!r}")
+        if pod.is_active():
+            self._active[pod.microservice] -= 1
         pod.phase = PodPhase.TERMINATING
         self.events.append(ApiEvent("pod-deleted", pod_name))
 
@@ -114,7 +129,7 @@ class MockKubeApi:
         return [pod for pod in pods if pod.is_active()]
 
     def active_replicas(self, microservice: str) -> int:
-        return len(self.pods_of(microservice))
+        return self._active.get(microservice, 0)
 
     def serving_replicas(self, microservice: str) -> int:
         return sum(1 for p in self.pods_of(microservice) if p.is_serving())

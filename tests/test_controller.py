@@ -1,5 +1,8 @@
 """Integration tests for ErmsController: the Fig. 6 loop end to end."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import Cluster, ErmsScaler
@@ -83,12 +86,18 @@ class TestErmsController:
         report = ctl.reconcile({spec.name: 3_000.0 for spec in app.services})
         assert report.total_containers() > 0
 
-    def test_history_accumulates(self, controller):
+    def test_each_period_returns_its_report_and_none_is_kept(self, controller):
         app, ctl = controller
+        kept = []
         for rate in (2_000.0, 4_000.0, 8_000.0):
-            ctl.reconcile({spec.name: rate for spec in app.services})
+            report = ctl.reconcile({spec.name: rate for spec in app.services})
+            assert report.minute == ctl.deployer.clock / 60.0
+            assert report.total_containers() == ctl.total_pods()
+            kept.append(weakref.ref(report))
             ctl.tick(3.0)
-        assert len(ctl.history) == 3
+        del report
+        gc.collect()
+        assert [ref() for ref in kept] == [None, None, None]
 
     def test_infeasible_period_keeps_deployment(self, controller):
         """An infeasible period keeps the current pods, returns None and
@@ -105,7 +114,6 @@ class TestErmsController:
             return {name: (p.node, p.phase) for name, p in ctl.api.pods.items()}
 
         before = pods()
-        history = list(ctl.history)
         ctl.decisions = DecisionLog()
         # Sabotage: no allocation meets a 5 ms SLA.
         ctl.specs = [
@@ -116,7 +124,6 @@ class TestErmsController:
             assert ctl.reconcile(workloads) is None
             assert len(ctl.decisions) == period + 1
         assert pods() == before
-        assert ctl.history == history
         for record in ctl.decisions.records:
             assert record.actor == "autoscaler"
             assert (record.microservice, record.delta) == ("*", 0)

@@ -87,6 +87,12 @@ class TestContainerSpec:
         share = spec.dominant_share(32.0, 64_000.0)
         assert share == pytest.approx(8_000.0 / 64_000.0)
 
+    @pytest.mark.parametrize("field", ["cpu", "memory_mb"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_size_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            ContainerSpec(**{field: value})
+
 
 class TestContainersForTarget:
     def test_exact_division(self):

@@ -20,6 +20,11 @@ pod start-up (scale-down then meets STARTING pods), and the background
 load of a few hosts is reassigned between two periods — the out-of-band
 change a per-pass index must see.
 
+The shas were regenerated once more when an apply that changes nothing
+stopped logging an ``"apply"`` event: every ``created`` / ``deleted`` held,
+and each new sha equals the previous commit's ``record`` with the log
+lines of those applies dropped.
+
 Pod names carry the process-global ``_pod_counter``; they are replaced by
 the pod's creation order within the run before hashing.  Microservice names
 are hashed as ``str(name)``: the first fixture hashed their ``repr``, which

@@ -32,9 +32,17 @@ class TestMockKubeApi:
     def test_apply_is_idempotent(self):
         api = MockKubeApi()
         api.apply("ms", 3)
-        api.apply("ms", 5)
+        deployment = api.apply("ms", 5)
         assert api.deployments["ms"].replicas == 5
         assert [event.kind for event in api.events] == ["apply", "apply"]
+        # a repeated identical apply changes nothing and logs nothing
+        assert api.apply("ms", 5) is deployment
+        assert api.apply("ms", 5, ContainerSpec()) is deployment
+        assert len(api.events) == 2
+        api.apply("ms", 5, ContainerSpec(cpu=0.2))
+        assert deployment.spec == ContainerSpec(cpu=0.2)
+        details = [event.detail for event in api.events]
+        assert details == ["replicas=3", "replicas=5", "replicas=5"]
 
     def test_create_pod_requires_deployment(self):
         api = MockKubeApi()

@@ -42,12 +42,30 @@ class TestHost:
         host.place("a", 3)
         assert host.cpu_utilization(sizes) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("field", ["cpu_capacity", "memory_capacity_mb"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_capacity_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"h0: {field} must be positive"):
+            Host("h0", **{field: value})
+
+    @pytest.mark.parametrize("field", ["background_cpu", "background_memory_mb"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_background_must_be_non_negative_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"h0: {field} must be non-negative"):
+            Host("h0", **{field: value})
+        assert getattr(Host("h0", **{field: 0.0}), field) == 0.0
+
 
 class TestCluster:
     def test_homogeneous_factory(self):
         cluster = Cluster.homogeneous(20)
         assert len(cluster.hosts) == 20
         assert all(h.cpu_capacity == 32.0 for h in cluster.hosts)
+
+    def test_zero_capacity_rejected_where_it_enters(self):
+        """Not a ``ZeroDivisionError`` at the first utilization read."""
+        with pytest.raises(ValueError, match="cpu_capacity must be positive"):
+            Cluster.homogeneous(2, cpu_capacity=0.0)
 
     def test_placement_totals(self):
         cluster = small_cluster()

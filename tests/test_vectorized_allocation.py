@@ -161,6 +161,26 @@ class TestTargetsMemo:
             overridden.containers != plain.containers
         )
 
+    def test_only_unit_override_ratios_are_memoized(self):
+        """A call whose overrides scale a slope is computed fresh and counts
+        as neither a hit nor a miss; one whose overrides scale none shares
+        the entry of the call without overrides."""
+        rng = random.Random(505)
+        graph = random_graph(rng)
+        profiles = random_profiles(rng, graph)
+        name = graph.microservices()[0]
+        spec = ServiceSpec("rand", graph, workload=4_000.0, sla=150.0)
+        own = spec.microservice_workloads()[name]
+        clear_targets_memo()
+        for _ in range(2):
+            compute_service_targets(
+                spec, profiles, workload_overrides={name: own * 3.0}
+            )
+        assert targets_memo_stats() == {"hits": 0, "misses": 0, "entries": 0}
+        compute_service_targets(spec, profiles, workload_overrides={name: own})
+        compute_service_targets(spec, profiles)
+        assert targets_memo_stats() == {"hits": 1, "misses": 1, "entries": 1}
+
 
 def _apply_with_fresh_choices(provisioner, cluster, desired):
     """Mirror ``Provisioner.apply`` but re-choose every host with a fresh
