@@ -42,7 +42,7 @@ def _run():
                     segment = result.segments[name]
                     # A high-segment microservice whose target sits below
                     # the cut-off latency is operating off its segment.
-                    if segment is model.high and target < model.latency_at_cutoff():
+                    if segment is model.high and target < model.latency_at_cutoff:
                         inconsistent += 1
         rows.append(
             {

@@ -14,14 +14,14 @@ from repro.core.merge import distribute_targets, merge_graph
 from repro.core.model import ServiceSpec
 from repro.profiling import fit_piecewise
 from repro.workloads import social_network
-from repro.workloads.alibaba import _random_profile, _random_tree
+from repro.workloads.alibaba import _random_profiles, _random_tree
 
 
 def _random_service(n, seed):
     rng = np.random.default_rng(seed)
     names = [f"ms-{i:04d}" for i in range(n)]
     graph = _random_tree(f"svc-{n}", names, rng)
-    profiles = {name: _random_profile(name, rng) for name in names}
+    profiles = _random_profiles(names, rng)
     return ServiceSpec(f"svc-{n}", graph, workload=10_000.0, sla=5_000.0), profiles
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core import compute_service_targets
 from repro.experiments import format_table
-from repro.workloads.alibaba import _random_profile, _random_tree
+from repro.workloads.alibaba import _random_profiles, _random_tree
 from repro.core.model import ServiceSpec
 
 from conftest import run_once
@@ -26,7 +26,7 @@ def _service_of_size(n, seed):
     rng = np.random.default_rng(seed)
     names = [f"ms-{i:04d}" for i in range(n)]
     graph = _random_tree(f"svc-{n}", names, rng)
-    profiles = {name: _random_profile(name, rng) for name in names}
+    profiles = _random_profiles(names, rng)
     # Deep random trees accumulate a large latency floor; the SLA only
     # needs to be feasible — the timing, not the allocation, is measured.
     spec = ServiceSpec(f"svc-{n}", graph, workload=10_000.0, sla=5_000.0)

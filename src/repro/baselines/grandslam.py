@@ -10,9 +10,10 @@ microservice is under-budgeted exactly when the workload is high.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
 
-from repro.baselines.base import MicroserviceStats, StatisticsAutoscaler
+import numpy as np
+
+from repro.baselines.base import ServiceStatistics, StatisticsAutoscaler
 
 
 @dataclass
@@ -40,5 +41,5 @@ class GrandSLAm(StatisticsAutoscaler):
     # the scheme's own class attribute: benchmarks/e2e traces ``scale`` per scheme
     scale = StatisticsAutoscaler.scale
 
-    def weights(self, stats: Mapping[str, MicroserviceStats]) -> Dict[str, float]:
-        return {name: s.mean for name, s in stats.items()}
+    def weights(self, stats: ServiceStatistics) -> np.ndarray:
+        return stats.means

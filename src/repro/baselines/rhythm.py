@@ -10,9 +10,10 @@ fixed statistic, so the split does not track the operating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
 
-from repro.baselines.base import MicroserviceStats, StatisticsAutoscaler
+import numpy as np
+
+from repro.baselines.base import ServiceStatistics, StatisticsAutoscaler
 
 
 @dataclass
@@ -37,23 +38,18 @@ class Rhythm(StatisticsAutoscaler):
     # the scheme's own class attribute: benchmarks/e2e traces ``scale`` per scheme
     scale = StatisticsAutoscaler.scale
 
-    def weights(self, stats: Mapping[str, MicroserviceStats]) -> Dict[str, float]:
-        return _normalize({
-            name: s.mean * s.variance * s.correlation
-            for name, s in stats.items()
-        })
+    def weights(self, stats: ServiceStatistics) -> np.ndarray:
+        return _normalize(stats.means * stats.variances * stats.correlations)
 
 
-def _normalize(raw: Mapping[str, float]) -> Dict[str, float]:
+def _normalize(raw: np.ndarray) -> np.ndarray:
     """Scale contributions to [epsilon, 1] so no microservice gets zero."""
-    top = max(raw.values(), default=0.0)
+    top = raw.max()
     if top <= 0:
-        return {name: 1.0 for name in raw}
+        return np.ones_like(raw)
     # Every microservice needs some latency budget: Rhythm deploys all
     # components, so contributions are floored well above zero (otherwise
     # negligible-contribution microservices would be assigned unmeetable
     # targets and dominate the container count).
     floor = 0.1
-    return {
-        name: max(value / top, floor) for name, value in raw.items()
-    }
+    return np.maximum(raw / top, floor)

@@ -191,7 +191,7 @@ def _targets_loop(
         switched = False
         for rank, target in enumerate(targets):
             model = models[rank]
-            if segments[rank] is model.high and target < model.latency_at_cutoff():
+            if segments[rank] is model.high and target < model.latency_at_cutoff:
                 segments[rank] = model.low
                 switched = True
         if not switched:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional
 
 from repro.graphs import DependencyGraph
@@ -89,11 +90,13 @@ class PiecewiseLatencyModel:
             return self.low.latency(per_container_load)
         return self.high.latency(per_container_load)
 
+    @cached_property
     def latency_at_cutoff(self) -> float:
         """Latency at the cut-off point, evaluated on the high segment.
 
         This is the threshold of §5.3.1: a latency target below this value
         means the microservice must operate in the low-load interval.
+        Computed once per model, at first read.
         """
         return self.high.latency(self.cutoff)
 
@@ -224,7 +227,7 @@ def best_effort_containers(
     """
     if workload <= 0:
         return 1
-    if target >= model.latency_at_cutoff():
+    if target >= model.latency_at_cutoff:
         count = containers_for_target(model.high, workload, target)
         if model.max_load is not None:
             count = max(count, math.ceil(workload / model.max_load))

@@ -52,13 +52,17 @@ class Host:
                     f"host {self.host_id}: {name} must be positive and finite, "
                     f"got {value}"
                 )
-        for name in ("background_cpu", "background_memory_mb"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(
-                    f"host {self.host_id}: {name} must be non-negative and "
-                    f"finite, got {value}"
-                )
+
+    def __setattr__(self, name: str, value) -> None:
+        # background loads change between periods; checked on every write
+        if name in ("background_cpu", "background_memory_mb") and not (
+            0 <= value < math.inf
+        ):
+            raise ValueError(
+                f"host {self.host_id}: {name} must be non-negative and "
+                f"finite, got {value}"
+            )
+        object.__setattr__(self, name, value)
 
     def place(self, microservice: str, count: int = 1) -> None:
         """Place ``count`` containers of ``microservice`` on this host."""

@@ -67,6 +67,10 @@ class MockKubeApi:
         An ``"apply"`` event is recorded only when the Deployment is created
         or its replicas or spec change; otherwise it is returned as it is.
         """
+        if replicas < 0:
+            raise ValueError(
+                f"replicas of {microservice!r} must be non-negative, got {replicas}"
+            )
         deployment = self.deployments.get(microservice)
         if deployment is None:
             deployment = Deployment(

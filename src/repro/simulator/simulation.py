@@ -211,9 +211,10 @@ class SimulatedMicroservice:
     threads: int = 4
 
     def __post_init__(self) -> None:
-        if self.base_service_ms <= 0:
+        if not 0 < self.base_service_ms < math.inf:
             raise ValueError(
-                f"base_service_ms of {self.name!r} must be positive"
+                f"base_service_ms of {self.name!r} must be positive and "
+                f"finite, got {self.base_service_ms}"
             )
         if self.threads < 1:
             raise ValueError(f"threads of {self.name!r} must be >= 1")
@@ -238,6 +239,8 @@ class SimulationConfig:
             )
         if not 0 <= self.warmup_min < self.duration_min:
             raise ValueError("warmup_min must be in [0, duration_min)")
+        if not 0.0 <= self.delta < 1.0:
+            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
         if self.scheduling not in ("fcfs", "priority"):
             raise ValueError(
                 f"scheduling must be 'fcfs' or 'priority', got {self.scheduling!r}"

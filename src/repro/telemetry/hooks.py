@@ -143,6 +143,10 @@ class TelemetryConfig:
                 "tail_threshold_ms must be positive and finite, "
                 f"got {self.tail_threshold_ms}"
             )
+        if not 0.0 < self.percentile <= 100.0:
+            raise ValueError(
+                f"percentile must be in (0, 100], got {self.percentile}"
+            )
         if not 0.0 <= self.tail_floor <= 1.0:
             raise ValueError(
                 f"tail_floor must be in [0, 1], got {self.tail_floor}"

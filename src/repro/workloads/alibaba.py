@@ -20,7 +20,7 @@ plus per-service private tails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -99,27 +99,44 @@ class TaobaoWorkload:
         return len(names)
 
 
-def _random_profile(
-    name: str, rng: np.random.Generator
-) -> MicroserviceProfile:
-    """A plausible random piecewise profile (continuous at the cut-off)."""
-    base = rng.uniform(0.5, 5.0)  # idle P95, ms
-    cutoff = rng.uniform(50.0, 400.0)  # req/min/container
-    low_slope = base * rng.uniform(0.2, 0.8) / cutoff
-    steepness = rng.uniform(4.0, 12.0)
-    high_slope = low_slope * steepness
-    latency_at_cutoff = low_slope * cutoff + base
-    high_intercept = latency_at_cutoff - high_slope * cutoff
-    return MicroserviceProfile(
-        name=name,
-        model=PiecewiseLatencyModel(
-            low=LatencySegment(low_slope, base),
-            high=LatencySegment(high_slope, high_intercept),
-            cutoff=cutoff,
-        ),
-        resource_demand=float(rng.uniform(0.05, 0.4)),
-        container=ContainerSpec(cpu=0.1, memory_mb=200.0),
-    )
+#: The container size of every generated microservice (frozen, so shared).
+_CONTAINER = ContainerSpec(cpu=0.1, memory_mb=200.0)
+
+
+def _random_profiles(
+    names: Sequence[str], rng: np.random.Generator
+) -> Dict[str, MicroserviceProfile]:
+    """Plausible random piecewise profiles (continuous at the cut-off).
+
+    One ``rng.random`` block holds five uniforms per name, in the order
+    five scalar ``rng.uniform(low, high)`` calls would draw them: idle
+    P95, cut-off, low-slope factor, steepness, resource demand.  Scaling a
+    block value as ``low + (high - low) * u`` is what ``uniform``
+    computes, so the profiles equal the scalar draws' bit for bit.
+    """
+    u = rng.random(5 * len(names)).reshape(-1, 5).T
+    base = 0.5 + (5.0 - 0.5) * u[0]  # idle P95, ms
+    cutoff = 50.0 + (400.0 - 50.0) * u[1]  # req/min/container
+    low_slope = base * (0.2 + (0.8 - 0.2) * u[2]) / cutoff
+    high_slope = low_slope * (4.0 + (12.0 - 4.0) * u[3])
+    high_intercept = (low_slope * cutoff + base) - high_slope * cutoff
+    demand = 0.05 + (0.4 - 0.05) * u[4]
+    columns = (base, cutoff, low_slope, high_slope, high_intercept, demand)
+    return {
+        name: MicroserviceProfile(
+            name=name,
+            model=PiecewiseLatencyModel(
+                low=LatencySegment(low, idle),
+                high=LatencySegment(high, intercept),
+                cutoff=knee,
+            ),
+            resource_demand=share,
+            container=_CONTAINER,
+        )
+        for name, idle, knee, low, high, intercept, share in zip(
+            names, *(column.tolist() for column in columns)
+        )
+    }
 
 
 def _random_tree(
@@ -195,9 +212,7 @@ def generate_taobao(
     weights = 1.0 / np.arange(1, shared_pool + 1) ** 0.8
     weights /= weights.sum()
 
-    profiles: Dict[str, MicroserviceProfile] = {
-        name: _random_profile(name, rng) for name in pool
-    }
+    profiles = _random_profiles(pool, rng)
 
     services: List[ServiceSpec] = []
     rates: Dict[str, DiurnalRate] = {}
@@ -207,16 +222,18 @@ def generate_taobao(
         n_shared = min(
             size - 2, max(1, int(rng.poisson(shared_per_service)))
         )
-        # .tolist(): plain ``str`` names, not ``np.str_``
-        shared_picks = rng.choice(
-            pool, size=n_shared, replace=False, p=weights
-        ).tolist()
+        # positions in the pool: the draws of choosing among its names,
+        # without making an array of them (and plain ``str``, not ``np.str_``)
+        shared_picks = [
+            pool[i]
+            for i in rng.choice(
+                shared_pool, size=n_shared, replace=False, p=weights
+            ).tolist()
+        ]
         n_private = size - n_shared - 1
         private = [f"{service}-ms-{i:03d}" for i in range(n_private)]
-        for name in private:
-            profiles[name] = _random_profile(name, rng)
         entry = f"{service}-entry"
-        profiles[entry] = _random_profile(entry, rng)
+        profiles.update(_random_profiles(private + [entry], rng))
 
         members = shared_picks + private
         rng.shuffle(members)

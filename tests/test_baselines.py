@@ -10,7 +10,13 @@ from repro.baselines import (
     ProfileStatisticsError,
     Rhythm,
 )
-from repro.baselines.base import stats_from_profiles, targets_from_weights
+from repro.baselines.base import (
+    CHUNK_ROWS,
+    PopulationSweep,
+    ServiceStatistics,
+    stats_from_profiles,
+    targets_from_weights,
+)
 from repro.core import (
     ErmsScaler,
     PiecewiseLatencyModel,
@@ -160,7 +166,8 @@ class TestStats:
 
 
 class TestStatsShape:
-    """Counts, not timings: the sweep is one array program per service."""
+    """Counts, not timings: one array sweep per microservice, and one fold
+    per service whose correlations a rule reads."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -182,6 +189,33 @@ class TestStatsShape:
         Rhythm().scale(app.services, app.analytic_profiles())
         assert calls["end_to_end_series"] == len(app.services) > 1
         assert "corrcoef" not in calls and "latency" not in calls
+
+    def test_grandslam_folds_nothing(self, calls):
+        """Its rule reads only the means: no service is folded."""
+        app = social_network()
+        GrandSLAm().scale(app.services, app.analytic_profiles())
+        assert calls.get("end_to_end_series", 0) == 0
+        assert "corrcoef" not in calls and "latency" not in calls
+
+
+class TestPopulationSweep:
+    def test_every_service_reads_its_own_sweep_bit_for_bit(self):
+        """A row's statistics do not depend on the chunk it was swept in."""
+        population = generate_taobao(
+            n_services=20, mean_graph_size=40, shared_pool=250, seed=0
+        )
+        specs, profiles = population.services, population.profiles
+        sweep = PopulationSweep(specs, profiles, 40)
+        assert len(sweep.row) > 2 * CHUNK_ROWS
+        for spec in specs:
+            stats = ServiceStatistics(sweep, spec)
+            alone = stats_from_profiles(spec, profiles)
+            assert list(alone) == list(stats.names)
+            assert stats.means.tolist() == [s.mean for s in alone.values()]
+            assert stats.variances.tolist() == [s.variance for s in alone.values()]
+            assert stats.correlations.tolist() == [
+                s.correlation for s in alone.values()
+            ]
 
 
 class TestGrandSLAm:

@@ -55,7 +55,7 @@ class TestPiecewiseLatencyModel:
 
     def test_latency_at_cutoff_uses_high_segment(self):
         model = self._model()
-        assert model.latency_at_cutoff() == pytest.approx(2.0 * 10 + 2)
+        assert model.latency_at_cutoff == pytest.approx(2.0 * 10 + 2)
 
     def test_nonpositive_cutoff_rejected(self):
         for bad in (0.0, float("nan"), float("inf")):

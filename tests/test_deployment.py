@@ -59,6 +59,14 @@ class TestMockKubeApi:
         with pytest.raises(ValueError, match="replicas"):
             api.apply("ms", -1)
 
+    def test_negative_replicas_rejected_on_update(self):
+        api = MockKubeApi()
+        api.apply("ms", 3)
+        with pytest.raises(ValueError, match="replicas"):
+            api.apply("ms", -1)
+        assert api.deployments["ms"].replicas == 3
+        assert len(api.events) == 1
+
     def test_reap_removes_terminating(self):
         api = MockKubeApi()
         api.apply("ms", 1)

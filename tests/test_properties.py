@@ -354,7 +354,7 @@ class TestBestEffortInvariants:
     @settings(max_examples=100)
     def test_achievable_targets_are_met(self, model, workload):
         """For targets above the knee, the provisioned latency meets them."""
-        target = model.latency_at_cutoff() * 1.5
+        target = model.latency_at_cutoff * 1.5
         count = best_effort_containers(model, workload, target)
         load = workload / count
         assert model.latency(load) <= target + 1e-6
@@ -362,7 +362,7 @@ class TestBestEffortInvariants:
     @given(piecewise_models(), st.floats(min_value=1.0, max_value=50_000.0))
     @settings(max_examples=100)
     def test_max_load_respected(self, model, workload):
-        target = model.latency_at_cutoff() * 10.0
+        target = model.latency_at_cutoff * 10.0
         count = best_effort_containers(model, workload, target)
         assert workload / count <= model.max_load + 1e-6
 

@@ -1,5 +1,7 @@
 """Tests for repro.core.provisioning: hosts, cluster, placement policies."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -54,6 +56,16 @@ class TestHost:
         with pytest.raises(ValueError, match=f"h0: {field} must be non-negative"):
             Host("h0", **{field: value})
         assert getattr(Host("h0", **{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("field", ["background_cpu", "background_memory_mb"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_background_checked_when_reassigned(self, field, value):
+        host = Host("h0")
+        setattr(host, field, 4.0)
+        with pytest.raises(ValueError, match=f"h0: {field} must be non-negative"):
+            setattr(host, field, value)
+        assert getattr(host, field) == 4.0
+        assert all(map(math.isfinite, host.utilization({})))
 
 
 class TestCluster:

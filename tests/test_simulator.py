@@ -386,11 +386,21 @@ class TestClusterSimulator:
         with pytest.raises(ValueError, match="scheduling"):
             SimulationConfig(scheduling="lifo")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.0])
+    def test_config_delta_checked(self, bad):
+        with pytest.raises(ValueError, match=f"delta must be in .* got {bad}"):
+            SimulationConfig(delta=bad)
+
     def test_invalid_microservice_params(self):
         with pytest.raises(ValueError, match="base_service_ms"):
             SimulatedMicroservice("A", base_service_ms=0.0)
         with pytest.raises(ValueError, match="threads"):
             SimulatedMicroservice("A", threads=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_base_service_ms_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"base_service_ms .* got {bad}"):
+            SimulatedMicroservice("A", base_service_ms=bad)
 
 
 class TestInterferenceModel:

@@ -629,6 +629,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="window_min"):
             TelemetryConfig(window_min=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, 101.0])
+    def test_rejects_bad_percentile(self, bad):
+        with pytest.raises(ValueError, match=f"percentile must be in .* got {bad}"):
+            TelemetryConfig(percentile=bad)
+
     def test_rejects_bad_sampling(self):
         with pytest.raises(ValueError, match="sampling_rate"):
             TelemetryConfig(sampling_rate=0.0)

@@ -64,7 +64,9 @@ class _CountingGenerator:
 
     def __getattr__(self, name):
         attribute = getattr(self._rng, name)
-        return _counting(attribute, self._counts, name) if callable(attribute) else attribute
+        if callable(attribute):
+            return _counting(attribute, self._counts, name)
+        return attribute
 
 
 class _CountingNumpy:
@@ -92,7 +94,7 @@ def generate():
         counts["default_rng"] += 1
         return _CountingGenerator(default_rng(*args, **kwargs), counts)
 
-    specs = Counter()
+    specs = Counter(container_specs=0)
     with _patched(np.random, "default_rng", counting_rng), _patched(
         ContainerSpec, "__post_init__",
         _counting(ContainerSpec.__post_init__, specs, "container_specs"),
