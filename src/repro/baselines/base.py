@@ -48,6 +48,8 @@ from repro.core.scaling import Autoscaler, apply_fcfs_shared_scaling
 #: Rows of one latency matrix of the population sweep: its temporaries
 #: stay under 100 kB however large the population.
 CHUNK_ROWS = 256
+#: Loads each microservice's statistics are swept over.
+SWEEP_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,6 @@ class ServiceStatistics:
 def stats_from_profiles(
     spec: ServiceSpec,
     profiles: Mapping[str, MicroserviceProfile],
-    sweep_points: int = 40,
 ) -> Dict[str, MicroserviceStats]:
     """Latency statistics per microservice of one service.
 
@@ -181,7 +182,7 @@ def stats_from_profiles(
     the same sweep index — mimicking how the baselines would fit these
     statistics from historic traces.
     """
-    stats = ServiceStatistics(PopulationSweep([spec], profiles, sweep_points), spec)
+    stats = ServiceStatistics(PopulationSweep([spec], profiles, SWEEP_POINTS), spec)
     rows = zip(
         stats.means.tolist(), stats.variances.tolist(), stats.correlations.tolist()
     )
@@ -223,7 +224,7 @@ class StatisticsAutoscaler(Autoscaler):
     then FCFS min-target scaling at shared microservices and, with
     ``use_priority``, ranks by target.  A rule pays only for the
     statistics it reads.  Subclasses are dataclasses that carry
-    ``sweep_points`` and ``use_priority``.
+    ``use_priority``.
     """
 
     @abc.abstractmethod
@@ -237,7 +238,7 @@ class StatisticsAutoscaler(Autoscaler):
     ) -> Allocation:
         allocation = Allocation()
         containers = allocation.containers
-        sweep = PopulationSweep(specs, profiles, self.sweep_points)
+        sweep = PopulationSweep(specs, profiles, SWEEP_POINTS)
         for spec in specs:
             stats = ServiceStatistics(sweep, spec)
             targets = _targets(spec, self.weights(stats).tolist())

@@ -29,6 +29,18 @@ from repro.core.model import (
 )
 from repro.core.scaling import Autoscaler, combined_shared_workloads
 
+#: Non-critical microservices are statically provisioned to run at this
+#: fraction of their cut-off load.
+BASELINE_LOAD_FRACTION = 0.9
+#: Cap on enumerated critical paths per graph.
+MAX_PATHS = 200
+#: Fraction of a critical microservice's previous allocation retained at
+#: the start of the next round.  The RL agent reclaims resources when
+#: utilization drops, so capacity decays toward the baseline and must be
+#: re-earned step by step when load returns — the late detection the
+#: paper observes at workload peaks.
+SCALE_DOWN_RATE = 0.8
+
 
 @dataclass
 class Firm(Autoscaler):
@@ -37,20 +49,9 @@ class Firm(Autoscaler):
     Attributes:
         max_iterations: Tuning steps per scaling round (the RL agent's
             action budget).
-        baseline_load_fraction: Non-critical microservices are statically
-            provisioned to run at this fraction of their cut-off load.
-        max_paths: Cap on enumerated critical paths per graph.
     """
 
     max_iterations: int = 100
-    baseline_load_fraction: float = 0.9
-    max_paths: int = 200
-    #: Fraction of a critical microservice's previous allocation retained
-    #: at the start of the next round.  The RL agent reclaims resources
-    #: when utilization drops, so capacity decays toward the baseline and
-    #: must be re-earned step by step when load returns — the late
-    #: detection the paper observes at workload peaks.
-    scale_down_rate: float = 0.8
     name: str = "firm"
 
     def __post_init__(self) -> None:
@@ -98,7 +99,7 @@ class Firm(Autoscaler):
             for name in critical:
                 previous = self._last_critical_containers.get(name)
                 if previous is not None:
-                    decayed = int(previous * self.scale_down_rate)
+                    decayed = int(previous * SCALE_DOWN_RATE)
                     containers[name] = max(containers[name], decayed)
             containers = self._tune(
                 spec, profiles, observed, critical, containers
@@ -121,7 +122,7 @@ class Firm(Autoscaler):
     ) -> Set[str]:
         """One critical microservice per critical path: max slope·load."""
         critical: Set[str] = set()
-        for path in spec.graph.critical_paths(limit=self.max_paths):
+        for path in spec.graph.critical_paths(limit=MAX_PATHS):
             best_name, best_impact = None, -1.0
             for name in path:
                 impact = profiles[name].model.high.slope * observed[name]
@@ -137,11 +138,11 @@ class Firm(Autoscaler):
         profiles: Mapping[str, MicroserviceProfile],
         observed: Mapping[str, float],
     ) -> Dict[str, int]:
-        """Static provisioning at ``baseline_load_fraction`` of the cut-off."""
+        """Static provisioning at ``BASELINE_LOAD_FRACTION`` of the cut-off."""
         containers: Dict[str, int] = {}
         for name in spec.graph.microservices():
             cutoff = profiles[name].model.cutoff
-            per_container = cutoff * self.baseline_load_fraction
+            per_container = cutoff * BASELINE_LOAD_FRACTION
             containers[name] = max(
                 1, -(-int(observed[name]) // max(int(per_container), 1))
             )

@@ -10,6 +10,7 @@ microservice is under-budgeted exactly when the workload is high.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,7 +22,6 @@ class GrandSLAm(StatisticsAutoscaler):
     """Mean-latency-proportional SLA splitting.
 
     Attributes:
-        sweep_points: Resolution of the statistics sweep.
         use_priority: When True, requests at shared microservices are
             priority-scheduled (ranked by target) instead of FCFS — the
             §6.4.2 "GrandSLAm + priority" variant.  Note that unlike Erms,
@@ -29,9 +29,8 @@ class GrandSLAm(StatisticsAutoscaler):
             priority onto GrandSLAm barely helps.
     """
 
-    sweep_points: int = 40
     use_priority: bool = False
-    interference_aware: bool = False
+    interference_aware: ClassVar[bool] = False
     name: str = "grandslam"
 
     def __post_init__(self) -> None:

@@ -10,6 +10,7 @@ fixed statistic, so the split does not track the operating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,14 +22,12 @@ class Rhythm(StatisticsAutoscaler):
     """Contribution-proportional SLA splitting.
 
     Attributes:
-        sweep_points: Resolution of the statistics sweep.
         use_priority: Bolt-on priority scheduling at shared microservices
             (the §6.4.2 variant; targets are not recomputed).
     """
 
-    sweep_points: int = 40
     use_priority: bool = False
-    interference_aware: bool = False
+    interference_aware: ClassVar[bool] = False
     name: str = "rhythm"
 
     def __post_init__(self) -> None:

@@ -23,6 +23,10 @@ from repro.simulator.simulation import SimulatedMicroservice
 
 __all__ = ["run_delta_sweep"]
 
+#: The two services' arrival rates (req/min) and SLAs (ms).
+HOT_RATE, COLD_RATE = 36_000.0, 6_000.0
+HOT_SLA, COLD_SLA = 50.0, 300.0
+
 
 def _tails(result, sink, context: ReplayContext) -> Dict:
     return {
@@ -33,11 +37,6 @@ def _tails(result, sink, context: ReplayContext) -> Dict:
 
 def run_delta_sweep(
     deltas: Sequence[float] = (0.0, 0.05, 0.2),
-    shared: SimulatedMicroservice = None,
-    hot_rate: float = 36_000.0,
-    cold_rate: float = 6_000.0,
-    hot_sla: float = 50.0,
-    cold_sla: float = 300.0,
     duration_min: float = 1.5,
     warmup_min: float = 0.3,
     seed: int = 1,
@@ -46,30 +45,31 @@ def run_delta_sweep(
 ) -> List[Dict]:
     """Sweep δ at a shared microservice under priority scheduling.
 
-    Two services share one microservice ``P``: ``hot`` (tight SLA, high
-    rate, rank 0) and ``cold`` (loose SLA, low rate, rank 1).  Each δ is
-    one independent simulation seeded with ``seed``, so results are
-    identical for any ``workers`` value.
+    Two services share one microservice ``P`` (5 ms, 4 threads, one
+    container): ``hot`` (tight SLA, high rate, rank 0) and ``cold``
+    (loose SLA, low rate, rank 1).  Each δ is one independent simulation
+    seeded with ``seed``, so results are identical for any ``workers``
+    value.
 
     Returns:
         One row per δ: ``{"delta", "hot_p95_ms", "cold_p95_ms"}``.
     """
-    if shared is None:
-        shared = SimulatedMicroservice("P", base_service_ms=5.0, threads=4)
-    name = shared.name
+    name = "P"
     specs = [
-        ServiceSpec("hot", DependencyGraph("hot", call(name)), 0.0, hot_sla),
-        ServiceSpec("cold", DependencyGraph("cold", call(name)), 0.0, cold_sla),
+        ServiceSpec("hot", DependencyGraph("hot", call(name)), 0.0, HOT_SLA),
+        ServiceSpec("cold", DependencyGraph("cold", call(name)), 0.0, COLD_SLA),
     ]
     context = ReplayContext(
         specs=specs,
-        simulated={name: shared},
+        simulated={
+            name: SimulatedMicroservice(name, base_service_ms=5.0, threads=4)
+        },
         duration_min=duration_min,
         warmup_min=warmup_min,
     )
     replays = [
         Replay(
-            rates={"hot": hot_rate, "cold": cold_rate},
+            rates={"hot": HOT_RATE, "cold": COLD_RATE},
             containers={name: 1},
             priorities={name: {"hot": 0, "cold": 1}},
             seed=seed,

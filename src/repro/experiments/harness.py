@@ -556,9 +556,7 @@ def simulate_profiling_sweep(
 
 def fit_profiles_from_simulation(
     simulated: Mapping[str, SimulatedMicroservice],
-    resource_demands: Optional[Mapping[str, float]] = None,
     sweep_points: int = 10,
-    max_load_fraction: float = 0.95,
     interference_multiplier: float = 1.0,
     duration_min: float = 1.0,
     warmup_min: Optional[float] = None,
@@ -568,12 +566,12 @@ def fit_profiles_from_simulation(
 ) -> Dict[str, MicroserviceProfile]:
     """Profile every microservice by sweeping the simulator (§5.2).
 
-    The per-container load sweep spans up to ``max_load_fraction`` of each
-    microservice's theoretical capacity ``threads / base_service_ms``; the
-    measured P95 curve is fitted piecewise.  This produces *measured*
-    profiles — the controller's belief is then genuinely learned from the
-    substrate it controls, as in the real system.  ``workers`` fans the
-    per-load probe runs out across processes (see
+    The per-container load sweep spans 10 % to 95 % of each microservice's
+    theoretical capacity ``threads / base_service_ms``; the measured P95
+    curve is fitted piecewise, at a unit resource demand.  This produces
+    *measured* profiles — the controller's belief is then genuinely
+    learned from the substrate it controls, as in the real system.
+    ``workers`` fans the per-load probe runs out across processes (see
     :func:`simulate_profiling_sweep`).
     """
     # Resolve the default once, before iterating: every microservice
@@ -587,7 +585,7 @@ def fit_profiles_from_simulation(
             sim.base_service_ms * interference_multiplier
         ) * 60_000.0
         loads = np.linspace(
-            0.1 * capacity, max_load_fraction * capacity, sweep_points
+            0.1 * capacity, 0.95 * capacity, sweep_points
         )
         xs, ys = simulate_profiling_sweep(
             sim,
@@ -600,10 +598,5 @@ def fit_profiles_from_simulation(
             pool=pool,
         )
         fit = fit_piecewise(xs, ys)
-        demand = 1.0
-        if resource_demands and name in resource_demands:
-            demand = resource_demands[name]
-        profiles[name] = MicroserviceProfile(
-            name=name, model=fit.model, resource_demand=demand
-        )
+        profiles[name] = MicroserviceProfile(name=name, model=fit.model)
     return profiles

@@ -33,17 +33,18 @@ from repro.experiments.harness import (
     uniform_specs,
 )
 from repro.experiments.parallel import WorkerPool
-from repro.simulator.interference import InterferenceModel
+from repro.simulator.interference import host_multiplier
 from repro.workloads.deathstarbench import Application
 
+#: Factor by which every count grows after a round that misses the SLA.
+GROWTH_FACTOR = 1.3
 
-def multipliers_from_placement(
-    cluster: Cluster, model: InterferenceModel
-) -> Dict[str, List[float]]:
+
+def multipliers_from_placement(cluster: Cluster) -> Dict[str, List[float]]:
     """Per-container service-time multipliers implied by a placement."""
     multipliers: Dict[str, List[float]] = {}
     for host in cluster.hosts:
-        factor = model.host_multiplier(cluster, host)
+        factor = host_multiplier(cluster, host)
         for name, count in host.containers.items():
             multipliers.setdefault(name, []).extend([factor] * count)
     return multipliers
@@ -103,9 +104,7 @@ def run_interference_comparison(
     sla: float = 250.0,
     hosts: int = 8,
     background: Sequence[Tuple[float, float]] = ((24.0, 48_000.0),) * 3,
-    interference: Optional[InterferenceModel] = None,
     max_growth_rounds: int = 6,
-    growth_factor: float = 1.3,
     violation_threshold: float = 0.05,
     duration_min: float = 1.0,
     seed: int = 0,
@@ -117,14 +116,12 @@ def run_interference_comparison(
 
     Both provisioners start from the same scheme allocation; whenever the
     simulated violation rate exceeds ``violation_threshold`` every
-    microservice's count grows by ``growth_factor`` and the placement is
+    microservice's count grows by :data:`GROWTH_FACTOR` and the placement is
     redone — mirroring an operator scaling until the SLA holds, for at
     most ``max_growth_rounds`` replays.  Round ``r`` is seeded
     ``seed + r``; its placements fan out over ``workers`` processes (or
     the given ``pool``) with results identical to the serial run.
     """
-    if interference is None:
-        interference = InterferenceModel()
     # Idle profiles: the placement, not the plan, sets each container's level.
     profiles, _ = planning_profiles(app, 1.0, profiles)
     specs = uniform_specs(app, workload, sla)
@@ -145,7 +142,7 @@ def run_interference_comparison(
         if round_index:
             for i in growing:
                 counts[i] = {
-                    name: max(count + 1, math.ceil(count * growth_factor))
+                    name: max(count + 1, math.ceil(count * GROWTH_FACTOR))
                     for name, count in counts[i].items()
                 }
         clusters = [
@@ -157,7 +154,7 @@ def run_interference_comparison(
                 rates={spec.name: spec.workload for spec in specs},
                 containers=counts[i],
                 priorities=base_allocation.priorities,
-                multipliers=multipliers_from_placement(cluster, interference),
+                multipliers=multipliers_from_placement(cluster),
                 seed=seed + round_index,
             )
             for i, cluster in zip(growing, clusters)

@@ -11,8 +11,8 @@ schedule or a policy bundle is attached.  It owns:
 * the **policy side** — per-call timeouts that abandon stragglers,
   bounded retries with exponential backoff + jitter, per-(service,
   microservice) circuit breakers with half-open probing (DecisionLog
-  actor ``circuit-breaker``), and queue-depth / latency-aware admission
-  control that sheds low-priority requests first.
+  actor ``circuit-breaker``), and queue-depth admission control that
+  sheds low-priority requests first.
 
 Every attempt of a logical RPC is one :class:`_Attempt` record: it
 carries the call's state, runs one engine execution and is that
@@ -48,6 +48,7 @@ from repro.resilience.chaos import ChaosSchedule
 from repro.resilience.policies import (
     BREAKER_CLOSED,
     BREAKER_OPEN,
+    SHED_RANK_FLOOR,
     CircuitBreaker,
     ResiliencePolicies,
 )
@@ -102,11 +103,10 @@ class ResilienceStats:
 class _RequestCtx:
     """Per-request resilience context: outcome flag + final continuation."""
 
-    __slots__ = ("service", "start", "final", "failed")
+    __slots__ = ("service", "final", "failed")
 
-    def __init__(self, service: str, start: float, final):
+    def __init__(self, service: str, final):
         self.service = service
-        self.start = start
         self.final = final
         self.failed = False
 
@@ -374,7 +374,6 @@ class ResilienceManager:
         self._ranks: Dict[str, int] = {}
         self._graph_states: Dict[str, List] = {}
         self._root_ms: Dict[str, str] = {}
-        self._ewma: Dict[str, float] = {}
         self._shed_logged: set = set()
         self._derive_ranks()
         self._installed = False
@@ -482,13 +481,8 @@ class ResilienceManager:
         admission = self._admission
         if admission is None:
             return False
-        if self._ranks.get(service, 0) < admission.shed_rank_floor:
+        if self._ranks.get(service, 0) < SHED_RANK_FLOOR:
             return False
-        threshold = admission.latency_threshold_ms
-        if threshold is not None:
-            ewma = self._ewma.get(service)
-            if ewma is not None and ewma > threshold:
-                return True
         limit = admission.max_queue_per_thread
         for state in self._graph_states[service]:
             queued, _, threads = state.load()
@@ -528,7 +522,7 @@ class ResilienceManager:
         self.stats.requests += 1
         site = self._sites.get(node) or self._site(service, node)
         _Attempt(
-            self, _RequestCtx(service, t, final), service, site, final, None, True
+            self, _RequestCtx(service, final), service, site, final, None, True
         ).start(t)
 
     def submit_children(self, service: str, calls, t: float, record, done) -> None:
@@ -568,16 +562,6 @@ class ResilienceManager:
             self._fail_request(req, finish, "downstream failure")
             return
         self.stats.succeeded += 1
-        admission = self._admission
-        if admission is not None and admission.latency_threshold_ms is not None:
-            alpha = admission.ewma_alpha
-            previous = self._ewma.get(req.service)
-            sample = finish - req.start
-            self._ewma[req.service] = (
-                sample
-                if previous is None
-                else alpha * sample + (1.0 - alpha) * previous
-            )
         req.final.fire(finish)
 
     def _fail_request(self, req: _RequestCtx, t: float, kind: str) -> None:

@@ -11,8 +11,9 @@ recovers), which is the no-policy baseline of the resilience sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "AdmissionPolicy",
@@ -31,6 +32,18 @@ BREAKER_CLOSED = 0
 BREAKER_OPEN = 1
 BREAKER_HALF_OPEN = 2
 
+#: Retry backoff: growth per attempt, cap (ms), and the largest uniform
+#: stretch the jitter draw applies.
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_MS = 2_000.0
+JITTER = 0.2
+#: Concurrent trial calls a HALF_OPEN breaker admits, and the probe
+#: successes that close it.
+HALF_OPEN_PROBES = 2
+SUCCESS_TO_CLOSE = 2
+#: Services of this priority rank or worse may be shed; rank 0 never is.
+SHED_RANK_FLOOR = 1
+
 
 def _freeze_pairs(policy, name: str) -> None:
     """Store the mapping (or pairs) ``policy.<name>`` as name-sorted pairs."""
@@ -44,31 +57,27 @@ class RetryPolicy:
 
     ``max_attempts`` counts the first try: 3 means one call plus at most
     two retries.  Backoff for attempt *k* (1-based, after the k-th
-    failure) is ``base · factor^(k-1)`` capped at ``max_backoff_ms``,
-    stretched by a uniform jitter in ``[0, jitter]`` drawn from the
-    resilience manager's dedicated RNG.
+    failure) is ``base · BACKOFF_FACTOR^(k-1)`` capped at
+    ``MAX_BACKOFF_MS``, stretched by a uniform jitter in ``[0, JITTER]``
+    drawn from the resilience manager's dedicated RNG.
     """
 
     max_attempts: int = 3
     backoff_base_ms: float = 20.0
-    backoff_factor: float = 2.0
-    max_backoff_ms: float = 2_000.0
-    jitter: float = 0.2
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_ms < 0 or self.max_backoff_ms < 0:
-            raise ValueError("backoff bounds must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
+        if not 0 <= self.backoff_base_ms < math.inf:
+            raise ValueError(
+                "backoff_base_ms must be non-negative and finite, "
+                f"got {self.backoff_base_ms}"
+            )
 
     def backoff_ms(self, attempt: int, unit_jitter: float) -> float:
         """Delay before retry number ``attempt`` (1-based)."""
-        base = self.backoff_base_ms * self.backoff_factor ** (attempt - 1)
-        return min(base, self.max_backoff_ms) * (1.0 + self.jitter * unit_jitter)
+        base = self.backoff_base_ms * BACKOFF_FACTOR ** (attempt - 1)
+        return min(base, MAX_BACKOFF_MS) * (1.0 + JITTER * unit_jitter)
 
 
 @dataclass(frozen=True)
@@ -86,11 +95,17 @@ class TimeoutPolicy:
 
     def __post_init__(self) -> None:
         _freeze_pairs(self, "overrides")
-        if self.call_timeout_ms <= 0:
-            raise ValueError("call_timeout_ms must be positive")
+        if not 0 < self.call_timeout_ms < math.inf:
+            raise ValueError(
+                "call_timeout_ms must be positive and finite, "
+                f"got {self.call_timeout_ms}"
+            )
         for name, value in self.overrides:
-            if value <= 0:
-                raise ValueError(f"timeout override for {name!r} must be positive")
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"timeout override for {name!r} must be positive and "
+                    f"finite, got {value}"
+                )
 
     def timeout_for(self, microservice: str) -> float:
         return dict(self.overrides).get(microservice, self.call_timeout_ms)
@@ -101,8 +116,8 @@ class CircuitBreakerPolicy:
     """Per-(service, microservice) breaker knobs.
 
     ``failure_threshold`` consecutive failures trip the breaker OPEN;
-    after ``cooldown_ms`` it admits up to ``half_open_probes`` concurrent
-    trial calls (HALF_OPEN); ``success_to_close`` probe successes close
+    after ``cooldown_ms`` it admits up to ``HALF_OPEN_PROBES`` concurrent
+    trial calls (HALF_OPEN); ``SUCCESS_TO_CLOSE`` probe successes close
     it, any probe failure re-opens it for another cooldown.
 
     The default threshold is deliberately high: a *partial* error rate
@@ -114,54 +129,41 @@ class CircuitBreakerPolicy:
 
     failure_threshold: int = 10
     cooldown_ms: float = 2_000.0
-    half_open_probes: int = 2
-    success_to_close: int = 2
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if self.cooldown_ms <= 0:
-            raise ValueError("cooldown_ms must be positive")
-        if self.half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
-        if self.success_to_close < 1:
-            raise ValueError("success_to_close must be >= 1")
+        if not 0 < self.cooldown_ms < math.inf:
+            raise ValueError(
+                f"cooldown_ms must be positive and finite, got {self.cooldown_ms}"
+            )
 
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Queue-depth / latency-aware admission control (graceful degradation).
+    """Queue-depth admission control (graceful degradation).
 
-    Requests of services with priority rank >= ``shed_rank_floor`` are
+    Requests of services with priority rank >= ``SHED_RANK_FLOOR`` are
     rejected at arrival ("503, retry later") whenever the root
     microservice's queued jobs per worker thread exceed
-    ``max_queue_per_thread``, or — when ``latency_threshold_ms`` is set —
-    the service's own EWMA end-to-end latency exceeds it.  Rank 0
-    (highest priority, the paper's Eqs. 13–14 ordering) is never shed, so
-    high-priority services keep their Eq. 5 targets while best-effort
-    load degrades first.  ``ranks`` overrides the ranks derived from the
-    simulator's priority configuration (a mapping, held as name-sorted
-    pairs so the policy hashes).
+    ``max_queue_per_thread``.  Rank 0 (highest priority, the paper's
+    Eqs. 13–14 ordering) is never shed, so high-priority services keep
+    their Eq. 5 targets while best-effort load degrades first.  ``ranks``
+    overrides the ranks derived from the simulator's priority
+    configuration (a mapping, held as name-sorted pairs so the policy
+    hashes).
     """
 
     max_queue_per_thread: float = 8.0
-    shed_rank_floor: int = 1
-    latency_threshold_ms: Optional[float] = None
-    ewma_alpha: float = 0.1
     ranks: Tuple[Tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
         _freeze_pairs(self, "ranks")
-        if self.max_queue_per_thread <= 0:
-            raise ValueError("max_queue_per_thread must be positive")
-        if self.shed_rank_floor < 1:
+        if not 0 < self.max_queue_per_thread < math.inf:
             raise ValueError(
-                "shed_rank_floor must be >= 1 (rank 0 is never shed)"
+                "max_queue_per_thread must be positive and finite, "
+                f"got {self.max_queue_per_thread}"
             )
-        if self.latency_threshold_ms is not None and self.latency_threshold_ms <= 0:
-            raise ValueError("latency_threshold_ms must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ class CircuitBreaker:
             self.probe_successes = 0
             return True, BREAKER_HALF_OPEN
         # HALF_OPEN: bounded concurrent probes.
-        if self.probes_in_flight < self.policy.half_open_probes:
+        if self.probes_in_flight < HALF_OPEN_PROBES:
             self.probes_in_flight += 1
             return True, None
         return False, None
@@ -266,7 +268,7 @@ class CircuitBreaker:
         if self.state == BREAKER_HALF_OPEN:
             self.probes_in_flight = max(0, self.probes_in_flight - 1)
             self.probe_successes += 1
-            if self.probe_successes >= self.policy.success_to_close:
+            if self.probe_successes >= SUCCESS_TO_CLOSE:
                 self.state = BREAKER_CLOSED
                 self.consecutive_failures = 0
                 return BREAKER_CLOSED

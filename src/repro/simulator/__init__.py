@@ -22,7 +22,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "ClusterSimulator", "SimulatedMicroservice", "SimulationConfig",
         "SimulationResult",
     ),
-    "interference": ("InterferenceModel",),
     "injection": ("InterferenceSchedule",),
     "autoscaled": (
         "AutoscaleConfig", "AutoscaledResult", "AutoscaledSimulation",

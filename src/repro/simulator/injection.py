@@ -11,11 +11,11 @@ multiplier in :class:`~repro.simulator.simulation.ClusterSimulator`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.simulator.interference import InterferenceModel
+from repro.simulator.interference import multiplier_for
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,13 @@ class InterferenceSchedule:
     """Step schedule of (cpu, mem) utilization levels, one per period.
 
     Calling the schedule with a simulation minute returns the service-time
-    multiplier implied by the level active at that minute (via an
-    :class:`InterferenceModel`).  The schedule repeats after the last
-    period, as an injection loop would.
+    multiplier implied by the level active at that minute (via
+    :func:`~repro.simulator.interference.multiplier_for`).  The schedule
+    repeats after the last period, as an injection loop would.
     """
 
     levels: Tuple[Tuple[float, float], ...]
     period_min: float = 60.0
-    model: InterferenceModel = InterferenceModel()
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -49,7 +48,6 @@ class InterferenceSchedule:
         low: float = 0.1,
         high: float = 0.9,
         seed: int = 0,
-        model: Optional[InterferenceModel] = None,
     ) -> "InterferenceSchedule":
         """Random levels in [low, high], the paper's profiling sweep."""
         rng = np.random.default_rng(seed)
@@ -57,11 +55,7 @@ class InterferenceSchedule:
             (float(cpu), float(mem))
             for cpu, mem in rng.uniform(low, high, size=(periods, 2))
         )
-        return cls(
-            levels=levels,
-            period_min=period_min,
-            model=model if model is not None else InterferenceModel(),
-        )
+        return cls(levels=levels, period_min=period_min)
 
     def level_at(self, minute: float) -> Tuple[float, float]:
         """The (cpu, mem) level active at ``minute``."""
@@ -71,4 +65,4 @@ class InterferenceSchedule:
     def __call__(self, minute: float) -> float:
         """Service-time multiplier at ``minute`` (container callable)."""
         cpu, mem = self.level_at(minute)
-        return self.model.multiplier_for(cpu, mem)
+        return multiplier_for(cpu, mem)

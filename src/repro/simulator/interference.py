@@ -7,42 +7,36 @@ container's mean service time with a multiplier derived from its host's
 utilization.  Utilization combines the host's *background* (batch-job) load
 with the resource requests of the containers placed on it — so
 interference-aware placement genuinely changes observed latency.
+
+    multiplier = 1 + CPU_WEIGHT·max(0, cpu − CPU_KNEE)
+                   + MEM_WEIGHT·max(0, mem − MEM_KNEE)
+
+The knees model the empirical observation that light colocation is
+harmless; past them, slowdown grows roughly linearly (and memory
+pressure hurts more than CPU pressure, per §5.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.provisioning import Cluster, Host
 
+CPU_WEIGHT = 2.0
+MEM_WEIGHT = 3.0
+CPU_KNEE = 0.3
+MEM_KNEE = 0.4
 
-@dataclass(frozen=True)
-class InterferenceModel:
-    """Service-time inflation as a function of host utilization.
 
-    multiplier = 1 + cpu_weight·max(0, cpu − cpu_knee)
-                   + mem_weight·max(0, mem − mem_knee)
+def multiplier_for(cpu_utilization: float, mem_utilization: float) -> float:
+    """Service-time multiplier (≥ 1) at the given utilizations."""
+    slowdown = 1.0
+    slowdown += CPU_WEIGHT * max(0.0, cpu_utilization - CPU_KNEE)
+    slowdown += MEM_WEIGHT * max(0.0, mem_utilization - MEM_KNEE)
+    return slowdown
 
-    The knees model the empirical observation that light colocation is
-    harmless; past them, slowdown grows roughly linearly (and memory
-    pressure hurts more than CPU pressure, per §5.2).
-    """
 
-    cpu_weight: float = 2.0
-    mem_weight: float = 3.0
-    cpu_knee: float = 0.3
-    mem_knee: float = 0.4
-
-    def multiplier_for(self, cpu_utilization: float, mem_utilization: float) -> float:
-        """Service-time multiplier (≥ 1) at the given utilizations."""
-        slowdown = 1.0
-        slowdown += self.cpu_weight * max(0.0, cpu_utilization - self.cpu_knee)
-        slowdown += self.mem_weight * max(0.0, mem_utilization - self.mem_knee)
-        return slowdown
-
-    def host_multiplier(self, cluster: Cluster, host: Host) -> float:
-        """Multiplier for one host given its current placement."""
-        return self.multiplier_for(
-            host.cpu_utilization(cluster.sizes),
-            host.memory_utilization(cluster.sizes),
-        )
+def host_multiplier(cluster: Cluster, host: Host) -> float:
+    """Multiplier for one host given its current placement."""
+    return multiplier_for(
+        host.cpu_utilization(cluster.sizes),
+        host.memory_utilization(cluster.sizes),
+    )

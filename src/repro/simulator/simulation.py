@@ -823,7 +823,7 @@ class ClusterSimulator:
             (required when ``config.scheduling == "priority"``).
         container_multipliers: Optional explicit per-container service-time
             multipliers, e.g. derived from a placement via
-            :class:`~repro.simulator.interference.InterferenceModel`;
+            :func:`~repro.simulator.interference.host_multiplier`;
             overrides ``containers`` counts for listed microservices.
         telemetry: Optional live :class:`~repro.telemetry.TelemetrySink`;
             when given, the run emits spans, windowed metrics, SLA

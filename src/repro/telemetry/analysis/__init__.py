@@ -34,8 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "CriticalPath", "PathSegment", "extract_critical_path",
     ),
     "drift": (
-        "DriftReport", "DriftThresholds", "detect_profile_drift",
-        "refit_profile",
+        "DriftReport", "detect_profile_drift", "refit_profile",
     ),
     "report": ("AnalysisOptions", "RunAnalysis", "analyze_run"),
 })

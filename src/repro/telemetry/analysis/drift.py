@@ -37,40 +37,32 @@ from repro.tracing.metrics import MetricsStore, ProfilingWindow
 
 __all__ = [
     "DriftReport",
-    "DriftThresholds",
     "detect_profile_drift",
     "refit_profile",
 ]
 
 
-@dataclass(frozen=True)
-class DriftThresholds:
-    """Tolerances for declaring a live profile drifted from the offline fit.
+# Tolerances for declaring a live profile drifted from the offline fit.
 
-    Attributes:
-        prediction_rel: Median relative prediction error above which drift
-            is declared regardless of parameter comparison.
-        slope_rel: Relative change of the effective slope (secant over the
-            observed load range) that counts as slope drift.
-        intercept_abs_ms: Absolute change (ms) of the predicted latency at
-            the low end of the observed range that counts as intercept
-            drift.
-        cutoff_rel: Relative displacement of the cut-off point (σ) that
-            counts as cut-off drift; only checked when both the offline
-            cut-off lies inside the observed range and the refit is
-            genuinely two-segment.
-        min_windows: Minimum live windows before any verdict is attempted.
-        min_load_spread_rel: Observed load range must span at least this
-            fraction of the mean load before parameter comparison (and the
-            refit) is trusted; below it only prediction error is used.
-    """
-
-    prediction_rel: float = 0.35
-    slope_rel: float = 0.75
-    intercept_abs_ms: float = 10.0
-    cutoff_rel: float = 0.5
-    min_windows: int = 4
-    min_load_spread_rel: float = 0.3
+#: Median relative prediction error above which drift is declared
+#: regardless of parameter comparison.
+PREDICTION_REL = 0.35
+#: Relative change of the effective slope (secant over the observed load
+#: range) that counts as slope drift.
+SLOPE_REL = 0.75
+#: Absolute change (ms) of the predicted latency at the low end of the
+#: observed range that counts as intercept drift.
+INTERCEPT_ABS_MS = 10.0
+#: Relative displacement of the cut-off point (σ) that counts as cut-off
+#: drift; only checked when both the offline cut-off lies inside the
+#: observed range and the refit is genuinely two-segment.
+CUTOFF_REL = 0.5
+#: Minimum live windows before any verdict is attempted.
+MIN_WINDOWS = 4
+#: Observed load range must span at least this fraction of the mean load
+#: before parameter comparison (and the refit) is trusted; below it only
+#: prediction error is used.
+MIN_LOAD_SPREAD_REL = 0.3
 
 
 @dataclass(frozen=True)
@@ -129,14 +121,13 @@ def _detect_one(
     name: str,
     windows: Sequence[ProfilingWindow],
     model: PiecewiseLatencyModel,
-    thresholds: DriftThresholds,
 ) -> DriftReport:
     n = len(windows)
-    if n < thresholds.min_windows:
+    if n < MIN_WINDOWS:
         return DriftReport(
             microservice=name,
             drifted=False,
-            reason=f"insufficient windows ({n} < {thresholds.min_windows})",
+            reason=f"insufficient windows ({n} < {MIN_WINDOWS})",
             n_windows=n,
             median_rel_error=0.0,
             observed_p95_ms=float(
@@ -154,10 +145,10 @@ def _detect_one(
     predicted_med = float(np.median(predicted))
 
     reasons: List[str] = []
-    if median_rel > thresholds.prediction_rel:
+    if median_rel > PREDICTION_REL:
         reasons.append(
             f"median prediction error {median_rel:.0%} > "
-            f"{thresholds.prediction_rel:.0%}"
+            f"{PREDICTION_REL:.0%}"
         )
 
     slope_rel_change: Optional[float] = None
@@ -167,7 +158,7 @@ def _detect_one(
     mean_load = float(loads.mean())
     spread_ok = (
         mean_load > 0
-        and (hi - lo) >= thresholds.min_load_spread_rel * mean_load
+        and (hi - lo) >= MIN_LOAD_SPREAD_REL * mean_load
     )
     if spread_ok:
         refit = refit_profile(windows)
@@ -175,13 +166,13 @@ def _detect_one(
         base_slope = _effective_slope(model, lo, hi)
         live_slope = _effective_slope(live, lo, hi)
         slope_rel_change = abs(live_slope - base_slope) / max(abs(base_slope), 1e-9)
-        if slope_rel_change > thresholds.slope_rel:
+        if slope_rel_change > SLOPE_REL:
             reasons.append(
                 f"effective slope changed {slope_rel_change:.0%} over "
                 f"load [{lo:.0f}, {hi:.0f}]"
             )
         intercept_change = live.latency(lo) - model.latency(lo)
-        if abs(intercept_change) > thresholds.intercept_abs_ms:
+        if abs(intercept_change) > INTERCEPT_ABS_MS:
             reasons.append(
                 f"latency at load {lo:.0f} moved {intercept_change:+.1f} ms"
             )
@@ -193,7 +184,7 @@ def _detect_one(
         )
         if two_segment and lo < model.cutoff < hi:
             cutoff_rel_change = abs(live.cutoff - model.cutoff) / model.cutoff
-            if cutoff_rel_change > thresholds.cutoff_rel:
+            if cutoff_rel_change > CUTOFF_REL:
                 reasons.append(
                     f"cut-off moved {cutoff_rel_change:.0%} "
                     f"({model.cutoff:.0f} → {live.cutoff:.0f})"
@@ -219,7 +210,6 @@ def _detect_one(
 def detect_profile_drift(
     store: MetricsStore,
     profiles: Mapping[str, PiecewiseLatencyModel],
-    thresholds: Optional[DriftThresholds] = None,
     monitor: Optional[SLAMonitor] = None,
     decisions: Optional[DecisionLog] = None,
     minute: Optional[float] = None,
@@ -231,7 +221,6 @@ def detect_profile_drift(
             ``SimulationResult.to_metrics_store()`` conversion).
         profiles: Offline piecewise models per microservice, as handed to
             the resource allocator.
-        thresholds: Drift tolerances (defaults: :class:`DriftThresholds`).
         monitor: When given, each drifted microservice appends an
             :class:`AlertEvent` with service ``profile-drift:<name>`` to
             ``monitor.alerts``.
@@ -243,11 +232,10 @@ def detect_profile_drift(
     Returns:
         One :class:`DriftReport` per profiled microservice, name-sorted.
     """
-    thresholds = thresholds or DriftThresholds()
     reports: List[DriftReport] = []
     for name in sorted(profiles):
         windows = store.profiling_windows(name)
-        report = _detect_one(name, windows, profiles[name], thresholds)
+        report = _detect_one(name, windows, profiles[name])
         reports.append(report)
         if not report.drifted:
             continue

@@ -24,7 +24,6 @@ from repro.telemetry.analysis.critical_path import (
 )
 from repro.telemetry.analysis.drift import (
     DriftReport,
-    DriftThresholds,
     detect_profile_drift,
 )
 from repro.tracing.metrics import MetricsStore
@@ -38,10 +37,8 @@ class AnalysisOptions:
     """Knobs of :func:`analyze_run`."""
 
     window_min: float = 1.0
-    percentile: float = 95.0
     #: How many slowest traces get a full per-segment breakdown.
     top_paths: int = 5
-    drift_thresholds: DriftThresholds = field(default_factory=DriftThresholds)
 
     def __post_init__(self) -> None:
         if self.top_paths < 0:
@@ -146,7 +143,6 @@ def analyze_run(
             slas=slas,
             priorities=priorities,
             window_min=options.window_min,
-            percentile=options.percentile,
         )
 
     drift: List[DriftReport] = []
@@ -154,7 +150,6 @@ def analyze_run(
         drift = detect_profile_drift(
             store,
             profiles,
-            thresholds=options.drift_thresholds,
             monitor=sink.monitor if sink is not None else None,
             decisions=sink.decisions if sink is not None else None,
         )

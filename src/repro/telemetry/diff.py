@@ -6,7 +6,7 @@ baseline, run B as the candidate) and produces a verdict table:
 per-service latency (p95), SLA violation rate, completion counts,
 error/resilience counters, alert counts, and the container bill.  Each
 row carries a three-way verdict — ``ok`` / ``improved`` /
-``regression`` — under explicit tolerances, so two runs of the *same*
+``regression`` — under fixed tolerances, so two runs of the *same*
 seed diff to zero regressions (the determinism contract) while a real
 latency or SLA drift between builds fails loudly.
 """
@@ -17,33 +17,28 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["DiffRow", "DiffTolerances", "RunDiff", "diff_run_reports", "load_run_report"]
+__all__ = ["DiffRow", "RunDiff", "diff_run_reports", "load_run_report"]
 
 OK = "ok"
 IMPROVED = "improved"
 REGRESSION = "regression"
 
 
-@dataclass(frozen=True)
-class DiffTolerances:
-    """How much drift between runs is considered noise.
+# How much drift between runs is considered noise.
 
-    Attributes:
-        p95_pct: Relative p95 drift tolerated, in percent.
-        miss_rate: Absolute SLA violation-rate drift tolerated.
-        completed_pct: Relative completed-request drift tolerated.
-        errors_pct: Relative failed/shed/dropped drift tolerated (with
-            an absolute floor of ``errors_floor`` events).
-        errors_floor: Absolute error-count drift always tolerated.
-        containers_pct: Relative container-bill drift tolerated.
-    """
-
-    p95_pct: float = 5.0
-    miss_rate: float = 0.01
-    completed_pct: float = 2.0
-    errors_pct: float = 10.0
-    errors_floor: float = 2.0
-    containers_pct: float = 10.0
+#: Relative p95 drift tolerated, in percent.
+P95_PCT = 5.0
+#: Absolute SLA violation-rate drift tolerated.
+MISS_RATE = 0.01
+#: Relative completed-request drift tolerated, in percent.
+COMPLETED_PCT = 2.0
+#: Relative failed/shed/dropped drift tolerated, in percent (with an
+#: absolute floor of ``ERRORS_FLOOR`` events).
+ERRORS_PCT = 10.0
+#: Absolute error-count drift always tolerated.
+ERRORS_FLOOR = 2.0
+#: Relative container-bill drift tolerated, in percent.
+CONTAINERS_PCT = 10.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,6 @@ class RunDiff:
     """The full verdict of one A-vs-B comparison."""
 
     rows: List[DiffRow] = field(default_factory=list)
-    tolerances: DiffTolerances = field(default_factory=DiffTolerances)
 
     @property
     def regressions(self) -> List[DiffRow]:
@@ -178,14 +172,9 @@ def _service_errors(report: Dict, service: str) -> float:
     )
 
 
-def diff_run_reports(
-    report_a: Dict,
-    report_b: Dict,
-    tolerances: Optional[DiffTolerances] = None,
-) -> RunDiff:
+def diff_run_reports(report_a: Dict, report_b: Dict) -> RunDiff:
     """Compare two run reports; A is the baseline, B the candidate."""
-    tol = tolerances or DiffTolerances()
-    diff = RunDiff(tolerances=tol)
+    diff = RunDiff()
     rows = diff.rows
 
     services_a = report_a.get("services", {})
@@ -205,16 +194,16 @@ def diff_run_reports(
         rows.append(
             DiffRow(
                 "p95_ms", name, p95_a, p95_b,
-                _relative_verdict(p95_a, p95_b, tol.p95_pct),
-                f"tol {tol.p95_pct:g}%",
+                _relative_verdict(p95_a, p95_b, P95_PCT),
+                f"tol {P95_PCT:g}%",
             )
         )
         miss_a, miss_b = a.get("violation_rate"), b.get("violation_rate")
         rows.append(
             DiffRow(
                 "violation_rate", name, miss_a, miss_b,
-                _absolute_verdict(miss_a, miss_b, tol.miss_rate),
-                f"tol {tol.miss_rate:g}",
+                _absolute_verdict(miss_a, miss_b, MISS_RATE),
+                f"tol {MISS_RATE:g}",
             )
         )
         comp_a = a.get("completed")
@@ -227,21 +216,21 @@ def diff_run_reports(
                 _relative_verdict(
                     float(comp_a) if comp_a is not None else None,
                     float(comp_b) if comp_b is not None else None,
-                    tol.completed_pct,
+                    COMPLETED_PCT,
                     up_is_bad=False,
                 ),
-                f"tol {tol.completed_pct:g}%",
+                f"tol {COMPLETED_PCT:g}%",
             )
         )
         err_a = _service_errors(report_a, name)
         err_b = _service_errors(report_b, name)
         if err_a or err_b:
-            band = max(tol.errors_floor, err_a * tol.errors_pct / 100.0)
+            band = max(ERRORS_FLOOR, err_a * ERRORS_PCT / 100.0)
             rows.append(
                 DiffRow(
                     "errors", name, err_a, err_b,
                     _absolute_verdict(err_a, err_b, band),
-                    f"tol max({tol.errors_floor:g}, {tol.errors_pct:g}%)",
+                    f"tol max({ERRORS_FLOOR:g}, {ERRORS_PCT:g}%)",
                 )
             )
 
@@ -258,8 +247,8 @@ def diff_run_reports(
     rows.append(
         DiffRow(
             "containers", "run", containers_a, containers_b,
-            _relative_verdict(containers_a, containers_b, tol.containers_pct),
-            f"tol {tol.containers_pct:g}%",
+            _relative_verdict(containers_a, containers_b, CONTAINERS_PCT),
+            f"tol {CONTAINERS_PCT:g}%",
         )
     )
     events_a = report_a.get("events_processed")

@@ -206,6 +206,8 @@ def generate_taobao(
         raise ValueError("n_services must be positive")
     if mean_graph_size < 2:
         raise ValueError("mean_graph_size must be at least 2")
+    if shared_pool < 1:
+        raise ValueError(f"shared_pool must be positive, got {shared_pool}")
     rng = np.random.default_rng(seed)
 
     pool = [f"shared-{i:04d}" for i in range(shared_pool)]
@@ -220,7 +222,7 @@ def generate_taobao(
         service = f"taobao-svc-{index:04d}"
         size = max(3, int(rng.normal(mean_graph_size, mean_graph_size / 4)))
         n_shared = min(
-            size - 2, max(1, int(rng.poisson(shared_per_service)))
+            size - 2, shared_pool, max(1, int(rng.poisson(shared_per_service)))
         )
         # positions in the pool: the draws of choosing among its names,
         # without making an array of them (and plain ``str``, not ``np.str_``)

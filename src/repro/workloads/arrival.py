@@ -14,6 +14,12 @@ from typing import Tuple
 
 import numpy as np
 
+#: Minutes of per-minute noise a :class:`DiurnalRate` draws (two days);
+#: the sequence repeats after it.
+HORIZON_MIN = 2880
+#: A :class:`DiurnalRate`'s phase: its trough at t = 0.
+PHASE = -math.pi / 2.0
+
 
 @dataclass(frozen=True)
 class SteppedRate:
@@ -42,31 +48,38 @@ class SteppedRate:
 class DiurnalRate:
     """Alibaba-like diurnal workload: sinusoid plus smooth noise.
 
-    rate(t) = base · (1 + amplitude·sin(2πt/period + phase)) · noise(t),
-    floored at zero.  Noise is a fixed per-minute log-normal sequence so
-    the process is deterministic for a given seed.
+    rate(t) = base · (1 + amplitude·sin(2πt/period − π/2)) · noise(t),
+    floored at zero: a trough at t = 0, the peak mid-period.  Noise is a
+    fixed per-minute log-normal sequence so the process is deterministic
+    for a given seed.
     """
 
     base: float
     amplitude: float = 0.5
     period_min: float = 1440.0
-    phase: float = -math.pi / 2.0  # trough at t=0, peak mid-period
     noise_sigma: float = 0.05
     seed: int = 0
-    horizon_min: int = 2880
     _noise: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise ValueError(f"base must be positive, got {self.base}")
+        if not 0 < self.base < math.inf:
+            raise ValueError(f"base must be positive and finite, got {self.base}")
         if not 0 <= self.amplitude <= 1:
             raise ValueError(f"amplitude must be in [0, 1], got {self.amplitude}")
+        if not 0 < self.period_min < math.inf:
+            raise ValueError(
+                f"period_min must be positive and finite, got {self.period_min}"
+            )
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
+            )
         rng = np.random.default_rng(self.seed)
-        self._noise = rng.lognormal(0.0, self.noise_sigma, size=self.horizon_min)
+        self._noise = rng.lognormal(0.0, self.noise_sigma, size=HORIZON_MIN)
 
     def __call__(self, minute: float) -> float:
         wave = 1.0 + self.amplitude * math.sin(
-            2.0 * math.pi * minute / self.period_min + self.phase
+            2.0 * math.pi * minute / self.period_min + PHASE
         )
         noise = self._noise[int(minute) % len(self._noise)]
         return max(self.base * wave * noise, 0.0)

@@ -40,6 +40,9 @@ from repro.graphs import CallNode, DependencyGraph, call, validate_graph
 from repro.simulator.simulation import SimulatedMicroservice
 
 _MS_PER_MINUTE = 60_000.0
+#: An analytic profile's P95 at the edge of its profiled range, in
+#: multiples of the (interference-inflated) mean service time.
+PEAK_LATENCY_FACTOR = 8.0
 
 
 @dataclass
@@ -125,8 +128,6 @@ def analytic_profile(
     threads: int,
     interference_multiplier: float = 1.0,
     container: ContainerSpec = None,
-    resource_demand: float = None,
-    peak_latency_factor: float = 8.0,
 ) -> MicroserviceProfile:
     """Piecewise profile from queueing capacity (shared by apps and benches).
 
@@ -134,9 +135,10 @@ def analytic_profile(
     Fig. 3 curves: P95 ≈ 2× the mean service time at light load, a knee
     (≈3× base) near 70 % of the per-container capacity
     ``threads / base_service_ms``, and a steep post-cutoff segment
-    reaching ``peak_latency_factor × base`` at the edge of the profiled
+    reaching ``PEAK_LATENCY_FACTOR × base`` at the edge of the profiled
     range (``max_load`` = 1.3× the cut-off ≈ 91 % of capacity) —
-    provisioning never extrapolates past that range.
+    provisioning never extrapolates past that range.  The resource demand
+    is the container's CPU request.
     """
     if container is None:
         container = ContainerSpec()
@@ -145,7 +147,7 @@ def analytic_profile(
     cutoff = 0.7 * capacity
     low = LatencySegment(slope=base / cutoff, intercept=2.0 * base)
     # Through (cutoff, 3·base) and (1.3·cutoff, peak·base).
-    high_slope = (peak_latency_factor - 3.0) * base / (0.3 * cutoff)
+    high_slope = (PEAK_LATENCY_FACTOR - 3.0) * base / (0.3 * cutoff)
     high = LatencySegment(
         slope=high_slope, intercept=3.0 * base - high_slope * cutoff
     )
@@ -154,9 +156,7 @@ def analytic_profile(
         model=PiecewiseLatencyModel(
             low=low, high=high, cutoff=cutoff, max_load=1.3 * cutoff
         ),
-        resource_demand=(
-            resource_demand if resource_demand is not None else container.cpu
-        ),
+        resource_demand=container.cpu,
         container=container,
     )
 

@@ -40,13 +40,13 @@ from repro.telemetry import (
 )
 from repro.telemetry.analysis import (
     AnalysisOptions,
-    DriftThresholds,
     analyze_run,
     attribute_blame,
     detect_profile_drift,
     extract_critical_path,
     refit_profile,
 )
+from repro.telemetry.analysis.drift import PREDICTION_REL
 from repro.tracing.spans import SpanForest, SpanTable, TraceView
 from tests.helpers import count_calls
 
@@ -386,7 +386,7 @@ class TestProfileDrift:
         )
         reports = detect_profile_drift(sink.metrics, models)
         assert reports[0].drifted
-        assert reports[0].median_rel_error > DriftThresholds().prediction_rel
+        assert reports[0].median_rel_error > PREDICTION_REL
 
     def test_alerts_flow_through_monitor_and_decision_log(self):
         simulated, models = offline_profile_b()

@@ -21,7 +21,7 @@ from repro.experiments import (
 )
 from repro.experiments.harness import uniform_specs
 from repro.experiments.interference import multipliers_from_placement
-from repro.simulator import InterferenceModel, SimulatedMicroservice
+from repro.simulator import SimulatedMicroservice
 from repro.simulator.simulation import ClusterSimulator
 from repro.workloads import DiurnalRate, generate_taobao, hotel_reservation
 from tests.helpers import count_calls
@@ -408,7 +408,7 @@ class TestInterferenceComparison:
         cluster.hosts[0].background_cpu = 30.0
         cluster.hosts[0].place("m", 2)
         cluster.hosts[1].place("m", 1)
-        multipliers = multipliers_from_placement(cluster, InterferenceModel())
+        multipliers = multipliers_from_placement(cluster)
         assert len(multipliers["m"]) == 3
         assert max(multipliers["m"]) > min(multipliers["m"])
 

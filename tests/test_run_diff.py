@@ -19,7 +19,7 @@ from repro.telemetry import (
     diff_run_reports,
     write_run_report,
 )
-from repro.telemetry.diff import DiffTolerances, load_run_report
+from repro.telemetry.diff import P95_PCT, load_run_report
 
 
 def make_report(seed=11):
@@ -68,10 +68,11 @@ class TestDiffVerdicts:
     def test_drift_inside_tolerance_is_ok(self):
         a = make_report()
         b = copy.deepcopy(a)
-        b["services"]["svc"]["p95_ms"] = a["services"]["svc"]["p95_ms"] * 1.03
+        p95 = a["services"]["svc"]["p95_ms"]
+        b["services"]["svc"]["p95_ms"] = p95 * 1.03
         assert diff_run_reports(a, b).verdict == "ok"
-        tight = DiffTolerances(p95_pct=1.0)
-        assert diff_run_reports(a, b, tight).verdict == "regression"
+        b["services"]["svc"]["p95_ms"] = p95 * (1.0 + P95_PCT / 100.0) * 1.001
+        assert diff_run_reports(a, b).verdict == "regression"
 
     def test_missing_service_is_regression(self):
         a = make_report()

@@ -10,10 +10,15 @@ from repro.graphs import DependencyGraph, call
 from repro.simulator import (
     ClusterSimulator,
     EventQueue,
-    InterferenceModel,
     PriorityQueuePolicy,
     SimulatedMicroservice,
     SimulationConfig,
+)
+from repro.simulator.interference import (
+    CPU_KNEE,
+    MEM_KNEE,
+    host_multiplier,
+    multiplier_for,
 )
 
 
@@ -405,20 +410,17 @@ class TestClusterSimulator:
 
 class TestInterferenceModel:
     def test_idle_host_multiplier_is_one(self):
-        model = InterferenceModel()
-        assert model.multiplier_for(0.0, 0.0) == pytest.approx(1.0)
-        assert model.multiplier_for(0.2, 0.3) == pytest.approx(1.0)
+        assert multiplier_for(0.0, 0.0) == pytest.approx(1.0)
+        assert multiplier_for(0.2, 0.3) == pytest.approx(1.0)
 
     def test_multiplier_grows_with_utilization(self):
-        model = InterferenceModel()
-        assert model.multiplier_for(0.8, 0.2) > 1.0
-        assert model.multiplier_for(0.9, 0.9) > model.multiplier_for(0.5, 0.5)
+        assert multiplier_for(0.8, 0.2) > 1.0
+        assert multiplier_for(0.9, 0.9) > multiplier_for(0.5, 0.5)
 
     def test_memory_weighs_more_than_cpu(self):
         """§5.2: memory pressure is at least as harmful as CPU pressure."""
-        model = InterferenceModel()
-        cpu_only = model.multiplier_for(0.3 + 0.3, 0.4)
-        mem_only = model.multiplier_for(0.3, 0.4 + 0.3)
+        cpu_only = multiplier_for(CPU_KNEE + 0.3, MEM_KNEE)
+        mem_only = multiplier_for(CPU_KNEE, MEM_KNEE + 0.3)
         assert mem_only >= cpu_only
 
     def test_host_multiplier_uses_cluster_sizes(self):
@@ -429,10 +431,7 @@ class TestInterferenceModel:
         host = cluster.hosts[0]
         host.background_cpu = 8.0
         host.place("ms", 1)
-        model = InterferenceModel()
-        assert model.host_multiplier(cluster, host) == pytest.approx(
-            model.multiplier_for(0.9, 0.1)
-        )
+        assert host_multiplier(cluster, host) == pytest.approx(multiplier_for(0.9, 0.1))
 
 
 class TestInterferenceSchedule:
@@ -448,14 +447,14 @@ class TestInterferenceSchedule:
         assert schedule.level_at(120.0) == (0.1, 0.1)  # wraps around
 
     def test_multiplier_tracks_level(self):
-        from repro.simulator import InterferenceModel, InterferenceSchedule
+        from repro.simulator import InterferenceSchedule
 
         schedule = InterferenceSchedule(
             levels=((0.0, 0.0), (0.9, 0.9)), period_min=1.0
         )
         assert schedule(0.5) == pytest.approx(1.0)
         assert schedule(1.5) == pytest.approx(
-            InterferenceModel().multiplier_for(0.9, 0.9)
+            multiplier_for(0.9, 0.9)
         )
 
     def test_random_factory_deterministic(self):

@@ -214,3 +214,15 @@ class TestAlibabaGenerators:
             generate_taobao(n_services=0)
         with pytest.raises(ValueError):
             generate_taobao(mean_graph_size=1)
+        with pytest.raises(ValueError, match="shared_pool"):
+            generate_taobao(shared_pool=0)
+
+    def test_taobao_shared_picks_capped_at_pool_size(self):
+        """A Poisson draw above the pool size takes the whole pool."""
+        population = generate_taobao(
+            seed=7, n_services=40, mean_graph_size=20, shared_pool=5
+        )
+        assert max(
+            sum(name.startswith("shared-") for name in spec.graph.microservices())
+            for spec in population.services
+        ) == 5
